@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import TWO_PI
 from .model import Band, ChannelKind, CwPump, SystemSpec
 from .numerics import integrate_adaptive
-
-TWO_PI = 2.0 * math.pi
 
 # fraction of one free spectral range the rate quadrature window may span
 # on either side of the resonance, so neighbouring resonances never leak in

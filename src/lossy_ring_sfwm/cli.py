@@ -24,6 +24,7 @@ import numpy as np
 from . import attenuation, jsa, phantom, sweeps
 from .config import ConfigError, RunConfig, derived_echo, parse_config
 from .model import Band, CwPump, PulsedPump
+from .numerics import QuadratureError
 
 _COMMANDS = ("rate", "ratios", "sweep-sigma", "sweep-eta", "compare-finesse",
              "add-drop-grid", "jsa", "oracle-check")
@@ -230,7 +231,7 @@ def cmd_jsa(config: RunConfig, outdir: Path, threads: int, tol) -> int:
 
     header = ["kappa1\\kappa2"] + [_fmt(k) for k in grid.kappa2]
     for name, data in (("jsa_abs2.csv", grid.abs2), ("jsa_phase.csv", grid.phase)):
-        rows = [(grid.kappa1[i],) + tuple(data[i]) for i in range(len(grid.kappa1))]
+        rows = ((k,) + tuple(row) for k, row in zip(grid.kappa1.tolist(), data.tolist()))
         _write_csv(outdir / name, header, rows)
     _write_csv(outdir / "jsa_weights.csv",
                ["signal_exit", "idler_exit", "weight_re", "weight_im", "weight_abs2"],
@@ -321,6 +322,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2
+    except QuadratureError as e:
+        print(f"{args.command}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

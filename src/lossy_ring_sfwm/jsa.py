@@ -14,8 +14,16 @@ after eliminating the energy delta function,
     g(E) = (gP^2 / (L vP)) (tau / sqrt(pi)) exp(-tau^2 (E/2 - w_o)^2)
            * Integral dx exp(-tau^2 x^2) / (b^2 - x^2),   b = (wP - E/2) - i GbarP,
 
-where the Gaussian prefactor is pulled out analytically and the
-remaining smooth integral is evaluated by adaptive quadrature. Because
+where the Gaussian prefactor is pulled out analytically. The remaining
+integral has the closed form
+
+    Integral dx exp(-tau^2 x^2) / (b^2 - x^2) = i pi w(-tau b) / b,
+
+with w the Faddeeva function (scipy.special.wofz; Poppe & Wijers, ACM
+TOMS 16, 38 (1990), and S. G. Johnson's Faddeeva package). Since
+Im b = -GbarP < 0, w is only evaluated in the upper half plane, where it
+is bounded by 1, so g(E) is finite for any pulse length; for long pulses
+the Gaussian prefactor simply underflows to zero far from 2 w_o. Because
 the ring-channel couplings are frequency independent, every channel
 pair shares one spectral shape; a single reference-pair grid plus
 per-pair complex weights represents the full wave function.
@@ -28,17 +36,11 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from scipy.special import wofz
 
-from .constants import HBAR
+from .constants import HBAR, TWO_PI
 from .model import Band, PulsedPump, SystemSpec
-from .numerics import grid_integrate_2d, integrate_adaptive, integrate_adaptive_complex
-from .phantom import Branch, enhancement_factor
-
-TWO_PI = 2.0 * math.pi
-
-G_QUAD_RTOL = 1e-8
-# pump-bandwidth multiples covered by the pump-factor quadrature window
-_G_WINDOW_BANDWIDTHS = 6.0
+from .numerics import grid_integrate_2d, integrate_adaptive
 
 
 class GridTooCoarseError(ValueError):
@@ -64,8 +66,9 @@ def pulse_spectral_amplitude(omega, omega_center: float, pump: PulsedPump):
                                                   * (omega - omega_center) ** 2)
 
 
-def _pump_g_factor(system: SystemSpec, pump: PulsedPump, rel_tol: float = G_QUAD_RTOL):
-    """Returns g(E): the pump-pair spectral factor at two-photon energy E."""
+def _pump_g_factor(system: SystemSpec, pump: PulsedPump):
+    """Returns g(E): the pump-pair spectral factor at two-photon energy E
+    (a scalar or an array)."""
     pb = system.bands[Band.PUMP]
     omega_o = pb.omega + pump.detuning
     gbar_p = system.gamma_bar(Band.PUMP)
@@ -73,20 +76,11 @@ def _pump_g_factor(system: SystemSpec, pump: PulsedPump, rel_tol: float = G_QUAD
     tau = pump.tau
     L = system.ring.circumference
     scale = gamma_p2 / (L * pb.v) * tau / math.sqrt(math.pi)
-    half = _G_WINDOW_BANDWIDTHS * pump_bandwidth(pump)
 
-    def g(E: float) -> complex:
-        delta = pb.omega - E / 2.0
-        b = delta - 1j * gbar_p
-
-        def integrand(x: float) -> complex:
-            return math.exp(-(tau * x) ** 2) / (b * b - x * x)
-
-        # integrand is even in x; resolve the |x| = |delta| structure if inside
-        quad = integrate_adaptive_complex(integrand, 0.0, half, rel_tol=rel_tol,
-                                          points=[abs(delta)])
-        envelope = math.exp(-(tau * (E / 2.0 - omega_o)) ** 2)
-        return scale * envelope * 2.0 * quad.value
+    def g(E):
+        b = (pb.omega - E / 2.0) - 1j * gbar_p
+        envelope = np.exp(-(tau * (E / 2.0 - omega_o)) ** 2)
+        return scale * envelope * (1j * math.pi) * wofz(-tau * b) / b
 
     return g
 
@@ -123,7 +117,7 @@ def _energy_mass_integral(system: SystemSpec, pump: PulsedPump, gamma_s: float,
     sb = system.bands[Band.SIGNAL]
     ib = system.bands[Band.IDLER]
     omega_o = pb.omega + pump.detuning
-    g = _pump_g_factor(system, pump, rel_tol=1e-10)  # inner noise below outer goal
+    g = _pump_g_factor(system, pump)
     gsum = system.gamma_bar(Band.SIGNAL) + system.gamma_bar(Band.IDLER)
     center = 2.0 * omega_o
     if half_window is None:
@@ -218,25 +212,18 @@ def _direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
     gbi = system.gamma_bar(Band.IDLER)
     omega1 = sb.omega + gbs * kappa1
     omega2 = ib.omega + gbi * kappa2
-    k1 = sb.k_of_omega(omega1)
-    k2 = ib.k_of_omega(omega2)
-    f_s = np.array([enhancement_factor(system, signal_exit, Band.SIGNAL, k,
-                                       Branch.PLUS).value for k in k1])
-    f_i = np.array([enhancement_factor(system, idler_exit, Band.IDLER, k,
-                                       Branch.PLUS).value for k in k2])
-    g = _pump_g_factor(system, pump)
-
-    d1 = gbs * (kappa1[1] - kappa1[0]) if len(kappa1) > 1 else 0.0
-    d2 = gbi * (kappa2[1] - kappa2[0]) if len(kappa2) > 1 else 0.0
-    commensurate = d1 > 0 and d2 > 0 and abs(d1 - d2) <= 1e-9 * d1
-    if commensurate:
-        # two-photon energy is constant along grid anti-diagonals
-        n1, n2 = len(omega1), len(omega2)
-        e_base = omega1[0] + omega2[0]
-        g_diag = np.array([g(e_base + m * d1) for m in range(n1 + n2 - 1)])
-        g_grid = g_diag[np.arange(n1)[:, None] + np.arange(n2)[None, :]]
-    else:
-        g_grid = np.array([[g(w1 + w2) for w2 in omega2] for w1 in omega1])
+    sqrt_l = math.sqrt(system.ring.circumference)
+    # Branch.PLUS enhancement factors of phantom.enhancement_factor, on arrays
+    f_s = system.amplitude_coupling(signal_exit, Band.SIGNAL) / (
+        sqrt_l * (sb.v * (sb.k_ref - sb.k_of_omega(omega1)) + 1j * gbs))
+    f_i = system.amplitude_coupling(idler_exit, Band.IDLER) / (
+        sqrt_l * (ib.v * (ib.k_ref - ib.k_of_omega(omega2)) + 1j * gbi))
+    # two-photon energies from the grid corner in units of the signal step:
+    # on equal steps every cell of an anti-diagonal gets the same energy
+    d1 = gbs * (kappa1[1] - kappa1[0])
+    d2 = gbi * (kappa2[1] - kappa2[0])
+    steps = np.arange(len(omega1))[:, None] + (d2 / d1) * np.arange(len(omega2))
+    g_grid = _pump_g_factor(system, pump)((omega1[0] + omega2[0]) + d1 * steps)
     return 1j * _jsa_prefactor(system) * np.conj(f_s)[:, None] * np.conj(f_i)[None, :] \
         * g_grid
 

@@ -28,9 +28,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .constants import C_VACUUM
-
-TWO_PI = 2.0 * math.pi
+from .constants import C_VACUUM, TWO_PI
 
 # dB/cm -> 1/m for a power attenuation coefficient
 _DB_PER_CM_TO_NP_PER_M = 100.0 * math.log(10.0) / 10.0

@@ -9,7 +9,6 @@ import numpy as np
 from scipy import integrate
 
 DEFAULT_RATE_RTOL = 1e-6
-DEFAULT_ORACLE_RTOL = 1e-8
 
 
 class QuadratureError(RuntimeError):
@@ -84,29 +83,6 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
             f"{rel_tol:.1e} relative on value {value:.6e}",
             value=value, error_estimate=abserr)
     return QuadratureResult(value=value, abs_error_estimate=abserr, evaluations=neval)
-
-
-def integrate_adaptive_complex(f: Callable[[float], complex], a: float, b: float,
-                               rel_tol: float = DEFAULT_ORACLE_RTOL,
-                               points: Sequence[float] | None = None,
-                               limit: int = 200) -> QuadratureResult:
-    """Adaptive quadrature of a complex integrand (real and imaginary parts
-    integrated separately; the error estimate is combined in quadrature)."""
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    re, re_err, re_neval = _quad_segments(lambda x: f(x).real, a, b, rel_tol,
-                                          points, limit)
-    im, im_err, im_neval = _quad_segments(lambda x: f(x).imag, a, b, rel_tol,
-                                          points, limit)
-    value = complex(re, im)
-    abserr = float(np.hypot(re_err, im_err))
-    if abserr > rel_tol * abs(value) + 1e-300:
-        raise QuadratureError(
-            f"complex quadrature did not converge: estimate {abserr:.3e} vs requested "
-            f"{rel_tol:.1e} relative on |value| {abs(value):.6e}",
-            value=value, error_estimate=abserr)
-    return QuadratureResult(value=value, abs_error_estimate=abserr,
-                            evaluations=re_neval + im_neval)
 
 
 def grid_integrate_2d(values: np.ndarray, dx: float, dy: float) -> float:

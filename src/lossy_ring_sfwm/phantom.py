@@ -27,8 +27,6 @@ from .constants import EPS0, HBAR
 from .model import Band, ChannelKind, CwPump, SystemSpec
 from .numerics import integrate_adaptive
 
-TWO_PI = 2.0 * math.pi
-
 
 class Branch(enum.Enum):
     """Sign of i Gbar in the enhancement denominator."""

@@ -7,10 +7,12 @@ from importlib import resources
 
 import pytest
 
+from lossy_ring_sfwm import cli
 from lossy_ring_sfwm.cli import main
 from lossy_ring_sfwm.config import (ConfigError, derived_echo, parse_config,
                                     serialize_config)
 from lossy_ring_sfwm.model import Band, CwPump, PulsedPump
+from lossy_ring_sfwm.numerics import QuadratureError
 
 
 def bundled_config_text(name="ring_channel.json") -> str:
@@ -240,6 +242,16 @@ class TestCommands:
     def test_jsa_needs_pulsed_pump(self, tmp_path):
         cfg = _write_config(tmp_path, eta_config())
         assert main(["jsa", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_quadrature_error_maps_to_exit_1(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise QuadratureError("quadrature did not converge: estimate 1e-3")
+
+        monkeypatch.setitem(cli._HANDLERS, "rate", fail)
+        cfg = _write_config(tmp_path, eta_config())
+        assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "rate: quadrature did not converge: estimate 1e-3\n"
 
     def test_missing_config_file(self, tmp_path):
         assert main(["rate", "--config", str(tmp_path / "nope.json"),

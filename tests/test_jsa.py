@@ -2,9 +2,9 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import wofz
 
 from lossy_ring_sfwm import jsa
 from lossy_ring_sfwm.model import Band, PulsedPump, ring_system
@@ -19,27 +19,66 @@ def system_06():
 
 
 @pytest.fixture(scope="module")
+def system_short_pulse():
+    """Single bus at escape efficiency 0.52 on a low-loss ring, where a
+    1.66 ps pulse spans about 80 loaded linewidths."""
+    return ring_system(10.23e-6, 4.326, 100.0, 1550e-9, V, 2.4, eta=0.52)
+
+
+@pytest.fixture(scope="module")
 def pulse_10ps():
     return PulsedPump(duration_fwhm=10e-12)
 
 
+def _g_oracle(system, pump, energy):
+    """g(E) by mpmath quadrature of the raw pump integral at 30 digits,
+    integral e^{-tau^2 x^2} / (b^2 - x^2) dx over the real line with
+    b = (omega_P - E/2) - i Gbar_P; independent of the Faddeeva function."""
+    pb = system.bands[Band.PUMP]
+    with mp.workdps(30):
+        tau = mp.mpf(pump.tau)
+        half_energy = mp.mpf(energy) / 2
+        gbar = mp.mpf(system.gamma_bar(Band.PUMP))
+        c = tau * ((mp.mpf(pb.omega) - half_energy) - 1j * gbar)  # tau b
+        # u = tau x; the integrand is even and peaks near u = |Re c|, width |Im c|
+        x0, w = abs(c.real), abs(c.imag)
+        breaks = sorted({mp.mpf(0)} | {x0 + s * k * w for k in (0, 1, 4, 16, 64)
+                                       for s in (-1, 1) if x0 + s * k * w > 0})
+        integral = 2 * tau * mp.quad(lambda u: mp.exp(-u * u) / (c * c - u * u),
+                                     breaks + [mp.inf])
+        gamma_p2 = mp.mpf(system.amplitude_coupling(system.pump_input_channel,
+                                                    Band.PUMP)) ** 2
+        scale = gamma_p2 / (mp.mpf(system.ring.circumference) * mp.mpf(pb.v)) \
+            * tau / mp.sqrt(mp.pi)
+        omega_o = mp.mpf(pb.omega) + mp.mpf(pump.detuning)
+        envelope = mp.exp(-(tau * (half_energy - omega_o)) ** 2)
+        return complex(scale * envelope * integral)
+
+
 class TestPumpFactor:
-    def test_matches_faddeeva_closed_form(self, system_06, pulse_10ps):
-        """The remaining pump integral has a closed form through the
-        Faddeeva function w: for Im b < 0,
-        integral e^{-tau^2 x^2} / (b^2 - x^2) dx = i pi w(-tau b) / b."""
+    def test_matches_faddeeva_closed_form(self, system_06, system_short_pulse):
+        """The Faddeeva closed form against a 30-digit quadrature of the raw
+        integral: at 10 ps, on the 1.66 ps short-pulse ring and in the 10 ns
+        CW limit. Detunings are in units of the narrower of the ring
+        linewidth and the pump bandwidth, so the 10 ns envelope stays
+        representable."""
+        for system, duration in ((system_06, 10e-12), (system_short_pulse, 1.66e-12),
+                                 (system_06, 10e-9)):
+            pump = PulsedPump(duration_fwhm=duration)
+            pb = system.bands[Band.PUMP]
+            unit = min(system.gamma_bar(Band.PUMP), 1.0 / pump.tau)
+            g = jsa._pump_g_factor(system, pump)
+            for detuning in (0.0, 0.6, -2.3, 7.9, -13.0):
+                energy = 2.0 * pb.omega + detuning * unit
+                assert complex(g(energy)) == pytest.approx(
+                    _g_oracle(system, pump, energy), rel=1e-12, abs=0.0)
+
+    def test_array_input_matches_scalar(self, system_06, pulse_10ps):
         pb = system_06.bands[Band.PUMP]
         gbar = system_06.gamma_bar(Band.PUMP)
-        tau = pulse_10ps.tau
-        gamma_p2 = system_06.amplitude_coupling("O", Band.PUMP) ** 2
-        scale = gamma_p2 / (system_06.ring.circumference * pb.v) * tau / math.sqrt(math.pi)
+        energies = 2.0 * pb.omega + np.linspace(-20.0, 20.0, 41) * gbar
         g = jsa._pump_g_factor(system_06, pulse_10ps)
-        for de_over_gbar in (0.0, 0.6, -2.3, 7.9, -13.0):
-            energy = 2.0 * pb.omega + de_over_gbar * gbar
-            b = (pb.omega - energy / 2.0) - 1j * gbar
-            closed = scale * math.exp(-(tau * (energy / 2.0 - pb.omega)) ** 2) \
-                * 1j * math.pi * wofz(-tau * b) / b
-            assert g(energy) == pytest.approx(closed, rel=1e-7)
+        assert np.array_equal(g(energies), [g(e) for e in energies])
 
     def test_pulse_spectrum_normalized(self, pulse_10ps):
         omega = np.linspace(-40.0, 40.0, 400_001) / pulse_10ps.tau
@@ -116,3 +155,21 @@ class TestCwLimit:
         f_short = jsa.antidiagonal_mass_fraction(system_06, short, width)
         f_long = jsa.antidiagonal_mass_fraction(system_06, long, width)
         assert f_long > f_short
+
+
+class TestShortPulse:
+    """A pulse far shorter than the ring lifetime: the pole of the pump
+    integral sits deep inside the pump bandwidth."""
+
+    def test_total_mass_is_sum_of_pair_masses(self, system_short_pulse):
+        pump = PulsedPump(duration_fwhm=1.66e-12)
+        total = jsa.total_mass(system_short_pulse, pump)
+        assert math.isfinite(total) and total > 0.0
+        pairs = sum(jsa.pair_mass(system_short_pulse, pump, x, y)
+                    for x in ("O", "P") for y in ("O", "P"))
+        assert total == pytest.approx(pairs, rel=1e-9)
+
+    def test_wide_grid_passes_default_residual_gate(self, system_short_pulse):
+        grid = jsa.build_jsa(system_short_pulse, PulsedPump(duration_fwhm=1.66e-12),
+                             n=512, kappa_max=12.0)
+        assert grid.normalization_residual <= 2.5e-3

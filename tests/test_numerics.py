@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from lossy_ring_sfwm.numerics import (QuadratureError, grid_integrate_2d,
-                                      integrate_adaptive,
-                                      integrate_adaptive_complex)
+                                      integrate_adaptive)
 
 
 class TestIntegrateAdaptive:
@@ -59,19 +58,6 @@ class TestIntegrateAdaptive:
         r1 = integrate_adaptive(f, -8.0, 8.0)
         r2 = integrate_adaptive(f, -8.0, 8.0)
         assert r1.value == r2.value
-
-
-class TestIntegrateAdaptiveComplex:
-    def test_complex_exponential(self):
-        result = integrate_adaptive_complex(lambda x: np.exp(1j * x), 0.0, math.pi,
-                                            rel_tol=1e-10)
-        assert result.value == pytest.approx(2.0j, abs=1e-9)
-
-    def test_matches_real_parts(self):
-        f = lambda x: (2.0 + 1.0j) * math.exp(-x * x)
-        result = integrate_adaptive_complex(f, -6.0, 6.0, rel_tol=1e-10)
-        assert result.value.real == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-9)
-        assert result.value.imag == pytest.approx(math.sqrt(math.pi), rel=1e-9)
 
 
 class TestGridIntegrate2d:
