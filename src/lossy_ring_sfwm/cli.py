@@ -30,18 +30,24 @@ _COMMANDS = ("rate", "ratios", "sweep-sigma", "sweep-eta", "compare-finesse",
              "add-drop-grid", "jsa", "oracle-check")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
+    """Rows hold Python floats, ints and strings; csv writes a float as its
+    shortest round-trip repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
+
+
+def _rows(*columns: np.ndarray) -> list[list[float]]:
+    """Equal-length float columns as CSV rows of Python floats."""
+    return np.column_stack(columns).tolist()
+
+
+def _write_sweep(path: Path, result: sweeps.SweepResult) -> None:
+    """The sweep axis, then every value column in the result's order."""
+    ((name, axis),) = result.axes.items()
+    _write_csv(path, [name] + list(result.values), _rows(axis, *result.values.values()))
 
 
 def _write_metadata(path: Path, payload: dict) -> None:
@@ -82,7 +88,7 @@ def _axis(block: dict, lo_key: str, hi_key: str, n_key: str, defaults, *, log=Fa
     return np.linspace(lo, hi, n)
 
 
-def _attenuation_pairs(config: RunConfig, pump: CwPump, threads: int):
+def _attenuation_pairs(config: RunConfig, pump: CwPump):
     system = config.system
     phys = system.physical_channels
     if len(phys) == 1:
@@ -91,11 +97,8 @@ def _attenuation_pairs(config: RunConfig, pump: CwPump, threads: int):
         return [(bus, bus, rate)]
     through = system.pump_input_channel
     drop = next(c.channel_id for c in phys if c.channel_id != through)
-    rows = []
-    for x in (through, drop):
-        for y in (through, drop):
-            rows.append((x, y, attenuation.pair_rate_cw_add_drop(system, pump, x, y)))
-    return rows
+    return [(x, y, attenuation.pair_rate_cw_add_drop(system, pump, x, y))
+            for x in (through, drop) for y in (through, drop)]
 
 
 def cmd_rate(config: RunConfig, outdir: Path, threads: int, tol) -> int:
@@ -105,14 +108,12 @@ def cmd_rate(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     matched: dict[str, float] = {}
     if config.strategy in ("phantom", "both"):
         matrix = phantom.rate_matrix(config.system, pump)
-        for x in matrix.channel_ids:
-            for y in matrix.channel_ids:
-                rows.append(("phantom", x, y, matrix.rate(x, y)))
+        rows += [("phantom", x, y, rate) for (x, y), rate in matrix.rates.items()]
         meta["p_vac_w"] = matrix.p_vac
         key = (config.system.pump_input_channel,) * 2
         matched["phantom"] = matrix.rate(*key)
     if config.strategy in ("attenuation", "both"):
-        for x, y, rate in _attenuation_pairs(config, pump, threads):
+        for x, y, rate in _attenuation_pairs(config, pump):
             rows.append(("attenuation", x, y, rate))
             if x == y == config.system.pump_input_channel:
                 matched["attenuation"] = rate
@@ -129,11 +130,7 @@ def cmd_ratios(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     pump = _require_cw(config)
     matrix = phantom.rate_matrix(config.system, pump)
     ref = (config.system.physical_channels[0].channel_id,) * 2
-    rows = []
-    for x in matrix.channel_ids:
-        for y in matrix.channel_ids:
-            rows.append((x, y, ref[0], ref[1],
-                         phantom.rate_ratio(matrix, x, y, ref[0], ref[1])))
+    rows = [(x, y, *ref, phantom.rate_ratio(matrix, x, y, *ref)) for x, y in matrix.rates]
     _write_csv(outdir / "ratios.csv",
                ["signal_exit", "idler_exit", "ref_signal_exit", "ref_idler_exit",
                 "ratio"], rows)
@@ -149,7 +146,7 @@ def cmd_sweep_sigma(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     axis = _axis(block, "min", "max", "points", (0.90, 0.9995, 101))
     result = sweeps.sweep_sigma(config.system, axis, pump, workers=threads)
     _write_csv(outdir / "sweep_sigma.csv", ["sigma", "rate_pairs_per_s"],
-               zip(result.axes["sigma"], result.values["rate"]))
+               _rows(result.axes["sigma"], result.values["rate"]))
     meta = _base_metadata("sweep-sigma", config)
     meta.update(result.metadata)
     _write_metadata(outdir / "sweep_sigma_meta.json", meta)
@@ -160,10 +157,8 @@ def cmd_sweep_eta(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     pump = _require_cw(config)
     block = dict(config.options.get("sweep_eta", {}))
     axis = _axis(block, "min", "max", "points", (0.02, 0.98, 101))
-    result = sweeps.sweep_eta(config.system, axis, pump, workers=threads)
-    keys = list(result.values)
-    _write_csv(outdir / "sweep_eta.csv", ["eta"] + keys,
-               zip(result.axes["eta"], *(result.values[k] for k in keys)))
+    result = sweeps.sweep_eta(config.system, axis, pump)
+    _write_sweep(outdir / "sweep_eta.csv", result)
     meta = _base_metadata("sweep-eta", config)
     meta.update(result.metadata)
     _write_metadata(outdir / "sweep_eta_meta.json", meta)
@@ -177,15 +172,10 @@ def cmd_compare_finesse(config: RunConfig, outdir: Path, threads: int, tol) -> i
         axis = _axis(block, "sigma2_min", "sigma2_max", "points", (0.3, 0.9999, 25))
         result = sweeps.compare_finesse_add_drop(config.system, axis, pump,
                                                  workers=threads)
-        keys = ["finesse", "rate_attenuation", "rate_phantom", "rel_difference"]
-        _write_csv(outdir / "compare_finesse.csv", ["sigma2"] + keys,
-                   zip(result.axes["sigma2"], *(result.values[k] for k in keys)))
     else:
         axis = _axis(block, "min", "max", "points", (50.0, 2000.0, 25), log=True)
         result = sweeps.compare_finesse(config.system, axis, pump, workers=threads)
-        keys = ["rate_attenuation", "rate_phantom", "rel_difference"]
-        _write_csv(outdir / "compare_finesse.csv", ["finesse"] + keys,
-                   zip(result.axes["finesse"], *(result.values[k] for k in keys)))
+    _write_sweep(outdir / "compare_finesse.csv", result)
     meta = _base_metadata("compare-finesse", config)
     meta.update(result.metadata)
     _write_metadata(outdir / "compare_finesse_meta.json", meta)
@@ -196,22 +186,32 @@ def cmd_add_drop_grid(config: RunConfig, outdir: Path, threads: int, tol) -> int
     pump = _require_cw(config)
     block = dict(config.options.get("add_drop_grid", {}))
     axis = _axis(block, "min_ratio", "max_ratio", "points", (0.05, 5.0, 81), log=True)
-    result = sweeps.add_drop_grid(config.system, axis, axis, pump, workers=threads)
+    result = sweeps.add_drop_grid(config.system, axis, axis, pump)
     keys = sorted(result.values)
-    rows = []
-    t_axis = result.axes["gamma_t_ratio"]
-    d_axis = result.axes["gamma_d_ratio"]
-    for i, t in enumerate(t_axis):
-        for j, d in enumerate(d_axis):
-            rows.append((t, d) + tuple(result.values[k][i, j] for k in keys))
-    _write_csv(outdir / "add_drop_grid.csv",
-               ["gamma_t_ratio", "gamma_d_ratio"] + keys, rows)
+    t, d = np.meshgrid(result.axes["gamma_t_ratio"], result.axes["gamma_d_ratio"],
+                       indexing="ij")
+    _write_csv(outdir / "add_drop_grid.csv", ["gamma_t_ratio", "gamma_d_ratio"] + keys,
+               _rows(t.ravel(), d.ravel(), *(result.values[k].ravel() for k in keys)))
     meta = _base_metadata("add-drop-grid", config)
     meta["argmax"] = {k: list(v) for k, v in result.metadata["argmax"].items()}
     meta["pump_power_w"] = pump.power
     meta["pump_detuning_rad_per_s"] = pump.detuning
     _write_metadata(outdir / "add_drop_grid_meta.json", meta)
     return 0
+
+
+def _reference_pair(config: RunConfig, ref) -> tuple[str, str]:
+    """A JSA reference pair: two channel ids whose signal and idler couplings
+    are nonzero, since every other pair is scaled by their inverse."""
+    ids = config.system.channel_ids
+    if not (isinstance(ref, list) and len(ref) == 2 and all(c in ids for c in ref)):
+        raise ConfigError("options.jsa.reference_pair",
+                          f"expected a list of two channel ids from {list(ids)}, got {ref!r}")
+    if config.system.channel(ref[0]).gamma(Band.SIGNAL) * \
+            config.system.channel(ref[1]).gamma(Band.IDLER) == 0.0:
+        raise ConfigError("options.jsa.reference_pair",
+                          f"{ref} needs nonzero signal and idler couplings")
+    return ref[0], ref[1]
 
 
 def cmd_jsa(config: RunConfig, outdir: Path, threads: int, tol) -> int:
@@ -221,7 +221,7 @@ def cmd_jsa(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     kappa_max = float(block.get("kappa_max", 8.0))
     residual_tol = float(tol if tol is not None else block.get("residual_tol", 2.5e-3))
     ref = block.get("reference_pair")
-    ref_pair = tuple(ref) if ref else None
+    ref_pair = None if ref is None else _reference_pair(config, ref)
     try:
         grid = jsa.build_jsa(config.system, pump, n=n, kappa_max=kappa_max,
                              reference_pair=ref_pair, residual_tol=residual_tol)
@@ -229,9 +229,9 @@ def cmd_jsa(config: RunConfig, outdir: Path, threads: int, tol) -> int:
         print(f"jsa: {e}", file=sys.stderr)
         return 1
 
-    header = ["kappa1\\kappa2"] + [_fmt(k) for k in grid.kappa2]
+    header = ["kappa1\\kappa2"] + grid.kappa2.tolist()
     for name, data in (("jsa_abs2.csv", grid.abs2), ("jsa_phase.csv", grid.phase)):
-        rows = ((k,) + tuple(row) for k, row in zip(grid.kappa1.tolist(), data.tolist()))
+        rows = ([k] + row for k, row in zip(grid.kappa1.tolist(), data.tolist()))
         _write_csv(outdir / name, header, rows)
     _write_csv(outdir / "jsa_weights.csv",
                ["signal_exit", "idler_exit", "weight_re", "weight_im", "weight_abs2"],
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep evaluation")
+                        help="worker threads for the strategy-1 sweeps")
     parser.add_argument("--tol", type=float, default=None,
                         help="override the command's tolerance gate")
     return parser

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .model import (Band, BandParams, ChannelCoupling, ChannelKind, CwPump,
@@ -46,7 +46,12 @@ def _number(d: Mapping, key: str, path: str, *, default=None,
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}.{key}", f"expected a number, got {v!r}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{path}.{key}", f"must be finite, got {v}")
     if positive and v <= 0:
         raise ConfigError(f"{path}.{key}", f"must be positive, got {v}")
     if minimum is not None and v < minimum:
@@ -136,40 +141,40 @@ def _parse_channels(entries, ring: RingSpec, bands: Mapping[Band, BandParams],
         if len(given) > 1:
             raise ConfigError(f"{epath}.coupling",
                               f"over-specified coupling: got {given}, give exactly one")
-        parsed.append((cid, kind, given[0], coupling[given[0]], epath))
+        parsed.append((cid, kind, given[0], coupling, epath))
 
     # absolute representations first, escape efficiencies afterwards
     gammas: dict[str, dict[Band, float]] = {}
     eta_requests = []
-    for cid, kind, rep, value, epath in parsed:
-        cpath = f"{epath}.coupling.{rep}"
+    for cid, kind, rep, coupling, epath in parsed:
+        base = f"{epath}.coupling"
+        cpath = f"{base}.{rep}"
         if rep == "sigma":
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(cpath, f"expected a number, got {value!r}")
-            gammas[cid] = {b: gamma_from_sigma(float(value), bands[b].v,
-                                               ring.circumference) for b in Band}
+            sigma = _number(coupling, rep, base, positive=True)
+            if sigma > 1.0:
+                raise ConfigError(cpath, f"must be <= 1, got {sigma}")
+            gammas[cid] = {b: gamma_from_sigma(sigma, bands[b].v, ring.circumference)
+                           for b in Band}
         elif rep == "gamma_rad_per_s":
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-                raise ConfigError(cpath, f"expected a non-negative number, got {value!r}")
-            gammas[cid] = {b: float(value) for b in Band}
+            gamma = _number(coupling, rep, base, minimum=0.0)
+            gammas[cid] = {b: gamma for b in Band}
         elif rep == "q_factor":
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-                raise ConfigError(cpath, f"expected a positive number, got {value!r}")
-            gammas[cid] = {b: bands[b].omega / (2.0 * float(value)) for b in Band}
+            q = _number(coupling, rep, base, positive=True)
+            gammas[cid] = {b: bands[b].omega / (2.0 * q) for b in Band}
         elif rep == "from_loss":
-            if value is not True:
+            if coupling[rep] is not True:
                 raise ConfigError(cpath, "from_loss must be true when present")
             if kind is not ChannelKind.PHANTOM:
                 raise ConfigError(cpath, "from_loss is reserved for the phantom channel")
             gammas[cid] = {b: ring.xi * bands[b].v / 2.0 for b in Band}
         else:  # eta
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or not 0 < value < 1:
-                raise ConfigError(cpath, f"expected a number in (0, 1), got {value!r}")
-            eta_requests.append((cid, float(value), cpath))
+            eta = _number(coupling, rep, base, positive=True)
+            if eta >= 1.0:
+                raise ConfigError(cpath, f"must be < 1, got {eta}")
+            eta_requests.append((cid, eta))
 
     if eta_requests:
-        eta_sum = sum(e for _, e, _ in eta_requests)
+        eta_sum = sum(e for _, e in eta_requests)
         if eta_sum >= 1.0:
             raise ConfigError(path, f"escape efficiencies sum to {eta_sum}, need < 1")
         if not gammas:
@@ -178,7 +183,7 @@ def _parse_channels(entries, ring: RingSpec, bands: Mapping[Band, BandParams],
         anchored = list(gammas.values())
         for b in Band:
             gbar = sum(g[b] for g in anchored) / (1.0 - eta_sum)
-            for cid, eta, _ in eta_requests:
+            for cid, eta in eta_requests:
                 gammas.setdefault(cid, {})[b] = eta * gbar
 
     return tuple(ChannelCoupling(cid, gammas[cid], kind)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import wofz
 
 from .constants import HBAR, TWO_PI
 from .model import Band, PulsedPump, SystemSpec
@@ -69,6 +68,8 @@ def pulse_spectral_amplitude(omega, omega_center: float, pump: PulsedPump):
 def _pump_g_factor(system: SystemSpec, pump: PulsedPump):
     """Returns g(E): the pump-pair spectral factor at two-photon energy E
     (a scalar or an array)."""
+    from scipy.special import wofz  # imported here: only the jsa command needs scipy.special
+
     pb = system.bands[Band.PUMP]
     omega_o = pb.omega + pump.detuning
     gbar_p = system.gamma_bar(Band.PUMP)

@@ -11,7 +11,11 @@ captured by the complex enhancement factors
 with gamma_J^(X) = sqrt(2 v_J Gamma_J^(X)) the amplitude coupling (taken
 real). The minus branch belongs to incoming-type solutions, the plus
 branch to outgoing-type ones. CW pair rates come out in closed form as a
-product of enhancement factors and the fluctuating vacuum power; the
+product of enhancement factors and the fluctuating vacuum power. One
+array kernel, pair_rates, evaluates that product for every (signal exit,
+idler exit) at once; channel decay rates may be numpy arrays that
+broadcast together, so a whole coupling map is one call, and the scalar
+pair_rate_cw and rate_matrix are thin calls into it. The
 Fermi-golden-rule frequency integral is kept alongside as a brute-force
 oracle for that closed form.
 """
@@ -22,6 +26,9 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .constants import EPS0, HBAR
 from .model import Band, ChannelKind, CwPump, SystemSpec
@@ -61,12 +68,17 @@ def enhancement_factor(system: SystemSpec, channel_id: str, band: Band, k: float
                              band=band, k=k)
 
 
+def _enhancement_abs2(v: float, gamma: ArrayLike, gbar: ArrayLike, circumference: float,
+                      detuning: float = 0.0):
+    """|F|^2 of either branch, 2 v Gamma^(X) / (L (detuning^2 + Gbar^2)), for
+    scalar or array decay rates."""
+    return 2.0 * v * gamma / (circumference * (detuning * detuning + gbar * gbar))
+
+
 def enhancement_peak_abs2(system: SystemSpec, channel_id: str, band: Band) -> float:
     """|F|^2 on resonance: 2 v Gamma^(X) / (L Gbar^2)."""
-    p = system.bands[band]
-    gbar = system.gamma_bar(band)
-    return 2.0 * p.v * system.channel(channel_id).gamma(band) / (
-        system.ring.circumference * gbar * gbar)
+    return _enhancement_abs2(system.bands[band].v, system.channel(channel_id).gamma(band),
+                             system.gamma_bar(band), system.ring.circumference)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +104,27 @@ class PiecewiseAmplitude:
     amplitude: complex
 
 
+def _asy_amplitude(system: SystemSpec, channel_id: str, band: Band, k: float,
+                   branch: Branch) -> list[PiecewiseAmplitude]:
+    """Solution with a unit wave in one channel: entering through it on the
+    MINUS branch (incoming type), leaving through it on the PLUS branch."""
+    F = enhancement_factor(system, channel_id, band, k, branch).value
+    v = system.bands[band].v
+    sqrt_l = math.sqrt(system.ring.circumference)
+    incoming = branch is Branch.MINUS
+    regions = (Region.INPUT, Region.OUTPUT) if incoming else (Region.OUTPUT, Region.INPUT)
+    driven, scattered = regions
+    pieces = [PiecewiseAmplitude(driven, c.channel_id, float(c.channel_id == channel_id))
+              for c in system.channels]
+    pieces.append(PiecewiseAmplitude(Region.RING, None, -F))
+    for c in system.channels:
+        amp = (1j if incoming else -1j) * system.amplitude_coupling(c.channel_id, band) \
+            * sqrt_l * F / v
+        pieces.append(PiecewiseAmplitude(scattered, c.channel_id,
+                                         1.0 + amp if c.channel_id == channel_id else amp))
+    return pieces
+
+
 def asy_in_amplitude(system: SystemSpec, input_channel: str, band: Band,
                      k: float) -> list[PiecewiseAmplitude]:
     """Incoming-type solution: unit wave entering via one channel."""
@@ -99,44 +132,13 @@ def asy_in_amplitude(system: SystemSpec, input_channel: str, band: Band,
     if chan.kind is not ChannelKind.PHYSICAL:
         raise ValueError(f"asymptotic-in fields are driven through physical channels, "
                          f"{input_channel!r} is {chan.kind.value}")
-    F = enhancement_factor(system, input_channel, band, k, Branch.MINUS).value
-    v = system.bands[band].v
-    sqrt_l = math.sqrt(system.ring.circumference)
-    pieces = []
-    for c in system.channels:
-        own = c.channel_id == input_channel
-        pieces.append(PiecewiseAmplitude(Region.INPUT, c.channel_id,
-                                         1.0 if own else 0.0))
-    pieces.append(PiecewiseAmplitude(Region.RING, None, -F))
-    for c in system.channels:
-        gamma_amp = system.amplitude_coupling(c.channel_id, band)
-        out = 1j * gamma_amp * sqrt_l * F / v
-        if c.channel_id == input_channel:
-            out = 1.0 + out
-        pieces.append(PiecewiseAmplitude(Region.OUTPUT, c.channel_id, out))
-    return pieces
+    return _asy_amplitude(system, input_channel, band, k, Branch.MINUS)
 
 
 def asy_out_amplitude(system: SystemSpec, output_channel: str, band: Band,
                       k: float) -> list[PiecewiseAmplitude]:
     """Outgoing-type solution: unit wave leaving via one channel."""
-    system.channel(output_channel)
-    F = enhancement_factor(system, output_channel, band, k, Branch.PLUS).value
-    v = system.bands[band].v
-    sqrt_l = math.sqrt(system.ring.circumference)
-    pieces = []
-    for c in system.channels:
-        own = c.channel_id == output_channel
-        pieces.append(PiecewiseAmplitude(Region.OUTPUT, c.channel_id,
-                                         1.0 if own else 0.0))
-    pieces.append(PiecewiseAmplitude(Region.RING, None, -F))
-    for c in system.channels:
-        gamma_amp = system.amplitude_coupling(c.channel_id, band)
-        inc = -1j * gamma_amp * sqrt_l * F / v
-        if c.channel_id == output_channel:
-            inc = 1.0 + inc
-        pieces.append(PiecewiseAmplitude(Region.INPUT, c.channel_id, inc))
-    return pieces
+    return _asy_amplitude(system, output_channel, band, k, Branch.PLUS)
 
 
 def flux(system: SystemSpec, pieces: list[PiecewiseAmplitude], region: Region,
@@ -150,13 +152,14 @@ def flux(system: SystemSpec, pieces: list[PiecewiseAmplitude], region: Region,
 # CW rates
 # ---------------------------------------------------------------------------
 
-def vacuum_power(gamma_bar_s: float, gamma_bar_i: float, omega_s: float,
-                 omega_i: float, detuning: float = 0.0) -> float:
-    """Fluctuating vacuum power [W] entering the closed-form pair rate.
+def vacuum_power(gamma_bar_s: ArrayLike, gamma_bar_i: ArrayLike, omega_s: float,
+                 omega_i: float, detuning: float = 0.0):
+    """Fluctuating vacuum power [W] entering the closed-form pair rate, for
+    scalar or array linewidths.
 
     detuning is the two-photon offset 2 omega_o - omega_S - omega_I.
     """
-    if gamma_bar_s <= 0 or gamma_bar_i <= 0:
+    if np.min(gamma_bar_s) <= 0 or np.min(gamma_bar_i) <= 0:
         raise ValueError("linewidths must be positive")
     gsum = gamma_bar_s + gamma_bar_i
     return (HBAR / 2.0) * math.sqrt(omega_s * omega_i) * gamma_bar_s * gamma_bar_i \
@@ -168,26 +171,46 @@ def _pump_k(system: SystemSpec, pump: CwPump) -> float:
     return p.k_ref + pump.detuning / p.v
 
 
+def pair_rates(system: SystemSpec, pump: CwPump,
+               gammas: Mapping[str, Mapping[Band, ArrayLike]] | None = None
+               ) -> dict[tuple[str, str], float | np.ndarray]:
+    """Closed-form CW rates [pairs/s] R_XY = C |F_P|^4 |F_S^(X)|^2 |F_I^(Y)|^2 P_vac
+    of pairs leaving via every (signal exit X, idler exit Y).
+
+    gammas overrides some channels' decay rates (id -> band -> rate); numpy
+    arrays that broadcast together give every rate on the broadcast grid.
+    """
+    gammas = gammas or {}
+    for cid in gammas:
+        system.channel(cid)  # KeyError on an unknown id
+    rates = {c.channel_id: gammas.get(c.channel_id, c.gammas) for c in system.channels}
+    pb = system.bands[Band.PUMP]
+    sb = system.bands[Band.SIGNAL]
+    ib = system.bands[Band.IDLER]
+    L = system.ring.circumference
+    gbar = {b: sum(g[b] for g in rates.values()) for b in Band}
+    omega_o = pb.omega + pump.detuning
+    gnl_l = system.ring.gamma_nl * L
+    f_pump2 = _enhancement_abs2(
+        pb.v, rates[system.pump_input_channel][Band.PUMP], gbar[Band.PUMP], L,
+        detuning=_strategy2_detuning(system, Band.PUMP, _pump_k(system, pump)))
+    p_vac = vacuum_power(gbar[Band.SIGNAL], gbar[Band.IDLER], sb.omega, ib.omega,
+                         detuning=2.0 * omega_o - sb.omega - ib.omega)
+    common = (math.sqrt(sb.omega * ib.omega) / omega_o) \
+        * (pb.v ** 2 / (sb.v * ib.v)) * gnl_l ** 2 \
+        * pump.power ** 2 * p_vac / (HBAR * omega_o) * f_pump2 ** 2
+    f_s2 = {x: _enhancement_abs2(sb.v, g[Band.SIGNAL], gbar[Band.SIGNAL], L)
+            for x, g in rates.items()}
+    f_i2 = {y: _enhancement_abs2(ib.v, g[Band.IDLER], gbar[Band.IDLER], L)
+            for y, g in rates.items()}
+    return {(x, y): common * f_s2[x] * f_i2[y] for x in rates for y in rates}
+
+
 def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str,
                  idler_exit: str) -> float:
     """Closed-form CW rate [pairs/s] of pairs with the signal leaving via
     signal_exit and the idler via idler_exit."""
-    pb = system.bands[Band.PUMP]
-    sb = system.bands[Band.SIGNAL]
-    ib = system.bands[Band.IDLER]
-    omega_o = pb.omega + pump.detuning
-    gnl_l = system.ring.gamma_nl * system.ring.circumference
-    f_pump = enhancement_factor(system, system.pump_input_channel, Band.PUMP,
-                                _pump_k(system, pump), Branch.MINUS).value
-    f_s2 = enhancement_peak_abs2(system, signal_exit, Band.SIGNAL)
-    f_i2 = enhancement_peak_abs2(system, idler_exit, Band.IDLER)
-    p_vac = vacuum_power(system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER),
-                         sb.omega, ib.omega,
-                         detuning=2.0 * omega_o - sb.omega - ib.omega)
-    return (math.sqrt(sb.omega * ib.omega) / omega_o) \
-        * (pb.v ** 2 / (sb.v * ib.v)) * gnl_l ** 2 \
-        * pump.power ** 2 * p_vac / (HBAR * omega_o) \
-        * abs(f_pump) ** 4 * f_s2 * f_i2
+    return float(pair_rates(system, pump)[(signal_exit, idler_exit)])
 
 
 @dataclass(frozen=True)
@@ -202,17 +225,12 @@ class RateMatrix:
     def rate(self, signal_exit: str, idler_exit: str) -> float:
         return self.rates[(signal_exit, idler_exit)]
 
-    @property
-    def total(self) -> float:
-        return sum(self.rates.values())
-
 
 def rate_matrix(system: SystemSpec, pump: CwPump) -> RateMatrix:
     sb = system.bands[Band.SIGNAL]
     ib = system.bands[Band.IDLER]
     omega_o = system.bands[Band.PUMP].omega + pump.detuning
-    rates = {(x, y): pair_rate_cw(system, pump, x, y)
-             for x in system.channel_ids for y in system.channel_ids}
+    rates = {key: float(r) for key, r in pair_rates(system, pump).items()}
     p_vac = vacuum_power(system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER),
                          sb.omega, ib.omega,
                          detuning=2.0 * omega_o - sb.omega - ib.omega)

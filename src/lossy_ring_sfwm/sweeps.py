@@ -1,7 +1,10 @@
 """Parameter studies: coupling sweeps, strategy comparison, add-drop grids.
 
-Every sweep point is evaluated independently (optionally on a thread
-pool); results are aggregated in axis order so output is identical for
+The phantom-model maps (sweep_eta, add_drop_grid) set the swept decay
+rates as numpy arrays, the add-drop ones broadcast over (t, d), and call
+the closed-form kernel phantom.pair_rates once. The strategy-1 sweeps
+evaluate every point by its own quadrature, optionally on a thread pool;
+their results are aggregated in axis order so output is identical for
 any worker count.
 """
 
@@ -15,8 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import attenuation, phantom
-from .model import (Band, ChannelKind, CwPump, SystemSpec, finesse,
-                    gamma_from_sigma, uniform_gammas)
+from .model import Band, CwPump, SystemSpec, finesse, gamma_from_sigma
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,7 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump,
         })
 
 
-def sweep_eta(system: SystemSpec, eta_values: Iterable[float], pump: CwPump,
-              *, workers: int = 1) -> SweepResult:
+def sweep_eta(system: SystemSpec, eta_values: Iterable[float], pump: CwPump) -> SweepResult:
     """Phantom-model rates of all four channel-pair trajectories versus the
     bus escape efficiency, at fixed ring loss."""
     bus = _single_bus(system)
@@ -134,15 +135,10 @@ def sweep_eta(system: SystemSpec, eta_values: Iterable[float], pump: CwPump,
     if np.any((etas <= 0) | (etas >= 1)):
         raise ValueError("escape efficiency must lie strictly inside (0, 1)")
     g_ph = system.phantom_channel.gammas
-
-    def matrix_at(eta: float) -> phantom.RateMatrix:
-        gammas = {b: eta * g_ph[b] / (1.0 - eta) for b in Band}
-        return phantom.rate_matrix(system.with_channel_gamma(bus, gammas), pump)
-
-    matrices = _map_points(matrix_at, etas, workers)
-    pairs = [(bus, bus), (bus, ph), (ph, bus), (ph, ph)]
-    values = {f"R_{x}{y}": np.array([m.rate(x, y) for m in matrices])
-              for x, y in pairs}
+    rates = phantom.pair_rates(
+        system, pump, {bus: {b: etas * g_ph[b] / (1.0 - etas) for b in Band}})
+    values = {f"R_{x}{y}": rates[(x, y)]
+              for x, y in [(bus, bus), (bus, ph), (ph, bus), (ph, ph)]}
     return SweepResult(
         axes={"eta": etas},
         values=values,
@@ -168,9 +164,7 @@ def compare_finesse(system: SystemSpec, finesse_values: Iterable[float], pump: C
         r2 = phantom.pair_rate_cw(sys_f, pump, bus, bus)
         return r1, r2
 
-    both = _map_points(rates_at, fins, workers)
-    r_att = np.array([r[0] for r in both])
-    r_pha = np.array([r[1] for r in both])
+    r_att, r_pha = np.array(_map_points(rates_at, fins, workers)).T
     rel = np.abs(r_att - r_pha) / r_pha
     return SweepResult(
         axes={"finesse": fins},
@@ -203,10 +197,7 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
         r2 = phantom.pair_rate_cw(sys_s, pump, through, through)
         return finesse(sys_s), r1, r2
 
-    rows = _map_points(rates_at, sigmas, workers)
-    fins = np.array([r[0] for r in rows])
-    r_att = np.array([r[1] for r in rows])
-    r_pha = np.array([r[2] for r in rows])
+    fins, r_att, r_pha = np.array(_map_points(rates_at, sigmas, workers)).T
     rel = np.abs(r_att - r_pha) / r_pha
     return SweepResult(
         axes={"sigma2": sigmas},
@@ -216,8 +207,7 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
 
 
 def add_drop_grid(system: SystemSpec, gamma_t_ratios: Iterable[float],
-                  gamma_d_ratios: Iterable[float], pump: CwPump,
-                  *, workers: int = 1) -> SweepResult:
+                  gamma_d_ratios: Iterable[float], pump: CwPump) -> SweepResult:
     """Phantom-model rate of every channel-pair trajectory on a grid of
     through and drop couplings, in units of the phantom decay rate."""
     phys = system.physical_channels
@@ -232,20 +222,10 @@ def add_drop_grid(system: SystemSpec, gamma_t_ratios: Iterable[float],
     if np.any(t_ratios <= 0) or np.any(d_ratios <= 0):
         raise ValueError("coupling ratios must be positive")
     ids = (through, drop, ph)
-
-    def matrices_for_t(t: float) -> list[phantom.RateMatrix]:
-        sys_t = system.with_channel_gamma(through, {b: t * g for b, g in g_ph.items()})
-        out = []
-        for d in d_ratios:
-            sys_td = sys_t.with_channel_gamma(drop, {b: d * g for b, g in g_ph.items()})
-            out.append(phantom.rate_matrix(sys_td, pump))
-        return out
-
-    rows = _map_points(matrices_for_t, t_ratios, workers)
-    values = {}
-    for x in ids:
-        for y in ids:
-            values[f"R_{x}{y}"] = np.array([[m.rate(x, y) for m in row] for row in rows])
+    rates = phantom.pair_rates(system, pump, {
+        through: {b: t_ratios[:, None] * g for b, g in g_ph.items()},
+        drop: {b: d_ratios[None, :] * g for b, g in g_ph.items()}})
+    values = {f"R_{x}{y}": rates[(x, y)] for x in ids for y in ids}
 
     log_spaced = _looks_log_spaced(t_ratios) and _looks_log_spaced(d_ratios)
     argmax = {key: quadratic_argmax_2d(t_ratios, d_ratios, grid, log_axes=log_spaced)

@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import lossy_ring_sfwm
 from lossy_ring_sfwm import cli
 from lossy_ring_sfwm.cli import main
 from lossy_ring_sfwm.config import (ConfigError, derived_echo, parse_config,
@@ -115,6 +120,23 @@ class TestParseConfig:
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json")
+
+    @pytest.mark.parametrize("coupling", [
+        {"sigma": math.nan}, {"gamma_rad_per_s": math.inf}, {"q_factor": math.inf},
+        {"eta": math.nan}, {"gamma_rad_per_s": 10 ** 400}])
+    def test_non_finite_coupling_names_field(self, coupling):
+        doc = eta_config()
+        doc["system"]["channels"][0]["coupling"] = coupling
+        (rep,) = coupling
+        with pytest.raises(ConfigError, match=rf"system\.channels\[0\]\.coupling\.{rep}: "
+                                              "must be finite"):
+            parse_config(doc)
+
+    def test_sigma_outside_unit_interval_names_field(self):
+        doc = eta_config()
+        doc["system"]["channels"][0]["coupling"] = {"sigma": 1.5}
+        with pytest.raises(ConfigError, match=r"coupling\.sigma: must be <= 1"):
+            parse_config(doc)
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -264,6 +286,68 @@ class TestCommands:
         assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "system.channels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("pump", "power_mw", math.nan),
+        ("ring", "loss_db_per_cm", math.nan),
+        ("ring", "radius_m", math.inf)])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, block, key, value):
+        doc = eta_config()
+        target = doc["pump"] if block == "pump" else doc["system"]["ring"]
+        target[key] = value
+        cfg = _write_config(tmp_path, doc)  # json writes NaN and Infinity literals
+        assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f".{key}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("ref", [["Z", "Z"], ["O", "Z"], ["O", "Q"], "OO", ["O"],
+                                     [], ["O", "O", "O"]])
+    def test_jsa_reference_pair_rejected(self, tmp_path, capsys, ref):
+        cfg = _write_config(tmp_path, self._jsa_three_channel_config(ref))
+        assert main(["jsa", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "options.jsa.reference_pair" in capsys.readouterr().err
+
+    def test_jsa_reference_pair_accepted(self, tmp_path):
+        cfg = _write_config(tmp_path, self._jsa_three_channel_config(["P", "O"]))
+        out = tmp_path / "o"
+        assert main(["jsa", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / "jsa_meta.json").read_text())
+        assert meta["reference_pair"] == ["P", "O"]
+
+    @staticmethod
+    def _jsa_three_channel_config(ref) -> dict:
+        # channel Z is present but uncoupled, so pairs scaled by it are all zero
+        doc = eta_config(pump={"kind": "pulsed", "duration_fwhm_ps": 10.0})
+        doc["system"]["channels"].insert(1, {"id": "Z", "coupling": {"gamma_rad_per_s": 0}})
+        doc["options"] = {"jsa": {"grid_points": 64, "reference_pair": ref}}
+        return doc
+
     def test_unknown_command_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--config", "x.json"])
+
+
+def test_write_csv_formatting(tmp_path):
+    # the shortest round-trip repr of each float, as str() of ints and ids
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["x", "kappa1\\kappa2"],
+                   [[0.1, 1e-05, 1e+16, -0.0, 5e-324, 3, "T"], ["P", -2.5, 0]])
+    assert path.read_bytes() == (b"x,kappa1\\kappa2\r\n0.1,1e-05,1e+16,-0.0,5e-324,3,T\r\n"
+                                 b"P,-2.5,0\r\n")
+
+
+def test_import_and_parse_leave_scipy_unloaded():
+    # the closed-form commands never integrate, so they must not pay for scipy
+    code = ("import sys\n"
+            "from importlib import resources\n"
+            "import lossy_ring_sfwm.cli\n"
+            "from lossy_ring_sfwm.config import parse_config\n"
+            "for name in ('ring_channel.json', 'add_drop.json'):\n"
+            "    parse_config((resources.files('lossy_ring_sfwm') / 'configs' / name)"
+            ".read_text())\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(lossy_ring_sfwm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -77,6 +77,19 @@ class TestSweepEta:
         np.testing.assert_allclose(result.values["R_PP"] / r_oo,
                                    ((1.0 - etas) / etas) ** 2, rtol=1e-12)
 
+    def test_matches_rate_matrix_loop(self, ring_ref):
+        etas = np.array([0.03, 0.2, 0.21, 0.57, 0.9, 0.97])
+        pump = CwPump(0.7e-3, detuning=-1.1 * ring_ref.gamma_bar(Band.PUMP))
+        result = sweeps.sweep_eta(ring_ref, etas, pump)
+        g_ph = ring_ref.phantom_channel.gammas
+        for i, eta in enumerate(etas):
+            system = ring_ref.with_channel_gamma(
+                "O", {b: eta * g_ph[b] / (1.0 - eta) for b in Band})
+            matrix = phantom.rate_matrix(system, pump)
+            for x, y in [("O", "O"), ("O", "P"), ("P", "O"), ("P", "P")]:
+                assert result.values[f"R_{x}{y}"][i] == pytest.approx(
+                    matrix.rate(x, y), rel=1e-13, abs=0.0)
+
     def test_domain_validation(self, ring_ref):
         with pytest.raises(ValueError):
             sweeps.sweep_eta(ring_ref, np.array([0.0, 0.5]), PUMP)
@@ -150,12 +163,30 @@ class TestAddDropGrid:
                 assert r_dd / r_tt == pytest.approx((d / t) ** 2, rel=1e-12)
                 assert r_td / r_tt == pytest.approx(d / t, rel=1e-12)
 
-    def test_grid_deterministic_across_workers(self, add_drop_ref):
+    def test_grid_deterministic(self, add_drop_ref):
         axis = sweeps.default_log_ratio_axis(9)
-        one = sweeps.add_drop_grid(add_drop_ref, axis, axis, PUMP, workers=1)
-        four = sweeps.add_drop_grid(add_drop_ref, axis, axis, PUMP, workers=4)
+        one = sweeps.add_drop_grid(add_drop_ref, axis, axis, PUMP)
+        two = sweeps.add_drop_grid(add_drop_ref, axis, axis, PUMP)
         for key in one.values:
-            assert np.array_equal(one.values[key], four.values[key])
+            assert np.array_equal(one.values[key], two.values[key])
+
+    def test_every_cell_matches_scalar_rate(self, add_drop_ref):
+        # irregular axes (not log-spaced) and a detuned pump
+        t_axis = np.array([0.07, 0.3, 0.31, 1.2, 4.9])
+        d_axis = np.array([0.05, 0.6, 2.0, 2.2])
+        pump = CwPump(1.3e-3, detuning=0.8 * add_drop_ref.gamma_bar(Band.PUMP))
+        result = sweeps.add_drop_grid(add_drop_ref, t_axis, d_axis, pump)
+        g_ph = add_drop_ref.phantom_channel.gammas
+        ids = ("T", "D", "P")
+        for i, t in enumerate(t_axis):
+            for j, d in enumerate(d_axis):
+                system = add_drop_ref.with_channel_gamma(
+                    "T", {b: t * g for b, g in g_ph.items()}).with_channel_gamma(
+                    "D", {b: d * g for b, g in g_ph.items()})
+                for x in ids:
+                    for y in ids:
+                        assert result.values[f"R_{x}{y}"][i, j] == pytest.approx(
+                            phantom.pair_rate_cw(system, pump, x, y), rel=1e-13, abs=0.0)
 
 
 class TestSweepResult:
