@@ -164,21 +164,6 @@ class RingField:
     k_prop: complex  # multiplies zeta in this field's e^{i k zeta}
     segments: tuple[tuple[float, complex], ...]  # (arc length, start amplitude)
 
-    def amplitude_at(self, zeta: float) -> complex:
-        """Field amplitude at arc position zeta (for the direct-scan oracle)."""
-        start = 0.0
-        for i, (length, amp) in enumerate(self.segments):
-            if zeta <= start + length or i == len(self.segments) - 1:
-                return amp * np.exp(1j * self.k_prop * (zeta - start))
-            start += length
-        raise ValueError(f"position {zeta} beyond the ring")
-
-
-def _single_segment(regime: FieldRegime, k_prop: complex, amplitude: complex,
-                    circumference: float) -> RingField:
-    return RingField(regime=regime, k_prop=k_prop,
-                     segments=((circumference, amplitude),))
-
 
 def phase_mismatch_integral(dk: complex, length: float) -> complex:
     """Integral of e^{i dk zeta} over one segment, stable at dk -> 0."""
@@ -270,22 +255,22 @@ def _k_out(system: SystemSpec, band: Band, omega: float) -> ComplexWavevector:
     return ComplexWavevector.outgoing(system.bands[band].k_of_omega(omega), system.ring.xi)
 
 
+def _ring_field(system: SystemSpec, band: Band, kt: ComplexWavevector) -> RingField:
+    """Single-bus ring: the one-segment ring field at wavevector kt."""
+    bus = _require_strategy1_ring(system)
+    L = system.ring.circumference
+    amps = asy_fields(system.sigma_view(bus, band), kt, L)
+    return RingField(regime=kt.regime, k_prop=kt.value, segments=((L, amps.f_ring),))
+
+
 def ring_in_field(system: SystemSpec, band: Band, omega: float) -> RingField:
     """Single-bus ring: incoming-type ring field at one frequency."""
-    bus = _require_strategy1_ring(system)
-    kt = _k_in(system, band, omega)
-    amps = asy_fields(system.sigma_view(bus, band), kt, system.ring.circumference)
-    return _single_segment(FieldRegime.INCOMING, kt.value, amps.f_ring,
-                           system.ring.circumference)
+    return _ring_field(system, band, _k_in(system, band, omega))
 
 
 def ring_out_field(system: SystemSpec, band: Band, omega: float) -> RingField:
     """Single-bus ring: outgoing-type ring field at one frequency."""
-    bus = _require_strategy1_ring(system)
-    kt = _k_out(system, band, omega)
-    amps = asy_fields(system.sigma_view(bus, band), kt, system.ring.circumference)
-    return _single_segment(FieldRegime.OUTGOING, kt.value, amps.f_ring,
-                           system.ring.circumference)
+    return _ring_field(system, band, _k_out(system, band, omega))
 
 
 def overlap_J(system: SystemSpec, omega1: float, omega2: float, omega3: float,
@@ -302,13 +287,7 @@ def overlap_J(system: SystemSpec, omega1: float, omega2: float, omega3: float,
 
 
 def _add_drop_sigmas(system: SystemSpec, band: Band) -> tuple[str, str, float, float]:
-    phys = system.physical_channels
-    if len(phys) != 2:
-        raise ValueError(
-            f"the attenuation model of the add-drop ring needs exactly two physical "
-            f"channels, got {len(phys)}")
-    through = system.pump_input_channel
-    drop = next(c.channel_id for c in phys if c.channel_id != through)
+    through, drop = system.add_drop_buses
     return through, drop, system.sigma_view(through, band), system.sigma_view(drop, band)
 
 
@@ -377,7 +356,8 @@ def _rate_from_overlap(system: SystemSpec, pump: CwPump,
         return omega1 * omega2 * abs(j) ** 2
 
     mirror = 2.0 * omega_o - ib.omega  # omega1 at which the idler is resonant
-    quad = integrate_adaptive(integrand, lo, hi, rel_tol=rel_tol,
+    quad = integrate_adaptive(lambda omega: np.array([integrand(w) for w in omega.tolist()]),
+                              lo, hi, rel_tol=rel_tol,
                               points=[sb.omega, mirror])
     prefactor = (1.0 / TWO_PI) * (ring.gamma_nl * pump.power / pb.omega) ** 2 \
         * pb.v ** 2 / (sb.v * ib.v)

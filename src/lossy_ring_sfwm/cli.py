@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import attenuation, jsa, phantom, sweeps
-from .config import ConfigError, RunConfig, derived_echo, parse_config
-from .model import Band, CwPump, PulsedPump
+from .config import ConfigError, RunConfig, _number, derived_echo, parse_config
+from .model import CwPump, PulsedPump
 from .numerics import QuadratureError
 
 _COMMANDS = ("rate", "ratios", "sweep-sigma", "sweep-eta", "compare-finesse",
@@ -44,10 +44,18 @@ def _rows(*columns: np.ndarray) -> list[list[float]]:
     return np.column_stack(columns).tolist()
 
 
-def _write_sweep(path: Path, result: sweeps.SweepResult) -> None:
-    """The sweep axis, then every value column in the result's order."""
+def _write_sweep(outdir: Path, command: str, config: RunConfig, result: sweeps.SweepResult,
+                 header: list | None = None) -> int:
+    """<stem>.csv holds the sweep axis, then every value column in the result's
+    order (under `header` when given); <stem>_meta.json the result's metadata."""
+    stem = command.replace("-", "_")
     ((name, axis),) = result.axes.items()
-    _write_csv(path, [name] + list(result.values), _rows(axis, *result.values.values()))
+    _write_csv(outdir / f"{stem}.csv", header or [name] + list(result.values),
+               _rows(axis, *result.values.values()))
+    meta = _base_metadata(command, config)
+    meta.update(result.metadata)
+    _write_metadata(outdir / f"{stem}_meta.json", meta)
+    return 0
 
 
 def _write_metadata(path: Path, payload: dict) -> None:
@@ -77,12 +85,14 @@ def _require_pulsed(config: RunConfig) -> PulsedPump:
     return config.pump
 
 
-def _axis(block: dict, lo_key: str, hi_key: str, n_key: str, defaults, *, log=False):
-    lo = float(block.get(lo_key, defaults[0]))
-    hi = float(block.get(hi_key, defaults[1]))
-    n = int(block.get(n_key, defaults[2]))
-    if not lo < hi or n < 2:
-        raise ConfigError(f"options.{lo_key}", f"bad axis [{lo}, {hi}] x {n}")
+def _axis(config: RunConfig, name: str, lo_key: str, hi_key: str, n_key: str, defaults,
+          *, log=False):
+    block, path = config.options.get(name, {}), f"options.{name}"
+    lo = _number(block, lo_key, path, default=defaults[0], positive=log)
+    hi = _number(block, hi_key, path, default=defaults[1])
+    n = _number(block, n_key, path, default=defaults[2], minimum=2, integer=True)
+    if not lo < hi:
+        raise ConfigError(f"{path}.{lo_key}", f"bad axis [{lo}, {hi}] x {n}")
     if log:
         return np.logspace(np.log10(lo), np.log10(hi), n)
     return np.linspace(lo, hi, n)
@@ -93,10 +103,8 @@ def _attenuation_pairs(config: RunConfig, pump: CwPump):
     phys = system.physical_channels
     if len(phys) == 1:
         bus = phys[0].channel_id
-        rate = attenuation.pair_rate_cw(system, pump)
-        return [(bus, bus, rate)]
-    through = system.pump_input_channel
-    drop = next(c.channel_id for c in phys if c.channel_id != through)
+        return [(bus, bus, attenuation.pair_rate_cw(system, pump))]
+    through, drop = system.add_drop_buses
     return [(x, y, attenuation.pair_rate_cw_add_drop(system, pump, x, y))
             for x in (through, drop) for y in (through, drop)]
 
@@ -142,50 +150,35 @@ def cmd_ratios(config: RunConfig, outdir: Path, threads: int, tol) -> int:
 
 def cmd_sweep_sigma(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     pump = _require_cw(config)
-    block = dict(config.options.get("sweep_sigma", {}))
-    axis = _axis(block, "min", "max", "points", (0.90, 0.9995, 101))
+    axis = _axis(config, "sweep_sigma", "min", "max", "points", (0.90, 0.9995, 101))
     result = sweeps.sweep_sigma(config.system, axis, pump, workers=threads)
-    _write_csv(outdir / "sweep_sigma.csv", ["sigma", "rate_pairs_per_s"],
-               _rows(result.axes["sigma"], result.values["rate"]))
-    meta = _base_metadata("sweep-sigma", config)
-    meta.update(result.metadata)
-    _write_metadata(outdir / "sweep_sigma_meta.json", meta)
-    return 0
+    return _write_sweep(outdir, "sweep-sigma", config, result, ["sigma", "rate_pairs_per_s"])
 
 
 def cmd_sweep_eta(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     pump = _require_cw(config)
-    block = dict(config.options.get("sweep_eta", {}))
-    axis = _axis(block, "min", "max", "points", (0.02, 0.98, 101))
-    result = sweeps.sweep_eta(config.system, axis, pump)
-    _write_sweep(outdir / "sweep_eta.csv", result)
-    meta = _base_metadata("sweep-eta", config)
-    meta.update(result.metadata)
-    _write_metadata(outdir / "sweep_eta_meta.json", meta)
-    return 0
+    axis = _axis(config, "sweep_eta", "min", "max", "points", (0.02, 0.98, 101))
+    return _write_sweep(outdir, "sweep-eta", config, sweeps.sweep_eta(config.system, axis, pump))
 
 
 def cmd_compare_finesse(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     pump = _require_cw(config)
-    block = dict(config.options.get("compare_finesse", {}))
     if len(config.system.physical_channels) == 2:
-        axis = _axis(block, "sigma2_min", "sigma2_max", "points", (0.3, 0.9999, 25))
+        axis = _axis(config, "compare_finesse", "sigma2_min", "sigma2_max", "points",
+                     (0.3, 0.9999, 25))
         result = sweeps.compare_finesse_add_drop(config.system, axis, pump,
                                                  workers=threads)
     else:
-        axis = _axis(block, "min", "max", "points", (50.0, 2000.0, 25), log=True)
+        axis = _axis(config, "compare_finesse", "min", "max", "points", (50.0, 2000.0, 25),
+                     log=True)
         result = sweeps.compare_finesse(config.system, axis, pump, workers=threads)
-    _write_sweep(outdir / "compare_finesse.csv", result)
-    meta = _base_metadata("compare-finesse", config)
-    meta.update(result.metadata)
-    _write_metadata(outdir / "compare_finesse_meta.json", meta)
-    return 0
+    return _write_sweep(outdir, "compare-finesse", config, result)
 
 
 def cmd_add_drop_grid(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     pump = _require_cw(config)
-    block = dict(config.options.get("add_drop_grid", {}))
-    axis = _axis(block, "min_ratio", "max_ratio", "points", (0.05, 5.0, 81), log=True)
+    axis = _axis(config, "add_drop_grid", "min_ratio", "max_ratio", "points",
+                 (0.05, 5.0, 81), log=True)
     result = sweeps.add_drop_grid(config.system, axis, axis, pump)
     keys = sorted(result.values)
     t, d = np.meshgrid(result.axes["gamma_t_ratio"], result.axes["gamma_d_ratio"],
@@ -207,21 +200,22 @@ def _reference_pair(config: RunConfig, ref) -> tuple[str, str]:
     if not (isinstance(ref, list) and len(ref) == 2 and all(c in ids for c in ref)):
         raise ConfigError("options.jsa.reference_pair",
                           f"expected a list of two channel ids from {list(ids)}, got {ref!r}")
-    if config.system.channel(ref[0]).gamma(Band.SIGNAL) * \
-            config.system.channel(ref[1]).gamma(Band.IDLER) == 0.0:
-        raise ConfigError("options.jsa.reference_pair",
-                          f"{ref} needs nonzero signal and idler couplings")
+    try:
+        jsa.reference_amplitude(config.system, (ref[0], ref[1]))
+    except ValueError as e:
+        raise ConfigError("options.jsa.reference_pair", str(e)) from e
     return ref[0], ref[1]
 
 
 def cmd_jsa(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     pump = _require_pulsed(config)
-    block = dict(config.options.get("jsa", {}))
-    n = int(block.get("grid_points", 512))
-    kappa_max = float(block.get("kappa_max", 8.0))
-    residual_tol = float(tol if tol is not None else block.get("residual_tol", 2.5e-3))
-    ref = block.get("reference_pair")
-    ref_pair = None if ref is None else _reference_pair(config, ref)
+    block, path = config.options.get("jsa", {}), "options.jsa"
+    n = _number(block, "grid_points", path, default=512, minimum=2, integer=True)
+    kappa_max = _number(block, "kappa_max", path, default=8.0, minimum=8.0)
+    residual_tol = tol if tol is not None else _number(block, "residual_tol", path,
+                                                       default=2.5e-3, minimum=0.0)
+    default_ref = [config.system.physical_channels[0].channel_id] * 2  # as in build_jsa
+    ref_pair = _reference_pair(config, block.get("reference_pair", default_ref))
     try:
         grid = jsa.build_jsa(config.system, pump, n=n, kappa_max=kappa_max,
                              reference_pair=ref_pair, residual_tol=residual_tol)
@@ -253,8 +247,9 @@ def cmd_jsa(config: RunConfig, outdir: Path, threads: int, tol) -> int:
 
 def cmd_oracle_check(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     pump = _require_cw(config)
-    block = dict(config.options.get("oracle_check", {}))
-    max_dev_tol = float(tol if tol is not None else block.get("max_rel_dev", 1e-6))
+    block, path = config.options.get("oracle_check", {}), "options.oracle_check"
+    max_dev_tol = tol if tol is not None else _number(block, "max_rel_dev", path,
+                                                      default=1e-6, minimum=0.0)
     system = config.system
     rows = []
     worst = 0.0

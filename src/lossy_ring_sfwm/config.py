@@ -38,11 +38,12 @@ def _require(d: Mapping, key: str, path: str) -> Any:
 
 
 def _number(d: Mapping, key: str, path: str, *, default=None,
-            minimum=None, positive=False) -> float:
+            minimum=None, positive=False, integer=False) -> float:
+    """A finite number from d[key] (or the default), as an int when integer."""
     if key not in d:
         if default is None:
             raise ConfigError(f"{path}.{key}", "missing required field")
-        return float(default)
+        return int(default) if integer else float(default)
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}.{key}", f"expected a number, got {v!r}")
@@ -56,7 +57,9 @@ def _number(d: Mapping, key: str, path: str, *, default=None,
         raise ConfigError(f"{path}.{key}", f"must be positive, got {v}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-    return v
+    if integer and not v.is_integer():
+        raise ConfigError(f"{path}.{key}", f"must be an integer, got {v}")
+    return int(v) if integer else v
 
 
 def _check_keys(d: Mapping, allowed: set[str], path: str) -> None:
@@ -104,8 +107,12 @@ def _parse_bands(block: Mapping, ring: RingSpec, path: str) -> dict[Band, BandPa
         if not isinstance(sub, Mapping):
             raise ConfigError(f"{path}.{name}", "expected an object")
         wavelength, v, n_eff, _ = _parse_band_block(sub, f"{path}.{name}", shared_keys)
-        bands[band] = band_from_wavelength(band, wavelength, v, n_eff,
-                                           ring.circumference)
+        try:
+            bands[band] = band_from_wavelength(band, wavelength, v, n_eff,
+                                               ring.circumference)
+        except ValueError as e:  # no resonance order m >= 1 fits the ring
+            owner = f"{path}.{name}" if "effective_index" in sub else path
+            raise ConfigError(f"{owner}.effective_index", str(e)) from e
     return bands
 
 
@@ -253,6 +260,9 @@ def parse_config(source: str | Mapping) -> RunConfig:
     options = doc.get("options", {})
     if not isinstance(options, Mapping):
         raise ConfigError("options", "expected an object")
+    for name, block in options.items():  # one block per command
+        if not isinstance(block, Mapping):
+            raise ConfigError(f"options.{name}", "expected an object")
 
     normalized = _normalize(doc)
     return RunConfig(system=system, pump=pump, strategy=strategy,

@@ -40,6 +40,7 @@ import numpy as np
 from .constants import HBAR, TWO_PI
 from .model import Band, PulsedPump, SystemSpec
 from .numerics import grid_integrate_2d, integrate_adaptive
+from .phantom import Branch, enhancement_factor
 
 
 class GridTooCoarseError(ValueError):
@@ -111,9 +112,10 @@ def _jsa_prefactor(system: SystemSpec) -> float:
 def _energy_mass_integral(system: SystemSpec, pump: PulsedPump, gamma_s: float,
                           gamma_i: float, *, half_window: float | None = None,
                           rel_tol: float = 1e-7) -> float:
-    """Integral over two-photon energy of |g|^2 times the signal/idler
-    Lorentzian pair integral, i.e. the squared-modulus mass of one channel
-    pair's (unnormalized) biphoton amplitude up to the common prefactor."""
+    """Integrated squared modulus of the unnormalized biphoton amplitude
+    (before dividing by beta) of a channel pair with decay rates gamma_s,
+    gamma_i: the integral over two-photon energy of |g|^2 times the
+    signal/idler Lorentzian pair integral, times the common prefactor."""
     pb = system.bands[Band.PUMP]
     sb = system.bands[Band.SIGNAL]
     ib = system.bands[Band.IDLER]
@@ -124,49 +126,38 @@ def _energy_mass_integral(system: SystemSpec, pump: PulsedPump, gamma_s: float,
     if half_window is None:
         half_window = 16.0 / pump.tau + 8.0 * gsum
 
-    def integrand(s: float) -> float:
-        return abs(g(s)) ** 2 * _lorentzian_pair_integral(system, s, gamma_s, gamma_i)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        return np.abs(g(s)) ** 2 * _lorentzian_pair_integral(system, s, gamma_s, gamma_i)
 
     quad = integrate_adaptive(integrand, center - half_window, center + half_window,
                               rel_tol=rel_tol,
                               points=[center, sb.omega + ib.omega])
-    return quad.value
+    return _jsa_prefactor(system) ** 2 / (sb.v * ib.v) * quad.value
 
 
 def pair_mass(system: SystemSpec, pump: PulsedPump, signal_exit: str,
               idler_exit: str) -> float:
     """Integrated squared modulus of one channel pair's unnormalized
     biphoton amplitude (before dividing by beta)."""
-    sb = system.bands[Band.SIGNAL]
-    ib = system.bands[Band.IDLER]
-    pref = _jsa_prefactor(system)
-    m = _energy_mass_integral(system, pump,
-                              system.channel(signal_exit).gamma(Band.SIGNAL),
-                              system.channel(idler_exit).gamma(Band.IDLER))
-    return pref ** 2 / (sb.v * ib.v) * m
+    return _energy_mass_integral(system, pump,
+                                 system.channel(signal_exit).gamma(Band.SIGNAL),
+                                 system.channel(idler_exit).gamma(Band.IDLER))
 
 
 def total_mass(system: SystemSpec, pump: PulsedPump) -> float:
     """Sum of pair_mass over all channel pairs (the decay-rate sums
     factorize, so the total uses the full linewidths)."""
-    sb = system.bands[Band.SIGNAL]
-    ib = system.bands[Band.IDLER]
-    pref = _jsa_prefactor(system)
-    m = _energy_mass_integral(system, pump, system.gamma_bar(Band.SIGNAL),
-                              system.gamma_bar(Band.IDLER))
-    return pref ** 2 / (sb.v * ib.v) * m
+    return _energy_mass_integral(system, pump, system.gamma_bar(Band.SIGNAL),
+                                 system.gamma_bar(Band.IDLER))
 
 
 def antidiagonal_mass_fraction(system: SystemSpec, pump: PulsedPump,
                                half_width: float) -> float:
     """Fraction of the biphoton squared-modulus mass with two-photon energy
     within +- half_width of the energy-conservation line 2 omega_o."""
-    total = _energy_mass_integral(system, pump, system.gamma_bar(Band.SIGNAL),
-                                  system.gamma_bar(Band.IDLER))
     inside = _energy_mass_integral(system, pump, system.gamma_bar(Band.SIGNAL),
-                                   system.gamma_bar(Band.IDLER),
-                                   half_window=half_width)
-    return inside / total
+                                   system.gamma_bar(Band.IDLER), half_window=half_width)
+    return inside / total_mass(system, pump)
 
 
 @dataclass(frozen=True)
@@ -190,9 +181,6 @@ class JsaGrid:
     dk1: float  # k-space grid steps [1/m]
     dk2: float
 
-    def pair_values(self, signal_exit: str, idler_exit: str) -> np.ndarray:
-        return self.weights[(signal_exit, idler_exit)] * self.values
-
     @property
     def abs2(self) -> np.ndarray:
         return np.abs(self.values) ** 2
@@ -213,12 +201,10 @@ def _direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
     gbi = system.gamma_bar(Band.IDLER)
     omega1 = sb.omega + gbs * kappa1
     omega2 = ib.omega + gbi * kappa2
-    sqrt_l = math.sqrt(system.ring.circumference)
-    # Branch.PLUS enhancement factors of phantom.enhancement_factor, on arrays
-    f_s = system.amplitude_coupling(signal_exit, Band.SIGNAL) / (
-        sqrt_l * (sb.v * (sb.k_ref - sb.k_of_omega(omega1)) + 1j * gbs))
-    f_i = system.amplitude_coupling(idler_exit, Band.IDLER) / (
-        sqrt_l * (ib.v * (ib.k_ref - ib.k_of_omega(omega2)) + 1j * gbi))
+    f_s = enhancement_factor(system, signal_exit, Band.SIGNAL, sb.k_of_omega(omega1),
+                             Branch.PLUS).value
+    f_i = enhancement_factor(system, idler_exit, Band.IDLER, ib.k_of_omega(omega2),
+                             Branch.PLUS).value
     # two-photon energies from the grid corner in units of the signal step:
     # on equal steps every cell of an anti-diagonal gets the same energy
     d1 = gbs * (kappa1[1] - kappa1[0])
@@ -229,12 +215,13 @@ def _direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
         * g_grid
 
 
-def _pair_weight(system: SystemSpec, signal_exit: str, idler_exit: str,
-                 ref: tuple[str, str]) -> float:
-    return (system.amplitude_coupling(signal_exit, Band.SIGNAL)
-            * system.amplitude_coupling(idler_exit, Band.IDLER)) / (
-        system.amplitude_coupling(ref[0], Band.SIGNAL)
-        * system.amplitude_coupling(ref[1], Band.IDLER))
+def reference_amplitude(system: SystemSpec, pair: tuple[str, str]) -> float:
+    """gamma_S^(X) gamma_I^(Y) of the reference pair, which divides every weight."""
+    amp = system.amplitude_coupling(pair[0], Band.SIGNAL) \
+        * system.amplitude_coupling(pair[1], Band.IDLER)
+    if amp == 0.0:
+        raise ValueError(f"reference pair {list(pair)} has a zero signal or idler coupling")
+    return amp
 
 
 def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
@@ -244,9 +231,9 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
 
     The grid spans kappa in [-kappa_max, kappa_max] on both axes
     (kappa_max >= 8 resolves the Lorentzian wings); the trapezoidal
-    normalization over all channel pairs must agree with the adaptive
-    quadrature normalization within residual_tol, else
-    GridTooCoarseError is raised.
+    normalization over all channel pairs must agree with the Gauss-Legendre
+    normalization total_mass within residual_tol, else GridTooCoarseError
+    is raised.
     """
     if kappa_max < 8.0:
         raise ValueError(f"grid must cover at least 8 linewidths, got {kappa_max}")
@@ -255,6 +242,7 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
     if reference_pair is None:
         phys = system.physical_channels
         reference_pair = (phys[0].channel_id, phys[0].channel_id)
+    ref_amp = reference_amplitude(system, reference_pair)
     kappa1 = np.linspace(-kappa_max, kappa_max, n)
     kappa2 = np.linspace(-kappa_max, kappa_max, n)
 
@@ -264,7 +252,8 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
                             kappa1, kappa2)
     values = raw * (pump.alpha ** 2 / beta)
 
-    weights = {(x, y): complex(_pair_weight(system, x, y, reference_pair))
+    weights = {(x, y): complex(system.amplitude_coupling(x, Band.SIGNAL)
+                               * system.amplitude_coupling(y, Band.IDLER) / ref_amp)
                for x in system.channel_ids for y in system.channel_ids}
     dk1 = system.gamma_bar(Band.SIGNAL) * (kappa1[1] - kappa1[0]) / system.bands[Band.SIGNAL].v
     dk2 = system.gamma_bar(Band.IDLER) * (kappa2[1] - kappa2[0]) / system.bands[Band.IDLER].v

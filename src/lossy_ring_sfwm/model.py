@@ -72,9 +72,6 @@ class BandParams:
         """Wavenumber at angular frequency omega under the linear dispersion."""
         return self.k_ref + (omega - self.omega) / self.v
 
-    def omega_of_k(self, k: float) -> float:
-        return self.omega + self.v * (k - self.k_ref)
-
 
 def band_from_wavelength(band: Band, wavelength_m: float, group_velocity: float,
                          effective_index: float, circumference: float) -> BandParams:
@@ -236,6 +233,14 @@ class SystemSpec:
     @property
     def physical_channels(self) -> tuple[ChannelCoupling, ...]:
         return tuple(c for c in self.channels if c.kind is ChannelKind.PHYSICAL)
+
+    @property
+    def add_drop_buses(self) -> tuple[str, str]:
+        """(through, drop) ids of a two-bus ring; the pump enters through."""
+        phys = [c.channel_id for c in self.physical_channels]
+        if len(phys) != 2:
+            raise ValueError(f"an add-drop ring needs two physical channels, got {len(phys)}")
+        return self.pump_input_channel, next(c for c in phys if c != self.pump_input_channel)
 
     @property
     def phantom_channel(self) -> ChannelCoupling | None:

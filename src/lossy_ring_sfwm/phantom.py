@@ -44,21 +44,21 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class EnhancementFactor:
-    value: complex
+    value: complex | np.ndarray
     branch: Branch
     channel_id: str
     band: Band
-    k: float
+    k: float | np.ndarray
 
 
-def _strategy2_detuning(system: SystemSpec, band: Band, k: float) -> float:
+def _strategy2_detuning(system: SystemSpec, band: Band, k: ArrayLike):
     p = system.bands[band]
     return p.v * (p.k_ref - k)  # = omega_J - omega(k)
 
 
-def enhancement_factor(system: SystemSpec, channel_id: str, band: Band, k: float,
+def enhancement_factor(system: SystemSpec, channel_id: str, band: Band, k: ArrayLike,
                        branch: Branch) -> EnhancementFactor:
-    """Complex field enhancement factor of one channel at wavenumber k."""
+    """Complex field enhancement factor of one channel at wavenumber k (or an array)."""
     gamma_amp = system.amplitude_coupling(channel_id, band)
     gbar = system.gamma_bar(band)
     sign = -1.0 if branch is Branch.MINUS else 1.0
@@ -249,6 +249,22 @@ def rate_ratio(matrix: RateMatrix, signal_exit: str, idler_exit: str,
     return matrix.rate(signal_exit, idler_exit) / ref
 
 
+def _golden_rule_kernel(system: SystemSpec, pump: CwPump, signal_exit: str,
+                        idler_exit: str, omega1: np.ndarray) -> np.ndarray:
+    """|golden-rule interaction kernel|^2 at signal frequencies omega1 (an array)."""
+    pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
+    scale = HBAR ** 2 * EPS0 * pb.v ** 2 / (12.0 * math.pi ** 2) \
+        * math.sqrt(sb.omega * ib.omega) * (system.ring.gamma_nl * system.ring.circumference)
+    f_pump = enhancement_factor(system, system.pump_input_channel, Band.PUMP,
+                                _pump_k(system, pump), Branch.MINUS).value
+    f_s = enhancement_factor(system, signal_exit, Band.SIGNAL, sb.k_of_omega(omega1),
+                             Branch.PLUS).value
+    f_i = enhancement_factor(system, idler_exit, Band.IDLER,
+                             ib.k_of_omega(2.0 * (pb.omega + pump.detuning) - omega1),
+                             Branch.PLUS).value
+    return np.abs(scale * np.conj(f_s) * np.conj(f_i) * f_pump * f_pump) ** 2
+
+
 def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
                     idler_exit: str, *, rel_tol: float = 1e-8,
                     window_halfwidths: float = 500.0) -> float:
@@ -258,32 +274,15 @@ def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
     integrates it numerically; serves as the anti-drift oracle for the
     closed-form pair_rate_cw.
     """
-    pb = system.bands[Band.PUMP]
-    sb = system.bands[Band.SIGNAL]
-    ib = system.bands[Band.IDLER]
+    pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
     omega_o = pb.omega + pump.detuning
-    k_o = _pump_k(system, pump)
-    gnl_l = system.ring.gamma_nl * system.ring.circumference
-    kernel_scale = HBAR ** 2 * EPS0 * pb.v ** 2 / (12.0 * math.pi ** 2) \
-        * math.sqrt(sb.omega * ib.omega) * gnl_l
-    f_pump = enhancement_factor(system, system.pump_input_channel, Band.PUMP,
-                                k_o, Branch.MINUS).value
-
-    def kernel_abs2(omega1: float) -> float:
-        omega2 = 2.0 * omega_o - omega1
-        f_s = enhancement_factor(system, signal_exit, Band.SIGNAL,
-                                 sb.k_of_omega(omega1), Branch.PLUS).value
-        f_i = enhancement_factor(system, idler_exit, Band.IDLER,
-                                 ib.k_of_omega(omega2), Branch.PLUS).value
-        return abs(kernel_scale * f_s.conjugate() * f_i.conjugate()
-                   * f_pump * f_pump) ** 2
-
     gmax = max(system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER))
     mirror = 2.0 * omega_o - ib.omega  # omega1 at which the idler is resonant
     lo = min(sb.omega, mirror) - window_halfwidths * gmax
     hi = max(sb.omega, mirror) + window_halfwidths * gmax
-    quad = integrate_adaptive(kernel_abs2, lo, hi, rel_tol=rel_tol,
-                              points=[sb.omega, mirror])
+    quad = integrate_adaptive(
+        lambda w: _golden_rule_kernel(system, pump, signal_exit, idler_exit, w),
+        lo, hi, rel_tol=rel_tol, points=[sb.omega, mirror])
     prefactor = 72.0 * math.pi ** 3 / (EPS0 ** 2 * HBAR ** 4 * omega_o ** 2) \
         * pump.power ** 2 / (sb.v * ib.v * pb.v ** 2)
     return prefactor * quad.value

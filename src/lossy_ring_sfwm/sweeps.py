@@ -180,11 +180,9 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
                              rel_tol: float = 1e-6) -> SweepResult:
     """Add-drop through-pair rate from both loss models, scanned over the
     add/drop self-coupling (which sets the finesse)."""
-    phys = system.physical_channels
-    if len(phys) != 2 or system.phantom_channel is None:
-        raise ValueError("add-drop comparison needs two bus waveguides plus the phantom")
-    through = system.pump_input_channel
-    drop = next(c.channel_id for c in phys if c.channel_id != through)
+    through, drop = system.add_drop_buses
+    if system.phantom_channel is None:
+        raise ValueError("add-drop comparison needs the phantom channel")
     sigmas = np.asarray(list(sigma2_values), dtype=float)
     L = system.ring.circumference
 
@@ -210,11 +208,9 @@ def add_drop_grid(system: SystemSpec, gamma_t_ratios: Iterable[float],
                   gamma_d_ratios: Iterable[float], pump: CwPump) -> SweepResult:
     """Phantom-model rate of every channel-pair trajectory on a grid of
     through and drop couplings, in units of the phantom decay rate."""
-    phys = system.physical_channels
-    if len(phys) != 2 or system.phantom_channel is None:
-        raise ValueError("add-drop grid needs two bus waveguides plus the phantom")
-    through = system.pump_input_channel
-    drop = next(c.channel_id for c in phys if c.channel_id != through)
+    through, drop = system.add_drop_buses
+    if system.phantom_channel is None:
+        raise ValueError("add-drop grid needs the phantom channel")
     ph = system.phantom_channel.channel_id
     g_ph = system.phantom_channel.gammas
     t_ratios = np.asarray(list(gamma_t_ratios), dtype=float)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossy_ring_sfwm import attenuation as att
+from lossy_ring_sfwm.config import parse_config
 from lossy_ring_sfwm.model import (Band, CwPump, RingSpec, SystemSpec,
                                    add_drop_system, ring_system, uniform_gammas,
                                    xi_from_db_per_cm)
@@ -175,7 +177,10 @@ class TestOverlap:
                   att.ring_in_field(system, Band.PUMP, w[Band.PUMP] + dp * gbar),
                   att.ring_in_field(system, Band.PUMP, w[Band.PUMP] + dp * gbar))
         closed = att.overlap_of_fields(*fields)
-        scanned = att.overlap_by_zeta_scan(*fields, system.ring.circumference)
+        # the scan is a trapezoid rule, off by up to 1.5e-8 at 10,001 points
+        # on the corners of this box (sigma 0.5, |d| = 3); 40,001 points
+        # bring that below 1e-9
+        scanned = att.overlap_by_zeta_scan(*fields, system.ring.circumference, n=40_001)
         assert abs(closed - scanned) <= 1e-8 * abs(closed)
 
     @given(st.floats(min_value=0.6, max_value=0.995),
@@ -239,6 +244,24 @@ class TestPairRate:
                                  gamma_through_ratio=1.5, gamma_drop_ratio=1.0)
         rate = att.pair_rate_cw_add_drop(system, CwPump(1e-3), "T", "T")
         assert rate > 0.0
+
+    @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
+    def test_default_tolerance_matches_tight_run(self, name):
+        # the 8/16-point Gauss-Legendre estimate is conservative: rates at the
+        # default rel_tol 1e-6 agree with a 1e-10 run well inside 1e-6
+        config = parse_config((resources.files("lossy_ring_sfwm") / "configs" / name)
+                              .read_text())
+        system, pump = config.system, config.pump
+        ids = [c.channel_id for c in system.physical_channels]
+        if len(ids) == 1:
+            rates = [(att.pair_rate_cw(system, pump),
+                      att.pair_rate_cw(system, pump, rel_tol=1e-10))]
+        else:
+            rates = [(att.pair_rate_cw_add_drop(system, pump, x, y),
+                      att.pair_rate_cw_add_drop(system, pump, x, y, rel_tol=1e-10))
+                     for x in ids for y in ids]
+        for default, tight in rates:
+            assert default == pytest.approx(tight, rel=1e-6)
 
     def test_single_bus_guard(self):
         system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,

@@ -299,10 +299,41 @@ class TestCommands:
         assert f".{key}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, options, field", [
+        ("sweep-eta", '{"sweep_eta": {"points": "abc"}}', "options.sweep_eta.points"),
+        ("sweep-eta", '{"sweep_eta": {"max": 1e309}}', "options.sweep_eta.max"),
+        ("oracle-check", '{"oracle_check": {"max_rel_dev": "x"}}',
+         "options.oracle_check.max_rel_dev"),
+        ("jsa", '{"jsa": {"grid_points": 64.5}}', "options.jsa.grid_points"),
+        ("jsa", '{"jsa": {"kappa_max": 4}}', "options.jsa.kappa_max"),
+        ("add-drop-grid", '{"add_drop_grid": []}', "options.add_drop_grid")],
+        ids=["points", "max", "max_rel_dev", "grid_points", "kappa_max", "block"])
+    def test_bad_option_exits_2(self, tmp_path, capsys, command, options, field):
+        pump = {"kind": "pulsed", "duration_fwhm_ps": 10.0} if command == "jsa" else None
+        text = json.dumps(eta_config(pump=pump))[:-1] + f', "options": {options}}}'
+        cfg = _write_config(tmp_path, text)  # raw text: 1e309 stays a literal
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"invalid config: {field}" in capsys.readouterr().err
+
+    def test_effective_index_without_resonance_exits_2(self, tmp_path, capsys):
+        doc = eta_config()
+        doc["system"]["bands"]["effective_index"] = 1e-9
+        cfg = _write_config(tmp_path, doc)
+        assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "system.bands.effective_index: no ring resonance" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ref", [["Z", "Z"], ["O", "Z"], ["O", "Q"], "OO", ["O"],
                                      [], ["O", "O", "O"]])
     def test_jsa_reference_pair_rejected(self, tmp_path, capsys, ref):
         cfg = _write_config(tmp_path, self._jsa_three_channel_config(ref))
+        assert main(["jsa", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "options.jsa.reference_pair" in capsys.readouterr().err
+
+    def test_jsa_uncoupled_default_reference_pair_exits_2(self, tmp_path, capsys):
+        doc = self._jsa_three_channel_config(["O", "O"])
+        doc["system"]["channels"].insert(0, doc["system"]["channels"].pop(1))  # Z first
+        del doc["options"]["jsa"]["reference_pair"]
+        cfg = _write_config(tmp_path, doc)
         assert main(["jsa", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "options.jsa.reference_pair" in capsys.readouterr().err
 
@@ -335,6 +366,18 @@ def test_write_csv_formatting(tmp_path):
                                  b"P,-2.5,0\r\n")
 
 
+def _loaded_scipy(code: str) -> list[str]:
+    """The scipy modules loaded after running code in a fresh interpreter."""
+    code += ("\nimport json\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    src = str(Path(lossy_ring_sfwm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def test_import_and_parse_leave_scipy_unloaded():
     # the closed-form commands never integrate, so they must not pay for scipy
     code = ("import sys\n"
@@ -343,11 +386,33 @@ def test_import_and_parse_leave_scipy_unloaded():
             "from lossy_ring_sfwm.config import parse_config\n"
             "for name in ('ring_channel.json', 'add_drop.json'):\n"
             "    parse_config((resources.files('lossy_ring_sfwm') / 'configs' / name)"
-            ".read_text())\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = str(Path(lossy_ring_sfwm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+            ".read_text())\n")
+    assert _loaded_scipy(code) == []
+
+
+def test_commands_leave_scipy_integrate_unloaded(tmp_path):
+    # quadratures run in numpy: only the jsa pump factor needs scipy (wofz)
+    runs = [("oracle-check", "ring_channel.json", {}),
+            ("oracle-check", "add_drop.json", {}),
+            ("rate", "add_drop.json", {}),
+            ("sweep-sigma", "ring_channel.json",
+             {"sweep_sigma": {"min": 0.97, "max": 0.99, "points": 3}})]
+    for i, (command, name, options) in enumerate(runs):
+        doc = json.loads(bundled_config_text(name))
+        doc["options"] = options
+        cfg = _write_config(tmp_path, doc, name=f"cfg{i}.json")
+        code = ("import sys\n"
+                "from lossy_ring_sfwm.cli import main\n"
+                f"assert main([{command!r}, '--config', {cfg!r}, "
+                f"'--out', {str(tmp_path / f'o{i}')!r}]) == 0\n")
+        assert _loaded_scipy(code) == [], command
+    doc = json.loads(bundled_config_text())
+    doc["pump"] = {"kind": "pulsed", "duration_fwhm_ps": 10.0}
+    doc["options"] = {"jsa": {"grid_points": 64}}
+    cfg = _write_config(tmp_path, doc, name="pulsed.json")
+    loaded = _loaded_scipy("import sys\n"
+                           "from lossy_ring_sfwm.cli import main\n"
+                           f"assert main(['jsa', '--config', {cfg!r}, "
+                           f"'--out', {str(tmp_path / 'jsa')!r}]) == 0\n")
+    assert "scipy.special" in loaded
+    assert not any(m.startswith("scipy.integrate") for m in loaded)

@@ -1,13 +1,15 @@
 """Biphoton wave function: normalization, shape constancy, pump factor."""
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from lossy_ring_sfwm import jsa
-from lossy_ring_sfwm.model import Band, PulsedPump, ring_system
+from lossy_ring_sfwm.model import (Band, ChannelCoupling, PulsedPump, ring_system,
+                                   uniform_gammas)
 
 V = 1e8
 
@@ -53,6 +55,57 @@ def _g_oracle(system, pump, energy):
         omega_o = mp.mpf(pb.omega) + mp.mpf(pump.detuning)
         envelope = mp.exp(-(tau * (half_energy - omega_o)) ** 2)
         return complex(scale * envelope * integral)
+
+
+def _energy_mass_oracle(system, pump):
+    """_energy_mass_integral over its default window by a 30-digit mpmath
+    quadrature, with g(E) from mpmath's erfc: w(z) = e^{-z^2} erfc(-i z),
+    times the common prefactor."""
+    pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
+    with mp.workdps(30):
+        tau = mp.mpf(pump.tau)
+        omega_o = mp.mpf(pb.omega) + mp.mpf(pump.detuning)
+        gbar_p = mp.mpf(system.gamma_bar(Band.PUMP))
+        gbs = mp.mpf(system.gamma_bar(Band.SIGNAL))
+        gbi = mp.mpf(system.gamma_bar(Band.IDLER))
+        L = mp.mpf(system.ring.circumference)
+        gamma_p2 = mp.mpf(system.amplitude_coupling(system.pump_input_channel,
+                                                    Band.PUMP)) ** 2
+        scale = gamma_p2 / (L * mp.mpf(pb.v)) * tau / mp.sqrt(mp.pi)
+        amp = (2 * mp.mpf(sb.v) * gbs / L) * (2 * mp.mpf(ib.v) * gbi / L)
+
+        def integrand(s):
+            b = (mp.mpf(pb.omega) - s / 2) - 1j * gbar_p
+            z = -tau * b
+            g = scale * mp.exp(-(tau * (s / 2 - omega_o)) ** 2) * 1j * mp.pi \
+                * mp.exp(-z * z) * mp.erfc(-1j * z) / b
+            mismatch = s - mp.mpf(sb.omega) - mp.mpf(ib.omega)
+            return abs(g) ** 2 * amp * mp.pi * (gbs + gbi) \
+                / (gbs * gbi * (mismatch ** 2 + (gbs + gbi) ** 2))
+
+        center = 2 * omega_o
+        half = 16 / tau + 8 * (gbs + gbi)
+        # panels bracket the pump envelope, the Lorentzian and the pump pole
+        breaks = {center - half, center + half}
+        for width in (1 / tau, gbs + gbi, gbar_p):
+            for k in (0, 0.5, 1, 2, 4, 8, 16, 64):
+                breaks |= {x for x in (center - k * width, center + k * width)
+                           if abs(x - center) < half}
+        scale = mp.mpf(jsa._jsa_prefactor(system)) ** 2 / (mp.mpf(sb.v) * mp.mpf(ib.v))
+        return float(scale * mp.quad(integrand, sorted(breaks)))
+
+
+class TestEnergyMassIntegral:
+    @pytest.mark.parametrize("duration", [1.66e-12, 10e-9])
+    def test_matches_mpmath(self, system_06, system_short_pulse, duration):
+        """The Gauss-Legendre mass on the 1.66 ps short pulse (the pump pole
+        inside the bandwidth) and in the 10 ns CW limit, within the
+        integral's requested rel_tol of 1e-7."""
+        system = system_short_pulse if duration < 1e-9 else system_06
+        pump = PulsedPump(duration_fwhm=duration)
+        mass = jsa._energy_mass_integral(system, pump, system.gamma_bar(Band.SIGNAL),
+                                         system.gamma_bar(Band.IDLER))
+        assert mass == pytest.approx(_energy_mass_oracle(system, pump), rel=1e-7)
 
 
 class TestPumpFactor:
@@ -139,6 +192,13 @@ class TestJsaGrid:
     def test_narrow_grid_rejected(self, system_06, pulse_10ps):
         with pytest.raises(ValueError):
             jsa.build_jsa(system_06, pulse_10ps, kappa_max=4.0)
+
+    def test_zero_coupled_reference_pair_rejected(self, system_06, pulse_10ps):
+        system = replace(system_06, channels=system_06.channels
+                         + (ChannelCoupling("Z", uniform_gammas(0.0)),))
+        for ref in (("Z", "O"), ("O", "Z")):
+            with pytest.raises(ValueError, match="zero signal or idler coupling"):
+                jsa.build_jsa(system, pulse_10ps, n=16, reference_pair=ref)
 
 
 class TestCwLimit:

@@ -10,6 +10,8 @@ from lossy_ring_sfwm.numerics import (QuadratureError, grid_integrate_2d,
 
 
 class TestIntegrateAdaptive:
+    """Integrands take a 1-D array of abscissae and return an array."""
+
     def test_lorentzian(self):
         peak, width = 2.5, 3.0
         result = integrate_adaptive(lambda x: peak / (1.0 + (x / width) ** 2),
@@ -29,17 +31,29 @@ class TestIntegrateAdaptive:
         assert result.value == pytest.approx(math.pi * peak ** 2 * width / 2.0, rel=0.03)
 
     def test_zero_integrand(self):
-        result = integrate_adaptive(lambda x: 0.0, -1.0, 1.0)
+        result = integrate_adaptive(np.zeros_like, -1.0, 1.0)
         assert result.value == 0.0
 
     def test_error_estimate_reported(self):
-        result = integrate_adaptive(lambda x: math.exp(-x * x), -5.0, 5.0)
+        result = integrate_adaptive(lambda x: np.exp(-x * x), -5.0, 5.0)
         assert result.abs_error_estimate >= 0.0
         assert result.evaluations > 0
 
+    def test_evaluations_count_every_abscissa(self):
+        sizes = []
+
+        def f(x):
+            assert x.ndim == 1
+            sizes.append(x.size)
+            return 1.0 / (1.0 + ((x - 0.3) / 1e-4) ** 2)
+
+        result = integrate_adaptive(f, -1.0, 1.0, rel_tol=1e-9, points=[0.3])
+        assert len(sizes) > 1  # the estimate needed splits, one call per round
+        assert result.evaluations == sum(sizes)
+
     def test_nonconvergence_raises(self):
         with pytest.raises(QuadratureError) as exc:
-            integrate_adaptive(lambda x: math.sin(1e4 * x * x) + 1e-300,
+            integrate_adaptive(lambda x: np.sin(1e4 * x * x) + 1e-300,
                                0.0, 50.0, rel_tol=1e-13, limit=3)
         assert exc.value.error_estimate is not None
 
@@ -54,7 +68,7 @@ class TestIntegrateAdaptive:
         assert result.value == pytest.approx(math.pi * width, rel=1e-6)
 
     def test_deterministic(self):
-        f = lambda x: math.exp(-x * x) * math.cos(3.0 * x)
+        f = lambda x: np.exp(-x * x) * np.cos(3.0 * x)
         r1 = integrate_adaptive(f, -8.0, 8.0)
         r2 = integrate_adaptive(f, -8.0, 8.0)
         assert r1.value == r2.value

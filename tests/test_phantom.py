@@ -4,12 +4,13 @@ of the phantom-channel model."""
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossy_ring_sfwm import phantom as ph
-from lossy_ring_sfwm.constants import HBAR
+from lossy_ring_sfwm.constants import EPS0, HBAR
 from lossy_ring_sfwm.model import (Band, ChannelCoupling, ChannelKind, CwPump,
                                    RingSpec, SystemSpec, phantom_gamma_from_xi,
                                    ring_system, shared_bands, uniform_gammas)
@@ -258,6 +259,29 @@ class TestRateRatios:
 
 
 class TestGoldenRuleOracle:
+    def test_array_kernel_matches_scalar_factors(self):
+        system = sample_system(eta=0.62)
+        gbar = system.gamma_bar(Band.SIGNAL)
+        pump = CwPump(1e-3, detuning=0.4 * gbar)
+        pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
+        omega_o = pb.omega + pump.detuning
+        scale = HBAR ** 2 * EPS0 * pb.v ** 2 / (12.0 * math.pi ** 2) \
+            * math.sqrt(sb.omega * ib.omega) * system.ring.gamma_nl \
+            * system.ring.circumference
+        f_p = ph.enhancement_factor(system, "O", Band.PUMP,
+                                    pb.k_ref + pump.detuning / pb.v, ph.Branch.MINUS).value
+        omega1 = sb.omega + np.linspace(-40.0, 40.0, 161) * gbar
+        for x, y in (("O", "O"), ("O", "P"), ("P", "O")):
+            kernel = ph._golden_rule_kernel(system, pump, x, y, omega1)
+            for w, value in zip(omega1.tolist(), kernel.tolist()):
+                f_s = ph.enhancement_factor(system, x, Band.SIGNAL, sb.k_of_omega(w),
+                                            ph.Branch.PLUS).value
+                f_i = ph.enhancement_factor(system, y, Band.IDLER,
+                                            ib.k_of_omega(2.0 * omega_o - w),
+                                            ph.Branch.PLUS).value
+                expected = abs(scale * f_s.conjugate() * f_i.conjugate() * f_p * f_p) ** 2
+                assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
     def test_matches_closed_form_on_reference(self):
         system = sample_system()
         pump = CwPump(1e-3)
