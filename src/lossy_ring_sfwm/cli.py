@@ -26,10 +26,6 @@ from .config import ConfigError, RunConfig, _number, derived_echo, parse_config
 from .model import CwPump, PulsedPump
 from .numerics import QuadratureError
 
-_COMMANDS = ("rate", "ratios", "sweep-sigma", "sweep-eta", "compare-finesse",
-             "add-drop-grid", "jsa", "oracle-check")
-
-
 def _write_csv(path: Path, header: list, rows) -> None:
     """Rows hold Python floats, ints and strings; csv writes a float as its
     shortest round-trip repr."""
@@ -39,9 +35,14 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _rows(*columns: np.ndarray) -> list[list[float]]:
-    """Equal-length float columns as CSV rows of Python floats."""
-    return np.column_stack(columns).tolist()
+def _write_float_csv(path: Path, header: list, *columns: np.ndarray) -> None:
+    """Float columns (1-D, or 2-D blocks of them) streamed row by row."""
+    # the repr of a row's list of Python floats, less brackets and spaces, is
+    # the line csv.writer writes for it
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(repr(row.tolist())[1:-1].replace(", ", ",") + "\r\n"
+                      for row in np.column_stack(columns))
 
 
 def _write_sweep(outdir: Path, command: str, config: RunConfig, result: sweeps.SweepResult,
@@ -50,8 +51,8 @@ def _write_sweep(outdir: Path, command: str, config: RunConfig, result: sweeps.S
     order (under `header` when given); <stem>_meta.json the result's metadata."""
     stem = command.replace("-", "_")
     ((name, axis),) = result.axes.items()
-    _write_csv(outdir / f"{stem}.csv", header or [name] + list(result.values),
-               _rows(axis, *result.values.values()))
+    _write_float_csv(outdir / f"{stem}.csv", header or [name] + list(result.values),
+                     axis, *result.values.values())
     meta = _base_metadata(command, config)
     meta.update(result.metadata)
     _write_metadata(outdir / f"{stem}_meta.json", meta)
@@ -79,18 +80,16 @@ def _require_cw(config: RunConfig) -> CwPump:
     return config.pump
 
 
-def _require_pulsed(config: RunConfig) -> PulsedPump:
-    if not isinstance(config.pump, PulsedPump):
-        raise ConfigError("pump.kind", "the jsa command needs a pulsed pump")
-    return config.pump
-
-
 def _axis(config: RunConfig, name: str, lo_key: str, hi_key: str, n_key: str, defaults,
-          *, log=False):
+          *, log=False, unit: str | None = None):
+    # unit: "(0, 1)" for an escape efficiency, "(0, 1]" for a self-coupling
     block, path = config.options.get(name, {}), f"options.{name}"
     lo = _number(block, lo_key, path, default=defaults[0], positive=log)
     hi = _number(block, hi_key, path, default=defaults[1])
     n = _number(block, n_key, path, default=defaults[2], minimum=2, integer=True)
+    for key, v in ((lo_key, lo), (hi_key, hi)):
+        if unit and not (0.0 < v < 1.0 or v == 1.0 and unit.endswith("]")):
+            raise ConfigError(f"{path}.{key}", f"must lie in {unit}, got {v}")
     if not lo < hi:
         raise ConfigError(f"{path}.{lo_key}", f"bad axis [{lo}, {hi}] x {n}")
     if log:
@@ -150,14 +149,16 @@ def cmd_ratios(config: RunConfig, outdir: Path, threads: int, tol) -> int:
 
 def cmd_sweep_sigma(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     pump = _require_cw(config)
-    axis = _axis(config, "sweep_sigma", "min", "max", "points", (0.90, 0.9995, 101))
+    axis = _axis(config, "sweep_sigma", "min", "max", "points", (0.90, 0.9995, 101),
+                 unit="(0, 1]")
     result = sweeps.sweep_sigma(config.system, axis, pump, workers=threads)
     return _write_sweep(outdir, "sweep-sigma", config, result, ["sigma", "rate_pairs_per_s"])
 
 
 def cmd_sweep_eta(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     pump = _require_cw(config)
-    axis = _axis(config, "sweep_eta", "min", "max", "points", (0.02, 0.98, 101))
+    axis = _axis(config, "sweep_eta", "min", "max", "points", (0.02, 0.98, 101),
+                 unit="(0, 1)")
     return _write_sweep(outdir, "sweep-eta", config, sweeps.sweep_eta(config.system, axis, pump))
 
 
@@ -165,7 +166,7 @@ def cmd_compare_finesse(config: RunConfig, outdir: Path, threads: int, tol) -> i
     pump = _require_cw(config)
     if len(config.system.physical_channels) == 2:
         axis = _axis(config, "compare_finesse", "sigma2_min", "sigma2_max", "points",
-                     (0.3, 0.9999, 25))
+                     (0.3, 0.9999, 25), unit="(0, 1]")
         result = sweeps.compare_finesse_add_drop(config.system, axis, pump,
                                                  workers=threads)
     else:
@@ -183,8 +184,8 @@ def cmd_add_drop_grid(config: RunConfig, outdir: Path, threads: int, tol) -> int
     keys = sorted(result.values)
     t, d = np.meshgrid(result.axes["gamma_t_ratio"], result.axes["gamma_d_ratio"],
                        indexing="ij")
-    _write_csv(outdir / "add_drop_grid.csv", ["gamma_t_ratio", "gamma_d_ratio"] + keys,
-               _rows(t.ravel(), d.ravel(), *(result.values[k].ravel() for k in keys)))
+    _write_float_csv(outdir / "add_drop_grid.csv", ["gamma_t_ratio", "gamma_d_ratio"] + keys,
+                     t.ravel(), d.ravel(), *(result.values[k].ravel() for k in keys))
     meta = _base_metadata("add-drop-grid", config)
     meta["argmax"] = {k: list(v) for k, v in result.metadata["argmax"].items()}
     meta["pump_power_w"] = pump.power
@@ -208,7 +209,9 @@ def _reference_pair(config: RunConfig, ref) -> tuple[str, str]:
 
 
 def cmd_jsa(config: RunConfig, outdir: Path, threads: int, tol) -> int:
-    pump = _require_pulsed(config)
+    pump = config.pump
+    if not isinstance(pump, PulsedPump):
+        raise ConfigError("pump.kind", "the jsa command needs a pulsed pump")
     block, path = config.options.get("jsa", {}), "options.jsa"
     n = _number(block, "grid_points", path, default=512, minimum=2, integer=True)
     kappa_max = _number(block, "kappa_max", path, default=8.0, minimum=8.0)
@@ -225,8 +228,7 @@ def cmd_jsa(config: RunConfig, outdir: Path, threads: int, tol) -> int:
 
     header = ["kappa1\\kappa2"] + grid.kappa2.tolist()
     for name, data in (("jsa_abs2.csv", grid.abs2), ("jsa_phase.csv", grid.phase)):
-        rows = ([k] + row for k, row in zip(grid.kappa1.tolist(), data.tolist()))
-        _write_csv(outdir / name, header, rows)
+        _write_float_csv(outdir / name, header, grid.kappa1, data)
     _write_csv(outdir / "jsa_weights.csv",
                ["signal_exit", "idler_exit", "weight_re", "weight_im", "weight_abs2"],
                [(x, y, w.real, w.imag, abs(w) ** 2)
@@ -290,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lossy-ring-sfwm",
         description="Photon-pair generation in lossy microring-waveguide systems.")
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--threads", type=int, default=1,

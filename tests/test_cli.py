@@ -1,6 +1,7 @@
 """Configuration ingestion and the command-line interface."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -9,10 +10,11 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lossy_ring_sfwm
-from lossy_ring_sfwm import cli
+from lossy_ring_sfwm import cli, jsa
 from lossy_ring_sfwm.cli import main
 from lossy_ring_sfwm.config import (ConfigError, derived_echo, parse_config,
                                     serialize_config)
@@ -315,6 +317,24 @@ class TestCommands:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"invalid config: {field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name, options, field", [
+        ("sweep-eta", "ring_channel.json", {"sweep_eta": {"min": 0}},
+         "options.sweep_eta.min: must lie in (0, 1)"),
+        ("sweep-sigma", "ring_channel.json", {"sweep_sigma": {"max": 1.5}},
+         "options.sweep_sigma.max: must lie in (0, 1]"),
+        ("compare-finesse", "add_drop.json", {"compare_finesse": {"sigma2_max": 1.5}},
+         "options.compare_finesse.sigma2_max: must lie in (0, 1]"),
+        ("compare-finesse", "add_drop.json", {"compare_finesse": {"sigma2_min": -0.5}},
+         "options.compare_finesse.sigma2_min: must lie in (0, 1]")],
+        ids=["eta_min", "sigma_max", "sigma2_max", "sigma2_min"])
+    def test_axis_outside_model_range_exits_2(self, tmp_path, capsys, command, name,
+                                              options, field):
+        doc = json.loads(bundled_config_text(name))
+        doc["options"] = options
+        cfg = _write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"invalid config: {field}" in capsys.readouterr().err
+
     def test_effective_index_without_resonance_exits_2(self, tmp_path, capsys):
         doc = eta_config()
         doc["system"]["bands"]["effective_index"] = 1e-9
@@ -357,6 +377,14 @@ class TestCommands:
             main(["frobnicate", "--config", "x.json"])
 
 
+def _csv_writer_bytes(header: list, rows) -> bytes:
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode()
+
+
 def test_write_csv_formatting(tmp_path):
     # the shortest round-trip repr of each float, as str() of ints and ids
     path = tmp_path / "t.csv"
@@ -364,18 +392,37 @@ def test_write_csv_formatting(tmp_path):
                    [[0.1, 1e-05, 1e+16, -0.0, 5e-324, 3, "T"], ["P", -2.5, 0]])
     assert path.read_bytes() == (b"x,kappa1\\kappa2\r\n0.1,1e-05,1e+16,-0.0,5e-324,3,T\r\n"
                                  b"P,-2.5,0\r\n")
+    # the row-wise float writer gives csv.writer's bytes
+    header, rows = ["kappa1\\kappa2", "x"], [[0.1, 1e-05, 1e+16], [-0.0, 5e-324, -2.5]]
+    cli._write_float_csv(path, header, np.array(rows))
+    assert path.read_bytes() == _csv_writer_bytes(header, rows) == (
+        b"kappa1\\kappa2,x\r\n0.1,1e-05,1e+16\r\n-0.0,5e-324,-2.5\r\n")
+    # and so do the jsa grids, checked against csv.writer on the same arrays
+    doc = eta_config(pump={"kind": "pulsed", "duration_fwhm_ps": 10.0})
+    doc["options"] = {"jsa": {"grid_points": 64}}
+    out = tmp_path / "jsa"
+    assert main(["jsa", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    config = parse_config(doc)
+    grid = jsa.build_jsa(config.system, config.pump, n=64)
+    header = ["kappa1\\kappa2"] + grid.kappa2.tolist()
+    for name, data in (("jsa_abs2.csv", grid.abs2), ("jsa_phase.csv", grid.phase)):
+        rows = [[k] + row for k, row in zip(grid.kappa1.tolist(), data.tolist())]
+        assert (out / name).read_bytes() == _csv_writer_bytes(header, rows), name
 
 
-def _loaded_scipy(code: str) -> list[str]:
-    """The scipy modules loaded after running code in a fresh interpreter."""
-    code += ("\nimport json\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+def _loaded_modules(code: str) -> list[str]:
+    """The modules loaded after running code in a fresh interpreter."""
+    code += "\nimport json\nprint(json.dumps(sorted(sys.modules)))\n"
     src = str(Path(lossy_ring_sfwm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _loaded_scipy(code: str) -> list[str]:
+    return [m for m in _loaded_modules(code) if m.split(".")[0] == "scipy"]
 
 
 def test_import_and_parse_leave_scipy_unloaded():
@@ -390,8 +437,9 @@ def test_import_and_parse_leave_scipy_unloaded():
     assert _loaded_scipy(code) == []
 
 
-def test_commands_leave_scipy_integrate_unloaded(tmp_path):
-    # quadratures run in numpy: only the jsa pump factor needs scipy (wofz)
+def test_commands_leave_scipy_unloaded(tmp_path):
+    # quadratures and the Faddeeva function run in numpy; only the jsa
+    # command builds the Faddeeva coefficients, so only it loads numpy.fft
     runs = [("oracle-check", "ring_channel.json", {}),
             ("oracle-check", "add_drop.json", {}),
             ("rate", "add_drop.json", {}),
@@ -405,14 +453,14 @@ def test_commands_leave_scipy_integrate_unloaded(tmp_path):
                 "from lossy_ring_sfwm.cli import main\n"
                 f"assert main([{command!r}, '--config', {cfg!r}, "
                 f"'--out', {str(tmp_path / f'o{i}')!r}]) == 0\n")
-        assert _loaded_scipy(code) == [], command
+        loaded = _loaded_modules(code)
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == [], command
+        assert "numpy.fft" not in loaded, command
     doc = json.loads(bundled_config_text())
     doc["pump"] = {"kind": "pulsed", "duration_fwhm_ps": 10.0}
     doc["options"] = {"jsa": {"grid_points": 64}}
     cfg = _write_config(tmp_path, doc, name="pulsed.json")
-    loaded = _loaded_scipy("import sys\n"
-                           "from lossy_ring_sfwm.cli import main\n"
-                           f"assert main(['jsa', '--config', {cfg!r}, "
-                           f"'--out', {str(tmp_path / 'jsa')!r}]) == 0\n")
-    assert "scipy.special" in loaded
-    assert not any(m.startswith("scipy.integrate") for m in loaded)
+    assert _loaded_scipy("import sys\n"
+                         "from lossy_ring_sfwm.cli import main\n"
+                         f"assert main(['jsa', '--config', {cfg!r}, "
+                         f"'--out', {str(tmp_path / 'jsa')!r}]) == 0\n") == []

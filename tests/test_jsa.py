@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from lossy_ring_sfwm import jsa
+from lossy_ring_sfwm.config import parse_config
 from lossy_ring_sfwm.model import (Band, ChannelCoupling, PulsedPump, ring_system,
                                    uniform_gammas)
+from lossy_ring_sfwm.phantom import Branch, enhancement_factor
 
 V = 1e8
 
@@ -108,6 +110,34 @@ class TestEnergyMassIntegral:
         assert mass == pytest.approx(_energy_mass_oracle(system, pump), rel=1e-7)
 
 
+def _wofz_oracle(z: complex) -> complex:
+    """w(z) = e^{-z^2} erfc(-iz) at 30 digits."""
+    with mp.workdps(30):
+        z = mp.mpc(z)
+        return complex(mp.exp(-z * z) * mp.erfc(-1j * z))
+
+
+class TestFaddeeva:
+    # the upper half plane: just above the real axis, near the pump pole
+    # (5.44 + 1.5e-4 i, the worst point of a 3,000-point random scan), out
+    # to |z| = 1e6, and on the imaginary axis
+    POINTS = [complex(x, y) for x in (0.0, 1e-3, 0.5, 2.0, 5.44, 30.0, 1e3, 1e6)
+              for y in (1e-4, 0.3, 3.0, 1e2, 1e5)] \
+        + [complex(-x, y) for x in (1e-3, 2.0, 1e4) for y in (1e-4, 1.0)] \
+        + [5.44 + 1.5e-4j, 1e6j]
+
+    def test_matches_mpmath(self):
+        w = jsa.wofz(np.array(self.POINTS))
+        for z, value in zip(self.POINTS, w):
+            assert complex(value) == pytest.approx(_wofz_oracle(z), rel=1e-13, abs=0.0), z
+
+    def test_scalar_matches_array(self):
+        z = np.array(self.POINTS)
+        scalars = [jsa.wofz(c) for c in self.POINTS]
+        assert all(np.ndim(v) == 0 for v in scalars)
+        assert np.array_equal(np.array(scalars), jsa.wofz(z))
+
+
 class TestPumpFactor:
     def test_matches_faddeeva_closed_form(self, system_06, system_short_pulse):
         """The Faddeeva closed form against a 30-digit quadrature of the raw
@@ -199,6 +229,65 @@ class TestJsaGrid:
         for ref in (("Z", "O"), ("O", "Z")):
             with pytest.raises(ValueError, match="zero signal or idler coupling"):
                 jsa.build_jsa(system, pulse_10ps, n=16, reference_pair=ref)
+
+
+class TestDistinctEnergies:
+    """g runs once per distinct two-photon energy: 2n - 1 of them on equal
+    signal and idler steps, n^2 when the linewidths differ."""
+
+    @staticmethod
+    def _system(signal_band: dict | None):
+        doc = {
+            "system": {
+                "ring": {"radius_m": 1e-5, "loss_db_per_cm": 26.0,
+                         "gamma_nl_per_w_m": 100.0},
+                "bands": {"wavelength_nm": 1550.0, "effective_index": 2.4,
+                          "group_velocity_m_per_s": V},
+                "channels": [{"id": "O", "coupling": {"sigma": 0.9814}},
+                             {"id": "P", "kind": "phantom",
+                              "coupling": {"from_loss": True}}],
+                "pump_input_channel": "O"},
+            "pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0},
+        }
+        if signal_band:
+            doc["system"]["bands"]["signal"] = signal_band
+        return parse_config(doc).system
+
+    @pytest.mark.parametrize("signal_band, distinct", [
+        (None, 2 * 24 - 1), ({"group_velocity_m_per_s": 1.234567e8}, 24 * 24)],
+        ids=["equal_steps", "unequal_steps"])
+    def test_grid_matches_cell_by_cell_g(self, monkeypatch, pulse_10ps, signal_band,
+                                         distinct):
+        system = self._system(signal_band)
+        gbs, gbi = system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER)
+        assert (gbs != gbi) == (signal_band is not None)
+        n = 24
+        kappa = np.linspace(-8.0, 8.0, n)
+        g = jsa._pump_g_factor(system, pulse_10ps)
+        sizes = []
+
+        def recording_g_factor(*args):
+            def counted(energies):
+                sizes.append(np.size(energies))
+                return g(energies)
+            return counted
+
+        monkeypatch.setattr(jsa, "_pump_g_factor", recording_g_factor)
+        grid = jsa._direct_pair_grid(system, pulse_10ps, "O", "P", kappa, kappa)
+        assert sizes == [distinct]
+
+        sb, ib = system.bands[Band.SIGNAL], system.bands[Band.IDLER]
+        omega1, omega2 = sb.omega + gbs * kappa, ib.omega + gbi * kappa
+        d1, d2 = gbs * (kappa[1] - kappa[0]), gbi * (kappa[1] - kappa[0])
+        g_cells = np.array([[complex(g((omega1[0] + omega2[0]) + d1 * (i + (d2 / d1) * j)))
+                             for j in range(n)] for i in range(n)])
+        f_s = enhancement_factor(system, "O", Band.SIGNAL, sb.k_of_omega(omega1),
+                                 Branch.PLUS).value
+        f_i = enhancement_factor(system, "P", Band.IDLER, ib.k_of_omega(omega2),
+                                 Branch.PLUS).value
+        expected = 1j * jsa._jsa_prefactor(system) * np.conj(f_s)[:, None] \
+            * np.conj(f_i)[None, :] * g_cells
+        assert np.array_equal(grid, expected)
 
 
 class TestCwLimit:
