@@ -238,15 +238,6 @@ def overlap_by_zeta_scan(signal: RingField, idler: RingField, pump3: RingField,
 # Field construction from a SystemSpec
 # ---------------------------------------------------------------------------
 
-def _require_strategy1_ring(system: SystemSpec) -> str:
-    phys = system.physical_channels
-    if len(phys) != 1:
-        raise ValueError(
-            f"the attenuation model of the single-bus ring needs exactly one physical "
-            f"channel, got {len(phys)}")
-    return phys[0].channel_id
-
-
 def _k_in(system: SystemSpec, band: Band, omega: float) -> ComplexWavevector:
     return ComplexWavevector.incoming(system.bands[band].k_of_omega(omega), system.ring.xi)
 
@@ -257,7 +248,7 @@ def _k_out(system: SystemSpec, band: Band, omega: float) -> ComplexWavevector:
 
 def _ring_field(system: SystemSpec, band: Band, kt: ComplexWavevector) -> RingField:
     """Single-bus ring: the one-segment ring field at wavevector kt."""
-    bus = _require_strategy1_ring(system)
+    bus = system.single_bus
     L = system.ring.circumference
     amps = asy_fields(system.sigma_view(bus, band), kt, L)
     return RingField(regime=kt.regime, k_prop=kt.value, segments=((L, amps.f_ring),))
@@ -368,7 +359,6 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, *,
                  window_linewidths: float = 40.0, rel_tol: float = 1e-6) -> float:
     """CW pair generation rate [pairs/s] of the single-bus ring, both
     photons collected in the bus waveguide."""
-    _require_strategy1_ring(system)
     return _rate_from_overlap(
         system, pump,
         lambda w: ring_out_field(system, Band.SIGNAL, w),

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    lossy-ring-sfwm <command> --config cfg.json [--out DIR] [--threads N] [--tol X]
+    lossy-ring-sfwm <command> --config cfg.json [--out DIR] [--tol X]
 
 Commands: rate, ratios, sweep-sigma, sweep-eta, compare-finesse,
 add-drop-grid, jsa, oracle-check. Each command writes CSV data files and
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import attenuation, jsa, phantom, sweeps
 from .config import ConfigError, RunConfig, _number, derived_echo, parse_config
-from .model import CwPump, PulsedPump
+from .model import CwPump, GeometryError, PulsedPump
 from .numerics import QuadratureError
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -97,18 +97,25 @@ def _axis(config: RunConfig, name: str, lo_key: str, hi_key: str, n_key: str, de
     return np.linspace(lo, hi, n)
 
 
+def _require_lossy_phantom(config: RunConfig) -> None:
+    """sweep-eta and add-drop-grid set couplings in units of the phantom decay rate."""
+    phantom = config.system.phantom_channel
+    if phantom is not None and 0.0 in phantom.gammas.values():
+        raise ConfigError("system.ring.loss_db_per_cm",
+                          "the phantom decay rate, the unit of the swept couplings, is zero")
+
+
 def _attenuation_pairs(config: RunConfig, pump: CwPump):
     system = config.system
-    phys = system.physical_channels
-    if len(phys) == 1:
-        bus = phys[0].channel_id
+    if len(system.physical_channels) == 1:
+        bus = system.single_bus
         return [(bus, bus, attenuation.pair_rate_cw(system, pump))]
     through, drop = system.add_drop_buses
     return [(x, y, attenuation.pair_rate_cw_add_drop(system, pump, x, y))
             for x in (through, drop) for y in (through, drop)]
 
 
-def cmd_rate(config: RunConfig, outdir: Path, threads: int, tol) -> int:
+def cmd_rate(config: RunConfig, outdir: Path, tol) -> int:
     pump = _require_cw(config)
     rows = []
     meta = _base_metadata("rate", config)
@@ -133,7 +140,7 @@ def cmd_rate(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     return 0
 
 
-def cmd_ratios(config: RunConfig, outdir: Path, threads: int, tol) -> int:
+def cmd_ratios(config: RunConfig, outdir: Path, tol) -> int:
     pump = _require_cw(config)
     matrix = phantom.rate_matrix(config.system, pump)
     ref = (config.system.physical_channels[0].channel_id,) * 2
@@ -147,39 +154,40 @@ def cmd_ratios(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     return 0
 
 
-def cmd_sweep_sigma(config: RunConfig, outdir: Path, threads: int, tol) -> int:
+def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> int:
     pump = _require_cw(config)
     axis = _axis(config, "sweep_sigma", "min", "max", "points", (0.90, 0.9995, 101),
                  unit="(0, 1]")
-    result = sweeps.sweep_sigma(config.system, axis, pump, workers=threads)
+    result = sweeps.sweep_sigma(config.system, axis, pump)
     return _write_sweep(outdir, "sweep-sigma", config, result, ["sigma", "rate_pairs_per_s"])
 
 
-def cmd_sweep_eta(config: RunConfig, outdir: Path, threads: int, tol) -> int:
+def cmd_sweep_eta(config: RunConfig, outdir: Path, tol) -> int:
     pump = _require_cw(config)
     axis = _axis(config, "sweep_eta", "min", "max", "points", (0.02, 0.98, 101),
                  unit="(0, 1)")
+    _require_lossy_phantom(config)
     return _write_sweep(outdir, "sweep-eta", config, sweeps.sweep_eta(config.system, axis, pump))
 
 
-def cmd_compare_finesse(config: RunConfig, outdir: Path, threads: int, tol) -> int:
+def cmd_compare_finesse(config: RunConfig, outdir: Path, tol) -> int:
     pump = _require_cw(config)
     if len(config.system.physical_channels) == 2:
         axis = _axis(config, "compare_finesse", "sigma2_min", "sigma2_max", "points",
                      (0.3, 0.9999, 25), unit="(0, 1]")
-        result = sweeps.compare_finesse_add_drop(config.system, axis, pump,
-                                                 workers=threads)
+        result = sweeps.compare_finesse_add_drop(config.system, axis, pump)
     else:
         axis = _axis(config, "compare_finesse", "min", "max", "points", (50.0, 2000.0, 25),
                      log=True)
-        result = sweeps.compare_finesse(config.system, axis, pump, workers=threads)
+        result = sweeps.compare_finesse(config.system, axis, pump)
     return _write_sweep(outdir, "compare-finesse", config, result)
 
 
-def cmd_add_drop_grid(config: RunConfig, outdir: Path, threads: int, tol) -> int:
+def cmd_add_drop_grid(config: RunConfig, outdir: Path, tol) -> int:
     pump = _require_cw(config)
     axis = _axis(config, "add_drop_grid", "min_ratio", "max_ratio", "points",
                  (0.05, 5.0, 81), log=True)
+    _require_lossy_phantom(config)
     result = sweeps.add_drop_grid(config.system, axis, axis, pump)
     keys = sorted(result.values)
     t, d = np.meshgrid(result.axes["gamma_t_ratio"], result.axes["gamma_d_ratio"],
@@ -208,7 +216,7 @@ def _reference_pair(config: RunConfig, ref) -> tuple[str, str]:
     return ref[0], ref[1]
 
 
-def cmd_jsa(config: RunConfig, outdir: Path, threads: int, tol) -> int:
+def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
     pump = config.pump
     if not isinstance(pump, PulsedPump):
         raise ConfigError("pump.kind", "the jsa command needs a pulsed pump")
@@ -247,7 +255,7 @@ def cmd_jsa(config: RunConfig, outdir: Path, threads: int, tol) -> int:
     return 0
 
 
-def cmd_oracle_check(config: RunConfig, outdir: Path, threads: int, tol) -> int:
+def cmd_oracle_check(config: RunConfig, outdir: Path, tol) -> int:
     pump = _require_cw(config)
     block, path = config.options.get("oracle_check", {}), "options.oracle_check"
     max_dev_tol = tol if tol is not None else _number(block, "max_rel_dev", path,
@@ -295,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the strategy-1 sweeps")
     parser.add_argument("--tol", type=float, default=None,
                         help="override the command's tolerance gate")
     return parser
@@ -315,9 +321,12 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        return _HANDLERS[args.command](config, outdir, max(1, args.threads), args.tol)
+        return _HANDLERS[args.command](config, outdir, args.tol)
     except ConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)
+        return 2
+    except GeometryError as e:
+        print(f"invalid config: system.channels: {e}", file=sys.stderr)
         return 2
     except QuadratureError as e:
         print(f"{args.command}: {e}", file=sys.stderr)

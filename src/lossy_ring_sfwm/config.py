@@ -251,6 +251,8 @@ def parse_config(source: str | Mapping) -> RunConfig:
                             pump_input_channel=pump_in)
     except (ValueError, KeyError) as e:
         raise ConfigError("system", str(e)) from e
+    if system.channel(pump_in).gamma(Band.PUMP) == 0.0:  # no pump reaches the ring
+        raise ConfigError("system.pump_input_channel", f"{pump_in!r} has no pump-band coupling")
 
     pump = _parse_pump(doc.get("pump", {"kind": "cw", "power_mw": 1.0}), "pump")
     strategy = doc.get("strategy", "both")

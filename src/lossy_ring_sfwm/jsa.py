@@ -220,9 +220,9 @@ def _direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
     omega1 = sb.omega + gbs * kappa1
     omega2 = ib.omega + gbi * kappa2
     f_s = enhancement_factor(system, signal_exit, Band.SIGNAL, sb.k_of_omega(omega1),
-                             Branch.PLUS).value
+                             Branch.PLUS)
     f_i = enhancement_factor(system, idler_exit, Band.IDLER, ib.k_of_omega(omega2),
-                             Branch.PLUS).value
+                             Branch.PLUS)
     # two-photon energies from the grid corner in units of the signal step:
     # on equal steps every cell of an anti-diagonal gets the same energy, so
     # g runs on 2n - 1 distinct energies instead of n^2

@@ -189,6 +189,10 @@ class PulsedPump:
         return self.duration_fwhm / (2.0 * math.sqrt(math.log(2.0)))
 
 
+class GeometryError(ValueError):
+    """The ring's channels do not fit the model asked for (bus count, phantom)."""
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """A ring, its three bands, and its ordered coupling channels."""
@@ -235,11 +239,19 @@ class SystemSpec:
         return tuple(c for c in self.channels if c.kind is ChannelKind.PHYSICAL)
 
     @property
+    def single_bus(self) -> str:
+        """Id of the one physical channel of a single-bus ring."""
+        n = len(self.physical_channels)
+        if n != 1:
+            raise GeometryError(f"a single-bus ring needs one physical channel, got {n}")
+        return self.pump_input_channel  # the only physical channel
+
+    @property
     def add_drop_buses(self) -> tuple[str, str]:
         """(through, drop) ids of a two-bus ring; the pump enters through."""
         phys = [c.channel_id for c in self.physical_channels]
         if len(phys) != 2:
-            raise ValueError(f"an add-drop ring needs two physical channels, got {len(phys)}")
+            raise GeometryError(f"an add-drop ring needs two physical channels, got {len(phys)}")
         return self.pump_input_channel, next(c for c in phys if c != self.pump_input_channel)
 
     @property

@@ -42,30 +42,19 @@ class Branch(enum.Enum):
     PLUS = "out"  # outgoing-type solutions
 
 
-@dataclass(frozen=True)
-class EnhancementFactor:
-    value: complex | np.ndarray
-    branch: Branch
-    channel_id: str
-    band: Band
-    k: float | np.ndarray
-
-
 def _strategy2_detuning(system: SystemSpec, band: Band, k: ArrayLike):
     p = system.bands[band]
     return p.v * (p.k_ref - k)  # = omega_J - omega(k)
 
 
 def enhancement_factor(system: SystemSpec, channel_id: str, band: Band, k: ArrayLike,
-                       branch: Branch) -> EnhancementFactor:
+                       branch: Branch) -> complex | np.ndarray:
     """Complex field enhancement factor of one channel at wavenumber k (or an array)."""
     gamma_amp = system.amplitude_coupling(channel_id, band)
     gbar = system.gamma_bar(band)
     sign = -1.0 if branch is Branch.MINUS else 1.0
     den = _strategy2_detuning(system, band, k) + sign * 1j * gbar
-    value = gamma_amp / (math.sqrt(system.ring.circumference) * den)
-    return EnhancementFactor(value=value, branch=branch, channel_id=channel_id,
-                             band=band, k=k)
+    return gamma_amp / (math.sqrt(system.ring.circumference) * den)
 
 
 def _enhancement_abs2(v: float, gamma: ArrayLike, gbar: ArrayLike, circumference: float,
@@ -108,7 +97,7 @@ def _asy_amplitude(system: SystemSpec, channel_id: str, band: Band, k: float,
                    branch: Branch) -> list[PiecewiseAmplitude]:
     """Solution with a unit wave in one channel: entering through it on the
     MINUS branch (incoming type), leaving through it on the PLUS branch."""
-    F = enhancement_factor(system, channel_id, band, k, branch).value
+    F = enhancement_factor(system, channel_id, band, k, branch)
     v = system.bands[band].v
     sqrt_l = math.sqrt(system.ring.circumference)
     incoming = branch is Branch.MINUS
@@ -166,6 +155,16 @@ def vacuum_power(gamma_bar_s: ArrayLike, gamma_bar_i: ArrayLike, omega_s: float,
         * gsum / (detuning ** 2 + gsum ** 2)
 
 
+def _pair_vacuum_power(system: SystemSpec, pump: CwPump, gamma_bar_s: ArrayLike,
+                       gamma_bar_i: ArrayLike):
+    """vacuum_power at the CW pump's two-photon offset 2 omega_o - omega_S - omega_I."""
+    sb = system.bands[Band.SIGNAL]
+    ib = system.bands[Band.IDLER]
+    omega_o = system.bands[Band.PUMP].omega + pump.detuning
+    return vacuum_power(gamma_bar_s, gamma_bar_i, sb.omega, ib.omega,
+                        detuning=2.0 * omega_o - sb.omega - ib.omega)
+
+
 def _pump_k(system: SystemSpec, pump: CwPump) -> float:
     p = system.bands[Band.PUMP]
     return p.k_ref + pump.detuning / p.v
@@ -194,8 +193,7 @@ def pair_rates(system: SystemSpec, pump: CwPump,
     f_pump2 = _enhancement_abs2(
         pb.v, rates[system.pump_input_channel][Band.PUMP], gbar[Band.PUMP], L,
         detuning=_strategy2_detuning(system, Band.PUMP, _pump_k(system, pump)))
-    p_vac = vacuum_power(gbar[Band.SIGNAL], gbar[Band.IDLER], sb.omega, ib.omega,
-                         detuning=2.0 * omega_o - sb.omega - ib.omega)
+    p_vac = _pair_vacuum_power(system, pump, gbar[Band.SIGNAL], gbar[Band.IDLER])
     common = (math.sqrt(sb.omega * ib.omega) / omega_o) \
         * (pb.v ** 2 / (sb.v * ib.v)) * gnl_l ** 2 \
         * pump.power ** 2 * p_vac / (HBAR * omega_o) * f_pump2 ** 2
@@ -217,26 +215,18 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str,
 class RateMatrix:
     """CW pair rates for every (signal exit, idler exit) channel pair."""
 
-    channel_ids: tuple[str, ...]
     rates: Mapping[tuple[str, str], float]  # [pairs/s]
     p_vac: float  # [W]
-    eta: Mapping[Band, Mapping[str, float]]  # escape efficiencies per band
 
     def rate(self, signal_exit: str, idler_exit: str) -> float:
         return self.rates[(signal_exit, idler_exit)]
 
 
 def rate_matrix(system: SystemSpec, pump: CwPump) -> RateMatrix:
-    sb = system.bands[Band.SIGNAL]
-    ib = system.bands[Band.IDLER]
-    omega_o = system.bands[Band.PUMP].omega + pump.detuning
     rates = {key: float(r) for key, r in pair_rates(system, pump).items()}
-    p_vac = vacuum_power(system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER),
-                         sb.omega, ib.omega,
-                         detuning=2.0 * omega_o - sb.omega - ib.omega)
-    eta = {b: {c.channel_id: system.escape_efficiency(c.channel_id, b)
-               for c in system.channels} for b in Band}
-    return RateMatrix(channel_ids=system.channel_ids, rates=rates, p_vac=p_vac, eta=eta)
+    p_vac = _pair_vacuum_power(system, pump, system.gamma_bar(Band.SIGNAL),
+                               system.gamma_bar(Band.IDLER))
+    return RateMatrix(rates=rates, p_vac=p_vac)
 
 
 def rate_ratio(matrix: RateMatrix, signal_exit: str, idler_exit: str,
@@ -256,12 +246,12 @@ def _golden_rule_kernel(system: SystemSpec, pump: CwPump, signal_exit: str,
     scale = HBAR ** 2 * EPS0 * pb.v ** 2 / (12.0 * math.pi ** 2) \
         * math.sqrt(sb.omega * ib.omega) * (system.ring.gamma_nl * system.ring.circumference)
     f_pump = enhancement_factor(system, system.pump_input_channel, Band.PUMP,
-                                _pump_k(system, pump), Branch.MINUS).value
+                                _pump_k(system, pump), Branch.MINUS)
     f_s = enhancement_factor(system, signal_exit, Band.SIGNAL, sb.k_of_omega(omega1),
-                             Branch.PLUS).value
+                             Branch.PLUS)
     f_i = enhancement_factor(system, idler_exit, Band.IDLER,
                              ib.k_of_omega(2.0 * (pb.omega + pump.detuning) - omega1),
-                             Branch.PLUS).value
+                             Branch.PLUS)
     return np.abs(scale * np.conj(f_s) * np.conj(f_i) * f_pump * f_pump) ** 2
 
 

@@ -3,22 +3,20 @@
 The phantom-model maps (sweep_eta, add_drop_grid) set the swept decay
 rates as numpy arrays, the add-drop ones broadcast over (t, d), and call
 the closed-form kernel phantom.pair_rates once. The strategy-1 sweeps
-evaluate every point by its own quadrature, optionally on a thread pool;
-their results are aggregated in axis order so output is identical for
-any worker count.
+evaluate every point by its own quadrature, one after another in axis
+order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import attenuation, phantom
-from .model import Band, CwPump, SystemSpec, finesse, gamma_from_sigma
+from .model import Band, CwPump, GeometryError, SystemSpec, finesse, gamma_from_sigma
 
 
 @dataclass(frozen=True)
@@ -32,13 +30,6 @@ class SweepResult:
             d = np.diff(ax)
             if not (np.all(d > 0) or np.all(d < 0)):
                 raise ValueError(f"axis {name!r} must be strictly monotone")
-
-
-def _map_points(func: Callable, items: Sequence, workers: int = 1) -> list:
-    if workers <= 1:
-        return [func(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
 
 
 def quadratic_argmax(x: np.ndarray, y: np.ndarray, *, log_axis: bool = False) -> float:
@@ -93,19 +84,18 @@ def _rescaled_coupling_system(system: SystemSpec, scale: float) -> SystemSpec:
     return replace(system, ring=ring, channels=channels)
 
 
-def _single_bus(system: SystemSpec) -> str:
-    phys = system.physical_channels
-    if len(phys) != 1 or system.phantom_channel is None:
-        raise ValueError("sweep needs a single bus waveguide plus the phantom channel")
-    return phys[0].channel_id
+def _buses(system: SystemSpec, count: int):
+    """The bus id (count 1) or (through, drop) ids of a ring with the phantom channel."""
+    if system.phantom_channel is None:
+        raise GeometryError("this sweep needs the phantom channel")
+    return system.single_bus if count == 1 else system.add_drop_buses
 
 
 def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump,
-                *, workers: int = 1, window_linewidths: float = 40.0,
-                rel_tol: float = 1e-6) -> SweepResult:
+                *, window_linewidths: float = 40.0, rel_tol: float = 1e-6) -> SweepResult:
     """Attenuation-model pair rate versus the bus self-coupling, at fixed
     ring loss."""
-    bus = _single_bus(system)
+    bus = _buses(system, 1)
     sigmas = np.asarray(list(sigma_values), dtype=float)
     L = system.ring.circumference
 
@@ -116,7 +106,7 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump,
                                         window_linewidths=window_linewidths,
                                         rel_tol=rel_tol)
 
-    rates = np.array(_map_points(rate_at, sigmas, workers))
+    rates = np.array([rate_at(s) for s in sigmas])
     return SweepResult(
         axes={"sigma": sigmas},
         values={"rate": rates},
@@ -129,7 +119,7 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump,
 def sweep_eta(system: SystemSpec, eta_values: Iterable[float], pump: CwPump) -> SweepResult:
     """Phantom-model rates of all four channel-pair trajectories versus the
     bus escape efficiency, at fixed ring loss."""
-    bus = _single_bus(system)
+    bus = _buses(system, 1)
     ph = system.phantom_channel.channel_id
     etas = np.asarray(list(eta_values), dtype=float)
     if np.any((etas <= 0) | (etas >= 1)):
@@ -146,13 +136,12 @@ def sweep_eta(system: SystemSpec, eta_values: Iterable[float], pump: CwPump) -> 
 
 
 def compare_finesse(system: SystemSpec, finesse_values: Iterable[float], pump: CwPump,
-                    *, workers: int = 1, window_linewidths: float = 40.0,
-                    rel_tol: float = 1e-6) -> SweepResult:
+                    *, window_linewidths: float = 40.0, rel_tol: float = 1e-6) -> SweepResult:
     """Single-bus pair rate from both loss models versus resonator finesse.
 
     Finesse is varied by scaling all couplings and the loss together, so
     the escape efficiency stays fixed while the linewidth shrinks."""
-    bus = _single_bus(system)
+    bus = _buses(system, 1)
     fins = np.asarray(list(finesse_values), dtype=float)
     f0 = finesse(system)
 
@@ -164,7 +153,7 @@ def compare_finesse(system: SystemSpec, finesse_values: Iterable[float], pump: C
         r2 = phantom.pair_rate_cw(sys_f, pump, bus, bus)
         return r1, r2
 
-    r_att, r_pha = np.array(_map_points(rates_at, fins, workers)).T
+    r_att, r_pha = np.array([rates_at(f) for f in fins]).T
     rel = np.abs(r_att - r_pha) / r_pha
     return SweepResult(
         axes={"finesse": fins},
@@ -175,14 +164,11 @@ def compare_finesse(system: SystemSpec, finesse_values: Iterable[float], pump: C
 
 
 def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
-                             pump: CwPump, *, workers: int = 1,
-                             window_linewidths: float = 40.0,
+                             pump: CwPump, *, window_linewidths: float = 40.0,
                              rel_tol: float = 1e-6) -> SweepResult:
     """Add-drop through-pair rate from both loss models, scanned over the
     add/drop self-coupling (which sets the finesse)."""
-    through, drop = system.add_drop_buses
-    if system.phantom_channel is None:
-        raise ValueError("add-drop comparison needs the phantom channel")
+    through, drop = _buses(system, 2)
     sigmas = np.asarray(list(sigma2_values), dtype=float)
     L = system.ring.circumference
 
@@ -195,7 +181,7 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
         r2 = phantom.pair_rate_cw(sys_s, pump, through, through)
         return finesse(sys_s), r1, r2
 
-    fins, r_att, r_pha = np.array(_map_points(rates_at, sigmas, workers)).T
+    fins, r_att, r_pha = np.array([rates_at(s) for s in sigmas]).T
     rel = np.abs(r_att - r_pha) / r_pha
     return SweepResult(
         axes={"sigma2": sigmas},
@@ -208,9 +194,7 @@ def add_drop_grid(system: SystemSpec, gamma_t_ratios: Iterable[float],
                   gamma_d_ratios: Iterable[float], pump: CwPump) -> SweepResult:
     """Phantom-model rate of every channel-pair trajectory on a grid of
     through and drop couplings, in units of the phantom decay rate."""
-    through, drop = system.add_drop_buses
-    if system.phantom_channel is None:
-        raise ValueError("add-drop grid needs the phantom channel")
+    through, drop = _buses(system, 2)
     ph = system.phantom_channel.channel_id
     g_ph = system.phantom_channel.gammas
     t_ratios = np.asarray(list(gamma_t_ratios), dtype=float)

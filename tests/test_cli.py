@@ -188,17 +188,16 @@ class TestCommands:
         assert main(["oracle-check", "--config", cfg, "--out", str(out),
                      "--tol", "1e-16"]) == 1
 
-    def test_sweep_eta_deterministic_and_thread_independent(self, tmp_path):
+    def test_sweep_eta_deterministic(self, tmp_path):
         doc = eta_config(eta=0.5)
         doc["options"] = {"sweep_eta": {"min": 0.2, "max": 0.8, "points": 7}}
         cfg = _write_config(tmp_path, doc)
         outs = []
-        for name, threads in (("a", "1"), ("b", "1"), ("c", "3")):
+        for name in ("a", "b"):
             out = tmp_path / name
-            assert main(["sweep-eta", "--config", cfg, "--out", str(out),
-                         "--threads", threads]) == 0
+            assert main(["sweep-eta", "--config", cfg, "--out", str(out)]) == 0
             outs.append((out / "sweep_eta.csv").read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1]
 
     def test_sweep_sigma_metadata(self, tmp_path):
         doc = json.loads(bundled_config_text())
@@ -335,6 +334,49 @@ class TestCommands:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"invalid config: {field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name, change, field", [
+        ("add-drop-grid", "ring_channel.json", None,
+         "system.channels: an add-drop ring needs two physical channels, got 1"),
+        ("sweep-sigma", "add_drop.json", None,
+         "system.channels: a single-bus ring needs one physical channel, got 2"),
+        ("sweep-eta", "add_drop.json", None,
+         "system.channels: a single-bus ring needs one physical channel, got 2"),
+        ("rate", "add_drop.json", "third_bus",
+         "system.channels: an add-drop ring needs two physical channels, got 3"),
+        ("compare-finesse", "add_drop.json", "third_bus",
+         "system.channels: a single-bus ring needs one physical channel, got 3"),
+        ("sweep-eta", "ring_channel.json", "loss_free", "system.ring.loss_db_per_cm"),
+        ("add-drop-grid", "add_drop.json", "loss_free", "system.ring.loss_db_per_cm"),
+        ("sweep-eta", "ring_channel.json", "no_phantom",
+         "system.channels: this sweep needs the phantom channel")],
+        ids=["grid_on_ring", "sigma_on_add_drop", "eta_on_add_drop", "rate_three_bus",
+             "finesse_three_bus", "eta_loss_free", "grid_loss_free", "eta_no_phantom"])
+    def test_geometry_mismatch_exits_2(self, tmp_path, capsys, command, name, change,
+                                       field):
+        doc = json.loads(bundled_config_text(name))
+        channels = doc["system"]["channels"]
+        if change == "third_bus":
+            channels.insert(2, {"id": "X", "coupling": {"sigma": 0.99}})
+        elif change == "loss_free":
+            doc["system"]["ring"]["loss_db_per_cm"] = 0.0
+        elif change == "no_phantom":
+            channels.pop()
+        cfg = _write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"invalid config: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coupling", [{"sigma": 1.0}, {"gamma_rad_per_s": 0}])
+    @pytest.mark.parametrize("command", ["rate", "ratios", "compare-finesse"])
+    def test_uncoupled_pump_channel_exits_2(self, tmp_path, capsys, command, coupling):
+        # every rate scales with the pump channel's coupling, so all would be zero
+        doc = json.loads(bundled_config_text())
+        doc["system"]["channels"][0]["coupling"] = coupling
+        cfg = _write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "invalid config: system.pump_input_channel" in capsys.readouterr().err
+        assert not out.exists()  # no CSV, so no NaN in one
+
     def test_effective_index_without_resonance_exits_2(self, tmp_path, capsys):
         doc = eta_config()
         doc["system"]["bands"]["effective_index"] = 1e-9
@@ -375,6 +417,11 @@ class TestCommands:
     def test_unknown_command_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--config", "x.json"])
+
+    def test_threads_option_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-sigma", "--config", "x.json", "--threads", "2"])
+        assert exc.value.code == 2
 
 
 def _csv_writer_bytes(header: list, rows) -> bytes:
@@ -434,7 +481,9 @@ def test_import_and_parse_leave_scipy_unloaded():
             "for name in ('ring_channel.json', 'add_drop.json'):\n"
             "    parse_config((resources.files('lossy_ring_sfwm') / 'configs' / name)"
             ".read_text())\n")
-    assert _loaded_scipy(code) == []
+    loaded = _loaded_modules(code)
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert "concurrent.futures" not in loaded  # the sweeps run in one thread
 
 
 def test_commands_leave_scipy_unloaded(tmp_path):

@@ -282,9 +282,9 @@ class TestDistinctEnergies:
         g_cells = np.array([[complex(g((omega1[0] + omega2[0]) + d1 * (i + (d2 / d1) * j)))
                              for j in range(n)] for i in range(n)])
         f_s = enhancement_factor(system, "O", Band.SIGNAL, sb.k_of_omega(omega1),
-                                 Branch.PLUS).value
+                                 Branch.PLUS)
         f_i = enhancement_factor(system, "P", Band.IDLER, ib.k_of_omega(omega2),
-                                 Branch.PLUS).value
+                                 Branch.PLUS)
         expected = 1j * jsa._jsa_prefactor(system) * np.conj(f_s)[:, None] \
             * np.conj(f_i)[None, :] * g_cells
         assert np.array_equal(grid, expected)
