@@ -16,19 +16,27 @@ functions
 
 and their outgoing-type duals. Pair generation rates follow from the
 overlap of two pump (incoming) and signal/idler (outgoing) ring fields
-integrated around the ring.
+integrated around the ring, then over the signal frequency.
+
+Each rate makes its field builders (signal out, idler out, pump in) once:
+a builder maps omega to a ring field and holds all that does not depend on
+omega, since rebuilding it per quadrature node was most of a rate's cost.
+A node is then two builder calls and one overlap_of_fields call in plain
+complex math, which `benchmark/run.py --trace 1` counts per evaluation.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .constants import TWO_PI
-from .model import Band, ChannelKind, CwPump, SystemSpec
+from .model import Band, CwPump, SystemSpec, phantom_gamma_from_xi
 from .numerics import integrate_adaptive
 
 # fraction of one free spectral range the rate quadrature window may span
@@ -64,8 +72,6 @@ class PointCoupler:
 
     @classmethod
     def from_sigma(cls, sigma: float) -> "PointCoupler":
-        if not 0.0 <= sigma <= 1.0:
-            raise ValueError(f"self-coupling must be in [0, 1], got {sigma}")
         return cls(sigma=sigma, kappa=math.sqrt(max(0.0, 1.0 - sigma * sigma)))
 
 
@@ -74,6 +80,11 @@ def coupler_scatter(coupler: PointCoupler, f1: complex, f4: complex) -> tuple[co
     f2 = coupler.sigma * f1 + 1j * coupler.kappa * f4
     f3 = 1j * coupler.kappa * f1 + coupler.sigma * f4
     return f2, f3
+
+
+def _loss_shift(regime: FieldRegime, xi: float) -> complex:
+    """i Im k~: +i xi/2 attenuates incoming-type fields, -i xi/2 enhances outgoing ones."""
+    return (0.5j if regime is FieldRegime.INCOMING else -0.5j) * xi
 
 
 @dataclass(frozen=True)
@@ -85,11 +96,11 @@ class ComplexWavevector:
 
     @classmethod
     def incoming(cls, k: float, xi: float) -> "ComplexWavevector":
-        return cls(value=k + 0.5j * xi, regime=FieldRegime.INCOMING)
+        return cls(value=k + _loss_shift(FieldRegime.INCOMING, xi), regime=FieldRegime.INCOMING)
 
     @classmethod
     def outgoing(cls, k: float, xi: float) -> "ComplexWavevector":
-        return cls(value=k - 0.5j * xi, regime=FieldRegime.OUTGOING)
+        return cls(value=k + _loss_shift(FieldRegime.OUTGOING, xi), regime=FieldRegime.OUTGOING)
 
 
 @dataclass(frozen=True)
@@ -109,19 +120,22 @@ def _checked_inverse_denominator(d: complex) -> complex:
     return d
 
 
+def _all_pass(coupler: PointCoupler, phase: complex,
+              regime: FieldRegime) -> tuple[complex, complex]:
+    """(f_ring, f_through) of the all-pass ring at round-trip factor phase = e^{i k~ L}."""
+    sigma = coupler.sigma
+    if regime is FieldRegime.INCOMING:
+        den = _checked_inverse_denominator(1.0 - sigma * phase)
+        return 1j * coupler.kappa / den, (sigma - phase) / den
+    den = _checked_inverse_denominator(sigma - phase)
+    return 1j * coupler.kappa / den, (1.0 - sigma * phase) / den
+
+
 def asy_fields(sigma: float, k_tilde: ComplexWavevector, circumference: float) -> RingFieldAmps:
     """Asymptotic field amplitudes of the all-pass ring at one wavevector."""
-    coupler = PointCoupler.from_sigma(sigma)
-    phase = np.exp(1j * k_tilde.value * circumference)
-    if k_tilde.regime is FieldRegime.INCOMING:
-        den = _checked_inverse_denominator(1.0 - sigma * phase)
-        return RingFieldAmps(f_ring=1j * coupler.kappa / den,
-                             f_through=(sigma - phase) / den,
-                             regime=FieldRegime.INCOMING)
-    den = _checked_inverse_denominator(sigma - phase)
-    return RingFieldAmps(f_ring=1j * coupler.kappa / den,
-                         f_through=(1.0 - sigma * phase) / den,
-                         regime=FieldRegime.OUTGOING)
+    phase = cmath.exp(1j * k_tilde.value * circumference)
+    return RingFieldAmps(*_all_pass(PointCoupler.from_sigma(sigma), phase, k_tilde.regime),
+                         regime=k_tilde.regime)
 
 
 @dataclass(frozen=True)
@@ -136,23 +150,25 @@ class AddDropFields:
     f_drop: complex
 
 
+def _add_drop_in(c1: PointCoupler, c2: PointCoupler, full: complex,
+                 half: complex) -> tuple[complex, complex, complex, complex]:
+    """The AddDropFields amplitudes, in field order, at full = e^{i k~ L} and
+    half = e^{i k~ L/2}."""
+    den = _checked_inverse_denominator(1.0 - c1.sigma * c2.sigma * full)
+    r1 = 1j * c1.kappa / den
+    return (r1, c2.sigma * r1 * half, (c1.sigma - c2.sigma * full) / den,
+            -c1.kappa * c2.kappa * half / den)
+
+
 def add_drop_fields(sigma1: float, sigma2: float, k_tilde: ComplexWavevector,
                     circumference: float) -> AddDropFields:
     """Two-coupler transfer with the couplers half a round trip apart."""
     if k_tilde.regime is not FieldRegime.INCOMING:
         raise ValueError("add_drop_fields describes the incoming (pump-side) solution")
-    c1 = PointCoupler.from_sigma(sigma1)
-    c2 = PointCoupler.from_sigma(sigma2)
-    full = np.exp(1j * k_tilde.value * circumference)
-    half = np.exp(1j * k_tilde.value * circumference / 2.0)
-    den = _checked_inverse_denominator(1.0 - sigma1 * sigma2 * full)
-    r1 = 1j * c1.kappa / den
-    return AddDropFields(
-        f_ring_first_half=r1,
-        f_ring_second_half=sigma2 * r1 * half,
-        f_through=(sigma1 - sigma2 * full) / den,
-        f_drop=-c1.kappa * c2.kappa * half / den,
-    )
+    return AddDropFields(*_add_drop_in(
+        PointCoupler.from_sigma(sigma1), PointCoupler.from_sigma(sigma2),
+        cmath.exp(1j * k_tilde.value * circumference),
+        cmath.exp(1j * k_tilde.value * circumference / 2.0)))
 
 
 @dataclass(frozen=True)
@@ -170,14 +186,7 @@ def phase_mismatch_integral(dk: complex, length: float) -> complex:
     x = dk * length
     if abs(x) < _TAYLOR_THRESHOLD:
         return length * (1.0 + 1j * x / 2.0 - x * x / 6.0)
-    return (np.exp(1j * x) - 1.0) / (1j * dk)
-
-
-def _exponent_and_amp(field: RingField, seg: int) -> tuple[complex, complex]:
-    length, amp = field.segments[seg]
-    if field.regime is FieldRegime.INCOMING:
-        return field.k_prop, amp
-    return -np.conj(field.k_prop), np.conj(amp)
+    return (cmath.exp(1j * x) - 1.0) / (1j * dk)
 
 
 def overlap_of_fields(signal: RingField, idler: RingField, pump3: RingField,
@@ -185,22 +194,21 @@ def overlap_of_fields(signal: RingField, idler: RingField, pump3: RingField,
     """Ring overlap of (signal idler)* pump pump, segment by segment.
 
     Segment amplitudes already carry each field's propagation phase to the
-    segment start; only the mode-mismatch phase accumulates explicitly."""
+    segment start; only the mode-mismatch phase accumulates explicitly, with
+    one exponent for all segments, since each field keeps one wavevector."""
     fields = (signal, idler, pump3, pump4)
-    n_seg = {len(f.segments) for f in fields}
-    if len(n_seg) != 1:
+    if not (len(signal.segments) == len(idler.segments) == len(pump3.segments)
+            == len(pump4.segments)):
         raise ValueError("fields must share one ring segmentation")
+    c1, c2, c3, c4 = conjugated = [f.regime is not FieldRegime.INCOMING for f in fields]
+    dk = sum((-f.k_prop.conjugate() if conj else f.k_prop
+              for f, conj in zip(fields, conjugated)), complex(delta_kappa))
     total = 0.0 + 0.0j
     start = 0.0
-    for seg in range(n_seg.pop()):
-        dk = complex(delta_kappa)
-        amp = 1.0 + 0.0j
-        length = fields[0].segments[seg][0]
-        for f in fields:
-            ek, a = _exponent_and_amp(f, seg)
-            dk += ek
-            amp *= a
-        total += amp * np.exp(1j * delta_kappa * start) \
+    for (length, a1), (_, a2), (_, a3), (_, a4) in zip(*(f.segments for f in fields)):
+        amp = (a1.conjugate() if c1 else a1) * (a2.conjugate() if c2 else a2) \
+            * (a3.conjugate() if c3 else a3) * (a4.conjugate() if c4 else a4)
+        total += amp * cmath.exp(1j * delta_kappa * start) \
             * phase_mismatch_integral(dk, length)
         start += length
     return total
@@ -235,33 +243,91 @@ def overlap_by_zeta_scan(signal: RingField, idler: RingField, pump3: RingField,
 
 
 # ---------------------------------------------------------------------------
-# Field construction from a SystemSpec
+# Field builders: one per band and field type of a rate, holding everything
+# that does not depend on omega
 # ---------------------------------------------------------------------------
 
-def _k_in(system: SystemSpec, band: Band, omega: float) -> ComplexWavevector:
-    return ComplexWavevector.incoming(system.bands[band].k_of_omega(omega), system.ring.xi)
+FieldBuilder = Callable[[float], RingField]
 
 
-def _k_out(system: SystemSpec, band: Band, omega: float) -> ComplexWavevector:
-    return ComplexWavevector.outgoing(system.bands[band].k_of_omega(omega), system.ring.xi)
+def single_bus_builder(system: SystemSpec, band: Band, regime: FieldRegime) -> FieldBuilder:
+    """Single-bus ring: omega -> the one-segment ring field of the given type."""
+    coupler = PointCoupler.from_sigma(system.sigma_view(system.single_bus, band))
+    L, shift = system.ring.circumference, _loss_shift(regime, system.ring.xi)
+    k_of_omega = system.bands[band].k_of_omega
+
+    def field(omega: float) -> RingField:
+        kt = k_of_omega(omega) + shift
+        f_ring, _ = _all_pass(coupler, cmath.exp(1j * kt * L), regime)
+        return RingField(regime, kt, ((L, f_ring),))
+
+    return field
 
 
-def _ring_field(system: SystemSpec, band: Band, kt: ComplexWavevector) -> RingField:
-    """Single-bus ring: the one-segment ring field at wavevector kt."""
-    bus = system.single_bus
-    L = system.ring.circumference
-    amps = asy_fields(system.sigma_view(bus, band), kt, L)
-    return RingField(regime=kt.regime, k_prop=kt.value, segments=((L, amps.f_ring),))
+def add_drop_in_builder(system: SystemSpec, band: Band) -> FieldBuilder:
+    """Add-drop ring: omega -> incoming-type ring field, pump entering via through."""
+    c1, c2 = (PointCoupler.from_sigma(system.sigma_view(x, band))
+              for x in system.add_drop_buses)
+    L, shift = system.ring.circumference, _loss_shift(FieldRegime.INCOMING, system.ring.xi)
+    k_of_omega = system.bands[band].k_of_omega
+
+    def field(omega: float) -> RingField:
+        kt = k_of_omega(omega) + shift
+        r1, r2, _, _ = _add_drop_in(c1, c2, cmath.exp(1j * kt * L),
+                                    cmath.exp(1j * kt * L / 2.0))
+        return RingField(FieldRegime.INCOMING, kt, ((L / 2.0, r1), (L / 2.0, r2)))
+
+    return field
+
+
+def add_drop_out_builder(system: SystemSpec, band: Band, exit_channel: str) -> FieldBuilder:
+    """Add-drop ring: omega -> outgoing-type ring field with its single
+    outgoing component in the through or the drop waveguide."""
+    through, drop = system.add_drop_buses
+    s1, s2 = system.sigma_view(through, band), system.sigma_view(drop, band)
+    if exit_channel not in (through, drop):
+        raise KeyError(f"exit channel {exit_channel!r} is not a physical channel")
+    k1, k2 = PointCoupler.from_sigma(s1).kappa, PointCoupler.from_sigma(s2).kappa
+    if min(s1, s2) <= 0.0:
+        raise ValueError("add-drop outgoing fields need self-couplings in (0, 1]")
+    L, shift = system.ring.circumference, _loss_shift(FieldRegime.OUTGOING, system.ring.xi)
+    k_of_omega = system.bands[band].k_of_omega
+
+    def field(omega: float) -> RingField:
+        kt = k_of_omega(omega) + shift
+        full = cmath.exp(1j * kt * L)
+        half = cmath.exp(1j * kt * L / 2.0)
+        den = _checked_inverse_denominator(s1 * s2 - full)
+        if exit_channel == through:
+            u3 = 1j * k1 * s2 / den
+            segments = ((L / 2.0, u3), (L / 2.0, u3 * half / s2))
+        else:
+            w3 = 1j * k2 * s1 / den
+            segments = ((L / 2.0, w3 * half / s1), (L / 2.0, w3))
+        return RingField(FieldRegime.OUTGOING, kt, segments)
+
+    return field
 
 
 def ring_in_field(system: SystemSpec, band: Band, omega: float) -> RingField:
     """Single-bus ring: incoming-type ring field at one frequency."""
-    return _ring_field(system, band, _k_in(system, band, omega))
+    return single_bus_builder(system, band, FieldRegime.INCOMING)(omega)
 
 
 def ring_out_field(system: SystemSpec, band: Band, omega: float) -> RingField:
     """Single-bus ring: outgoing-type ring field at one frequency."""
-    return _ring_field(system, band, _k_out(system, band, omega))
+    return single_bus_builder(system, band, FieldRegime.OUTGOING)(omega)
+
+
+def add_drop_in_field(system: SystemSpec, band: Band, omega: float) -> RingField:
+    """Add-drop ring: incoming-type ring field at one frequency."""
+    return add_drop_in_builder(system, band)(omega)
+
+
+def add_drop_out_field(system: SystemSpec, band: Band, omega: float,
+                       exit_channel: str) -> RingField:
+    """Add-drop ring: outgoing-type ring field at one frequency, leaving via exit_channel."""
+    return add_drop_out_builder(system, band, exit_channel)(omega)
 
 
 def overlap_J(system: SystemSpec, omega1: float, omega2: float, omega3: float,
@@ -277,63 +343,26 @@ def overlap_J(system: SystemSpec, omega1: float, omega2: float, omega3: float,
     )
 
 
-def _add_drop_sigmas(system: SystemSpec, band: Band) -> tuple[str, str, float, float]:
-    through, drop = system.add_drop_buses
-    return through, drop, system.sigma_view(through, band), system.sigma_view(drop, band)
-
-
-def add_drop_in_field(system: SystemSpec, band: Band, omega: float) -> RingField:
-    """Add-drop ring: incoming-type ring field for pump entering the
-    in/through waveguide."""
-    _, _, s1, s2 = _add_drop_sigmas(system, band)
-    kt = _k_in(system, band, omega)
-    L = system.ring.circumference
-    amps = add_drop_fields(s1, s2, kt, L)
-    return RingField(regime=FieldRegime.INCOMING, k_prop=kt.value,
-                     segments=((L / 2.0, amps.f_ring_first_half),
-                               (L / 2.0, amps.f_ring_second_half)))
-
-
-def add_drop_out_field(system: SystemSpec, band: Band, omega: float,
-                       exit_channel: str) -> RingField:
-    """Add-drop ring: outgoing-type ring field with its single outgoing
-    component in the through or the drop waveguide."""
-    through, drop, s1, s2 = _add_drop_sigmas(system, band)
-    if exit_channel not in (through, drop):
-        raise KeyError(f"exit channel {exit_channel!r} is not a physical channel")
-    c1 = PointCoupler.from_sigma(s1)
-    c2 = PointCoupler.from_sigma(s2)
-    if min(s1, s2) <= 0.0:
-        raise ValueError("add-drop outgoing fields need self-couplings in (0, 1]")
-    kt = _k_out(system, band, omega)
-    L = system.ring.circumference
-    full = np.exp(1j * kt.value * L)
-    half = np.exp(1j * kt.value * L / 2.0)
-    den = _checked_inverse_denominator(s1 * s2 - full)
-    if exit_channel == through:
-        u3 = 1j * c1.kappa * s2 / den
-        segments = ((L / 2.0, u3), (L / 2.0, u3 * half / s2))
-    else:
-        w3 = 1j * c2.kappa * s1 / den
-        segments = ((L / 2.0, w3 * half / s1), (L / 2.0, w3))
-    return RingField(regime=FieldRegime.OUTGOING, k_prop=kt.value, segments=segments)
-
-
 # ---------------------------------------------------------------------------
 # CW pair generation rate
 # ---------------------------------------------------------------------------
 
-def _rate_from_overlap(system: SystemSpec, pump: CwPump,
-                       out_field_s, out_field_i, in_field_p,
+def _linewidth(system: SystemSpec, band: Band) -> float:
+    """Resonance half-width: physical decay rates plus the loss's xi v / 2; a
+    phantom channel, which this model never reads, plays no part."""
+    return sum(c.gamma(band) for c in system.physical_channels) \
+        + phantom_gamma_from_xi(system.ring.xi, system.bands[band].v)
+
+
+def _rate_from_overlap(system: SystemSpec, pump: CwPump, signal: FieldBuilder,
+                       idler: FieldBuilder, pump_in: FieldBuilder,
                        window_linewidths: float, rel_tol: float) -> float:
     ring = system.ring
-    pb = system.bands[Band.PUMP]
-    sb = system.bands[Band.SIGNAL]
-    ib = system.bands[Band.IDLER]
+    pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
     omega_o = pb.omega + pump.detuning
-    pump_field = in_field_p(omega_o)
+    pump_field = pump_in(omega_o)
 
-    gbar_s = system.gamma_bar(Band.SIGNAL)
+    gbar_s = _linewidth(system, Band.SIGNAL)
     fsr = TWO_PI * sb.v / ring.circumference
     half_window = min(window_linewidths * 2.0 * gbar_s, _WINDOW_FSR_CAP * fsr)
     lo = max(sb.omega - half_window, 1e-3 * sb.omega)
@@ -341,15 +370,15 @@ def _rate_from_overlap(system: SystemSpec, pump: CwPump,
 
     def integrand(omega1: float) -> float:
         omega2 = 2.0 * omega_o - omega1
-        j = overlap_of_fields(out_field_s(omega1), out_field_i(omega2),
-                              pump_field, pump_field,
+        j = overlap_of_fields(signal(omega1), idler(omega2), pump_field, pump_field,
                               delta_kappa=ring.delta_kappa)
         return omega1 * omega2 * abs(j) ** 2
 
     mirror = 2.0 * omega_o - ib.omega  # omega1 at which the idler is resonant
     quad = integrate_adaptive(lambda omega: np.array([integrand(w) for w in omega.tolist()]),
                               lo, hi, rel_tol=rel_tol,
-                              points=[sb.omega, mirror])
+                              points=[(sb.omega, gbar_s),
+                                      (mirror, _linewidth(system, Band.IDLER))])
     prefactor = (1.0 / TWO_PI) * (ring.gamma_nl * pump.power / pb.omega) ** 2 \
         * pb.v ** 2 / (sb.v * ib.v)
     return prefactor * quad.value
@@ -361,9 +390,9 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, *,
     photons collected in the bus waveguide."""
     return _rate_from_overlap(
         system, pump,
-        lambda w: ring_out_field(system, Band.SIGNAL, w),
-        lambda w: ring_out_field(system, Band.IDLER, w),
-        lambda w: ring_in_field(system, Band.PUMP, w),
+        single_bus_builder(system, Band.SIGNAL, FieldRegime.OUTGOING),
+        single_bus_builder(system, Band.IDLER, FieldRegime.OUTGOING),
+        single_bus_builder(system, Band.PUMP, FieldRegime.INCOMING),
         window_linewidths, rel_tol)
 
 
@@ -374,7 +403,7 @@ def pair_rate_cw_add_drop(system: SystemSpec, pump: CwPump, signal_exit: str,
     idler collected in the given physical waveguides."""
     return _rate_from_overlap(
         system, pump,
-        lambda w: add_drop_out_field(system, Band.SIGNAL, w, signal_exit),
-        lambda w: add_drop_out_field(system, Band.IDLER, w, idler_exit),
-        lambda w: add_drop_in_field(system, Band.PUMP, w),
+        add_drop_out_builder(system, Band.SIGNAL, signal_exit),
+        add_drop_out_builder(system, Band.IDLER, idler_exit),
+        add_drop_in_builder(system, Band.PUMP),
         window_linewidths, rel_tol)

@@ -151,7 +151,7 @@ def _energy_mass_integral(system: SystemSpec, pump: PulsedPump, gamma_s: float,
 
     quad = integrate_adaptive(integrand, center - half_window, center + half_window,
                               rel_tol=rel_tol,
-                              points=[center, sb.omega + ib.omega])
+                              points=[(center, 1.0 / pump.tau), (sb.omega + ib.omega, gsum)])
     return _jsa_prefactor(system) ** 2 / (sb.v * ib.v) * quad.value
 
 

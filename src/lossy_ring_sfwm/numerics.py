@@ -1,5 +1,9 @@
 """Quadrature and grid-integration kernels with controlled tolerances: panelled
-Gauss-Legendre quadrature in numpy (integrate_adaptive) and a 2-D trapezoid."""
+Gauss-Legendre quadrature in numpy (integrate_adaptive) and a 2-D trapezoid.
+
+Callers hint each resonance as a (location, half-width) pair; the starting
+panels ladder in by decades to a tenth of the half-width and no further,
+since the integrand is flat on that scale."""
 
 from __future__ import annotations
 
@@ -30,25 +34,23 @@ class QuadratureResult:
     evaluations: int
 
 
-_LADDER_DECADES = 9  # features down to (b - a) * 1e-9 around hinted points resolve
-
-
-def _segment_edges(a: float, b: float, points: Sequence[float] | None) -> list[float]:
-    """Panel edges for [a, b]: the hinted peak locations plus a geometric
-    ladder of brackets around each, so structure much narrower than the
-    interval cannot slip between quadrature nodes."""
+def _segment_edges(a: float, b: float,
+                   points: Sequence[tuple[float, float]] | None) -> list[float]:
+    """Panel edges for [a, b]: each hinted peak, bracketed at a tenth, a
+    hundredth, ... of the interval down to a tenth of its half-width, so a
+    narrow peak cannot slip between nodes and its flat top costs no panels."""
     edges = {a, b}
-    if points:
-        span = b - a
-        for p in points:
-            if not a < p < b:
-                continue
-            edges.add(p)
-            for k in range(1, _LADDER_DECADES + 1):
-                s = span * 10.0 ** (-k)
-                for q in (p - s, p + s):
-                    if a < q < b:
-                        edges.add(q)
+    span = b - a
+    for p, half_width in points or ():
+        if not half_width > 0:
+            raise ValueError(f"peak half-width must be positive, got {half_width}")
+        if not a < p < b:
+            continue
+        edges.add(p)
+        k = 1
+        while (s := span * 10.0 ** (-k)) >= 0.1 * half_width:
+            edges.update(q for q in (p - s, p + s) if a < q < b)
+            k += 1
     return sorted(edges)
 
 
@@ -64,16 +66,18 @@ def _rules() -> tuple[np.ndarray, np.ndarray]:
 
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                        rel_tol: float = DEFAULT_RATE_RTOL,
-                       points: Sequence[float] | None = None,
+                       points: Sequence[tuple[float, float]] | None = None,
                        limit: int = 200) -> QuadratureResult:
     """Adaptive Gauss-Legendre quadrature of a real integrand over [a, b].
 
     f maps a 1-D array of abscissae to the integrand values. Panels start
-    at _segment_edges (`points` marks known peaks); each round evaluates the
-    8- and 16-point rules on all new panels in one call of f. value = sum of
-    Q16, error estimate = sum of |Q16 - Q8|. While the estimate exceeds
-    rel_tol * |value| (plus a tiny floor, so zero integrands converge), the
-    panels above their equal share of it, and always the worst, are halved.
+    at _segment_edges: `points` lists known peaks as (location, half-width)
+    pairs, and the ladder around each reaches down to a tenth of its
+    half-width. Each round evaluates the 8- and 16-point rules on all new
+    panels in one call of f. value = sum of Q16, error estimate = sum of
+    |Q16 - Q8|. While the estimate exceeds rel_tol * |value| (plus a tiny
+    floor, so zero integrands converge), the panels above their equal share
+    of it, and always the worst, are halved.
     When the budget of `limit` panels is spent, QuadratureError carries the
     achieved estimate. `evaluations` counts the abscissae passed to f.
     """

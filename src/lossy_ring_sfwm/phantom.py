@@ -266,13 +266,13 @@ def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
     """
     pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
     omega_o = pb.omega + pump.detuning
-    gmax = max(system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER))
+    gbar_s, gbar_i = system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER)
     mirror = 2.0 * omega_o - ib.omega  # omega1 at which the idler is resonant
-    lo = min(sb.omega, mirror) - window_halfwidths * gmax
-    hi = max(sb.omega, mirror) + window_halfwidths * gmax
+    lo = min(sb.omega, mirror) - window_halfwidths * max(gbar_s, gbar_i)
+    hi = max(sb.omega, mirror) + window_halfwidths * max(gbar_s, gbar_i)
     quad = integrate_adaptive(
         lambda w: _golden_rule_kernel(system, pump, signal_exit, idler_exit, w),
-        lo, hi, rel_tol=rel_tol, points=[sb.omega, mirror])
+        lo, hi, rel_tol=rel_tol, points=[(sb.omega, gbar_s), (mirror, gbar_i)])
     prefactor = 72.0 * math.pi ** 3 / (EPS0 ** 2 * HBAR ** 4 * omega_o ** 2) \
         * pump.power ** 2 / (sb.v * ib.v * pb.v ** 2)
     return prefactor * quad.value

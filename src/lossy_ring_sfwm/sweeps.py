@@ -95,7 +95,7 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump,
                 *, window_linewidths: float = 40.0, rel_tol: float = 1e-6) -> SweepResult:
     """Attenuation-model pair rate versus the bus self-coupling, at fixed
     ring loss."""
-    bus = _buses(system, 1)
+    bus = system.single_bus
     sigmas = np.asarray(list(sigma_values), dtype=float)
     L = system.ring.circumference
 

@@ -263,6 +263,44 @@ class TestPairRate:
         for default, tight in rates:
             assert default == pytest.approx(tight, rel=1e-6)
 
+    @pytest.mark.parametrize("name, exits, expected", [
+        ("ring_channel.json", None, 294871.97920976783),
+        ("add_drop.json", ("T", "T"), 16839.97829297199),
+        ("add_drop.json", ("T", "D"), 17030.070712950794),
+        ("add_drop.json", ("D", "T"), 17030.070712950797),
+        ("add_drop.json", ("D", "D"), 17277.28037063311)])
+    def test_golden_rates(self, name, exits, expected):
+        # frozen rates; a wrong half-round-trip phase or exit amplitude in a
+        # field builder moves them far beyond the quadrature tolerance
+        config = parse_config((resources.files("lossy_ring_sfwm") / "configs" / name)
+                              .read_text())
+        if exits is None:
+            rate = att.pair_rate_cw(config.system, config.pump)
+        else:
+            rate = att.pair_rate_cw_add_drop(config.system, config.pump, *exits)
+        assert rate == pytest.approx(expected, rel=1e-9)
+
+    def test_builders_match_transfer_functions(self, ring_ref):
+        # the builders and asy_fields / add_drop_fields share one arithmetic
+        L = ring_ref.ring.circumference
+        xi = ring_ref.ring.xi
+        band = ring_ref.bands[Band.SIGNAL]
+        omega = band.omega + 0.7 * ring_ref.gamma_bar(Band.SIGNAL)
+        k = band.k_of_omega(omega)
+        for regime, kt in ((att.FieldRegime.INCOMING, att.ComplexWavevector.incoming(k, xi)),
+                           (att.FieldRegime.OUTGOING, att.ComplexWavevector.outgoing(k, xi))):
+            field = att.single_bus_builder(ring_ref, Band.SIGNAL, regime)(omega)
+            assert field.k_prop == kt.value
+            assert field.segments == ((L, att.asy_fields(SIGMA_REF, kt, L).f_ring),)
+        system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
+                                 gamma_through_ratio=1.5, gamma_drop_ratio=1.0)
+        s1, s2 = (system.sigma_view(x, Band.PUMP) for x in ("T", "D"))
+        kt = att.ComplexWavevector.incoming(system.bands[Band.PUMP].k_of_omega(omega), xi)
+        amps = att.add_drop_fields(s1, s2, kt, L)
+        field = att.add_drop_in_field(system, Band.PUMP, omega)
+        assert field.segments == ((L / 2.0, amps.f_ring_first_half),
+                                  (L / 2.0, amps.f_ring_second_half))
+
     def test_single_bus_guard(self):
         system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
                                  gamma_through_ratio=1.0, gamma_drop_ratio=1.0)

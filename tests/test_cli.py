@@ -365,6 +365,24 @@ class TestCommands:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"invalid config: {field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, csv_name", [("rate", "rate.csv"),
+                                                   ("sweep-sigma", "sweep_sigma.csv")])
+    def test_strategy1_ignores_the_phantom_entry(self, tmp_path, command, csv_name):
+        # strategy 1 carries the loss in the ring wavevector and never reads
+        # a phantom channel, so its rates are the same bits without one
+        doc = json.loads(bundled_config_text())
+        doc["strategy"] = "attenuation"
+        doc["options"] = {"sweep_sigma": {"min": 0.97, "max": 0.99, "points": 5}}
+        outputs = []
+        for name in ("with", "without"):
+            if name == "without":
+                doc["system"]["channels"].pop()
+            cfg = _write_config(tmp_path, doc, f"{name}.json")
+            out = tmp_path / name
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            outputs.append((out / csv_name).read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("coupling", [{"sigma": 1.0}, {"gamma_rad_per_s": 0}])
     @pytest.mark.parametrize("command", ["rate", "ratios", "compare-finesse"])
     def test_uncoupled_pump_channel_exits_2(self, tmp_path, capsys, command, coupling):

@@ -1,11 +1,14 @@
 """Quadrature kernels against analytic antiderivatives."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from lossy_ring_sfwm.numerics import (QuadratureError, grid_integrate_2d,
+from lossy_ring_sfwm import attenuation
+from lossy_ring_sfwm.config import parse_config
+from lossy_ring_sfwm.numerics import (QuadratureError, _segment_edges, grid_integrate_2d,
                                       integrate_adaptive)
 
 
@@ -47,7 +50,7 @@ class TestIntegrateAdaptive:
             sizes.append(x.size)
             return 1.0 / (1.0 + ((x - 0.3) / 1e-4) ** 2)
 
-        result = integrate_adaptive(f, -1.0, 1.0, rel_tol=1e-9, points=[0.3])
+        result = integrate_adaptive(f, -1.0, 1.0, rel_tol=1e-9, points=[(0.3, 1e-4)])
         assert len(sizes) > 1  # the estimate needed splits, one call per round
         assert result.evaluations == sum(sizes)
 
@@ -64,8 +67,45 @@ class TestIntegrateAdaptive:
     def test_points_hint_finds_narrow_peak(self):
         width = 1e-6
         result = integrate_adaptive(lambda x: 1.0 / (1.0 + ((x - 0.5) / width) ** 2),
-                                    -1e3, 1e3, rel_tol=1e-9, points=[0.5])
+                                    -1e3, 1e3, rel_tol=1e-9, points=[(0.5, width)])
         assert result.value == pytest.approx(math.pi * width, rel=1e-6)
+
+    @pytest.mark.parametrize("half_width", [0.0, -1e-3])
+    def test_points_need_positive_half_width(self, half_width):
+        with pytest.raises(ValueError, match="half-width"):
+            integrate_adaptive(np.cos, -1.0, 1.0, points=[(0.2, half_width)])
+
+    def test_ladder_stops_at_a_tenth_of_the_half_width(self):
+        # rungs at span 10^-k = 0.2, ..., 2e-5 lie at or above 3e-6 = hw / 10;
+        # 2e-6 does not
+        edges = _segment_edges(-1.0, 1.0, [(0.0, 3e-5)])
+        assert len(edges) == 2 + 1 + 2 * 5
+        assert min(abs(e) for e in edges if e != 0.0) == pytest.approx(2e-5)
+        # a peak as wide as the interval gets its location only
+        assert _segment_edges(-1.0, 1.0, [(0.0, 10.0)]) == [-1.0, 0.0, 1.0]
+
+    def test_hinted_peak_far_below_the_interval_scale(self):
+        width = 1e-13 * 2e3
+        result = integrate_adaptive(lambda x: 1.0 / (1.0 + ((x - 0.5) / width) ** 2),
+                                    -1e3, 1e3, rel_tol=1e-9, points=[(0.5, width)])
+        assert result.value == pytest.approx(math.pi * width, rel=1e-6)
+
+    def test_strategy1_rate_evaluations(self, monkeypatch):
+        # the ladders stop at a tenth of the resonance half-width, so the
+        # flat tops of the signal and idler peaks cost no panels
+        evaluations = []
+
+        def counted(*args, **kwargs):
+            result = integrate_adaptive(*args, **kwargs)
+            evaluations.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(attenuation, "integrate_adaptive", counted)
+        config = parse_config((resources.files("lossy_ring_sfwm") / "configs"
+                               / "ring_channel.json").read_text())
+        attenuation.pair_rate_cw(config.system, config.pump)
+        assert len(evaluations) == 1
+        assert 0 < evaluations[0] <= 300
 
     def test_deterministic(self):
         f = lambda x: np.exp(-x * x) * np.cos(3.0 * x)

@@ -3,13 +3,16 @@ of the phantom-channel model."""
 
 import math
 import random
+from importlib import resources
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossy_ring_sfwm import phantom as ph
+from lossy_ring_sfwm.config import parse_config
 from lossy_ring_sfwm.constants import EPS0, HBAR
 from lossy_ring_sfwm.model import (Band, ChannelCoupling, ChannelKind, CwPump,
                                    RingSpec, SystemSpec, phantom_gamma_from_xi,
@@ -220,6 +223,51 @@ class TestClosedFormRate:
         r1 = ph.pair_rate_cw(sample_system(q_int=2e4), CwPump(1e-3), "O", "O")
         r2 = ph.pair_rate_cw(sample_system(q_int=1e4), CwPump(1e-3), "O", "O")
         assert r2 == pytest.approx(r1 / 8.0, rel=1e-12)
+
+
+def _mp_pair_rate(system: SystemSpec, pump: CwPump, signal_exit: str,
+                  idler_exit: str) -> mp.mpf:
+    """R_XY = C |F_P|^4 |F_S^(X)|^2 |F_I^(Y)|^2 P_vac at 30 digits, every
+    factor rebuilt from the enhancement factor F = gamma / (sqrt(L) (v (K - k)
+    -+ i Gbar)) with gamma = sqrt(2 v Gamma)."""
+    with mp.workdps(30):
+        L = mp.mpf(system.ring.circumference)
+        band = {b: system.bands[b] for b in Band}
+        gbar = {b: mp.fsum(mp.mpf(c.gamma(b)) for c in system.channels) for b in Band}
+
+        def f_abs2(channel, b, k):
+            v = mp.mpf(band[b].v)
+            f = mp.sqrt(2 * v * mp.mpf(system.channel(channel).gamma(b))) \
+                / (mp.sqrt(L) * (v * (mp.mpf(band[b].k_ref) - k) - 1j * gbar[b]))
+            return abs(f) ** 2
+
+        pb, sb, ib = band[Band.PUMP], band[Band.SIGNAL], band[Band.IDLER]
+        omega_o = mp.mpf(pb.omega) + mp.mpf(pump.detuning)
+        omega_s, omega_i = mp.mpf(sb.omega), mp.mpf(ib.omega)
+        k_pump = mp.mpf(pb.k_ref) + mp.mpf(pump.detuning) / mp.mpf(pb.v)
+        gsum = gbar[Band.SIGNAL] + gbar[Band.IDLER]
+        p_vac = mp.mpf(HBAR) / 2 * mp.sqrt(omega_s * omega_i) * gbar[Band.SIGNAL] \
+            * gbar[Band.IDLER] * gsum / ((2 * omega_o - omega_s - omega_i) ** 2 + gsum ** 2)
+        power = mp.mpf(pump.power)
+        c = mp.sqrt(omega_s * omega_i) / omega_o * mp.mpf(pb.v) ** 2 \
+            / (mp.mpf(sb.v) * mp.mpf(ib.v)) * (mp.mpf(system.ring.gamma_nl) * L) ** 2 \
+            * power ** 2 / (mp.mpf(HBAR) * omega_o)
+        return c * f_abs2(system.pump_input_channel, Band.PUMP, k_pump) ** 2 \
+            * f_abs2(signal_exit, Band.SIGNAL, mp.mpf(sb.k_ref)) \
+            * f_abs2(idler_exit, Band.IDLER, mp.mpf(ib.k_ref)) * p_vac
+
+
+@pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
+def test_closed_form_matches_mpmath(name):
+    # anchors the strategy-2 side of every strategy-1 comparison
+    config = parse_config((resources.files("lossy_ring_sfwm") / "configs" / name)
+                          .read_text())
+    system, pump = config.system, config.pump
+    for x in system.channel_ids:
+        for y in system.channel_ids:
+            exact = _mp_pair_rate(system, pump, x, y)
+            assert exact > 0
+            assert ph.pair_rate_cw(system, pump, x, y) == pytest.approx(float(exact), rel=1e-12)
 
 
 class TestRateRatios:
