@@ -87,88 +87,12 @@ def _loss_shift(regime: FieldRegime, xi: float) -> complex:
     return (0.5j if regime is FieldRegime.INCOMING else -0.5j) * xi
 
 
-@dataclass(frozen=True)
-class ComplexWavevector:
-    """Ring propagation wavevector with the loss in its imaginary part."""
-
-    value: complex  # [1/m]
-    regime: FieldRegime
-
-    @classmethod
-    def incoming(cls, k: float, xi: float) -> "ComplexWavevector":
-        return cls(value=k + _loss_shift(FieldRegime.INCOMING, xi), regime=FieldRegime.INCOMING)
-
-    @classmethod
-    def outgoing(cls, k: float, xi: float) -> "ComplexWavevector":
-        return cls(value=k + _loss_shift(FieldRegime.OUTGOING, xi), regime=FieldRegime.OUTGOING)
-
-
-@dataclass(frozen=True)
-class RingFieldAmps:
-    """Ring enhancement and bus transmission of an all-pass ring field."""
-
-    f_ring: complex
-    f_through: complex
-    regime: FieldRegime
-
-
 def _checked_inverse_denominator(d: complex) -> complex:
     if abs(d) < 1e-13:
         raise SingularityError(
             "resonance denominator vanished; a lossless ring at sigma = 1 has no "
             "steady asymptotic field on resonance")
     return d
-
-
-def _all_pass(coupler: PointCoupler, phase: complex,
-              regime: FieldRegime) -> tuple[complex, complex]:
-    """(f_ring, f_through) of the all-pass ring at round-trip factor phase = e^{i k~ L}."""
-    sigma = coupler.sigma
-    if regime is FieldRegime.INCOMING:
-        den = _checked_inverse_denominator(1.0 - sigma * phase)
-        return 1j * coupler.kappa / den, (sigma - phase) / den
-    den = _checked_inverse_denominator(sigma - phase)
-    return 1j * coupler.kappa / den, (1.0 - sigma * phase) / den
-
-
-def asy_fields(sigma: float, k_tilde: ComplexWavevector, circumference: float) -> RingFieldAmps:
-    """Asymptotic field amplitudes of the all-pass ring at one wavevector."""
-    phase = cmath.exp(1j * k_tilde.value * circumference)
-    return RingFieldAmps(*_all_pass(PointCoupler.from_sigma(sigma), phase, k_tilde.regime),
-                         regime=k_tilde.regime)
-
-
-@dataclass(frozen=True)
-class AddDropFields:
-    """Asymptotic-in amplitudes of the add-drop ring (pump entering the
-    'in' port): ring amplitudes at the start of each half round trip, plus
-    the through and drop transmissions."""
-
-    f_ring_first_half: complex  # just after the in/through coupler
-    f_ring_second_half: complex  # just after the add/drop coupler
-    f_through: complex
-    f_drop: complex
-
-
-def _add_drop_in(c1: PointCoupler, c2: PointCoupler, full: complex,
-                 half: complex) -> tuple[complex, complex, complex, complex]:
-    """The AddDropFields amplitudes, in field order, at full = e^{i k~ L} and
-    half = e^{i k~ L/2}."""
-    den = _checked_inverse_denominator(1.0 - c1.sigma * c2.sigma * full)
-    r1 = 1j * c1.kappa / den
-    return (r1, c2.sigma * r1 * half, (c1.sigma - c2.sigma * full) / den,
-            -c1.kappa * c2.kappa * half / den)
-
-
-def add_drop_fields(sigma1: float, sigma2: float, k_tilde: ComplexWavevector,
-                    circumference: float) -> AddDropFields:
-    """Two-coupler transfer with the couplers half a round trip apart."""
-    if k_tilde.regime is not FieldRegime.INCOMING:
-        raise ValueError("add_drop_fields describes the incoming (pump-side) solution")
-    return AddDropFields(*_add_drop_in(
-        PointCoupler.from_sigma(sigma1), PointCoupler.from_sigma(sigma2),
-        cmath.exp(1j * k_tilde.value * circumference),
-        cmath.exp(1j * k_tilde.value * circumference / 2.0)))
 
 
 @dataclass(frozen=True)
@@ -251,31 +175,36 @@ FieldBuilder = Callable[[float], RingField]
 
 
 def single_bus_builder(system: SystemSpec, band: Band, regime: FieldRegime) -> FieldBuilder:
-    """Single-bus ring: omega -> the one-segment ring field of the given type."""
+    """Single-bus ring: omega -> the one-segment ring field of the given type,
+    i kappa / (1 - sigma e^{i k~ L}) incoming, i kappa / (sigma - e^{i k~ L}) outgoing."""
     coupler = PointCoupler.from_sigma(system.sigma_view(system.single_bus, band))
+    sigma, i_kappa, incoming = coupler.sigma, 1j * coupler.kappa, regime is FieldRegime.INCOMING
     L, shift = system.ring.circumference, _loss_shift(regime, system.ring.xi)
     k_of_omega = system.bands[band].k_of_omega
 
     def field(omega: float) -> RingField:
         kt = k_of_omega(omega) + shift
-        f_ring, _ = _all_pass(coupler, cmath.exp(1j * kt * L), regime)
-        return RingField(regime, kt, ((L, f_ring),))
+        phase = cmath.exp(1j * kt * L)
+        den = _checked_inverse_denominator(1.0 - sigma * phase if incoming else sigma - phase)
+        return RingField(regime, kt, ((L, i_kappa / den),))
 
     return field
 
 
 def add_drop_in_builder(system: SystemSpec, band: Band) -> FieldBuilder:
-    """Add-drop ring: omega -> incoming-type ring field, pump entering via through."""
+    """Add-drop ring: omega -> incoming-type ring field, pump entering via
+    through; its amplitudes just after the through and the drop coupler."""
     c1, c2 = (PointCoupler.from_sigma(system.sigma_view(x, band))
               for x in system.add_drop_buses)
+    s12, i_kappa1, s2 = c1.sigma * c2.sigma, 1j * c1.kappa, c2.sigma
     L, shift = system.ring.circumference, _loss_shift(FieldRegime.INCOMING, system.ring.xi)
     k_of_omega = system.bands[band].k_of_omega
 
     def field(omega: float) -> RingField:
         kt = k_of_omega(omega) + shift
-        r1, r2, _, _ = _add_drop_in(c1, c2, cmath.exp(1j * kt * L),
-                                    cmath.exp(1j * kt * L / 2.0))
-        return RingField(FieldRegime.INCOMING, kt, ((L / 2.0, r1), (L / 2.0, r2)))
+        r1 = i_kappa1 / _checked_inverse_denominator(1.0 - s12 * cmath.exp(1j * kt * L))
+        return RingField(FieldRegime.INCOMING, kt,
+                         ((L / 2.0, r1), (L / 2.0, s2 * r1 * cmath.exp(1j * kt * L / 2.0))))
 
     return field
 
@@ -307,40 +236,6 @@ def add_drop_out_builder(system: SystemSpec, band: Band, exit_channel: str) -> F
         return RingField(FieldRegime.OUTGOING, kt, segments)
 
     return field
-
-
-def ring_in_field(system: SystemSpec, band: Band, omega: float) -> RingField:
-    """Single-bus ring: incoming-type ring field at one frequency."""
-    return single_bus_builder(system, band, FieldRegime.INCOMING)(omega)
-
-
-def ring_out_field(system: SystemSpec, band: Band, omega: float) -> RingField:
-    """Single-bus ring: outgoing-type ring field at one frequency."""
-    return single_bus_builder(system, band, FieldRegime.OUTGOING)(omega)
-
-
-def add_drop_in_field(system: SystemSpec, band: Band, omega: float) -> RingField:
-    """Add-drop ring: incoming-type ring field at one frequency."""
-    return add_drop_in_builder(system, band)(omega)
-
-
-def add_drop_out_field(system: SystemSpec, band: Band, omega: float,
-                       exit_channel: str) -> RingField:
-    """Add-drop ring: outgoing-type ring field at one frequency, leaving via exit_channel."""
-    return add_drop_out_builder(system, band, exit_channel)(omega)
-
-
-def overlap_J(system: SystemSpec, omega1: float, omega2: float, omega3: float,
-              omega4: float) -> complex:
-    """Ring overlap for the single-bus ring at four frequencies
-    (signal, idler outgoing; pump twice incoming)."""
-    return overlap_of_fields(
-        ring_out_field(system, Band.SIGNAL, omega1),
-        ring_out_field(system, Band.IDLER, omega2),
-        ring_in_field(system, Band.PUMP, omega3),
-        ring_in_field(system, Band.PUMP, omega4),
-        delta_kappa=system.ring.delta_kappa,
-    )
 
 
 # ---------------------------------------------------------------------------

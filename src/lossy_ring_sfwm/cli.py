@@ -3,7 +3,8 @@
     lossy-ring-sfwm <command> --config cfg.json [--out DIR] [--tol X]
 
 Commands: rate, ratios, sweep-sigma, sweep-eta, compare-finesse,
-add-drop-grid, jsa, oracle-check. Each command writes CSV data files and
+add-drop-grid, jsa, oracle-check; only jsa and oracle-check have a gate,
+and only they accept --tol. Each command writes CSV data files and
 a JSON metadata sidecar (configuration hash, derived parameters,
 tolerances achieved) into the output directory. Outputs are byte-stable
 for a fixed configuration: stable column order, shortest round-trip
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import attenuation, jsa, phantom, sweeps
 from .config import ConfigError, RunConfig, _number, derived_echo, parse_config
-from .model import CwPump, GeometryError, PulsedPump
+from .model import Band, CwPump, GeometryError, PulsedPump, finesse, sigma_from_gamma
 from .numerics import QuadratureError
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -105,8 +106,27 @@ def _require_lossy_phantom(config: RunConfig) -> None:
                           "the phantom decay rate, the unit of the swept couplings, is zero")
 
 
+def _require_point_coupling(config: RunConfig, channel_ids, *, scale: float = 1.0,
+                            path: str | None = None) -> None:
+    """Strategy 1 models each bus as a point coupler: its decay rate, times the
+    largest scale a sweep applies, must leave a self-coupling above 0. The
+    error names `path`, else the channel's coupling field."""
+    system = config.system
+    for i, c in enumerate(system.channels):
+        if c.channel_id not in channel_ids:
+            continue
+        try:
+            for b in Band:
+                sigma_from_gamma(c.gamma(b) * scale, system.bands[b].v,
+                                 system.ring.circumference)
+        except ValueError as e:
+            (key,) = config.normalized["system"]["channels"][i]["coupling"]
+            raise ConfigError(path or f"system.channels[{i}].coupling.{key}", str(e)) from e
+
+
 def _attenuation_pairs(config: RunConfig, pump: CwPump):
     system = config.system
+    _require_point_coupling(config, [c.channel_id for c in system.physical_channels])
     if len(system.physical_channels) == 1:
         bus = system.single_bus
         return [(bus, bus, attenuation.pair_rate_cw(system, pump))]
@@ -132,8 +152,8 @@ def cmd_rate(config: RunConfig, outdir: Path, tol) -> int:
             if x == y == config.system.pump_input_channel:
                 matched["attenuation"] = rate
     if len(matched) == 2:
-        a, p = matched["attenuation"], matched["phantom"]
-        meta["rel_difference"] = abs(a - p) / p
+        meta["rel_difference"] = sweeps.rel_difference(matched["attenuation"],
+                                                       matched["phantom"])
     _write_csv(outdir / "rate.csv",
                ["strategy", "signal_exit", "idler_exit", "rate_pairs_per_s"], rows)
     _write_metadata(outdir / "rate_meta.json", meta)
@@ -175,10 +195,15 @@ def cmd_compare_finesse(config: RunConfig, outdir: Path, tol) -> int:
     if len(config.system.physical_channels) == 2:
         axis = _axis(config, "compare_finesse", "sigma2_min", "sigma2_max", "points",
                      (0.3, 0.9999, 25), unit="(0, 1]")
+        _require_point_coupling(config, [config.system.pump_input_channel])  # the through bus
         result = sweeps.compare_finesse_add_drop(config.system, axis, pump)
     else:
         axis = _axis(config, "compare_finesse", "min", "max", "points", (50.0, 2000.0, 25),
                      log=True)
+        # every coupling scales by finesse / axis value, most at the lowest finesse
+        _require_point_coupling(config, [config.system.pump_input_channel],
+                                scale=finesse(config.system) / axis[0],
+                                path="options.compare_finesse.min")
         result = sweeps.compare_finesse(config.system, axis, pump)
     return _write_sweep(outdir, "compare-finesse", config, result)
 
@@ -304,12 +329,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override the command's tolerance gate")
+                        help="override the tolerance gate of jsa (normalization "
+                             "residual) or oracle-check (relative deviation); "
+                             "the other commands have no gate and reject it")
     return parser
+
+
+_GATED = ("jsa", "oracle-check")  # the commands that read --tol
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.tol is not None and args.command not in _GATED:
+        print(f"{args.command}: --tol applies only to {' and '.join(_GATED)}", file=sys.stderr)
+        return 2
     try:
         config = parse_config(Path(args.config).read_text())
     except FileNotFoundError:
@@ -328,7 +361,7 @@ def main(argv=None) -> int:
     except GeometryError as e:
         print(f"invalid config: system.channels: {e}", file=sys.stderr)
         return 2
-    except QuadratureError as e:
+    except (QuadratureError, phantom.ZeroRateError) as e:
         print(f"{args.command}: {e}", file=sys.stderr)
         return 1
 

@@ -239,7 +239,7 @@ def parse_config(source: str | Mapping) -> RunConfig:
     ring = RingSpec(
         radius=_number(ring_block, "radius_m", "system.ring", positive=True),
         loss_db_per_cm=_number(ring_block, "loss_db_per_cm", "system.ring", minimum=0.0),
-        gamma_nl=_number(ring_block, "gamma_nl_per_w_m", "system.ring", minimum=0.0),
+        gamma_nl=_number(ring_block, "gamma_nl_per_w_m", "system.ring", positive=True),
         delta_kappa=_number(ring_block, "delta_kappa_per_m", "system.ring", default=0.0),
     )
     bands = _parse_bands(_require(sys_block, "bands", "system"), ring, "system.bands")

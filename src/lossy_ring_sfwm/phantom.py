@@ -229,12 +229,16 @@ def rate_matrix(system: SystemSpec, pump: CwPump) -> RateMatrix:
     return RateMatrix(rates=rates, p_vac=p_vac)
 
 
+class ZeroRateError(ZeroDivisionError):
+    """A reference rate is 0: with a positive nonlinearity, an underflow."""
+
+
 def rate_ratio(matrix: RateMatrix, signal_exit: str, idler_exit: str,
                ref_signal_exit: str, ref_idler_exit: str) -> float:
     """Ratio of two rate-matrix entries; the reference entry must be nonzero."""
     ref = matrix.rate(ref_signal_exit, ref_idler_exit)
     if ref == 0.0:
-        raise ZeroDivisionError(
+        raise ZeroRateError(
             f"reference rate R[{ref_signal_exit},{ref_idler_exit}] is zero")
     return matrix.rate(signal_exit, idler_exit) / ref
 

@@ -4,7 +4,11 @@ The phantom-model maps (sweep_eta, add_drop_grid) set the swept decay
 rates as numpy arrays, the add-drop ones broadcast over (t, d), and call
 the closed-form kernel phantom.pair_rates once. The strategy-1 sweeps
 evaluate every point by its own quadrature, one after another in axis
-order.
+order, and hand the model each point as a Python float (axis.tolist()):
+a numpy scalar would flow through the system copy into every field's
+wavevector and amplitudes, and each quadrature node would then do its
+complex arithmetic on numpy scalars, several times slower than on
+Python complex numbers.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump,
                                         window_linewidths=window_linewidths,
                                         rel_tol=rel_tol)
 
-    rates = np.array([rate_at(s) for s in sigmas])
+    rates = np.array([rate_at(s) for s in sigmas.tolist()])
     return SweepResult(
         axes={"sigma": sigmas},
         values={"rate": rates},
@@ -135,6 +139,15 @@ def sweep_eta(system: SystemSpec, eta_values: Iterable[float], pump: CwPump) -> 
         metadata={"argmax_eta": quadratic_argmax(etas, values[f"R_{bus}{bus}"])})
 
 
+def rel_difference(rate_attenuation, rate_phantom):
+    """|R_att - R_ph| / R_ph of floats or arrays. A phantom rate of 0, which only
+    an underflow gives once the nonlinearity is positive, leaves it undefined."""
+    if np.any(np.asarray(rate_phantom) == 0.0):
+        raise phantom.ZeroRateError("the phantom rate underflows to 0, so the relative "
+                                    "difference of the two strategies is undefined")
+    return abs(rate_attenuation - rate_phantom) / rate_phantom
+
+
 def compare_finesse(system: SystemSpec, finesse_values: Iterable[float], pump: CwPump,
                     *, window_linewidths: float = 40.0, rel_tol: float = 1e-6) -> SweepResult:
     """Single-bus pair rate from both loss models versus resonator finesse.
@@ -153,8 +166,8 @@ def compare_finesse(system: SystemSpec, finesse_values: Iterable[float], pump: C
         r2 = phantom.pair_rate_cw(sys_f, pump, bus, bus)
         return r1, r2
 
-    r_att, r_pha = np.array([rates_at(f) for f in fins]).T
-    rel = np.abs(r_att - r_pha) / r_pha
+    r_att, r_pha = np.array([rates_at(f) for f in fins.tolist()]).T
+    rel = rel_difference(r_att, r_pha)
     return SweepResult(
         axes={"finesse": fins},
         values={"rate_attenuation": r_att, "rate_phantom": r_pha,
@@ -181,8 +194,8 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
         r2 = phantom.pair_rate_cw(sys_s, pump, through, through)
         return finesse(sys_s), r1, r2
 
-    fins, r_att, r_pha = np.array([rates_at(s) for s in sigmas]).T
-    rel = np.abs(r_att - r_pha) / r_pha
+    fins, r_att, r_pha = np.array([rates_at(s) for s in sigmas.tolist()]).T
+    rel = rel_difference(r_att, r_pha)
     return SweepResult(
         axes={"sigma2": sigmas},
         values={"finesse": fins, "rate_attenuation": r_att, "rate_phantom": r_pha,

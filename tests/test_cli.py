@@ -432,6 +432,74 @@ class TestCommands:
         doc["options"] = {"jsa": {"grid_points": 64, "reference_pair": ref}}
         return doc
 
+    @pytest.mark.parametrize("ring, pump", [({"gamma_nl_per_w_m": 0}, {}),
+                                            ({}, {"power_mw": 1e-300})],
+                             ids=["zero_nonlinearity", "underflowing_power"])
+    def test_zero_reference_rate_gives_no_traceback_and_no_nan(self, tmp_path, capsys,
+                                                               ring, pump):
+        # a zero nonlinearity is rejected at parse time; a rate that underflows
+        # to 0 leaves the strategies' relative difference undefined, so rate,
+        # ratios and compare-finesse stop with one line instead of writing NaN
+        doc = json.loads(bundled_config_text())
+        doc["system"]["ring"].update(ring)
+        doc["pump"].update(pump)
+        cfg = _write_config(tmp_path, doc)
+        codes, errors = {}, set()
+        for command in cli._HANDLERS:
+            out = tmp_path / command
+            codes[command] = main([command, "--config", cfg, "--out", str(out)])
+            err = capsys.readouterr().err
+            errors.add(err)
+            if codes[command] == 0:
+                assert err == ""
+                for path in out.iterdir():
+                    _assert_finite_numbers(path)
+            else:
+                assert codes[command] in (1, 2)
+                assert len(err.splitlines()) == 1 and "Traceback" not in err
+        if ring:
+            assert errors == {"invalid config: system.ring.gamma_nl_per_w_m: "
+                              "must be positive, got 0.0\n"}
+        else:
+            assert codes["rate"] == codes["ratios"] == codes["compare-finesse"] == 1
+
+    @pytest.mark.parametrize("command, edit, field", [
+        ("rate", {"channels": {"gamma_rad_per_s": 5e12}},
+         "system.channels[0].coupling.gamma_rad_per_s"),
+        ("compare-finesse", {"options": {"compare_finesse": {"min": 0.01}}},
+         "options.compare_finesse.min")], ids=["bus", "finesse_axis"])
+    def test_outside_point_coupling_regime_exits_2(self, tmp_path, capsys, command, edit,
+                                                   field):
+        # strategy 1 needs a self-coupling above 0; the phantom model does not
+        doc = json.loads(bundled_config_text())
+        if "channels" in edit:
+            doc["system"]["channels"][0]["coupling"] = edit["channels"]
+        doc["options"] = edit.get("options", {})
+        cfg = _write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid config: {field}: ") and len(err.splitlines()) == 1
+        if command == "rate":
+            doc["strategy"] = "phantom"
+            cfg = _write_config(tmp_path, doc)
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+
+    @pytest.mark.parametrize("command", ["rate", "ratios", "sweep-sigma", "sweep-eta",
+                                         "compare-finesse", "add-drop-grid"])
+    def test_tol_rejected_where_ignored(self, tmp_path, capsys, command):
+        cfg = _write_config(tmp_path, bundled_config_text())
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--tol", "1e-3"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"{command}: --tol applies only to jsa and oracle-check\n"
+        assert not out.exists()
+
+    def test_help_names_the_commands_that_read_tol(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "gate of jsa (normalization residual) or oracle-check" in help_text
+
     def test_unknown_command_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--config", "x.json"])
@@ -440,6 +508,31 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["sweep-sigma", "--config", "x.json", "--threads", "2"])
         assert exc.value.code == 2
+
+
+def _assert_finite_numbers(path: Path) -> None:
+    """Every number in a CSV cell or a JSON value is finite (JSON's NaN and
+    Infinity literals included)."""
+    if path.suffix == ".json":
+        def reject(literal):
+            raise AssertionError(f"{path.name}: {literal}")
+        values = [json.loads(path.read_text(), parse_constant=reject)]
+        while values:
+            v = values.pop()
+            if isinstance(v, dict):
+                values.extend(v.values())
+            elif isinstance(v, list):
+                values.extend(v)
+            elif isinstance(v, float):
+                assert math.isfinite(v), path.name
+        return
+    for row in _read_csv(path)[1:]:
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # a channel id or a strategy name
+            assert math.isfinite(value), f"{path.name}: {cell}"
 
 
 def _csv_writer_bytes(header: list, rows) -> bytes:

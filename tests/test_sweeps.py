@@ -1,6 +1,7 @@
 """Parameter sweeps: coupling optima, strategy convergence, add-drop grids."""
 
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -136,6 +137,73 @@ class TestCompareFinesseAddDrop:
         gaps = np.array(gaps)  # rows: finesse; columns: TD, DT, DD
         assert np.all(gaps[1:] <= gaps[:-1] / 5.0)  # at least 5x per decade of finesse
         assert np.all(gaps[-1] < 1e-5)
+
+
+def _sigma_system(system, channel_id, sigma):
+    """The system with one bus's decay rates set from a self-coupling."""
+    L = system.ring.circumference
+    return system.with_channel_gamma(
+        channel_id, {b: gamma_from_sigma(sigma, system.bands[b].v, L) for b in Band})
+
+
+def _scaled_system(system, scale):
+    """Every decay rate and the ring loss scaled by one factor."""
+    ring = replace(system.ring, loss_db_per_cm=system.ring.loss_db_per_cm * scale)
+    channels = tuple(replace(c, gammas={b: g * scale for b, g in c.gammas.items()})
+                     for c in system.channels)
+    return replace(system, ring=ring, channels=channels)
+
+
+def _sweep_sigma_point(system, sigma):
+    return {"rate": attenuation.pair_rate_cw(_sigma_system(system, "O", sigma), PUMP)}
+
+
+def _compare_finesse_point(system, fin):
+    scaled = _scaled_system(system, finesse(system) / fin)
+    return {"rate_attenuation": attenuation.pair_rate_cw(scaled, PUMP),
+            "rate_phantom": phantom.pair_rate_cw(scaled, PUMP, "O", "O")}
+
+
+def _compare_finesse_add_drop_point(system, sigma2):
+    point = _sigma_system(system, "D", sigma2)
+    return {"rate_attenuation": attenuation.pair_rate_cw_add_drop(point, PUMP, "T", "T"),
+            "rate_phantom": phantom.pair_rate_cw(point, PUMP, "T", "T")}
+
+
+# each strategy-1 sweep: its system fixture, a numpy axis, and the rates of
+# one point computed on a system built from a Python float
+STRATEGY1_SWEEPS = {
+    "sweep_sigma": ("ring_ref", np.array([0.96, 0.975, 0.99]), _sweep_sigma_point),
+    "compare_finesse": ("ring_ref", np.array([60.0, 300.0, 1500.0]), _compare_finesse_point),
+    "compare_finesse_add_drop": ("add_drop_ref", np.array([0.5, 0.9, 0.99]),
+                                 _compare_finesse_add_drop_point),
+}
+
+
+class TestStrategy1Sweeps:
+    @pytest.mark.parametrize("name", list(STRATEGY1_SWEEPS))
+    def test_nodes_run_on_python_floats(self, request, monkeypatch, name):
+        # a numpy axis value must not reach the model: as a numpy scalar it
+        # turns every wavevector and amplitude at every quadrature node into
+        # np.complex128, whose arithmetic is several times slower
+        fixture, axis, point_rates = STRATEGY1_SWEEPS[name]
+        system = request.getfixturevalue(fixture)
+        seen = set()
+        overlap = attenuation.overlap_of_fields
+
+        def spy(*fields, **kwargs):
+            for f in fields:
+                seen.add(type(f.k_prop))
+                seen.update(type(a) for _, a in f.segments)
+            return overlap(*fields, **kwargs)
+
+        monkeypatch.setattr(attenuation, "overlap_of_fields", spy)
+        result = getattr(sweeps, name)(system, axis, PUMP)
+        monkeypatch.undo()
+        assert seen == {complex}
+        for i, x in enumerate(axis.tolist()):
+            for key, rate in point_rates(system, x).items():
+                assert result.values[key][i] == pytest.approx(rate, rel=1e-12, abs=0.0)
 
 
 class TestAddDropGrid:
