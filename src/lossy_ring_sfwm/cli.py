@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -109,9 +110,16 @@ def _require_lossy_phantom(config: RunConfig) -> None:
 def _require_point_coupling(config: RunConfig, channel_ids, *, scale: float = 1.0,
                             path: str | None = None) -> None:
     """Strategy 1 models each bus as a point coupler: its decay rate, times the
-    largest scale a sweep applies, must leave a self-coupling above 0. The
-    error names `path`, else the channel's coupling field."""
+    largest scale a sweep applies, must leave a self-coupling above 0. Its
+    outgoing fields grow as e^{xi L / 2} around the ring, which at that scale
+    must stay finite. The error names `path`, else the channel's coupling
+    field or the ring loss."""
     system = config.system
+    try:
+        math.exp(system.ring.xi * scale * system.ring.circumference / 2.0)
+    except OverflowError as e:
+        raise ConfigError(path or "system.ring.loss_db_per_cm", "the outgoing fields of "
+                          "strategy 1, which grow as e^(xi L / 2), overflow") from e
     for i, c in enumerate(system.channels):
         if c.channel_id not in channel_ids:
             continue
@@ -126,13 +134,9 @@ def _require_point_coupling(config: RunConfig, channel_ids, *, scale: float = 1.
 
 def _attenuation_pairs(config: RunConfig, pump: CwPump):
     system = config.system
-    _require_point_coupling(config, [c.channel_id for c in system.physical_channels])
-    if len(system.physical_channels) == 1:
-        bus = system.single_bus
-        return [(bus, bus, attenuation.pair_rate_cw(system, pump))]
-    through, drop = system.add_drop_buses
-    return [(x, y, attenuation.pair_rate_cw_add_drop(system, pump, x, y))
-            for x in (through, drop) for y in (through, drop)]
+    buses = attenuation.ring_buses(system)
+    _require_point_coupling(config, buses)
+    return [(x, y, attenuation.pair_rate_cw(system, pump, x, y)) for x in buses for y in buses]
 
 
 def cmd_rate(config: RunConfig, outdir: Path, tol) -> int:
@@ -178,6 +182,7 @@ def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> int:
     pump = _require_cw(config)
     axis = _axis(config, "sweep_sigma", "min", "max", "points", (0.90, 0.9995, 101),
                  unit="(0, 1]")
+    _require_point_coupling(config, [])  # the ring loss: the sweep sets the bus coupling
     result = sweeps.sweep_sigma(config.system, axis, pump)
     return _write_sweep(outdir, "sweep-sigma", config, result, ["sigma", "rate_pairs_per_s"])
 

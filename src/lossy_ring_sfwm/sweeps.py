@@ -38,9 +38,12 @@ class SweepResult:
 
 def quadratic_argmax(x: np.ndarray, y: np.ndarray, *, log_axis: bool = False) -> float:
     """Axis location of the maximum, refined by a parabola through the best
-    grid point and its neighbours. Falls back to the grid point on edges."""
+    grid point and its neighbours. Falls back to the grid point on edges; an
+    all-zero curve, as an underflowing pump power gives, has no maximum."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not np.any(y):
+        raise phantom.ZeroRateError("every rate of the sweep is 0, so it has no maximum")
     i = int(np.argmax(y))
     if i == 0 or i == len(y) - 1:
         return float(x[i])
@@ -59,6 +62,8 @@ def quadratic_argmax_2d(x: np.ndarray, y: np.ndarray, grid: np.ndarray,
     surface through the 3 x 3 neighbourhood of the best point (a separable
     per-axis parabola is biased when the surface's axes are coupled)."""
     grid = np.asarray(grid, dtype=float)
+    if not np.any(grid):
+        raise phantom.ZeroRateError("every rate of the grid is 0, so it has no maximum")
     i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
     if i in (0, grid.shape[0] - 1) or j in (0, grid.shape[1] - 1):
         return float(x[i]), float(y[j])
@@ -106,7 +111,7 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump,
     def rate_at(sigma: float) -> float:
         gammas = {b: gamma_from_sigma(sigma, system.bands[b].v, L) for b in Band}
         sys_s = system.with_channel_gamma(bus, gammas)
-        return attenuation.pair_rate_cw(sys_s, pump,
+        return attenuation.pair_rate_cw(sys_s, pump, bus, bus,
                                         window_linewidths=window_linewidths,
                                         rel_tol=rel_tol)
 
@@ -160,7 +165,7 @@ def compare_finesse(system: SystemSpec, finesse_values: Iterable[float], pump: C
 
     def rates_at(f: float) -> tuple[float, float]:
         sys_f = _rescaled_coupling_system(system, f0 / f)
-        r1 = attenuation.pair_rate_cw(sys_f, pump,
+        r1 = attenuation.pair_rate_cw(sys_f, pump, bus, bus,
                                       window_linewidths=window_linewidths,
                                       rel_tol=rel_tol)
         r2 = phantom.pair_rate_cw(sys_f, pump, bus, bus)
@@ -188,9 +193,9 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
     def rates_at(sigma2: float) -> tuple[float, float, float]:
         gammas = {b: gamma_from_sigma(sigma2, system.bands[b].v, L) for b in Band}
         sys_s = system.with_channel_gamma(drop, gammas)
-        r1 = attenuation.pair_rate_cw_add_drop(sys_s, pump, through, through,
-                                               window_linewidths=window_linewidths,
-                                               rel_tol=rel_tol)
+        r1 = attenuation.pair_rate_cw(sys_s, pump, through, through,
+                                      window_linewidths=window_linewidths,
+                                      rel_tol=rel_tol)
         r2 = phantom.pair_rate_cw(sys_s, pump, through, through)
         return finesse(sys_s), r1, r2
 

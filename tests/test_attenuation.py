@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from lossy_ring_sfwm import attenuation as att
 from lossy_ring_sfwm.config import parse_config
-from lossy_ring_sfwm.model import (Band, CwPump, RingSpec, SystemSpec,
-                                   add_drop_system, gamma_from_sigma, ring_system,
-                                   uniform_gammas, xi_from_db_per_cm)
+from lossy_ring_sfwm.model import (Band, ChannelCoupling, CwPump, GeometryError, RingSpec,
+                                   SystemSpec, add_drop_system, gamma_from_sigma,
+                                   ring_system, uniform_gammas, xi_from_db_per_cm)
 
 V = 1e8
 SIGMA_REF = 0.9814
-IN, OUT = att.FieldRegime.INCOMING, att.FieldRegime.OUTGOING
 
 
 @pytest.fixture(scope="module")
@@ -60,10 +59,10 @@ def _coupler(system, channel_id):
 
 
 def _all_pass_ports(system, omega):
-    """Incoming pump-band ring amplitude from the single-bus builder, and the
+    """Incoming pump-band ring amplitude of a single-bus ring, and the
     bus transmission the point coupler gives for it (bus input 1, ring
     return f_ring e^{i k~ L})."""
-    field = att.single_bus_builder(system, Band.PUMP, IN)(omega)
+    field = att.ring_field_builder(system, Band.PUMP)(omega)
     ((length, f_ring),) = field.segments
     f_through, _ = att.coupler_scatter(_coupler(system, system.single_bus), 1.0,
                                        f_ring * cmath.exp(1j * field.k_prop * length))
@@ -72,9 +71,9 @@ def _all_pass_ports(system, omega):
 
 def _add_drop_ports(system, omega):
     """Incoming pump-band ring amplitude after the through coupler, from the
-    add-drop builder, and the through and drop transmissions the couplers
+    field builder, and the through and drop transmissions the couplers
     give for its two segments (input 1 at the through bus, 0 at the add port)."""
-    field = att.add_drop_in_builder(system, Band.PUMP)(omega)
+    field = att.ring_field_builder(system, Band.PUMP)(omega)
     (length, r1), (_, r2) = field.segments
     half = cmath.exp(1j * field.k_prop * length)
     f_drop, _ = att.coupler_scatter(_coupler(system, "D"), 0.0, r1 * half)
@@ -83,11 +82,11 @@ def _add_drop_ports(system, omega):
 
 
 def _single_bus_fields(system, omega_s, omega_i, omega_p):
-    """(signal, idler, pump, pump) fields of the single-bus ring from its builders."""
-    signal, idler = (att.single_bus_builder(system, band, OUT)(omega)
+    """(signal, idler, pump) fields of the single-bus ring from its builders."""
+    bus = system.single_bus
+    signal, idler = (att.ring_field_builder(system, band, bus)(omega)
                      for band, omega in ((Band.SIGNAL, omega_s), (Band.IDLER, omega_i)))
-    pump = att.single_bus_builder(system, Band.PUMP, IN)(omega_p)
-    return signal, idler, pump, pump
+    return signal, idler, att.ring_field_builder(system, Band.PUMP)(omega_p)
 
 
 class TestPointCoupler:
@@ -117,7 +116,7 @@ class TestPointCoupler:
 
 
 class TestAsyFields:
-    """All-pass ring fields from the single-bus builder."""
+    """All-pass ring fields from the field builder."""
 
     def test_ring_enhancement_at_matched_coupling(self):
         system = _critical_system()
@@ -152,21 +151,21 @@ class TestAsyFields:
     def test_outgoing_magnitude_scaled_by_roundtrip(self, ring_ref):
         # on resonance the outgoing enhancement is a times the incoming one
         omega = ring_ref.bands[Band.SIGNAL].omega
-        f_in, f_out = (att.single_bus_builder(ring_ref, Band.SIGNAL, regime)(omega)
-                       .segments[0][1] for regime in (IN, OUT))
+        f_in, f_out = (att.ring_field_builder(ring_ref, Band.SIGNAL, exit_channel)(omega)
+                       .segments[0][1] for exit_channel in (None, "O"))
         a = ring_ref.ring.roundtrip_amplitude
         assert abs(f_out) == pytest.approx(a * abs(f_in), rel=1e-12)
 
     def test_lossless_pole(self):
         # decoupled lossless ring on resonance: |1 - e^{i k L}| ~ 1e-14
         system = _lossless(ring_system(1e-6, 26.0, 100.0, 1550e-9, V, 2.4, sigma=1.0))
-        field = att.single_bus_builder(system, Band.PUMP, IN)
+        field = att.ring_field_builder(system, Band.PUMP)
         with pytest.raises(att.SingularityError):
             field(system.bands[Band.PUMP].omega)
 
 
 class TestAddDropFields:
-    """Incoming add-drop fields from the add-drop pump builder."""
+    """Incoming add-drop fields from the field builder."""
 
     def test_second_coupler_removed(self):
         system = _add_drop(0.97, 1.0)
@@ -202,7 +201,7 @@ class TestOverlap:
         w = {b: system.bands[b].omega for b in Band}
         fields = _single_bus_fields(system, w[Band.SIGNAL], w[Band.IDLER], w[Band.PUMP])
         j = att.overlap_of_fields(*fields, delta_kappa=system.ring.delta_kappa)
-        f_s, f_i, f_p, _ = (f.segments[0][1] for f in fields)
+        f_s, f_i, f_p = (f.segments[0][1] for f in fields)
         expected = np.conj(f_s * f_i) * f_p * f_p * system.ring.circumference
         assert j == pytest.approx(expected, rel=1e-12)
 
@@ -241,10 +240,9 @@ class TestOverlap:
                                  gamma_through_ratio=1.5, gamma_drop_ratio=1.0)
         gbar = system.gamma_bar(Band.PUMP)
         w = {b: system.bands[b].omega for b in Band}
-        pump = att.add_drop_in_builder(system, Band.PUMP)(w[Band.PUMP])
-        fields = (att.add_drop_out_builder(system, Band.SIGNAL, "D")(w[Band.SIGNAL] + d1 * gbar),
-                  att.add_drop_out_builder(system, Band.IDLER, "T")(w[Band.IDLER] - d1 * gbar),
-                  pump, pump)
+        fields = (att.ring_field_builder(system, Band.SIGNAL, "D")(w[Band.SIGNAL] + d1 * gbar),
+                  att.ring_field_builder(system, Band.IDLER, "T")(w[Band.IDLER] - d1 * gbar),
+                  att.ring_field_builder(system, Band.PUMP)(w[Band.PUMP]))
         closed = att.overlap_of_fields(*fields)
         scanned = att.overlap_by_zeta_scan(*fields, system.ring.circumference)
         assert abs(closed - scanned) <= 1e-8 * abs(closed)
@@ -252,13 +250,11 @@ class TestOverlap:
     def test_overlap_magnitude_phase_invariant(self, ring_ref):
         w0 = ring_ref.bands[Band.PUMP].omega
         gbar = ring_ref.gamma_bar(Band.PUMP)
-        f_s, f_i, f_p, _ = _single_bus_fields(ring_ref, w0 + gbar, w0 - gbar, w0)
-        j_ref = att.overlap_of_fields(f_s, f_i, f_p, f_p)
+        f_s, f_i, f_p = _single_bus_fields(ring_ref, w0 + gbar, w0 - gbar, w0)
+        j_ref = att.overlap_of_fields(f_s, f_i, f_p)
         phase = cmath.exp(0.81j)
-        rotated = att.RingField(
-            regime=f_p.regime, k_prop=f_p.k_prop,
-            segments=tuple((l, a * phase) for l, a in f_p.segments))
-        j_rot = att.overlap_of_fields(f_s, f_i, rotated, rotated)
+        rotated = replace(f_p, segments=tuple((l, a * phase) for l, a in f_p.segments))
+        j_rot = att.overlap_of_fields(f_s, f_i, rotated)
         assert abs(j_rot) == pytest.approx(abs(j_ref), rel=1e-12)
 
     def test_mismatch_integral_taylor_branch(self):
@@ -272,24 +268,24 @@ class TestOverlap:
 
 class TestPairRate:
     def test_reference_rate(self, ring_ref):
-        rate = att.pair_rate_cw(ring_ref, CwPump(1e-3))
+        rate = att.pair_rate_cw(ring_ref, CwPump(1e-3), "O", "O")
         # frozen from an independent trapezoid evaluation of the rate integral
         assert rate == pytest.approx(294872.0, rel=1e-3)
         assert 2e5 < rate < 4e5
 
     def test_zero_nonlinearity(self):
         system = ring_system(1e-5, 26.0, 0.0, 1550e-9, V, 2.4, sigma=SIGMA_REF)
-        assert att.pair_rate_cw(system, CwPump(1e-3)) == 0.0
+        assert att.pair_rate_cw(system, CwPump(1e-3), "O", "O") == 0.0
 
     def test_quadratic_power_scaling(self, ring_ref):
-        r1 = att.pair_rate_cw(ring_ref, CwPump(1e-3))
-        r2 = att.pair_rate_cw(ring_ref, CwPump(2e-3))
+        r1 = att.pair_rate_cw(ring_ref, CwPump(1e-3), "O", "O")
+        r2 = att.pair_rate_cw(ring_ref, CwPump(2e-3), "O", "O")
         assert r2 == pytest.approx(4.0 * r1, rel=1e-9)
 
     def test_add_drop_rate_positive_and_window_capped(self):
         system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
                                  gamma_through_ratio=1.5, gamma_drop_ratio=1.0)
-        rate = att.pair_rate_cw_add_drop(system, CwPump(1e-3), "T", "T")
+        rate = att.pair_rate_cw(system, CwPump(1e-3), "T", "T")
         assert rate > 0.0
 
     @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
@@ -300,13 +296,9 @@ class TestPairRate:
                               .read_text())
         system, pump = config.system, config.pump
         ids = [c.channel_id for c in system.physical_channels]
-        if len(ids) == 1:
-            rates = [(att.pair_rate_cw(system, pump),
-                      att.pair_rate_cw(system, pump, rel_tol=1e-10))]
-        else:
-            rates = [(att.pair_rate_cw_add_drop(system, pump, x, y),
-                      att.pair_rate_cw_add_drop(system, pump, x, y, rel_tol=1e-10))
-                     for x in ids for y in ids]
+        rates = [(att.pair_rate_cw(system, pump, x, y),
+                  att.pair_rate_cw(system, pump, x, y, rel_tol=1e-10))
+                 for x in ids for y in ids]
         for default, tight in rates:
             assert default == pytest.approx(tight, rel=1e-6)
 
@@ -321,10 +313,9 @@ class TestPairRate:
         # field builder moves them far beyond the quadrature tolerance
         config = parse_config((resources.files("lossy_ring_sfwm") / "configs" / name)
                               .read_text())
-        if exits is None:
-            rate = att.pair_rate_cw(config.system, config.pump)
-        else:
-            rate = att.pair_rate_cw_add_drop(config.system, config.pump, *exits)
+        # exits None: both photons in the one bus of a single-bus ring
+        rate = att.pair_rate_cw(config.system, config.pump,
+                                *(exits or (config.system.single_bus,) * 2))
         assert rate == pytest.approx(expected, rel=1e-9)
 
     def test_builders_match_transfer_functions(self, ring_ref):
@@ -336,23 +327,49 @@ class TestPairRate:
         k = band.k_of_omega(omega)
         sigma = ring_ref.sigma_view("O", Band.SIGNAL)
         i_kappa = 1j * math.sqrt(1.0 - sigma * sigma)
-        for regime, kt in ((IN, k + 0.5j * xi), (OUT, k - 0.5j * xi)):
-            field = att.single_bus_builder(ring_ref, Band.SIGNAL, regime)(omega)
+        for exit_channel, kt in ((None, k + 0.5j * xi), ("O", k - 0.5j * xi)):
+            field = att.ring_field_builder(ring_ref, Band.SIGNAL, exit_channel)(omega)
             phase = cmath.exp(1j * kt * L)
-            den = 1.0 - sigma * phase if regime is IN else sigma - phase
+            den = 1.0 - sigma * phase if exit_channel is None else sigma - phase
             assert field.k_prop == kt
             assert field.segments == ((L, i_kappa / den),)
         system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
                                  gamma_through_ratio=1.5, gamma_drop_ratio=1.0)
         s1, s2 = (system.sigma_view(x, Band.PUMP) for x in ("T", "D"))
-        kt = system.bands[Band.PUMP].k_of_omega(omega) + 0.5j * xi
-        r1 = 1j * math.sqrt(1.0 - s1 * s1) / (1.0 - s1 * s2 * cmath.exp(1j * kt * L))
-        field = att.add_drop_in_builder(system, Band.PUMP)(omega)
+        i_kappa1, i_kappa2 = (1j * math.sqrt(1.0 - s * s) for s in (s1, s2))
+        k = system.bands[Band.PUMP].k_of_omega(omega)
+        kt = k + 0.5j * xi
+        r1 = i_kappa1 / (1.0 - s1 * s2 * cmath.exp(1j * kt * L))
+        field = att.ring_field_builder(system, Band.PUMP)(omega)
         assert field.segments == ((L / 2.0, r1),
                                   (L / 2.0, s2 * r1 * cmath.exp(1j * kt * L / 2.0)))
+        # outgoing: the amplitude just after the exit coupler, divided by the
+        # other coupler's sigma half a round trip on
+        kt = k - 0.5j * xi
+        den = s1 * s2 - cmath.exp(1j * kt * L)
+        half = cmath.exp(1j * kt * L / 2.0)
+        u = i_kappa1 * s2 / den
+        field = att.ring_field_builder(system, Band.PUMP, "T")(omega)
+        assert field.k_prop == kt
+        assert field.segments == ((L / 2.0, u), (L / 2.0, u * half / s2))
+        w = i_kappa2 * s1 / den
+        field = att.ring_field_builder(system, Band.PUMP, "D")(omega)
+        assert field.segments == ((L / 2.0, w * half / s1), (L / 2.0, w))
 
-    def test_single_bus_guard(self):
+    def test_single_bus_is_add_drop_with_decoupled_drop(self):
+        # one ring model: a drop bus with Gamma_D = 0 is a coupler at sigma = 1,
+        # which leaves the single-bus rate
+        system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
+                                 gamma_through_ratio=1.5, gamma_drop_ratio=0.0)
+        single = replace(system, channels=(system.channel("T"), system.phantom_channel))
+        pump = CwPump(1e-3)
+        assert att.pair_rate_cw(system, pump, "T", "T") == pytest.approx(
+            att.pair_rate_cw(single, pump, "T", "T"), rel=1e-12)
+
+    def test_three_bus_ring_rejected(self):
         system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
                                  gamma_through_ratio=1.0, gamma_drop_ratio=1.0)
-        with pytest.raises(ValueError):
-            att.pair_rate_cw(system, CwPump(1e-3))
+        third = ChannelCoupling("X", system.channel("D").gammas)
+        system = replace(system, channels=system.channels + (third,))
+        with pytest.raises(GeometryError):
+            att.pair_rate_cw(system, CwPump(1e-3), "T", "T")

@@ -432,15 +432,18 @@ class TestCommands:
         doc["options"] = {"jsa": {"grid_points": 64, "reference_pair": ref}}
         return doc
 
-    @pytest.mark.parametrize("ring, pump", [({"gamma_nl_per_w_m": 0}, {}),
-                                            ({}, {"power_mw": 1e-300})],
-                             ids=["zero_nonlinearity", "underflowing_power"])
+    @pytest.mark.parametrize("name, ring, pump", [
+        ("ring_channel.json", {"gamma_nl_per_w_m": 0}, {}),
+        ("ring_channel.json", {}, {"power_mw": 1e-300}),
+        ("add_drop.json", {}, {"power_mw": 1e-300})],
+        ids=["zero_nonlinearity", "underflowing_power", "underflowing_power_add_drop"])
     def test_zero_reference_rate_gives_no_traceback_and_no_nan(self, tmp_path, capsys,
-                                                               ring, pump):
+                                                               name, ring, pump):
         # a zero nonlinearity is rejected at parse time; a rate that underflows
-        # to 0 leaves the strategies' relative difference undefined, so rate,
-        # ratios and compare-finesse stop with one line instead of writing NaN
-        doc = json.loads(bundled_config_text())
+        # to 0 leaves the strategies' relative difference undefined, and an
+        # all-zero sweep its optimum, so those commands stop with one line
+        # instead of writing NaN or a meaningless argmax
+        doc = json.loads(bundled_config_text(name))
         doc["system"]["ring"].update(ring)
         doc["pump"].update(pump)
         cfg = _write_config(tmp_path, doc)
@@ -460,8 +463,11 @@ class TestCommands:
         if ring:
             assert errors == {"invalid config: system.ring.gamma_nl_per_w_m: "
                               "must be positive, got 0.0\n"}
+        elif name == "add_drop.json":
+            assert codes["rate"] == codes["compare-finesse"] == codes["add-drop-grid"] == 1
         else:
             assert codes["rate"] == codes["ratios"] == codes["compare-finesse"] == 1
+            assert codes["sweep-sigma"] == codes["sweep-eta"] == 1
 
     @pytest.mark.parametrize("command, edit, field", [
         ("rate", {"channels": {"gamma_rad_per_s": 5e12}},
@@ -479,6 +485,23 @@ class TestCommands:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"invalid config: {field}: ") and len(err.splitlines()) == 1
+        if command == "rate":
+            doc["strategy"] = "phantom"
+            cfg = _write_config(tmp_path, doc)
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+
+    @pytest.mark.parametrize("command", ["rate", "sweep-sigma"])
+    def test_overflowing_outgoing_field_exits_2(self, tmp_path, capsys, command):
+        # at radius 1 m and 26 dB/cm the outgoing fields of strategy 1 would
+        # grow as e^{xi L / 2} = e^{942}, beyond double precision; the phantom
+        # model has no such field
+        doc = json.loads(bundled_config_text())
+        doc["system"]["ring"]["radius_m"] = 1.0
+        cfg = _write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: system.ring.loss_db_per_cm: ")
+        assert len(err.splitlines()) == 1
         if command == "rate":
             doc["strategy"] = "phantom"
             cfg = _write_config(tmp_path, doc)

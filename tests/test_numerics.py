@@ -103,7 +103,7 @@ class TestIntegrateAdaptive:
         monkeypatch.setattr(attenuation, "integrate_adaptive", counted)
         config = parse_config((resources.files("lossy_ring_sfwm") / "configs"
                                / "ring_channel.json").read_text())
-        attenuation.pair_rate_cw(config.system, config.pump)
+        attenuation.pair_rate_cw(config.system, config.pump, "O", "O")
         assert len(evaluations) == 1
         assert 0 < evaluations[0] <= 300
 

@@ -130,7 +130,7 @@ class TestCompareFinesseAddDrop:
             system = sweeps._rescaled_coupling_system(config.system, scale)
             assert round(finesse(system)) == fin
             closed = phantom.pair_rates(system, config.pump)
-            att = {(x, y): attenuation.pair_rate_cw_add_drop(system, config.pump, x, y)
+            att = {(x, y): attenuation.pair_rate_cw(system, config.pump, x, y)
                    for x, y in [("T", "T")] + exits}
             ratios = [(att[k] / att["T", "T"], closed[k] / closed["T", "T"]) for k in exits]
             gaps.append([abs(r1 - r2) / r2 for r1, r2 in ratios])
@@ -155,18 +155,19 @@ def _scaled_system(system, scale):
 
 
 def _sweep_sigma_point(system, sigma):
-    return {"rate": attenuation.pair_rate_cw(_sigma_system(system, "O", sigma), PUMP)}
+    return {"rate": attenuation.pair_rate_cw(_sigma_system(system, "O", sigma), PUMP,
+                                             "O", "O")}
 
 
 def _compare_finesse_point(system, fin):
     scaled = _scaled_system(system, finesse(system) / fin)
-    return {"rate_attenuation": attenuation.pair_rate_cw(scaled, PUMP),
+    return {"rate_attenuation": attenuation.pair_rate_cw(scaled, PUMP, "O", "O"),
             "rate_phantom": phantom.pair_rate_cw(scaled, PUMP, "O", "O")}
 
 
 def _compare_finesse_add_drop_point(system, sigma2):
     point = _sigma_system(system, "D", sigma2)
-    return {"rate_attenuation": attenuation.pair_rate_cw_add_drop(point, PUMP, "T", "T"),
+    return {"rate_attenuation": attenuation.pair_rate_cw(point, PUMP, "T", "T"),
             "rate_phantom": phantom.pair_rate_cw(point, PUMP, "T", "T")}
 
 
