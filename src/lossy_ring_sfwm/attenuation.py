@@ -12,7 +12,11 @@ outgoing just after its exit coupler e, gaining 1 / sigma_j instead.
 
 Pair rates integrate the overlap (signal idler)* pump pump around the ring,
 then over the signal frequency; signal and idler are always outgoing and the
-pump incoming, so the overlap conjugates by position. Each rate makes its
+pump incoming, so the overlap conjugates by position. The frequency integral
+runs in theta = atan(s tan(phi / 2)), phi the signal's round-trip phase and
+s = (1 + r) / (1 - r) for its round-trip amplitude r: the Jacobian of that map
+cancels the signal's Airy factor 1 / |1 - r e^{i phi}|^2 exactly, so the
+quadrature sees a flat signal resonance instead of a peak. Each rate makes its
 three field builders once, holding all that does not depend on omega, since
 rebuilding that per quadrature node was most of a rate's cost. A node is then
 two builder calls and one overlap_of_fields call in plain complex math, which
@@ -203,10 +207,36 @@ def _linewidth(system: SystemSpec, band: Band) -> float:
         + phantom_gamma_from_xi(system.ring.xi, system.bands[band].v)
 
 
+def signal_window(system: SystemSpec, pump: CwPump, *,
+                  window_linewidths: float = 40.0) -> tuple[float, float]:
+    """(lo, hi) of the signal frequencies a rate integrates: window_linewidths
+    linewidths either side of the signal resonance, capped at 0.45 of a free
+    spectral range, above 1e-3 omega_S and below the signal frequency at which
+    the idler 2 omega_o - omega1 falls to 1e-3 omega_I. A far red-detuned pump
+    leaves it empty (lo >= hi)."""
+    sb, ib = system.bands[Band.SIGNAL], system.bands[Band.IDLER]
+    omega_o = system.bands[Band.PUMP].omega + pump.detuning
+    fsr = TWO_PI * sb.v / system.ring.circumference
+    half_window = min(window_linewidths * 2.0 * _linewidth(system, Band.SIGNAL),
+                      _WINDOW_FSR_CAP * fsr)
+    return (max(sb.omega - half_window, 1e-3 * sb.omega),
+            min(sb.omega + half_window, 2.0 * omega_o - 1e-3 * ib.omega))
+
+
 def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit: str, *,
                  window_linewidths: float = 40.0, rel_tol: float = 1e-6) -> float:
     """CW pair generation rate [pairs/s] with the signal collected in the bus
-    signal_exit and the idler in idler_exit."""
+    signal_exit and the idler in idler_exit.
+
+    The integral over omega1 runs in theta = atan(s tan(phi / 2)), with phi =
+    (omega1 - omega_S) L / v_S the signal's round-trip phase, s = (1 + r) /
+    (1 - r) and r = prod sigma_j e^{-xi L / 2} its round-trip amplitude. Its
+    Airy factor 1 / |1 - r e^{i phi}|^2 = (cos^2 theta + sin^2 theta / s^2) /
+    (1 - r)^2 times the Jacobian domega1/dtheta = (2 v_S s / L) / (s^2 cos^2
+    theta + sin^2 theta) is a constant, so the signal resonance is flat in
+    theta; where the idler resonance coincides with it, what remains is a trig
+    polynomial. The window is signal_window's, |phi| <= 0.9 pi, where the map
+    is monotone."""
     signal = ring_field_builder(system, Band.SIGNAL, signal_exit)
     idler = ring_field_builder(system, Band.IDLER, idler_exit)
     ring = system.ring
@@ -214,11 +244,16 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
     omega_o = pb.omega + pump.detuning
     pump_field = ring_field_builder(system, Band.PUMP)(omega_o)
 
-    gbar_s = _linewidth(system, Band.SIGNAL)
-    fsr = TWO_PI * sb.v / ring.circumference
-    half_window = min(window_linewidths * 2.0 * gbar_s, _WINDOW_FSR_CAP * fsr)
-    lo = max(sb.omega - half_window, 1e-3 * sb.omega)
-    hi = min(sb.omega + half_window, 2.0 * omega_o - 1e-3 * ib.omega)
+    r = math.prod(system.sigma_view(x, Band.SIGNAL) for x in ring_buses(system)) \
+        * ring.roundtrip_amplitude
+    if r >= 1.0:
+        raise SingularityError("the signal resonance of a lossless, uncoupled ring has no "
+                               "width to integrate over")
+    s = (1.0 + r) / (1.0 - r)
+    scale = 2.0 * sb.v / ring.circumference  # omega1 - omega_S = scale * phi / 2
+
+    def theta(omega1: float) -> float:
+        return math.atan(s * math.tan((omega1 - sb.omega) / scale))
 
     def integrand(omega1: float) -> float:
         omega2 = 2.0 * omega_o - omega1
@@ -226,11 +261,18 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
                               delta_kappa=ring.delta_kappa)
         return omega1 * omega2 * abs(j) ** 2
 
+    def mapped(t: np.ndarray) -> np.ndarray:
+        omega = sb.omega + scale * np.arctan(np.tan(t) / s)
+        jacobian = scale * s / (s * s * np.cos(t) ** 2 + np.sin(t) ** 2)
+        return np.array([integrand(w) for w in omega.tolist()]) * jacobian
+
+    lo, hi = signal_window(system, pump, window_linewidths=window_linewidths)
+    points = [(0.0, theta(sb.omega + _linewidth(system, Band.SIGNAL)))]
     mirror = 2.0 * omega_o - ib.omega  # omega1 at which the idler is resonant
-    quad = integrate_adaptive(lambda omega: np.array([integrand(w) for w in omega.tolist()]),
-                              lo, hi, rel_tol=rel_tol,
-                              points=[(sb.omega, gbar_s),
-                                      (mirror, _linewidth(system, Band.IDLER))])
+    if lo < mirror < hi:
+        t_m = theta(mirror)
+        points.append((t_m, abs(theta(mirror + _linewidth(system, Band.IDLER)) - t_m)))
+    quad = integrate_adaptive(mapped, theta(lo), theta(hi), rel_tol=rel_tol, points=points)
     prefactor = (1.0 / TWO_PI) * (ring.gamma_nl * pump.power / pb.omega) ** 2 \
         * pb.v ** 2 / (sb.v * ib.v)
     return prefactor * quad.value

@@ -107,14 +107,20 @@ def _require_lossy_phantom(config: RunConfig) -> None:
                           "the phantom decay rate, the unit of the swept couplings, is zero")
 
 
-def _require_point_coupling(config: RunConfig, channel_ids, *, scale: float = 1.0,
-                            path: str | None = None) -> None:
+def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
+                       path: str | None = None) -> None:
     """Strategy 1 models each bus as a point coupler: its decay rate, times the
     largest scale a sweep applies, must leave a self-coupling above 0. Its
     outgoing fields grow as e^{xi L / 2} around the ring, which at that scale
     must stay finite. The error names `path`, else the channel's coupling
-    field or the ring loss."""
+    field or the ring loss. The signal window must reach past the signal
+    resonance, which holds at every linewidth a sweep sets exactly when the
+    idler of a resonant signal lies above the window's 1e-3 omega_I floor."""
     system = config.system
+    _, hi = attenuation.signal_window(system, config.pump)
+    if not hi > system.bands[Band.SIGNAL].omega:
+        raise ConfigError("pump.detuning_rad_per_s", "puts the idler of a resonant signal "
+                          "below 1e-3 omega_I, so strategy 1 has no signal window")
     try:
         math.exp(system.ring.xi * scale * system.ring.circumference / 2.0)
     except OverflowError as e:
@@ -135,7 +141,7 @@ def _require_point_coupling(config: RunConfig, channel_ids, *, scale: float = 1.
 def _attenuation_pairs(config: RunConfig, pump: CwPump):
     system = config.system
     buses = attenuation.ring_buses(system)
-    _require_point_coupling(config, buses)
+    _require_strategy1(config, buses)
     return [(x, y, attenuation.pair_rate_cw(system, pump, x, y)) for x in buses for y in buses]
 
 
@@ -182,7 +188,7 @@ def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> int:
     pump = _require_cw(config)
     axis = _axis(config, "sweep_sigma", "min", "max", "points", (0.90, 0.9995, 101),
                  unit="(0, 1]")
-    _require_point_coupling(config, [])  # the ring loss: the sweep sets the bus coupling
+    _require_strategy1(config, [])  # the ring loss: the sweep sets the bus coupling
     result = sweeps.sweep_sigma(config.system, axis, pump)
     return _write_sweep(outdir, "sweep-sigma", config, result, ["sigma", "rate_pairs_per_s"])
 
@@ -200,15 +206,15 @@ def cmd_compare_finesse(config: RunConfig, outdir: Path, tol) -> int:
     if len(config.system.physical_channels) == 2:
         axis = _axis(config, "compare_finesse", "sigma2_min", "sigma2_max", "points",
                      (0.3, 0.9999, 25), unit="(0, 1]")
-        _require_point_coupling(config, [config.system.pump_input_channel])  # the through bus
+        _require_strategy1(config, [config.system.pump_input_channel])  # the through bus
         result = sweeps.compare_finesse_add_drop(config.system, axis, pump)
     else:
         axis = _axis(config, "compare_finesse", "min", "max", "points", (50.0, 2000.0, 25),
                      log=True)
         # every coupling scales by finesse / axis value, most at the lowest finesse
-        _require_point_coupling(config, [config.system.pump_input_channel],
-                                scale=finesse(config.system) / axis[0],
-                                path="options.compare_finesse.min")
+        _require_strategy1(config, [config.system.pump_input_channel],
+                           scale=finesse(config.system) / axis[0],
+                           path="options.compare_finesse.min")
         result = sweeps.compare_finesse(config.system, axis, pump)
     return _write_sweep(outdir, "compare-finesse", config, result)
 

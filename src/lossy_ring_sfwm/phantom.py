@@ -260,23 +260,32 @@ def _golden_rule_kernel(system: SystemSpec, pump: CwPump, signal_exit: str,
 
 
 def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
-                    idler_exit: str, *, rel_tol: float = 1e-8,
-                    window_halfwidths: float = 500.0) -> float:
+                    idler_exit: str, *, rel_tol: float = 1e-8) -> float:
     """Brute-force frequency integral of the golden-rule pair rate.
 
     Builds the interaction kernel from the enhancement factors and
-    integrates it numerically; serves as the anti-drift oracle for the
+    integrates it numerically over the whole line, in theta with omega1 =
+    omega_S + Gbar_S tan theta, theta in (-pi/2, pi/2): the signal
+    Lorentzian becomes flat and the tails end at the interval's edges, so
+    no window cuts them off. Serves as the anti-drift oracle for the
     closed-form pair_rate_cw.
     """
     pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
     omega_o = pb.omega + pump.detuning
     gbar_s, gbar_i = system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER)
     mirror = 2.0 * omega_o - ib.omega  # omega1 at which the idler is resonant
-    lo = min(sb.omega, mirror) - window_halfwidths * max(gbar_s, gbar_i)
-    hi = max(sb.omega, mirror) + window_halfwidths * max(gbar_s, gbar_i)
-    quad = integrate_adaptive(
-        lambda w: _golden_rule_kernel(system, pump, signal_exit, idler_exit, w),
-        lo, hi, rel_tol=rel_tol, points=[(sb.omega, gbar_s), (mirror, gbar_i)])
+    x = (mirror - sb.omega) / gbar_s  # the idler resonance, in signal half-widths
+
+    def mapped(t: np.ndarray) -> np.ndarray:
+        tan = np.tan(t)
+        return _golden_rule_kernel(system, pump, signal_exit, idler_exit,
+                                   sb.omega + gbar_s * tan) * (gbar_s * (1.0 + tan * tan))
+
+    # peaks as (theta, half-width in theta), dtheta/domega1 = 1 / (Gbar_S (1 + x^2))
+    # at the idler's; a difference of atans would round to 0 far out
+    quad = integrate_adaptive(mapped, -0.5 * math.pi, 0.5 * math.pi, rel_tol=rel_tol,
+                              points=[(0.0, 0.25 * math.pi),
+                                      (math.atan(x), gbar_i / gbar_s / (1.0 + x * x))])
     prefactor = 72.0 * math.pi ** 3 / (EPS0 ** 2 * HBAR ** 4 * omega_o ** 2) \
         * pump.power ** 2 / (sb.v * ib.v * pb.v ** 2)
     return prefactor * quad.value

@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossy_ring_sfwm import attenuation as att
+from lossy_ring_sfwm import sweeps
 from lossy_ring_sfwm.config import parse_config
+from lossy_ring_sfwm.constants import TWO_PI
 from lossy_ring_sfwm.model import (Band, ChannelCoupling, CwPump, GeometryError, RingSpec,
-                                   SystemSpec, add_drop_system, gamma_from_sigma,
+                                   SystemSpec, add_drop_system, finesse, gamma_from_sigma,
                                    ring_system, uniform_gammas, xi_from_db_per_cm)
+from lossy_ring_sfwm.numerics import integrate_adaptive
 
 V = 1e8
 SIGMA_REF = 0.9814
@@ -373,3 +376,73 @@ class TestPairRate:
         system = replace(system, channels=system.channels + (third,))
         with pytest.raises(GeometryError):
             att.pair_rate_cw(system, CwPump(1e-3), "T", "T")
+
+
+def _bundled(name):
+    return parse_config((resources.files("lossy_ring_sfwm") / "configs" / name).read_text())
+
+
+def _omega_space_rate(system, pump, signal_exit, idler_exit):
+    """The strategy-1 rate integrated directly in omega1 at rel_tol 1e-11,
+    with both resonances hinted as peaks: an independent check of the
+    Jacobian of pair_rate_cw's theta map and of the window's image."""
+    signal = att.ring_field_builder(system, Band.SIGNAL, signal_exit)
+    idler = att.ring_field_builder(system, Band.IDLER, idler_exit)
+    pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
+    omega_o = pb.omega + pump.detuning
+    pump_field = att.ring_field_builder(system, Band.PUMP)(omega_o)
+
+    def integrand(omega):
+        return np.array([w * (2.0 * omega_o - w) * abs(att.overlap_of_fields(
+            signal(w), idler(2.0 * omega_o - w), pump_field,
+            delta_kappa=system.ring.delta_kappa)) ** 2 for w in omega.tolist()])
+
+    lo, hi = att.signal_window(system, pump)
+    quad = integrate_adaptive(integrand, lo, hi, rel_tol=1e-11, points=[
+        (sb.omega, att._linewidth(system, Band.SIGNAL)),
+        (2.0 * omega_o - ib.omega, att._linewidth(system, Band.IDLER))])
+    return (system.ring.gamma_nl * pump.power / pb.omega) ** 2 * pb.v ** 2 \
+        / (TWO_PI * sb.v * ib.v) * quad.value
+
+
+def _theta_map_cases():
+    """25 rates: the bundled rings at every exit; single-bus sigma from 0.88
+    (the window capped at 0.45 FSR) to 0.9995; finesse 40 to 2,500; an
+    add-drop ring with a weak drop; pumps detuned by 0.5, 3 and 20 linewidths."""
+    ring, add_drop = _bundled("ring_channel.json").system, _bundled("add_drop.json").system
+    pump = CwPump(1e-3)
+    L = ring.ring.circumference
+    cases = [(f"{name}-{x}{y}", s, pump, x, y)
+             for name, s in (("ring_channel", ring), ("add_drop", add_drop))
+             for x in att.ring_buses(s) for y in att.ring_buses(s)]
+    for sigma in (0.88, 0.9, 0.95, 0.99, 0.999, 0.9995):
+        gammas = {b: gamma_from_sigma(sigma, ring.bands[b].v, L) for b in Band}
+        cases.append((f"sigma-{sigma}", ring.with_channel_gamma("O", gammas), pump, "O", "O"))
+    for f in (40.0, 100.0, 500.0, 1000.0, 2500.0):
+        cases.append((f"finesse-{f}",
+                      sweeps._rescaled_coupling_system(ring, finesse(ring) / f), pump, "O", "O"))
+    weak_drop = add_drop_system(1.1e-5, 8.0, 100.0, 1550e-9, V, 2.4,
+                                gamma_through_ratio=1.5, gamma_drop_ratio=0.6)
+    cases += [(f"weak_drop-{x}{y}", weak_drop, CwPump(1.5e-3), x, y)
+              for x in ("T", "D") for y in ("T", "D")]
+    for d in (0.5, 3.0, 20.0):
+        cases.append((f"detuned-{d}", ring,
+                      CwPump(1e-3, detuning=d * ring.gamma_bar(Band.PUMP)), "O", "O"))
+    detuned = CwPump(1e-3, detuning=3.0 * add_drop.gamma_bar(Band.PUMP))
+    cases += [("add_drop_detuned-TD", add_drop, detuned, "T", "D"),
+              ("add_drop_detuned-DD", add_drop, detuned, "D", "D")]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+class TestThetaMap:
+    @pytest.mark.parametrize("system, pump, x, y", _theta_map_cases())
+    def test_matches_omega_space_integral(self, system, pump, x, y):
+        rate = att.pair_rate_cw(system, pump, x, y)
+        assert rate == pytest.approx(_omega_space_rate(system, pump, x, y), rel=1e-9)
+
+    def test_lossless_uncoupled_ring_is_singular(self, ring_ref):
+        # r = 1 leaves the signal resonance no width, even with the pump off it
+        system = _lossless(ring_ref).with_channel_gamma("O", uniform_gammas(0.0))
+        pump = CwPump(1e-3, detuning=ring_ref.gamma_bar(Band.PUMP))
+        with pytest.raises(att.SingularityError):
+            att.pair_rate_cw(system, pump, "O", "O")

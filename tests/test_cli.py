@@ -181,6 +181,15 @@ class TestCommands:
         assert meta["max_rel_deviation"] <= 1e-6
         assert "max relative deviation" in capsys.readouterr().out
 
+    def test_oracle_check_passes_with_detuned_pump(self, tmp_path):
+        doc = json.loads(bundled_config_text())
+        doc["pump"]["detuning_rad_per_s"] = 5e12  # 84 linewidths
+        out = tmp_path / "out"
+        assert main(["oracle-check", "--config", _write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "oracle_check_meta.json").read_text())
+        assert meta["max_rel_deviation"] <= 1e-9
+
     def test_oracle_check_gate_can_fail(self, tmp_path):
         cfg = _write_config(tmp_path, eta_config(eta=0.55))
         out = tmp_path / "out"
@@ -435,8 +444,10 @@ class TestCommands:
     @pytest.mark.parametrize("name, ring, pump", [
         ("ring_channel.json", {"gamma_nl_per_w_m": 0}, {}),
         ("ring_channel.json", {}, {"power_mw": 1e-300}),
-        ("add_drop.json", {}, {"power_mw": 1e-300})],
-        ids=["zero_nonlinearity", "underflowing_power", "underflowing_power_add_drop"])
+        ("add_drop.json", {}, {"power_mw": 1e-300}),
+        ("ring_channel.json", {}, {"detuning_rad_per_s": -1.2e15})],
+        ids=["zero_nonlinearity", "underflowing_power", "underflowing_power_add_drop",
+             "far_detuned_pump"])
     def test_zero_reference_rate_gives_no_traceback_and_no_nan(self, tmp_path, capsys,
                                                                name, ring, pump):
         # a zero nonlinearity is rejected at parse time; a rate that underflows
@@ -463,6 +474,13 @@ class TestCommands:
         if ring:
             assert errors == {"invalid config: system.ring.gamma_nl_per_w_m: "
                               "must be positive, got 0.0\n"}
+        elif "detuning_rad_per_s" in pump:
+            # strategy 1 has no signal window to integrate; the phantom
+            # commands need none
+            assert codes["rate"] == codes["sweep-sigma"] == codes["compare-finesse"] == 2
+            assert codes["ratios"] == codes["sweep-eta"] == codes["oracle-check"] == 0
+            assert "invalid config: pump.detuning_rad_per_s: puts the idler of a resonant " \
+                "signal below 1e-3 omega_I, so strategy 1 has no signal window\n" in errors
         elif name == "add_drop.json":
             assert codes["rate"] == codes["compare-finesse"] == codes["add-drop-grid"] == 1
         else:

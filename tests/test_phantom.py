@@ -351,6 +351,22 @@ class TestGoldenRuleOracle:
             bands=system.bands, channels=system.channels, pump_input_channel="O")
         assert ph.fgr_rate_oracle(system, CwPump(1e-3), "O", "O") == 0.0
 
+    @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
+    @pytest.mark.parametrize("linewidths", [0.0, 1.0, 30.0, 84.0, 400.0])
+    def test_whole_line_matches_closed_form(self, name, linewidths):
+        # the oracle integrates the Lorentzian tails to the end, which the
+        # closed form includes; a window of 500 half-widths cut off 1.2e-4
+        # of the rate at 400 linewidths of pump detuning
+        config = parse_config((resources.files("lossy_ring_sfwm") / "configs" / name)
+                              .read_text())
+        system = config.system
+        pump = CwPump(1e-3, detuning=linewidths * system.gamma_bar(Band.PUMP))
+        for x in system.channel_ids:
+            for y in system.channel_ids:
+                closed = ph.pair_rate_cw(system, pump, x, y)
+                oracle = ph.fgr_rate_oracle(system, pump, x, y)
+                assert abs(oracle - closed) <= 1e-9 * closed, (x, y)
+
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_matches_on_random_systems(self, seed):
         rng = random.Random(seed)
