@@ -36,8 +36,10 @@ from .constants import TWO_PI
 from .model import Band, CwPump, SystemSpec, phantom_gamma_from_xi
 from .numerics import integrate_adaptive
 
-# fraction of one free spectral range the rate quadrature window may span
-# on either side of the resonance, so neighbouring resonances never leak in
+# half-width of the rate quadrature window, in signal linewidths (FWHM), and
+# the fraction of one free spectral range it may span on either side of the
+# resonance, so neighbouring resonances never leak in
+_WINDOW_LINEWIDTHS = 40.0
 _WINDOW_FSR_CAP = 0.45
 
 _TAYLOR_THRESHOLD = 1e-6  # |dk L| below which the overlap integral is expanded
@@ -207,24 +209,23 @@ def _linewidth(system: SystemSpec, band: Band) -> float:
         + phantom_gamma_from_xi(system.ring.xi, system.bands[band].v)
 
 
-def signal_window(system: SystemSpec, pump: CwPump, *,
-                  window_linewidths: float = 40.0) -> tuple[float, float]:
-    """(lo, hi) of the signal frequencies a rate integrates: window_linewidths
-    linewidths either side of the signal resonance, capped at 0.45 of a free
-    spectral range, above 1e-3 omega_S and below the signal frequency at which
-    the idler 2 omega_o - omega1 falls to 1e-3 omega_I. A far red-detuned pump
+def signal_window(system: SystemSpec, pump: CwPump) -> tuple[float, float]:
+    """(lo, hi) of the signal frequencies a rate integrates: 40 linewidths
+    either side of the signal resonance, capped at 0.45 of a free spectral
+    range, above 1e-3 omega_S and below the signal frequency at which the
+    idler 2 omega_o - omega1 falls to 1e-3 omega_I. A far red-detuned pump
     leaves it empty (lo >= hi)."""
     sb, ib = system.bands[Band.SIGNAL], system.bands[Band.IDLER]
     omega_o = system.bands[Band.PUMP].omega + pump.detuning
     fsr = TWO_PI * sb.v / system.ring.circumference
-    half_window = min(window_linewidths * 2.0 * _linewidth(system, Band.SIGNAL),
+    half_window = min(_WINDOW_LINEWIDTHS * 2.0 * _linewidth(system, Band.SIGNAL),
                       _WINDOW_FSR_CAP * fsr)
     return (max(sb.omega - half_window, 1e-3 * sb.omega),
             min(sb.omega + half_window, 2.0 * omega_o - 1e-3 * ib.omega))
 
 
 def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit: str, *,
-                 window_linewidths: float = 40.0, rel_tol: float = 1e-6) -> float:
+                 rel_tol: float = 1e-6) -> float:
     """CW pair generation rate [pairs/s] with the signal collected in the bus
     signal_exit and the idler in idler_exit.
 
@@ -266,7 +267,7 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
         jacobian = scale * s / (s * s * np.cos(t) ** 2 + np.sin(t) ** 2)
         return np.array([integrand(w) for w in omega.tolist()]) * jacobian
 
-    lo, hi = signal_window(system, pump, window_linewidths=window_linewidths)
+    lo, hi = signal_window(system, pump)
     points = [(0.0, theta(sb.omega + _linewidth(system, Band.SIGNAL)))]
     mirror = 2.0 * omega_o - ib.omega  # omega1 at which the idler is resonant
     if lo < mirror < hi:

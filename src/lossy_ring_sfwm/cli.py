@@ -4,12 +4,15 @@
 
 Commands: rate, ratios, sweep-sigma, sweep-eta, compare-finesse,
 add-drop-grid, jsa, oracle-check; only jsa and oracle-check have a gate,
-and only they accept --tol. Each command writes CSV data files and
-a JSON metadata sidecar (configuration hash, derived parameters,
-tolerances achieved) into the output directory. Outputs are byte-stable
-for a fixed configuration: stable column order, shortest round-trip
-decimals, no timestamps. The exit status is nonzero when a command's
-tolerance gate fails.
+and only they accept --tol. Every command rejects an options block that
+no command reads, and any key of its own block that it does not read.
+Each command writes CSV data files and a JSON metadata sidecar
+(configuration hash, derived parameters, tolerances achieved) into the
+output directory. Outputs are byte-stable for a fixed configuration:
+stable column order, shortest round-trip decimals, no timestamps. Exit
+status: 0 on success; 1 when a tolerance gate fails, a quadrature fails
+or a zero rate stops the command; 2 on a bad config or geometry, or an
+option the command does not take.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attenuation, jsa, phantom, sweeps
-from .config import ConfigError, RunConfig, _number, derived_echo, parse_config
+from .config import ConfigError, RunConfig, _check_keys, _number, derived_echo, parse_config
 from .model import Band, CwPump, GeometryError, PulsedPump, finesse, sigma_from_gamma
 from .numerics import QuadratureError
 
@@ -86,6 +89,7 @@ def _axis(config: RunConfig, name: str, lo_key: str, hi_key: str, n_key: str, de
           *, log=False, unit: str | None = None):
     # unit: "(0, 1)" for an escape efficiency, "(0, 1]" for a self-coupling
     block, path = config.options.get(name, {}), f"options.{name}"
+    _check_keys(block, {lo_key, hi_key, n_key}, path)
     lo = _number(block, lo_key, path, default=defaults[0], positive=log)
     hi = _number(block, hi_key, path, default=defaults[1])
     n = _number(block, n_key, path, default=defaults[2], minimum=2, integer=True)
@@ -151,11 +155,11 @@ def cmd_rate(config: RunConfig, outdir: Path, tol) -> int:
     meta = _base_metadata("rate", config)
     matched: dict[str, float] = {}
     if config.strategy in ("phantom", "both"):
-        matrix = phantom.rate_matrix(config.system, pump)
-        rows += [("phantom", x, y, rate) for (x, y), rate in matrix.rates.items()]
-        meta["p_vac_w"] = matrix.p_vac
-        key = (config.system.pump_input_channel,) * 2
-        matched["phantom"] = matrix.rate(*key)
+        rates = phantom.pair_rates(config.system, pump)
+        rows += [("phantom", x, y, rate) for (x, y), rate in rates.items()]
+        gbar = [config.system.gamma_bar(b) for b in (Band.SIGNAL, Band.IDLER)]
+        meta["p_vac_w"] = phantom.pair_vacuum_power(config.system, pump, *gbar)
+        matched["phantom"] = rates[(config.system.pump_input_channel,) * 2]
     if config.strategy in ("attenuation", "both"):
         for x, y, rate in _attenuation_pairs(config, pump):
             rows.append(("attenuation", x, y, rate))
@@ -172,9 +176,11 @@ def cmd_rate(config: RunConfig, outdir: Path, tol) -> int:
 
 def cmd_ratios(config: RunConfig, outdir: Path, tol) -> int:
     pump = _require_cw(config)
-    matrix = phantom.rate_matrix(config.system, pump)
+    rates = phantom.pair_rates(config.system, pump)
     ref = (config.system.physical_channels[0].channel_id,) * 2
-    rows = [(x, y, *ref, phantom.rate_ratio(matrix, x, y, *ref)) for x, y in matrix.rates]
+    if rates[ref] == 0.0:
+        raise phantom.ZeroRateError(f"reference rate R[{ref[0]},{ref[1]}] is zero")
+    rows = [(x, y, *ref, rate / rates[ref]) for (x, y), rate in rates.items()]
     _write_csv(outdir / "ratios.csv",
                ["signal_exit", "idler_exit", "ref_signal_exit", "ref_idler_exit",
                 "ratio"], rows)
@@ -257,6 +263,7 @@ def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
     if not isinstance(pump, PulsedPump):
         raise ConfigError("pump.kind", "the jsa command needs a pulsed pump")
     block, path = config.options.get("jsa", {}), "options.jsa"
+    _check_keys(block, {"grid_points", "kappa_max", "residual_tol", "reference_pair"}, path)
     n = _number(block, "grid_points", path, default=512, minimum=2, integer=True)
     kappa_max = _number(block, "kappa_max", path, default=8.0, minimum=8.0)
     residual_tol = tol if tol is not None else _number(block, "residual_tol", path,
@@ -294,6 +301,7 @@ def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
 def cmd_oracle_check(config: RunConfig, outdir: Path, tol) -> int:
     pump = _require_cw(config)
     block, path = config.options.get("oracle_check", {}), "options.oracle_check"
+    _check_keys(block, {"max_rel_dev"}, path)
     max_dev_tol = tol if tol is not None else _number(block, "max_rel_dev", path,
                                                       default=1e-6, minimum=0.0)
     system = config.system
@@ -347,6 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _GATED = ("jsa", "oracle-check")  # the commands that read --tol
+# the options blocks, one per command that reads options; each command
+# checks the keys of its own block
+_OPTION_BLOCKS = {"sweep_sigma", "sweep_eta", "compare_finesse", "add_drop_grid", "jsa",
+                  "oracle_check"}
 
 
 def main(argv=None) -> int:
@@ -356,6 +368,7 @@ def main(argv=None) -> int:
         return 2
     try:
         config = parse_config(Path(args.config).read_text())
+        _check_keys(config.options, _OPTION_BLOCKS, "options")
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2

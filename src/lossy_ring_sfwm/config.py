@@ -17,7 +17,7 @@ from typing import Any, Mapping
 
 from .model import (Band, BandParams, ChannelCoupling, ChannelKind, CwPump,
                     PulsedPump, RingSpec, SystemSpec, band_from_wavelength,
-                    finesse, gamma_from_sigma, q_and_eta)
+                    finesse, gamma_from_sigma)
 
 _BAND_KEYS = {"pump": Band.PUMP, "signal": Band.SIGNAL, "idler": Band.IDLER}
 _COUPLING_KEYS = ("sigma", "gamma_rad_per_s", "q_factor", "eta", "from_loss")
@@ -63,9 +63,10 @@ def _number(d: Mapping, key: str, path: str, *, default=None,
 
 
 def _check_keys(d: Mapping, allowed: set[str], path: str) -> None:
-    unknown = set(d) - allowed
+    unknown = sorted(set(d) - allowed)
     if unknown:
-        raise ConfigError(path, f"unknown fields {sorted(unknown)}")
+        raise ConfigError(f"{path}.{unknown[0]}",
+                          f"unknown field; expected one of {sorted(allowed)}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,8 @@ def _parse_channels(entries, ring: RingSpec, bands: Mapping[Band, BandParams],
         coupling = _require(entry, "coupling", epath)
         if not isinstance(coupling, Mapping):
             raise ConfigError(f"{epath}.coupling", "expected an object")
+        _check_keys(coupling, set(_COUPLING_KEYS), f"{epath}.coupling")
         given = [k for k in _COUPLING_KEYS if k in coupling]
-        unknown = set(coupling) - set(_COUPLING_KEYS)
-        if unknown:
-            raise ConfigError(f"{epath}.coupling", f"unknown fields {sorted(unknown)}")
         if len(given) == 0:
             raise ConfigError(f"{epath}.coupling",
                               f"give one of {list(_COUPLING_KEYS)}")
@@ -197,22 +196,24 @@ def _parse_channels(entries, ring: RingSpec, bands: Mapping[Band, BandParams],
                  for cid, kind, _, _, _ in parsed)
 
 
-def _parse_pump(block: Mapping, path: str) -> CwPump | PulsedPump:
+def _parse_pump(block: Mapping, path: str, omega_p: float) -> CwPump | PulsedPump:
     if not isinstance(block, Mapping):
         raise ConfigError(path, "expected an object")
     kind = block.get("kind", "cw")
+    if kind not in ("cw", "pulsed"):
+        raise ConfigError(f"{path}.kind", f"expected 'cw' or 'pulsed', got {kind!r}")
+    own = {"power_mw"} if kind == "cw" else {"duration_fwhm_ps", "alpha"}
+    _check_keys(block, own | {"kind", "detuning_rad_per_s"}, path)
+    detuning = _number(block, "detuning_rad_per_s", path, default=0.0)
+    if abs(detuning) >= omega_p:  # the carrier omega_P + detuning must lie in (0, 2 omega_P)
+        raise ConfigError(f"{path}.detuning_rad_per_s", "must be smaller in magnitude than "
+                          f"the pump band's omega_P = {omega_p} rad/s; got {detuning}")
     if kind == "cw":
-        _check_keys(block, {"kind", "power_mw", "detuning_rad_per_s"}, path)
         return CwPump(power=_number(block, "power_mw", path, positive=True) * 1e-3,
-                      detuning=_number(block, "detuning_rad_per_s", path, default=0.0))
-    if kind == "pulsed":
-        _check_keys(block, {"kind", "duration_fwhm_ps", "alpha", "detuning_rad_per_s"},
-                    path)
-        return PulsedPump(
-            duration_fwhm=_number(block, "duration_fwhm_ps", path, positive=True) * 1e-12,
-            alpha=_number(block, "alpha", path, default=1.0, positive=True),
-            detuning=_number(block, "detuning_rad_per_s", path, default=0.0))
-    raise ConfigError(f"{path}.kind", f"expected 'cw' or 'pulsed', got {kind!r}")
+                      detuning=detuning)
+    return PulsedPump(
+        duration_fwhm=_number(block, "duration_fwhm_ps", path, positive=True) * 1e-12,
+        alpha=_number(block, "alpha", path, default=1.0, positive=True), detuning=detuning)
 
 
 def parse_config(source: str | Mapping) -> RunConfig:
@@ -254,7 +255,8 @@ def parse_config(source: str | Mapping) -> RunConfig:
     if system.channel(pump_in).gamma(Band.PUMP) == 0.0:  # no pump reaches the ring
         raise ConfigError("system.pump_input_channel", f"{pump_in!r} has no pump-band coupling")
 
-    pump = _parse_pump(doc.get("pump", {"kind": "cw", "power_mw": 1.0}), "pump")
+    pump = _parse_pump(doc.get("pump", {"kind": "cw", "power_mw": 1.0}), "pump",
+                       bands[Band.PUMP].omega)
     strategy = doc.get("strategy", "both")
     if strategy not in ("attenuation", "phantom", "both"):
         raise ConfigError("strategy",
@@ -294,14 +296,11 @@ def derived_echo(config: RunConfig) -> dict:
         "finesse": finesse(system),
     }
     for name, band in _BAND_KEYS.items():
-        qe = q_and_eta(system, band)
-        echo[f"q_load_{name}"] = qe.q_load
+        echo[f"q_load_{name}"] = system.bands[band].omega / (2.0 * system.gamma_bar(band))
         echo[f"gamma_bar_{name}_rad_per_s"] = system.gamma_bar(band)
-    qe = q_and_eta(system, Band.PUMP)
     for c in system.channels:
-        echo[f"eta_{c.channel_id}"] = qe.eta[c.channel_id]
-        g = c.gamma(Band.PUMP)
-        echo[f"gamma_{c.channel_id}_rad_per_s"] = g
+        echo[f"eta_{c.channel_id}"] = system.escape_efficiency(c.channel_id, Band.PUMP)
+        echo[f"gamma_{c.channel_id}_rad_per_s"] = c.gamma(Band.PUMP)
         try:
             echo[f"sigma_{c.channel_id}"] = system.sigma_view(c.channel_id, Band.PUMP)
         except ValueError:

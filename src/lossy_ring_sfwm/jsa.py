@@ -133,12 +133,12 @@ def _jsa_prefactor(system: SystemSpec) -> float:
 
 
 def _energy_mass_integral(system: SystemSpec, pump: PulsedPump, gamma_s: float,
-                          gamma_i: float, *, half_window: float | None = None,
-                          rel_tol: float = 1e-7) -> float:
+                          gamma_i: float, *, half_window: float | None = None) -> float:
     """Integrated squared modulus of the unnormalized biphoton amplitude
     (before dividing by beta) of a channel pair with decay rates gamma_s,
     gamma_i: the integral over two-photon energy of |g|^2 times the
-    signal/idler Lorentzian pair integral, times the common prefactor."""
+    signal/idler Lorentzian pair integral, to 1e-7 relative, times the
+    common prefactor."""
     pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
     g = _pump_g_factor(system, pump)
     gsum = system.gamma_bar(Band.SIGNAL) + system.gamma_bar(Band.IDLER)
@@ -149,8 +149,7 @@ def _energy_mass_integral(system: SystemSpec, pump: PulsedPump, gamma_s: float,
     def integrand(s: np.ndarray) -> np.ndarray:
         return np.abs(g(s)) ** 2 * _lorentzian_pair_integral(system, s, gamma_s, gamma_i)
 
-    quad = integrate_adaptive(integrand, center - half_window, center + half_window,
-                              rel_tol=rel_tol,
+    quad = integrate_adaptive(integrand, center - half_window, center + half_window, rel_tol=1e-7,
                               points=[(center, 1.0 / pump.tau), (sb.omega + ib.omega, gsum)])
     return _jsa_prefactor(system) ** 2 / (sb.v * ib.v) * quad.value
 
@@ -198,8 +197,6 @@ class JsaGrid:
     weights: Mapping[tuple[str, str], complex]
     beta2: float
     normalization_residual: float
-    dk1: float  # k-space grid steps [1/m]
-    dk2: float
 
     @property
     def abs2(self) -> np.ndarray:
@@ -274,17 +271,18 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
     weights = {(x, y): complex(system.amplitude_coupling(x, Band.SIGNAL)
                                * system.amplitude_coupling(y, Band.IDLER) / ref_amp)
                for x in system.channel_ids for y in system.channel_ids}
-    dk1 = system.gamma_bar(Band.SIGNAL) * (kappa1[1] - kappa1[0]) / system.bands[Band.SIGNAL].v
-    dk2 = system.gamma_bar(Band.IDLER) * (kappa2[1] - kappa2[0]) / system.bands[Band.IDLER].v
+    # k-space grid steps [1/m]
+    dk_s = system.gamma_bar(Band.SIGNAL) * (kappa1[1] - kappa1[0]) / system.bands[Band.SIGNAL].v
+    dk_i = system.gamma_bar(Band.IDLER) * (kappa2[1] - kappa2[0]) / system.bands[Band.IDLER].v
     sum_w2 = sum(abs(w) ** 2 for w in weights.values())
-    grid_norm = sum_w2 * grid_integrate_2d(np.abs(values) ** 2, dk1, dk2)
+    grid_norm = sum_w2 * grid_integrate_2d(np.abs(values) ** 2, dk_s, dk_i)
     residual = abs(grid_norm - 1.0)
     if residual > residual_tol:
         raise GridTooCoarseError(residual, residual_tol)
     return JsaGrid(kappa1=kappa1, kappa2=kappa2, values=values,
                    reference_pair=reference_pair, weights=weights,
                    beta2=pump.alpha ** 4 * mass_total,
-                   normalization_residual=residual, dk1=dk1, dk2=dk2)
+                   normalization_residual=residual)
 
 
 def direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,

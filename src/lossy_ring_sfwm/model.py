@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .constants import C_VACUUM, TWO_PI
@@ -338,28 +338,6 @@ def phantom_gamma_from_xi(xi: float, v: float) -> float:
     return xi * v / 2.0
 
 
-@dataclass(frozen=True)
-class QualityFactors:
-    """Loaded Q, per-channel coupling Qs, and escape efficiencies for one band."""
-
-    q_load: float
-    q_coupling: Mapping[str, float]  # infinite for a decoupled channel
-    eta: Mapping[str, float]
-
-
-def q_and_eta(system: SystemSpec, band: Band) -> QualityFactors:
-    """Quality factors and escape efficiencies of every channel in one band."""
-    omega = system.bands[band].omega
-    gbar = system.gamma_bar(band)
-    q_coupling = {}
-    eta = {}
-    for c in system.channels:
-        g = c.gamma(band)
-        q_coupling[c.channel_id] = omega / (2.0 * g) if g > 0 else math.inf
-        eta[c.channel_id] = g / gbar
-    return QualityFactors(q_load=omega / (2.0 * gbar), q_coupling=q_coupling, eta=eta)
-
-
 def finesse(system: SystemSpec, band: Band = Band.PUMP) -> float:
     """Free spectral range over resonance linewidth (FWHM) in the band."""
     p = system.bands[band]
@@ -386,9 +364,8 @@ def shared_bands(wavelength_m: float, group_velocity: float, effective_index: fl
 
 def ring_system(radius: float, loss_db_per_cm: float, gamma_nl: float,
                 wavelength_m: float, group_velocity: float, effective_index: float,
-                *, sigma: float | None = None, eta: float | None = None,
-                bus_id: str = "O", phantom_id: str = "P") -> SystemSpec:
-    """One bus waveguide plus a phantom channel carrying the ring loss.
+                *, sigma: float | None = None, eta: float | None = None) -> SystemSpec:
+    """One bus waveguide O plus a phantom channel P carrying the ring loss.
 
     The bus coupling is given either as a point-coupler self-coupling
     sigma or as the escape efficiency eta into the bus.
@@ -404,18 +381,15 @@ def ring_system(radius: float, loss_db_per_cm: float, gamma_nl: float,
         if not 0.0 < eta < 1.0:
             raise ValueError(f"escape efficiency must be in (0, 1), got {eta}")
         g_bus = {b: eta * g_phantom[b] / (1.0 - eta) for b in Band}
-    channels = (ChannelCoupling(bus_id, g_bus),
-                ChannelCoupling(phantom_id, g_phantom, ChannelKind.PHANTOM))
-    return SystemSpec(ring=ring, bands=bands, channels=channels,
-                      pump_input_channel=bus_id)
+    channels = (ChannelCoupling("O", g_bus),
+                ChannelCoupling("P", g_phantom, ChannelKind.PHANTOM))
+    return SystemSpec(ring=ring, bands=bands, channels=channels, pump_input_channel="O")
 
 
 def add_drop_system(radius: float, loss_db_per_cm: float, gamma_nl: float,
                     wavelength_m: float, group_velocity: float, effective_index: float,
-                    *, gamma_through_ratio: float, gamma_drop_ratio: float,
-                    through_id: str = "T", drop_id: str = "D",
-                    phantom_id: str = "P") -> SystemSpec:
-    """Through and drop waveguides plus a phantom channel.
+                    *, gamma_through_ratio: float, gamma_drop_ratio: float) -> SystemSpec:
+    """Through and drop waveguides T and D plus a phantom channel P.
 
     The bus couplings are given as ratios to the phantom decay rate set
     by the ring loss; the pump enters via the through waveguide.
@@ -426,9 +400,8 @@ def add_drop_system(radius: float, loss_db_per_cm: float, gamma_nl: float,
     bands = shared_bands(wavelength_m, group_velocity, effective_index, ring.circumference)
     g_phantom = {b: phantom_gamma_from_xi(ring.xi, bands[b].v) for b in Band}
     channels = (
-        ChannelCoupling(through_id, {b: gamma_through_ratio * g_phantom[b] for b in Band}),
-        ChannelCoupling(drop_id, {b: gamma_drop_ratio * g_phantom[b] for b in Band}),
-        ChannelCoupling(phantom_id, g_phantom, ChannelKind.PHANTOM),
+        ChannelCoupling("T", {b: gamma_through_ratio * g_phantom[b] for b in Band}),
+        ChannelCoupling("D", {b: gamma_drop_ratio * g_phantom[b] for b in Band}),
+        ChannelCoupling("P", g_phantom, ChannelKind.PHANTOM),
     )
-    return SystemSpec(ring=ring, bands=bands, channels=channels,
-                      pump_input_channel=through_id)
+    return SystemSpec(ring=ring, bands=bands, channels=channels, pump_input_channel="T")

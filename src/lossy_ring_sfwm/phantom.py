@@ -15,9 +15,8 @@ product of enhancement factors and the fluctuating vacuum power. One
 array kernel, pair_rates, evaluates that product for every (signal exit,
 idler exit) at once; channel decay rates may be numpy arrays that
 broadcast together, so a whole coupling map is one call, and the scalar
-pair_rate_cw and rate_matrix are thin calls into it. The
-Fermi-golden-rule frequency integral is kept alongside as a brute-force
-oracle for that closed form.
+pair_rate_cw is a thin call into it. The Fermi-golden-rule frequency
+integral is kept alongside as a brute-force oracle for that closed form.
 """
 
 from __future__ import annotations
@@ -155,8 +154,8 @@ def vacuum_power(gamma_bar_s: ArrayLike, gamma_bar_i: ArrayLike, omega_s: float,
         * gsum / (detuning ** 2 + gsum ** 2)
 
 
-def _pair_vacuum_power(system: SystemSpec, pump: CwPump, gamma_bar_s: ArrayLike,
-                       gamma_bar_i: ArrayLike):
+def pair_vacuum_power(system: SystemSpec, pump: CwPump, gamma_bar_s: ArrayLike,
+                      gamma_bar_i: ArrayLike):
     """vacuum_power at the CW pump's two-photon offset 2 omega_o - omega_S - omega_I."""
     sb = system.bands[Band.SIGNAL]
     ib = system.bands[Band.IDLER]
@@ -193,7 +192,7 @@ def pair_rates(system: SystemSpec, pump: CwPump,
     f_pump2 = _enhancement_abs2(
         pb.v, rates[system.pump_input_channel][Band.PUMP], gbar[Band.PUMP], L,
         detuning=_strategy2_detuning(system, Band.PUMP, _pump_k(system, pump)))
-    p_vac = _pair_vacuum_power(system, pump, gbar[Band.SIGNAL], gbar[Band.IDLER])
+    p_vac = pair_vacuum_power(system, pump, gbar[Band.SIGNAL], gbar[Band.IDLER])
     common = (math.sqrt(sb.omega * ib.omega) / omega_o) \
         * (pb.v ** 2 / (sb.v * ib.v)) * gnl_l ** 2 \
         * pump.power ** 2 * p_vac / (HBAR * omega_o) * f_pump2 ** 2
@@ -211,36 +210,8 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str,
     return float(pair_rates(system, pump)[(signal_exit, idler_exit)])
 
 
-@dataclass(frozen=True)
-class RateMatrix:
-    """CW pair rates for every (signal exit, idler exit) channel pair."""
-
-    rates: Mapping[tuple[str, str], float]  # [pairs/s]
-    p_vac: float  # [W]
-
-    def rate(self, signal_exit: str, idler_exit: str) -> float:
-        return self.rates[(signal_exit, idler_exit)]
-
-
-def rate_matrix(system: SystemSpec, pump: CwPump) -> RateMatrix:
-    rates = {key: float(r) for key, r in pair_rates(system, pump).items()}
-    p_vac = _pair_vacuum_power(system, pump, system.gamma_bar(Band.SIGNAL),
-                               system.gamma_bar(Band.IDLER))
-    return RateMatrix(rates=rates, p_vac=p_vac)
-
-
 class ZeroRateError(ZeroDivisionError):
     """A reference rate is 0: with a positive nonlinearity, an underflow."""
-
-
-def rate_ratio(matrix: RateMatrix, signal_exit: str, idler_exit: str,
-               ref_signal_exit: str, ref_idler_exit: str) -> float:
-    """Ratio of two rate-matrix entries; the reference entry must be nonzero."""
-    ref = matrix.rate(ref_signal_exit, ref_idler_exit)
-    if ref == 0.0:
-        raise ZeroRateError(
-            f"reference rate R[{ref_signal_exit},{ref_idler_exit}] is zero")
-    return matrix.rate(signal_exit, idler_exit) / ref
 
 
 def _golden_rule_kernel(system: SystemSpec, pump: CwPump, signal_exit: str,
@@ -260,15 +231,15 @@ def _golden_rule_kernel(system: SystemSpec, pump: CwPump, signal_exit: str,
 
 
 def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
-                    idler_exit: str, *, rel_tol: float = 1e-8) -> float:
+                    idler_exit: str) -> float:
     """Brute-force frequency integral of the golden-rule pair rate.
 
     Builds the interaction kernel from the enhancement factors and
-    integrates it numerically over the whole line, in theta with omega1 =
-    omega_S + Gbar_S tan theta, theta in (-pi/2, pi/2): the signal
-    Lorentzian becomes flat and the tails end at the interval's edges, so
-    no window cuts them off. Serves as the anti-drift oracle for the
-    closed-form pair_rate_cw.
+    integrates it numerically to 1e-8 relative over the whole line, in
+    theta with omega1 = omega_S + Gbar_S tan theta, theta in (-pi/2, pi/2):
+    the signal Lorentzian becomes flat and the tails end at the interval's
+    edges, so no window cuts them off. Serves as the anti-drift oracle for
+    the closed-form pair_rate_cw.
     """
     pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
     omega_o = pb.omega + pump.detuning
@@ -283,7 +254,7 @@ def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
 
     # peaks as (theta, half-width in theta), dtheta/domega1 = 1 / (Gbar_S (1 + x^2))
     # at the idler's; a difference of atans would round to 0 far out
-    quad = integrate_adaptive(mapped, -0.5 * math.pi, 0.5 * math.pi, rel_tol=rel_tol,
+    quad = integrate_adaptive(mapped, -0.5 * math.pi, 0.5 * math.pi, rel_tol=1e-8,
                               points=[(0.0, 0.25 * math.pi),
                                       (math.atan(x), gbar_i / gbar_s / (1.0 + x * x))])
     prefactor = 72.0 * math.pi ** 3 / (EPS0 ** 2 * HBAR ** 4 * omega_o ** 2) \

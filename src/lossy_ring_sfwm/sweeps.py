@@ -13,7 +13,6 @@ Python complex numbers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -36,7 +35,7 @@ class SweepResult:
                 raise ValueError(f"axis {name!r} must be strictly monotone")
 
 
-def quadratic_argmax(x: np.ndarray, y: np.ndarray, *, log_axis: bool = False) -> float:
+def quadratic_argmax(x: np.ndarray, y: np.ndarray) -> float:
     """Axis location of the maximum, refined by a parabola through the best
     grid point and its neighbours. Falls back to the grid point on edges; an
     all-zero curve, as an underflowing pump power gives, has no maximum."""
@@ -47,13 +46,11 @@ def quadratic_argmax(x: np.ndarray, y: np.ndarray, *, log_axis: bool = False) ->
     i = int(np.argmax(y))
     if i == 0 or i == len(y) - 1:
         return float(x[i])
-    u = np.log(x) if log_axis else x
     denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
     if denom >= 0.0:
         return float(x[i])
     offset = 0.5 * (y[i - 1] - y[i + 1]) / denom
-    u_star = u[i] + offset * (u[i + 1] - u[i - 1]) / 2.0
-    return float(np.exp(u_star)) if log_axis else float(u_star)
+    return float(x[i] + offset * (x[i + 1] - x[i - 1]) / 2.0)
 
 
 def quadratic_argmax_2d(x: np.ndarray, y: np.ndarray, grid: np.ndarray,
@@ -100,8 +97,7 @@ def _buses(system: SystemSpec, count: int):
     return system.single_bus if count == 1 else system.add_drop_buses
 
 
-def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump,
-                *, window_linewidths: float = 40.0, rel_tol: float = 1e-6) -> SweepResult:
+def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump) -> SweepResult:
     """Attenuation-model pair rate versus the bus self-coupling, at fixed
     ring loss."""
     bus = system.single_bus
@@ -110,10 +106,7 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump,
 
     def rate_at(sigma: float) -> float:
         gammas = {b: gamma_from_sigma(sigma, system.bands[b].v, L) for b in Band}
-        sys_s = system.with_channel_gamma(bus, gammas)
-        return attenuation.pair_rate_cw(sys_s, pump, bus, bus,
-                                        window_linewidths=window_linewidths,
-                                        rel_tol=rel_tol)
+        return attenuation.pair_rate_cw(system.with_channel_gamma(bus, gammas), pump, bus, bus)
 
     rates = np.array([rate_at(s) for s in sigmas.tolist()])
     return SweepResult(
@@ -153,8 +146,8 @@ def rel_difference(rate_attenuation, rate_phantom):
     return abs(rate_attenuation - rate_phantom) / rate_phantom
 
 
-def compare_finesse(system: SystemSpec, finesse_values: Iterable[float], pump: CwPump,
-                    *, window_linewidths: float = 40.0, rel_tol: float = 1e-6) -> SweepResult:
+def compare_finesse(system: SystemSpec, finesse_values: Iterable[float],
+                    pump: CwPump) -> SweepResult:
     """Single-bus pair rate from both loss models versus resonator finesse.
 
     Finesse is varied by scaling all couplings and the loss together, so
@@ -165,11 +158,8 @@ def compare_finesse(system: SystemSpec, finesse_values: Iterable[float], pump: C
 
     def rates_at(f: float) -> tuple[float, float]:
         sys_f = _rescaled_coupling_system(system, f0 / f)
-        r1 = attenuation.pair_rate_cw(sys_f, pump, bus, bus,
-                                      window_linewidths=window_linewidths,
-                                      rel_tol=rel_tol)
-        r2 = phantom.pair_rate_cw(sys_f, pump, bus, bus)
-        return r1, r2
+        return (attenuation.pair_rate_cw(sys_f, pump, bus, bus),
+                phantom.pair_rate_cw(sys_f, pump, bus, bus))
 
     r_att, r_pha = np.array([rates_at(f) for f in fins.tolist()]).T
     rel = rel_difference(r_att, r_pha)
@@ -182,8 +172,7 @@ def compare_finesse(system: SystemSpec, finesse_values: Iterable[float], pump: C
 
 
 def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
-                             pump: CwPump, *, window_linewidths: float = 40.0,
-                             rel_tol: float = 1e-6) -> SweepResult:
+                             pump: CwPump) -> SweepResult:
     """Add-drop through-pair rate from both loss models, scanned over the
     add/drop self-coupling (which sets the finesse)."""
     through, drop = _buses(system, 2)
@@ -193,11 +182,8 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
     def rates_at(sigma2: float) -> tuple[float, float, float]:
         gammas = {b: gamma_from_sigma(sigma2, system.bands[b].v, L) for b in Band}
         sys_s = system.with_channel_gamma(drop, gammas)
-        r1 = attenuation.pair_rate_cw(sys_s, pump, through, through,
-                                      window_linewidths=window_linewidths,
-                                      rel_tol=rel_tol)
-        r2 = phantom.pair_rate_cw(sys_s, pump, through, through)
-        return finesse(sys_s), r1, r2
+        return (finesse(sys_s), attenuation.pair_rate_cw(sys_s, pump, through, through),
+                phantom.pair_rate_cw(sys_s, pump, through, through))
 
     fins, r_att, r_pha = np.array([rates_at(s) for s in sigmas.tolist()]).T
     rel = rel_difference(r_att, r_pha)
@@ -239,8 +225,3 @@ def _looks_log_spaced(x: np.ndarray) -> bool:
         return False
     r = np.diff(np.log(x))
     return bool(np.allclose(r, r[0], rtol=1e-6, atol=0.0))
-
-
-def default_log_ratio_axis(n: int = 81, lo: float = 0.05, hi: float = 5.0) -> np.ndarray:
-    """Log-spaced coupling-ratio axis resolving the flat add-drop optimum."""
-    return np.logspace(math.log10(lo), math.log10(hi), n)

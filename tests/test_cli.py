@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lossy_ring_sfwm
-from lossy_ring_sfwm import cli, jsa
+from lossy_ring_sfwm import cli, jsa, phantom
 from lossy_ring_sfwm.cli import main
 from lossy_ring_sfwm.config import (ConfigError, derived_echo, parse_config,
                                     serialize_config)
@@ -163,6 +163,34 @@ class TestCommands:
         meta = json.loads((out / "rate_meta.json").read_text())
         assert meta["rel_difference"] < 0.15
         assert "config_hash" in meta
+
+    @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
+    def test_rate_meta_vacuum_power(self, tmp_path, name):
+        doc = json.loads(bundled_config_text(name))
+        doc["pump"]["detuning_rad_per_s"] = 3e10  # so the offset term counts
+        out = tmp_path / "out"
+        assert main(["rate", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+        system = parse_config(doc).system
+        sb, ib = system.bands[Band.SIGNAL], system.bands[Band.IDLER]
+        omega_o = system.bands[Band.PUMP].omega + 3e10
+        p_vac = phantom.vacuum_power(system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER),
+                                     sb.omega, ib.omega, 2.0 * omega_o - sb.omega - ib.omega)
+        meta = json.loads((out / "rate_meta.json").read_text())
+        assert meta["p_vac_w"] == pytest.approx(p_vac, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
+    def test_ratios_rows_are_pair_rate_quotients(self, tmp_path, name):
+        cfg = _write_config(tmp_path, bundled_config_text(name))
+        out = tmp_path / "out"
+        assert main(["ratios", "--config", cfg, "--out", str(out)]) == 0
+        config = parse_config(bundled_config_text(name))
+        rates = phantom.pair_rates(config.system, config.pump)
+        rows = _read_csv(out / "ratios.csv")[1:]
+        assert [(r[0], r[1]) for r in rows] == list(rates)
+        for x, y, rx, ry, ratio in rows:
+            assert (rx, ry) == (config.system.physical_channels[0].channel_id,) * 2
+            assert float(ratio) == pytest.approx(rates[(x, y)] / rates[(rx, ry)], rel=1e-12,
+                                                 abs=0.0)
 
     def test_ratios_values(self, tmp_path):
         cfg = _write_config(tmp_path, eta_config(eta=0.6))
@@ -316,8 +344,17 @@ class TestCommands:
          "options.oracle_check.max_rel_dev"),
         ("jsa", '{"jsa": {"grid_points": 64.5}}', "options.jsa.grid_points"),
         ("jsa", '{"jsa": {"kappa_max": 4}}', "options.jsa.kappa_max"),
-        ("add-drop-grid", '{"add_drop_grid": []}', "options.add_drop_grid")],
-        ids=["points", "max", "max_rel_dev", "grid_points", "kappa_max", "block"])
+        ("add-drop-grid", '{"add_drop_grid": []}', "options.add_drop_grid"),
+        ("sweep-sigma", '{"sweep_sigma": {"pionts": 5}}', "options.sweep_sigma.pionts"),
+        ("sweep-sigma", '{"sweepsigma": {"points": 5}}', "options.sweepsigma"),
+        ("rate", '{"rate": {}}', "options.rate"),
+        ("compare-finesse", '{"compare_finesse": {"sigma2_min": 0.5}}',
+         "options.compare_finesse.sigma2_min"),
+        ("jsa", '{"jsa": {"grid_point": 64}}', "options.jsa.grid_point"),
+        ("oracle-check", '{"oracle_check": {"tol": 1e-3}}', "options.oracle_check.tol")],
+        ids=["points", "max", "max_rel_dev", "grid_points", "kappa_max", "block",
+             "unknown_key", "unknown_block", "block_of_no_command", "key_of_other_geometry",
+             "jsa_key", "oracle_check_key"])
     def test_bad_option_exits_2(self, tmp_path, capsys, command, options, field):
         pump = {"kind": "pulsed", "duration_fwhm_ps": 10.0} if command == "jsa" else None
         text = json.dumps(eta_config(pump=pump))[:-1] + f', "options": {options}}}'
@@ -445,9 +482,11 @@ class TestCommands:
         ("ring_channel.json", {"gamma_nl_per_w_m": 0}, {}),
         ("ring_channel.json", {}, {"power_mw": 1e-300}),
         ("add_drop.json", {}, {"power_mw": 1e-300}),
-        ("ring_channel.json", {}, {"detuning_rad_per_s": -1.2e15})],
+        ("ring_channel.json", {}, {"detuning_rad_per_s": -1.2e15}),
+        ("ring_channel.json", {}, {"detuning_rad_per_s": 1e200}),
+        ("ring_channel.json", {}, {"detuning_rad_per_s": -1e200})],
         ids=["zero_nonlinearity", "underflowing_power", "underflowing_power_add_drop",
-             "far_detuned_pump"])
+             "far_detuned_pump", "huge_detuning", "huge_negative_detuning"])
     def test_zero_reference_rate_gives_no_traceback_and_no_nan(self, tmp_path, capsys,
                                                                name, ring, pump):
         # a zero nonlinearity is rejected at parse time; a rate that underflows
@@ -474,6 +513,12 @@ class TestCommands:
         if ring:
             assert errors == {"invalid config: system.ring.gamma_nl_per_w_m: "
                               "must be positive, got 0.0\n"}
+        elif abs(pump.get("detuning_rad_per_s", 0.0)) >= 1e200:
+            # the carrier omega_P + detuning would leave (0, 2 omega_P)
+            assert set(codes.values()) == {2}
+            (err,) = errors
+            assert err.startswith("invalid config: pump.detuning_rad_per_s: must be smaller "
+                                  "in magnitude than the pump band's omega_P")
         elif "detuning_rad_per_s" in pump:
             # strategy 1 has no signal window to integrate; the phantom
             # commands need none
@@ -486,6 +531,16 @@ class TestCommands:
         else:
             assert codes["rate"] == codes["ratios"] == codes["compare-finesse"] == 1
             assert codes["sweep-sigma"] == codes["sweep-eta"] == 1
+
+    @pytest.mark.parametrize("detuning", [1e200, -1e200, 1.3e15])
+    def test_pulsed_carrier_outside_band_exits_2(self, tmp_path, capsys, detuning):
+        doc = eta_config(pump={"kind": "pulsed", "duration_fwhm_ps": 10.0,
+                               "detuning_rad_per_s": detuning})
+        out = tmp_path / "o"
+        assert main(["jsa", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: pump.detuning_rad_per_s: ")
+        assert len(err.splitlines()) == 1 and not out.exists()
 
     @pytest.mark.parametrize("command, edit, field", [
         ("rate", {"channels": {"gamma_rad_per_s": 5e12}},

@@ -1,6 +1,7 @@
 """Enhancement factors, asymptotic amplitudes, vacuum power, and CW rates
 of the phantom-channel model."""
 
+import json
 import math
 import random
 from importlib import resources
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lossy_ring_sfwm import cli
 from lossy_ring_sfwm import phantom as ph
 from lossy_ring_sfwm.config import parse_config
 from lossy_ring_sfwm.constants import EPS0, HBAR
@@ -213,8 +215,7 @@ class TestClosedFormRate:
         assert ph.pair_rate_cw(system, pump, "O", "O") > 0.0
 
     def test_all_rates_equal_at_critical_coupling(self):
-        matrix = ph.rate_matrix(sample_system(eta=0.5), CwPump(1e-3))
-        rates = list(matrix.rates.values())
+        rates = list(ph.pair_rates(sample_system(eta=0.5), CwPump(1e-3)).values())
         for r in rates[1:]:
             assert r == pytest.approx(rates[0], rel=1e-12)
 
@@ -272,21 +273,20 @@ def test_closed_form_matches_mpmath(name):
 
 class TestRateRatios:
     def test_broken_pair_ratio(self):
-        matrix = ph.rate_matrix(sample_system(eta=0.6), CwPump(1e-3))
-        assert ph.rate_ratio(matrix, "O", "P", "O", "O") == pytest.approx(
+        rates = ph.pair_rates(sample_system(eta=0.6), CwPump(1e-3))
+        assert rates[("O", "P")] / rates[("O", "O")] == pytest.approx(
             (1.0 - 0.6) / 0.6, rel=1e-12)
 
     def test_double_loss_ratio(self):
         eta = 0.6
-        matrix = ph.rate_matrix(sample_system(eta=eta), CwPump(1e-3))
+        rates = ph.pair_rates(sample_system(eta=eta), CwPump(1e-3))
         expected = ((1.0 - eta) / eta) ** 2
-        assert ph.rate_ratio(matrix, "P", "P", "O", "O") == pytest.approx(
-            expected, rel=1e-12)
+        assert rates[("P", "P")] / rates[("O", "O")] == pytest.approx(expected, rel=1e-12)
 
     def test_ratios_match_escape_efficiencies(self):
         rng = random.Random(7)
         system = random_system(rng, 2)
-        matrix = ph.rate_matrix(system, CwPump(2e-3))
+        rates = ph.pair_rates(system, CwPump(2e-3))
         eta_s = {x: system.escape_efficiency(x, Band.SIGNAL) for x in system.channel_ids}
         eta_i = {y: system.escape_efficiency(y, Band.IDLER) for y in system.channel_ids}
         ids = system.channel_ids
@@ -294,16 +294,20 @@ class TestRateRatios:
         for x in ids:
             for y in ids:
                 expected = (eta_s[x] * eta_i[y]) / (eta_s[ref[0]] * eta_i[ref[1]])
-                assert ph.rate_ratio(matrix, x, y, *ref) == pytest.approx(
-                    expected, rel=1e-12)
+                assert rates[(x, y)] / rates[ref] == pytest.approx(expected, rel=1e-12)
 
-    def test_zero_reference_rejected(self):
-        system = sample_system()
-        zeroed = system.with_channel_gamma("O", uniform_gammas(0.0))
-        # no bus coupling: everything decays via the phantom channel
-        matrix = ph.rate_matrix(zeroed, CwPump(1e-3))
-        with pytest.raises(ZeroDivisionError):
-            ph.rate_ratio(matrix, "P", "P", "O", "O")
+    def test_zero_reference_rejected(self, tmp_path):
+        # no bus coupling: everything decays via the phantom channel, so a
+        # ratio to a bus pair is undefined
+        zeroed = sample_system().with_channel_gamma("O", uniform_gammas(0.0))
+        assert ph.pair_rates(zeroed, CwPump(1e-3))[("O", "O")] == 0.0
+        # the ratios command stops on its zero reference instead of writing inf
+        doc = json.loads((resources.files("lossy_ring_sfwm") / "configs" / "ring_channel.json")
+                         .read_text())
+        doc["pump"]["power_mw"] = 1e-300
+        with pytest.raises(ph.ZeroRateError, match=r"reference rate R\[O,O\] is zero"):
+            cli.cmd_ratios(parse_config(doc), tmp_path, None)
+        assert not (tmp_path / "ratios.csv").exists()
 
 
 class TestGoldenRuleOracle:
