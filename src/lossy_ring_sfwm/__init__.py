@@ -4,17 +4,15 @@ complex-wavevector attenuation treatment and a phantom-channel
 Hamiltonian treatment."""
 
 from .model import (Band, BandParams, ChannelCoupling, ChannelKind, CwPump,
-                    PulsedPump, RingSpec, SystemSpec, add_drop_system,
-                    band_from_wavelength, finesse, gamma_from_sigma,
-                    phantom_gamma_from_xi, ring_system, roundtrip_amplitude,
-                    sigma_from_gamma, uniform_gammas, xi_from_db_per_cm)
+                    PulsedPump, RingSpec, SystemSpec, band_from_wavelength, finesse,
+                    gamma_from_sigma, phantom_gamma_from_xi, roundtrip_amplitude,
+                    sigma_from_gamma, xi_from_db_per_cm)
 
 __all__ = [
     "Band", "BandParams", "ChannelCoupling", "ChannelKind", "CwPump",
-    "PulsedPump", "RingSpec", "SystemSpec", "add_drop_system",
-    "band_from_wavelength", "finesse", "gamma_from_sigma", "phantom_gamma_from_xi",
-    "ring_system", "roundtrip_amplitude", "sigma_from_gamma", "uniform_gammas",
-    "xi_from_db_per_cm",
+    "PulsedPump", "RingSpec", "SystemSpec", "band_from_wavelength", "finesse",
+    "gamma_from_sigma", "phantom_gamma_from_xi", "roundtrip_amplitude",
+    "sigma_from_gamma", "xi_from_db_per_cm",
 ]
 
 __version__ = "0.1.0"

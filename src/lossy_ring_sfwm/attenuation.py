@@ -151,20 +151,12 @@ def overlap_by_zeta_scan(signal: RingField, idler: RingField, pump: RingField,
 FieldBuilder = Callable[[float], RingField]
 
 
-def ring_buses(system: SystemSpec) -> tuple[str, ...]:
-    """Bus ids in coupler order around the ring, the pump bus first: the one
-    bus of a single-bus ring, or (through, drop) of an add-drop ring."""
-    if len(system.physical_channels) == 1:
-        return (system.single_bus,)
-    return system.add_drop_buses  # a GeometryError beyond two buses
-
-
 def ring_field_builder(system: SystemSpec, band: Band,
                        exit_channel: str | None = None) -> FieldBuilder:
     """omega -> the ring field in `band`, one arc segment after each coupler of
-    ring_buses(system): incoming from the pump bus when exit_channel is None,
-    else outgoing through exit_channel."""
-    buses = ring_buses(system)
+    system.buses(1, 2), in that order around the ring: incoming from the pump
+    bus when exit_channel is None, else outgoing through exit_channel."""
+    buses = system.buses(1, 2)
     incoming = exit_channel is None
     if not (incoming or exit_channel in buses):
         raise KeyError(f"exit channel {exit_channel!r} is not a physical channel")
@@ -245,7 +237,7 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
     omega_o = pb.omega + pump.detuning
     pump_field = ring_field_builder(system, Band.PUMP)(omega_o)
 
-    r = math.prod(system.sigma_view(x, Band.SIGNAL) for x in ring_buses(system)) \
+    r = math.prod(system.sigma_view(x, Band.SIGNAL) for x in system.buses(1, 2)) \
         * ring.roundtrip_amplitude
     if r >= 1.0:
         raise SingularityError("the signal resonance of a lossless, uncoupled ring has no "

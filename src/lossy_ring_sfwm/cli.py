@@ -50,13 +50,13 @@ def _write_float_csv(path: Path, header: list, *columns: np.ndarray) -> None:
                       for row in np.column_stack(columns))
 
 
-def _write_sweep(outdir: Path, command: str, config: RunConfig, result: sweeps.SweepResult,
-                 header: list | None = None) -> int:
+def _write_sweep(outdir: Path, command: str, config: RunConfig,
+                 result: sweeps.SweepResult) -> int:
     """<stem>.csv holds the sweep axis, then every value column in the result's
-    order (under `header` when given); <stem>_meta.json the result's metadata."""
+    order, each under its name; <stem>_meta.json the result's metadata."""
     stem = command.replace("-", "_")
     ((name, axis),) = result.axes.items()
-    _write_float_csv(outdir / f"{stem}.csv", header or [name] + list(result.values),
+    _write_float_csv(outdir / f"{stem}.csv", [name] + list(result.values),
                      axis, *result.values.values())
     meta = _base_metadata(command, config)
     meta.update(result.metadata)
@@ -144,7 +144,7 @@ def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
 
 def _attenuation_pairs(config: RunConfig, pump: CwPump):
     system = config.system
-    buses = attenuation.ring_buses(system)
+    buses = system.buses(1, 2)
     _require_strategy1(config, buses)
     return [(x, y, attenuation.pair_rate_cw(system, pump, x, y)) for x in buses for y in buses]
 
@@ -195,8 +195,8 @@ def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> int:
     axis = _axis(config, "sweep_sigma", "min", "max", "points", (0.90, 0.9995, 101),
                  unit="(0, 1]")
     _require_strategy1(config, [])  # the ring loss: the sweep sets the bus coupling
-    result = sweeps.sweep_sigma(config.system, axis, pump)
-    return _write_sweep(outdir, "sweep-sigma", config, result, ["sigma", "rate_pairs_per_s"])
+    return _write_sweep(outdir, "sweep-sigma", config,
+                        sweeps.sweep_sigma(config.system, axis, pump))
 
 
 def cmd_sweep_eta(config: RunConfig, outdir: Path, tol) -> int:

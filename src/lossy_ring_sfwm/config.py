@@ -5,6 +5,9 @@ in mW, durations in ps, lengths in m); everything behind parse_config is
 SI. Channel couplings may be given in any one representation (sigma,
 Gamma, Q, eta, or from_loss for the phantom); they are normalized to
 decay rates internally and echoed back as derived quantities.
+
+parse_config is the only constructor of a SystemSpec from physical
+parameters; model.py holds the conversions it applies.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Any, Mapping
 
 from .model import (Band, BandParams, ChannelCoupling, ChannelKind, CwPump,
                     PulsedPump, RingSpec, SystemSpec, band_from_wavelength,
-                    finesse, gamma_from_sigma)
+                    finesse, gamma_from_sigma, phantom_gamma_from_xi)
 
 _BAND_KEYS = {"pump": Band.PUMP, "signal": Band.SIGNAL, "idler": Band.IDLER}
 _COUPLING_KEYS = ("sigma", "gamma_rad_per_s", "q_factor", "eta", "from_loss")
@@ -97,7 +100,7 @@ def _parse_band_block(block: Mapping, path: str, defaults: Mapping | None = None
         v = C_VACUUM / _number(base, "group_index", path, positive=True)
     else:
         v = _number(base, "group_velocity_m_per_s", path, positive=True)
-    return wavelength, v, n_eff, base
+    return wavelength, v, n_eff
 
 
 def _parse_bands(block: Mapping, ring: RingSpec, path: str) -> dict[Band, BandParams]:
@@ -107,7 +110,7 @@ def _parse_bands(block: Mapping, ring: RingSpec, path: str) -> dict[Band, BandPa
         sub = block.get(name, {})
         if not isinstance(sub, Mapping):
             raise ConfigError(f"{path}.{name}", "expected an object")
-        wavelength, v, n_eff, _ = _parse_band_block(sub, f"{path}.{name}", shared_keys)
+        wavelength, v, n_eff = _parse_band_block(sub, f"{path}.{name}", shared_keys)
         try:
             bands[band] = band_from_wavelength(band, wavelength, v, n_eff,
                                                ring.circumference)
@@ -172,7 +175,7 @@ def _parse_channels(entries, ring: RingSpec, bands: Mapping[Band, BandParams],
                 raise ConfigError(cpath, "from_loss must be true when present")
             if kind is not ChannelKind.PHANTOM:
                 raise ConfigError(cpath, "from_loss is reserved for the phantom channel")
-            gammas[cid] = {b: ring.xi * bands[b].v / 2.0 for b in Band}
+            gammas[cid] = {b: phantom_gamma_from_xi(ring.xi, bands[b].v) for b in Band}
         else:  # eta
             eta = _number(coupling, rep, base, positive=True)
             if eta >= 1.0:

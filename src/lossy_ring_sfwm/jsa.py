@@ -47,12 +47,19 @@ from .phantom import Branch, enhancement_factor
 
 
 class GridTooCoarseError(ValueError):
-    """The JSA grid missed too much of the normalization."""
+    """The JSA grid missed too much of the normalization. The pairs' energy
+    2 omega_o lies `offset` linewidths Gbar_S + Gbar_I from the grid centre
+    omega_S + omega_I; past kappa_max, the grid's reach, no finer grid helps."""
 
-    def __init__(self, residual: float, tolerance: float):
+    def __init__(self, residual: float, tolerance: float, offset: float, kappa_max: float):
+        advice = "increase the grid extent or resolution"
+        if offset > kappa_max:
+            advice = (f"the pairs' energy 2 omega_o lies {offset:.3g} linewidths (Gbar_S + "
+                      f"Gbar_I) from the grid centre omega_S + omega_I; raise kappa_max "
+                      f"(now {kappa_max:g}) past that or detune the pump less")
         super().__init__(
             f"JSA grid normalization residual {residual:.3e} exceeds tolerance "
-            f"{tolerance:.1e}; increase the grid extent or resolution")
+            f"{tolerance:.1e}; {advice}")
         self.residual = residual
         self.tolerance = tolerance
 
@@ -278,7 +285,10 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
     grid_norm = sum_w2 * grid_integrate_2d(np.abs(values) ** 2, dk_s, dk_i)
     residual = abs(grid_norm - 1.0)
     if residual > residual_tol:
-        raise GridTooCoarseError(residual, residual_tol)
+        pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
+        offset = abs(2.0 * (pb.omega + pump.detuning) - sb.omega - ib.omega) \
+            / (system.gamma_bar(Band.SIGNAL) + system.gamma_bar(Band.IDLER))
+        raise GridTooCoarseError(residual, residual_tol, offset, kappa_max)
     return JsaGrid(kappa1=kappa1, kappa2=kappa2, values=values,
                    reference_pair=reference_pair, weights=weights,
                    beta2=pump.alpha ** 4 * mass_total,

@@ -149,11 +149,6 @@ class ChannelCoupling:
         return self.gammas[band]
 
 
-def uniform_gammas(gamma: float) -> dict[Band, float]:
-    """The same decay rate for pump, signal, and idler bands."""
-    return {b: gamma for b in Band}
-
-
 @dataclass(frozen=True)
 class CwPump:
     """Continuous-wave pump: power and detuning from the pump band center."""
@@ -191,6 +186,10 @@ class PulsedPump:
 
 class GeometryError(ValueError):
     """The ring's channels do not fit the model asked for (bus count, phantom)."""
+
+
+_BUS_RINGS = {1: "a single-bus ring needs one physical channel",
+              2: "an add-drop ring needs two physical channels"}
 
 
 @dataclass(frozen=True)
@@ -238,21 +237,14 @@ class SystemSpec:
     def physical_channels(self) -> tuple[ChannelCoupling, ...]:
         return tuple(c for c in self.channels if c.kind is ChannelKind.PHYSICAL)
 
-    @property
-    def single_bus(self) -> str:
-        """Id of the one physical channel of a single-bus ring."""
-        n = len(self.physical_channels)
-        if n != 1:
-            raise GeometryError(f"a single-bus ring needs one physical channel, got {n}")
-        return self.pump_input_channel  # the only physical channel
-
-    @property
-    def add_drop_buses(self) -> tuple[str, str]:
-        """(through, drop) ids of a two-bus ring; the pump enters through."""
-        phys = [c.channel_id for c in self.physical_channels]
-        if len(phys) != 2:
-            raise GeometryError(f"an add-drop ring needs two physical channels, got {len(phys)}")
-        return self.pump_input_channel, next(c for c in phys if c != self.pump_input_channel)
+    def buses(self, *counts: int) -> tuple[str, ...]:
+        """Physical channel ids, the pump bus first: (bus,) of a single-bus ring,
+        (through, drop) of an add-drop ring; a GeometryError unless one of `counts`."""
+        ids = [c.channel_id for c in self.physical_channels]
+        if len(ids) not in counts:
+            raise GeometryError(f"{_BUS_RINGS[max(counts)]}, got {len(ids)}")
+        return (self.pump_input_channel,) + tuple(x for x in ids
+                                                  if x != self.pump_input_channel)
 
     @property
     def phantom_channel(self) -> ChannelCoupling | None:
@@ -343,65 +335,3 @@ def finesse(system: SystemSpec, band: Band = Band.PUMP) -> float:
     p = system.bands[band]
     fsr = TWO_PI * p.v / system.ring.circumference
     return fsr / (2.0 * system.gamma_bar(band))
-
-
-# ---------------------------------------------------------------------------
-# Builders for the systems exercised throughout: one bus waveguide
-# (+ phantom), and the add-drop geometry (two bus waveguides + phantom).
-# ---------------------------------------------------------------------------
-
-def shared_bands(wavelength_m: float, group_velocity: float, effective_index: float,
-                 circumference: float) -> dict[Band, BandParams]:
-    """Pump, signal, and idler bands collapsed onto one ring resonance.
-
-    Adequate when the three resonances are spectrally close; per-band
-    overrides can be made with dataclasses.replace on the entries.
-    """
-    base = band_from_wavelength(Band.PUMP, wavelength_m, group_velocity,
-                                effective_index, circumference)
-    return {b: replace(base, band=b) for b in Band}
-
-
-def ring_system(radius: float, loss_db_per_cm: float, gamma_nl: float,
-                wavelength_m: float, group_velocity: float, effective_index: float,
-                *, sigma: float | None = None, eta: float | None = None) -> SystemSpec:
-    """One bus waveguide O plus a phantom channel P carrying the ring loss.
-
-    The bus coupling is given either as a point-coupler self-coupling
-    sigma or as the escape efficiency eta into the bus.
-    """
-    ring = RingSpec(radius=radius, loss_db_per_cm=loss_db_per_cm, gamma_nl=gamma_nl)
-    bands = shared_bands(wavelength_m, group_velocity, effective_index, ring.circumference)
-    g_phantom = {b: phantom_gamma_from_xi(ring.xi, bands[b].v) for b in Band}
-    if (sigma is None) == (eta is None):
-        raise ValueError("give exactly one of sigma or eta")
-    if sigma is not None:
-        g_bus = {b: gamma_from_sigma(sigma, bands[b].v, ring.circumference) for b in Band}
-    else:
-        if not 0.0 < eta < 1.0:
-            raise ValueError(f"escape efficiency must be in (0, 1), got {eta}")
-        g_bus = {b: eta * g_phantom[b] / (1.0 - eta) for b in Band}
-    channels = (ChannelCoupling("O", g_bus),
-                ChannelCoupling("P", g_phantom, ChannelKind.PHANTOM))
-    return SystemSpec(ring=ring, bands=bands, channels=channels, pump_input_channel="O")
-
-
-def add_drop_system(radius: float, loss_db_per_cm: float, gamma_nl: float,
-                    wavelength_m: float, group_velocity: float, effective_index: float,
-                    *, gamma_through_ratio: float, gamma_drop_ratio: float) -> SystemSpec:
-    """Through and drop waveguides T and D plus a phantom channel P.
-
-    The bus couplings are given as ratios to the phantom decay rate set
-    by the ring loss; the pump enters via the through waveguide.
-    """
-    if gamma_through_ratio <= 0 or gamma_drop_ratio < 0:
-        raise ValueError("through coupling must be positive and drop coupling non-negative")
-    ring = RingSpec(radius=radius, loss_db_per_cm=loss_db_per_cm, gamma_nl=gamma_nl)
-    bands = shared_bands(wavelength_m, group_velocity, effective_index, ring.circumference)
-    g_phantom = {b: phantom_gamma_from_xi(ring.xi, bands[b].v) for b in Band}
-    channels = (
-        ChannelCoupling("T", {b: gamma_through_ratio * g_phantom[b] for b in Band}),
-        ChannelCoupling("D", {b: gamma_drop_ratio * g_phantom[b] for b in Band}),
-        ChannelCoupling("P", g_phantom, ChannelKind.PHANTOM),
-    )
-    return SystemSpec(ring=ring, bands=bands, channels=channels, pump_input_channel="T")

@@ -53,19 +53,20 @@ def quadratic_argmax(x: np.ndarray, y: np.ndarray) -> float:
     return float(x[i] + offset * (x[i + 1] - x[i - 1]) / 2.0)
 
 
-def quadratic_argmax_2d(x: np.ndarray, y: np.ndarray, grid: np.ndarray,
-                        *, log_axes: bool = False) -> tuple[float, float]:
-    """Location of a 2-D grid maximum, refined by a least-squares quadratic
-    surface through the 3 x 3 neighbourhood of the best point (a separable
-    per-axis parabola is biased when the surface's axes are coupled)."""
+def quadratic_argmax_2d(x: np.ndarray, y: np.ndarray,
+                        grid: np.ndarray) -> tuple[float, float]:
+    """Location of a 2-D grid maximum on positive axes, refined by a
+    least-squares quadratic surface in (log x, log y) through the 3 x 3
+    neighbourhood of the best point (a separable per-axis parabola is biased
+    when the surface's axes are coupled). In log coordinates a rate law such
+    as t^2 d^2 / (1 + t + d)^7 is nearer a quadratic than on a linear axis."""
     grid = np.asarray(grid, dtype=float)
     if not np.any(grid):
         raise phantom.ZeroRateError("every rate of the grid is 0, so it has no maximum")
     i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
     if i in (0, grid.shape[0] - 1) or j in (0, grid.shape[1] - 1):
         return float(x[i]), float(y[j])
-    u = np.log(x) if log_axes else np.asarray(x, dtype=float)
-    v = np.log(y) if log_axes else np.asarray(y, dtype=float)
+    u, v = np.log(x), np.log(y)
     uu, vv = np.meshgrid(u[i - 1:i + 2] - u[i], v[j - 1:j + 2] - v[j], indexing="ij")
     z = grid[i - 1:i + 2, j - 1:j + 2].ravel()
     a = np.column_stack([np.ones(9), uu.ravel(), vv.ravel(), uu.ravel() ** 2,
@@ -75,10 +76,7 @@ def quadratic_argmax_2d(x: np.ndarray, y: np.ndarray, grid: np.ndarray,
     if np.linalg.det(hess) <= 0.0 or hess[0, 0] >= 0.0:
         return float(x[i]), float(y[j])
     du, dv = np.linalg.solve(hess, [-c[1], -c[2]])
-    u_star, v_star = u[i] + du, v[j] + dv
-    if log_axes:
-        return float(np.exp(u_star)), float(np.exp(v_star))
-    return float(u_star), float(v_star)
+    return float(np.exp(u[i] + du)), float(np.exp(v[j] + dv))
 
 
 def _rescaled_coupling_system(system: SystemSpec, scale: float) -> SystemSpec:
@@ -90,17 +88,17 @@ def _rescaled_coupling_system(system: SystemSpec, scale: float) -> SystemSpec:
     return replace(system, ring=ring, channels=channels)
 
 
-def _buses(system: SystemSpec, count: int):
-    """The bus id (count 1) or (through, drop) ids of a ring with the phantom channel."""
+def _buses(system: SystemSpec, count: int) -> tuple[str, ...]:
+    """system.buses(count) of a ring with the phantom channel."""
     if system.phantom_channel is None:
         raise GeometryError("this sweep needs the phantom channel")
-    return system.single_bus if count == 1 else system.add_drop_buses
+    return system.buses(count)
 
 
 def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump) -> SweepResult:
     """Attenuation-model pair rate versus the bus self-coupling, at fixed
     ring loss."""
-    bus = system.single_bus
+    (bus,) = system.buses(1)
     sigmas = np.asarray(list(sigma_values), dtype=float)
     L = system.ring.circumference
 
@@ -111,7 +109,7 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump)
     rates = np.array([rate_at(s) for s in sigmas.tolist()])
     return SweepResult(
         axes={"sigma": sigmas},
-        values={"rate": rates},
+        values={"rate_pairs_per_s": rates},
         metadata={
             "argmax_sigma": quadratic_argmax(sigmas, rates),
             "sigma_critical": system.ring.roundtrip_amplitude,
@@ -121,7 +119,7 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump)
 def sweep_eta(system: SystemSpec, eta_values: Iterable[float], pump: CwPump) -> SweepResult:
     """Phantom-model rates of all four channel-pair trajectories versus the
     bus escape efficiency, at fixed ring loss."""
-    bus = _buses(system, 1)
+    (bus,) = _buses(system, 1)
     ph = system.phantom_channel.channel_id
     etas = np.asarray(list(eta_values), dtype=float)
     if np.any((etas <= 0) | (etas >= 1)):
@@ -152,7 +150,7 @@ def compare_finesse(system: SystemSpec, finesse_values: Iterable[float],
 
     Finesse is varied by scaling all couplings and the loss together, so
     the escape efficiency stays fixed while the linewidth shrinks."""
-    bus = _buses(system, 1)
+    (bus,) = _buses(system, 1)
     fins = np.asarray(list(finesse_values), dtype=float)
     f0 = finesse(system)
 
@@ -210,18 +208,9 @@ def add_drop_grid(system: SystemSpec, gamma_t_ratios: Iterable[float],
         through: {b: t_ratios[:, None] * g for b, g in g_ph.items()},
         drop: {b: d_ratios[None, :] * g for b, g in g_ph.items()}})
     values = {f"R_{x}{y}": rates[(x, y)] for x in ids for y in ids}
-
-    log_spaced = _looks_log_spaced(t_ratios) and _looks_log_spaced(d_ratios)
-    argmax = {key: quadratic_argmax_2d(t_ratios, d_ratios, grid, log_axes=log_spaced)
+    argmax = {key: quadratic_argmax_2d(t_ratios, d_ratios, grid)
               for key, grid in values.items()}
     return SweepResult(
         axes={"gamma_t_ratio": t_ratios, "gamma_d_ratio": d_ratios},
         values=values,
         metadata={"argmax": argmax, "channel_ids": ids})
-
-
-def _looks_log_spaced(x: np.ndarray) -> bool:
-    if len(x) < 3 or np.any(x <= 0):
-        return False
-    r = np.diff(np.log(x))
-    return bool(np.allclose(r, r[0], rtol=1e-6, atol=0.0))

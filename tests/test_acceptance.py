@@ -8,13 +8,11 @@ import math
 import random
 
 import numpy as np
-import pytest
 
 from lossy_ring_sfwm import attenuation, jsa, phantom, sweeps
-from lossy_ring_sfwm.model import (Band, CwPump, PulsedPump, add_drop_system,
-                                   gamma_from_sigma, phantom_gamma_from_xi,
-                                   ring_system, roundtrip_amplitude, uniform_gammas,
+from lossy_ring_sfwm.model import (Band, CwPump, PulsedPump, roundtrip_amplitude,
                                    xi_from_db_per_cm)
+from conftest import bundled_system
 from test_phantom import random_system, sample_system
 
 V = 1e8
@@ -76,7 +74,7 @@ def test_04_oracle_equivalence():
 
 
 def test_05_absolute_rate_and_strategy_convergence():
-    system = ring_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4, sigma=0.9814)
+    system = bundled_system()
     r_att = attenuation.pair_rate_cw(system, PUMP, "O", "O")
     r_pha = phantom.pair_rate_cw(system, PUMP, "O", "O")
     diff_base = abs(r_att - r_pha) / r_pha
@@ -89,12 +87,8 @@ def test_05_absolute_rate_and_strategy_convergence():
     ok_84 = diff_base <= 0.15
     ok_1000 = bool(np.all(rel[fins >= 1000.0] <= 0.01))
 
-    ad = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
-                         gamma_through_ratio=1.5, gamma_drop_ratio=1.0)
-    ad = ad.with_channel_gamma(
-        "T", uniform_gammas(gamma_from_sigma(0.9814, V, ad.ring.circumference)))
-    res_ad = sweeps.compare_finesse_add_drop(ad, np.array([0.3, 0.6, 0.9, 0.9999]),
-                                             PUMP)
+    res_ad = sweeps.compare_finesse_add_drop(bundled_system("add_drop.json"),
+                                             np.array([0.3, 0.6, 0.9, 0.9999]), PUMP)
     rel_ad = res_ad.values["rel_difference"]
     ok_ad = rel_ad[-1] < rel_ad[0]
 
@@ -119,7 +113,7 @@ def test_05_absolute_rate_and_strategy_convergence():
 
 
 def test_06_rate_ratio_identities():
-    system = ring_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4, sigma=0.9814)
+    system = bundled_system()
     etas = np.linspace(0.04, 0.96, 25)
     res = sweeps.sweep_eta(system, etas, PUMP)
     r_oo, r_op = res.values["R_OO"], res.values["R_OP"]
@@ -141,7 +135,7 @@ def test_06_rate_ratio_identities():
 
 
 def test_07_overcoupled_optimum():
-    system = ring_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4, sigma=0.9814)
+    system = bundled_system()
     res = sweeps.sweep_eta(system, np.linspace(0.02, 0.98, 101), PUMP)
     eta_star = res.metadata["argmax_eta"]
     ok = abs(eta_star - 4.0 / 7.0) <= 0.01
@@ -176,7 +170,7 @@ def test_08_flux_conservation():
 
 
 def test_09_jsa():
-    system = ring_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4, eta=0.6)
+    system = bundled_system(couplings={"O": {"eta": 0.6}})
     pump = PulsedPump(duration_fwhm=10e-12)
     grid = jsa.build_jsa(system, pump, n=512, kappa_max=12.0, residual_tol=1e-3)
     ok_norm = grid.normalization_residual <= 1e-3
@@ -212,8 +206,7 @@ def test_10_add_drop_optimum():
     """R_DD = t^2 d^2 / (1 + t + d)^7 peaks at t = d = 2/3; the derivation,
     the two laws behind the earlier (0.4, 0.4) and (0.5, 1.0) targets and the
     strategy-1 cross-check are in docs/add_drop_optimum.md."""
-    system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
-                             gamma_through_ratio=1.5, gamma_drop_ratio=1.0)
+    system = bundled_system("add_drop.json")
     axis = np.logspace(np.log10(0.05), np.log10(5.0), 81)  # add-drop-grid's default
     grid = sweeps.add_drop_grid(system, axis, axis, PUMP)
     r_dd = grid.values["R_DD"]

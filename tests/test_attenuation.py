@@ -3,7 +3,6 @@
 import cmath
 import math
 from dataclasses import replace
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,12 +11,11 @@ from hypothesis import strategies as st
 
 from lossy_ring_sfwm import attenuation as att
 from lossy_ring_sfwm import sweeps
-from lossy_ring_sfwm.config import parse_config
 from lossy_ring_sfwm.constants import TWO_PI
-from lossy_ring_sfwm.model import (Band, ChannelCoupling, CwPump, GeometryError, RingSpec,
-                                   SystemSpec, add_drop_system, finesse, gamma_from_sigma,
-                                   ring_system, uniform_gammas, xi_from_db_per_cm)
+from lossy_ring_sfwm.model import (Band, ChannelCoupling, CwPump, GeometryError, finesse,
+                                   gamma_from_sigma)
 from lossy_ring_sfwm.numerics import integrate_adaptive
+from conftest import bundled_system
 
 V = 1e8
 SIGMA_REF = 0.9814
@@ -25,20 +23,19 @@ SIGMA_REF = 0.9814
 
 @pytest.fixture(scope="module")
 def ring_ref():
-    return ring_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4, sigma=SIGMA_REF)
+    return bundled_system()
 
 
 @pytest.fixture(scope="module")
 def ring_lossless():
-    return ring_system(1e-5, 0.0, 100.0, 1550e-9, V, 2.4, sigma=SIGMA_REF)
+    return bundled_system(loss_db_per_cm=0.0)
 
 
 def _critical_system():
-    """Loss tuned so the round-trip amplitude equals the self-coupling."""
+    """Loss tuned so the round-trip amplitude equals the bundled self-coupling."""
     L = 2.0 * math.pi * 1e-5
     xi = -2.0 * math.log(SIGMA_REF) / L
-    loss_db_per_cm = xi / (100.0 * math.log(10.0) / 10.0)
-    return ring_system(1e-5, loss_db_per_cm, 100.0, 1550e-9, V, 2.4, sigma=SIGMA_REF)
+    return bundled_system(loss_db_per_cm=xi / (100.0 * math.log(10.0) / 10.0))
 
 
 def _lossless(system):
@@ -49,12 +46,8 @@ def _lossless(system):
 
 def _add_drop(s1, s2, loss_db_per_cm=26.0):
     """Add-drop ring, through T and drop D, with bus self-couplings s1 and s2."""
-    system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
-                             gamma_through_ratio=1.0, gamma_drop_ratio=1.0)
-    L = system.ring.circumference
-    for cid, sigma in (("T", s1), ("D", s2)):
-        system = system.with_channel_gamma(cid, uniform_gammas(gamma_from_sigma(sigma, V, L)))
-    return replace(system, ring=replace(system.ring, loss_db_per_cm=loss_db_per_cm))
+    return bundled_system("add_drop.json", {"T": {"sigma": s1}, "D": {"sigma": s2}},
+                          loss_db_per_cm=loss_db_per_cm)
 
 
 def _coupler(system, channel_id):
@@ -67,7 +60,7 @@ def _all_pass_ports(system, omega):
     return f_ring e^{i k~ L})."""
     field = att.ring_field_builder(system, Band.PUMP)(omega)
     ((length, f_ring),) = field.segments
-    f_through, _ = att.coupler_scatter(_coupler(system, system.single_bus), 1.0,
+    f_through, _ = att.coupler_scatter(_coupler(system, system.pump_input_channel), 1.0,
                                        f_ring * cmath.exp(1j * field.k_prop * length))
     return f_ring, f_through
 
@@ -86,7 +79,7 @@ def _add_drop_ports(system, omega):
 
 def _single_bus_fields(system, omega_s, omega_i, omega_p):
     """(signal, idler, pump) fields of the single-bus ring from its builders."""
-    bus = system.single_bus
+    (bus,) = system.buses(1)
     signal, idler = (att.ring_field_builder(system, band, bus)(omega)
                      for band, omega in ((Band.SIGNAL, omega_s), (Band.IDLER, omega_i)))
     return signal, idler, att.ring_field_builder(system, Band.PUMP)(omega_p)
@@ -136,8 +129,8 @@ class TestAsyFields:
         # floor set by the round-trip phase k L ~ 6e2 rad in double precision
         assert abs(f_through) < 1e-10
 
-    def test_decoupled_ring(self):
-        system = ring_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4, sigma=1.0)
+    def test_decoupled_ring(self, ring_ref):
+        system = ring_ref.with_channel_gamma("O", dict.fromkeys(Band, 0.0))  # sigma = 1
         omega = system.bands[Band.PUMP].omega + 0.37 * V / system.ring.circumference
         f_ring, f_through = _all_pass_ports(system, omega)
         assert f_ring == 0.0
@@ -146,7 +139,7 @@ class TestAsyFields:
     @given(st.floats(min_value=0.05, max_value=0.999),
            st.floats(min_value=-math.pi, max_value=math.pi))
     def test_lossless_all_pass(self, sigma, phase):
-        system = _lossless(ring_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4, sigma=sigma))
+        system = bundled_system(couplings={"O": {"sigma": sigma}}, loss_db_per_cm=0.0)
         omega = system.bands[Band.PUMP].omega + phase * V / system.ring.circumference
         _, f_through = _all_pass_ports(system, omega)
         assert abs(f_through) == pytest.approx(1.0, abs=1e-12)
@@ -161,7 +154,8 @@ class TestAsyFields:
 
     def test_lossless_pole(self):
         # decoupled lossless ring on resonance: |1 - e^{i k L}| ~ 1e-14
-        system = _lossless(ring_system(1e-6, 26.0, 100.0, 1550e-9, V, 2.4, sigma=1.0))
+        system = _lossless(bundled_system(radius_m=1e-6).with_channel_gamma(
+            "O", dict.fromkeys(Band, 0.0)))
         field = att.ring_field_builder(system, Band.PUMP)
         with pytest.raises(att.SingularityError):
             field(system.bands[Band.PUMP].omega)
@@ -222,7 +216,7 @@ class TestOverlap:
            st.floats(min_value=-1.0, max_value=1.0))
     @settings(max_examples=40, deadline=None)
     def test_closed_form_matches_zeta_scan(self, sigma, loss, d1, d2, dp):
-        system = ring_system(1e-5, loss, 100.0, 1550e-9, V, 2.4, sigma=sigma)
+        system = bundled_system(couplings={"O": {"sigma": sigma}}, loss_db_per_cm=loss)
         gbar = system.gamma_bar(Band.PUMP)
         w = {b: system.bands[b].omega for b in Band}
         fields = _single_bus_fields(system, w[Band.SIGNAL] + d1 * gbar,
@@ -239,8 +233,7 @@ class TestOverlap:
            st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=25, deadline=None)
     def test_add_drop_closed_form_matches_zeta_scan(self, s2_t, s2_d, d1):
-        system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
-                                 gamma_through_ratio=1.5, gamma_drop_ratio=1.0)
+        system = bundled_system("add_drop.json")
         gbar = system.gamma_bar(Band.PUMP)
         w = {b: system.bands[b].omega for b in Band}
         fields = (att.ring_field_builder(system, Band.SIGNAL, "D")(w[Band.SIGNAL] + d1 * gbar),
@@ -276,8 +269,9 @@ class TestPairRate:
         assert rate == pytest.approx(294872.0, rel=1e-3)
         assert 2e5 < rate < 4e5
 
-    def test_zero_nonlinearity(self):
-        system = ring_system(1e-5, 26.0, 0.0, 1550e-9, V, 2.4, sigma=SIGMA_REF)
+    def test_zero_nonlinearity(self, ring_ref):
+        # parse_config rejects gamma_nl = 0, so the ring is edited directly
+        system = replace(ring_ref, ring=replace(ring_ref.ring, gamma_nl=0.0))
         assert att.pair_rate_cw(system, CwPump(1e-3), "O", "O") == 0.0
 
     def test_quadratic_power_scaling(self, ring_ref):
@@ -286,8 +280,7 @@ class TestPairRate:
         assert r2 == pytest.approx(4.0 * r1, rel=1e-9)
 
     def test_add_drop_rate_positive_and_window_capped(self):
-        system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
-                                 gamma_through_ratio=1.5, gamma_drop_ratio=1.0)
+        system = bundled_system("add_drop.json")
         rate = att.pair_rate_cw(system, CwPump(1e-3), "T", "T")
         assert rate > 0.0
 
@@ -295,9 +288,7 @@ class TestPairRate:
     def test_default_tolerance_matches_tight_run(self, name):
         # the 8/16-point Gauss-Legendre estimate is conservative: rates at the
         # default rel_tol 1e-6 agree with a 1e-10 run well inside 1e-6
-        config = parse_config((resources.files("lossy_ring_sfwm") / "configs" / name)
-                              .read_text())
-        system, pump = config.system, config.pump
+        system, pump = bundled_system(name), CwPump(1e-3)
         ids = [c.channel_id for c in system.physical_channels]
         rates = [(att.pair_rate_cw(system, pump, x, y),
                   att.pair_rate_cw(system, pump, x, y, rel_tol=1e-10))
@@ -314,11 +305,9 @@ class TestPairRate:
     def test_golden_rates(self, name, exits, expected):
         # frozen rates; a wrong half-round-trip phase or exit amplitude in a
         # field builder moves them far beyond the quadrature tolerance
-        config = parse_config((resources.files("lossy_ring_sfwm") / "configs" / name)
-                              .read_text())
+        system = bundled_system(name)
         # exits None: both photons in the one bus of a single-bus ring
-        rate = att.pair_rate_cw(config.system, config.pump,
-                                *(exits or (config.system.single_bus,) * 2))
+        rate = att.pair_rate_cw(system, CwPump(1e-3), *(exits or system.buses(1) * 2))
         assert rate == pytest.approx(expected, rel=1e-9)
 
     def test_builders_match_transfer_functions(self, ring_ref):
@@ -336,8 +325,7 @@ class TestPairRate:
             den = 1.0 - sigma * phase if exit_channel is None else sigma - phase
             assert field.k_prop == kt
             assert field.segments == ((L, i_kappa / den),)
-        system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
-                                 gamma_through_ratio=1.5, gamma_drop_ratio=1.0)
+        system = bundled_system("add_drop.json")
         s1, s2 = (system.sigma_view(x, Band.PUMP) for x in ("T", "D"))
         i_kappa1, i_kappa2 = (1j * math.sqrt(1.0 - s * s) for s in (s1, s2))
         k = system.bands[Band.PUMP].k_of_omega(omega)
@@ -362,24 +350,18 @@ class TestPairRate:
     def test_single_bus_is_add_drop_with_decoupled_drop(self):
         # one ring model: a drop bus with Gamma_D = 0 is a coupler at sigma = 1,
         # which leaves the single-bus rate
-        system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
-                                 gamma_through_ratio=1.5, gamma_drop_ratio=0.0)
+        system = bundled_system("add_drop.json", {"D": {"sigma": 1.0}})
         single = replace(system, channels=(system.channel("T"), system.phantom_channel))
         pump = CwPump(1e-3)
         assert att.pair_rate_cw(system, pump, "T", "T") == pytest.approx(
             att.pair_rate_cw(single, pump, "T", "T"), rel=1e-12)
 
     def test_three_bus_ring_rejected(self):
-        system = add_drop_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4,
-                                 gamma_through_ratio=1.0, gamma_drop_ratio=1.0)
+        system = bundled_system("add_drop.json")
         third = ChannelCoupling("X", system.channel("D").gammas)
         system = replace(system, channels=system.channels + (third,))
         with pytest.raises(GeometryError):
             att.pair_rate_cw(system, CwPump(1e-3), "T", "T")
-
-
-def _bundled(name):
-    return parse_config((resources.files("lossy_ring_sfwm") / "configs" / name).read_text())
 
 
 def _omega_space_rate(system, pump, signal_exit, idler_exit):
@@ -409,20 +391,20 @@ def _theta_map_cases():
     """25 rates: the bundled rings at every exit; single-bus sigma from 0.88
     (the window capped at 0.45 FSR) to 0.9995; finesse 40 to 2,500; an
     add-drop ring with a weak drop; pumps detuned by 0.5, 3 and 20 linewidths."""
-    ring, add_drop = _bundled("ring_channel.json").system, _bundled("add_drop.json").system
+    ring, add_drop = bundled_system(), bundled_system("add_drop.json")
     pump = CwPump(1e-3)
     L = ring.ring.circumference
     cases = [(f"{name}-{x}{y}", s, pump, x, y)
              for name, s in (("ring_channel", ring), ("add_drop", add_drop))
-             for x in att.ring_buses(s) for y in att.ring_buses(s)]
+             for x in s.buses(1, 2) for y in s.buses(1, 2)]
     for sigma in (0.88, 0.9, 0.95, 0.99, 0.999, 0.9995):
         gammas = {b: gamma_from_sigma(sigma, ring.bands[b].v, L) for b in Band}
         cases.append((f"sigma-{sigma}", ring.with_channel_gamma("O", gammas), pump, "O", "O"))
     for f in (40.0, 100.0, 500.0, 1000.0, 2500.0):
         cases.append((f"finesse-{f}",
                       sweeps._rescaled_coupling_system(ring, finesse(ring) / f), pump, "O", "O"))
-    weak_drop = add_drop_system(1.1e-5, 8.0, 100.0, 1550e-9, V, 2.4,
-                                gamma_through_ratio=1.5, gamma_drop_ratio=0.6)
+    weak_drop = bundled_system("add_drop.json", {"T": {"sigma": 0.99}, "D": {"sigma": 0.996}},
+                               radius_m=1.1e-5, loss_db_per_cm=8.0)
     cases += [(f"weak_drop-{x}{y}", weak_drop, CwPump(1.5e-3), x, y)
               for x in ("T", "D") for y in ("T", "D")]
     for d in (0.5, 3.0, 20.0):
@@ -442,7 +424,7 @@ class TestThetaMap:
 
     def test_lossless_uncoupled_ring_is_singular(self, ring_ref):
         # r = 1 leaves the signal resonance no width, even with the pump off it
-        system = _lossless(ring_ref).with_channel_gamma("O", uniform_gammas(0.0))
+        system = _lossless(ring_ref).with_channel_gamma("O", dict.fromkeys(Band, 0.0))
         pump = CwPump(1e-3, detuning=ring_ref.gamma_bar(Band.PUMP))
         with pytest.raises(att.SingularityError):
             att.pair_rate_cw(system, pump, "O", "O")

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -18,35 +17,23 @@ from lossy_ring_sfwm import cli, jsa, phantom
 from lossy_ring_sfwm.cli import main
 from lossy_ring_sfwm.config import (ConfigError, derived_echo, parse_config,
                                     serialize_config)
-from lossy_ring_sfwm.model import Band, CwPump, PulsedPump
+from lossy_ring_sfwm.model import Band, PulsedPump
 from lossy_ring_sfwm.numerics import QuadratureError
-
-
-def bundled_config_text(name="ring_channel.json") -> str:
-    return (resources.files("lossy_ring_sfwm") / f"configs/{name}").read_text()
+from conftest import bundled
 
 
 def eta_config(eta=0.6, pump=None) -> dict:
-    return {
-        "system": {
-            "ring": {"radius_m": 1e-5, "loss_db_per_cm": 26.0,
-                     "gamma_nl_per_w_m": 100.0},
-            "bands": {"wavelength_nm": 1550.0, "effective_index": 2.4,
-                      "group_velocity_m_per_s": 1e8},
-            "channels": [
-                {"id": "O", "coupling": {"eta": eta}},
-                {"id": "P", "kind": "phantom", "coupling": {"from_loss": True}},
-            ],
-            "pump_input_channel": "O",
-        },
-        "pump": pump or {"kind": "cw", "power_mw": 1.0},
-        "strategy": "phantom",
-    }
+    """ring_channel.json with the bus at escape efficiency eta, under strategy 2."""
+    doc = bundled()
+    doc["system"]["channels"][0]["coupling"] = {"eta": eta}
+    doc["pump"] = pump or doc["pump"]
+    doc["strategy"] = "phantom"
+    return doc
 
 
 class TestParseConfig:
     def test_bundled_reference_echo(self):
-        cfg = parse_config(bundled_config_text())
+        cfg = parse_config(bundled())
         echo = derived_echo(cfg)
         assert echo["roundtrip_amplitude"] == pytest.approx(0.9814, rel=1e-3)
         assert echo["q_intrinsic"] == pytest.approx(2.0e4, rel=0.03)
@@ -55,7 +42,7 @@ class TestParseConfig:
         assert echo["finesse"] == pytest.approx(84.0, rel=1e-3)
 
     def test_round_trip(self):
-        cfg = parse_config(bundled_config_text())
+        cfg = parse_config(bundled())
         again = parse_config(serialize_config(cfg))
         assert again.system == cfg.system
         assert again.pump == cfg.pump
@@ -154,7 +141,7 @@ def _read_csv(path):
 
 class TestCommands:
     def test_rate_both_strategies(self, tmp_path):
-        cfg = _write_config(tmp_path, bundled_config_text())
+        cfg = _write_config(tmp_path, bundled())
         out = tmp_path / "out"
         assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
         rows = _read_csv(out / "rate.csv")
@@ -166,7 +153,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
     def test_rate_meta_vacuum_power(self, tmp_path, name):
-        doc = json.loads(bundled_config_text(name))
+        doc = bundled(name)
         doc["pump"]["detuning_rad_per_s"] = 3e10  # so the offset term counts
         out = tmp_path / "out"
         assert main(["rate", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
@@ -180,10 +167,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
     def test_ratios_rows_are_pair_rate_quotients(self, tmp_path, name):
-        cfg = _write_config(tmp_path, bundled_config_text(name))
+        cfg = _write_config(tmp_path, bundled(name))
         out = tmp_path / "out"
         assert main(["ratios", "--config", cfg, "--out", str(out)]) == 0
-        config = parse_config(bundled_config_text(name))
+        config = parse_config(bundled(name))
         rates = phantom.pair_rates(config.system, config.pump)
         rows = _read_csv(out / "ratios.csv")[1:]
         assert [(r[0], r[1]) for r in rows] == list(rates)
@@ -210,7 +197,7 @@ class TestCommands:
         assert "max relative deviation" in capsys.readouterr().out
 
     def test_oracle_check_passes_with_detuned_pump(self, tmp_path):
-        doc = json.loads(bundled_config_text())
+        doc = bundled()
         doc["pump"]["detuning_rad_per_s"] = 5e12  # 84 linewidths
         out = tmp_path / "out"
         assert main(["oracle-check", "--config", _write_config(tmp_path, doc),
@@ -237,7 +224,7 @@ class TestCommands:
         assert outs[0] == outs[1]
 
     def test_sweep_sigma_metadata(self, tmp_path):
-        doc = json.loads(bundled_config_text())
+        doc = bundled()
         doc["options"] = {"sweep_sigma": {"min": 0.96, "max": 0.99, "points": 13}}
         cfg = _write_config(tmp_path, doc)
         out = tmp_path / "out"
@@ -246,7 +233,7 @@ class TestCommands:
         assert meta["argmax_sigma"] < meta["sigma_critical"]
 
     def test_compare_finesse_single_bus(self, tmp_path):
-        doc = json.loads(bundled_config_text())
+        doc = bundled()
         doc["options"] = {"compare_finesse": {"min": 80.0, "max": 1200.0, "points": 5}}
         cfg = _write_config(tmp_path, doc)
         out = tmp_path / "out"
@@ -257,9 +244,8 @@ class TestCommands:
         assert rel[-1] < rel[0] < 0.15
 
     def test_compare_finesse_add_drop(self, tmp_path):
-        cfg = _write_config(tmp_path, bundled_config_text("add_drop.json"))
         out = tmp_path / "out"
-        doc = json.loads(bundled_config_text("add_drop.json"))
+        doc = bundled("add_drop.json")
         doc["options"] = {"compare_finesse": {"points": 5}}
         cfg = _write_config(tmp_path, doc)
         assert main(["compare-finesse", "--config", cfg, "--out", str(out)]) == 0
@@ -267,7 +253,7 @@ class TestCommands:
         assert rows[0][0] == "sigma2"
 
     def test_add_drop_grid(self, tmp_path):
-        doc = json.loads(bundled_config_text("add_drop.json"))
+        doc = bundled("add_drop.json")
         doc["options"] = {"add_drop_grid": {"min_ratio": 0.2, "max_ratio": 2.0,
                                             "points": 9}}
         cfg = _write_config(tmp_path, doc)
@@ -374,7 +360,7 @@ class TestCommands:
         ids=["eta_min", "sigma_max", "sigma2_max", "sigma2_min"])
     def test_axis_outside_model_range_exits_2(self, tmp_path, capsys, command, name,
                                               options, field):
-        doc = json.loads(bundled_config_text(name))
+        doc = bundled(name)
         doc["options"] = options
         cfg = _write_config(tmp_path, doc)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -399,7 +385,7 @@ class TestCommands:
              "finesse_three_bus", "eta_loss_free", "grid_loss_free", "eta_no_phantom"])
     def test_geometry_mismatch_exits_2(self, tmp_path, capsys, command, name, change,
                                        field):
-        doc = json.loads(bundled_config_text(name))
+        doc = bundled(name)
         channels = doc["system"]["channels"]
         if change == "third_bus":
             channels.insert(2, {"id": "X", "coupling": {"sigma": 0.99}})
@@ -416,7 +402,7 @@ class TestCommands:
     def test_strategy1_ignores_the_phantom_entry(self, tmp_path, command, csv_name):
         # strategy 1 carries the loss in the ring wavevector and never reads
         # a phantom channel, so its rates are the same bits without one
-        doc = json.loads(bundled_config_text())
+        doc = bundled()
         doc["strategy"] = "attenuation"
         doc["options"] = {"sweep_sigma": {"min": 0.97, "max": 0.99, "points": 5}}
         outputs = []
@@ -433,7 +419,7 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["rate", "ratios", "compare-finesse"])
     def test_uncoupled_pump_channel_exits_2(self, tmp_path, capsys, command, coupling):
         # every rate scales with the pump channel's coupling, so all would be zero
-        doc = json.loads(bundled_config_text())
+        doc = bundled()
         doc["system"]["channels"][0]["coupling"] = coupling
         cfg = _write_config(tmp_path, doc)
         out = tmp_path / "o"
@@ -493,7 +479,7 @@ class TestCommands:
         # to 0 leaves the strategies' relative difference undefined, and an
         # all-zero sweep its optimum, so those commands stop with one line
         # instead of writing NaN or a meaningless argmax
-        doc = json.loads(bundled_config_text(name))
+        doc = bundled(name)
         doc["system"]["ring"].update(ring)
         doc["pump"].update(pump)
         cfg = _write_config(tmp_path, doc)
@@ -532,6 +518,23 @@ class TestCommands:
             assert codes["rate"] == codes["ratios"] == codes["compare-finesse"] == 1
             assert codes["sweep-sigma"] == codes["sweep-eta"] == 1
 
+    @pytest.mark.parametrize("detuning", [1.2e15, -1.2e15])
+    def test_jsa_far_detuned_pump_names_the_offset(self, tmp_path, capsys, detuning):
+        # the pairs sit near 2 omega_o, 2e4 summed linewidths from the grid's
+        # centre omega_S + omega_I, so no grid extent or resolution helps
+        doc = bundled()
+        doc["pump"] = {"kind": "pulsed", "duration_fwhm_ps": 10.0,
+                       "detuning_rad_per_s": detuning}
+        doc["options"] = {"jsa": {"grid_points": 64}}
+        out = tmp_path / "o"
+        assert main(["jsa", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("jsa: JSA grid normalization residual 1.000e+00 exceeds "
+                              "tolerance 2.5e-03; the pairs' energy 2 omega_o lies 2.02e+04 "
+                              "linewidths (Gbar_S + Gbar_I) from the grid centre")
+        assert err.endswith("raise kappa_max (now 8) past that or detune the pump less")
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("detuning", [1e200, -1e200, 1.3e15])
     def test_pulsed_carrier_outside_band_exits_2(self, tmp_path, capsys, detuning):
         doc = eta_config(pump={"kind": "pulsed", "duration_fwhm_ps": 10.0,
@@ -550,7 +553,7 @@ class TestCommands:
     def test_outside_point_coupling_regime_exits_2(self, tmp_path, capsys, command, edit,
                                                    field):
         # strategy 1 needs a self-coupling above 0; the phantom model does not
-        doc = json.loads(bundled_config_text())
+        doc = bundled()
         if "channels" in edit:
             doc["system"]["channels"][0]["coupling"] = edit["channels"]
         doc["options"] = edit.get("options", {})
@@ -568,7 +571,7 @@ class TestCommands:
         # at radius 1 m and 26 dB/cm the outgoing fields of strategy 1 would
         # grow as e^{xi L / 2} = e^{942}, beyond double precision; the phantom
         # model has no such field
-        doc = json.loads(bundled_config_text())
+        doc = bundled()
         doc["system"]["ring"]["radius_m"] = 1.0
         cfg = _write_config(tmp_path, doc)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -583,7 +586,7 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["rate", "ratios", "sweep-sigma", "sweep-eta",
                                          "compare-finesse", "add-drop-grid"])
     def test_tol_rejected_where_ignored(self, tmp_path, capsys, command):
-        cfg = _write_config(tmp_path, bundled_config_text())
+        cfg = _write_config(tmp_path, bundled())
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out), "--tol", "1e-3"]) == 2
         err = capsys.readouterr().err
@@ -702,7 +705,7 @@ def test_commands_leave_scipy_unloaded(tmp_path):
             ("sweep-sigma", "ring_channel.json",
              {"sweep_sigma": {"min": 0.97, "max": 0.99, "points": 3}})]
     for i, (command, name, options) in enumerate(runs):
-        doc = json.loads(bundled_config_text(name))
+        doc = bundled(name)
         doc["options"] = options
         cfg = _write_config(tmp_path, doc, name=f"cfg{i}.json")
         code = ("import sys\n"
@@ -712,7 +715,7 @@ def test_commands_leave_scipy_unloaded(tmp_path):
         loaded = _loaded_modules(code)
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == [], command
         assert "numpy.fft" not in loaded, command
-    doc = json.loads(bundled_config_text())
+    doc = bundled()
     doc["pump"] = {"kind": "pulsed", "duration_fwhm_ps": 10.0}
     doc["options"] = {"jsa": {"grid_points": 64}}
     cfg = _write_config(tmp_path, doc, name="pulsed.json")

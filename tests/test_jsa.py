@@ -9,24 +9,23 @@ import pytest
 
 from lossy_ring_sfwm import jsa
 from lossy_ring_sfwm.config import parse_config
-from lossy_ring_sfwm.model import (Band, ChannelCoupling, PulsedPump, ring_system,
-                                   uniform_gammas)
+from lossy_ring_sfwm.model import Band, ChannelCoupling, PulsedPump
 from lossy_ring_sfwm.phantom import Branch, enhancement_factor
-
-V = 1e8
+from conftest import bundled, bundled_system
 
 
 @pytest.fixture(scope="module")
 def system_06():
     """Single bus + phantom at escape efficiency 0.6 (the overcoupled case)."""
-    return ring_system(1e-5, 26.0, 100.0, 1550e-9, V, 2.4, eta=0.6)
+    return bundled_system(couplings={"O": {"eta": 0.6}})
 
 
 @pytest.fixture(scope="module")
 def system_short_pulse():
     """Single bus at escape efficiency 0.52 on a low-loss ring, where a
     1.66 ps pulse spans about 80 loaded linewidths."""
-    return ring_system(10.23e-6, 4.326, 100.0, 1550e-9, V, 2.4, eta=0.52)
+    return bundled_system(couplings={"O": {"eta": 0.52}}, radius_m=10.23e-6,
+                          loss_db_per_cm=4.326)
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +213,8 @@ class TestJsaGrid:
         assert grid.kappa1[0] == -9.0 and grid.kappa1[-1] == 9.0
 
     def test_too_coarse_grid_raises(self, system_06, pulse_10ps):
-        with pytest.raises(jsa.GridTooCoarseError) as exc:
+        with pytest.raises(jsa.GridTooCoarseError,
+                           match="increase the grid extent or resolution$") as exc:
             jsa.build_jsa(system_06, pulse_10ps, n=512, kappa_max=8.0,
                           residual_tol=1e-4)
         assert exc.value.residual > 1e-4
@@ -225,7 +225,7 @@ class TestJsaGrid:
 
     def test_zero_coupled_reference_pair_rejected(self, system_06, pulse_10ps):
         system = replace(system_06, channels=system_06.channels
-                         + (ChannelCoupling("Z", uniform_gammas(0.0)),))
+                         + (ChannelCoupling("Z", dict.fromkeys(Band, 0.0)),))
         for ref in (("Z", "O"), ("O", "Z")):
             with pytest.raises(ValueError, match="zero signal or idler coupling"):
                 jsa.build_jsa(system, pulse_10ps, n=16, reference_pair=ref)
@@ -237,18 +237,7 @@ class TestDistinctEnergies:
 
     @staticmethod
     def _system(signal_band: dict | None):
-        doc = {
-            "system": {
-                "ring": {"radius_m": 1e-5, "loss_db_per_cm": 26.0,
-                         "gamma_nl_per_w_m": 100.0},
-                "bands": {"wavelength_nm": 1550.0, "effective_index": 2.4,
-                          "group_velocity_m_per_s": V},
-                "channels": [{"id": "O", "coupling": {"sigma": 0.9814}},
-                             {"id": "P", "kind": "phantom",
-                              "coupling": {"from_loss": True}}],
-                "pump_input_channel": "O"},
-            "pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0},
-        }
+        doc = bundled()
         if signal_band:
             doc["system"]["bands"]["signal"] = signal_band
         return parse_config(doc).system

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from lossy_ring_sfwm.model import (Band, BandParams, ChannelCoupling, ChannelKind,
                                    CwPump, PulsedPump, RingSpec, SystemSpec,
                                    band_from_wavelength, finesse, gamma_from_sigma,
-                                   phantom_gamma_from_xi, ring_system,
-                                   roundtrip_amplitude, shared_bands, sigma_from_gamma,
-                                   uniform_gammas, xi_from_db_per_cm)
+                                   phantom_gamma_from_xi, roundtrip_amplitude,
+                                   sigma_from_gamma, xi_from_db_per_cm)
+from conftest import bundled_system
 
 # reference geometry: 10 um ring, 1550 nm, v = 1e8 m/s
 L_REF = 2.0 * math.pi * 1e-5
@@ -97,17 +97,21 @@ class TestCouplingConversions:
         assert phantom_gamma_from_xi(2.0 * 598.672, V_REF) == pytest.approx(2.0 * g)
 
 
+def _bands(ring):
+    """Pump, signal and idler bands, all on the ring resonance nearest 1550 nm."""
+    return {b: band_from_wavelength(b, 1550e-9, V_REF, 2.4, ring.circumference) for b in Band}
+
+
 def _system_from_gammas(gammas_by_channel, loss_db_per_cm=26.0):
     """Channels C0..Cn with the last one a phantom (when there are >= 2)."""
     ring = RingSpec(radius=1e-5, loss_db_per_cm=loss_db_per_cm, gamma_nl=100.0)
-    bands = shared_bands(1550e-9, V_REF, 2.4, ring.circumference)
     channels = []
     last = len(gammas_by_channel) - 1
     for i, g in enumerate(gammas_by_channel):
         kind = (ChannelKind.PHANTOM if i == last and last > 0
                 else ChannelKind.PHYSICAL)
-        channels.append(ChannelCoupling(f"C{i}", uniform_gammas(g), kind))
-    return SystemSpec(ring=ring, bands=bands, channels=tuple(channels),
+        channels.append(ChannelCoupling(f"C{i}", dict.fromkeys(Band, g), kind))
+    return SystemSpec(ring=ring, bands=_bands(ring), channels=tuple(channels),
                       pump_input_channel="C0")
 
 
@@ -146,7 +150,7 @@ class TestQualityFactors:
 
 class TestFinesse:
     def test_reference_system(self):
-        system = ring_system(1e-5, 26.0, 100.0, 1550e-9, V_REF, 2.4, sigma=0.9814)
+        system = bundled_system()
         assert finesse(system) == pytest.approx(83.98219993212294, rel=1e-12)
         assert finesse(system) == pytest.approx(84.0, rel=1e-3)
 
@@ -181,25 +185,22 @@ class TestDomainTypes:
 
     def test_unique_channel_ids(self):
         ring = RingSpec(radius=1e-5, loss_db_per_cm=1.0, gamma_nl=1.0)
-        bands = shared_bands(1550e-9, V_REF, 2.4, ring.circumference)
-        dup = (ChannelCoupling("O", uniform_gammas(1e9)),
-               ChannelCoupling("O", uniform_gammas(2e9)))
+        dup = (ChannelCoupling("O", dict.fromkeys(Band, 1e9)),
+               ChannelCoupling("O", dict.fromkeys(Band, 2e9)))
         with pytest.raises(ValueError, match="unique"):
-            SystemSpec(ring=ring, bands=bands, channels=dup, pump_input_channel="O")
+            SystemSpec(ring=ring, bands=_bands(ring), channels=dup, pump_input_channel="O")
 
     def test_pump_input_must_be_physical(self):
         ring = RingSpec(radius=1e-5, loss_db_per_cm=1.0, gamma_nl=1.0)
-        bands = shared_bands(1550e-9, V_REF, 2.4, ring.circumference)
-        chans = (ChannelCoupling("O", uniform_gammas(1e9)),
-                 ChannelCoupling("P", uniform_gammas(1e9), ChannelKind.PHANTOM))
+        chans = (ChannelCoupling("O", dict.fromkeys(Band, 1e9)),
+                 ChannelCoupling("P", dict.fromkeys(Band, 1e9), ChannelKind.PHANTOM))
         with pytest.raises(ValueError, match="physical"):
-            SystemSpec(ring=ring, bands=bands, channels=chans, pump_input_channel="P")
+            SystemSpec(ring=ring, bands=_bands(ring), channels=chans, pump_input_channel="P")
 
     def test_empty_channels_rejected(self):
         ring = RingSpec(radius=1e-5, loss_db_per_cm=1.0, gamma_nl=1.0)
-        bands = shared_bands(1550e-9, V_REF, 2.4, ring.circumference)
         with pytest.raises(ValueError, match="channel"):
-            SystemSpec(ring=ring, bands=bands, channels=(), pump_input_channel="O")
+            SystemSpec(ring=ring, bands=_bands(ring), channels=(), pump_input_channel="O")
 
     def test_pump_validation(self):
         with pytest.raises(ValueError):

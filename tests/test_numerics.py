@@ -1,15 +1,15 @@
 """Quadrature kernels against analytic antiderivatives."""
 
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
 
 from lossy_ring_sfwm import attenuation
-from lossy_ring_sfwm.config import parse_config
+from lossy_ring_sfwm.model import CwPump
 from lossy_ring_sfwm.numerics import (QuadratureError, _segment_edges, grid_integrate_2d,
                                       integrate_adaptive)
+from conftest import bundled_system
 
 
 class TestIntegrateAdaptive:
@@ -101,9 +101,7 @@ class TestIntegrateAdaptive:
             return result
 
         monkeypatch.setattr(attenuation, "integrate_adaptive", counted)
-        config = parse_config((resources.files("lossy_ring_sfwm") / "configs"
-                               / "ring_channel.json").read_text())
-        attenuation.pair_rate_cw(config.system, config.pump, "O", "O")
+        attenuation.pair_rate_cw(bundled_system(), CwPump(1e-3), "O", "O")
         assert len(evaluations) == 1
         assert 0 < evaluations[0] <= 100
 

@@ -1,39 +1,28 @@
 """Enhancement factors, asymptotic amplitudes, vacuum power, and CW rates
 of the phantom-channel model."""
 
-import json
 import math
 import random
-from importlib import resources
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lossy_ring_sfwm import cli
 from lossy_ring_sfwm import phantom as ph
 from lossy_ring_sfwm.config import parse_config
 from lossy_ring_sfwm.constants import EPS0, HBAR
 from lossy_ring_sfwm.model import (Band, ChannelCoupling, ChannelKind, CwPump,
-                                   RingSpec, SystemSpec, phantom_gamma_from_xi,
-                                   ring_system, shared_bands, uniform_gammas)
+                                   RingSpec, SystemSpec, band_from_wavelength,
+                                   phantom_gamma_from_xi)
+from conftest import bundled, bundled_system
 
-V = 1e8
 
-
-def sample_system(q_int=2e4, eta=0.5, radius=1e-5, wavelength=1550e-9):
-    """Single bus + phantom with the phantom decay set by a quality factor."""
-    ring = RingSpec(radius=radius, loss_db_per_cm=26.0, gamma_nl=100.0)
-    bands = shared_bands(wavelength, V, 2.4, ring.circumference)
-    omega = bands[Band.PUMP].omega
-    g_ph = omega / (2.0 * q_int)
-    g_bus = eta * g_ph / (1.0 - eta)
-    channels = (ChannelCoupling("O", uniform_gammas(g_bus)),
-                ChannelCoupling("P", uniform_gammas(g_ph), ChannelKind.PHANTOM))
-    return SystemSpec(ring=ring, bands=bands, channels=channels,
-                      pump_input_channel="O")
+def sample_system(q_int=2e4, eta=0.5):
+    """Single bus at escape efficiency eta, plus the phantom with its decay
+    rate set by the intrinsic quality factor q_int."""
+    return bundled_system(couplings={"O": {"eta": eta}, "P": {"q_factor": q_int}})
 
 
 def random_system(rng: random.Random, n_physical: int) -> SystemSpec:
@@ -42,7 +31,7 @@ def random_system(rng: random.Random, n_physical: int) -> SystemSpec:
                     gamma_nl=rng.uniform(10.0, 500.0))
     wavelength = rng.uniform(1.2e-6, 1.6e-6)
     v = rng.uniform(0.7e8, 1.5e8)
-    bands = shared_bands(wavelength, v, 2.4, ring.circumference)
+    bands = {b: band_from_wavelength(b, wavelength, v, 2.4, ring.circumference) for b in Band}
     channels = []
     for i in range(n_physical):
         gammas = {b: rng.uniform(0.3, 3.0) * phantom_gamma_from_xi(ring.xi, v)
@@ -66,14 +55,10 @@ class TestEnhancementFactor:
         assert abs(f) ** 2 == pytest.approx(f2, rel=1e-12)
 
     def test_decoupled_channel_vanishes(self):
-        ring = RingSpec(radius=1e-5, loss_db_per_cm=26.0, gamma_nl=100.0)
-        bands = shared_bands(1550e-9, V, 2.4, ring.circumference)
-        channels = (ChannelCoupling("O", uniform_gammas(1e10)),
-                    ChannelCoupling("P", uniform_gammas(0.0), ChannelKind.PHANTOM))
-        system = SystemSpec(ring=ring, bands=bands, channels=channels,
-                            pump_input_channel="O")
+        system = bundled_system(couplings={"O": {"gamma_rad_per_s": 1e10},
+                                           "P": {"gamma_rad_per_s": 0}})
         f = ph.enhancement_factor(system, "P", Band.SIGNAL,
-                                  bands[Band.SIGNAL].k_ref, ph.Branch.PLUS)
+                                  system.bands[Band.SIGNAL].k_ref, ph.Branch.PLUS)
         assert f == 0.0
 
     def test_half_width(self):
@@ -136,19 +121,14 @@ class TestAsymptoticAmplitudes:
         assert ring.amplitude == pytest.approx(-f, rel=1e-15)
 
     def test_transparent_ring_limit(self):
-        ring = RingSpec(radius=1e-5, loss_db_per_cm=0.0, gamma_nl=100.0)
-        bands = shared_bands(1550e-9, V, 2.4, ring.circumference)
-        channels = (ChannelCoupling("A", uniform_gammas(1e-3)),
-                    ChannelCoupling("B", uniform_gammas(1e-3)),
-                    ChannelCoupling("P", uniform_gammas(0.0), ChannelKind.PHANTOM))
-        system = SystemSpec(ring=ring, bands=bands, channels=channels,
-                            pump_input_channel="A")
-        k = bands[Band.PUMP].k_ref + 1e2  # off resonance
-        pieces = ph.asy_in_amplitude(system, "A", Band.PUMP, k)
+        weak = {"gamma_rad_per_s": 1e-3}
+        system = bundled_system("add_drop.json", {"T": weak, "D": weak}, loss_db_per_cm=0.0)
+        k = system.bands[Band.PUMP].k_ref + 1e2  # off resonance
+        pieces = ph.asy_in_amplitude(system, "T", Band.PUMP, k)
         outputs = {p.channel_id: p.amplitude for p in pieces
                    if p.region is ph.Region.OUTPUT}
-        assert outputs["A"] == pytest.approx(1.0, abs=1e-10)
-        assert abs(outputs["B"]) < 1e-10
+        assert outputs["T"] == pytest.approx(1.0, abs=1e-10)
+        assert abs(outputs["D"]) < 1e-10
 
     @pytest.mark.parametrize("n_physical", [1, 2, 3])
     def test_flux_conservation(self, n_physical):
@@ -202,12 +182,8 @@ class TestClosedFormRate:
         assert rate == pytest.approx(282269.29568073363, rel=1e-12)
 
     def test_lossless_ring_keeps_all_pairs(self):
-        ring = RingSpec(radius=1e-5, loss_db_per_cm=0.0, gamma_nl=100.0)
-        bands = shared_bands(1550e-9, V, 2.4, ring.circumference)
-        channels = (ChannelCoupling("O", uniform_gammas(3e10)),
-                    ChannelCoupling("P", uniform_gammas(0.0), ChannelKind.PHANTOM))
-        system = SystemSpec(ring=ring, bands=bands, channels=channels,
-                            pump_input_channel="O")
+        system = bundled_system(couplings={"O": {"gamma_rad_per_s": 3e10}},
+                                loss_db_per_cm=0.0)
         pump = CwPump(1e-3)
         assert ph.pair_rate_cw(system, pump, "O", "P") == 0.0
         assert ph.pair_rate_cw(system, pump, "P", "O") == 0.0
@@ -261,9 +237,7 @@ def _mp_pair_rate(system: SystemSpec, pump: CwPump, signal_exit: str,
 @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
 def test_closed_form_matches_mpmath(name):
     # anchors the strategy-2 side of every strategy-1 comparison
-    config = parse_config((resources.files("lossy_ring_sfwm") / "configs" / name)
-                          .read_text())
-    system, pump = config.system, config.pump
+    system, pump = bundled_system(name), CwPump(1e-3)
     for x in system.channel_ids:
         for y in system.channel_ids:
             exact = _mp_pair_rate(system, pump, x, y)
@@ -299,11 +273,10 @@ class TestRateRatios:
     def test_zero_reference_rejected(self, tmp_path):
         # no bus coupling: everything decays via the phantom channel, so a
         # ratio to a bus pair is undefined
-        zeroed = sample_system().with_channel_gamma("O", uniform_gammas(0.0))
+        zeroed = sample_system().with_channel_gamma("O", dict.fromkeys(Band, 0.0))
         assert ph.pair_rates(zeroed, CwPump(1e-3))[("O", "O")] == 0.0
         # the ratios command stops on its zero reference instead of writing inf
-        doc = json.loads((resources.files("lossy_ring_sfwm") / "configs" / "ring_channel.json")
-                         .read_text())
+        doc = bundled()
         doc["pump"]["power_mw"] = 1e-300
         with pytest.raises(ph.ZeroRateError, match=r"reference rate R\[O,O\] is zero"):
             cli.cmd_ratios(parse_config(doc), tmp_path, None)
@@ -350,9 +323,7 @@ class TestGoldenRuleOracle:
 
     def test_zero_nonlinearity(self):
         system = sample_system()
-        system = SystemSpec(
-            ring=RingSpec(radius=system.ring.radius, loss_db_per_cm=26.0, gamma_nl=0.0),
-            bands=system.bands, channels=system.channels, pump_input_channel="O")
+        system = replace(system, ring=replace(system.ring, gamma_nl=0.0))
         assert ph.fgr_rate_oracle(system, CwPump(1e-3), "O", "O") == 0.0
 
     @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
@@ -361,9 +332,7 @@ class TestGoldenRuleOracle:
         # the oracle integrates the Lorentzian tails to the end, which the
         # closed form includes; a window of 500 half-widths cut off 1.2e-4
         # of the rate at 400 linewidths of pump detuning
-        config = parse_config((resources.files("lossy_ring_sfwm") / "configs" / name)
-                              .read_text())
-        system = config.system
+        system = bundled_system(name)
         pump = CwPump(1e-3, detuning=linewidths * system.gamma_bar(Band.PUMP))
         for x in system.channel_ids:
             for y in system.channel_ids:
