@@ -41,13 +41,42 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _write_float_csv(path: Path, header: list, *columns: np.ndarray) -> None:
-    """Float columns (1-D, or 2-D blocks of them) streamed row by row."""
-    # the repr of a row's list of Python floats, less brackets and spaces, is
-    # the line csv.writer writes for it
+    """Float columns (1-D, or 2-D blocks of them), in the bytes csv.writer
+    writes for the same rows of Python floats.
+
+    The 2-D grids are up to 263k cells, and repr's bignum dtoa would spend
+    most of a jsa run on them. orjson's Ryu formatter picks the same shortest
+    round-trip digits about 20x faster; only its layout can differ. Cells
+    with 1.1e-9 < |x| < 0.9e-5 get repr's two-digit exponent (e-7 -> e-07).
+    Cells with |x| < 0.9e-9 or 1.1e-4 < |x| < 0.9e16 are already laid out as
+    repr lays them out. Every other cell is written by repr: the 1e-5..1e-4
+    band, where only repr uses an exponent, the 10% margins around 1e-9 and
+    1e-4, |x| >= 0.9e16 (repr writes e+16) and NaN/inf (orjson writes null).
+    """
+    # imported here, so that the commands writing no grid never load it
+    import orjson
+
+    table = np.column_stack(columns)
+    width = table.shape[1]
+    # about 4096 cells per orjson call: one call and one set of masks per row
+    # cost more than repr on a narrow table, and a list of all the cells of
+    # a wide one would raise the peak memory
+    step = max(1, 4096 // width)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(repr(row.tolist())[1:-1].replace(", ", ",") + "\r\n"
-                      for row in np.column_stack(columns))
+        fh.flush()
+        for start in range(0, len(table), step):
+            flat = table[start:start + step].ravel()
+            cells = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+            a = np.abs(flat)
+            pad = (a > 1.1e-9) & (a < 0.9e-5)
+            by_repr = ~(pad | (a < 0.9e-9) | ((a > 1.1e-4) & (a < 0.9e16)))
+            for i in np.flatnonzero(pad).tolist():
+                cells[i] = cells[i].replace(b"e-", b"e-0")
+            for i in np.flatnonzero(by_repr).tolist():
+                cells[i] = repr(float(flat[i])).encode()
+            fh.buffer.write(b"".join([b",".join(cells[j:j + width]) + b"\r\n"
+                                      for j in range(0, len(cells), width)]))
 
 
 def _write_sweep(outdir: Path, command: str, config: RunConfig,
@@ -56,8 +85,8 @@ def _write_sweep(outdir: Path, command: str, config: RunConfig,
     order, each under its name; <stem>_meta.json the result's metadata."""
     stem = command.replace("-", "_")
     ((name, axis),) = result.axes.items()
-    _write_float_csv(outdir / f"{stem}.csv", [name] + list(result.values),
-                     axis, *result.values.values())
+    _write_csv(outdir / f"{stem}.csv", [name] + list(result.values),
+               np.column_stack([axis, *result.values.values()]).tolist())
     meta = _base_metadata(command, config)
     meta.update(result.metadata)
     _write_metadata(outdir / f"{stem}_meta.json", meta)

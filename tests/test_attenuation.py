@@ -233,7 +233,7 @@ class TestOverlap:
            st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=25, deadline=None)
     def test_add_drop_closed_form_matches_zeta_scan(self, s2_t, s2_d, d1):
-        system = bundled_system("add_drop.json")
+        system = bundled_system("add_drop.json", {"T": {"sigma": s2_t}, "D": {"sigma": s2_d}})
         gbar = system.gamma_bar(Band.PUMP)
         w = {b: system.bands[b].omega for b in Band}
         fields = (att.ring_field_builder(system, Band.SIGNAL, "D")(w[Band.SIGNAL] + d1 * gbar),

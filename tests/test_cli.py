@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lossy_ring_sfwm
 from lossy_ring_sfwm import cli, jsa, phantom
@@ -642,6 +644,18 @@ def _csv_writer_bytes(header: list, rows) -> bytes:
     return text.getvalue().encode()
 
 
+# each power of ten where repr or orjson may change layout, its neighbouring
+# doubles, 0.9x and 1.1x of it, and the negatives of all of these
+_DECADE_EDGES = [sign * x for k in range(-12, 21) for v in (float(f"1e{k}"),)
+                 for x in (v, math.nextafter(v, 0.0), math.nextafter(v, math.inf),
+                           0.9 * v, 1.1 * v)
+                 for sign in (1.0, -1.0)] + [0.0, -0.0]
+_CELLS = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                   st.sampled_from(_DECADE_EDGES))
+_BLOCKS = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(_CELLS, min_size=n, max_size=n), min_size=1, max_size=8))
+
+
 def test_write_csv_formatting(tmp_path):
     # the shortest round-trip repr of each float, as str() of ints and ids
     path = tmp_path / "t.csv"
@@ -654,6 +668,18 @@ def test_write_csv_formatting(tmp_path):
     cli._write_float_csv(path, header, np.array(rows))
     assert path.read_bytes() == _csv_writer_bytes(header, rows) == (
         b"kappa1\\kappa2,x\r\n0.1,1e-05,1e+16\r\n-0.0,5e-324,-2.5\r\n")
+    # every decade edge, then blocks of any doubles (NaN, inf, subnormals, -0.0)
+    rows = [_DECADE_EDGES[i:i + 2] for i in range(0, len(_DECADE_EDGES), 2)]
+    cli._write_float_csv(path, header, np.array(rows))
+    assert path.read_bytes() == _csv_writer_bytes(header, rows)
+
+    @given(_BLOCKS)
+    @settings(max_examples=300, deadline=None)
+    def writes_csv_writer_bytes(rows):
+        cli._write_float_csv(path, header, np.array(rows))
+        assert path.read_bytes() == _csv_writer_bytes(header, rows)
+
+    writes_csv_writer_bytes()
     # and so do the jsa grids, checked against csv.writer on the same arrays
     doc = eta_config(pump={"kind": "pulsed", "duration_fwhm_ps": 10.0})
     doc["options"] = {"jsa": {"grid_points": 64}}
@@ -678,10 +704,6 @@ def _loaded_modules(code: str) -> list[str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def _loaded_scipy(code: str) -> list[str]:
-    return [m for m in _loaded_modules(code) if m.split(".")[0] == "scipy"]
-
-
 def test_import_and_parse_leave_scipy_unloaded():
     # the closed-form commands never integrate, so they must not pay for scipy
     code = ("import sys\n"
@@ -698,7 +720,9 @@ def test_import_and_parse_leave_scipy_unloaded():
 
 def test_commands_leave_scipy_unloaded(tmp_path):
     # quadratures and the Faddeeva function run in numpy; only the jsa
-    # command builds the Faddeeva coefficients, so only it loads numpy.fft
+    # command builds the Faddeeva coefficients, so only it loads numpy.fft.
+    # Only the 2-D grids are written through orjson, so the sweeps, rates and
+    # oracle checks must not pay for its import
     runs = [("oracle-check", "ring_channel.json", {}),
             ("oracle-check", "add_drop.json", {}),
             ("rate", "add_drop.json", {}),
@@ -715,11 +739,14 @@ def test_commands_leave_scipy_unloaded(tmp_path):
         loaded = _loaded_modules(code)
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == [], command
         assert "numpy.fft" not in loaded, command
+        assert "orjson" not in loaded, command
     doc = bundled()
     doc["pump"] = {"kind": "pulsed", "duration_fwhm_ps": 10.0}
     doc["options"] = {"jsa": {"grid_points": 64}}
     cfg = _write_config(tmp_path, doc, name="pulsed.json")
-    assert _loaded_scipy("import sys\n"
-                         "from lossy_ring_sfwm.cli import main\n"
-                         f"assert main(['jsa', '--config', {cfg!r}, "
-                         f"'--out', {str(tmp_path / 'jsa')!r}]) == 0\n") == []
+    loaded = _loaded_modules("import sys\n"
+                             "from lossy_ring_sfwm.cli import main\n"
+                             f"assert main(['jsa', '--config', {cfg!r}, "
+                             f"'--out', {str(tmp_path / 'jsa')!r}]) == 0\n")
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert "orjson" in loaded
