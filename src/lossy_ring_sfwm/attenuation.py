@@ -16,10 +16,15 @@ pump incoming, so the overlap conjugates by position. The frequency integral
 runs in theta = atan(s tan(phi / 2)), phi the signal's round-trip phase and
 s = (1 + r) / (1 - r) for its round-trip amplitude r: the Jacobian of that map
 cancels the signal's Airy factor 1 / |1 - r e^{i phi}|^2 exactly, so the
-quadrature sees a flat signal resonance instead of a peak. Each rate makes its
-three field builders once, holding all that does not depend on omega, since
-rebuilding that per quadrature node was most of a rate's cost. A node is then
-two builder calls and one overlap_of_fields call in plain complex math, which
+quadrature sees a flat signal resonance instead of a peak, and the idler line
+over the signal's is what is left. Where that ratio stays within twice its
+far-off value, as where an idler line no narrower than 1/sqrt(2) of the
+signal's sits on it, one panel resolves it and the quadrature is handed no
+hints; a taller idler peak (a detuned pump, a narrower idler) is hinted
+together with the signal resonance. Each rate makes its three field builders
+once, holding all that does not depend on omega, since rebuilding that per
+quadrature node was most of a rate's cost. A node is then two builder calls
+and one overlap_of_fields call in plain complex math, which
 `benchmark/run.py --trace 1` counts per evaluation.
 """
 
@@ -47,33 +52,6 @@ _TAYLOR_THRESHOLD = 1e-6  # |dk L| below which the overlap integral is expanded
 
 class SingularityError(ArithmeticError):
     """A lossless resonance denominator vanished (sigma = 1 on resonance)."""
-
-
-@dataclass(frozen=True)
-class PointCoupler:
-    """Lossless 2x2 junction between a bus waveguide and the ring."""
-
-    sigma: float  # self-coupling
-    kappa: float  # cross-coupling
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError(f"self-coupling must be in [0, 1], got {self.sigma}")
-        if abs(self.sigma**2 + self.kappa**2 - 1.0) > 1e-12:
-            raise ValueError(
-                f"coupler must be lossless: sigma^2 + kappa^2 = "
-                f"{self.sigma**2 + self.kappa**2}")
-
-    @classmethod
-    def from_sigma(cls, sigma: float) -> "PointCoupler":
-        return cls(sigma=sigma, kappa=math.sqrt(max(0.0, 1.0 - sigma * sigma)))
-
-
-def coupler_scatter(coupler: PointCoupler, f1: complex, f4: complex) -> tuple[complex, complex]:
-    """Outputs (f2, f3) of the point coupler for inputs (f1, f4)."""
-    f2 = coupler.sigma * f1 + 1j * coupler.kappa * f4
-    f3 = 1j * coupler.kappa * f1 + coupler.sigma * f4
-    return f2, f3
 
 
 @dataclass(frozen=True)
@@ -115,34 +93,6 @@ def overlap_of_fields(signal: RingField, idler: RingField, pump: RingField,
     return total
 
 
-def overlap_by_zeta_scan(signal: RingField, idler: RingField, pump: RingField,
-                         circumference: float, delta_kappa: float = 0.0,
-                         n: int = 10_001) -> complex:
-    """Direct numerical scan of the ring overlap integrand (oracle for
-    overlap_of_fields; deliberately ignorant of the closed form).
-
-    Each arc segment is scanned separately because the field amplitudes
-    jump across coupling points."""
-    fields = ((signal, True), (idler, True), (pump, False), (pump, False))  # (field, conjugated)
-    n_seg = len(signal.segments)
-    if any(len(f.segments) != n_seg for f, _ in fields):
-        raise ValueError("fields must share one ring segmentation")
-    total = 0.0 + 0.0j
-    start = 0.0
-    per_segment = max(n // n_seg, 64)
-    for seg in range(n_seg):
-        length = signal.segments[seg][0]
-        local = np.linspace(0.0, length, per_segment)
-        vals = np.ones_like(local, dtype=complex)
-        for f, conj in fields:
-            amp = f.segments[seg][1] * np.exp(1j * f.k_prop * local)
-            vals = vals * (np.conj(amp) if conj else amp)
-        vals *= np.exp(1j * delta_kappa * (start + local))
-        total += np.trapezoid(vals, local)
-        start += length
-    return complex(total)
-
-
 # ---------------------------------------------------------------------------
 # Field builder: one per band and exit of a rate, holding everything that
 # does not depend on omega
@@ -163,7 +113,7 @@ def ring_field_builder(system: SystemSpec, band: Band,
     first = 0 if incoming else buses.index(exit_channel)
     sigmas = [system.sigma_view(x, band) for x in buses]
     passed = sigmas[first + 1:] + sigmas[:first]  # the further couplers, in field order
-    kappa = PointCoupler.from_sigma(sigmas[first]).kappa
+    kappa = math.sqrt(max(0.0, 1.0 - sigmas[first] * sigmas[first]))
     numerator = 1j * kappa * (1 if incoming else math.prod(passed))
     product = math.prod(sigmas)
     n = len(buses)
@@ -229,7 +179,15 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
     theta + sin^2 theta) is a constant, so the signal resonance is flat in
     theta; where the idler resonance coincides with it, what remains is a trig
     polynomial. The window is signal_window's, |phi| <= 0.9 pi, where the map
-    is monotone."""
+    is monotone.
+
+    In the Lorentzian limit the integrand in theta goes as ((omega1 -
+    omega_S)^2 + G_S^2) / ((omega1 - omega_m)^2 + G_I^2), G the half-widths
+    and omega_m = 2 omega_o - omega_I the signal frequency of the idler peak:
+    1 far off, ((omega_m - omega_S)^2 + G_S^2) / G_I^2 at omega_m. Up to 2 the
+    quadrature starts on one panel, with no hints; above that it is handed
+    the signal resonance and, inside the window, the idler peak, each with
+    its half-width in theta, so the panels ladder in around the peak."""
     signal = ring_field_builder(system, Band.SIGNAL, signal_exit)
     idler = ring_field_builder(system, Band.IDLER, idler_exit)
     ring = system.ring
@@ -260,11 +218,15 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
         return np.array([integrand(w) for w in omega.tolist()]) * jacobian
 
     lo, hi = signal_window(system, pump)
-    points = [(0.0, theta(sb.omega + _linewidth(system, Band.SIGNAL)))]
+    gamma_s, gamma_i = _linewidth(system, Band.SIGNAL), _linewidth(system, Band.IDLER)
     mirror = 2.0 * omega_o - ib.omega  # omega1 at which the idler is resonant
-    if lo < mirror < hi:
-        t_m = theta(mirror)
-        points.append((t_m, abs(theta(mirror + _linewidth(system, Band.IDLER)) - t_m)))
+    points = []
+    # hint only an idler line standing above twice its far-off value in theta
+    if (mirror - sb.omega) ** 2 + gamma_s ** 2 > 2.0 * gamma_i ** 2:
+        points.append((0.0, theta(sb.omega + gamma_s)))
+        if lo < mirror < hi:
+            t_m = theta(mirror)
+            points.append((t_m, abs(theta(mirror + gamma_i) - t_m)))
     quad = integrate_adaptive(mapped, theta(lo), theta(hi), rel_tol=rel_tol, points=points)
     prefactor = (1.0 / TWO_PI) * (ring.gamma_nl * pump.power / pb.omega) ** 2 \
         * pb.v ** 2 / (sb.v * ib.v)

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from lossy_ring_sfwm import attenuation as att
 from lossy_ring_sfwm import sweeps
+from lossy_ring_sfwm.config import parse_config
 from lossy_ring_sfwm.constants import TWO_PI
 from lossy_ring_sfwm.model import (Band, ChannelCoupling, CwPump, GeometryError, finesse,
                                    gamma_from_sigma)
 from lossy_ring_sfwm.numerics import integrate_adaptive
-from conftest import bundled_system
+from conftest import bundled, bundled_system
+from oracles import PointCoupler, coupler_scatter, overlap_by_zeta_scan
 
 V = 1e8
 SIGMA_REF = 0.9814
@@ -51,7 +53,7 @@ def _add_drop(s1, s2, loss_db_per_cm=26.0):
 
 
 def _coupler(system, channel_id):
-    return att.PointCoupler.from_sigma(system.sigma_view(channel_id, Band.PUMP))
+    return PointCoupler.from_sigma(system.sigma_view(channel_id, Band.PUMP))
 
 
 def _all_pass_ports(system, omega):
@@ -60,8 +62,8 @@ def _all_pass_ports(system, omega):
     return f_ring e^{i k~ L})."""
     field = att.ring_field_builder(system, Band.PUMP)(omega)
     ((length, f_ring),) = field.segments
-    f_through, _ = att.coupler_scatter(_coupler(system, system.pump_input_channel), 1.0,
-                                       f_ring * cmath.exp(1j * field.k_prop * length))
+    f_through, _ = coupler_scatter(_coupler(system, system.pump_input_channel), 1.0,
+                                   f_ring * cmath.exp(1j * field.k_prop * length))
     return f_ring, f_through
 
 
@@ -72,8 +74,8 @@ def _add_drop_ports(system, omega):
     field = att.ring_field_builder(system, Band.PUMP)(omega)
     (length, r1), (_, r2) = field.segments
     half = cmath.exp(1j * field.k_prop * length)
-    f_drop, _ = att.coupler_scatter(_coupler(system, "D"), 0.0, r1 * half)
-    f_through, _ = att.coupler_scatter(_coupler(system, "T"), 1.0, r2 * half)
+    f_drop, _ = coupler_scatter(_coupler(system, "D"), 0.0, r1 * half)
+    f_through, _ = coupler_scatter(_coupler(system, "T"), 1.0, r2 * half)
     return r1, f_through, f_drop
 
 
@@ -87,13 +89,13 @@ def _single_bus_fields(system, omega_s, omega_i, omega_p):
 
 class TestPointCoupler:
     def test_identity_coupler(self):
-        c = att.PointCoupler.from_sigma(1.0)
+        c = PointCoupler.from_sigma(1.0)
         f1, f4 = 0.3 + 0.1j, -0.2 + 0.9j
-        assert att.coupler_scatter(c, f1, f4) == (f1, f4)
+        assert coupler_scatter(c, f1, f4) == (f1, f4)
 
     def test_full_crossover(self):
-        c = att.PointCoupler.from_sigma(0.0)
-        f2, f3 = att.coupler_scatter(c, 1.0, 0.0)
+        c = PointCoupler.from_sigma(0.0)
+        f2, f3 = coupler_scatter(c, 1.0, 0.0)
         assert f2 == 0.0
         assert f3 == 1.0j
 
@@ -101,14 +103,14 @@ class TestPointCoupler:
            st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
            st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False))
     def test_unitarity(self, sigma, f1, f4):
-        c = att.PointCoupler.from_sigma(sigma)
-        f2, f3 = att.coupler_scatter(c, f1, f4)
+        c = PointCoupler.from_sigma(sigma)
+        f2, f3 = coupler_scatter(c, f1, f4)
         assert abs(f2) ** 2 + abs(f3) ** 2 == pytest.approx(
             abs(f1) ** 2 + abs(f4) ** 2, rel=1e-12, abs=1e-12)
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
-            att.PointCoupler(sigma=0.9, kappa=0.9)
+            PointCoupler(sigma=0.9, kappa=0.9)
 
 
 class TestAsyFields:
@@ -225,7 +227,7 @@ class TestOverlap:
         # the scan is a trapezoid rule, off by up to 1.5e-8 at 10,001 points
         # on the corners of this box (sigma 0.5, |d| = 3); 40,001 points
         # bring that below 1e-9
-        scanned = att.overlap_by_zeta_scan(*fields, system.ring.circumference, n=40_001)
+        scanned = overlap_by_zeta_scan(*fields, n=40_001)
         assert abs(closed - scanned) <= 1e-8 * abs(closed)
 
     @given(st.floats(min_value=0.6, max_value=0.995),
@@ -240,7 +242,7 @@ class TestOverlap:
                   att.ring_field_builder(system, Band.IDLER, "T")(w[Band.IDLER] - d1 * gbar),
                   att.ring_field_builder(system, Band.PUMP)(w[Band.PUMP]))
         closed = att.overlap_of_fields(*fields)
-        scanned = att.overlap_by_zeta_scan(*fields, system.ring.circumference)
+        scanned = overlap_by_zeta_scan(*fields)
         assert abs(closed - scanned) <= 1e-8 * abs(closed)
 
     def test_overlap_magnitude_phase_invariant(self, ring_ref):
@@ -416,11 +418,79 @@ def _theta_map_cases():
     return [pytest.param(*case[1:], id=case[0]) for case in cases]
 
 
+def _idler_velocity_system(name, factor):
+    """A bundled ring whose idler band alone has `factor` times the shared
+    group velocity, so its linewidth is about `factor` times the signal's."""
+    doc = bundled(name)
+    bands = doc["system"]["bands"]
+    bands["idler"] = {"group_velocity_m_per_s": factor * bands["group_velocity_m_per_s"]}
+    return parse_config(doc).system
+
+
+def _hint_rule_cases():
+    """36 rates across pair_rate_cw's hint rule: idler linewidths 0.2 to 5
+    times the signal's, pumps detuned by 0, 0.3 and 3 pump linewidths, and
+    the exits OO, TD and DD of the bundled rings."""
+    cases = []
+    for factor in (0.2, 0.75, 1.5, 5.0):
+        for name, exits in (("ring_channel", ("OO",)), ("add_drop", ("TD", "DD"))):
+            system = _idler_velocity_system(f"{name}.json", factor)
+            for d in (0.0, 0.3, 3.0):
+                pump = CwPump(1e-3, detuning=d * system.gamma_bar(Band.PUMP))
+                cases += [pytest.param(system, pump, x, y,
+                                       id=f"{name}-{x}{y}-idler{factor}-detuned{d}")
+                          for x, y in exits]
+    return cases
+
+
 class TestThetaMap:
     @pytest.mark.parametrize("system, pump, x, y", _theta_map_cases())
     def test_matches_omega_space_integral(self, system, pump, x, y):
         rate = att.pair_rate_cw(system, pump, x, y)
         assert rate == pytest.approx(_omega_space_rate(system, pump, x, y), rel=1e-9)
+
+    @pytest.mark.parametrize("system, pump, x, y", _hint_rule_cases())
+    def test_hint_rule_keeps_default_tolerance(self, system, pump, x, y):
+        # rates with no hints (idler line flat in theta) and with the two
+        # hints (idler line a peak) both stay within the requested 1e-6;
+        # dropping only the signal's hint misses by 4.8e-6 on add-drop DD
+        # with the idler at 0.2 and the pump detuned by 0.3 linewidths
+        rate = att.pair_rate_cw(system, pump, x, y)
+        assert rate == pytest.approx(_omega_space_rate(system, pump, x, y), rel=1e-6)
+
+    @pytest.fixture
+    def quadratures(self, monkeypatch):
+        """The (points, evaluations) of each integrate_adaptive call a rate makes."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            quad = integrate_adaptive(*args, **kwargs)
+            calls.append((kwargs["points"], quad.evaluations))
+            return quad
+
+        monkeypatch.setattr(att, "integrate_adaptive", spy)
+        return calls
+
+    @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
+    def test_flat_lines_take_one_panel(self, name, quadratures):
+        # on resonance the idler line sits on the signal's, both flat in
+        # theta: no hints, and one 8/16-point panel converges
+        system = bundled_system(name)
+        for x in system.buses(1, 2):
+            for y in system.buses(1, 2):
+                att.pair_rate_cw(system, CwPump(1e-3), x, y)
+        assert quadratures == [([], 24)] * len(system.buses(1, 2)) ** 2
+
+    @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
+    def test_detuned_idler_peak_keeps_both_hints(self, name, quadratures):
+        # a pump 3 linewidths off puts the idler peak 6 linewidths from the
+        # signal's, 37 times its far-off value in theta: both are hinted
+        system = bundled_system(name)
+        x = system.pump_input_channel
+        att.pair_rate_cw(system, CwPump(1e-3, detuning=3.0 * system.gamma_bar(Band.PUMP)), x, x)
+        ((points, _),) = quadratures
+        assert len(points) == 2
+        assert points[0][0] == 0.0 < points[1][0]
 
     def test_lossless_uncoupled_ring_is_singular(self, ring_ref):
         # r = 1 leaves the signal resonance no width, even with the pump off it
