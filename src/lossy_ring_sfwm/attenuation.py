@@ -230,4 +230,7 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
     quad = integrate_adaptive(mapped, theta(lo), theta(hi), rel_tol=rel_tol, points=points)
     prefactor = (1.0 / TWO_PI) * (ring.gamma_nl * pump.power / pb.omega) ** 2 \
         * pb.v ** 2 / (sb.v * ib.v)
-    return prefactor * quad.value
+    rate = prefactor * quad.value
+    if not math.isfinite(rate):
+        raise FloatingPointError(f"the strategy-1 pair rate is {rate}, past the float range")
+    return rate

@@ -10,9 +10,9 @@ Each command writes CSV data files and a JSON metadata sidecar
 (configuration hash, derived parameters, tolerances achieved) into the
 output directory. Outputs are byte-stable for a fixed configuration:
 stable column order, shortest round-trip decimals, no timestamps. Exit
-status: 0 on success; 1 when a tolerance gate fails, a quadrature fails
-or a zero rate stops the command; 2 on a bad config or geometry, or an
-option the command does not take.
+status: 0 on success; 1 when a tolerance gate fails, a quadrature fails,
+or a rate that is zero, not finite or singular stops the command; 2 on a
+bad config or geometry, or an option the command does not take.
 """
 
 from __future__ import annotations
@@ -224,6 +224,12 @@ def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> int:
     axis = _axis(config, "sweep_sigma", "min", "max", "points", (0.90, 0.9995, 101),
                  unit="(0, 1]")
     _require_strategy1(config, [])  # the ring loss: the sweep sets the bus coupling
+    if axis[-1] == 1.0:  # a lossless ring has no linewidth once the bus decouples
+        try:
+            config.system.with_channel_gamma(*config.system.buses(1), dict.fromkeys(Band, 0.0))
+        except ValueError as e:
+            raise ConfigError("options.sweep_sigma.max",
+                              f"sigma = 1 decouples the bus: {e}") from e
     return _write_sweep(outdir, "sweep-sigma", config,
                         sweeps.sweep_sigma(config.system, axis, pump))
 
@@ -407,15 +413,22 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        return _HANDLERS[args.command](config, outdir, args.tol)
+        # numpy would warn of an overflow or a 0/0 on stderr; the rate kernels
+        # raise on a rate that is not finite instead
+        with np.errstate(all="ignore"):
+            return _HANDLERS[args.command](config, outdir, args.tol)
     except ConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2
     except GeometryError as e:
         print(f"invalid config: system.channels: {e}", file=sys.stderr)
         return 2
-    except (QuadratureError, phantom.ZeroRateError) as e:
-        print(f"{args.command}: {e}", file=sys.stderr)
+    except (QuadratureError, ArithmeticError) as e:
+        # arithmetic that fails ends the command in one line: a zero rate, a
+        # singular resonance and a rate that is not finite say what went
+        # wrong; a bare OverflowError only "math range error"
+        what = "a result overflows the float range" if type(e) is OverflowError else e
+        print(f"{args.command}: {what}", file=sys.stderr)
         return 1
 
 

@@ -86,11 +86,10 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _parse_band_block(block: Mapping, path: str, defaults: Mapping | None = None):
-    base = dict(defaults or {})
+def _parse_band_block(block: Mapping, path: str, defaults: Mapping):
     _check_keys(block, {"wavelength_nm", "effective_index", "group_velocity_m_per_s",
                         "group_index"}, path)
-    base.update(block)
+    base = {**defaults, **block}
     wavelength = _number(base, "wavelength_nm", path, positive=True) * 1e-9
     n_eff = _number(base, "effective_index", path, positive=True)
     if "group_velocity_m_per_s" in base and "group_index" in base:
@@ -281,11 +280,6 @@ def _normalize(doc: Mapping) -> dict:
     return json.loads(json.dumps(doc, sort_keys=True))
 
 
-def serialize_config(config: RunConfig) -> str:
-    """Canonical JSON text whose parse equals this configuration."""
-    return json.dumps(config.normalized, sort_keys=True, indent=2)
-
-
 def derived_echo(config: RunConfig) -> dict:
     """Derived quantities echoed into run metadata."""
     system = config.system
@@ -308,12 +302,5 @@ def derived_echo(config: RunConfig) -> dict:
             echo[f"sigma_{c.channel_id}"] = system.sigma_view(c.channel_id, Band.PUMP)
         except ValueError:
             pass  # outside the point-coupling regime; no sigma view
-    return _jsonable(echo)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(obj)
-    return obj
+    # every value is a float; JSON has no inf, so a lossless ring's Q reads "inf"
+    return {k: v if math.isfinite(v) else repr(v) for k, v in echo.items()}

@@ -61,19 +61,6 @@ class GridTooCoarseError(ValueError):
             f"JSA grid normalization residual {residual:.3e} exceeds tolerance "
             f"{tolerance:.1e}; {advice}")
         self.residual = residual
-        self.tolerance = tolerance
-
-
-def pump_bandwidth(pump: PulsedPump) -> float:
-    """Intensity FWHM of the pump power spectrum [rad/s]."""
-    return 2.0 * math.sqrt(math.log(2.0)) / pump.tau
-
-
-def pulse_spectral_amplitude(omega, omega_center: float, pump: PulsedPump):
-    """Spectral amplitude with unit integrated squared modulus (over omega)."""
-    tau = pump.tau
-    return (tau * tau / math.pi) ** 0.25 * np.exp(-0.5 * tau * tau
-                                                  * (omega - omega_center) ** 2)
 
 
 @functools.cache
@@ -119,71 +106,36 @@ def _pump_g_factor(system: SystemSpec, pump: PulsedPump):
     return g
 
 
-def _lorentzian_pair_integral(system: SystemSpec, s: float, gamma_s: float,
-                              gamma_i: float) -> float:
-    """Exact integral over omega1 of |F_S|^2 |F_I|^2 at fixed two-photon
-    energy s, for channel decay rates gamma_s, gamma_i."""
-    sb = system.bands[Band.SIGNAL]
-    ib = system.bands[Band.IDLER]
-    L = system.ring.circumference
-    gbs = system.gamma_bar(Band.SIGNAL)
-    gbi = system.gamma_bar(Band.IDLER)
-    amp = (2.0 * sb.v * gamma_s / L) * (2.0 * ib.v * gamma_i / L)
-    mismatch = s - sb.omega - ib.omega
-    return amp * math.pi * (gbs + gbi) / (gbs * gbi * (mismatch ** 2 + (gbs + gbi) ** 2))
-
-
 def _jsa_prefactor(system: SystemSpec) -> float:
     sb, ib, pb = (system.bands[b] for b in (Band.SIGNAL, Band.IDLER, Band.PUMP))
     return (HBAR / TWO_PI) * math.sqrt(sb.omega * ib.omega) * pb.v ** 2 \
         * system.ring.gamma_nl * system.ring.circumference
 
 
-def _energy_mass_integral(system: SystemSpec, pump: PulsedPump, gamma_s: float,
-                          gamma_i: float, *, half_window: float | None = None) -> float:
+def total_mass(system: SystemSpec, pump: PulsedPump) -> float:
     """Integrated squared modulus of the unnormalized biphoton amplitude
-    (before dividing by beta) of a channel pair with decay rates gamma_s,
-    gamma_i: the integral over two-photon energy of |g|^2 times the
-    signal/idler Lorentzian pair integral, to 1e-7 relative, times the
-    common prefactor."""
+    (before dividing by beta), summed over all channel pairs: the integral
+    over two-photon energy s of |g(s)|^2 times the exact integral over
+    omega1 of |F_S|^2 |F_I|^2 at fixed s, to 1e-7 relative, times the
+    common prefactor. The channel sums factorize, so the Lorentzian pair
+    integral takes the full linewidths Gbar_S, Gbar_I as decay rates."""
     pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
     g = _pump_g_factor(system, pump)
-    gsum = system.gamma_bar(Band.SIGNAL) + system.gamma_bar(Band.IDLER)
+    gbs, gbi = system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER)
+    gsum = gbs + gbi
     center = 2.0 * (pb.omega + pump.detuning)
-    if half_window is None:
-        half_window = 16.0 / pump.tau + 8.0 * gsum
+    half_window = 16.0 / pump.tau + 8.0 * gsum
+    L = system.ring.circumference
+    # the Lorentzian pair integral is lorentz / (gbs gbi (mismatch^2 + gsum^2))
+    lorentz = (2.0 * sb.v * gbs / L) * (2.0 * ib.v * gbi / L) * math.pi * gsum
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        return np.abs(g(s)) ** 2 * _lorentzian_pair_integral(system, s, gamma_s, gamma_i)
+        mismatch = s - sb.omega - ib.omega
+        return np.abs(g(s)) ** 2 * (lorentz / (gbs * gbi * (mismatch ** 2 + gsum ** 2)))
 
     quad = integrate_adaptive(integrand, center - half_window, center + half_window, rel_tol=1e-7,
                               points=[(center, 1.0 / pump.tau), (sb.omega + ib.omega, gsum)])
     return _jsa_prefactor(system) ** 2 / (sb.v * ib.v) * quad.value
-
-
-def pair_mass(system: SystemSpec, pump: PulsedPump, signal_exit: str,
-              idler_exit: str) -> float:
-    """Integrated squared modulus of one channel pair's unnormalized
-    biphoton amplitude (before dividing by beta)."""
-    return _energy_mass_integral(system, pump,
-                                 system.channel(signal_exit).gamma(Band.SIGNAL),
-                                 system.channel(idler_exit).gamma(Band.IDLER))
-
-
-def total_mass(system: SystemSpec, pump: PulsedPump) -> float:
-    """Sum of pair_mass over all channel pairs (the decay-rate sums
-    factorize, so the total uses the full linewidths)."""
-    return _energy_mass_integral(system, pump, system.gamma_bar(Band.SIGNAL),
-                                 system.gamma_bar(Band.IDLER))
-
-
-def antidiagonal_mass_fraction(system: SystemSpec, pump: PulsedPump,
-                               half_width: float) -> float:
-    """Fraction of the biphoton squared-modulus mass with two-photon energy
-    within +- half_width of the energy-conservation line 2 omega_o."""
-    inside = _energy_mass_integral(system, pump, system.gamma_bar(Band.SIGNAL),
-                                   system.gamma_bar(Band.IDLER), half_window=half_width)
-    return inside / total_mass(system, pump)
 
 
 @dataclass(frozen=True)

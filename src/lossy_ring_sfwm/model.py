@@ -330,8 +330,8 @@ def phantom_gamma_from_xi(xi: float, v: float) -> float:
     return xi * v / 2.0
 
 
-def finesse(system: SystemSpec, band: Band = Band.PUMP) -> float:
-    """Free spectral range over resonance linewidth (FWHM) in the band."""
-    p = system.bands[band]
+def finesse(system: SystemSpec) -> float:
+    """Free spectral range over resonance linewidth (FWHM) in the pump band."""
+    p = system.bands[Band.PUMP]
     fsr = TWO_PI * p.v / system.ring.circumference
-    return fsr / (2.0 * system.gamma_bar(band))
+    return fsr / (2.0 * system.gamma_bar(Band.PUMP))

@@ -16,6 +16,7 @@ import numpy as np
 DEFAULT_RATE_RTOL = 1e-6
 
 _RULE_POINTS = 8  # nodes of the lower Gauss-Legendre rule; the upper has twice as many
+_PANEL_LIMIT = 200  # panels a quadrature may split into before it gives up
 
 
 class QuadratureError(RuntimeError):
@@ -66,8 +67,7 @@ def _rules() -> tuple[np.ndarray, np.ndarray]:
 
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                        rel_tol: float = DEFAULT_RATE_RTOL,
-                       points: Sequence[tuple[float, float]] | None = None,
-                       limit: int = 200) -> QuadratureResult:
+                       points: Sequence[tuple[float, float]] | None = None) -> QuadratureResult:
     """Adaptive Gauss-Legendre quadrature of a real integrand over [a, b].
 
     f maps a 1-D array of abscissae to the integrand values. Panels start
@@ -77,9 +77,9 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     panels in one call of f. value = sum of Q16, error estimate = sum of
     |Q16 - Q8|. While the estimate exceeds rel_tol * |value| (plus a tiny
     floor, so zero integrands converge), the panels above their equal share
-    of it, and always the worst, are halved.
-    When the budget of `limit` panels is spent, QuadratureError carries the
-    achieved estimate. `evaluations` counts the abscissae passed to f.
+    of it, and always the worst, are halved. When the budget of
+    _PANEL_LIMIT panels is spent, QuadratureError carries the achieved
+    estimate. `evaluations` counts the abscissae passed to f.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -98,7 +98,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
         tol = rel_tol * abs(value) + 1e-300
         if abserr <= tol:
             return QuadratureResult(value, abserr, evaluations)
-        room = limit - len(lo)
+        room = _PANEL_LIMIT - len(lo)
         if room <= 0:
             raise QuadratureError(
                 f"quadrature did not converge: estimate {abserr:.3e} vs requested "

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .constants import EPS0, HBAR
-from .model import Band, ChannelKind, CwPump, SystemSpec
+from .model import Band, CwPump, SystemSpec
 from .numerics import integrate_adaptive
 
 
@@ -61,79 +60,6 @@ def _enhancement_abs2(v: float, gamma: ArrayLike, gbar: ArrayLike, circumference
     """|F|^2 of either branch, 2 v Gamma^(X) / (L (detuning^2 + Gbar^2)), for
     scalar or array decay rates."""
     return 2.0 * v * gamma / (circumference * (detuning * detuning + gbar * gbar))
-
-
-def enhancement_peak_abs2(system: SystemSpec, channel_id: str, band: Band) -> float:
-    """|F|^2 on resonance: 2 v Gamma^(X) / (L Gbar^2)."""
-    return _enhancement_abs2(system.bands[band].v, system.channel(channel_id).gamma(band),
-                             system.gamma_bar(band), system.ring.circumference)
-
-
-# ---------------------------------------------------------------------------
-# Asymptotic field amplitudes (piecewise over the waveguide regions + ring)
-# ---------------------------------------------------------------------------
-
-class Region(enum.Enum):
-    INPUT = "input"
-    OUTPUT = "output"
-    RING = "ring"
-
-
-@dataclass(frozen=True)
-class PiecewiseAmplitude:
-    """Amplitude of an asymptotic field in one region of the structure.
-
-    For waveguide regions the amplitude multiplies the bare running wave
-    e^{i k z}; in the ring it multiplies the mode profile e^{i kappa_J zeta}.
-    """
-
-    region: Region
-    channel_id: str | None  # None for the ring
-    amplitude: complex
-
-
-def _asy_amplitude(system: SystemSpec, channel_id: str, band: Band, k: float,
-                   branch: Branch) -> list[PiecewiseAmplitude]:
-    """Solution with a unit wave in one channel: entering through it on the
-    MINUS branch (incoming type), leaving through it on the PLUS branch."""
-    F = enhancement_factor(system, channel_id, band, k, branch)
-    v = system.bands[band].v
-    sqrt_l = math.sqrt(system.ring.circumference)
-    incoming = branch is Branch.MINUS
-    regions = (Region.INPUT, Region.OUTPUT) if incoming else (Region.OUTPUT, Region.INPUT)
-    driven, scattered = regions
-    pieces = [PiecewiseAmplitude(driven, c.channel_id, float(c.channel_id == channel_id))
-              for c in system.channels]
-    pieces.append(PiecewiseAmplitude(Region.RING, None, -F))
-    for c in system.channels:
-        amp = (1j if incoming else -1j) * system.amplitude_coupling(c.channel_id, band) \
-            * sqrt_l * F / v
-        pieces.append(PiecewiseAmplitude(scattered, c.channel_id,
-                                         1.0 + amp if c.channel_id == channel_id else amp))
-    return pieces
-
-
-def asy_in_amplitude(system: SystemSpec, input_channel: str, band: Band,
-                     k: float) -> list[PiecewiseAmplitude]:
-    """Incoming-type solution: unit wave entering via one channel."""
-    chan = system.channel(input_channel)
-    if chan.kind is not ChannelKind.PHYSICAL:
-        raise ValueError(f"asymptotic-in fields are driven through physical channels, "
-                         f"{input_channel!r} is {chan.kind.value}")
-    return _asy_amplitude(system, input_channel, band, k, Branch.MINUS)
-
-
-def asy_out_amplitude(system: SystemSpec, output_channel: str, band: Band,
-                      k: float) -> list[PiecewiseAmplitude]:
-    """Outgoing-type solution: unit wave leaving via one channel."""
-    return _asy_amplitude(system, output_channel, band, k, Branch.PLUS)
-
-
-def flux(system: SystemSpec, pieces: list[PiecewiseAmplitude], region: Region,
-         band: Band) -> float:
-    """Power-like flux sum v |amplitude|^2 over one region type."""
-    v = system.bands[band].v
-    return sum(v * abs(p.amplitude) ** 2 for p in pieces if p.region is region)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +103,7 @@ def pair_rates(system: SystemSpec, pump: CwPump,
 
     gammas overrides some channels' decay rates (id -> band -> rate); numpy
     arrays that broadcast together give every rate on the broadcast grid.
+    A rate that is not finite raises FloatingPointError.
     """
     gammas = gammas or {}
     for cid in gammas:
@@ -200,7 +127,10 @@ def pair_rates(system: SystemSpec, pump: CwPump,
             for x, g in rates.items()}
     f_i2 = {y: _enhancement_abs2(ib.v, g[Band.IDLER], gbar[Band.IDLER], L)
             for y, g in rates.items()}
-    return {(x, y): common * f_s2[x] * f_i2[y] for x in rates for y in rates}
+    out = {(x, y): common * f_s2[x] * f_i2[y] for x in rates for y in rates}
+    if not all(np.isfinite(r).all() for r in out.values()):
+        raise FloatingPointError("a pair rate overflows, or a linewidth squared underflows")
+    return out
 
 
 def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str,

@@ -13,7 +13,9 @@ from lossy_ring_sfwm import attenuation, jsa, phantom, sweeps
 from lossy_ring_sfwm.model import (Band, CwPump, PulsedPump, roundtrip_amplitude,
                                    xi_from_db_per_cm)
 from conftest import bundled_system
-from test_phantom import random_system, sample_system
+from test_jsa import _energy_mass_oracle
+from test_phantom import (peak_abs2, random_system, sample_system, scattering_matrix,
+                          unitarity_defect)
 
 V = 1e8
 PUMP = CwPump(1e-3)
@@ -40,7 +42,7 @@ def test_01_loss_bookkeeping():
 
 def test_02_enhancement_factor():
     system = sample_system(q_int=2e4, eta=0.5)
-    f2 = phantom.enhancement_peak_abs2(system, "O", Band.PUMP)
+    f2 = peak_abs2(system, "O", Band.PUMP)  # |enhancement_factor(k_ref)|^2
     ok = abs(f2 - 26.2) / 26.2 <= 0.01
     _report(2, "enhancement factor", ok, f"|F|^2 on resonance = {f2:.4f} "
             f"(target 26.2 +- 1%)")
@@ -96,7 +98,7 @@ def test_05_absolute_rate_and_strategy_convergence():
     # this sample system by one factor of the on-resonance enhancement |F|^2
     ref = sample_system(q_int=2e4, eta=0.5)
     r_ref = phantom.pair_rate_cw(ref, PUMP, "O", "O")
-    f2 = phantom.enhancement_peak_abs2(ref, "O", Band.PUMP)
+    f2 = peak_abs2(ref, "O", Band.PUMP)
     print(f"[acceptance] computed R_OO: attenuation {r_att:.4e} /s, "
           f"phantom {r_pha:.4e} /s (matched couplings, finesse 84); "
           f"quality-factor parameterization gives {r_ref:.4e} /s, which is "
@@ -144,6 +146,8 @@ def test_07_overcoupled_optimum():
 
 
 def test_08_flux_conservation():
+    # the scattering matrix S_YX = delta_XY +- i gamma_Y sqrt(L) F_X / v that
+    # enhancement_factor gives, over every channel and the phantom, is unitary
     worst = 0.0
     checks = 0
     for n_physical in (1, 2, 3):
@@ -154,19 +158,14 @@ def test_08_flux_conservation():
             gbar = system.gamma_bar(band)
             for _ in range(100):
                 k = p.k_of_omega(p.omega + rng.uniform(-8.0, 8.0) * gbar)
-                entry = rng.choice(system.physical_channels).channel_id
-                pieces = phantom.asy_in_amplitude(system, entry, band, k)
-                out_flux = phantom.flux(system, pieces, phantom.Region.OUTPUT, band)
-                worst = max(worst, abs(out_flux / p.v - 1.0))
-                exit_ = rng.choice(system.channels).channel_id
-                pieces = phantom.asy_out_amplitude(system, exit_, band, k)
-                in_flux = phantom.flux(system, pieces, phantom.Region.INPUT, band)
-                worst = max(worst, abs(in_flux / p.v - 1.0))
-                checks += 2
+                for branch in phantom.Branch:
+                    worst = max(worst, unitarity_defect(scattering_matrix(system, band, k,
+                                                                          branch)))
+                    checks += 1
     ok = worst <= 1e-12
     _report(8, "flux conservation", ok,
-            f"max relative flux defect {worst:.2e} over {checks} checks "
-            f"(1-3 waveguides + phantom, tolerance 1e-12)")
+            f"max |S^dag S - I| {worst:.2e} over {checks} scattering matrices, both "
+            f"branches (1-3 waveguides + phantom, tolerance 1e-12)")
 
 
 def test_09_jsa():
@@ -184,9 +183,12 @@ def test_09_jsa():
     w_op = abs(grid.weights[("O", "P")]) ** 2
     ok_weights = abs(w_op - 2.0 / 3.0) <= 1e-12
 
+    # the mass within 3 pump bandwidths (intensity FWHM 2 sqrt(ln 2) / tau) of
+    # the energy-conservation line, by the 30-digit oracle, over total_mass
     cw_pump = PulsedPump(duration_fwhm=10e-9)
-    fraction = jsa.antidiagonal_mass_fraction(system, cw_pump,
-                                              3.0 * jsa.pump_bandwidth(cw_pump))
+    bandwidth = 2.0 * math.sqrt(math.log(2.0)) / cw_pump.tau
+    fraction = _energy_mass_oracle(system, cw_pump, 3.0 * bandwidth) \
+        / jsa.total_mass(system, cw_pump)
     ok_cw = fraction >= 0.99
 
     ok = ok_norm and ok_shape and ok_weights and ok_cw

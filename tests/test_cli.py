@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 import lossy_ring_sfwm
 from lossy_ring_sfwm import cli, jsa, phantom
 from lossy_ring_sfwm.cli import main
-from lossy_ring_sfwm.config import (ConfigError, derived_echo, parse_config,
-                                    serialize_config)
+from lossy_ring_sfwm.config import ConfigError, derived_echo, parse_config
 from lossy_ring_sfwm.model import Band, PulsedPump
 from lossy_ring_sfwm.numerics import QuadratureError
 from conftest import bundled
@@ -45,7 +44,7 @@ class TestParseConfig:
 
     def test_round_trip(self):
         cfg = parse_config(bundled())
-        again = parse_config(serialize_config(cfg))
+        again = parse_config(json.dumps(cfg.normalized))
         assert again.system == cfg.system
         assert again.pump == cfg.pump
         assert again.strategy == cfg.strategy
@@ -128,6 +127,15 @@ class TestParseConfig:
         doc["system"]["channels"][0]["coupling"] = {"sigma": 1.5}
         with pytest.raises(ConfigError, match=r"coupling\.sigma: must be <= 1"):
             parse_config(doc)
+
+
+_COMMANDS = tuple(cli._HANDLERS)
+
+
+def _expect(code, line, *commands):
+    """Each command's exit code and the start of its one stderr line, in
+    which {} stands for the command (None: any line)."""
+    return dict.fromkeys(commands, (code, line))
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -466,59 +474,90 @@ class TestCommands:
         doc["options"] = {"jsa": {"grid_points": 64, "reference_pair": ref}}
         return doc
 
-    @pytest.mark.parametrize("name, ring, pump", [
-        ("ring_channel.json", {"gamma_nl_per_w_m": 0}, {}),
-        ("ring_channel.json", {}, {"power_mw": 1e-300}),
-        ("add_drop.json", {}, {"power_mw": 1e-300}),
-        ("ring_channel.json", {}, {"detuning_rad_per_s": -1.2e15}),
-        ("ring_channel.json", {}, {"detuning_rad_per_s": 1e200}),
-        ("ring_channel.json", {}, {"detuning_rad_per_s": -1e200})],
+    @pytest.mark.parametrize("name, edits, expected", [
+        ("ring_channel.json", {"system.ring.gamma_nl_per_w_m": 0}, _expect(
+            2, "invalid config: system.ring.gamma_nl_per_w_m: must be positive, got 0.0",
+            *_COMMANDS)),
+        ("ring_channel.json", {"pump.power_mw": 1e-300}, _expect(
+            1, None, "rate", "ratios", "sweep-sigma", "sweep-eta", "compare-finesse")),
+        ("add_drop.json", {"pump.power_mw": 1e-300}, _expect(
+            1, None, "rate", "compare-finesse", "add-drop-grid")),
+        # strategy 1 has no signal window to integrate; the phantom commands need none
+        ("ring_channel.json", {"pump.detuning_rad_per_s": -1.2e15}, {
+            **_expect(2, "invalid config: pump.detuning_rad_per_s: puts the idler of a "
+                      "resonant signal below 1e-3 omega_I, so strategy 1 has no signal "
+                      "window", "rate", "sweep-sigma", "compare-finesse"),
+            **_expect(0, None, "ratios", "sweep-eta", "oracle-check")}),
+        # the carrier omega_P + detuning would leave (0, 2 omega_P)
+        *[("ring_channel.json", {"pump.detuning_rad_per_s": d}, _expect(
+            2, "invalid config: pump.detuning_rad_per_s: must be smaller in magnitude than "
+            "the pump band's omega_P", *_COMMANDS)) for d in (1e200, -1e200)],
+        ("ring_channel.json", {"pump.power_mw": 1e160}, {
+            **_expect(1, "{}: a result overflows the float range", "rate", "ratios",
+                      "sweep-eta", "oracle-check"),
+            **_expect(1, "{}: the strategy-1 pair rate is inf", "sweep-sigma",
+                      "compare-finesse")}),
+        ("ring_channel.json", {"system.ring.radius_m": 1e300}, _expect(
+            1, "{}: a result overflows the float range", "rate", "ratios", "sweep-eta",
+            "oracle-check")),
+        ("ring_channel.json",
+         {"pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0, "alpha": 1e100}}, {
+             **_expect(1, "jsa: a result overflows the float range", "jsa"),
+             **_expect(2, "invalid config: pump.kind", *(c for c in _COMMANDS if c != "jsa"))}),
+        # the finest ring rounds its self-couplings to 1, a lossless resonance
+        ("ring_channel.json", {"options": {"compare_finesse": {"min": 1e5, "max": 1e300}}}, {
+            **_expect(1, "compare-finesse: resonance denominator vanished",
+                      "compare-finesse"),
+            **_expect(0, None, "rate", "ratios", "sweep-sigma", "sweep-eta",
+                      "oracle-check")}),
+        # the swept linewidth, a few phantom decay rates of 1e-285, squares to 0
+        ("ring_channel.json", {"system.channels.1.coupling": {"q_factor": 1e300}}, {
+            **_expect(1, "sweep-eta: a pair rate overflows, or a linewidth squared "
+                      "underflows", "sweep-eta"),
+            **_expect(0, None, "rate", "ratios", "sweep-sigma", "compare-finesse")}),
+        ("add_drop.json",
+         {"options": {"add_drop_grid": {"min_ratio": 1e-300, "max_ratio": 1e300}}}, {
+             **_expect(1, "add-drop-grid: a pair rate overflows", "add-drop-grid"),
+             **_expect(0, None, "rate", "ratios", "compare-finesse", "oracle-check")}),
+        ("ring_channel.json",
+         {"system.ring.loss_db_per_cm": 0, "options": {"sweep_sigma": {"max": 1.0}}}, {
+             **_expect(2, "invalid config: options.sweep_sigma.max: sigma = 1 decouples the "
+                       "bus", "sweep-sigma"),
+             **_expect(0, None, "rate", "ratios", "compare-finesse", "oracle-check")})],
         ids=["zero_nonlinearity", "underflowing_power", "underflowing_power_add_drop",
-             "far_detuned_pump", "huge_detuning", "huge_negative_detuning"])
+             "far_detuned_pump", "huge_detuning", "huge_negative_detuning",
+             "overflowing_power", "overflowing_radius", "overflowing_alpha",
+             "finesse_past_float_range", "negligible_phantom", "ratios_past_float_range",
+             "lossless_sigma_one"])
     def test_zero_reference_rate_gives_no_traceback_and_no_nan(self, tmp_path, capsys,
-                                                               name, ring, pump):
-        # a zero nonlinearity is rejected at parse time; a rate that underflows
-        # to 0 leaves the strategies' relative difference undefined, and an
-        # all-zero sweep its optimum, so those commands stop with one line
-        # instead of writing NaN or a meaningless argmax
+                                                               name, edits, expected):
+        # a rate that underflows to 0 leaves the strategies' relative
+        # difference undefined, and an all-zero sweep its optimum; a rate that
+        # overflows or is 0/0 has no value. Those commands stop with one line
+        # instead of writing NaN, inf or a meaningless argmax
         doc = bundled(name)
-        doc["system"]["ring"].update(ring)
-        doc["pump"].update(pump)
+        for path, value in edits.items():  # dotted paths, list indices as digits
+            *keys, last = (int(k) if k.isdigit() else k for k in path.split("."))
+            target = doc
+            for k in keys:
+                target = target[k]
+            target[last] = value
         cfg = _write_config(tmp_path, doc)
-        codes, errors = {}, set()
         for command in cli._HANDLERS:
             out = tmp_path / command
-            codes[command] = main([command, "--config", cfg, "--out", str(out)])
+            code = main([command, "--config", cfg, "--out", str(out)])
             err = capsys.readouterr().err
-            errors.add(err)
-            if codes[command] == 0:
+            if code == 0:
                 assert err == ""
                 for path in out.iterdir():
                     _assert_finite_numbers(path)
             else:
-                assert codes[command] in (1, 2)
+                assert code in (1, 2)
                 assert len(err.splitlines()) == 1 and "Traceback" not in err
-        if ring:
-            assert errors == {"invalid config: system.ring.gamma_nl_per_w_m: "
-                              "must be positive, got 0.0\n"}
-        elif abs(pump.get("detuning_rad_per_s", 0.0)) >= 1e200:
-            # the carrier omega_P + detuning would leave (0, 2 omega_P)
-            assert set(codes.values()) == {2}
-            (err,) = errors
-            assert err.startswith("invalid config: pump.detuning_rad_per_s: must be smaller "
-                                  "in magnitude than the pump band's omega_P")
-        elif "detuning_rad_per_s" in pump:
-            # strategy 1 has no signal window to integrate; the phantom
-            # commands need none
-            assert codes["rate"] == codes["sweep-sigma"] == codes["compare-finesse"] == 2
-            assert codes["ratios"] == codes["sweep-eta"] == codes["oracle-check"] == 0
-            assert "invalid config: pump.detuning_rad_per_s: puts the idler of a resonant " \
-                "signal below 1e-3 omega_I, so strategy 1 has no signal window\n" in errors
-        elif name == "add_drop.json":
-            assert codes["rate"] == codes["compare-finesse"] == codes["add-drop-grid"] == 1
-        else:
-            assert codes["rate"] == codes["ratios"] == codes["compare-finesse"] == 1
-            assert codes["sweep-sigma"] == codes["sweep-eta"] == 1
+            if command in expected:
+                want, line = expected[command]
+                assert code == want, (command, err)
+                assert line is None or err.startswith(line.format(command)), (command, err)
 
     @pytest.mark.parametrize("detuning", [1.2e15, -1.2e15])
     def test_jsa_far_detuned_pump_names_the_offset(self, tmp_path, capsys, detuning):

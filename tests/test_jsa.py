@@ -58,10 +58,11 @@ def _g_oracle(system, pump, energy):
         return complex(scale * envelope * integral)
 
 
-def _energy_mass_oracle(system, pump):
-    """_energy_mass_integral over its default window by a 30-digit mpmath
-    quadrature, with g(E) from mpmath's erfc: w(z) = e^{-z^2} erfc(-i z),
-    times the common prefactor."""
+def _energy_mass_oracle(system, pump, half_window=None):
+    """total_mass by a 30-digit mpmath quadrature over two-photon energies
+    within half_window of 2 omega_o (default: total_mass's window), with g(E)
+    from mpmath's erfc: w(z) = e^{-z^2} erfc(-i z), times the common
+    prefactor."""
     pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
     with mp.workdps(30):
         tau = mp.mpf(pump.tau)
@@ -85,15 +86,16 @@ def _energy_mass_oracle(system, pump):
                 / (gbs * gbi * (mismatch ** 2 + (gbs + gbi) ** 2))
 
         center = 2 * omega_o
-        half = 16 / tau + 8 * (gbs + gbi)
+        half = 16 / tau + 8 * (gbs + gbi) if half_window is None else mp.mpf(half_window)
         # panels bracket the pump envelope, the Lorentzian and the pump pole
         breaks = {center - half, center + half}
         for width in (1 / tau, gbs + gbi, gbar_p):
             for k in (0, 0.5, 1, 2, 4, 8, 16, 64):
                 breaks |= {x for x in (center - k * width, center + k * width)
                            if abs(x - center) < half}
-        scale = mp.mpf(jsa._jsa_prefactor(system)) ** 2 / (mp.mpf(sb.v) * mp.mpf(ib.v))
-        return float(scale * mp.quad(integrand, sorted(breaks)))
+        prefactor = mp.mpf(jsa._jsa_prefactor(system)) ** 2 / (mp.mpf(sb.v) * mp.mpf(ib.v))
+        # Gauss-Legendre gives tanh-sinh's value to 16 digits here, 3x faster
+        return float(prefactor * mp.quad(integrand, sorted(breaks), method="gauss-legendre"))
 
 
 class TestEnergyMassIntegral:
@@ -104,9 +106,8 @@ class TestEnergyMassIntegral:
         integral's requested rel_tol of 1e-7."""
         system = system_short_pulse if duration < 1e-9 else system_06
         pump = PulsedPump(duration_fwhm=duration)
-        mass = jsa._energy_mass_integral(system, pump, system.gamma_bar(Band.SIGNAL),
-                                         system.gamma_bar(Band.IDLER))
-        assert mass == pytest.approx(_energy_mass_oracle(system, pump), rel=1e-7)
+        mass = jsa.total_mass(system, pump)
+        assert mass == pytest.approx(_energy_mass_oracle(system, pump), rel=1e-7, abs=0.0)
 
 
 def _wofz_oracle(z: complex) -> complex:
@@ -161,17 +162,6 @@ class TestPumpFactor:
         energies = 2.0 * pb.omega + np.linspace(-20.0, 20.0, 41) * gbar
         g = jsa._pump_g_factor(system_06, pulse_10ps)
         assert np.array_equal(g(energies), [g(e) for e in energies])
-
-    def test_pulse_spectrum_normalized(self, pulse_10ps):
-        omega = np.linspace(-40.0, 40.0, 400_001) / pulse_10ps.tau
-        amp = jsa.pulse_spectral_amplitude(omega, 0.0, pulse_10ps)
-        assert np.trapezoid(np.abs(amp) ** 2, omega) == pytest.approx(1.0, rel=1e-10)
-
-    def test_pump_bandwidth_is_intensity_fwhm(self, pulse_10ps):
-        bw = jsa.pump_bandwidth(pulse_10ps)
-        amp = jsa.pulse_spectral_amplitude(np.array([0.0, bw / 2.0]), 0.0, pulse_10ps)
-        power = np.abs(amp) ** 2
-        assert power[1] == pytest.approx(power[0] / 2.0, rel=1e-12)
 
 
 class TestJsaGrid:
@@ -279,33 +269,30 @@ class TestDistinctEnergies:
         assert np.array_equal(grid, expected)
 
 
+def antidiagonal_mass_fraction(system, pump, half_width):
+    """The share of total_mass whose two-photon energy lies within
+    half_width of the energy-conservation line 2 omega_o."""
+    return _energy_mass_oracle(system, pump, half_width) / jsa.total_mass(system, pump)
+
+
 class TestCwLimit:
     def test_long_pulse_concentrates_on_antidiagonal(self, system_06):
         pump = PulsedPump(duration_fwhm=10e-9)
-        fraction = jsa.antidiagonal_mass_fraction(
-            system_06, pump, 3.0 * jsa.pump_bandwidth(pump))
-        assert fraction > 0.99
+        bandwidth = 2.0 * math.sqrt(math.log(2.0)) / pump.tau  # intensity FWHM [rad/s]
+        assert antidiagonal_mass_fraction(system_06, pump, 3.0 * bandwidth) > 0.99
 
     def test_concentration_grows_with_duration(self, system_06):
         short = PulsedPump(duration_fwhm=10e-12)
         long = PulsedPump(duration_fwhm=100e-12)
         width = 0.5 * system_06.gamma_bar(Band.SIGNAL)
-        f_short = jsa.antidiagonal_mass_fraction(system_06, short, width)
-        f_long = jsa.antidiagonal_mass_fraction(system_06, long, width)
+        f_short = antidiagonal_mass_fraction(system_06, short, width)
+        f_long = antidiagonal_mass_fraction(system_06, long, width)
         assert f_long > f_short
 
 
 class TestShortPulse:
     """A pulse far shorter than the ring lifetime: the pole of the pump
     integral sits deep inside the pump bandwidth."""
-
-    def test_total_mass_is_sum_of_pair_masses(self, system_short_pulse):
-        pump = PulsedPump(duration_fwhm=1.66e-12)
-        total = jsa.total_mass(system_short_pulse, pump)
-        assert math.isfinite(total) and total > 0.0
-        pairs = sum(jsa.pair_mass(system_short_pulse, pump, x, y)
-                    for x in ("O", "P") for y in ("O", "P"))
-        assert total == pytest.approx(pairs, rel=1e-9)
 
     def test_wide_grid_passes_default_residual_gate(self, system_short_pulse):
         grid = jsa.build_jsa(system_short_pulse, PulsedPump(duration_fwhm=1.66e-12),

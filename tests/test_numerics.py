@@ -57,7 +57,7 @@ class TestIntegrateAdaptive:
     def test_nonconvergence_raises(self):
         with pytest.raises(QuadratureError) as exc:
             integrate_adaptive(lambda x: np.sin(1e4 * x * x) + 1e-300,
-                               0.0, 50.0, rel_tol=1e-13, limit=3)
+                               0.0, 50.0, rel_tol=1e-13)
         assert exc.value.error_estimate is not None
 
     def test_bad_interval(self):

@@ -1,5 +1,5 @@
-"""Enhancement factors, asymptotic amplitudes, vacuum power, and CW rates
-of the phantom-channel model."""
+"""Enhancement factors, the scattering matrix they give, vacuum power, and
+CW rates of the phantom-channel model."""
 
 import math
 import random
@@ -44,15 +44,43 @@ def random_system(rng: random.Random, n_physical: int) -> SystemSpec:
                       pump_input_channel="C0")
 
 
+def peak_abs2(system: SystemSpec, channel_id: str, band: Band) -> float:
+    """|F|^2 on resonance, of either branch."""
+    k = system.bands[band].k_ref
+    return abs(ph.enhancement_factor(system, channel_id, band, k, ph.Branch.MINUS)) ** 2
+
+
+def scattering_matrix(system: SystemSpec, band: Band, k: float,
+                      branch: ph.Branch) -> np.ndarray:
+    """S_YX = delta_XY +- i gamma_Y sqrt(L) F_X / v over every channel, phantom
+    included: on the MINUS branch (+) the wave leaving through Y when a unit
+    wave enters through X, on the PLUS branch (-) the wave entering through Y
+    of the solution with a unit wave leaving through X."""
+    ids = system.channel_ids
+    v = system.bands[band].v
+    sqrt_l = math.sqrt(system.ring.circumference)
+    sign = 1j if branch is ph.Branch.MINUS else -1j
+    f = [ph.enhancement_factor(system, x, band, k, branch) for x in ids]
+    return np.array([[(y == x) + sign * system.amplitude_coupling(y, band) * sqrt_l * fx / v
+                      for x, fx in zip(ids, f)] for y in ids])
+
+
+def unitarity_defect(s: np.ndarray) -> float:
+    """max |(S^dag S - I)_XY|."""
+    return float(np.abs(s.conj().T @ s - np.eye(len(s))).max())
+
+
 class TestEnhancementFactor:
     def test_reference_peak(self):
         system = sample_system()
-        f2 = ph.enhancement_peak_abs2(system, "O", Band.PUMP)
+        f2 = peak_abs2(system, "O", Band.PUMP)
         assert f2 == pytest.approx(26.19275943319821, rel=1e-12)
         assert f2 == pytest.approx(26.2, rel=0.01)
-        k = system.bands[Band.PUMP].k_ref
-        f = ph.enhancement_factor(system, "O", Band.PUMP, k, ph.Branch.MINUS)
-        assert abs(f) ** 2 == pytest.approx(f2, rel=1e-12)
+        # 2 v Gamma / (L Gbar^2), from the parsed decay rates
+        band = system.bands[Band.PUMP]
+        expected = 2.0 * band.v * system.channel("O").gamma(Band.PUMP) \
+            / (system.ring.circumference * system.gamma_bar(Band.PUMP) ** 2)
+        assert f2 == pytest.approx(expected, rel=1e-12)
 
     def test_decoupled_channel_vanishes(self):
         system = bundled_system(couplings={"O": {"gamma_rad_per_s": 1e10},
@@ -66,7 +94,7 @@ class TestEnhancementFactor:
         system = sample_system()
         band = system.bands[Band.SIGNAL]
         gbar = system.gamma_bar(Band.SIGNAL)
-        peak = ph.enhancement_peak_abs2(system, "O", Band.SIGNAL)
+        peak = peak_abs2(system, "O", Band.SIGNAL)
         k_half = band.k_of_omega(band.omega + gbar)
         f = ph.enhancement_factor(system, "O", Band.SIGNAL, k_half, ph.Branch.PLUS)
         assert abs(f) ** 2 == pytest.approx(peak / 2.0, rel=1e-8)
@@ -76,7 +104,7 @@ class TestEnhancementFactor:
         system = sample_system(eta=0.37)
         band = system.bands[Band.IDLER]
         gbar = system.gamma_bar(Band.IDLER)
-        peak = ph.enhancement_peak_abs2(system, "O", Band.IDLER)
+        peak = peak_abs2(system, "O", Band.IDLER)
         lo = ph.enhancement_factor(system, "O", Band.IDLER,
                                    band.k_of_omega(band.omega - gbar), ph.Branch.MINUS)
         hi = ph.enhancement_factor(system, "O", Band.IDLER,
@@ -86,52 +114,28 @@ class TestEnhancementFactor:
 
 
 class TestAsymptoticAmplitudes:
+    """The asymptotic amplitudes in the channels, as entries of the
+    scattering matrix that enhancement_factor gives."""
+
     def test_extinction_at_critical_coupling(self):
         system = sample_system(eta=0.5)
         k = system.bands[Band.PUMP].k_ref
-        pieces = ph.asy_in_amplitude(system, "O", Band.PUMP, k)
-        own_out = next(p for p in pieces
-                       if p.region is ph.Region.OUTPUT and p.channel_id == "O")
-        assert abs(own_out.amplitude) < 1e-12
-
-    def test_input_boundary_conditions(self):
-        system = sample_system(eta=0.3)
-        k = system.bands[Band.SIGNAL].k_ref + 1e3
-        pieces = ph.asy_in_amplitude(system, "O", Band.SIGNAL, k)
-        inputs = {p.channel_id: p.amplitude for p in pieces
-                  if p.region is ph.Region.INPUT}
-        assert inputs["O"] == 1.0
-        assert inputs["P"] == 0.0
-
-    def test_output_boundary_conditions(self):
-        system = sample_system(eta=0.3)
-        k = system.bands[Band.SIGNAL].k_ref - 4e2
-        pieces = ph.asy_out_amplitude(system, "P", Band.SIGNAL, k)
-        outputs = {p.channel_id: p.amplitude for p in pieces
-                   if p.region is ph.Region.OUTPUT}
-        assert outputs["P"] == 1.0
-        assert outputs["O"] == 0.0
-
-    def test_ring_amplitude_is_minus_enhancement(self):
-        system = sample_system(eta=0.44)
-        k = system.bands[Band.IDLER].k_ref + 7e2
-        f = ph.enhancement_factor(system, "O", Band.IDLER, k, ph.Branch.PLUS)
-        pieces = ph.asy_out_amplitude(system, "O", Band.IDLER, k)
-        ring = next(p for p in pieces if p.region is ph.Region.RING)
-        assert ring.amplitude == pytest.approx(-f, rel=1e-15)
+        s = scattering_matrix(system, Band.PUMP, k, ph.Branch.MINUS)
+        assert abs(s[0, 0]) < 1e-12  # nothing leaves through the bus it entered
 
     def test_transparent_ring_limit(self):
         weak = {"gamma_rad_per_s": 1e-3}
         system = bundled_system("add_drop.json", {"T": weak, "D": weak}, loss_db_per_cm=0.0)
+        assert system.channel_ids[:2] == ("T", "D")
         k = system.bands[Band.PUMP].k_ref + 1e2  # off resonance
-        pieces = ph.asy_in_amplitude(system, "T", Band.PUMP, k)
-        outputs = {p.channel_id: p.amplitude for p in pieces
-                   if p.region is ph.Region.OUTPUT}
-        assert outputs["T"] == pytest.approx(1.0, abs=1e-10)
-        assert abs(outputs["D"]) < 1e-10
+        s = scattering_matrix(system, Band.PUMP, k, ph.Branch.MINUS)
+        assert s[0, 0] == pytest.approx(1.0, abs=1e-10)  # through T, into T
+        assert abs(s[1, 0]) < 1e-10  # nothing drops into D
 
     @pytest.mark.parametrize("n_physical", [1, 2, 3])
     def test_flux_conservation(self, n_physical):
+        # S^dag S = I: every column carries unit flux, and distinct columns
+        # are orthogonal, on both branches
         rng = random.Random(20_000 + n_physical)
         system = random_system(rng, n_physical)
         for band in Band:
@@ -139,20 +143,9 @@ class TestAsymptoticAmplitudes:
             gbar = system.gamma_bar(band)
             for _ in range(40):
                 k = p.k_of_omega(p.omega + rng.uniform(-6.0, 6.0) * gbar)
-                entry = rng.choice(system.physical_channels).channel_id
-                pieces = ph.asy_in_amplitude(system, entry, band, k)
-                out_flux = ph.flux(system, pieces, ph.Region.OUTPUT, band)
-                assert out_flux == pytest.approx(p.v, rel=1e-12)
-                exit_ = rng.choice(system.channels).channel_id
-                pieces = ph.asy_out_amplitude(system, exit_, band, k)
-                in_flux = ph.flux(system, pieces, ph.Region.INPUT, band)
-                assert in_flux == pytest.approx(p.v, rel=1e-12)
-
-    def test_phantom_cannot_drive(self):
-        system = sample_system()
-        with pytest.raises(ValueError):
-            ph.asy_in_amplitude(system, "P", Band.PUMP,
-                                system.bands[Band.PUMP].k_ref)
+                for branch in ph.Branch:
+                    assert unitarity_defect(scattering_matrix(system, band, k, branch)) \
+                        <= 1e-12
 
 
 class TestVacuumPower:
