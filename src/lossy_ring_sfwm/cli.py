@@ -28,6 +28,7 @@ import numpy as np
 
 from . import attenuation, jsa, phantom, sweeps
 from .config import ConfigError, RunConfig, _check_keys, _number, derived_echo, parse_config
+from .constants import TWO_PI
 from .model import Band, CwPump, GeometryError, PulsedPump, finesse, sigma_from_gamma
 from .numerics import QuadratureError
 
@@ -56,17 +57,16 @@ def _write_float_csv(path: Path, header: list, *columns: np.ndarray) -> None:
     # imported here, so that the commands writing no grid never load it
     import orjson
 
-    table = np.column_stack(columns)
-    width = table.shape[1]
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     # about 4096 cells per orjson call: one call and one set of masks per row
     # cost more than repr on a narrow table, and a list of all the cells of
-    # a wide one would raise the peak memory
+    # a wide one would raise the peak memory; so would stacking the whole table
     step = max(1, 4096 // width)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.flush()
-        for start in range(0, len(table), step):
-            flat = table[start:start + step].ravel()
+        for start in range(0, len(columns[0]), step):
+            flat = np.column_stack([c[start:start + step] for c in columns]).ravel()
             cells = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
             a = np.abs(flat)
             pad = (a > 1.1e-9) & (a < 0.9e-5)
@@ -140,6 +140,23 @@ def _require_lossy_phantom(config: RunConfig) -> None:
                           "the phantom decay rate, the unit of the swept couplings, is zero")
 
 
+def _coupling_field(config: RunConfig, i: int) -> str:
+    """The config field that sets channel i's decay rates: the ring loss for a
+    phantom coupled from it."""
+    (key,) = config.normalized["system"]["channels"][i]["coupling"]
+    return "system.ring.loss_db_per_cm" if key == "from_loss" \
+        else f"system.channels[{i}].coupling.{key}"
+
+
+def _widest_channel_field(config: RunConfig) -> str:
+    """The coupling field of the channel with the largest signal plus idler
+    decay rate, the one that takes the linewidths out of the float range."""
+    channels = config.system.channels
+    return _coupling_field(config, max(
+        range(len(channels)),
+        key=lambda i: channels[i].gamma(Band.SIGNAL) + channels[i].gamma(Band.IDLER)))
+
+
 def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
                        path: str | None = None) -> None:
     """Strategy 1 models each bus as a point coupler: its decay rate, times the
@@ -148,10 +165,16 @@ def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
     must stay finite. The error names `path`, else the channel's coupling
     field or the ring loss. The signal window must reach past the signal
     resonance, which holds at every linewidth a sweep sets exactly when the
-    idler of a resonant signal lies above the window's 1e-3 omega_I floor."""
+    idler of a resonant signal lies above the window's 1e-3 omega_I floor,
+    and when the free spectral range that caps the window exceeds one ulp
+    of omega_S."""
     system = config.system
+    sb = system.bands[Band.SIGNAL]
+    if not sb.omega + TWO_PI * sb.v / system.ring.circumference > sb.omega:
+        raise ConfigError("system.ring.radius_m", "makes the free spectral range, which caps "
+                          "strategy 1's signal window, smaller than one ulp of omega_S")
     _, hi = attenuation.signal_window(system, config.pump)
-    if not hi > system.bands[Band.SIGNAL].omega:
+    if not hi > sb.omega:
         raise ConfigError("pump.detuning_rad_per_s", "puts the idler of a resonant signal "
                           "below 1e-3 omega_I, so strategy 1 has no signal window")
     try:
@@ -167,8 +190,7 @@ def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
                 sigma_from_gamma(c.gamma(b) * scale, system.bands[b].v,
                                  system.ring.circumference)
         except ValueError as e:
-            (key,) = config.normalized["system"]["channels"][i]["coupling"]
-            raise ConfigError(path or f"system.channels[{i}].coupling.{key}", str(e)) from e
+            raise ConfigError(path or _coupling_field(config, i), str(e)) from e
 
 
 def _attenuation_pairs(config: RunConfig, pump: CwPump):
@@ -311,10 +333,14 @@ def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
     except jsa.GridTooCoarseError as e:
         print(f"jsa: {e}", file=sys.stderr)
         return 1
+    except jsa.FloatRangeError as e:
+        field = {"alpha": "pump.alpha", "pulse": "pump.duration_fwhm_ps"}.get(e.source)
+        raise ConfigError(field or _widest_channel_field(config), str(e)) from e
 
     header = ["kappa1\\kappa2"] + grid.kappa2.tolist()
-    for name, data in (("jsa_abs2.csv", grid.abs2), ("jsa_phase.csv", grid.phase)):
-        _write_float_csv(outdir / name, header, grid.kappa1, data)
+    # one real table at a time beside the complex grid
+    _write_float_csv(outdir / "jsa_abs2.csv", header, grid.kappa1, grid.abs2)
+    _write_float_csv(outdir / "jsa_phase.csv", header, grid.kappa1, grid.phase)
     _write_csv(outdir / "jsa_weights.csv",
                ["signal_exit", "idler_exit", "weight_re", "weight_im", "weight_abs2"],
                [(x, y, w.real, w.imag, abs(w) ** 2)

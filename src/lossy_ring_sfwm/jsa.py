@@ -24,11 +24,19 @@ rational approximation (SIAM J. Numer. Anal. 31, 1497 (1994)), valid for
 Im z >= 0, worst relative error 1.2e-15 against 30-digit mpmath over
 |Re z| in 1e-3..1e6, Im z in 1e-4..1e5. Since Im b = -GbarP < 0, w is
 only needed in the upper half plane, where it is bounded by 1, so g(E) is
-finite for any pulse length; for long pulses the Gaussian prefactor
+finite for any pulse length up to tau |b| ~ 1e154, where wofz's d^2
+overflows; for long pulses the Gaussian prefactor
 simply underflows to zero far from 2 w_o. Because
 the ring-channel couplings are frequency independent, every channel
 pair shares one spectral shape; a single reference-pair grid plus
 per-pair complex weights represents the full wave function.
+
+On equal signal and idler steps, the case of every bundled configuration,
+cell (i, j) of an n1 x n2 grid has two-photon energy index i + j: g runs
+on the n1 + n2 - 1 energies of the anti-diagonals and is read through a
+zero-copy Hankel view of them. A grid then costs one complex array of
+the grid's size, plus at most one real table of it at a time: |phi|^2
+for the normalization, then |phi|^2 and the phase as they are written.
 """
 
 from __future__ import annotations
@@ -44,6 +52,16 @@ from .constants import HBAR, TWO_PI
 from .model import Band, PulsedPump, SystemSpec
 from .numerics import grid_integrate_2d, integrate_adaptive
 from .phantom import Branch, enhancement_factor
+
+
+class FloatRangeError(FloatingPointError):
+    """A JSA quantity left the float range, and `source` names the model
+    input that put it there: "alpha" (the pulse amplitude), "pulse" (the
+    pulse duration) or "linewidths" (the signal and idler decay rates)."""
+
+    def __init__(self, source: str, message: str):
+        super().__init__(message)
+        self.source = source
 
 
 class GridTooCoarseError(ValueError):
@@ -131,7 +149,17 @@ def total_mass(system: SystemSpec, pump: PulsedPump) -> float:
 
     def integrand(s: np.ndarray) -> np.ndarray:
         mismatch = s - sb.omega - ib.omega
-        return np.abs(g(s)) ** 2 * (lorentz / (gbs * gbi * (mismatch ** 2 + gsum ** 2)))
+        values = np.abs(g(s)) ** 2 * (lorentz / (gbs * gbi * (mismatch ** 2 + gsum ** 2)))
+        if not np.isfinite(values).all():
+            # an infinite linewidth makes lorentz inf; else the pulse did it:
+            # 1 / tau overflows the window, or tau b the Faddeeva function
+            if not math.isfinite(lorentz):
+                raise FloatRangeError("linewidths", "the pair-mass integrand leaves the float "
+                                      f"range at linewidths Gbar_S = {gbs:.3g}, Gbar_I = "
+                                      f"{gbi:.3g} rad/s")
+            raise FloatRangeError("pulse", "the pair-mass integrand leaves the float range "
+                                  f"at pulse length tau = {pump.tau:.3g} s")
+        return values
 
     quad = integrate_adaptive(integrand, center - half_window, center + half_window, rel_tol=1e-7,
                               points=[(center, 1.0 / pump.tau), (sb.omega + ib.omega, gsum)])
@@ -159,11 +187,18 @@ class JsaGrid:
 
     @property
     def abs2(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
+        return _abs2(self.values)
 
     @property
     def phase(self) -> np.ndarray:
         return np.angle(self.values)
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 as one real array, squared in place."""
+    a = np.abs(z)
+    a *= a
+    return a
 
 
 def _direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
@@ -179,16 +214,24 @@ def _direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
                              Branch.PLUS)
     f_i = enhancement_factor(system, idler_exit, Band.IDLER, ib.k_of_omega(omega2),
                              Branch.PLUS)
-    # two-photon energies from the grid corner in units of the signal step:
-    # on equal steps every cell of an anti-diagonal gets the same energy, so
-    # g runs on 2n - 1 distinct energies instead of n^2
+    # two-photon energies from the grid corner in units of the signal step.
+    # On equal steps cell (i, j) has energy index i + j, so g runs on the
+    # n1 + n2 - 1 energies of the anti-diagonals and is read through a
+    # zero-copy Hankel view, and the product below is the one grid-sized
+    # array; on unequal steps g runs on all n1 n2 cells
+    g = _pump_g_factor(system, pump)
+    n1, n2 = len(omega1), len(omega2)
     d1 = gbs * (kappa1[1] - kappa1[0])
     d2 = gbi * (kappa2[1] - kappa2[0])
-    steps = np.arange(len(omega1))[:, None] + (d2 / d1) * np.arange(len(omega2))
-    energies, index = np.unique((omega1[0] + omega2[0]) + d1 * steps, return_inverse=True)
-    g_grid = _pump_g_factor(system, pump)(energies)[index.reshape(steps.shape)]
-    return 1j * _jsa_prefactor(system) * np.conj(f_s)[:, None] * np.conj(f_i)[None, :] \
-        * g_grid
+    if d2 / d1 == 1.0:
+        g_grid = np.lib.stride_tricks.sliding_window_view(
+            g((omega1[0] + omega2[0]) + d1 * np.arange(n1 + n2 - 1)), n2)
+    else:
+        g_grid = g((omega1[0] + omega2[0])
+                   + d1 * (np.arange(n1)[:, None] + (d2 / d1) * np.arange(n2)))
+    grid = (1j * _jsa_prefactor(system) * np.conj(f_s))[:, None] * np.conj(f_i)[None, :]
+    grid *= g_grid
+    return grid
 
 
 def reference_amplitude(system: SystemSpec, pair: tuple[str, str]) -> float:
@@ -223,9 +266,15 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
 
     mass_total = total_mass(system, pump)
     beta = math.sqrt(mass_total) * pump.alpha ** 2
-    raw = _direct_pair_grid(system, pump, reference_pair[0], reference_pair[1],
-                            kappa1, kappa2)
-    values = raw * (pump.alpha ** 2 / beta)
+    if beta == 0.0:
+        if mass_total == 0.0:
+            raise FloatingPointError("the pair mass underflows to 0, so the JSA has no "
+                                     "normalization")
+        raise FloatRangeError("alpha", f"beta = sqrt(mass) alpha^2 underflows to 0 at alpha "
+                              f"= {pump.alpha:.3g}, so the JSA has no normalization")
+    values = _direct_pair_grid(system, pump, reference_pair[0], reference_pair[1],
+                               kappa1, kappa2)
+    values *= pump.alpha ** 2 / beta
 
     weights = {(x, y): complex(system.amplitude_coupling(x, Band.SIGNAL)
                                * system.amplitude_coupling(y, Band.IDLER) / ref_amp)
@@ -234,7 +283,7 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
     dk_s = system.gamma_bar(Band.SIGNAL) * (kappa1[1] - kappa1[0]) / system.bands[Band.SIGNAL].v
     dk_i = system.gamma_bar(Band.IDLER) * (kappa2[1] - kappa2[0]) / system.bands[Band.IDLER].v
     sum_w2 = sum(abs(w) ** 2 for w in weights.values())
-    grid_norm = sum_w2 * grid_integrate_2d(np.abs(values) ** 2, dk_s, dk_i)
+    grid_norm = sum_w2 * grid_integrate_2d(_abs2(values), dk_s, dk_i)
     residual = abs(grid_norm - 1.0)
     if residual > residual_tol:
         pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))

@@ -17,6 +17,7 @@ DEFAULT_RATE_RTOL = 1e-6
 
 _RULE_POINTS = 8  # nodes of the lower Gauss-Legendre rule; the upper has twice as many
 _PANEL_LIMIT = 200  # panels a quadrature may split into before it gives up
+_TRAPEZOID_ROWS = 64  # rows per block of grid_integrate_2d's inner trapezoid
 
 
 class QuadratureError(RuntimeError):
@@ -115,8 +116,14 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
 
 
 def grid_integrate_2d(values: np.ndarray, dx: float, dy: float) -> float:
-    """Trapezoidal integral of samples on a rectangular grid."""
+    """Trapezoidal integral of samples on a rectangular grid.
+
+    The inner trapezoid runs on blocks of _TRAPEZOID_ROWS rows, so its
+    temporaries stay a block in size, not a grid; each row is still summed
+    on its own, so the result is the one-shot call's to the bit."""
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D grid, got shape {values.shape}")
-    return float(np.trapezoid(np.trapezoid(values, dx=dy, axis=1), dx=dx, axis=0))
+    rows = np.concatenate([np.trapezoid(values[start:start + _TRAPEZOID_ROWS], dx=dy, axis=1)
+                           for start in range(0, len(values), _TRAPEZOID_ROWS)])
+    return float(np.trapezoid(rows, dx=dx, axis=0))

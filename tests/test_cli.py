@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -497,13 +498,38 @@ class TestCommands:
                       "sweep-eta", "oracle-check"),
             **_expect(1, "{}: the strategy-1 pair rate is inf", "sweep-sigma",
                       "compare-finesse")}),
-        ("ring_channel.json", {"system.ring.radius_m": 1e300}, _expect(
-            1, "{}: a result overflows the float range", "rate", "ratios", "sweep-eta",
-            "oracle-check")),
+        # the free spectral range, which caps strategy 1's window, is below an ulp
+        ("ring_channel.json", {"system.ring.radius_m": 1e300}, {
+            **_expect(1, "{}: a result overflows the float range", "rate", "ratios",
+                      "sweep-eta", "oracle-check"),
+            **_expect(2, "invalid config: system.ring.radius_m: makes the free spectral "
+                      "range", "sweep-sigma", "compare-finesse")}),
         ("ring_channel.json",
          {"pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0, "alpha": 1e100}}, {
              **_expect(1, "jsa: a result overflows the float range", "jsa"),
              **_expect(2, "invalid config: pump.kind", *(c for c in _COMMANDS if c != "jsa"))}),
+        # beta = sqrt(mass) alpha^2 underflows to 0
+        *[("ring_channel.json",
+           {"pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0, "alpha": alpha}}, {
+               **_expect(2, "invalid config: pump.alpha: beta = sqrt(mass) alpha^2 "
+                         "underflows to 0", "jsa"),
+               **_expect(2, "invalid config: pump.kind", *(c for c in _COMMANDS if c != "jsa"))})
+          for alpha in (1e-160, 1e-300)],
+        # the pair-mass integrand leaves the float range: 1 / tau overflows the
+        # window, tau b the Faddeeva function, or the linewidths are inf
+        *[("ring_channel.json", {"pump": {"kind": "pulsed", "duration_fwhm_ps": ps}}, {
+            **_expect(2, "invalid config: pump.duration_fwhm_ps: the pair-mass integrand "
+                      "leaves the float range", "jsa"),
+            **_expect(2, "invalid config: pump.kind", *(c for c in _COMMANDS if c != "jsa"))})
+          for ps in (1e-300, 1e300)],
+        ("ring_channel.json", {"pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0},
+                               "system.ring.loss_db_per_cm": 1e300}, _expect(
+            2, "invalid config: system.ring.loss_db_per_cm: the pair-mass integrand leaves "
+            "the float range", "jsa")),
+        # the mass itself underflows, which no single field does
+        ("ring_channel.json", {"pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0},
+                               "system.ring.gamma_nl_per_w_m": 1e-300}, _expect(
+            1, "jsa: the pair mass underflows to 0", "jsa")),
         # the finest ring rounds its self-couplings to 1, a lossless resonance
         ("ring_channel.json", {"options": {"compare_finesse": {"min": 1e5, "max": 1e300}}}, {
             **_expect(1, "compare-finesse: resonance denominator vanished",
@@ -527,6 +553,8 @@ class TestCommands:
         ids=["zero_nonlinearity", "underflowing_power", "underflowing_power_add_drop",
              "far_detuned_pump", "huge_detuning", "huge_negative_detuning",
              "overflowing_power", "overflowing_radius", "overflowing_alpha",
+             "underflowing_alpha", "vanishing_alpha", "vanishing_pulse", "endless_pulse",
+             "overflowing_loss_jsa", "vanishing_nonlinearity_jsa",
              "finesse_past_float_range", "negligible_phantom", "ratios_past_float_range",
              "lossless_sigma_one"])
     def test_zero_reference_rate_gives_no_traceback_and_no_nan(self, tmp_path, capsys,
@@ -558,6 +586,22 @@ class TestCommands:
                 want, line = expected[command]
                 assert code == want, (command, err)
                 assert line is None or err.startswith(line.format(command)), (command, err)
+
+    def test_jsa_holds_one_grid_and_one_table(self, tmp_path):
+        # the complex 512^2 grid, plus one real table at a time (half its
+        # size) while the command normalizes and writes it
+        doc = bundled()
+        doc["pump"] = {"kind": "pulsed", "duration_fwhm_ps": 10.0}
+        argv = ["jsa", "--config", _write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0  # the lazy imports and caches, which are not the grid's
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        values_nbytes = 512 * 512 * np.dtype(complex).itemsize
+        assert peak <= 2 * values_nbytes, peak / values_nbytes
 
     @pytest.mark.parametrize("detuning", [1.2e15, -1.2e15])
     def test_jsa_far_detuned_pump_names_the_offset(self, tmp_path, capsys, detuning):

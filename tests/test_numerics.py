@@ -7,8 +7,8 @@ import pytest
 
 from lossy_ring_sfwm import attenuation
 from lossy_ring_sfwm.model import CwPump
-from lossy_ring_sfwm.numerics import (QuadratureError, _segment_edges, grid_integrate_2d,
-                                      integrate_adaptive)
+from lossy_ring_sfwm.numerics import (_TRAPEZOID_ROWS, QuadratureError, _segment_edges,
+                                      grid_integrate_2d, integrate_adaptive)
 from conftest import bundled_system
 
 
@@ -138,3 +138,10 @@ class TestGridIntegrate2d:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             grid_integrate_2d(np.zeros(8), 0.1, 0.1)
+
+    @pytest.mark.parametrize("rows", [2, 2 * _TRAPEZOID_ROWS + 5])
+    def test_row_blocks_match_one_shot_trapezoid(self, rows):
+        # each row is summed on its own in both, so the blocks change no bit
+        values = np.random.default_rng(rows).random((rows, 37)) ** 4
+        one_shot = np.trapezoid(np.trapezoid(values, dx=0.3, axis=1), dx=0.7, axis=0)
+        assert grid_integrate_2d(values, 0.7, 0.3) == float(one_shot)
