@@ -41,11 +41,9 @@ from .constants import TWO_PI
 from .model import Band, CwPump, SystemSpec, phantom_gamma_from_xi
 from .numerics import integrate_adaptive
 
-# half-width of the rate quadrature window, in signal linewidths (FWHM), and
-# the fraction of one free spectral range it may span on either side of the
-# resonance, so neighbouring resonances never leak in
-_WINDOW_LINEWIDTHS = 40.0
-_WINDOW_FSR_CAP = 0.45
+# half-width of the rate quadrature window, as a fraction of one free
+# spectral range, so neighbouring resonances never leak in
+_WINDOW_FSR = 0.45
 
 _TAYLOR_THRESHOLD = 1e-6  # |dk L| below which the overlap integral is expanded
 
@@ -152,16 +150,14 @@ def _linewidth(system: SystemSpec, band: Band) -> float:
 
 
 def signal_window(system: SystemSpec, pump: CwPump) -> tuple[float, float]:
-    """(lo, hi) of the signal frequencies a rate integrates: 40 linewidths
-    either side of the signal resonance, capped at 0.45 of a free spectral
-    range, above 1e-3 omega_S and below the signal frequency at which the
-    idler 2 omega_o - omega1 falls to 1e-3 omega_I. A far red-detuned pump
-    leaves it empty (lo >= hi)."""
+    """(lo, hi) of the signal frequencies a rate integrates: 0.45 of a free
+    spectral range either side of the signal resonance, whatever its
+    linewidth, above 1e-3 omega_S and below the signal frequency at which
+    the idler 2 omega_o - omega1 falls to 1e-3 omega_I. No coupling enters
+    it. A far red-detuned pump leaves it empty (lo >= hi)."""
     sb, ib = system.bands[Band.SIGNAL], system.bands[Band.IDLER]
     omega_o = system.bands[Band.PUMP].omega + pump.detuning
-    fsr = TWO_PI * sb.v / system.ring.circumference
-    half_window = min(_WINDOW_LINEWIDTHS * 2.0 * _linewidth(system, Band.SIGNAL),
-                      _WINDOW_FSR_CAP * fsr)
+    half_window = _WINDOW_FSR * TWO_PI * sb.v / system.ring.circumference
     return (max(sb.omega - half_window, 1e-3 * sb.omega),
             min(sb.omega + half_window, 2.0 * omega_o - 1e-3 * ib.omega))
 

@@ -125,11 +125,13 @@ def _axis(config: RunConfig, name: str, lo_key: str, hi_key: str, n_key: str, de
     for key, v in ((lo_key, lo), (hi_key, hi)):
         if unit and not (0.0 < v < 1.0 or v == 1.0 and unit.endswith("]")):
             raise ConfigError(f"{path}.{key}", f"must lie in {unit}, got {v}")
-    if not lo < hi:
-        raise ConfigError(f"{path}.{lo_key}", f"bad axis [{lo}, {hi}] x {n}")
-    if log:
-        return np.logspace(np.log10(lo), np.log10(hi), n)
-    return np.linspace(lo, hi, n)
+    axis = np.logspace(np.log10(lo), np.log10(hi), n) if log else np.linspace(lo, hi, n)
+    # the one check of the axis: bounds too close for n distinct floats
+    # between them fail it as hi <= lo does
+    if not np.all(np.diff(axis) > 0.0):
+        raise ConfigError(f"{path}.{hi_key}", f"[{lo}, {hi}] x {n} is not a strictly "
+                          "increasing axis")
+    return axis
 
 
 def _require_lossy_phantom(config: RunConfig) -> None:
@@ -163,11 +165,12 @@ def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
     largest scale a sweep applies, must leave a self-coupling above 0. Its
     outgoing fields grow as e^{xi L / 2} around the ring, which at that scale
     must stay finite. The error names `path`, else the channel's coupling
-    field or the ring loss. The signal window must reach past the signal
-    resonance, which holds at every linewidth a sweep sets exactly when the
-    idler of a resonant signal lies above the window's 1e-3 omega_I floor,
-    and when the free spectral range that caps the window exceeds one ulp
-    of omega_S."""
+    field or the ring loss. The signal window, 0.45 of a free spectral range
+    either side of the signal resonance, must reach past that resonance: the
+    free spectral range must exceed one ulp of omega_S, and the idler of a
+    resonant signal must lie above the window's 1e-3 omega_I floor. No
+    coupling enters the window, so one check holds for every point of a
+    sweep."""
     system = config.system
     sb = system.bands[Band.SIGNAL]
     if not sb.omega + TWO_PI * sb.v / system.ring.circumference > sb.omega:

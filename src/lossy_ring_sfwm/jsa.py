@@ -7,7 +7,9 @@ the output state carries a biphoton wave function per channel pair,
                         gnl L  F_S+^(X)*(k1) F_I+^(X')*(k2) g(k1, k2),
 
 normalized so the squared moduli summed over channel pairs integrate to
-one; |beta|^2 is then the pair generation probability. The pump factor
+one; |beta|^2 = alpha^4 M, M the integrated squared modulus of the rest,
+is then the pair generation probability, and alpha^2 / beta = 1 / sqrt(M)
+does not depend on alpha. The pump factor
 g depends on k1, k2 only through the two-photon energy E = w1 + w2:
 after eliminating the energy delta function,
 
@@ -252,7 +254,8 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
     (kappa_max >= 8 resolves the Lorentzian wings); the trapezoidal
     normalization over all channel pairs must agree with the Gauss-Legendre
     normalization total_mass within residual_tol, else GridTooCoarseError
-    is raised.
+    is raised. The grid is scaled by 1 / sqrt(total_mass), the same bits at
+    every alpha; alpha enters only beta2, which must not underflow to 0.
     """
     if kappa_max < 8.0:
         raise ValueError(f"grid must cover at least 8 linewidths, got {kappa_max}")
@@ -265,16 +268,16 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
     kappa1 = kappa2 = np.linspace(-kappa_max, kappa_max, n)
 
     mass_total = total_mass(system, pump)
-    beta = math.sqrt(mass_total) * pump.alpha ** 2
-    if beta == 0.0:
-        if mass_total == 0.0:
-            raise FloatingPointError("the pair mass underflows to 0, so the JSA has no "
-                                     "normalization")
-        raise FloatRangeError("alpha", f"beta = sqrt(mass) alpha^2 underflows to 0 at alpha "
-                              f"= {pump.alpha:.3g}, so the JSA has no normalization")
+    if mass_total == 0.0:
+        raise FloatingPointError("the pair mass underflows to 0, so the JSA has no "
+                                 "normalization")
+    beta2 = pump.alpha ** 4 * mass_total
+    if beta2 == 0.0:
+        raise FloatRangeError("alpha", f"the pair probability beta2 = alpha^4 mass underflows "
+                              f"to 0 at alpha = {pump.alpha:.3g}")
     values = _direct_pair_grid(system, pump, reference_pair[0], reference_pair[1],
                                kappa1, kappa2)
-    values *= pump.alpha ** 2 / beta
+    values *= 1.0 / math.sqrt(mass_total)
 
     weights = {(x, y): complex(system.amplitude_coupling(x, Band.SIGNAL)
                                * system.amplitude_coupling(y, Band.IDLER) / ref_amp)
@@ -292,7 +295,7 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
         raise GridTooCoarseError(residual, residual_tol, offset, kappa_max)
     return JsaGrid(kappa1=kappa1, kappa2=kappa2, values=values,
                    reference_pair=reference_pair, weights=weights,
-                   beta2=pump.alpha ** 4 * mass_total,
+                   beta2=beta2,
                    normalization_residual=residual)
 
 

@@ -28,12 +28,6 @@ class SweepResult:
     values: Mapping[str, np.ndarray]
     metadata: Mapping[str, object]
 
-    def __post_init__(self):
-        for name, ax in self.axes.items():
-            d = np.diff(ax)
-            if not (np.all(d > 0) or np.all(d < 0)):
-                raise ValueError(f"axis {name!r} must be strictly monotone")
-
 
 def quadratic_argmax(x: np.ndarray, y: np.ndarray) -> float:
     """Axis location of the maximum, refined by a parabola through the best

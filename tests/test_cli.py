@@ -367,15 +367,34 @@ class TestCommands:
         ("compare-finesse", "add_drop.json", {"compare_finesse": {"sigma2_max": 1.5}},
          "options.compare_finesse.sigma2_max: must lie in (0, 1]"),
         ("compare-finesse", "add_drop.json", {"compare_finesse": {"sigma2_min": -0.5}},
-         "options.compare_finesse.sigma2_min: must lie in (0, 1]")],
-        ids=["eta_min", "sigma_max", "sigma2_max", "sigma2_min"])
+         "options.compare_finesse.sigma2_min: must lie in (0, 1]"),
+        # bounds an ulp apart leave no room for n distinct points between them
+        ("sweep-eta", "ring_channel.json",
+         {"sweep_eta": {"min": 0.5, "max": 0.5000000000000001, "points": 5}},
+         "options.sweep_eta.max: "),
+        ("sweep-sigma", "ring_channel.json",
+         {"sweep_sigma": {"min": 0.95, "max": 0.9500000000000001}}, "options.sweep_sigma.max: "),
+        ("add-drop-grid", "add_drop.json",
+         {"add_drop_grid": {"min_ratio": 1.0, "max_ratio": 1.0000000000000002}},
+         "options.add_drop_grid.max_ratio: "),
+        ("compare-finesse", "ring_channel.json",
+         {"compare_finesse": {"min": 100.0, "max": 100.00000000000001}},
+         "options.compare_finesse.max: "),
+        ("compare-finesse", "add_drop.json",
+         {"compare_finesse": {"sigma2_min": 0.5, "sigma2_max": 0.5000000000000001}},
+         "options.compare_finesse.sigma2_max: "),
+        ("sweep-sigma", "ring_channel.json", {"sweep_sigma": {"min": 0.99, "max": 0.98}},
+         "options.sweep_sigma.max: ")],
+        ids=["eta_min", "sigma_max", "sigma2_max", "sigma2_min", "eta_ulp", "sigma_ulp",
+             "ratio_ulp", "finesse_ulp", "sigma2_ulp", "sigma_reversed"])
     def test_axis_outside_model_range_exits_2(self, tmp_path, capsys, command, name,
                                               options, field):
         doc = bundled(name)
         doc["options"] = options
         cfg = _write_config(tmp_path, doc)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert f"invalid config: {field}" in capsys.readouterr().err
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"invalid config: {field}")
 
     @pytest.mark.parametrize("command, name, change, field", [
         ("add-drop-grid", "ring_channel.json", None,
@@ -508,13 +527,13 @@ class TestCommands:
          {"pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0, "alpha": 1e100}}, {
              **_expect(1, "jsa: a result overflows the float range", "jsa"),
              **_expect(2, "invalid config: pump.kind", *(c for c in _COMMANDS if c != "jsa"))}),
-        # beta = sqrt(mass) alpha^2 underflows to 0
+        # the pair probability beta2 = alpha^4 mass underflows to 0
         *[("ring_channel.json",
            {"pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0, "alpha": alpha}}, {
-               **_expect(2, "invalid config: pump.alpha: beta = sqrt(mass) alpha^2 "
-                         "underflows to 0", "jsa"),
+               **_expect(2, "invalid config: pump.alpha: the pair probability beta2 = "
+                         "alpha^4 mass underflows to 0", "jsa"),
                **_expect(2, "invalid config: pump.kind", *(c for c in _COMMANDS if c != "jsa"))})
-          for alpha in (1e-160, 1e-300)],
+          for alpha in (1e-77, 1e-160, 1e-300)],
         # the pair-mass integrand leaves the float range: 1 / tau overflows the
         # window, tau b the Faddeeva function, or the linewidths are inf
         *[("ring_channel.json", {"pump": {"kind": "pulsed", "duration_fwhm_ps": ps}}, {
@@ -549,14 +568,20 @@ class TestCommands:
          {"system.ring.loss_db_per_cm": 0, "options": {"sweep_sigma": {"max": 1.0}}}, {
              **_expect(2, "invalid config: options.sweep_sigma.max: sigma = 1 decouples the "
                        "bus", "sweep-sigma"),
-             **_expect(0, None, "rate", "ratios", "compare-finesse", "oracle-check")})],
+             **_expect(0, None, "rate", "ratios", "compare-finesse", "oracle-check")}),
+        # a lossless line 1e-3 rad/s wide: its resonance is singular to double
+        # precision, which sweep-sigma, setting its own couplings, never meets
+        ("ring_channel.json", {"system.ring.loss_db_per_cm": 0,
+                               "system.channels.0.coupling": {"gamma_rad_per_s": 1e-3}}, {
+            **_expect(1, "rate: resonance denominator vanished", "rate"),
+            **_expect(0, None, "sweep-sigma")})],
         ids=["zero_nonlinearity", "underflowing_power", "underflowing_power_add_drop",
              "far_detuned_pump", "huge_detuning", "huge_negative_detuning",
              "overflowing_power", "overflowing_radius", "overflowing_alpha",
-             "underflowing_alpha", "vanishing_alpha", "vanishing_pulse", "endless_pulse",
-             "overflowing_loss_jsa", "vanishing_nonlinearity_jsa",
+             "underflowing_beta2", "underflowing_alpha", "vanishing_alpha", "vanishing_pulse",
+             "endless_pulse", "overflowing_loss_jsa", "vanishing_nonlinearity_jsa",
              "finesse_past_float_range", "negligible_phantom", "ratios_past_float_range",
-             "lossless_sigma_one"])
+             "lossless_sigma_one", "narrow_lossless_line"])
     def test_zero_reference_rate_gives_no_traceback_and_no_nan(self, tmp_path, capsys,
                                                                name, edits, expected):
         # a rate that underflows to 0 leaves the strategies' relative
@@ -582,6 +607,8 @@ class TestCommands:
             else:
                 assert code in (1, 2)
                 assert len(err.splitlines()) == 1 and "Traceback" not in err
+            # only a config that sets the pump detuning is told it is wrong
+            assert "pump.detuning_rad_per_s" in edits or "pump.detuning_rad_per_s" not in err
             if command in expected:
                 want, line = expected[command]
                 assert code == want, (command, err)

@@ -197,6 +197,16 @@ class TestJsaGrid:
         # the normalized wave function itself is amplitude independent
         assert np.allclose(strong.values, weak.values, rtol=1e-9)
 
+    def test_grid_bits_do_not_depend_on_alpha(self):
+        # alpha^2 / beta is 1 / sqrt(mass) at every alpha, so the normalized
+        # grid is scaled by that alone; a ratio of two alpha-dependent
+        # roundings would move its last bits
+        system = bundled_system()
+        reference = jsa.build_jsa(system, PulsedPump(10e-12, alpha=1.0), n=64).values
+        for alpha in (0.6, 0.9, 1.1, 1.2, 1.7, 1e-30):
+            grid = jsa.build_jsa(system, PulsedPump(10e-12, alpha=alpha), n=64)
+            assert np.array_equal(grid.values, reference), alpha
+
     def test_grid_echo(self, system_06, pulse_10ps):
         grid = jsa.build_jsa(system_06, pulse_10ps, n=96, kappa_max=9.0)
         assert grid.values.shape == (96, 96)
