@@ -18,6 +18,7 @@ bad config or geometry, or an option the command does not take.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -41,30 +42,35 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_float_csv(path: Path, header: list, *columns: np.ndarray) -> None:
-    """Float columns (1-D, or 2-D blocks of them), in the bytes csv.writer
-    writes for the same rows of Python floats.
+# cells per orjson call of _write_float_csv: one call and one set of masks
+# per row cost more than repr on a narrow table, and a list of all the cells
+# of a wide block would raise the peak memory
+_WRITE_CELLS = 4096
 
-    The 2-D grids are up to 263k cells, and repr's bignum dtoa would spend
-    most of a jsa run on them. orjson's Ryu formatter picks the same shortest
-    round-trip digits about 20x faster; only its layout can differ. Cells
-    with 1.1e-9 < |x| < 0.9e-5 get repr's two-digit exponent (e-7 -> e-07).
-    Cells with |x| < 0.9e-9 or 1.1e-4 < |x| < 0.9e16 are already laid out as
-    repr lays them out. Every other cell is written by repr: the 1e-5..1e-4
-    band, where only repr uses an exponent, the 10% margins around 1e-9 and
-    1e-4, |x| >= 0.9e16 (repr writes e+16) and NaN/inf (orjson writes null).
+
+@contextlib.contextmanager
+def _write_float_csv(path: Path, header: list):
+    """Writes the header and yields append(*columns), which writes a block
+    of rows given as float columns (1-D, or 2-D blocks of them), in the
+    bytes csv.writer writes for the same rows of Python floats.
+
+    Callers append their rows a block at a time, so no table is held
+    whole: the 2-D grids are up to 263k cells. repr's bignum dtoa would
+    spend most of a jsa run on them. orjson's Ryu formatter picks the same
+    shortest round-trip digits about 20x faster; only its layout can
+    differ. Cells with 1.1e-9 < |x| < 0.9e-5 get repr's two-digit exponent
+    (e-7 -> e-07). Cells with |x| < 0.9e-9 or 1.1e-4 < |x| < 0.9e16 are
+    already laid out as repr lays them out. Every other cell is written by
+    repr: the 1e-5..1e-4 band, where only repr uses an exponent, the 10%
+    margins around 1e-9 and 1e-4, |x| >= 0.9e16 (repr writes e+16) and
+    NaN/inf (orjson writes null).
     """
     # imported here, so that the commands writing no grid never load it
     import orjson
 
-    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    # about 4096 cells per orjson call: one call and one set of masks per row
-    # cost more than repr on a narrow table, and a list of all the cells of
-    # a wide one would raise the peak memory; so would stacking the whole table
-    step = max(1, 4096 // width)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.flush()
+    def append(*columns: np.ndarray) -> None:
+        width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+        step = max(1, _WRITE_CELLS // width)
         for start in range(0, len(columns[0]), step):
             flat = np.column_stack([c[start:start + step] for c in columns]).ravel()
             cells = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
@@ -77,6 +83,11 @@ def _write_float_csv(path: Path, header: list, *columns: np.ndarray) -> None:
                 cells[i] = repr(float(flat[i])).encode()
             fh.buffer.write(b"".join([b",".join(cells[j:j + width]) + b"\r\n"
                                       for j in range(0, len(cells), width)]))
+
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.flush()
+        yield append
 
 
 def _write_sweep(outdir: Path, command: str, config: RunConfig,
@@ -294,8 +305,9 @@ def cmd_add_drop_grid(config: RunConfig, outdir: Path, tol) -> int:
     keys = sorted(result.values)
     t, d = np.meshgrid(result.axes["gamma_t_ratio"], result.axes["gamma_d_ratio"],
                        indexing="ij")
-    _write_float_csv(outdir / "add_drop_grid.csv", ["gamma_t_ratio", "gamma_d_ratio"] + keys,
-                     t.ravel(), d.ravel(), *(result.values[k].ravel() for k in keys))
+    with _write_float_csv(outdir / "add_drop_grid.csv",
+                          ["gamma_t_ratio", "gamma_d_ratio"] + keys) as append:
+        append(t.ravel(), d.ravel(), *(result.values[k].ravel() for k in keys))
     meta = _base_metadata("add-drop-grid", config)
     meta["argmax"] = {k: list(v) for k, v in result.metadata["argmax"].items()}
     meta["pump_power_w"] = pump.power
@@ -341,9 +353,16 @@ def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
         raise ConfigError(field or _widest_channel_field(config), str(e)) from e
 
     header = ["kappa1\\kappa2"] + grid.kappa2.tolist()
-    # one real table at a time beside the complex grid
-    _write_float_csv(outdir / "jsa_abs2.csv", header, grid.kappa1, grid.abs2)
-    _write_float_csv(outdir / "jsa_phase.csv", header, grid.kappa1, grid.phase)
+    # each block of rows is formed once and appended to both tables, one
+    # orjson call each
+    block_rows = max(1, _WRITE_CELLS // len(header))
+    with _write_float_csv(outdir / "jsa_abs2.csv", header) as append_abs2, \
+            _write_float_csv(outdir / "jsa_phase.csv", header) as append_phase:
+        for start in range(0, n, block_rows):
+            phi = grid.rows(start, start + block_rows)
+            kappa1 = grid.kappa1[start:start + block_rows]
+            append_abs2(kappa1, jsa.abs2(phi))
+            append_phase(kappa1, np.angle(phi))
     _write_csv(outdir / "jsa_weights.csv",
                ["signal_exit", "idler_exit", "weight_re", "weight_im", "weight_abs2"],
                [(x, y, w.real, w.imag, abs(w) ** 2)

@@ -36,9 +36,12 @@ per-pair complex weights represents the full wave function.
 On equal signal and idler steps, the case of every bundled configuration,
 cell (i, j) of an n1 x n2 grid has two-photon energy index i + j: g runs
 on the n1 + n2 - 1 energies of the anti-diagonals and is read through a
-zero-copy Hankel view of them. A grid then costs one complex array of
-the grid's size, plus at most one real table of it at a time: |phi|^2
-for the normalization, then |phi|^2 and the phase as they are written.
+zero-copy Hankel view of them. The grid is never held whole: a JsaGrid
+keeps the factors, about 3n numbers, and forms normalized rows a block at
+a time, each cell in the one floating-point order (the outer product of
+the factors, times g, times the scale), so any split into blocks gives
+the whole grid's bits. The normalization and the command's tables walk
+those blocks, and hold a block's worth of cells at a time.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -168,35 +171,60 @@ def total_mass(system: SystemSpec, pump: PulsedPump) -> float:
     return _jsa_prefactor(system) ** 2 / (sb.v * ib.v) * quad.value
 
 
+_NORM_ROWS = 64  # rows per block of the normalization's |phi|^2
+
+
+@dataclass(frozen=True)
+class _Separable:
+    """An amplitude on an n1 x n2 grid held as its factors: cell (i, j) is
+    row[i] col[j] g_ij, where g_rows(start, stop) gives g on those rows."""
+
+    row: np.ndarray
+    col: np.ndarray
+    g_rows: Callable[[int, int], np.ndarray]
+
+    def rows(self, start: int, stop: int, scale: float) -> np.ndarray:
+        """Rows start..stop - 1 times scale, as a fresh complex array."""
+        block = self.row[start:stop, None] * self.col
+        block *= self.g_rows(start, stop)
+        block *= scale
+        return block
+
+
 @dataclass(frozen=True)
 class JsaGrid:
     """Discretized biphoton wave function for one reference channel pair.
 
-    kappa axes are the dimensionless detunings v (k - K) / Gbar per band;
-    values hold the normalized phi for the reference pair (k-space units,
-    m); every other pair is weight * values with the complex weights
+    kappa axes are the dimensionless detunings v (k - K) / Gbar per band.
+    The normalized phi of the reference pair (k-space units, m) is held as
+    its factors and a scale: rows(start, stop) forms a block of its rows,
+    the same bits as those rows of the whole grid, and values forms the
+    whole grid. Every other pair is weight * phi with the complex weights
     keyed by (signal exit, idler exit). beta2 is the pair generation
     probability |beta|^2 for the pulse amplitude alpha.
     """
 
     kappa1: np.ndarray
     kappa2: np.ndarray
-    values: np.ndarray  # complex, shape (len(kappa1), len(kappa2))
     reference_pair: tuple[str, str]
     weights: Mapping[tuple[str, str], complex]
     beta2: float
     normalization_residual: float
+    amplitude: _Separable  # the reference pair's unnormalized phi
+    scale: float  # 1 / sqrt(total_mass)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop - 1 of the normalized phi, complex, shape
+        (stop - start, len(kappa2)); stop may pass the last row."""
+        return self.amplitude.rows(start, stop, self.scale)
 
     @property
-    def abs2(self) -> np.ndarray:
-        return _abs2(self.values)
-
-    @property
-    def phase(self) -> np.ndarray:
-        return np.angle(self.values)
+    def values(self) -> np.ndarray:
+        """The whole normalized grid, shape (len(kappa1), len(kappa2))."""
+        return self.rows(0, len(self.kappa1))
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
+def abs2(z: np.ndarray) -> np.ndarray:
     """|z|^2 as one real array, squared in place."""
     a = np.abs(z)
     a *= a
@@ -205,9 +233,9 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 def _direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
                       idler_exit: str, kappa1: np.ndarray,
-                      kappa2: np.ndarray) -> np.ndarray:
-    """Unnormalized biphoton amplitude of one channel pair on the grid,
-    evaluated directly from its own enhancement factors."""
+                      kappa2: np.ndarray) -> _Separable:
+    """Unnormalized biphoton amplitude of one channel pair on the grid, as
+    its factors, evaluated directly from its own enhancement factors."""
     sb, ib = system.bands[Band.SIGNAL], system.bands[Band.IDLER]
     gbs, gbi = system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER)
     omega1 = sb.omega + gbs * kappa1
@@ -217,23 +245,25 @@ def _direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
     f_i = enhancement_factor(system, idler_exit, Band.IDLER, ib.k_of_omega(omega2),
                              Branch.PLUS)
     # two-photon energies from the grid corner in units of the signal step.
-    # On equal steps cell (i, j) has energy index i + j, so g runs on the
-    # n1 + n2 - 1 energies of the anti-diagonals and is read through a
-    # zero-copy Hankel view, and the product below is the one grid-sized
-    # array; on unequal steps g runs on all n1 n2 cells
+    # On equal steps cell (i, j) has energy index i + j, so g runs once on
+    # the n1 + n2 - 1 energies of the anti-diagonals and every block of rows
+    # reads a zero-copy Hankel view of them; on unequal steps g runs on each
+    # block's cells as the block is formed
     g = _pump_g_factor(system, pump)
     n1, n2 = len(omega1), len(omega2)
     d1 = gbs * (kappa1[1] - kappa1[0])
     d2 = gbi * (kappa2[1] - kappa2[0])
     if d2 / d1 == 1.0:
-        g_grid = np.lib.stride_tricks.sliding_window_view(
+        hankel = np.lib.stride_tricks.sliding_window_view(
             g((omega1[0] + omega2[0]) + d1 * np.arange(n1 + n2 - 1)), n2)
+
+        def g_rows(start, stop):
+            return hankel[start:stop]
     else:
-        g_grid = g((omega1[0] + omega2[0])
-                   + d1 * (np.arange(n1)[:, None] + (d2 / d1) * np.arange(n2)))
-    grid = (1j * _jsa_prefactor(system) * np.conj(f_s))[:, None] * np.conj(f_i)[None, :]
-    grid *= g_grid
-    return grid
+        def g_rows(start, stop):
+            return g((omega1[0] + omega2[0]) + d1 * (
+                np.arange(start, min(stop, n1))[:, None] + (d2 / d1) * np.arange(n2)))
+    return _Separable(1j * _jsa_prefactor(system) * np.conj(f_s), np.conj(f_i), g_rows)
 
 
 def reference_amplitude(system: SystemSpec, pair: tuple[str, str]) -> float:
@@ -254,8 +284,10 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
     (kappa_max >= 8 resolves the Lorentzian wings); the trapezoidal
     normalization over all channel pairs must agree with the Gauss-Legendre
     normalization total_mass within residual_tol, else GridTooCoarseError
-    is raised. The grid is scaled by 1 / sqrt(total_mass), the same bits at
-    every alpha; alpha enters only beta2, which must not underflow to 0.
+    is raised. The normalization walks the grid in blocks of _NORM_ROWS
+    rows, so no grid-sized array is formed. The grid is scaled by
+    1 / sqrt(total_mass), the same bits at every alpha; alpha enters only
+    beta2, which must neither underflow to 0 nor overflow.
     """
     if kappa_max < 8.0:
         raise ValueError(f"grid must cover at least 8 linewidths, got {kappa_max}")
@@ -271,13 +303,17 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
     if mass_total == 0.0:
         raise FloatingPointError("the pair mass underflows to 0, so the JSA has no "
                                  "normalization")
-    beta2 = pump.alpha ** 4 * mass_total
-    if beta2 == 0.0:
-        raise FloatRangeError("alpha", f"the pair probability beta2 = alpha^4 mass underflows "
-                              f"to 0 at alpha = {pump.alpha:.3g}")
-    values = _direct_pair_grid(system, pump, reference_pair[0], reference_pair[1],
-                               kappa1, kappa2)
-    values *= 1.0 / math.sqrt(mass_total)
+    try:
+        beta2 = pump.alpha ** 4 * mass_total
+    except OverflowError:  # alpha^4 alone leaves the float range
+        beta2 = math.inf
+    if not 0.0 < beta2 < math.inf:
+        raise FloatRangeError("alpha", "the pair probability beta2 = alpha^4 mass "
+                              f"{'underflows to 0' if beta2 == 0.0 else 'overflows'} at "
+                              f"alpha = {pump.alpha:.3g}")
+    amplitude = _direct_pair_grid(system, pump, reference_pair[0], reference_pair[1],
+                                  kappa1, kappa2)
+    scale = 1.0 / math.sqrt(mass_total)
 
     weights = {(x, y): complex(system.amplitude_coupling(x, Band.SIGNAL)
                                * system.amplitude_coupling(y, Band.IDLER) / ref_amp)
@@ -286,23 +322,24 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
     dk_s = system.gamma_bar(Band.SIGNAL) * (kappa1[1] - kappa1[0]) / system.bands[Band.SIGNAL].v
     dk_i = system.gamma_bar(Band.IDLER) * (kappa2[1] - kappa2[0]) / system.bands[Band.IDLER].v
     sum_w2 = sum(abs(w) ** 2 for w in weights.values())
-    grid_norm = sum_w2 * grid_integrate_2d(_abs2(values), dk_s, dk_i)
+    grid_norm = sum_w2 * grid_integrate_2d(
+        (abs2(amplitude.rows(start, start + _NORM_ROWS, scale))
+         for start in range(0, n, _NORM_ROWS)), dk_s, dk_i)
     residual = abs(grid_norm - 1.0)
     if residual > residual_tol:
         pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
         offset = abs(2.0 * (pb.omega + pump.detuning) - sb.omega - ib.omega) \
             / (system.gamma_bar(Band.SIGNAL) + system.gamma_bar(Band.IDLER))
         raise GridTooCoarseError(residual, residual_tol, offset, kappa_max)
-    return JsaGrid(kappa1=kappa1, kappa2=kappa2, values=values,
-                   reference_pair=reference_pair, weights=weights,
-                   beta2=beta2,
-                   normalization_residual=residual)
+    return JsaGrid(kappa1=kappa1, kappa2=kappa2, reference_pair=reference_pair,
+                   weights=weights, beta2=beta2, normalization_residual=residual,
+                   amplitude=amplitude, scale=scale)
 
 
 def direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
                      idler_exit: str, grid: JsaGrid) -> np.ndarray:
     """Normalized biphoton amplitude of one pair evaluated from scratch on
     the grid's axes (for checking shape constancy against the weights)."""
-    raw = _direct_pair_grid(system, pump, signal_exit, idler_exit,
-                            grid.kappa1, grid.kappa2)
-    return raw / (math.sqrt(total_mass(system, pump)))
+    amplitude = _direct_pair_grid(system, pump, signal_exit, idler_exit,
+                                  grid.kappa1, grid.kappa2)
+    return amplitude.rows(0, len(grid.kappa1), 1.0 / math.sqrt(total_mass(system, pump)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -17,7 +17,6 @@ DEFAULT_RATE_RTOL = 1e-6
 
 _RULE_POINTS = 8  # nodes of the lower Gauss-Legendre rule; the upper has twice as many
 _PANEL_LIMIT = 200  # panels a quadrature may split into before it gives up
-_TRAPEZOID_ROWS = 64  # rows per block of grid_integrate_2d's inner trapezoid
 
 
 class QuadratureError(RuntimeError):
@@ -115,15 +114,15 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
         q = q[~split]
 
 
-def grid_integrate_2d(values: np.ndarray, dx: float, dy: float) -> float:
-    """Trapezoidal integral of samples on a rectangular grid.
-
-    The inner trapezoid runs on blocks of _TRAPEZOID_ROWS rows, so its
-    temporaries stay a block in size, not a grid; each row is still summed
-    on its own, so the result is the one-shot call's to the bit."""
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValueError(f"expected a 2-D grid, got shape {values.shape}")
-    rows = np.concatenate([np.trapezoid(values[start:start + _TRAPEZOID_ROWS], dx=dy, axis=1)
-                           for start in range(0, len(values), _TRAPEZOID_ROWS)])
-    return float(np.trapezoid(rows, dx=dx, axis=0))
+def grid_integrate_2d(blocks: Iterable[np.ndarray], dx: float, dy: float) -> float:
+    """Trapezoidal integral of samples on a rectangular grid, given as
+    consecutive blocks of its rows (2-D arrays), so the grid need never be
+    whole. Each row is trapezoided on its own, so every split of the rows
+    into blocks gives the one-shot trapezoid's bits."""
+    rows = []
+    for block in blocks:
+        if np.ndim(block) != 2:
+            raise ValueError(f"expected a 2-D block of rows, got shape {np.shape(block)}")
+        rows.append(np.trapezoid(block, dx=dy, axis=1))
+        del block  # let go of it before the next block is formed
+    return float(np.trapezoid(np.concatenate(rows), dx=dx, axis=0))

@@ -523,9 +523,17 @@ class TestCommands:
                       "sweep-eta", "oracle-check"),
             **_expect(2, "invalid config: system.ring.radius_m: makes the free spectral "
                       "range", "sweep-sigma", "compare-finesse")}),
+        # the pair probability beta2 = alpha^4 mass overflows from alpha ~ 1e78,
+        # where alpha^4 alone leaves the float range; just below, it is finite
+        *[("ring_channel.json",
+           {"pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0, "alpha": alpha}}, {
+               **_expect(2, "invalid config: pump.alpha: the pair probability beta2 = "
+                         "alpha^4 mass overflows", "jsa"),
+               **_expect(2, "invalid config: pump.kind", *(c for c in _COMMANDS if c != "jsa"))})
+          for alpha in (1e78, 1e100)],
         ("ring_channel.json",
-         {"pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0, "alpha": 1e100}}, {
-             **_expect(1, "jsa: a result overflows the float range", "jsa"),
+         {"pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0, "alpha": 1e77}}, {
+             **_expect(0, None, "jsa"),
              **_expect(2, "invalid config: pump.kind", *(c for c in _COMMANDS if c != "jsa"))}),
         # the pair probability beta2 = alpha^4 mass underflows to 0
         *[("ring_channel.json",
@@ -577,11 +585,11 @@ class TestCommands:
             **_expect(0, None, "sweep-sigma")})],
         ids=["zero_nonlinearity", "underflowing_power", "underflowing_power_add_drop",
              "far_detuned_pump", "huge_detuning", "huge_negative_detuning",
-             "overflowing_power", "overflowing_radius", "overflowing_alpha",
-             "underflowing_beta2", "underflowing_alpha", "vanishing_alpha", "vanishing_pulse",
-             "endless_pulse", "overflowing_loss_jsa", "vanishing_nonlinearity_jsa",
-             "finesse_past_float_range", "negligible_phantom", "ratios_past_float_range",
-             "lossless_sigma_one", "narrow_lossless_line"])
+             "overflowing_power", "overflowing_radius", "first_overflowing_alpha",
+             "overflowing_alpha", "largest_alpha", "underflowing_beta2", "underflowing_alpha",
+             "vanishing_alpha", "vanishing_pulse", "endless_pulse", "overflowing_loss_jsa",
+             "vanishing_nonlinearity_jsa", "finesse_past_float_range", "negligible_phantom",
+             "ratios_past_float_range", "lossless_sigma_one", "narrow_lossless_line"])
     def test_zero_reference_rate_gives_no_traceback_and_no_nan(self, tmp_path, capsys,
                                                                name, edits, expected):
         # a rate that underflows to 0 leaves the strategies' relative
@@ -614,9 +622,9 @@ class TestCommands:
                 assert code == want, (command, err)
                 assert line is None or err.startswith(line.format(command)), (command, err)
 
-    def test_jsa_holds_one_grid_and_one_table(self, tmp_path):
-        # the complex 512^2 grid, plus one real table at a time (half its
-        # size) while the command normalizes and writes it
+    def test_jsa_holds_no_grid(self, tmp_path):
+        # the normalization and both tables walk blocks of rows formed from
+        # the JSA's factors, so no array the size of the 512^2 grid exists
         doc = bundled()
         doc["pump"] = {"kind": "pulsed", "duration_fwhm_ps": 10.0}
         argv = ["jsa", "--config", _write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
@@ -628,7 +636,7 @@ class TestCommands:
         finally:
             tracemalloc.stop()
         values_nbytes = 512 * 512 * np.dtype(complex).itemsize
-        assert peak <= 2 * values_nbytes, peak / values_nbytes
+        assert peak <= values_nbytes / 4, peak / values_nbytes
 
     @pytest.mark.parametrize("detuning", [1.2e15, -1.2e15])
     def test_jsa_far_detuned_pump_names_the_offset(self, tmp_path, capsys, detuning):
@@ -775,32 +783,42 @@ def test_write_csv_formatting(tmp_path):
                                  b"P,-2.5,0\r\n")
     # the row-wise float writer gives csv.writer's bytes
     header, rows = ["kappa1\\kappa2", "x"], [[0.1, 1e-05, 1e+16], [-0.0, 5e-324, -2.5]]
-    cli._write_float_csv(path, header, np.array(rows))
+    _write_float_rows(path, header, rows)
     assert path.read_bytes() == _csv_writer_bytes(header, rows) == (
         b"kappa1\\kappa2,x\r\n0.1,1e-05,1e+16\r\n-0.0,5e-324,-2.5\r\n")
     # every decade edge, then blocks of any doubles (NaN, inf, subnormals, -0.0)
     rows = [_DECADE_EDGES[i:i + 2] for i in range(0, len(_DECADE_EDGES), 2)]
-    cli._write_float_csv(path, header, np.array(rows))
+    _write_float_rows(path, header, rows)
     assert path.read_bytes() == _csv_writer_bytes(header, rows)
 
     @given(_BLOCKS)
     @settings(max_examples=300, deadline=None)
     def writes_csv_writer_bytes(rows):
-        cli._write_float_csv(path, header, np.array(rows))
+        _write_float_rows(path, header, rows)
         assert path.read_bytes() == _csv_writer_bytes(header, rows)
 
     writes_csv_writer_bytes()
-    # and so do the jsa grids, checked against csv.writer on the same arrays
+    # and so do the jsa grids, checked against csv.writer on the same arrays;
+    # 97 rows leave a last block shorter than the others
     doc = eta_config(pump={"kind": "pulsed", "duration_fwhm_ps": 10.0})
-    doc["options"] = {"jsa": {"grid_points": 64}}
+    doc["options"] = {"jsa": {"grid_points": 97}}
     out = tmp_path / "jsa"
     assert main(["jsa", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
     config = parse_config(doc)
-    grid = jsa.build_jsa(config.system, config.pump, n=64)
+    grid = jsa.build_jsa(config.system, config.pump, n=97)
     header = ["kappa1\\kappa2"] + grid.kappa2.tolist()
-    for name, data in (("jsa_abs2.csv", grid.abs2), ("jsa_phase.csv", grid.phase)):
+    for name, data in (("jsa_abs2.csv", jsa.abs2(grid.values)),
+                       ("jsa_phase.csv", np.angle(grid.values))):
         rows = [[k] + row for k, row in zip(grid.kappa1.tolist(), data.tolist())]
         assert (out / name).read_bytes() == _csv_writer_bytes(header, rows), name
+
+
+def _write_float_rows(path: Path, header: list, rows: list) -> None:
+    """Rows through cli._write_float_csv, appended in blocks of up to 3, so
+    that a table split into blocks is checked too."""
+    with cli._write_float_csv(path, header) as append:
+        for start in range(0, len(rows), 3):
+            append(np.array(rows[start:start + 3]))
 
 
 def _loaded_modules(code: str) -> list[str]:

@@ -242,11 +242,9 @@ class TestDistinctEnergies:
             doc["system"]["bands"]["signal"] = signal_band
         return parse_config(doc).system
 
-    @pytest.mark.parametrize("signal_band, distinct", [
-        (None, 2 * 24 - 1), ({"group_velocity_m_per_s": 1.234567e8}, 24 * 24)],
-        ids=["equal_steps", "unequal_steps"])
-    def test_grid_matches_cell_by_cell_g(self, monkeypatch, pulse_10ps, signal_band,
-                                         distinct):
+    @pytest.mark.parametrize("signal_band", [None, {"group_velocity_m_per_s": 1.234567e8}],
+                             ids=["equal_steps", "unequal_steps"])
+    def test_grid_matches_cell_by_cell_g(self, monkeypatch, pulse_10ps, signal_band):
         system = self._system(signal_band)
         gbs, gbi = system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER)
         assert (gbs != gbi) == (signal_band is not None)
@@ -262,8 +260,12 @@ class TestDistinctEnergies:
             return counted
 
         monkeypatch.setattr(jsa, "_pump_g_factor", recording_g_factor)
-        grid = jsa._direct_pair_grid(system, pulse_10ps, "O", "P", kappa, kappa)
-        assert sizes == [distinct]
+        amplitude = jsa._direct_pair_grid(system, pulse_10ps, "O", "P", kappa, kappa)
+        grid = np.concatenate([amplitude.rows(start, start + 7, 1.0)
+                               for start in range(0, n, 7)])
+        # each energy once: the 2n - 1 anti-diagonals in one call, or each
+        # block's own cells as the block is formed
+        assert sizes == ([2 * n - 1] if signal_band is None else [7 * n, 7 * n, 7 * n, 3 * n])
 
         sb, ib = system.bands[Band.SIGNAL], system.bands[Band.IDLER]
         omega1, omega2 = sb.omega + gbs * kappa, ib.omega + gbi * kappa
@@ -277,6 +279,21 @@ class TestDistinctEnergies:
         expected = 1j * jsa._jsa_prefactor(system) * np.conj(f_s)[:, None] \
             * np.conj(f_i)[None, :] * g_cells
         assert np.array_equal(grid, expected)
+
+    @pytest.mark.parametrize("n", [64, 97])
+    @pytest.mark.parametrize("signal_band", [None, {"group_velocity_m_per_s": 1.234567e8}],
+                             ids=["equal_steps", "unequal_steps"])
+    def test_row_blocks_match_the_whole_grid(self, pulse_10ps, signal_band, n):
+        # each cell takes one floating-point order in a block of any size,
+        # so the blocks the command writes are the whole grid's bits
+        grid = jsa.build_jsa(self._system(signal_band), pulse_10ps, n=n, residual_tol=1.0)
+        whole = grid.values
+        assert whole.shape == (n, n)
+        for rows in (1, 7, 8, n):
+            blocks = np.concatenate([grid.rows(start, start + rows)
+                                     for start in range(0, n, rows)])
+            assert np.array_equal(blocks, whole), rows
+            assert blocks.tobytes() == whole.tobytes(), rows
 
 
 def antidiagonal_mass_fraction(system, pump, half_width):
