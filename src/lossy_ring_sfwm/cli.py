@@ -13,6 +13,13 @@ stable column order, shortest round-trip decimals, no timestamps. Exit
 status: 0 on success; 1 when a tolerance gate fails, a quadrature fails,
 or a rate that is zero, not finite or singular stops the command; 2 on a
 bad config or geometry, or an option the command does not take.
+
+Each command runs in a fresh process, which compiles every module it
+loads when no bytecode cache is written, so each handler imports the
+layers it runs. Importing cli and parsing a config load config, model,
+constants and numerics; ratios and oracle-check add phantom; sweep-eta
+and add-drop-grid add sweeps and phantom; rate, sweep-sigma and
+compare-finesse add attenuation too; jsa adds jsa and phantom.
 """
 
 from __future__ import annotations
@@ -24,14 +31,18 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import attenuation, jsa, phantom, sweeps
 from .config import ConfigError, RunConfig, _check_keys, _number, derived_echo, parse_config
 from .constants import TWO_PI
 from .model import Band, CwPump, GeometryError, PulsedPump, finesse, sigma_from_gamma
 from .numerics import QuadratureError
+
+if TYPE_CHECKING:  # the handlers import the layers they run
+    from .sweeps import SweepResult
+
 
 def _write_csv(path: Path, header: list, rows) -> None:
     """Rows hold Python floats, ints and strings; csv writes a float as its
@@ -91,7 +102,7 @@ def _write_float_csv(path: Path, header: list):
 
 
 def _write_sweep(outdir: Path, command: str, config: RunConfig,
-                 result: sweeps.SweepResult) -> int:
+                 result: SweepResult) -> int:
     """<stem>.csv holds the sweep axis, then every value column in the result's
     order, each under its name; <stem>_meta.json the result's metadata."""
     stem = command.replace("-", "_")
@@ -147,8 +158,8 @@ def _axis(config: RunConfig, name: str, lo_key: str, hi_key: str, n_key: str, de
 
 def _require_lossy_phantom(config: RunConfig) -> None:
     """sweep-eta and add-drop-grid set couplings in units of the phantom decay rate."""
-    phantom = config.system.phantom_channel
-    if phantom is not None and 0.0 in phantom.gammas.values():
+    channel = config.system.phantom_channel
+    if channel is not None and 0.0 in channel.gammas.values():
         raise ConfigError("system.ring.loss_db_per_cm",
                           "the phantom decay rate, the unit of the swept couplings, is zero")
 
@@ -182,6 +193,8 @@ def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
     resonant signal must lie above the window's 1e-3 omega_I floor. No
     coupling enters the window, so one check holds for every point of a
     sweep."""
+    from . import attenuation
+
     system = config.system
     sb = system.bands[Band.SIGNAL]
     if not sb.omega + TWO_PI * sb.v / system.ring.circumference > sb.omega:
@@ -208,6 +221,8 @@ def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
 
 
 def _attenuation_pairs(config: RunConfig, pump: CwPump):
+    from . import attenuation
+
     system = config.system
     buses = system.buses(1, 2)
     _require_strategy1(config, buses)
@@ -215,6 +230,8 @@ def _attenuation_pairs(config: RunConfig, pump: CwPump):
 
 
 def cmd_rate(config: RunConfig, outdir: Path, tol) -> int:
+    from . import phantom, sweeps
+
     pump = _require_cw(config)
     rows = []
     meta = _base_metadata("rate", config)
@@ -240,6 +257,8 @@ def cmd_rate(config: RunConfig, outdir: Path, tol) -> int:
 
 
 def cmd_ratios(config: RunConfig, outdir: Path, tol) -> int:
+    from . import phantom
+
     pump = _require_cw(config)
     rates = phantom.pair_rates(config.system, pump)
     ref = (config.system.physical_channels[0].channel_id,) * 2
@@ -256,6 +275,8 @@ def cmd_ratios(config: RunConfig, outdir: Path, tol) -> int:
 
 
 def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> int:
+    from . import sweeps
+
     pump = _require_cw(config)
     axis = _axis(config, "sweep_sigma", "min", "max", "points", (0.90, 0.9995, 101),
                  unit="(0, 1]")
@@ -271,6 +292,8 @@ def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> int:
 
 
 def cmd_sweep_eta(config: RunConfig, outdir: Path, tol) -> int:
+    from . import sweeps
+
     pump = _require_cw(config)
     axis = _axis(config, "sweep_eta", "min", "max", "points", (0.02, 0.98, 101),
                  unit="(0, 1)")
@@ -279,6 +302,8 @@ def cmd_sweep_eta(config: RunConfig, outdir: Path, tol) -> int:
 
 
 def cmd_compare_finesse(config: RunConfig, outdir: Path, tol) -> int:
+    from . import sweeps
+
     pump = _require_cw(config)
     if len(config.system.physical_channels) == 2:
         axis = _axis(config, "compare_finesse", "sigma2_min", "sigma2_max", "points",
@@ -297,6 +322,8 @@ def cmd_compare_finesse(config: RunConfig, outdir: Path, tol) -> int:
 
 
 def cmd_add_drop_grid(config: RunConfig, outdir: Path, tol) -> int:
+    from . import sweeps
+
     pump = _require_cw(config)
     axis = _axis(config, "add_drop_grid", "min_ratio", "max_ratio", "points",
                  (0.05, 5.0, 81), log=True)
@@ -319,6 +346,8 @@ def cmd_add_drop_grid(config: RunConfig, outdir: Path, tol) -> int:
 def _reference_pair(config: RunConfig, ref) -> tuple[str, str]:
     """A JSA reference pair: two channel ids whose signal and idler couplings
     are nonzero, since every other pair is scaled by their inverse."""
+    from . import jsa
+
     ids = config.system.channel_ids
     if not (isinstance(ref, list) and len(ref) == 2 and all(c in ids for c in ref)):
         raise ConfigError("options.jsa.reference_pair",
@@ -331,6 +360,8 @@ def _reference_pair(config: RunConfig, ref) -> tuple[str, str]:
 
 
 def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
+    from . import jsa
+
     pump = config.pump
     if not isinstance(pump, PulsedPump):
         raise ConfigError("pump.kind", "the jsa command needs a pulsed pump")
@@ -382,6 +413,8 @@ def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
 
 
 def cmd_oracle_check(config: RunConfig, outdir: Path, tol) -> int:
+    from . import phantom
+
     pump = _require_cw(config)
     block, path = config.options.get("oracle_check", {}), "options.oracle_check"
     _check_keys(block, {"max_rel_dev"}, path)
@@ -472,6 +505,14 @@ def main(argv=None) -> int:
         print(f"invalid config: system.channels: {e}", file=sys.stderr)
         return 2
     except (QuadratureError, ArithmeticError) as e:
+        # every pair rate and the pair mass square a factor that carries
+        # gamma_nl; an overflow is blamed on it only when gamma_nl^2 alone
+        # leaves the float range, so an overflowing power or radius is not
+        gamma_nl = config.system.ring.gamma_nl
+        if type(e) is OverflowError and math.isinf(gamma_nl * gamma_nl):
+            print("invalid config: system.ring.gamma_nl_per_w_m: its square, a factor of "
+                  "every pair rate, leaves the float range", file=sys.stderr)
+            return 2
         # arithmetic that fails ends the command in one line: a zero rate, a
         # singular resonance and a rate that is not finite say what went
         # wrong; a bare OverflowError only "math range error"

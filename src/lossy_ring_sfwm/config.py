@@ -12,7 +12,6 @@ parameters; model.py holds the conversions it applies.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -82,6 +81,7 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
+        import hashlib  # it loads OpenSSL, which parsing alone does not need
         blob = json.dumps(self.normalized, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

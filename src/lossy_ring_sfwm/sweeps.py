@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import attenuation, phantom
+from . import phantom  # the strategy-1 sweeps import attenuation when they run
 from .model import Band, CwPump, GeometryError, SystemSpec, finesse, gamma_from_sigma
 
 
@@ -92,6 +92,8 @@ def _buses(system: SystemSpec, count: int) -> tuple[str, ...]:
 def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump) -> SweepResult:
     """Attenuation-model pair rate versus the bus self-coupling, at fixed
     ring loss."""
+    from . import attenuation
+
     (bus,) = system.buses(1)
     sigmas = np.asarray(list(sigma_values), dtype=float)
     L = system.ring.circumference
@@ -144,6 +146,8 @@ def compare_finesse(system: SystemSpec, finesse_values: Iterable[float],
 
     Finesse is varied by scaling all couplings and the loss together, so
     the escape efficiency stays fixed while the linewidth shrinks."""
+    from . import attenuation
+
     (bus,) = _buses(system, 1)
     fins = np.asarray(list(finesse_values), dtype=float)
     f0 = finesse(system)
@@ -167,6 +171,8 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
                              pump: CwPump) -> SweepResult:
     """Add-drop through-pair rate from both loss models, scanned over the
     add/drop self-coupling (which sets the finesse)."""
+    from . import attenuation
+
     through, drop = _buses(system, 2)
     sigmas = np.asarray(list(sigma2_values), dtype=float)
     L = system.ring.circumference

@@ -557,6 +557,22 @@ class TestCommands:
         ("ring_channel.json", {"pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0},
                                "system.ring.gamma_nl_per_w_m": 1e-300}, _expect(
             1, "jsa: the pair mass underflows to 0", "jsa")),
+        # every pair rate and the pair mass square a factor that carries gamma_nl;
+        # an overflow names it when gamma_nl^2 alone leaves the float range. At
+        # 1e160 strategy 1's rate is inf without an overflow
+        ("ring_channel.json", {"system.ring.gamma_nl_per_w_m": 1e160}, {
+            **_expect(2, "invalid config: system.ring.gamma_nl_per_w_m: its square", "rate",
+                      "ratios", "sweep-eta", "oracle-check"),
+            **_expect(1, "{}: the strategy-1 pair rate is inf", "sweep-sigma",
+                      "compare-finesse")}),
+        ("ring_channel.json", {"system.ring.gamma_nl_per_w_m": 1e300}, _expect(
+            2, "invalid config: system.ring.gamma_nl_per_w_m: its square", "rate", "ratios",
+            "sweep-sigma", "sweep-eta", "compare-finesse", "oracle-check")),
+        *[("ring_channel.json", {"pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0},
+                                 "system.ring.gamma_nl_per_w_m": gamma_nl}, {
+            **_expect(2, "invalid config: system.ring.gamma_nl_per_w_m: its square", "jsa"),
+            **_expect(2, "invalid config: pump.kind", *(c for c in _COMMANDS if c != "jsa"))})
+          for gamma_nl in (1e200, 1e300)],
         # the finest ring rounds its self-couplings to 1, a lossless resonance
         ("ring_channel.json", {"options": {"compare_finesse": {"min": 1e5, "max": 1e300}}}, {
             **_expect(1, "compare-finesse: resonance denominator vanished",
@@ -588,7 +604,9 @@ class TestCommands:
              "overflowing_power", "overflowing_radius", "first_overflowing_alpha",
              "overflowing_alpha", "largest_alpha", "underflowing_beta2", "underflowing_alpha",
              "vanishing_alpha", "vanishing_pulse", "endless_pulse", "overflowing_loss_jsa",
-             "vanishing_nonlinearity_jsa", "finesse_past_float_range", "negligible_phantom",
+             "vanishing_nonlinearity_jsa", "overflowing_nonlinearity",
+             "huge_nonlinearity", "overflowing_nonlinearity_jsa", "huge_nonlinearity_jsa",
+             "finesse_past_float_range", "negligible_phantom",
              "ratios_past_float_range", "lossless_sigma_one", "narrow_lossless_line"])
     def test_zero_reference_rate_gives_no_traceback_and_no_nan(self, tmp_path, capsys,
                                                                name, edits, expected):
@@ -832,8 +850,16 @@ def _loaded_modules(code: str) -> list[str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _layers(loaded: list[str]) -> set[str]:
+    """The layers of the package among loaded modules."""
+    return {m.rpartition(".")[2] for m in loaded if m.startswith("lossy_ring_sfwm.")} \
+        & {"attenuation", "jsa", "phantom", "sweeps"}
+
+
 def test_import_and_parse_leave_scipy_unloaded():
-    # the closed-form commands never integrate, so they must not pay for scipy
+    # the closed-form commands never integrate, so they must not pay for scipy;
+    # each handler imports the layers it runs, and parsing runs none of them.
+    # hashlib loads OpenSSL, which only hashing a config for the metadata needs
     code = ("import sys\n"
             "from importlib import resources\n"
             "import lossy_ring_sfwm.cli\n"
@@ -844,19 +870,33 @@ def test_import_and_parse_leave_scipy_unloaded():
     loaded = _loaded_modules(code)
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
     assert "concurrent.futures" not in loaded  # the sweeps run in one thread
+    assert _layers(loaded) == set()
+    assert "_hashlib" not in loaded
 
 
 def test_commands_leave_scipy_unloaded(tmp_path):
     # quadratures and the Faddeeva function run in numpy; only the jsa
     # command builds the Faddeeva coefficients, so only it loads numpy.fft.
-    # Only the 2-D grids are written through orjson, so the sweeps, rates and
-    # oracle checks must not pay for its import
-    runs = [("oracle-check", "ring_channel.json", {}),
-            ("oracle-check", "add_drop.json", {}),
-            ("rate", "add_drop.json", {}),
+    # Only the 2-D grids of jsa and add-drop-grid are written through orjson,
+    # so the sweeps, rates and oracle checks must not pay for its import. Each
+    # command loads only the layers it runs: phantom for the closed forms,
+    # sweeps for a sweep or the strategies' difference, attenuation for
+    # strategy 1 and jsa for the JSA
+    closed_forms, maps = {"phantom"}, {"phantom", "sweeps"}
+    strategy1 = {"attenuation", "phantom", "sweeps"}
+    runs = [("oracle-check", "ring_channel.json", {}, closed_forms),
+            ("oracle-check", "add_drop.json", {}, closed_forms),
+            ("ratios", "ring_channel.json", {}, closed_forms),
+            ("sweep-eta", "ring_channel.json",
+             {"sweep_eta": {"min": 0.3, "max": 0.7, "points": 3}}, maps),
+            ("add-drop-grid", "add_drop.json",
+             {"add_drop_grid": {"min_ratio": 0.5, "max_ratio": 2.0, "points": 3}}, maps),
+            ("rate", "add_drop.json", {}, strategy1),
             ("sweep-sigma", "ring_channel.json",
-             {"sweep_sigma": {"min": 0.97, "max": 0.99, "points": 3}})]
-    for i, (command, name, options) in enumerate(runs):
+             {"sweep_sigma": {"min": 0.97, "max": 0.99, "points": 3}}, strategy1),
+            ("compare-finesse", "ring_channel.json",
+             {"compare_finesse": {"min": 100.0, "max": 200.0, "points": 2}}, strategy1)]
+    for i, (command, name, options, layers) in enumerate(runs):
         doc = bundled(name)
         doc["options"] = options
         cfg = _write_config(tmp_path, doc, name=f"cfg{i}.json")
@@ -867,7 +907,8 @@ def test_commands_leave_scipy_unloaded(tmp_path):
         loaded = _loaded_modules(code)
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == [], command
         assert "numpy.fft" not in loaded, command
-        assert "orjson" not in loaded, command
+        assert ("orjson" in loaded) == (command == "add-drop-grid"), command
+        assert _layers(loaded) == layers, command
     doc = bundled()
     doc["pump"] = {"kind": "pulsed", "duration_fwhm_ps": 10.0}
     doc["options"] = {"jsa": {"grid_points": 64}}
@@ -878,3 +919,4 @@ def test_commands_leave_scipy_unloaded(tmp_path):
                              f"'--out', {str(tmp_path / 'jsa')!r}]) == 0\n")
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
     assert "orjson" in loaded
+    assert _layers(loaded) == {"jsa", "phantom"}
