@@ -19,7 +19,8 @@ loads when no bytecode cache is written, so each handler imports the
 layers it runs. Importing cli and parsing a config load config, model,
 constants and numerics; ratios and oracle-check add phantom; sweep-eta
 and add-drop-grid add sweeps and phantom; rate, sweep-sigma and
-compare-finesse add attenuation too; jsa adds jsa and phantom.
+compare-finesse add attenuation too; jsa adds jsa and phantom. No
+command loads OpenSSL: the config hash is CPython's built-in SHA-256.
 """
 
 from __future__ import annotations

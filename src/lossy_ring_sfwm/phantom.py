@@ -116,9 +116,10 @@ def pair_rates(system: SystemSpec, pump: CwPump,
     gbar = {b: sum(g[b] for g in rates.values()) for b in Band}
     omega_o = pb.omega + pump.detuning
     gnl_l = system.ring.gamma_nl * L
+    pump_detuning = _strategy2_detuning(system, Band.PUMP, _pump_k(system, pump))
     f_pump2 = _enhancement_abs2(
         pb.v, rates[system.pump_input_channel][Band.PUMP], gbar[Band.PUMP], L,
-        detuning=_strategy2_detuning(system, Band.PUMP, _pump_k(system, pump)))
+        detuning=pump_detuning)
     p_vac = pair_vacuum_power(system, pump, gbar[Band.SIGNAL], gbar[Band.IDLER])
     common = (math.sqrt(sb.omega * ib.omega) / omega_o) \
         * (pb.v ** 2 / (sb.v * ib.v)) * gnl_l ** 2 \
@@ -129,7 +130,15 @@ def pair_rates(system: SystemSpec, pump: CwPump,
             for y, g in rates.items()}
     out = {(x, y): common * f_s2[x] * f_i2[y] for x in rates for y in rates}
     if not all(np.isfinite(r).all() for r in out.values()):
-        raise FloatingPointError("a pair rate overflows, or a linewidth squared underflows")
+        # the vacuum power's (detuning^2 + (Gbar_S + Gbar_I)^2) is 0 only
+        # when Gbar_S^2 is, so the bands' denominators tell an underflow
+        denominators = (pump_detuning * pump_detuning + gbar[Band.PUMP] * gbar[Band.PUMP],
+                        gbar[Band.SIGNAL] * gbar[Band.SIGNAL],
+                        gbar[Band.IDLER] * gbar[Band.IDLER])
+        if any(np.any(d == 0) for d in denominators):
+            raise FloatingPointError("a linewidth squared underflows to 0, so a pair rate "
+                                     "is not finite")
+        raise FloatingPointError("a pair rate overflows the float range")
     return out
 
 

@@ -1,6 +1,7 @@
 """Configuration ingestion and the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -22,6 +23,12 @@ from lossy_ring_sfwm.config import ConfigError, derived_echo, parse_config
 from lossy_ring_sfwm.model import Band, PulsedPump
 from lossy_ring_sfwm.numerics import QuadratureError
 from conftest import bundled
+
+
+def _hashlib_sha256(normalized) -> str:
+    """hashlib's SHA-256 of a config's canonical JSON, an oracle for config_hash."""
+    blob = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def eta_config(eta=0.6, pump=None) -> dict:
@@ -50,6 +57,28 @@ class TestParseConfig:
         assert again.pump == cfg.pump
         assert again.strategy == cfg.strategy
         assert again.config_hash == cfg.config_hash
+
+    @pytest.mark.parametrize("name, digest", [
+        ("ring_channel.json", "23c1018babbc4f2a2bb2dd722afb775fd0eeeba0b4e3d02a2a1dd1ded1c4ece7"),
+        ("add_drop.json", "c8955c15982d816424022b405115fc4a065e7d52edaa586cbe8534a9c2427bc5")])
+    def test_config_hash_of_bundled_configs(self, name, digest):
+        # every *_meta.json carries this digest, so it must not change
+        cfg = parse_config(bundled(name))
+        assert cfg.config_hash == _hashlib_sha256(cfg.normalized) == digest
+
+    @given(power_mw=st.floats(1e-6, 1e3), radius_m=st.floats(1e-6, 1e-3),
+           sigma=st.floats(0.5, 0.999), strategy=st.sampled_from(["attenuation", "phantom",
+                                                                  "both"]))
+    @settings(max_examples=50, deadline=None)
+    def test_config_hash_is_sha256_of_canonical_json(self, power_mw, radius_m, sigma,
+                                                     strategy):
+        doc = bundled()
+        doc["pump"]["power_mw"] = power_mw
+        doc["system"]["ring"]["radius_m"] = radius_m
+        doc["system"]["channels"][0]["coupling"] = {"sigma": sigma}
+        doc["strategy"] = strategy
+        cfg = parse_config(doc)
+        assert cfg.config_hash == _hashlib_sha256(cfg.normalized)
 
     def test_eta_coupling_resolution(self):
         cfg = parse_config(eta_config(eta=0.6))
@@ -559,7 +588,14 @@ class TestCommands:
             1, "jsa: the pair mass underflows to 0", "jsa")),
         # every pair rate and the pair mass square a factor that carries gamma_nl;
         # an overflow names it when gamma_nl^2 alone leaves the float range. At
-        # 1e160 strategy 1's rate is inf without an overflow
+        # 1e160 strategy 1's rate is inf without an overflow. At 1e155 the
+        # closed form's rate overflows in a product, not in a square, and no
+        # linewidth underflows, so none is blamed
+        ("ring_channel.json", {"system.ring.gamma_nl_per_w_m": 1e155}, {
+            **_expect(1, "{}: a pair rate overflows the float range", "rate", "ratios",
+                      "sweep-eta", "oracle-check"),
+            **_expect(1, "{}: the strategy-1 pair rate is inf", "sweep-sigma",
+                      "compare-finesse")}),
         ("ring_channel.json", {"system.ring.gamma_nl_per_w_m": 1e160}, {
             **_expect(2, "invalid config: system.ring.gamma_nl_per_w_m: its square", "rate",
                       "ratios", "sweep-eta", "oracle-check"),
@@ -581,12 +617,12 @@ class TestCommands:
                       "oracle-check")}),
         # the swept linewidth, a few phantom decay rates of 1e-285, squares to 0
         ("ring_channel.json", {"system.channels.1.coupling": {"q_factor": 1e300}}, {
-            **_expect(1, "sweep-eta: a pair rate overflows, or a linewidth squared "
-                      "underflows", "sweep-eta"),
+            **_expect(1, "sweep-eta: a linewidth squared underflows to 0", "sweep-eta"),
             **_expect(0, None, "rate", "ratios", "sweep-sigma", "compare-finesse")}),
         ("add_drop.json",
          {"options": {"add_drop_grid": {"min_ratio": 1e-300, "max_ratio": 1e300}}}, {
-             **_expect(1, "add-drop-grid: a pair rate overflows", "add-drop-grid"),
+             **_expect(1, "add-drop-grid: a pair rate overflows the float range",
+                       "add-drop-grid"),
              **_expect(0, None, "rate", "ratios", "compare-finesse", "oracle-check")}),
         ("ring_channel.json",
          {"system.ring.loss_db_per_cm": 0, "options": {"sweep_sigma": {"max": 1.0}}}, {
@@ -604,7 +640,7 @@ class TestCommands:
              "overflowing_power", "overflowing_radius", "first_overflowing_alpha",
              "overflowing_alpha", "largest_alpha", "underflowing_beta2", "underflowing_alpha",
              "vanishing_alpha", "vanishing_pulse", "endless_pulse", "overflowing_loss_jsa",
-             "vanishing_nonlinearity_jsa", "overflowing_nonlinearity",
+             "vanishing_nonlinearity_jsa", "overflowing_rate_product", "overflowing_nonlinearity",
              "huge_nonlinearity", "overflowing_nonlinearity_jsa", "huge_nonlinearity_jsa",
              "finesse_past_float_range", "negligible_phantom",
              "ratios_past_float_range", "lossless_sigma_one", "narrow_lossless_line"])
@@ -859,7 +895,8 @@ def _layers(loaded: list[str]) -> set[str]:
 def test_import_and_parse_leave_scipy_unloaded():
     # the closed-form commands never integrate, so they must not pay for scipy;
     # each handler imports the layers it runs, and parsing runs none of them.
-    # hashlib loads OpenSSL, which only hashing a config for the metadata needs
+    # The config hash is CPython's built-in SHA-256, so no command loads
+    # OpenSSL, which importing hashlib does
     code = ("import sys\n"
             "from importlib import resources\n"
             "import lossy_ring_sfwm.cli\n"
@@ -881,7 +918,7 @@ def test_commands_leave_scipy_unloaded(tmp_path):
     # so the sweeps, rates and oracle checks must not pay for its import. Each
     # command loads only the layers it runs: phantom for the closed forms,
     # sweeps for a sweep or the strategies' difference, attenuation for
-    # strategy 1 and jsa for the JSA
+    # strategy 1 and jsa for the JSA. None hashes its config through OpenSSL
     closed_forms, maps = {"phantom"}, {"phantom", "sweeps"}
     strategy1 = {"attenuation", "phantom", "sweeps"}
     runs = [("oracle-check", "ring_channel.json", {}, closed_forms),
@@ -909,6 +946,7 @@ def test_commands_leave_scipy_unloaded(tmp_path):
         assert "numpy.fft" not in loaded, command
         assert ("orjson" in loaded) == (command == "add-drop-grid"), command
         assert _layers(loaded) == layers, command
+        assert "_hashlib" not in loaded, command
     doc = bundled()
     doc["pump"] = {"kind": "pulsed", "duration_fwhm_ps": 10.0}
     doc["options"] = {"jsa": {"grid_points": 64}}
@@ -920,3 +958,4 @@ def test_commands_leave_scipy_unloaded(tmp_path):
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
     assert "orjson" in loaded
     assert _layers(loaded) == {"jsa", "phantom"}
+    assert "_hashlib" not in loaded
