@@ -21,6 +21,8 @@ constants and numerics; ratios and oracle-check add phantom; sweep-eta
 and add-drop-grid add sweeps and phantom; rate, sweep-sigma and
 compare-finesse add attenuation too; jsa adds jsa and phantom. No
 command loads OpenSSL: the config hash is CPython's built-in SHA-256.
+Nor does any load numpy.polynomial or numpy.fft: the Gauss-Legendre and
+Faddeeva tables are constants.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 # cells per orjson call of _write_float_csv: one call and one set of masks
-# per row cost more than repr on a narrow table, and a list of all the cells
-# of a wide block would raise the peak memory
+# per row cost more than repr on a narrow table, and the text and masks of a
+# larger block would raise the peak memory
 _WRITE_CELLS = 4096
 
 
@@ -75,7 +77,9 @@ def _write_float_csv(path: Path, header: list):
     already laid out as repr lays them out. Every other cell is written by
     repr: the 1e-5..1e-4 band, where only repr uses an exponent, the 10%
     margins around 1e-9 and 1e-4, |x| >= 0.9e16 (repr writes e+16) and
-    NaN/inf (orjson writes null).
+    NaN/inf (orjson writes null). Each block is one orjson call, split into
+    its rows; the writer mends row by row, splitting into cells and
+    re-joining only the rows that hold a cell to mend.
     """
     # imported here, so that the commands writing no grid never load it
     import orjson
@@ -84,17 +88,20 @@ def _write_float_csv(path: Path, header: list):
         width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
         step = max(1, _WRITE_CELLS // width)
         for start in range(0, len(columns[0]), step):
-            flat = np.column_stack([c[start:start + step] for c in columns]).ravel()
-            cells = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
-            a = np.abs(flat)
+            block = np.column_stack([c[start:start + step] for c in columns])
+            rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+            a = np.abs(block)
             pad = (a > 1.1e-9) & (a < 0.9e-5)
             by_repr = ~(pad | (a < 0.9e-9) | ((a > 1.1e-4) & (a < 0.9e16)))
-            for i in np.flatnonzero(pad).tolist():
-                cells[i] = cells[i].replace(b"e-", b"e-0")
-            for i in np.flatnonzero(by_repr).tolist():
-                cells[i] = repr(float(flat[i])).encode()
-            fh.buffer.write(b"".join([b",".join(cells[j:j + width]) + b"\r\n"
-                                      for j in range(0, len(cells), width)]))
+            for i in np.flatnonzero((pad | by_repr).any(axis=1)).tolist():
+                cells = rows[i].split(b",")
+                for j in np.flatnonzero(pad[i]).tolist():
+                    cells[j] = cells[j].replace(b"e-", b"e-0")
+                for j in np.flatnonzero(by_repr[i]).tolist():
+                    cells[j] = repr(float(block[i, j])).encode()
+                rows[i] = b",".join(cells)
+            rows.append(b"")
+            fh.buffer.write(b"\r\n".join(rows))
 
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)

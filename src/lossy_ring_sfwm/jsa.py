@@ -22,9 +22,10 @@ integral has the closed form
     Integral dx exp(-tau^2 x^2) / (b^2 - x^2) = i pi w(-tau b) / b,
 
 with w the Faddeeva function, computed by `wofz`: Weideman's N = 40
-rational approximation (SIAM J. Numer. Anal. 31, 1497 (1994)), valid for
-Im z >= 0, worst relative error 1.2e-15 against 30-digit mpmath over
-|Re z| in 1e-3..1e6, Im z in 1e-4..1e5. Since Im b = -GbarP < 0, w is
+rational approximation (SIAM J. Numer. Anal. 31, 1497 (1994)), its
+coefficients written out as constants, valid for Im z >= 0, worst
+relative error 1.2e-15 against 30-digit mpmath over |Re z| in
+1e-3..1e6, Im z in 1e-4..1e5. Since Im b = -GbarP < 0, w is
 only needed in the upper half plane, where it is bounded by 1, so g(E) is
 finite for any pulse length up to tau |b| ~ 1e154, where wofz's d^2
 overflows; for long pulses the Gaussian prefactor
@@ -46,7 +47,6 @@ those blocks, and hold a block's worth of cells at a time.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -86,26 +86,34 @@ class GridTooCoarseError(ValueError):
         self.residual = residual
 
 
-@functools.cache
-def _weideman_coefficients() -> tuple[float, np.ndarray]:
-    """Weideman's scale L and polynomial coefficients, highest power first."""
-    # the FFT of (L^2 + t^2) e^{-t^2} on t = L tan(theta / 2), built on first
-    # use so that commands without a JSA never load numpy.fft; N = 40 terms
-    # is fixed (32 leave 3e-13, 40 reach 1.2e-15)
-    n, m = 40, 80
-    L = math.sqrt(n / math.sqrt(2.0))
-    t = L * np.tan(np.arange(1 - m, m) * math.pi / (2 * m))
-    f = np.concatenate(([0.0], np.exp(-t * t) * (L * L + t * t)))
-    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
-    return L, a[n:0:-1]
+# Weideman's scale L = sqrt(N / sqrt(2)) and his N = 40 polynomial
+# coefficients, highest power first: the FFT of (L^2 + t^2) e^{-t^2} on
+# t = L tan(theta / 2), written out at the bits of that construction (N is
+# fixed: 32 terms leave 3e-13, 40 reach 1.2e-15)
+_WEIDEMAN_L = 5.3182958969449885
+_WEIDEMAN_COEFFS = np.array([
+    -1.7356980998791865e-15, 1.201674910759281e-15, 1.1519170220749485e-14,
+    -5.231716366324404e-15, -7.071088022159408e-14, 1.3778224047664046e-14,
+    4.5341448909434655e-13, 1.203330952919568e-13, -2.90771851041427e-12,
+    -2.7277735625830245e-12, 1.771418567386718e-11, 3.4727420938907015e-11,
+    -9.055138860958323e-11, -3.5632350403602684e-10, 2.1085990731251058e-10,
+    3.017780425551564e-09, 3.249746582945079e-09, -1.8315616834296834e-08,
+    -6.351773483015411e-08, 1.419864237295343e-08, 5.912136953029057e-07,
+    1.4835661133172014e-06, -1.066013898416273e-06, -1.8007447144723407e-05,
+    -5.5913092642348794e-05, -3.939363145483805e-05, 0.000439807015986967,
+    0.002705405633073729, 0.010048186242783535, 0.02920291647124188,
+    0.07182361779074328, 0.15504263802479504, 0.2998943799615006,
+    0.5266528988277086, 0.8472174576593815, 1.2563815675765133,
+    1.7253830848179779, 2.201513794878312, 2.6160541527618597,
+    2.899624509389705])
 
 
 def wofz(z):
     """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0."""
-    L, coeffs = _weideman_coefficients()
     iz = 1j * np.reshape(z, -1)  # scalars take the array path, so both round alike
-    d = L - iz
-    w = 2.0 * np.polyval(coeffs, (L + iz) / d) / (d * d) + (1.0 / math.sqrt(math.pi)) / d
+    d = _WEIDEMAN_L - iz
+    w = 2.0 * np.polyval(_WEIDEMAN_COEFFS, (_WEIDEMAN_L + iz) / d) / (d * d) \
+        + (1.0 / math.sqrt(math.pi)) / d
     return w.reshape(np.shape(z))
 
 
@@ -171,7 +179,9 @@ def total_mass(system: SystemSpec, pump: PulsedPump) -> float:
     return _jsa_prefactor(system) ** 2 / (sb.v * ib.v) * quad.value
 
 
-_NORM_ROWS = 64  # rows per block of the normalization's |phi|^2
+# rows per block of the normalization's |phi|^2: about the block the command's
+# tables are written in (7 rows of a 512^2 grid), so the norm adds no peak
+_NORM_ROWS = 8
 
 
 @dataclass(frozen=True)

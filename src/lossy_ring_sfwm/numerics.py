@@ -3,7 +3,8 @@ Gauss-Legendre quadrature in numpy (integrate_adaptive) and a 2-D trapezoid.
 
 Callers hint each resonance as a (location, half-width) pair; the starting
 panels ladder in by decades to a tenth of the half-width and no further,
-since the integrand is flat on that scale."""
+since the integrand is flat on that scale. The 8- and 16-point rules are
+constants, so no command loads numpy.polynomial or its eigensolver."""
 
 from __future__ import annotations
 
@@ -15,7 +16,18 @@ import numpy as np
 
 DEFAULT_RATE_RTOL = 1e-6
 
-_RULE_POINTS = 8  # nodes of the lower Gauss-Legendre rule; the upper has twice as many
+# the positive nodes and their weights of the 8- and 16-point Gauss-Legendre
+# rules, at the bits of numpy's leggauss; both rules are symmetric about 0
+_GL8_NODES = (0.18343464249564978, 0.525532409916329, 0.7966664774136267,
+              0.9602898564975362)
+_GL8_WEIGHTS = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
+                0.10122853629037706)
+_GL16_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+               0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+               0.9445750230732326, 0.9894009349916499)
+_GL16_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                 0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                 0.062253523938647456, 0.027152459411754176)
 _PANEL_LIMIT = 200  # panels a quadrature may split into before it gives up
 
 
@@ -57,11 +69,11 @@ def _segment_edges(a: float, b: float,
 
 @functools.cache
 def _rules() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes on [-1, 1] of the lower and the upper rule side by side, and a
-    (nodes, 2) weight matrix applying each rule to its own nodes."""
-    from numpy.polynomial.legendre import leggauss  # closed-form commands never integrate
-
-    (x_lo, w_lo), (x_hi, w_hi) = leggauss(_RULE_POINTS), leggauss(2 * _RULE_POINTS)
+    """Nodes on [-1, 1] of the 8- and the 16-point rule side by side, in
+    ascending order within each, and a (24, 2) weight matrix applying each
+    rule to its own nodes. Built from the positive halves on first use."""
+    x_lo, x_hi = (np.concatenate([-np.array(h[::-1]), h]) for h in (_GL8_NODES, _GL16_NODES))
+    w_lo, w_hi = (np.concatenate([h[::-1], h]) for h in (_GL8_WEIGHTS, _GL16_WEIGHTS))
     return np.r_[x_lo, x_hi], np.stack([np.r_[w_lo, 0.0 * w_hi], np.r_[0.0 * w_lo, w_hi]], 1)
 
 

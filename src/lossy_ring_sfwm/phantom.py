@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .constants import EPS0, HBAR
 from .model import Band, CwPump, SystemSpec
 from .numerics import integrate_adaptive
+
+if TYPE_CHECKING:  # used in annotations only, so no command pays its import
+    from numpy.typing import ArrayLike
 
 
 class Branch(enum.Enum):

@@ -12,6 +12,7 @@ from lossy_ring_sfwm.config import parse_config
 from lossy_ring_sfwm.model import Band, ChannelCoupling, PulsedPump
 from lossy_ring_sfwm.phantom import Branch, enhancement_factor
 from conftest import bundled, bundled_system
+from oracles import weideman_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,13 @@ class TestFaddeeva:
         w = jsa.wofz(np.array(self.POINTS))
         for z, value in zip(self.POINTS, w):
             assert complex(value) == pytest.approx(_wofz_oracle(z), rel=1e-13, abs=0.0), z
+
+    def test_coefficients_match_fft_construction(self):
+        # the literals against Weideman's FFT construction, to 2 ulp each
+        L, coeffs = weideman_coefficients()
+        assert jsa._WEIDEMAN_L == L == math.sqrt(40 / math.sqrt(2.0))
+        assert jsa._WEIDEMAN_COEFFS.shape == coeffs.shape == (40,)
+        assert np.all(np.abs(jsa._WEIDEMAN_COEFFS - coeffs) <= 2 * np.spacing(np.abs(coeffs)))
 
     def test_scalar_matches_array(self):
         z = np.array(self.POINTS)

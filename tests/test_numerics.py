@@ -5,11 +5,50 @@ import math
 import numpy as np
 import pytest
 
-from lossy_ring_sfwm import attenuation
+from lossy_ring_sfwm import attenuation, numerics
 from lossy_ring_sfwm.model import CwPump
 from lossy_ring_sfwm.numerics import (QuadratureError, _segment_edges,
                                       grid_integrate_2d, integrate_adaptive)
 from conftest import bundled_system
+from oracles import gauss_legendre_half
+
+_GL_HALVES = {8: (numerics._GL8_NODES, numerics._GL8_WEIGHTS),
+              16: (numerics._GL16_NODES, numerics._GL16_WEIGHTS)}
+
+
+@pytest.mark.parametrize("n", [8, 16])
+class TestGaussLegendreRules:
+    """The rules are constants; these pin them to their definition."""
+
+    def test_literals_match_40_digit_rules(self, n):
+        # nodes to 1 ulp; numpy's leggauss weights, whose bits the literals
+        # hold, sit up to about 8e-15 relative from exact
+        nodes, weights = _GL_HALVES[n]
+        exact_nodes, exact_weights = gauss_legendre_half(n)
+        assert len(nodes) == len(weights) == n // 2
+        for x, exact in zip(nodes, exact_nodes):
+            assert abs(x - float(exact)) <= math.ulp(float(exact)), (x, exact)
+        for w, exact in zip(weights, exact_weights):
+            assert w == pytest.approx(float(exact), rel=1e-14, abs=0.0), (w, exact)
+
+    def test_literals_match_leggauss(self, n):
+        # within 4 ulp, not bitwise: leggauss's last bits rest on its LAPACK
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = leggauss(n)
+        nodes, weights = _GL_HALVES[n]
+        assert np.all(np.abs(x[n // 2:] - nodes) <= 4 * np.spacing(x[n // 2:]))
+        assert np.all(np.abs(w[n // 2:] - weights) <= 4 * np.spacing(w[n // 2:]))
+
+    def test_rules_mirror_the_halves(self, n):
+        # the 8-point rule leads the nodes and owns the first weight column
+        nodes, weights = numerics._rules()
+        half_nodes, half_weights = _GL_HALVES[n]
+        lo, col = (0, 0) if n == 8 else (8, 1)
+        x, w = nodes[lo:lo + n], weights[lo:lo + n]
+        assert x.tolist() == [-v for v in half_nodes[::-1]] + list(half_nodes)
+        assert w[:, col].tolist() == list(half_weights[::-1]) + list(half_weights)
+        assert not w[:, 1 - col].any()
 
 
 class TestIntegrateAdaptive:
@@ -139,8 +178,8 @@ class TestGridIntegrate2d:
         with pytest.raises(ValueError):
             grid_integrate_2d([np.zeros(8)], 0.1, 0.1)
 
-    @pytest.mark.parametrize("rows, block", [(2, 1), (2, 2), (133, 1), (133, 7), (133, 64),
-                                             (133, 133)])
+    @pytest.mark.parametrize("rows, block", [(2, 1), (2, 2), (133, 1), (133, 7), (133, 8),
+                                             (133, 64), (133, 133)])
     def test_row_blocks_match_one_shot_trapezoid(self, rows, block):
         # each row is summed on its own in both, so the blocks change no bit
         values = np.random.default_rng(rows).random((rows, 37)) ** 4
