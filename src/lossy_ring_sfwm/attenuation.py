@@ -10,8 +10,13 @@ incoming just after the pump's coupler 1, gaining sigma_j past each further
 coupler j, and i kappa_e prod_{j != e} sigma_j / (prod sigma - e^{i k~ L})
 outgoing just after its exit coupler e, gaining 1 / sigma_j instead.
 
+A field is held as its envelope about its resonance's carrier e^{i K zeta},
+K L = 2 pi m, at the detuning d = omega - omega_J: its round-trip phase is
+d L / v, and the carriers' mismatch 2 K_P - K_S - K_I joins the ring's
+delta_kappa in the overlap.
+
 Pair rates integrate the overlap (signal idler)* pump pump around the ring,
-then over the signal frequency; signal and idler are always outgoing and the
+then over the signal detuning; signal and idler are always outgoing and the
 pump incoming, so the overlap conjugates by position. The frequency integral
 runs in theta = atan(s tan(phi / 2)), phi the signal's round-trip phase and
 s = (1 + r) / (1 - r) for its round-trip amplitude r: the Jacobian of that map
@@ -22,9 +27,9 @@ far-off value, as where an idler line no narrower than 1/sqrt(2) of the
 signal's sits on it, one panel resolves it and the quadrature is handed no
 hints; a taller idler peak (a detuned pump, a narrower idler) is hinted
 together with the signal resonance. Each rate makes its three field builders
-once, holding all that does not depend on omega, since rebuilding that per
-quadrature node was most of a rate's cost. A node is then two builder calls
-and one overlap_of_fields call in plain complex math, which
+once, holding all that does not depend on the detuning, since rebuilding
+that per quadrature node was most of a rate's cost. A node is then two
+builder calls and one overlap_of_fields call in plain complex math, which
 `benchmark/run.py --trace 1` counts per evaluation.
 """
 
@@ -38,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import TWO_PI
-from .model import Band, CwPump, SystemSpec, phantom_gamma_from_xi
+from .model import Band, CwPump, SystemSpec, phantom_gamma_from_xi, two_photon_detuning
 from .numerics import integrate_adaptive
 
 # half-width of the rate quadrature window, as a fraction of one free
@@ -54,10 +59,10 @@ class SingularityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class RingField:
-    """A piecewise ring field: amplitude at the start of each arc segment,
-    all segments sharing one propagation wavevector."""
+    """A piecewise ring field's envelope about its carrier: amplitude at the
+    start of each arc segment, all segments sharing one propagation wavevector."""
 
-    k_prop: complex  # multiplies zeta in this field's e^{i k zeta}
+    k_prop: complex  # multiplies zeta in the envelope's e^{i k zeta}
     segments: tuple[tuple[float, complex], ...]  # (arc length, start amplitude)
 
 
@@ -93,7 +98,7 @@ def overlap_of_fields(signal: RingField, idler: RingField, pump: RingField,
 
 # ---------------------------------------------------------------------------
 # Field builder: one per band and exit of a rate, holding everything that
-# does not depend on omega
+# does not depend on the detuning
 # ---------------------------------------------------------------------------
 
 FieldBuilder = Callable[[float], RingField]
@@ -101,9 +106,10 @@ FieldBuilder = Callable[[float], RingField]
 
 def ring_field_builder(system: SystemSpec, band: Band,
                        exit_channel: str | None = None) -> FieldBuilder:
-    """omega -> the ring field in `band`, one arc segment after each coupler of
-    system.buses(1, 2), in that order around the ring: incoming from the pump
-    bus when exit_channel is None, else outgoing through exit_channel."""
+    """Detuning d = omega - omega_J -> the ring field's envelope in `band`, one
+    arc segment after each coupler of system.buses(1, 2), in that order
+    around the ring: incoming from the pump bus when exit_channel is None,
+    else outgoing through exit_channel."""
     buses = system.buses(1, 2)
     incoming = exit_channel is None
     if not (incoming or exit_channel in buses):
@@ -117,10 +123,10 @@ def ring_field_builder(system: SystemSpec, band: Band,
     n = len(buses)
     L, length = system.ring.circumference, system.ring.circumference / n
     shift = (0.5j if incoming else -0.5j) * system.ring.xi  # i Im k~
-    k_of_omega = system.bands[band].k_of_omega
+    v = system.bands[band].v
 
-    def field(omega: float) -> RingField:
-        kt = k_of_omega(omega) + shift
+    def field(d: float) -> RingField:
+        kt = d / v + shift
         phase = cmath.exp(1j * kt * L)
         den = 1.0 - product * phase if incoming else product - phase
         if abs(den) < 1e-13:
@@ -150,16 +156,15 @@ def _linewidth(system: SystemSpec, band: Band) -> float:
 
 
 def signal_window(system: SystemSpec, pump: CwPump) -> tuple[float, float]:
-    """(lo, hi) of the signal frequencies a rate integrates: 0.45 of a free
+    """(lo, hi) of the signal detunings a rate integrates: 0.45 of a free
     spectral range either side of the signal resonance, whatever its
-    linewidth, above 1e-3 omega_S and below the signal frequency at which
-    the idler 2 omega_o - omega1 falls to 1e-3 omega_I. No coupling enters
-    it. A far red-detuned pump leaves it empty (lo >= hi)."""
+    linewidth, with the signal above 1e-3 omega_S and the idler above 1e-3
+    omega_I. No coupling enters it. A far red-detuned pump leaves it empty
+    (lo >= hi)."""
     sb, ib = system.bands[Band.SIGNAL], system.bands[Band.IDLER]
-    omega_o = system.bands[Band.PUMP].omega + pump.detuning
     half_window = _WINDOW_FSR * TWO_PI * sb.v / system.ring.circumference
-    return (max(sb.omega - half_window, 1e-3 * sb.omega),
-            min(sb.omega + half_window, 2.0 * omega_o - 1e-3 * ib.omega))
+    return (max(-half_window, -0.999 * sb.omega),
+            min(half_window, two_photon_detuning(system, pump) + 0.999 * ib.omega))
 
 
 def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit: str, *,
@@ -167,29 +172,32 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
     """CW pair generation rate [pairs/s] with the signal collected in the bus
     signal_exit and the idler in idler_exit.
 
-    The integral over omega1 runs in theta = atan(s tan(phi / 2)), with phi =
-    (omega1 - omega_S) L / v_S the signal's round-trip phase, s = (1 + r) /
-    (1 - r) and r = prod sigma_j e^{-xi L / 2} its round-trip amplitude. Its
+    The integral over the signal detuning d1 = omega1 - omega_S runs in
+    theta = atan(s tan(phi / 2)), with phi = d1 L / v_S the signal's
+    round-trip phase, s = (1 + r) / (1 - r) and r = prod sigma_j e^{-xi L /
+    2} its round-trip amplitude. Its
     Airy factor 1 / |1 - r e^{i phi}|^2 = (cos^2 theta + sin^2 theta / s^2) /
-    (1 - r)^2 times the Jacobian domega1/dtheta = (2 v_S s / L) / (s^2 cos^2
+    (1 - r)^2 times the Jacobian dd1/dtheta = (2 v_S s / L) / (s^2 cos^2
     theta + sin^2 theta) is a constant, so the signal resonance is flat in
     theta; where the idler resonance coincides with it, what remains is a trig
     polynomial. The window is signal_window's, |phi| <= 0.9 pi, where the map
     is monotone.
 
-    In the Lorentzian limit the integrand in theta goes as ((omega1 -
-    omega_S)^2 + G_S^2) / ((omega1 - omega_m)^2 + G_I^2), G the half-widths
-    and omega_m = 2 omega_o - omega_I the signal frequency of the idler peak:
-    1 far off, ((omega_m - omega_S)^2 + G_S^2) / G_I^2 at omega_m. Up to 2 the
-    quadrature starts on one panel, with no hints; above that it is handed
-    the signal resonance and, inside the window, the idler peak, each with
-    its half-width in theta, so the panels ladder in around the peak."""
+    In the Lorentzian limit the integrand in theta goes as (d1^2 + G_S^2) /
+    ((d1 - e)^2 + G_I^2), G the half-widths and e = 2 omega_o - omega_S -
+    omega_I the signal detuning of the idler peak: 1 far off, (e^2 + G_S^2)
+    / G_I^2 at e. Up to 2 the quadrature starts on one panel, with no hints;
+    above that it is handed the signal resonance and, inside the window, the
+    idler peak, each with its half-width in theta, so the panels ladder in
+    around the peak."""
     signal = ring_field_builder(system, Band.SIGNAL, signal_exit)
     idler = ring_field_builder(system, Band.IDLER, idler_exit)
     ring = system.ring
     pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
-    omega_o = pb.omega + pump.detuning
-    pump_field = ring_field_builder(system, Band.PUMP)(omega_o)
+    pump_field = ring_field_builder(system, Band.PUMP)(pump.detuning)
+    e = two_photon_detuning(system, pump)  # d1 at which the idler is resonant
+    # the ring's mismatch plus the carriers' 2 pi (2 m_P - m_S - m_I) / L
+    delta_kappa = ring.delta_kappa + TWO_PI * (2 * pb.m - sb.m - ib.m) / ring.circumference
 
     r = math.prod(system.sigma_view(x, Band.SIGNAL) for x in system.buses(1, 2)) \
         * ring.roundtrip_amplitude
@@ -197,32 +205,29 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
         raise SingularityError("the signal resonance of a lossless, uncoupled ring has no "
                                "width to integrate over")
     s = (1.0 + r) / (1.0 - r)
-    scale = 2.0 * sb.v / ring.circumference  # omega1 - omega_S = scale * phi / 2
+    scale = 2.0 * sb.v / ring.circumference  # d1 = scale * phi / 2
 
-    def theta(omega1: float) -> float:
-        return math.atan(s * math.tan((omega1 - sb.omega) / scale))
+    def theta(d1: float) -> float:
+        return math.atan(s * math.tan(d1 / scale))
 
-    def integrand(omega1: float) -> float:
-        omega2 = 2.0 * omega_o - omega1
-        j = overlap_of_fields(signal(omega1), idler(omega2), pump_field,
-                              delta_kappa=ring.delta_kappa)
-        return omega1 * omega2 * abs(j) ** 2
+    def integrand(d1: float) -> float:
+        j = overlap_of_fields(signal(d1), idler(e - d1), pump_field, delta_kappa=delta_kappa)
+        return (sb.omega + d1) * (ib.omega + (e - d1)) * abs(j) ** 2
 
     def mapped(t: np.ndarray) -> np.ndarray:
-        omega = sb.omega + scale * np.arctan(np.tan(t) / s)
+        d1 = scale * np.arctan(np.tan(t) / s)
         jacobian = scale * s / (s * s * np.cos(t) ** 2 + np.sin(t) ** 2)
-        return np.array([integrand(w) for w in omega.tolist()]) * jacobian
+        return np.array([integrand(d) for d in d1.tolist()]) * jacobian
 
     lo, hi = signal_window(system, pump)
     gamma_s, gamma_i = _linewidth(system, Band.SIGNAL), _linewidth(system, Band.IDLER)
-    mirror = 2.0 * omega_o - ib.omega  # omega1 at which the idler is resonant
     points = []
     # hint only an idler line standing above twice its far-off value in theta
-    if (mirror - sb.omega) ** 2 + gamma_s ** 2 > 2.0 * gamma_i ** 2:
-        points.append((0.0, theta(sb.omega + gamma_s)))
-        if lo < mirror < hi:
-            t_m = theta(mirror)
-            points.append((t_m, abs(theta(mirror + gamma_i) - t_m)))
+    if e ** 2 + gamma_s ** 2 > 2.0 * gamma_i ** 2:
+        points.append((0.0, theta(gamma_s)))
+        if lo < e < hi:
+            t_m = theta(e)
+            points.append((t_m, abs(theta(e + gamma_i) - t_m)))
     quad = integrate_adaptive(mapped, theta(lo), theta(hi), rel_tol=rel_tol, points=points)
     prefactor = (1.0 / TWO_PI) * (ring.gamma_nl * pump.power / pb.omega) ** 2 \
         * pb.v ** 2 / (sb.v * ib.v)

@@ -209,7 +209,7 @@ def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
         raise ConfigError("system.ring.radius_m", "makes the free spectral range, which caps "
                           "strategy 1's signal window, smaller than one ulp of omega_S")
     _, hi = attenuation.signal_window(system, config.pump)
-    if not hi > sb.omega:
+    if not hi > 0.0:
         raise ConfigError("pump.detuning_rad_per_s", "puts the idler of a resonant signal "
                           "below 1e-3 omega_I, so strategy 1 has no signal window")
     try:

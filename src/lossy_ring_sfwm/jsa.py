@@ -10,11 +10,13 @@ normalized so the squared moduli summed over channel pairs integrate to
 one; |beta|^2 = alpha^4 M, M the integrated squared modulus of the rest,
 is then the pair generation probability, and alpha^2 / beta = 1 / sqrt(M)
 does not depend on alpha. The pump factor
-g depends on k1, k2 only through the two-photon energy E = w1 + w2:
-after eliminating the energy delta function,
+g depends on k1, k2 only through the two-photon detuning e = w1 + w2 -
+wS - wI, the pairs' own being e_o = 2 w_o - wS - wI. After eliminating the
+energy delta function,
 
-    g(E) = (gP^2 / (L vP)) (tau / sqrt(pi)) exp(-tau^2 (E/2 - w_o)^2)
-           * Integral dx exp(-tau^2 x^2) / (b^2 - x^2),   b = (wP - E/2) - i GbarP,
+    g(e) = (gP^2 / (L vP)) (tau / sqrt(pi)) exp(-tau^2 ((e - e_o)/2)^2)
+           * Integral dx exp(-tau^2 x^2) / (b^2 - x^2),
+    b = -((e - e_o)/2 + delta_p) - i GbarP,
 
 where the Gaussian prefactor is pulled out analytically. The remaining
 integral has the closed form
@@ -29,7 +31,7 @@ relative error 1.2e-15 against 30-digit mpmath over |Re z| in
 only needed in the upper half plane, where it is bounded by 1, so g(E) is
 finite for any pulse length up to tau |b| ~ 1e154, where wofz's d^2
 overflows; for long pulses the Gaussian prefactor
-simply underflows to zero far from 2 w_o. Because
+simply underflows to zero far from e_o. Because
 the ring-channel couplings are frequency independent, every channel
 pair shares one spectral shape; a single reference-pair grid plus
 per-pair complex weights represents the full wave function.
@@ -54,7 +56,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .constants import HBAR, TWO_PI
-from .model import Band, PulsedPump, SystemSpec
+from .model import Band, PulsedPump, SystemSpec, two_photon_detuning
 from .numerics import grid_integrate_2d, integrate_adaptive
 from .phantom import Branch, enhancement_factor
 
@@ -118,21 +120,22 @@ def wofz(z):
 
 
 def _pump_g_factor(system: SystemSpec, pump: PulsedPump):
-    """Returns g(E): the pump-pair spectral factor at two-photon energy E
-    (a scalar or an array)."""
+    """Returns g(e): the pump-pair spectral factor at two-photon detuning e
+    = E - omega_S - omega_I (a scalar or an array)."""
     pb = system.bands[Band.PUMP]
-    omega_o = pb.omega + pump.detuning
+    e_o = two_photon_detuning(system, pump)
     gbar_p = system.gamma_bar(Band.PUMP)
     gamma_p2 = system.amplitude_coupling(system.pump_input_channel, Band.PUMP) ** 2
     tau = pump.tau
     L = system.ring.circumference
     scale = gamma_p2 / (L * pb.v) * tau / math.sqrt(math.pi)
 
-    def g(E):
-        half = np.reshape(E, -1) / 2.0  # scalars take the array path: np.exp rounds alike
-        b = (pb.omega - half) - 1j * gbar_p
-        envelope = np.exp(-(tau * (half - omega_o)) ** 2)
-        return (scale * envelope * (1j * math.pi) * wofz(-tau * b) / b).reshape(np.shape(E))
+    def g(e):
+        # (E - 2 omega_o) / 2; scalars take the array path: np.exp rounds alike
+        half = (np.reshape(e, -1) - e_o) / 2.0
+        b = -(half + pump.detuning) - 1j * gbar_p
+        envelope = np.exp(-(tau * half) ** 2)
+        return (scale * envelope * (1j * math.pi) * wofz(-tau * b) / b).reshape(np.shape(e))
 
     return g
 
@@ -146,23 +149,22 @@ def _jsa_prefactor(system: SystemSpec) -> float:
 def total_mass(system: SystemSpec, pump: PulsedPump) -> float:
     """Integrated squared modulus of the unnormalized biphoton amplitude
     (before dividing by beta), summed over all channel pairs: the integral
-    over two-photon energy s of |g(s)|^2 times the exact integral over
-    omega1 of |F_S|^2 |F_I|^2 at fixed s, to 1e-7 relative, times the
+    over two-photon detuning e of |g(e)|^2 times the exact integral over
+    omega1 of |F_S|^2 |F_I|^2 at fixed e, to 1e-7 relative, times the
     common prefactor. The channel sums factorize, so the Lorentzian pair
     integral takes the full linewidths Gbar_S, Gbar_I as decay rates."""
-    pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
+    sb, ib = system.bands[Band.SIGNAL], system.bands[Band.IDLER]
     g = _pump_g_factor(system, pump)
     gbs, gbi = system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER)
     gsum = gbs + gbi
-    center = 2.0 * (pb.omega + pump.detuning)
+    center = two_photon_detuning(system, pump)
     half_window = 16.0 / pump.tau + 8.0 * gsum
     L = system.ring.circumference
-    # the Lorentzian pair integral is lorentz / (gbs gbi (mismatch^2 + gsum^2))
+    # the Lorentzian pair integral is lorentz / (gbs gbi (e^2 + gsum^2))
     lorentz = (2.0 * sb.v * gbs / L) * (2.0 * ib.v * gbi / L) * math.pi * gsum
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        mismatch = s - sb.omega - ib.omega
-        values = np.abs(g(s)) ** 2 * (lorentz / (gbs * gbi * (mismatch ** 2 + gsum ** 2)))
+    def integrand(e: np.ndarray) -> np.ndarray:
+        values = np.abs(g(e)) ** 2 * (lorentz / (gbs * gbi * (e ** 2 + gsum ** 2)))
         if not np.isfinite(values).all():
             # an infinite linewidth makes lorentz inf; else the pulse did it:
             # 1 / tau overflows the window, or tau b the Faddeeva function
@@ -175,7 +177,7 @@ def total_mass(system: SystemSpec, pump: PulsedPump) -> float:
         return values
 
     quad = integrate_adaptive(integrand, center - half_window, center + half_window, rel_tol=1e-7,
-                              points=[(center, 1.0 / pump.tau), (sb.omega + ib.omega, gsum)])
+                              points=[(center, 1.0 / pump.tau), (0.0, gsum)])
     return _jsa_prefactor(system) ** 2 / (sb.v * ib.v) * quad.value
 
 
@@ -205,7 +207,7 @@ class _Separable:
 class JsaGrid:
     """Discretized biphoton wave function for one reference channel pair.
 
-    kappa axes are the dimensionless detunings v (k - K) / Gbar per band.
+    kappa axes are the dimensionless detunings (omega - omega_J) / Gbar_J per band.
     The normalized phi of the reference pair (k-space units, m) is held as
     its factors and a scale: rows(start, stop) forms a block of its rows,
     the same bits as those rows of the whole grid, and values forms the
@@ -246,33 +248,29 @@ def _direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
                       kappa2: np.ndarray) -> _Separable:
     """Unnormalized biphoton amplitude of one channel pair on the grid, as
     its factors, evaluated directly from its own enhancement factors."""
-    sb, ib = system.bands[Band.SIGNAL], system.bands[Band.IDLER]
     gbs, gbi = system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER)
-    omega1 = sb.omega + gbs * kappa1
-    omega2 = ib.omega + gbi * kappa2
-    f_s = enhancement_factor(system, signal_exit, Band.SIGNAL, sb.k_of_omega(omega1),
-                             Branch.PLUS)
-    f_i = enhancement_factor(system, idler_exit, Band.IDLER, ib.k_of_omega(omega2),
-                             Branch.PLUS)
-    # two-photon energies from the grid corner in units of the signal step.
+    d1, d2 = gbs * kappa1, gbi * kappa2
+    f_s = enhancement_factor(system, signal_exit, Band.SIGNAL, d1, Branch.PLUS)
+    f_i = enhancement_factor(system, idler_exit, Band.IDLER, d2, Branch.PLUS)
+    # two-photon detunings from the grid corner in units of the signal step.
     # On equal steps cell (i, j) has energy index i + j, so g runs once on
     # the n1 + n2 - 1 energies of the anti-diagonals and every block of rows
     # reads a zero-copy Hankel view of them; on unequal steps g runs on each
     # block's cells as the block is formed
     g = _pump_g_factor(system, pump)
-    n1, n2 = len(omega1), len(omega2)
-    d1 = gbs * (kappa1[1] - kappa1[0])
-    d2 = gbi * (kappa2[1] - kappa2[0])
-    if d2 / d1 == 1.0:
+    n1, n2 = len(d1), len(d2)
+    step1 = gbs * (kappa1[1] - kappa1[0])
+    step2 = gbi * (kappa2[1] - kappa2[0])
+    if step2 / step1 == 1.0:
         hankel = np.lib.stride_tricks.sliding_window_view(
-            g((omega1[0] + omega2[0]) + d1 * np.arange(n1 + n2 - 1)), n2)
+            g((d1[0] + d2[0]) + step1 * np.arange(n1 + n2 - 1)), n2)
 
         def g_rows(start, stop):
             return hankel[start:stop]
     else:
         def g_rows(start, stop):
-            return g((omega1[0] + omega2[0]) + d1 * (
-                np.arange(start, min(stop, n1))[:, None] + (d2 / d1) * np.arange(n2)))
+            return g((d1[0] + d2[0]) + step1 * (
+                np.arange(start, min(stop, n1))[:, None] + (step2 / step1) * np.arange(n2)))
     return _Separable(1j * _jsa_prefactor(system) * np.conj(f_s), np.conj(f_i), g_rows)
 
 
@@ -337,8 +335,7 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
          for start in range(0, n, _NORM_ROWS)), dk_s, dk_i)
     residual = abs(grid_norm - 1.0)
     if residual > residual_tol:
-        pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
-        offset = abs(2.0 * (pb.omega + pump.detuning) - sb.omega - ib.omega) \
+        offset = abs(two_photon_detuning(system, pump)) \
             / (system.gamma_bar(Band.SIGNAL) + system.gamma_bar(Band.IDLER))
         raise GridTooCoarseError(residual, residual_tol, offset, kappa_max)
     return JsaGrid(kappa1=kappa1, kappa2=kappa2, reference_pair=reference_pair,

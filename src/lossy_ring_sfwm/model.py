@@ -2,11 +2,14 @@
 
 A system is a ring (geometry, propagation loss, effective nonlinearity)
 plus three frequency bands (pump, signal, idler, each with linear
-dispersion omega(k) = omega_J + v_J (k - K_J)) and an ordered list of
-coupling channels. Each channel couples the ring to one waveguide; the
-canonical coupling strength is the decay rate Gamma_J^(X) [rad/s] the
-channel contributes to the ring linewidth in band J. One channel may be
-a "phantom": a fictitious waveguide whose decay rate stands in for
+dispersion omega(k) = omega_J + v_J (k - K_J) about its ring resonance of
+order m_J, K_J L = 2 pi m_J) and an ordered list of coupling channels.
+Below the config layer a field is seen only through its detuning
+d = omega - omega_J: no absolute frequency or wavenumber reaches a
+resonance denominator. Each channel couples the ring to one waveguide;
+the canonical coupling strength is the decay rate Gamma_J^(X) [rad/s] the
+channel contributes to the ring linewidth in band J. One channel may be a
+"phantom": a fictitious waveguide whose decay rate stands in for
 scattering loss so that lost photons remain trackable.
 
 Equivalent parameterizations and the conversions between them:
@@ -49,37 +52,30 @@ class ChannelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class BandParams:
-    """Linear dispersion data for one frequency band.
-
-    omega(k) = omega + v * (k - k_ref); no group-velocity dispersion term
-    is stored: dispersion is strictly linear within the band.
-    """
+    """Linear dispersion data for one frequency band, whose center omega sits
+    on the ring resonance of order m. No group-velocity dispersion term is
+    stored: dispersion is strictly linear within the band."""
 
     band: Band
     omega: float  # band center angular frequency [rad/s]
     v: float  # group velocity [m/s]
-    k_ref: float  # wavenumber at the band center [1/m]
+    m: int  # resonance order: the band center's wavenumber is 2 pi m / L
 
     def __post_init__(self):
         if self.omega <= 0:
             raise ValueError(f"band center frequency must be positive, got {self.omega}")
         if self.v <= 0:
             raise ValueError(f"group velocity must be positive, got {self.v}")
-        if self.k_ref <= 0:
-            raise ValueError(f"reference wavenumber must be positive, got {self.k_ref}")
-
-    def k_of_omega(self, omega: float) -> float:
-        """Wavenumber at angular frequency omega under the linear dispersion."""
-        return self.k_ref + (omega - self.omega) / self.v
+        if self.m < 1:
+            raise ValueError(f"resonance order must be at least 1, got {self.m}")
 
 
 def band_from_wavelength(band: Band, wavelength_m: float, group_velocity: float,
                          effective_index: float, circumference: float) -> BandParams:
     """Build band parameters from a vacuum wavelength.
 
-    The reference wavenumber is snapped to the nearest ring resonance
-    (k_ref * L = 2 pi m, integer m) so that the band center sits exactly
-    on a resonance of the ring with the given circumference.
+    The band center is taken to sit exactly on the ring resonance whose
+    order m is nearest, m = round(n_eff L / wavelength).
     """
     if wavelength_m <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength_m}")
@@ -89,8 +85,7 @@ def band_from_wavelength(band: Band, wavelength_m: float, group_velocity: float,
         raise ValueError(
             f"no ring resonance near wavelength {wavelength_m} m for circumference "
             f"{circumference} m and effective index {effective_index}")
-    return BandParams(band=band, omega=omega, v=group_velocity,
-                      k_ref=TWO_PI * m / circumference)
+    return BandParams(band=band, omega=omega, v=group_velocity, m=m)
 
 
 @dataclass(frozen=True)
@@ -328,6 +323,14 @@ def phantom_gamma_from_xi(xi: float, v: float) -> float:
     if xi < 0:
         raise ValueError(f"attenuation must be non-negative, got {xi}")
     return xi * v / 2.0
+
+
+def two_photon_detuning(system: SystemSpec, pump: CwPump | PulsedPump) -> float:
+    """2 delta_p + (2 omega_P - omega_S - omega_I), the pairs' energy 2 omega_o
+    less both resonances: the signal detuning at which the idler is resonant."""
+    b = system.bands
+    return 2.0 * pump.detuning + (2.0 * b[Band.PUMP].omega - b[Band.SIGNAL].omega
+                                  - b[Band.IDLER].omega)
 
 
 def finesse(system: SystemSpec) -> float:

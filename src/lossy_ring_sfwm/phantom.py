@@ -9,11 +9,13 @@ captured by the complex enhancement factors
     F_(J,+-)^(X)(k) = (1/sqrt(L)) gamma_J^(X) / (v_J (K_J - k) -+ i Gbar_J)
 
 with gamma_J^(X) = sqrt(2 v_J Gamma_J^(X)) the amplitude coupling (taken
-real). The minus branch belongs to incoming-type solutions, the plus
-branch to outgoing-type ones. CW pair rates come out in closed form as a
-product of enhancement factors and the fluctuating vacuum power. One
-array kernel, pair_rates, evaluates that product for every (signal exit,
-idler exit) at once; channel decay rates may be numpy arrays that
+real). F sees k only through the detuning d = v_J (k - K_J) = omega -
+omega_J, the argument every function here takes: the denominator is
+(-+ i Gbar_J - d). The minus branch belongs to incoming-type solutions,
+the plus branch to outgoing-type ones. CW pair rates come out in closed
+form as a product of enhancement factors and the fluctuating vacuum
+power. One array kernel, pair_rates, evaluates that product for every
+(signal exit, idler exit) at once; channel decay rates may be numpy arrays that
 broadcast together, so a whole coupling map is one call, and the scalar
 pair_rate_cw is a thin call into it. The Fermi-golden-rule frequency
 integral is kept alongside as a brute-force oracle for that closed form.
@@ -28,7 +30,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .constants import EPS0, HBAR
-from .model import Band, CwPump, SystemSpec
+from .model import Band, CwPump, SystemSpec, two_photon_detuning
 from .numerics import integrate_adaptive
 
 if TYPE_CHECKING:  # used in annotations only, so no command pays its import
@@ -42,19 +44,14 @@ class Branch(enum.Enum):
     PLUS = "out"  # outgoing-type solutions
 
 
-def _strategy2_detuning(system: SystemSpec, band: Band, k: ArrayLike):
-    p = system.bands[band]
-    return p.v * (p.k_ref - k)  # = omega_J - omega(k)
-
-
-def enhancement_factor(system: SystemSpec, channel_id: str, band: Band, k: ArrayLike,
+def enhancement_factor(system: SystemSpec, channel_id: str, band: Band, d: ArrayLike,
                        branch: Branch) -> complex | np.ndarray:
-    """Complex field enhancement factor of one channel at wavenumber k (or an array)."""
+    """Complex field enhancement factor of one channel at detuning d = omega -
+    omega_J from the band's resonance (or an array of them)."""
     gamma_amp = system.amplitude_coupling(channel_id, band)
     gbar = system.gamma_bar(band)
     sign = -1.0 if branch is Branch.MINUS else 1.0
-    den = _strategy2_detuning(system, band, k) + sign * 1j * gbar
-    return gamma_amp / (math.sqrt(system.ring.circumference) * den)
+    return gamma_amp / (math.sqrt(system.ring.circumference) * (sign * 1j * gbar - d))
 
 
 def _enhancement_abs2(v: float, gamma: ArrayLike, gbar: ArrayLike, circumference: float,
@@ -85,16 +82,9 @@ def vacuum_power(gamma_bar_s: ArrayLike, gamma_bar_i: ArrayLike, omega_s: float,
 def pair_vacuum_power(system: SystemSpec, pump: CwPump, gamma_bar_s: ArrayLike,
                       gamma_bar_i: ArrayLike):
     """vacuum_power at the CW pump's two-photon offset 2 omega_o - omega_S - omega_I."""
-    sb = system.bands[Band.SIGNAL]
-    ib = system.bands[Band.IDLER]
-    omega_o = system.bands[Band.PUMP].omega + pump.detuning
-    return vacuum_power(gamma_bar_s, gamma_bar_i, sb.omega, ib.omega,
-                        detuning=2.0 * omega_o - sb.omega - ib.omega)
-
-
-def _pump_k(system: SystemSpec, pump: CwPump) -> float:
-    p = system.bands[Band.PUMP]
-    return p.k_ref + pump.detuning / p.v
+    return vacuum_power(gamma_bar_s, gamma_bar_i, system.bands[Band.SIGNAL].omega,
+                        system.bands[Band.IDLER].omega,
+                        detuning=two_photon_detuning(system, pump))
 
 
 def pair_rates(system: SystemSpec, pump: CwPump,
@@ -118,10 +108,9 @@ def pair_rates(system: SystemSpec, pump: CwPump,
     gbar = {b: sum(g[b] for g in rates.values()) for b in Band}
     omega_o = pb.omega + pump.detuning
     gnl_l = system.ring.gamma_nl * L
-    pump_detuning = _strategy2_detuning(system, Band.PUMP, _pump_k(system, pump))
     f_pump2 = _enhancement_abs2(
         pb.v, rates[system.pump_input_channel][Band.PUMP], gbar[Band.PUMP], L,
-        detuning=pump_detuning)
+        detuning=pump.detuning)
     p_vac = pair_vacuum_power(system, pump, gbar[Band.SIGNAL], gbar[Band.IDLER])
     common = (math.sqrt(sb.omega * ib.omega) / omega_o) \
         * (pb.v ** 2 / (sb.v * ib.v)) * gnl_l ** 2 \
@@ -134,7 +123,7 @@ def pair_rates(system: SystemSpec, pump: CwPump,
     if not all(np.isfinite(r).all() for r in out.values()):
         # the vacuum power's (detuning^2 + (Gbar_S + Gbar_I)^2) is 0 only
         # when Gbar_S^2 is, so the bands' denominators tell an underflow
-        denominators = (pump_detuning * pump_detuning + gbar[Band.PUMP] * gbar[Band.PUMP],
+        denominators = (pump.detuning * pump.detuning + gbar[Band.PUMP] * gbar[Band.PUMP],
                         gbar[Band.SIGNAL] * gbar[Band.SIGNAL],
                         gbar[Band.IDLER] * gbar[Band.IDLER])
         if any(np.any(d == 0) for d in denominators):
@@ -156,18 +145,17 @@ class ZeroRateError(ZeroDivisionError):
 
 
 def _golden_rule_kernel(system: SystemSpec, pump: CwPump, signal_exit: str,
-                        idler_exit: str, omega1: np.ndarray) -> np.ndarray:
-    """|golden-rule interaction kernel|^2 at signal frequencies omega1 (an array)."""
+                        idler_exit: str, d1: np.ndarray) -> np.ndarray:
+    """|golden-rule interaction kernel|^2 at signal detunings d1 = omega1 -
+    omega_S (an array); the idler's is the two-photon detuning less d1."""
     pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
     scale = HBAR ** 2 * EPS0 * pb.v ** 2 / (12.0 * math.pi ** 2) \
         * math.sqrt(sb.omega * ib.omega) * (system.ring.gamma_nl * system.ring.circumference)
     f_pump = enhancement_factor(system, system.pump_input_channel, Band.PUMP,
-                                _pump_k(system, pump), Branch.MINUS)
-    f_s = enhancement_factor(system, signal_exit, Band.SIGNAL, sb.k_of_omega(omega1),
-                             Branch.PLUS)
+                                pump.detuning, Branch.MINUS)
+    f_s = enhancement_factor(system, signal_exit, Band.SIGNAL, d1, Branch.PLUS)
     f_i = enhancement_factor(system, idler_exit, Band.IDLER,
-                             ib.k_of_omega(2.0 * (pb.omega + pump.detuning) - omega1),
-                             Branch.PLUS)
+                             two_photon_detuning(system, pump) - d1, Branch.PLUS)
     return np.abs(scale * np.conj(f_s) * np.conj(f_i) * f_pump * f_pump) ** 2
 
 
@@ -177,7 +165,7 @@ def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
 
     Builds the interaction kernel from the enhancement factors and
     integrates it numerically to 1e-8 relative over the whole line, in
-    theta with omega1 = omega_S + Gbar_S tan theta, theta in (-pi/2, pi/2):
+    theta with the signal detuning Gbar_S tan theta, theta in (-pi/2, pi/2):
     the signal Lorentzian becomes flat and the tails end at the interval's
     edges, so no window cuts them off. Serves as the anti-drift oracle for
     the closed-form pair_rate_cw.
@@ -185,13 +173,13 @@ def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
     pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
     omega_o = pb.omega + pump.detuning
     gbar_s, gbar_i = system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER)
-    mirror = 2.0 * omega_o - ib.omega  # omega1 at which the idler is resonant
-    x = (mirror - sb.omega) / gbar_s  # the idler resonance, in signal half-widths
+    # the idler resonance, in signal half-widths
+    x = two_photon_detuning(system, pump) / gbar_s
 
     def mapped(t: np.ndarray) -> np.ndarray:
         tan = np.tan(t)
         return _golden_rule_kernel(system, pump, signal_exit, idler_exit,
-                                   sb.omega + gbar_s * tan) * (gbar_s * (1.0 + tan * tan))
+                                   gbar_s * tan) * (gbar_s * (1.0 + tan * tan))
 
     # peaks as (theta, half-width in theta), dtheta/domega1 = 1 / (Gbar_S (1 + x^2))
     # at the idler's; a difference of atans would round to 0 far out

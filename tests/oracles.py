@@ -3,7 +3,8 @@
 Tests import these helpers (`from oracles import ...`): the lossless point
 coupler written out as a 2x2 junction, and a direct numerical scan of the
 ring overlap, both deliberately ignorant of the closed forms in `src/`;
-Gauss-Legendre rules from 40-digit roots of the Legendre polynomials; and
+the strategy-1 pair rate at 30 digits from the transfer functions in
+absolute wavenumbers; Gauss-Legendre rules from 40-digit roots of the Legendre polynomials; and
 Weideman's Faddeeva coefficients by his FFT construction.
 """
 
@@ -14,6 +15,7 @@ import mpmath as mp
 import numpy as np
 
 from lossy_ring_sfwm.attenuation import RingField
+from lossy_ring_sfwm.model import Band, CwPump, SystemSpec
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,83 @@ def overlap_by_zeta_scan(signal: RingField, idler: RingField, pump: RingField,
         total += np.trapezoid(vals, local)
         start += length
     return complex(total)
+
+
+def strategy1_rate_mp(system: SystemSpec, pump: CwPump, signal_exit: str,
+                      idler_exit: str) -> float:
+    """The strategy-1 CW pair rate, (1/2pi) (gamma_nl P / omega_P)^2 v_P^2 /
+    (v_S v_I) times the integral of omega1 omega2 |J|^2 over signal
+    frequencies within 0.45 of a free spectral range of omega_S, written out
+    from the point-coupler transfer functions at 30 digits.
+
+    Each field is the physical one, A_j e^{i k~ zeta} on the arc after
+    coupler j, in the absolute wavenumber k = 2 pi m / L + (omega - omega_J)
+    / v with k~ = k + i xi / 2 incoming and k - i xi / 2 outgoing; the
+    couplers sit at zeta = 0 and, on an add-drop ring, L / 2. J integrates
+    (signal idler)* pump pump e^{i delta_kappa zeta} over each arc in closed
+    form. The integral over the signal detuning, broken at the signal and
+    idler resonances, runs by tanh-sinh to 15 digits, five orders past any
+    tolerance it checks, and its nodes are lifted to 30 before omega1 =
+    omega_S + detuning is formed."""
+    with mp.workdps(30):
+        ring = system.ring
+        L, xi = mp.mpf(ring.circumference), mp.mpf(ring.xi)
+        buses = system.buses(1, 2)
+        starts = [L * j / len(buses) for j in range(len(buses) + 1)]
+
+        def field(band, exit_channel):
+            p = system.bands[band]
+            k0, omega_j, v = 2 * mp.pi * p.m / L, mp.mpf(p.omega), mp.mpf(p.v)
+            s = [mp.mpf(system.sigma_view(x, band)) for x in buses]
+            i_kappa = [1j * mp.sqrt(1 - x * x) for x in s]
+            prod = mp.fprod(s)
+
+            def at(omega):
+                """(amplitude per arc, k~) at angular frequency omega."""
+                k = k0 + (omega - omega_j) / v
+                if exit_channel is None:  # a unit wave in through the pump bus at 0
+                    kt = k + 0.5j * xi
+                    a = i_kappa[0] / (1 - prod * mp.expj(kt * L))
+                    return [a] + [x * a for x in s[1:]], kt
+                kt = k - 0.5j * xi
+                den = prod - mp.expj(kt * L)
+                if exit_channel == buses[0]:  # a unit wave out through the bus at 0
+                    a = i_kappa[0] * prod / s[0] / den
+                    return [a] + [a / x for x in s[1:]], kt
+                # out through the drop at L / 2, A e^{i k~ (zeta - L / 2)} past it
+                a = i_kappa[1] * s[0] / den * mp.expj(-kt * L / 2)
+                return [a * mp.expj(kt * L) / s[0], a], kt
+
+            return at
+
+        pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
+        omega_o = mp.mpf(pb.omega) + mp.mpf(pump.detuning)
+        a_p, k_p = field(Band.PUMP, None)(omega_o)
+        signal, idler = field(Band.SIGNAL, signal_exit), field(Band.IDLER, idler_exit)
+        omega_s = mp.mpf(sb.omega)
+
+        def integrand(d1):
+            with mp.workdps(30):
+                omega1 = omega_s + d1
+                omega2 = 2 * omega_o - omega1
+                (a_s, k_s), (a_i, k_i) = signal(omega1), idler(omega2)
+                dk = mp.mpf(ring.delta_kappa) + 2 * k_p - mp.conj(k_s) - mp.conj(k_i)
+                j = 0
+                for n in range(len(buses)):
+                    length = starts[n + 1] - starts[n]
+                    x = 1j * dk * length
+                    j += mp.conj(a_s[n] * a_i[n]) * a_p[n] ** 2 * mp.expj(dk * starts[n]) \
+                        * (length if x == 0 else length * mp.expm1(x) / x)
+                return omega1 * omega2 * abs(j) ** 2
+
+        half = mp.mpf(0.45) * 2 * mp.pi * mp.mpf(sb.v) / L
+        idler_peak = 2 * omega_o - omega_s - mp.mpf(ib.omega)
+        points = sorted({-half, mp.mpf(0), half} | ({idler_peak} if abs(idler_peak) < half
+                                                     else set()))
+        with mp.workdps(15):
+            value = mp.quad(integrand, points)
+        return float((mp.mpf(ring.gamma_nl) * mp.mpf(pump.power) / mp.mpf(pb.omega)) ** 2
+                     * mp.mpf(pb.v) ** 2 / (2 * mp.pi * mp.mpf(sb.v) * mp.mpf(ib.v)) * value)
 
 
 def gauss_legendre_half(n: int) -> tuple[list, list]:

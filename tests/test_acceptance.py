@@ -42,7 +42,7 @@ def test_01_loss_bookkeeping():
 
 def test_02_enhancement_factor():
     system = sample_system(q_int=2e4, eta=0.5)
-    f2 = peak_abs2(system, "O", Band.PUMP)  # |enhancement_factor(k_ref)|^2
+    f2 = peak_abs2(system, "O", Band.PUMP)  # |enhancement_factor(0)|^2
     ok = abs(f2 - 26.2) / 26.2 <= 0.01
     _report(2, "enhancement factor", ok, f"|F|^2 on resonance = {f2:.4f} "
             f"(target 26.2 +- 1%)")
@@ -154,12 +154,11 @@ def test_08_flux_conservation():
         rng = random.Random(500 + n_physical)
         system = random_system(rng, n_physical)
         for band in Band:
-            p = system.bands[band]
             gbar = system.gamma_bar(band)
             for _ in range(100):
-                k = p.k_of_omega(p.omega + rng.uniform(-8.0, 8.0) * gbar)
+                d = rng.uniform(-8.0, 8.0) * gbar
                 for branch in phantom.Branch:
-                    worst = max(worst, unitarity_defect(scattering_matrix(system, band, k,
+                    worst = max(worst, unitarity_defect(scattering_matrix(system, band, d,
                                                                           branch)))
                     checks += 1
     ok = worst <= 1e-12

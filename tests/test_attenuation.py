@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossy_ring_sfwm import attenuation as att
-from lossy_ring_sfwm import sweeps
+from lossy_ring_sfwm import phantom, sweeps
 from lossy_ring_sfwm.config import parse_config
 from lossy_ring_sfwm.constants import TWO_PI
 from lossy_ring_sfwm.model import (Band, ChannelCoupling, CwPump, GeometryError, finesse,
-                                   gamma_from_sigma)
+                                   gamma_from_sigma, two_photon_detuning)
 from lossy_ring_sfwm.numerics import integrate_adaptive
 from conftest import bundled, bundled_system
-from oracles import PointCoupler, coupler_scatter, overlap_by_zeta_scan
+from oracles import PointCoupler, coupler_scatter, overlap_by_zeta_scan, strategy1_rate_mp
 
 V = 1e8
 SIGMA_REF = 0.9814
@@ -56,22 +56,23 @@ def _coupler(system, channel_id):
     return PointCoupler.from_sigma(system.sigma_view(channel_id, Band.PUMP))
 
 
-def _all_pass_ports(system, omega):
-    """Incoming pump-band ring amplitude of a single-bus ring, and the
-    bus transmission the point coupler gives for it (bus input 1, ring
-    return f_ring e^{i k~ L})."""
-    field = att.ring_field_builder(system, Band.PUMP)(omega)
+def _all_pass_ports(system, d):
+    """Incoming pump-band ring amplitude of a single-bus ring at pump
+    detuning d, and the bus transmission the point coupler gives for it (bus
+    input 1, ring return f_ring e^{i k~ L})."""
+    field = att.ring_field_builder(system, Band.PUMP)(d)
     ((length, f_ring),) = field.segments
     f_through, _ = coupler_scatter(_coupler(system, system.pump_input_channel), 1.0,
                                    f_ring * cmath.exp(1j * field.k_prop * length))
     return f_ring, f_through
 
 
-def _add_drop_ports(system, omega):
-    """Incoming pump-band ring amplitude after the through coupler, from the
-    field builder, and the through and drop transmissions the couplers
-    give for its two segments (input 1 at the through bus, 0 at the add port)."""
-    field = att.ring_field_builder(system, Band.PUMP)(omega)
+def _add_drop_ports(system, d):
+    """Incoming pump-band ring amplitude after the through coupler at pump
+    detuning d, from the field builder, and the through and drop
+    transmissions the couplers give for its two segments (input 1 at the
+    through bus, 0 at the add port)."""
+    field = att.ring_field_builder(system, Band.PUMP)(d)
     (length, r1), (_, r2) = field.segments
     half = cmath.exp(1j * field.k_prop * length)
     f_drop, _ = coupler_scatter(_coupler(system, "D"), 0.0, r1 * half)
@@ -79,12 +80,13 @@ def _add_drop_ports(system, omega):
     return r1, f_through, f_drop
 
 
-def _single_bus_fields(system, omega_s, omega_i, omega_p):
-    """(signal, idler, pump) fields of the single-bus ring from its builders."""
+def _single_bus_fields(system, d_s, d_i, d_p):
+    """(signal, idler, pump) fields of the single-bus ring from its builders,
+    at the detunings d_s, d_i and d_p from their resonances."""
     (bus,) = system.buses(1)
-    signal, idler = (att.ring_field_builder(system, band, bus)(omega)
-                     for band, omega in ((Band.SIGNAL, omega_s), (Band.IDLER, omega_i)))
-    return signal, idler, att.ring_field_builder(system, Band.PUMP)(omega_p)
+    signal, idler = (att.ring_field_builder(system, band, bus)(d)
+                     for band, d in ((Band.SIGNAL, d_s), (Band.IDLER, d_i)))
+    return signal, idler, att.ring_field_builder(system, Band.PUMP)(d_p)
 
 
 class TestPointCoupler:
@@ -118,7 +120,7 @@ class TestAsyFields:
 
     def test_ring_enhancement_at_matched_coupling(self):
         system = _critical_system()
-        f_ring, _ = _all_pass_ports(system, system.bands[Band.PUMP].omega)
+        f_ring, _ = _all_pass_ports(system, 0.0)
         # hand evaluation: kappa^2 / (1 - sigma a)^2 with sigma = a
         a = system.ring.roundtrip_amplitude
         expected = (1.0 - SIGMA_REF ** 2) / (1.0 - SIGMA_REF * a) ** 2
@@ -127,14 +129,14 @@ class TestAsyFields:
 
     def test_extinction_at_matched_coupling(self):
         system = _critical_system()
-        _, f_through = _all_pass_ports(system, system.bands[Band.PUMP].omega)
-        # floor set by the round-trip phase k L ~ 6e2 rad in double precision
+        _, f_through = _all_pass_ports(system, 0.0)
+        # on resonance the round-trip phase is 0, so only the coupler's and
+        # the loss's roundoff stays
         assert abs(f_through) < 1e-10
 
     def test_decoupled_ring(self, ring_ref):
         system = ring_ref.with_channel_gamma("O", dict.fromkeys(Band, 0.0))  # sigma = 1
-        omega = system.bands[Band.PUMP].omega + 0.37 * V / system.ring.circumference
-        f_ring, f_through = _all_pass_ports(system, omega)
+        f_ring, f_through = _all_pass_ports(system, 0.37 * V / system.ring.circumference)
         assert f_ring == 0.0
         assert abs(f_through) == pytest.approx(1.0, rel=1e-12)
 
@@ -142,25 +144,23 @@ class TestAsyFields:
            st.floats(min_value=-math.pi, max_value=math.pi))
     def test_lossless_all_pass(self, sigma, phase):
         system = bundled_system(couplings={"O": {"sigma": sigma}}, loss_db_per_cm=0.0)
-        omega = system.bands[Band.PUMP].omega + phase * V / system.ring.circumference
-        _, f_through = _all_pass_ports(system, omega)
+        _, f_through = _all_pass_ports(system, phase * V / system.ring.circumference)
         assert abs(f_through) == pytest.approx(1.0, abs=1e-12)
 
     def test_outgoing_magnitude_scaled_by_roundtrip(self, ring_ref):
         # on resonance the outgoing enhancement is a times the incoming one
-        omega = ring_ref.bands[Band.SIGNAL].omega
-        f_in, f_out = (att.ring_field_builder(ring_ref, Band.SIGNAL, exit_channel)(omega)
+        f_in, f_out = (att.ring_field_builder(ring_ref, Band.SIGNAL, exit_channel)(0.0)
                        .segments[0][1] for exit_channel in (None, "O"))
         a = ring_ref.ring.roundtrip_amplitude
         assert abs(f_out) == pytest.approx(a * abs(f_in), rel=1e-12)
 
     def test_lossless_pole(self):
-        # decoupled lossless ring on resonance: |1 - e^{i k L}| ~ 1e-14
+        # decoupled lossless ring on resonance: 1 - e^{i d L / v} = 0
         system = _lossless(bundled_system(radius_m=1e-6).with_channel_gamma(
             "O", dict.fromkeys(Band, 0.0)))
         field = att.ring_field_builder(system, Band.PUMP)
         with pytest.raises(att.SingularityError):
-            field(system.bands[Band.PUMP].omega)
+            field(0.0)
 
 
 class TestAddDropFields:
@@ -169,9 +169,9 @@ class TestAddDropFields:
     def test_second_coupler_removed(self):
         system = _add_drop(0.97, 1.0)
         single = replace(system, channels=(system.channel("T"), system.phantom_channel))
-        omega = system.bands[Band.PUMP].omega + 0.3 * system.gamma_bar(Band.PUMP)
-        r1, f_through, f_drop = _add_drop_ports(system, omega)
-        f_ring, single_through = _all_pass_ports(single, omega)
+        d = 0.3 * system.gamma_bar(Band.PUMP)
+        r1, f_through, f_drop = _add_drop_ports(system, d)
+        f_ring, single_through = _all_pass_ports(single, d)
         assert r1 == pytest.approx(f_ring)
         assert f_through == pytest.approx(single_through)
         assert f_drop == 0.0
@@ -179,7 +179,7 @@ class TestAddDropFields:
     def test_symmetric_lossless_full_transfer(self):
         # on resonance with equal couplers and no loss all power drops
         system = _add_drop(0.95, 0.95, loss_db_per_cm=0.0)
-        _, f_through, f_drop = _add_drop_ports(system, system.bands[Band.PUMP].omega)
+        _, f_through, f_drop = _add_drop_ports(system, 0.0)
         assert abs(f_drop) == pytest.approx(1.0, rel=1e-12)
         assert abs(f_through) < 1e-12
 
@@ -188,8 +188,7 @@ class TestAddDropFields:
            st.floats(min_value=-math.pi, max_value=math.pi))
     def test_lossless_power_conservation(self, s1, s2, phase):
         system = _add_drop(s1, s2, loss_db_per_cm=0.0)
-        omega = system.bands[Band.PUMP].omega + phase * V / system.ring.circumference
-        _, f_through, f_drop = _add_drop_ports(system, omega)
+        _, f_through, f_drop = _add_drop_ports(system, phase * V / system.ring.circumference)
         total = abs(f_through) ** 2 + abs(f_drop) ** 2
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -197,17 +196,15 @@ class TestAddDropFields:
 class TestOverlap:
     def test_resonant_lossless_limit(self, ring_lossless):
         system = ring_lossless
-        w = {b: system.bands[b].omega for b in Band}
-        fields = _single_bus_fields(system, w[Band.SIGNAL], w[Band.IDLER], w[Band.PUMP])
+        fields = _single_bus_fields(system, 0.0, 0.0, 0.0)
         j = att.overlap_of_fields(*fields, delta_kappa=system.ring.delta_kappa)
         f_s, f_i, f_p = (f.segments[0][1] for f in fields)
         expected = np.conj(f_s * f_i) * f_p * f_p * system.ring.circumference
         assert j == pytest.approx(expected, rel=1e-12)
 
     def test_signal_idler_swap_symmetry(self, ring_ref):
-        w0 = ring_ref.bands[Band.PUMP].omega
         gbar = ring_ref.gamma_bar(Band.PUMP)
-        j1, j2 = (att.overlap_of_fields(*_single_bus_fields(ring_ref, w0 + d, w0 - d, w0))
+        j1, j2 = (att.overlap_of_fields(*_single_bus_fields(ring_ref, d, -d, 0.0))
                   for d in (1.3 * gbar, -1.3 * gbar))
         assert j1 == pytest.approx(j2, rel=1e-12)
 
@@ -220,9 +217,7 @@ class TestOverlap:
     def test_closed_form_matches_zeta_scan(self, sigma, loss, d1, d2, dp):
         system = bundled_system(couplings={"O": {"sigma": sigma}}, loss_db_per_cm=loss)
         gbar = system.gamma_bar(Band.PUMP)
-        w = {b: system.bands[b].omega for b in Band}
-        fields = _single_bus_fields(system, w[Band.SIGNAL] + d1 * gbar,
-                                    w[Band.IDLER] + d2 * gbar, w[Band.PUMP] + dp * gbar)
+        fields = _single_bus_fields(system, d1 * gbar, d2 * gbar, dp * gbar)
         closed = att.overlap_of_fields(*fields)
         # the scan is a trapezoid rule, off by up to 1.5e-8 at 10,001 points
         # on the corners of this box (sigma 0.5, |d| = 3); 40,001 points
@@ -237,18 +232,16 @@ class TestOverlap:
     def test_add_drop_closed_form_matches_zeta_scan(self, s2_t, s2_d, d1):
         system = bundled_system("add_drop.json", {"T": {"sigma": s2_t}, "D": {"sigma": s2_d}})
         gbar = system.gamma_bar(Band.PUMP)
-        w = {b: system.bands[b].omega for b in Band}
-        fields = (att.ring_field_builder(system, Band.SIGNAL, "D")(w[Band.SIGNAL] + d1 * gbar),
-                  att.ring_field_builder(system, Band.IDLER, "T")(w[Band.IDLER] - d1 * gbar),
-                  att.ring_field_builder(system, Band.PUMP)(w[Band.PUMP]))
+        fields = (att.ring_field_builder(system, Band.SIGNAL, "D")(d1 * gbar),
+                  att.ring_field_builder(system, Band.IDLER, "T")(-d1 * gbar),
+                  att.ring_field_builder(system, Band.PUMP)(0.0))
         closed = att.overlap_of_fields(*fields)
         scanned = overlap_by_zeta_scan(*fields)
         assert abs(closed - scanned) <= 1e-8 * abs(closed)
 
     def test_overlap_magnitude_phase_invariant(self, ring_ref):
-        w0 = ring_ref.bands[Band.PUMP].omega
         gbar = ring_ref.gamma_bar(Band.PUMP)
-        f_s, f_i, f_p = _single_bus_fields(ring_ref, w0 + gbar, w0 - gbar, w0)
+        f_s, f_i, f_p = _single_bus_fields(ring_ref, gbar, -gbar, 0.0)
         j_ref = att.overlap_of_fields(f_s, f_i, f_p)
         phase = cmath.exp(0.81j)
         rotated = replace(f_p, segments=tuple((l, a * phase) for l, a in f_p.segments))
@@ -314,15 +307,17 @@ class TestPairRate:
 
     def test_builders_match_transfer_functions(self, ring_ref):
         # the builders against the transfer functions written out by hand
+        # fields are envelopes about the carrier e^{i 2 pi m zeta / L}, whose
+        # phases, 1 per round trip and (-1)^m per half, the wavenumber k
+        # of the detuning d = 0.7 Gbar leaves out
         L = ring_ref.ring.circumference
         xi = ring_ref.ring.xi
-        band = ring_ref.bands[Band.SIGNAL]
-        omega = band.omega + 0.7 * ring_ref.gamma_bar(Band.SIGNAL)
-        k = band.k_of_omega(omega)
+        d = 0.7 * ring_ref.gamma_bar(Band.SIGNAL)
+        k = d / ring_ref.bands[Band.SIGNAL].v
         sigma = ring_ref.sigma_view("O", Band.SIGNAL)
         i_kappa = 1j * math.sqrt(1.0 - sigma * sigma)
         for exit_channel, kt in ((None, k + 0.5j * xi), ("O", k - 0.5j * xi)):
-            field = att.ring_field_builder(ring_ref, Band.SIGNAL, exit_channel)(omega)
+            field = att.ring_field_builder(ring_ref, Band.SIGNAL, exit_channel)(d)
             phase = cmath.exp(1j * kt * L)
             den = 1.0 - sigma * phase if exit_channel is None else sigma - phase
             assert field.k_prop == kt
@@ -330,10 +325,10 @@ class TestPairRate:
         system = bundled_system("add_drop.json")
         s1, s2 = (system.sigma_view(x, Band.PUMP) for x in ("T", "D"))
         i_kappa1, i_kappa2 = (1j * math.sqrt(1.0 - s * s) for s in (s1, s2))
-        k = system.bands[Band.PUMP].k_of_omega(omega)
+        k = d / system.bands[Band.PUMP].v
         kt = k + 0.5j * xi
         r1 = i_kappa1 / (1.0 - s1 * s2 * cmath.exp(1j * kt * L))
-        field = att.ring_field_builder(system, Band.PUMP)(omega)
+        field = att.ring_field_builder(system, Band.PUMP)(d)
         assert field.segments == ((L / 2.0, r1),
                                   (L / 2.0, s2 * r1 * cmath.exp(1j * kt * L / 2.0)))
         # outgoing: the amplitude just after the exit coupler, divided by the
@@ -342,11 +337,11 @@ class TestPairRate:
         den = s1 * s2 - cmath.exp(1j * kt * L)
         half = cmath.exp(1j * kt * L / 2.0)
         u = i_kappa1 * s2 / den
-        field = att.ring_field_builder(system, Band.PUMP, "T")(omega)
+        field = att.ring_field_builder(system, Band.PUMP, "T")(d)
         assert field.k_prop == kt
         assert field.segments == ((L / 2.0, u), (L / 2.0, u * half / s2))
         w = i_kappa2 * s1 / den
-        field = att.ring_field_builder(system, Band.PUMP, "D")(omega)
+        field = att.ring_field_builder(system, Band.PUMP, "D")(d)
         assert field.segments == ((L / 2.0, w * half / s1), (L / 2.0, w))
 
     def test_single_bus_is_add_drop_with_decoupled_drop(self):
@@ -367,24 +362,26 @@ class TestPairRate:
 
 
 def _omega_space_rate(system, pump, signal_exit, idler_exit):
-    """The strategy-1 rate integrated directly in omega1 at rel_tol 1e-11,
-    with both resonances hinted as peaks: an independent check of the
-    Jacobian of pair_rate_cw's theta map and of the window's image."""
+    """The strategy-1 rate integrated directly in the signal detuning d1 =
+    omega1 - omega_S at rel_tol 1e-11, with both resonances hinted as peaks:
+    an independent check of the Jacobian of pair_rate_cw's theta map and of
+    the window's image. Every case here has one resonance order for all
+    three bands, so the carriers add no mismatch."""
     signal = att.ring_field_builder(system, Band.SIGNAL, signal_exit)
     idler = att.ring_field_builder(system, Band.IDLER, idler_exit)
     pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
-    omega_o = pb.omega + pump.detuning
-    pump_field = att.ring_field_builder(system, Band.PUMP)(omega_o)
+    assert pb.m == sb.m == ib.m
+    e = two_photon_detuning(system, pump)
+    pump_field = att.ring_field_builder(system, Band.PUMP)(pump.detuning)
 
-    def integrand(omega):
-        return np.array([w * (2.0 * omega_o - w) * abs(att.overlap_of_fields(
-            signal(w), idler(2.0 * omega_o - w), pump_field,
-            delta_kappa=system.ring.delta_kappa)) ** 2 for w in omega.tolist()])
+    def integrand(d1):
+        return np.array([(sb.omega + d) * (ib.omega + (e - d)) * abs(att.overlap_of_fields(
+            signal(d), idler(e - d), pump_field,
+            delta_kappa=system.ring.delta_kappa)) ** 2 for d in d1.tolist()])
 
     lo, hi = att.signal_window(system, pump)
     quad = integrate_adaptive(integrand, lo, hi, rel_tol=1e-11, points=[
-        (sb.omega, att._linewidth(system, Band.SIGNAL)),
-        (2.0 * omega_o - ib.omega, att._linewidth(system, Band.IDLER))])
+        (0.0, att._linewidth(system, Band.SIGNAL)), (e, att._linewidth(system, Band.IDLER))])
     return (system.ring.gamma_nl * pump.power / pb.omega) ** 2 * pb.v ** 2 \
         / (TWO_PI * sb.v * ib.v) * quad.value
 
@@ -498,3 +495,89 @@ class TestThetaMap:
         pump = CwPump(1e-3, detuning=ring_ref.gamma_bar(Band.PUMP))
         with pytest.raises(att.SingularityError):
             att.pair_rate_cw(system, pump, "O", "O")
+
+
+def _high_finesse(f):
+    """ring_channel.json with every decay rate and the loss scaled to finesse f."""
+    ring = bundled_system()
+    return sweeps._rescaled_coupling_system(ring, finesse(ring) / f)
+
+
+class TestMpmathOracle:
+    """pair_rate_cw at rel_tol 1e-12 against the 30-digit transfer functions
+    in absolute wavenumbers. The tolerance holds at high finesse, where 1 - r
+    is small, because each field's round-trip phase d L / v has no
+    wavenumber of 1.5e6 1/m to lose its bits to."""
+
+    @pytest.mark.parametrize("system, pump, x, y", [
+        pytest.param(_high_finesse(500), CwPump(1e-3), "O", "O", id="finesse-500"),
+        pytest.param(_high_finesse(5000), CwPump(1e-3), "O", "O", id="finesse-5000"),
+        pytest.param(bundled_system("add_drop.json"), CwPump(1e-3), "T", "T", id="add_drop-TT"),
+        pytest.param(bundled_system("add_drop.json"), CwPump(1e-3), "D", "D", id="add_drop-DD"),
+        pytest.param(_high_finesse(500),
+                     CwPump(1e-3, detuning=3.0 * _high_finesse(500).gamma_bar(Band.PUMP)),
+                     "O", "O", id="finesse-500-detuned-3")])
+    def test_tight_rate_matches_mpmath(self, system, pump, x, y):
+        rate = att.pair_rate_cw(system, pump, x, y, rel_tol=1e-12)
+        assert rate == pytest.approx(strategy1_rate_mp(system, pump, x, y), rel=1e-10)
+
+    @pytest.mark.parametrize("f", [84.0, 200.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
+                                   20000.0])
+    def test_tight_tolerance_converges_at_any_finesse(self, f):
+        rate = att.pair_rate_cw(_high_finesse(f), CwPump(1e-3), "O", "O", rel_tol=1e-12)
+        assert rate == pytest.approx(
+            att.pair_rate_cw(_high_finesse(f), CwPump(1e-3), "O", "O", rel_tol=1e-10),
+            rel=1e-10)
+
+
+def _mode_order_system(name, orders=None, signal_index=None):
+    """A bundled ring whose bands sit at the resonance orders `orders` (signal,
+    pump, idler), each at wavelength 2.4 L / m, or whose signal band alone
+    has effective index `signal_index`."""
+    doc = bundled(name)
+    bands = doc["system"]["bands"]
+    if orders:
+        L = 2.0 * math.pi * doc["system"]["ring"]["radius_m"]
+        for band, m in zip(("signal", "pump", "idler"), orders):
+            bands[band] = {"wavelength_nm": 2.4 * L / m * 1e9}
+    if signal_index:
+        bands["signal"] = {"effective_index": signal_index}
+    return parse_config(doc).system
+
+
+class TestModeOrders:
+    """Bands on distinct ring resonances: the carriers' mismatch 2 m_P - m_S -
+    m_I enters the overlap, and each field's half-round-trip phase (-1)^m
+    with it."""
+
+    @pytest.mark.parametrize("name, exits, expected", [
+        ("ring_channel.json", ("O", "O"), 294840.63985368784),
+        ("add_drop.json", ("T", "T"), 16838.188519099862),
+        ("add_drop.json", ("T", "D"), 17028.260735758606),
+        ("add_drop.json", ("D", "D"), 17275.444119751373)])
+    def test_matched_orders(self, name, exits, expected):
+        # orders 98, 97, 96: 2 m_P = m_S + m_I and 2 omega_P = omega_S + omega_I
+        system = _mode_order_system(name, orders=(98, 97, 96))
+        assert [system.bands[b].m for b in (Band.SIGNAL, Band.PUMP, Band.IDLER)] == [98, 97, 96]
+        assert att.pair_rate_cw(system, CwPump(1e-3), *exits) == pytest.approx(expected,
+                                                                               rel=1e-9)
+
+    def test_mismatched_single_bus_generates_nothing(self):
+        # m_S = 98 against m_P = m_I = 97 at one frequency: the overlap of a
+        # uniform ring field with e^{-2 pi i zeta / L} vanishes
+        system = _mode_order_system("ring_channel.json", signal_index=2.42)
+        assert system.bands[Band.SIGNAL].m == 98 and system.bands[Band.PUMP].m == 97
+        pump = CwPump(1e-3)
+        assert att.pair_rate_cw(system, pump, "O", "O") \
+            < 1e-20 * phantom.pair_rate_cw(system, pump, "O", "O")
+
+    @pytest.mark.parametrize("exits", [("T", "D"), ("D", "D")])
+    def test_mismatched_add_drop_matches_mpmath(self, exits):
+        # with an odd mismatch the two arcs' overlaps do not cancel, and the
+        # sign (-1)^(2 m_P - m_S - m_I) between them is the carriers' alone:
+        # counting it twice, in the overlap and in the arcs' amplitudes, gives
+        # rates 300 to 600 times larger
+        system = _mode_order_system("add_drop.json", signal_index=2.42)
+        pump = CwPump(1e-3)
+        assert att.pair_rate_cw(system, pump, *exits, rel_tol=1e-10) == pytest.approx(
+            strategy1_rate_mp(system, pump, *exits), rel=1e-9)

@@ -245,6 +245,20 @@ class TestCommands:
         meta = json.loads((out / "oracle_check_meta.json").read_text())
         assert meta["max_rel_deviation"] <= 1e-9
 
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3, 1e6, 1e7, 1e8])
+    def test_oracle_check_passes_at_any_loaded_q(self, tmp_path, gamma):
+        # a lossless ring whose linewidth is the bus's alone, loaded Q from
+        # 6e17 down to 6e6: the golden-rule integral runs in detunings, so
+        # no absolute frequency's ulp (0.25 rad/s) blurs the narrow lines
+        doc = bundled()
+        doc["system"]["ring"]["loss_db_per_cm"] = 0
+        doc["system"]["channels"][0]["coupling"] = {"gamma_rad_per_s": gamma}
+        out = tmp_path / "out"
+        assert main(["oracle-check", "--config", _write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "oracle_check_meta.json").read_text())
+        assert meta["max_rel_deviation"] <= 1e-12
+
     def test_oracle_check_gate_can_fail(self, tmp_path):
         cfg = _write_config(tmp_path, eta_config(eta=0.55))
         out = tmp_path / "out"

@@ -170,14 +170,17 @@ class TestFinesse:
 class TestDomainTypes:
     def test_band_invariants(self):
         with pytest.raises(ValueError):
-            BandParams(Band.PUMP, omega=-1.0, v=1e8, k_ref=1e7)
+            BandParams(Band.PUMP, omega=-1.0, v=1e8, m=97)
         with pytest.raises(ValueError):
-            BandParams(Band.PUMP, omega=1e15, v=0.0, k_ref=1e7)
+            BandParams(Band.PUMP, omega=1e15, v=0.0, m=97)
+        with pytest.raises(ValueError, match="resonance order"):
+            BandParams(Band.PUMP, omega=1e15, v=1e8, m=0)
 
     def test_band_snaps_to_resonance(self):
+        # n_eff L / wavelength = 97.29 for the bundled ring
         p = band_from_wavelength(Band.PUMP, 1550e-9, V_REF, 2.4, L_REF)
-        m = p.k_ref * L_REF / (2.0 * math.pi)
-        assert m == pytest.approx(round(m), abs=1e-9)
+        assert p.m == 97
+        assert p.m == round(2.4 * L_REF / 1550e-9)
 
     def test_circumference(self):
         ring = RingSpec(radius=1e-5, loss_db_per_cm=0.0, gamma_nl=0.0)
