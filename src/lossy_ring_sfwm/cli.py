@@ -391,7 +391,7 @@ def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
         field = {"alpha": "pump.alpha", "pulse": "pump.duration_fwhm_ps"}.get(e.source)
         raise ConfigError(field or _widest_channel_field(config), str(e)) from e
 
-    header = ["kappa1\\kappa2"] + grid.kappa2.tolist()
+    header = ["kappa1\\kappa2"] + grid.kappa.tolist()
     # each block of rows is formed once and appended to both tables, one
     # orjson call each
     block_rows = max(1, _WRITE_CELLS // len(header))
@@ -399,12 +399,12 @@ def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
             _write_float_csv(outdir / "jsa_phase.csv", header) as append_phase:
         for start in range(0, n, block_rows):
             phi = grid.rows(start, start + block_rows)
-            kappa1 = grid.kappa1[start:start + block_rows]
-            append_abs2(kappa1, jsa.abs2(phi))
-            append_phase(kappa1, np.angle(phi))
+            kappa = grid.kappa[start:start + block_rows]
+            append_abs2(kappa, jsa.abs2(phi))
+            append_phase(kappa, np.angle(phi))
     _write_csv(outdir / "jsa_weights.csv",
                ["signal_exit", "idler_exit", "weight_re", "weight_im", "weight_abs2"],
-               [(x, y, w.real, w.imag, abs(w) ** 2)
+               [(x, y, w, 0.0, w ** 2)
                 for (x, y), w in grid.weights.items()])
     meta = _base_metadata("jsa", config)
     meta.update({
@@ -429,11 +429,12 @@ def cmd_oracle_check(config: RunConfig, outdir: Path, tol) -> int:
     max_dev_tol = tol if tol is not None else _number(block, "max_rel_dev", path,
                                                       default=1e-6, minimum=0.0)
     system = config.system
+    rates = phantom.pair_rates(system, pump)
     rows = []
     worst = 0.0
     for x in system.channel_ids:
         for y in system.channel_ids:
-            closed = phantom.pair_rate_cw(system, pump, x, y)
+            closed = float(rates[(x, y)])
             oracle = phantom.fgr_rate_oracle(system, pump, x, y)
             dev = abs(oracle - closed) / closed if closed > 0 else abs(oracle)
             worst = max(worst, dev)

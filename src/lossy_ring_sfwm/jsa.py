@@ -4,8 +4,10 @@ For a weak transform-limited Gaussian pump pulse the two-photon term of
 the output state carries a biphoton wave function per channel pair,
 
     phi^(XX')(k1, k2) = (alpha^2 / beta) (i hbar / 2 pi) sqrt(wS wI) vP^2
-                        gnl L  F_S+^(X)*(k1) F_I+^(X')*(k2) g(k1, k2),
+                        gnl L  F_S-^(X)(k1) F_I-^(X')(k2) g(k1, k2),
 
+with F_- = F_+* the enhancement factors `phantom` returns (the pair
+leaves on outgoing-type solutions, whose factors F_+ enter conjugated),
 normalized so the squared moduli summed over channel pairs integrate to
 one; |beta|^2 = alpha^4 M, M the integrated squared modulus of the rest,
 is then the pair generation probability, and alpha^2 / beta = 1 / sqrt(M)
@@ -32,19 +34,20 @@ only needed in the upper half plane, where it is bounded by 1, so g(E) is
 finite for any pulse length up to tau |b| ~ 1e154, where wofz's d^2
 overflows; for long pulses the Gaussian prefactor
 simply underflows to zero far from e_o. Because
-the ring-channel couplings are frequency independent, every channel
-pair shares one spectral shape; a single reference-pair grid plus
-per-pair complex weights represents the full wave function.
+the ring-channel couplings are frequency independent and real, every
+channel pair shares one spectral shape; a single reference-pair grid
+plus per-pair real weights represents the full wave function.
 
-On equal signal and idler steps, the case of every bundled configuration,
-cell (i, j) of an n1 x n2 grid has two-photon energy index i + j: g runs
-on the n1 + n2 - 1 energies of the anti-diagonals and is read through a
-zero-copy Hankel view of them. The grid is never held whole: a JsaGrid
-keeps the factors, about 3n numbers, and forms normalized rows a block at
-a time, each cell in the one floating-point order (the outer product of
-the factors, times g, times the scale), so any split into blocks gives
-the whole grid's bits. The normalization and the command's tables walk
-those blocks, and hold a block's worth of cells at a time.
+The grid is square, n x n on one kappa axis. On equal signal and idler
+steps, the case of every bundled configuration, cell (i, j) has
+two-photon energy index i + j: g runs on the 2n - 1 energies of the
+anti-diagonals and is read through a zero-copy Hankel view of them. The
+grid is never held whole: a JsaGrid keeps the factors, about 3n numbers,
+in a closure that forms normalized rows a block at a time, each cell in
+the one floating-point order (the outer product of the factors, times g,
+times the scale), so any split into blocks gives the whole grid's bits.
+The normalization and the command's tables walk those blocks, and hold a
+block's worth of cells at a time.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import numpy as np
 from .constants import HBAR, TWO_PI
 from .model import Band, PulsedPump, SystemSpec, two_photon_detuning
 from .numerics import grid_integrate_2d, integrate_adaptive
-from .phantom import Branch, enhancement_factor
+from .phantom import enhancement_factor
 
 
 class FloatRangeError(FloatingPointError):
@@ -110,18 +113,17 @@ _WEIDEMAN_COEFFS = np.array([
     2.899624509389705])
 
 
-def wofz(z):
-    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0."""
-    iz = 1j * np.reshape(z, -1)  # scalars take the array path, so both round alike
+def wofz(z: np.ndarray) -> np.ndarray:
+    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) on an array with Im z >= 0."""
+    iz = 1j * z
     d = _WEIDEMAN_L - iz
-    w = 2.0 * np.polyval(_WEIDEMAN_COEFFS, (_WEIDEMAN_L + iz) / d) / (d * d) \
+    return 2.0 * np.polyval(_WEIDEMAN_COEFFS, (_WEIDEMAN_L + iz) / d) / (d * d) \
         + (1.0 / math.sqrt(math.pi)) / d
-    return w.reshape(np.shape(z))
 
 
 def _pump_g_factor(system: SystemSpec, pump: PulsedPump):
-    """Returns g(e): the pump-pair spectral factor at two-photon detuning e
-    = E - omega_S - omega_I (a scalar or an array)."""
+    """Returns g(e): the pump-pair spectral factor at two-photon detunings e
+    = E - omega_S - omega_I (an array)."""
     pb = system.bands[Band.PUMP]
     e_o = two_photon_detuning(system, pump)
     gbar_p = system.gamma_bar(Band.PUMP)
@@ -130,12 +132,11 @@ def _pump_g_factor(system: SystemSpec, pump: PulsedPump):
     L = system.ring.circumference
     scale = gamma_p2 / (L * pb.v) * tau / math.sqrt(math.pi)
 
-    def g(e):
-        # (E - 2 omega_o) / 2; scalars take the array path: np.exp rounds alike
-        half = (np.reshape(e, -1) - e_o) / 2.0
+    def g(e: np.ndarray) -> np.ndarray:
+        half = (e - e_o) / 2.0  # (E - 2 omega_o) / 2
         b = -(half + pump.detuning) - 1j * gbar_p
         envelope = np.exp(-(tau * half) ** 2)
-        return (scale * envelope * (1j * math.pi) * wofz(-tau * b) / b).reshape(np.shape(e))
+        return scale * envelope * (1j * math.pi) * wofz(-tau * b) / b
 
     return g
 
@@ -187,53 +188,37 @@ _NORM_ROWS = 8
 
 
 @dataclass(frozen=True)
-class _Separable:
-    """An amplitude on an n1 x n2 grid held as its factors: cell (i, j) is
-    row[i] col[j] g_ij, where g_rows(start, stop) gives g on those rows."""
-
-    row: np.ndarray
-    col: np.ndarray
-    g_rows: Callable[[int, int], np.ndarray]
-
-    def rows(self, start: int, stop: int, scale: float) -> np.ndarray:
-        """Rows start..stop - 1 times scale, as a fresh complex array."""
-        block = self.row[start:stop, None] * self.col
-        block *= self.g_rows(start, stop)
-        block *= scale
-        return block
-
-
-@dataclass(frozen=True)
 class JsaGrid:
     """Discretized biphoton wave function for one reference channel pair.
 
-    kappa axes are the dimensionless detunings (omega - omega_J) / Gbar_J per band.
-    The normalized phi of the reference pair (k-space units, m) is held as
-    its factors and a scale: rows(start, stop) forms a block of its rows,
-    the same bits as those rows of the whole grid, and values forms the
-    whole grid. Every other pair is weight * phi with the complex weights
-    keyed by (signal exit, idler exit). beta2 is the pair generation
-    probability |beta|^2 for the pulse amplitude alpha.
+    kappa is the dimensionless detuning (omega - omega_J) / Gbar_J of
+    either band, one axis for both. The normalized phi of the reference
+    pair (k-space units, m) is held as its factors and a scale:
+    rows(start, stop) forms a block of its rows, the same bits as those rows
+    of the whole grid, and values forms the whole grid. Every other pair is
+    weight * phi with the real weights keyed by (signal exit, idler exit).
+    beta2 is the pair generation probability |beta|^2 for the pulse
+    amplitude alpha.
     """
 
-    kappa1: np.ndarray
-    kappa2: np.ndarray
+    kappa: np.ndarray
     reference_pair: tuple[str, str]
-    weights: Mapping[tuple[str, str], complex]
+    weights: Mapping[tuple[str, str], float]
     beta2: float
     normalization_residual: float
-    amplitude: _Separable  # the reference pair's unnormalized phi
+    # rows(start, stop, scale) of the reference pair's unnormalized phi
+    amplitude: Callable[[int, int, float], np.ndarray]
     scale: float  # 1 / sqrt(total_mass)
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows start..stop - 1 of the normalized phi, complex, shape
-        (stop - start, len(kappa2)); stop may pass the last row."""
-        return self.amplitude.rows(start, stop, self.scale)
+        (stop - start, len(kappa)); stop may pass the last row."""
+        return self.amplitude(start, stop, self.scale)
 
     @property
     def values(self) -> np.ndarray:
-        """The whole normalized grid, shape (len(kappa1), len(kappa2))."""
-        return self.rows(0, len(self.kappa1))
+        """The whole normalized grid, shape (len(kappa), len(kappa))."""
+        return self.rows(0, len(self.kappa))
 
 
 def abs2(z: np.ndarray) -> np.ndarray:
@@ -244,34 +229,42 @@ def abs2(z: np.ndarray) -> np.ndarray:
 
 
 def _direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
-                      idler_exit: str, kappa1: np.ndarray,
-                      kappa2: np.ndarray) -> _Separable:
-    """Unnormalized biphoton amplitude of one channel pair on the grid, as
-    its factors, evaluated directly from its own enhancement factors."""
+                      idler_exit: str, kappa: np.ndarray
+                      ) -> Callable[[int, int, float], np.ndarray]:
+    """Unnormalized biphoton amplitude of one channel pair on the kappa x
+    kappa grid, evaluated directly from its own enhancement factors: returns
+    rows(start, stop, scale), rows start..stop - 1 times scale as a fresh
+    complex array, cell (i, j) formed as row[i] col[j], times g, times scale."""
     gbs, gbi = system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER)
-    d1, d2 = gbs * kappa1, gbi * kappa2
-    f_s = enhancement_factor(system, signal_exit, Band.SIGNAL, d1, Branch.PLUS)
-    f_i = enhancement_factor(system, idler_exit, Band.IDLER, d2, Branch.PLUS)
+    d1, d2 = gbs * kappa, gbi * kappa
+    row = 1j * _jsa_prefactor(system) * enhancement_factor(system, signal_exit,
+                                                           Band.SIGNAL, d1)
+    col = enhancement_factor(system, idler_exit, Band.IDLER, d2)
     # two-photon detunings from the grid corner in units of the signal step.
     # On equal steps cell (i, j) has energy index i + j, so g runs once on
-    # the n1 + n2 - 1 energies of the anti-diagonals and every block of rows
+    # the 2n - 1 energies of the anti-diagonals and every block of rows
     # reads a zero-copy Hankel view of them; on unequal steps g runs on each
     # block's cells as the block is formed
     g = _pump_g_factor(system, pump)
-    n1, n2 = len(d1), len(d2)
-    step1 = gbs * (kappa1[1] - kappa1[0])
-    step2 = gbi * (kappa2[1] - kappa2[0])
+    n = len(kappa)
+    step1 = gbs * (kappa[1] - kappa[0])
+    step2 = gbi * (kappa[1] - kappa[0])
+    hankel = None
     if step2 / step1 == 1.0:
         hankel = np.lib.stride_tricks.sliding_window_view(
-            g((d1[0] + d2[0]) + step1 * np.arange(n1 + n2 - 1)), n2)
+            g((d1[0] + d2[0]) + step1 * np.arange(2 * n - 1)), n)
 
-        def g_rows(start, stop):
-            return hankel[start:stop]
-    else:
-        def g_rows(start, stop):
-            return g((d1[0] + d2[0]) + step1 * (
-                np.arange(start, min(stop, n1))[:, None] + (step2 / step1) * np.arange(n2)))
-    return _Separable(1j * _jsa_prefactor(system) * np.conj(f_s), np.conj(f_i), g_rows)
+    def rows(start: int, stop: int, scale: float) -> np.ndarray:
+        block = row[start:stop, None] * col
+        if hankel is not None:
+            block *= hankel[start:stop]
+        else:
+            block *= g((d1[0] + d2[0]) + step1 * (
+                np.arange(start, min(stop, n))[:, None] + (step2 / step1) * np.arange(n)))
+        block *= scale
+        return block
+
+    return rows
 
 
 def reference_amplitude(system: SystemSpec, pair: tuple[str, str]) -> float:
@@ -305,7 +298,7 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
         phys = system.physical_channels
         reference_pair = (phys[0].channel_id, phys[0].channel_id)
     ref_amp = reference_amplitude(system, reference_pair)
-    kappa1 = kappa2 = np.linspace(-kappa_max, kappa_max, n)
+    kappa = np.linspace(-kappa_max, kappa_max, n)
 
     mass_total = total_mass(system, pump)
     if mass_total == 0.0:
@@ -319,34 +312,31 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
         raise FloatRangeError("alpha", "the pair probability beta2 = alpha^4 mass "
                               f"{'underflows to 0' if beta2 == 0.0 else 'overflows'} at "
                               f"alpha = {pump.alpha:.3g}")
-    amplitude = _direct_pair_grid(system, pump, reference_pair[0], reference_pair[1],
-                                  kappa1, kappa2)
+    amplitude = _direct_pair_grid(system, pump, reference_pair[0], reference_pair[1], kappa)
     scale = 1.0 / math.sqrt(mass_total)
 
-    weights = {(x, y): complex(system.amplitude_coupling(x, Band.SIGNAL)
-                               * system.amplitude_coupling(y, Band.IDLER) / ref_amp)
+    weights = {(x, y): system.amplitude_coupling(x, Band.SIGNAL)
+               * system.amplitude_coupling(y, Band.IDLER) / ref_amp
                for x in system.channel_ids for y in system.channel_ids}
     # k-space grid steps [1/m]
-    dk_s = system.gamma_bar(Band.SIGNAL) * (kappa1[1] - kappa1[0]) / system.bands[Band.SIGNAL].v
-    dk_i = system.gamma_bar(Band.IDLER) * (kappa2[1] - kappa2[0]) / system.bands[Band.IDLER].v
-    sum_w2 = sum(abs(w) ** 2 for w in weights.values())
+    dk_s = system.gamma_bar(Band.SIGNAL) * (kappa[1] - kappa[0]) / system.bands[Band.SIGNAL].v
+    dk_i = system.gamma_bar(Band.IDLER) * (kappa[1] - kappa[0]) / system.bands[Band.IDLER].v
+    sum_w2 = sum(w ** 2 for w in weights.values())
     grid_norm = sum_w2 * grid_integrate_2d(
-        (abs2(amplitude.rows(start, start + _NORM_ROWS, scale))
+        (abs2(amplitude(start, start + _NORM_ROWS, scale))
          for start in range(0, n, _NORM_ROWS)), dk_s, dk_i)
     residual = abs(grid_norm - 1.0)
     if residual > residual_tol:
         offset = abs(two_photon_detuning(system, pump)) \
             / (system.gamma_bar(Band.SIGNAL) + system.gamma_bar(Band.IDLER))
         raise GridTooCoarseError(residual, residual_tol, offset, kappa_max)
-    return JsaGrid(kappa1=kappa1, kappa2=kappa2, reference_pair=reference_pair,
-                   weights=weights, beta2=beta2, normalization_residual=residual,
-                   amplitude=amplitude, scale=scale)
+    return JsaGrid(kappa=kappa, reference_pair=reference_pair, weights=weights, beta2=beta2,
+                   normalization_residual=residual, amplitude=amplitude, scale=scale)
 
 
 def direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
                      idler_exit: str, grid: JsaGrid) -> np.ndarray:
     """Normalized biphoton amplitude of one pair evaluated from scratch on
     the grid's axes (for checking shape constancy against the weights)."""
-    amplitude = _direct_pair_grid(system, pump, signal_exit, idler_exit,
-                                  grid.kappa1, grid.kappa2)
-    return amplitude.rows(0, len(grid.kappa1), 1.0 / math.sqrt(total_mass(system, pump)))
+    amplitude = _direct_pair_grid(system, pump, signal_exit, idler_exit, grid.kappa)
+    return amplitude(0, len(grid.kappa), 1.0 / math.sqrt(total_mass(system, pump)))

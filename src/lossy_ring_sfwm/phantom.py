@@ -6,24 +6,27 @@ space. Each channel X contributes a decay rate Gamma_J^(X) to the total
 ring linewidth Gbar_J, and the steady-state scattering solutions are
 captured by the complex enhancement factors
 
-    F_(J,+-)^(X)(k) = (1/sqrt(L)) gamma_J^(X) / (v_J (K_J - k) -+ i Gbar_J)
+    F_(J,+-)^(X)(d) = (1/sqrt(L)) gamma_J^(X) / (+-i Gbar_J - d)
 
 with gamma_J^(X) = sqrt(2 v_J Gamma_J^(X)) the amplitude coupling (taken
-real). F sees k only through the detuning d = v_J (k - K_J) = omega -
-omega_J, the argument every function here takes: the denominator is
-(-+ i Gbar_J - d). The minus branch belongs to incoming-type solutions,
-the plus branch to outgoing-type ones. CW pair rates come out in closed
-form as a product of enhancement factors and the fluctuating vacuum
-power. One array kernel, pair_rates, evaluates that product for every
-(signal exit, idler exit) at once; channel decay rates may be numpy arrays that
-broadcast together, so a whole coupling map is one call, and the scalar
-pair_rate_cw is a thin call into it. The Fermi-golden-rule frequency
-integral is kept alongside as a brute-force oracle for that closed form.
+real) and d = v_J (k - K_J) = omega - omega_J the detuning from the
+band's resonance, the argument every function here takes. The minus sign
+belongs to incoming-type solutions: a mode of linewidth Gbar_J driven as
+e^{-i omega t} responds in proportion to 1 / (-i Gbar_J - d). The plus
+sign belongs to outgoing-type ones. At real d, F_+ = F_-*, so every
+product here needs only F_-, the factor enhancement_factor returns.
+
+CW pair rates come out in closed form as a product of enhancement
+factors and the fluctuating vacuum power. One array kernel, pair_rates,
+evaluates that product for every (signal exit, idler exit) at once;
+channel decay rates may be numpy arrays that broadcast together, so a
+whole coupling map is one call, and the scalar pair_rate_cw is a thin
+call into it. The Fermi-golden-rule frequency integral is kept alongside
+as a brute-force oracle for that closed form.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import TYPE_CHECKING, Mapping
 
@@ -37,26 +40,24 @@ if TYPE_CHECKING:  # used in annotations only, so no command pays its import
     from numpy.typing import ArrayLike
 
 
-class Branch(enum.Enum):
-    """Sign of i Gbar in the enhancement denominator."""
-
-    MINUS = "in"  # incoming-type solutions
-    PLUS = "out"  # outgoing-type solutions
-
-
-def enhancement_factor(system: SystemSpec, channel_id: str, band: Band, d: ArrayLike,
-                       branch: Branch) -> complex | np.ndarray:
-    """Complex field enhancement factor of one channel at detuning d = omega -
-    omega_J from the band's resonance (or an array of them)."""
+def enhancement_factor(system: SystemSpec, channel_id: str, band: Band,
+                       d: ArrayLike) -> complex | np.ndarray:
+    """Incoming-type complex field enhancement factor F_- of one channel at
+    detuning d = omega - omega_J from the band's resonance (or an array of
+    them); the outgoing-type F_+ is its complex conjugate."""
     gamma_amp = system.amplitude_coupling(channel_id, band)
     gbar = system.gamma_bar(band)
-    sign = -1.0 if branch is Branch.MINUS else 1.0
-    return gamma_amp / (math.sqrt(system.ring.circumference) * (sign * 1j * gbar - d))
+    # gamma / (-i Gbar - d) written as -gamma / (d + i Gbar): at every real d
+    # this rounds to the exact conjugate of F_+ = gamma / (i Gbar - d), signed
+    # zeros included. The real part at d = 0 is +0; the first form gives -0,
+    # and an underflowed JSA cell on the grid's centre row or column would
+    # then read phase pi, not 0
+    return -gamma_amp / (math.sqrt(system.ring.circumference) * (d + 1j * gbar))
 
 
 def _enhancement_abs2(v: float, gamma: ArrayLike, gbar: ArrayLike, circumference: float,
                       detuning: float = 0.0):
-    """|F|^2 of either branch, 2 v Gamma^(X) / (L (detuning^2 + Gbar^2)), for
+    """|F_+|^2 = |F_-|^2, 2 v Gamma^(X) / (L (detuning^2 + Gbar^2)), for
     scalar or array decay rates."""
     return 2.0 * v * gamma / (circumference * (detuning * detuning + gbar * gbar))
 
@@ -151,12 +152,11 @@ def _golden_rule_kernel(system: SystemSpec, pump: CwPump, signal_exit: str,
     pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
     scale = HBAR ** 2 * EPS0 * pb.v ** 2 / (12.0 * math.pi ** 2) \
         * math.sqrt(sb.omega * ib.omega) * (system.ring.gamma_nl * system.ring.circumference)
-    f_pump = enhancement_factor(system, system.pump_input_channel, Band.PUMP,
-                                pump.detuning, Branch.MINUS)
-    f_s = enhancement_factor(system, signal_exit, Band.SIGNAL, d1, Branch.PLUS)
+    f_pump = enhancement_factor(system, system.pump_input_channel, Band.PUMP, pump.detuning)
+    f_s = enhancement_factor(system, signal_exit, Band.SIGNAL, d1)
     f_i = enhancement_factor(system, idler_exit, Band.IDLER,
-                             two_photon_detuning(system, pump) - d1, Branch.PLUS)
-    return np.abs(scale * np.conj(f_s) * np.conj(f_i) * f_pump * f_pump) ** 2
+                             two_photon_detuning(system, pump) - d1)
+    return np.abs(scale * f_s * f_i * f_pump * f_pump) ** 2
 
 
 def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,

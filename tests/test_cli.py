@@ -331,6 +331,23 @@ class TestCommands:
         weights = _read_csv(out / "jsa_weights.csv")
         assert len(weights) == 5
 
+    @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
+    def test_jsa_weights_are_real(self, tmp_path, name):
+        # every weight is real: weight_im reads 0.0 on every row, and
+        # weight_abs2 is the square of weight_re to the bit
+        doc = bundled(name)
+        doc["pump"] = {"kind": "pulsed", "duration_fwhm_ps": 10.0}
+        doc["options"] = {"jsa": {"grid_points": 64}}
+        out = tmp_path / "out"
+        assert main(["jsa", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+        header, *rows = _read_csv(out / "jsa_weights.csv")
+        assert header == ["signal_exit", "idler_exit", "weight_re", "weight_im", "weight_abs2"]
+        ids = parse_config(doc).system.channel_ids
+        assert [row[:2] for row in rows] == [[x, y] for x in ids for y in ids]
+        for _, _, re, im, abs2 in rows:
+            assert im == "0.0"
+            assert float(abs2) == float(re) ** 2
+
     def test_jsa_residual_gate(self, tmp_path):
         doc = eta_config(pump={"kind": "pulsed", "duration_fwhm_ps": 10.0})
         doc["options"] = {"jsa": {"grid_points": 128}}
@@ -874,10 +891,10 @@ def test_write_csv_formatting(tmp_path):
     assert main(["jsa", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
     config = parse_config(doc)
     grid = jsa.build_jsa(config.system, config.pump, n=97)
-    header = ["kappa1\\kappa2"] + grid.kappa2.tolist()
+    header = ["kappa1\\kappa2"] + grid.kappa.tolist()
     for name, data in (("jsa_abs2.csv", jsa.abs2(grid.values)),
                        ("jsa_phase.csv", np.angle(grid.values))):
-        rows = [[k] + row for k, row in zip(grid.kappa1.tolist(), data.tolist())]
+        rows = [[k] + row for k, row in zip(grid.kappa.tolist(), data.tolist())]
         assert (out / name).read_bytes() == _csv_writer_bytes(header, rows), name
 
 

@@ -7,10 +7,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lossy_ring_sfwm import jsa
+from lossy_ring_sfwm import jsa, phantom
 from lossy_ring_sfwm.config import parse_config
-from lossy_ring_sfwm.model import Band, ChannelCoupling, PulsedPump
-from lossy_ring_sfwm.phantom import Branch, enhancement_factor
+from lossy_ring_sfwm.constants import HBAR
+from lossy_ring_sfwm.model import Band, ChannelCoupling, CwPump, PulsedPump
+from lossy_ring_sfwm.phantom import enhancement_factor
 from conftest import bundled, bundled_system
 from oracles import weideman_coefficients
 
@@ -140,12 +141,6 @@ class TestFaddeeva:
         assert jsa._WEIDEMAN_COEFFS.shape == coeffs.shape == (40,)
         assert np.all(np.abs(jsa._WEIDEMAN_COEFFS - coeffs) <= 2 * np.spacing(np.abs(coeffs)))
 
-    def test_scalar_matches_array(self):
-        z = np.array(self.POINTS)
-        scalars = [jsa.wofz(c) for c in self.POINTS]
-        assert all(np.ndim(v) == 0 for v in scalars)
-        assert np.array_equal(np.array(scalars), jsa.wofz(z))
-
 
 class TestPumpFactor:
     def test_matches_faddeeva_closed_form(self, system_06, system_short_pulse):
@@ -158,16 +153,10 @@ class TestPumpFactor:
                                  (system_06, 10e-9)):
             pump = PulsedPump(duration_fwhm=duration)
             unit = min(system.gamma_bar(Band.PUMP), 1.0 / pump.tau)
-            g = jsa._pump_g_factor(system, pump)
-            for detuning in (0.0, 0.6, -2.3, 7.9, -13.0):
-                assert complex(g(detuning * unit)) == pytest.approx(
-                    _g_oracle(system, pump, detuning * unit), rel=1e-12, abs=0.0)
-
-    def test_array_input_matches_scalar(self, system_06, pulse_10ps):
-        gbar = system_06.gamma_bar(Band.PUMP)
-        detunings = np.linspace(-20.0, 20.0, 41) * gbar
-        g = jsa._pump_g_factor(system_06, pulse_10ps)
-        assert np.array_equal(g(detunings), [g(e) for e in detunings])
+            detunings = np.array([0.0, 0.6, -2.3, 7.9, -13.0]) * unit
+            values = jsa._pump_g_factor(system, pump)(detunings)
+            for e, value in zip(detunings.tolist(), values.tolist()):
+                assert value == pytest.approx(_g_oracle(system, pump, e), rel=1e-12, abs=0.0)
 
 
 class TestJsaGrid:
@@ -183,10 +172,11 @@ class TestJsaGrid:
     def test_weights(self, system_06, pulse_10ps):
         grid = jsa.build_jsa(system_06, pulse_10ps, n=64)
         # one lost idler relative to both collected: (1 - eta) / eta
-        assert abs(grid.weights[("O", "P")]) ** 2 == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert abs(grid.weights[("P", "O")]) ** 2 == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert abs(grid.weights[("P", "P")]) ** 2 == pytest.approx(4.0 / 9.0, rel=1e-12)
+        assert grid.weights[("O", "P")] ** 2 == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert grid.weights[("P", "O")] ** 2 == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert grid.weights[("P", "P")] ** 2 == pytest.approx(4.0 / 9.0, rel=1e-12)
         assert grid.weights[("O", "O")] == 1.0
+        assert all(type(w) is float and w > 0.0 for w in grid.weights.values())
 
     def test_shape_constancy_across_pairs(self, system_06, pulse_10ps):
         grid = jsa.build_jsa(system_06, pulse_10ps, n=64)
@@ -216,7 +206,8 @@ class TestJsaGrid:
     def test_grid_echo(self, system_06, pulse_10ps):
         grid = jsa.build_jsa(system_06, pulse_10ps, n=96, kappa_max=9.0)
         assert grid.values.shape == (96, 96)
-        assert grid.kappa1[0] == -9.0 and grid.kappa1[-1] == 9.0
+        assert grid.kappa.shape == (96,)
+        assert grid.kappa[0] == -9.0 and grid.kappa[-1] == 9.0
 
     def test_too_coarse_grid_raises(self, system_06, pulse_10ps):
         with pytest.raises(jsa.GridTooCoarseError,
@@ -266,8 +257,8 @@ class TestDistinctEnergies:
             return counted
 
         monkeypatch.setattr(jsa, "_pump_g_factor", recording_g_factor)
-        amplitude = jsa._direct_pair_grid(system, pulse_10ps, "O", "P", kappa, kappa)
-        grid = np.concatenate([amplitude.rows(start, start + 7, 1.0)
+        amplitude = jsa._direct_pair_grid(system, pulse_10ps, "O", "P", kappa)
+        grid = np.concatenate([amplitude(start, start + 7, 1.0)
                                for start in range(0, n, 7)])
         # each energy once: the 2n - 1 anti-diagonals in one call, or each
         # block's own cells as the block is formed
@@ -275,12 +266,12 @@ class TestDistinctEnergies:
 
         d1, d2 = gbs * kappa, gbi * kappa
         step1, step2 = gbs * (kappa[1] - kappa[0]), gbi * (kappa[1] - kappa[0])
-        g_cells = np.array([[complex(g((d1[0] + d2[0]) + step1 * (i + (step2 / step1) * j)))
+        g_cells = np.array([[complex(g(np.array([(d1[0] + d2[0])
+                                                 + step1 * (i + (step2 / step1) * j)]))[0])
                              for j in range(n)] for i in range(n)])
-        f_s = enhancement_factor(system, "O", Band.SIGNAL, d1, Branch.PLUS)
-        f_i = enhancement_factor(system, "P", Band.IDLER, d2, Branch.PLUS)
-        expected = 1j * jsa._jsa_prefactor(system) * np.conj(f_s)[:, None] \
-            * np.conj(f_i)[None, :] * g_cells
+        f_s = enhancement_factor(system, "O", Band.SIGNAL, d1)
+        f_i = enhancement_factor(system, "P", Band.IDLER, d2)
+        expected = 1j * jsa._jsa_prefactor(system) * f_s[:, None] * f_i[None, :] * g_cells
         assert np.array_equal(grid, expected)
 
     @pytest.mark.parametrize("n", [64, 97])
@@ -318,6 +309,64 @@ class TestCwLimit:
         f_short = antidiagonal_mass_fraction(system_06, short, width)
         f_long = antidiagonal_mass_fraction(system_06, long, width)
         assert f_long > f_short
+
+    @pytest.mark.parametrize("name, signal_band", [
+        ("ring_channel.json", None), ("add_drop.json", None),
+        ("ring_channel.json", {"group_velocity_m_per_s": 1.5e8})],
+        ids=["ring_channel", "add_drop", "unequal_linewidths"])
+    def test_pair_probability_meets_cw_closed_form(self, name, signal_band):
+        """beta^2 at alpha = 1 against the CW closed form times the pulse's
+        integral of P(t)^2, (hbar omega_P)^2 / (tau sqrt(2 pi)): the ratio r
+        follows 1 - r = c / (Gbar_P tau)^2 + O(tau^-4) with c = 3/2 +
+        (Gbar_P / (Gbar_S + Gbar_I))^2 (docs/pulsed_limits.md). total_mass
+        (Faddeeva g and a quadrature) and pair_rates (a closed form) share no
+        code."""
+        doc = bundled(name)
+        if signal_band:
+            doc["system"]["bands"]["signal"] = signal_band
+        system = parse_config(doc).system
+        gbar_p, gbar_s, gbar_i = (system.gamma_bar(b) for b in (Band.PUMP, Band.SIGNAL,
+                                                                  Band.IDLER))
+        assert (gbar_s != gbar_i) == (signal_band is not None)
+        c = 1.5 + (gbar_p / (gbar_s + gbar_i)) ** 2
+        rate = sum(phantom.pair_rates(system, CwPump(1.0)).values())  # 1 W
+        photon = HBAR * system.bands[Band.PUMP].omega
+        deficits, leftovers = [], []
+        for target in (10.0, 20.0, 40.0):  # Gbar_P tau
+            pump = PulsedPump(duration_fwhm=target / gbar_p * 2.0 * math.sqrt(math.log(2.0)))
+            x = gbar_p * pump.tau
+            beta2_cw = rate * photon ** 2 / (pump.tau * math.sqrt(2.0 * math.pi))
+            r = jsa.total_mass(system, pump) / beta2_cw
+            deficits.append((1.0 - r) * x ** 2)
+            leftovers.append((1.0 - r - c / x ** 2) * x ** 4)
+        # (1 - r) (Gbar_P tau)^2 closes on c about 4x per doubling of tau
+        gaps = [c - d for d in deficits]
+        assert all(0.0 < gap for gap in gaps)
+        assert gaps[1] < gaps[0] / 3.0 and gaps[2] < gaps[1] / 3.0
+        assert gaps[2] < 5e-3
+        # and what is left settles near -4 (Gbar_P tau)^-4
+        assert all(-4.8 < v < -3.6 for v in leftovers), leftovers
+        assert abs(leftovers[2] - leftovers[1]) < 0.1
+
+
+class TestPurity:
+    def test_short_pulse_purity_tends_to_eleven_twelfths(self):
+        """Equal linewidths and a pulse short against the ring's dwell time:
+        in units of Gbar the JSA tends to 1 / ((x + i)(y + i)(x + y + 2i)),
+        min(t1, t2) e^{-t1 - t2} in time, whose heralded purity is exactly
+        11/12 (docs/pulsed_limits.md). The 512^2 grid to 80 linewidths is
+        within about 3e-6 of a 1024^2 grid to 120."""
+        system = bundled_system()
+        assert system.gamma_bar(Band.SIGNAL) == system.gamma_bar(Band.IDLER)
+        deficits = []
+        for duration in (1e-12, 0.5e-12):
+            grid = jsa.build_jsa(system, PulsedPump(duration), n=512, kappa_max=80.0)
+            s = np.linalg.svd(grid.rows(0, 512), compute_uv=False)
+            p = s ** 2 / np.sum(s ** 2)
+            deficits.append(11.0 / 12.0 - float(np.sum(p ** 2)))
+        assert all(d > 0.0 for d in deficits), deficits
+        assert deficits[1] < deficits[0] / 5.0
+        assert deficits[1] <= 3e-5
 
 
 class TestShortPulse:

@@ -45,21 +45,23 @@ def random_system(rng: random.Random, n_physical: int) -> SystemSpec:
 
 
 def peak_abs2(system: SystemSpec, channel_id: str, band: Band) -> float:
-    """|F|^2 on resonance, of either branch."""
-    return abs(ph.enhancement_factor(system, channel_id, band, 0.0, ph.Branch.MINUS)) ** 2
+    """|F|^2 on resonance, of F_- and of its conjugate F_+ alike."""
+    return abs(ph.enhancement_factor(system, channel_id, band, 0.0)) ** 2
 
 
 def scattering_matrix(system: SystemSpec, band: Band, d: float,
-                      branch: ph.Branch) -> np.ndarray:
+                      outgoing: bool = False) -> np.ndarray:
     """S_YX = delta_XY +- i gamma_Y sqrt(L) F_X / v over every channel, phantom
-    included: on the MINUS branch (+) the wave leaving through Y when a unit
-    wave enters through X, on the PLUS branch (-) the wave entering through Y
-    of the solution with a unit wave leaving through X."""
+    included: from F = F_- (+) the wave leaving through Y when a unit wave
+    enters through X; outgoing, from F = F_+ = F_-* (-), the wave entering
+    through Y of the solution with a unit wave leaving through X."""
     ids = system.channel_ids
     v = system.bands[band].v
     sqrt_l = math.sqrt(system.ring.circumference)
-    sign = 1j if branch is ph.Branch.MINUS else -1j
-    f = [ph.enhancement_factor(system, x, band, d, branch) for x in ids]
+    sign = -1j if outgoing else 1j
+    f = [ph.enhancement_factor(system, x, band, d) for x in ids]
+    if outgoing:
+        f = [fx.conjugate() for fx in f]
     return np.array([[(y == x) + sign * system.amplitude_coupling(y, band) * sqrt_l * fx / v
                       for x, fx in zip(ids, f)] for y in ids])
 
@@ -81,10 +83,40 @@ class TestEnhancementFactor:
             / (system.ring.circumference * system.gamma_bar(Band.PUMP) ** 2)
         assert f2 == pytest.approx(expected, rel=1e-12)
 
+    def test_incoming_sign(self):
+        # F_- = gamma / (sqrt(L) (-i Gbar - d)) = gamma (-d + i Gbar) / (sqrt(L)
+        # (d^2 + Gbar^2)), the response of a damped mode driven as e^{-i omega t}
+        system = sample_system()
+        gbar = system.gamma_bar(Band.PUMP)
+        d = np.array([-3.0, -0.5, 0.0, 0.5, 3.0]) * gbar
+        f = ph.enhancement_factor(system, "O", Band.PUMP, d)
+        expected = system.amplitude_coupling("O", Band.PUMP) * (-d + 1j * gbar) \
+            / (math.sqrt(system.ring.circumference) * (d * d + gbar * gbar))
+        np.testing.assert_allclose(f, expected, rtol=1e-15, atol=0.0)
+        assert np.all(f.imag > 0.0)
+
+    @pytest.mark.parametrize("n_physical", [1, 2, 3])
+    def test_conjugate_of_outgoing_bit_for_bit(self, n_physical):
+        # F_- is the conjugate of F_+ = gamma / (sqrt(L) (i Gbar - d)) to the
+        # last bit at every real d, the sign of a zero real part at d = 0
+        # included, so the JSA's tables do not depend on which one is formed
+        rng = random.Random(30_000 + n_physical)
+        system = random_system(rng, n_physical)
+        for band in Band:
+            gbar = system.gamma_bar(band)
+            d = gbar * np.concatenate([[0.0, 1e-300, -1e-300, 1.0, -1.0],
+                                       np.linspace(-8.0, 8.0, 33),
+                                       [rng.uniform(-1e3, 1e3) for _ in range(200)]])
+            sqrt_l = math.sqrt(system.ring.circumference)
+            for x in system.channel_ids[:-1]:  # the phantom may be decoupled
+                f = ph.enhancement_factor(system, x, band, d)
+                outgoing = system.amplitude_coupling(x, band) / (sqrt_l * (1j * gbar - d))
+                assert f.tobytes() == np.conj(outgoing).tobytes()
+
     def test_decoupled_channel_vanishes(self):
         system = bundled_system(couplings={"O": {"gamma_rad_per_s": 1e10},
                                            "P": {"gamma_rad_per_s": 0}})
-        f = ph.enhancement_factor(system, "P", Band.SIGNAL, 0.0, ph.Branch.PLUS)
+        f = ph.enhancement_factor(system, "P", Band.SIGNAL, 0.0)
         assert f == 0.0
 
     def test_half_width(self):
@@ -92,7 +124,7 @@ class TestEnhancementFactor:
         system = sample_system()
         gbar = system.gamma_bar(Band.SIGNAL)
         peak = peak_abs2(system, "O", Band.SIGNAL)
-        f = ph.enhancement_factor(system, "O", Band.SIGNAL, gbar, ph.Branch.PLUS)
+        f = ph.enhancement_factor(system, "O", Band.SIGNAL, gbar)
         assert abs(f) ** 2 == pytest.approx(peak / 2.0, rel=1e-14)
 
     def test_fwhm_is_full_linewidth(self):
@@ -100,8 +132,8 @@ class TestEnhancementFactor:
         system = sample_system(eta=0.37)
         gbar = system.gamma_bar(Band.IDLER)
         peak = peak_abs2(system, "O", Band.IDLER)
-        lo = ph.enhancement_factor(system, "O", Band.IDLER, -gbar, ph.Branch.MINUS)
-        hi = ph.enhancement_factor(system, "O", Band.IDLER, gbar, ph.Branch.MINUS)
+        lo = ph.enhancement_factor(system, "O", Band.IDLER, -gbar)
+        hi = ph.enhancement_factor(system, "O", Band.IDLER, gbar)
         assert abs(lo) ** 2 == pytest.approx(peak / 2.0, rel=1e-14)
         assert abs(hi) ** 2 == pytest.approx(peak / 2.0, rel=1e-14)
 
@@ -112,7 +144,7 @@ class TestAsymptoticAmplitudes:
 
     def test_extinction_at_critical_coupling(self):
         system = sample_system(eta=0.5)
-        s = scattering_matrix(system, Band.PUMP, 0.0, ph.Branch.MINUS)
+        s = scattering_matrix(system, Band.PUMP, 0.0)
         assert abs(s[0, 0]) < 1e-12  # nothing leaves through the bus it entered
 
     def test_transparent_ring_limit(self):
@@ -120,22 +152,22 @@ class TestAsymptoticAmplitudes:
         system = bundled_system("add_drop.json", {"T": weak, "D": weak}, loss_db_per_cm=0.0)
         assert system.channel_ids[:2] == ("T", "D")
         d = 1e2 * system.bands[Band.PUMP].v  # off resonance, v times 100 1/m
-        s = scattering_matrix(system, Band.PUMP, d, ph.Branch.MINUS)
+        s = scattering_matrix(system, Band.PUMP, d)
         assert s[0, 0] == pytest.approx(1.0, abs=1e-10)  # through T, into T
         assert abs(s[1, 0]) < 1e-10  # nothing drops into D
 
     @pytest.mark.parametrize("n_physical", [1, 2, 3])
     def test_flux_conservation(self, n_physical):
         # S^dag S = I: every column carries unit flux, and distinct columns
-        # are orthogonal, on both branches
+        # are orthogonal, for incoming- and outgoing-type solutions alike
         rng = random.Random(20_000 + n_physical)
         system = random_system(rng, n_physical)
         for band in Band:
             gbar = system.gamma_bar(band)
             for _ in range(40):
                 d = rng.uniform(-6.0, 6.0) * gbar
-                for branch in ph.Branch:
-                    assert unitarity_defect(scattering_matrix(system, band, d, branch)) \
+                for outgoing in (False, True):
+                    assert unitarity_defect(scattering_matrix(system, band, d, outgoing)) \
                         <= 1e-12
 
 
@@ -275,17 +307,16 @@ class TestGoldenRuleOracle:
         scale = HBAR ** 2 * EPS0 * pb.v ** 2 / (12.0 * math.pi ** 2) \
             * math.sqrt(sb.omega * ib.omega) * system.ring.gamma_nl \
             * system.ring.circumference
-        f_p = ph.enhancement_factor(system, "O", Band.PUMP, pump.detuning, ph.Branch.MINUS)
+        f_p = ph.enhancement_factor(system, "O", Band.PUMP, pump.detuning)
         # the idler's detuning is the pairs' 2 delta_p (+ 2 omega_P - omega_S
         # - omega_I = 0 on one shared band) less the signal's
         d1 = np.linspace(-40.0, 40.0, 161) * gbar
         for x, y in (("O", "O"), ("O", "P"), ("P", "O")):
             kernel = ph._golden_rule_kernel(system, pump, x, y, d1)
             for d, value in zip(d1.tolist(), kernel.tolist()):
-                f_s = ph.enhancement_factor(system, x, Band.SIGNAL, d, ph.Branch.PLUS)
-                f_i = ph.enhancement_factor(system, y, Band.IDLER, 2.0 * pump.detuning - d,
-                                            ph.Branch.PLUS)
-                expected = abs(scale * f_s.conjugate() * f_i.conjugate() * f_p * f_p) ** 2
+                f_s = ph.enhancement_factor(system, x, Band.SIGNAL, d)
+                f_i = ph.enhancement_factor(system, y, Band.IDLER, 2.0 * pump.detuning - d)
+                expected = abs(scale * f_s * f_i * f_p * f_p) ** 2
                 assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_matches_closed_form_on_reference(self):
