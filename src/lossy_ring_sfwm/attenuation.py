@@ -44,7 +44,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .model import Band, CwPump, SystemSpec, phantom_gamma_from_xi, two_photon_detuning
-from .numerics import integrate_adaptive
+from .numerics import QuadratureError, integrate_adaptive
 
 # half-width of the rate quadrature window, as a fraction of one free
 # spectral range, so neighbouring resonances never leak in
@@ -228,9 +228,12 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
         if lo < e < hi:
             t_m = theta(e)
             points.append((t_m, abs(theta(e + gamma_i) - t_m)))
-    quad = integrate_adaptive(mapped, theta(lo), theta(hi), rel_tol=rel_tol, points=points)
     prefactor = (1.0 / TWO_PI) * (ring.gamma_nl * pump.power / pb.omega) ** 2 \
         * pb.v ** 2 / (sb.v * ib.v)
+    try:
+        quad = integrate_adaptive(mapped, theta(lo), theta(hi), rel_tol=rel_tol, points=points)
+    except QuadratureError as e:
+        raise e.scaled(prefactor, f"strategy-1 rate R[{signal_exit},{idler_exit}]") from e
     rate = prefactor * quad.value
     if not math.isfinite(rate):
         raise FloatingPointError(f"the strategy-1 pair rate is {rate}, past the float range")

@@ -16,13 +16,15 @@ bad config or geometry, or an option the command does not take.
 
 Each command runs in a fresh process, which compiles every module it
 loads when no bytecode cache is written, so each handler imports the
-layers it runs. Importing cli and parsing a config load config, model,
-constants and numerics; ratios and oracle-check add phantom; sweep-eta
-and add-drop-grid add sweeps and phantom; rate, sweep-sigma and
-compare-finesse add attenuation too; jsa adds jsa and phantom. No
-command loads OpenSSL: the config hash is CPython's built-in SHA-256.
-Nor does any load numpy.polynomial or numpy.fft: the Gauss-Legendre and
-Faddeeva tables are constants.
+layers it runs. Importing cli and parsing a config load config, model and
+constants and no numpy, so --help, a bad option and a bad config exit
+without it. Once the config parses, main imports numpy, then the handler
+its layers: ratios and oracle-check load numerics and phantom; sweep-eta
+and add-drop-grid add sweeps; rate, sweep-sigma and compare-finesse add
+sweeps and attenuation; jsa loads numerics, jsa and phantom. No command
+loads OpenSSL: the config hash is CPython's built-in SHA-256. Nor does
+any load numpy.polynomial or numpy.fft: the Gauss-Legendre and Faddeeva
+tables are constants.
 """
 
 from __future__ import annotations
@@ -36,12 +38,9 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, _check_keys, _number, derived_echo, parse_config
 from .constants import TWO_PI
 from .model import Band, CwPump, GeometryError, PulsedPump, finesse, sigma_from_gamma
-from .numerics import QuadratureError
 
 if TYPE_CHECKING:  # the handlers import the layers they run
     from .sweeps import SweepResult
@@ -81,7 +80,8 @@ def _write_float_csv(path: Path, header: list):
     its rows; the writer mends row by row, splitting into cells and
     re-joining only the rows that hold a cell to mend.
     """
-    # imported here, so that the commands writing no grid never load it
+    # orjson is imported here, so that the commands writing no grid never load it
+    import numpy as np
     import orjson
 
     def append(*columns: np.ndarray) -> None:
@@ -113,6 +113,8 @@ def _write_sweep(outdir: Path, command: str, config: RunConfig,
                  result: SweepResult) -> int:
     """<stem>.csv holds the sweep axis, then every value column in the result's
     order, each under its name; <stem>_meta.json the result's metadata."""
+    import numpy as np
+
     stem = command.replace("-", "_")
     ((name, axis),) = result.axes.items()
     _write_csv(outdir / f"{stem}.csv", [name] + list(result.values),
@@ -146,6 +148,8 @@ def _require_cw(config: RunConfig) -> CwPump:
 
 def _axis(config: RunConfig, name: str, lo_key: str, hi_key: str, n_key: str, defaults,
           *, log=False, unit: str | None = None):
+    import numpy as np
+
     # unit: "(0, 1)" for an escape efficiency, "(0, 1]" for a self-coupling
     block, path = config.options.get(name, {}), f"options.{name}"
     _check_keys(block, {lo_key, hi_key, n_key}, path)
@@ -330,6 +334,8 @@ def cmd_compare_finesse(config: RunConfig, outdir: Path, tol) -> int:
 
 
 def cmd_add_drop_grid(config: RunConfig, outdir: Path, tol) -> int:
+    import numpy as np
+
     from . import sweeps
 
     pump = _require_cw(config)
@@ -368,6 +374,8 @@ def _reference_pair(config: RunConfig, ref) -> tuple[str, str]:
 
 
 def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
+    import numpy as np
+
     from . import jsa
 
     pump = config.pump
@@ -502,6 +510,8 @@ def main(argv=None) -> int:
         return 2
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    import numpy as np  # every handler computes with it; parsing does not
+
     try:
         # numpy would warn of an overflow or a 0/0 on stderr; the rate kernels
         # raise on a rate that is not finite instead
@@ -513,7 +523,7 @@ def main(argv=None) -> int:
     except GeometryError as e:
         print(f"invalid config: system.channels: {e}", file=sys.stderr)
         return 2
-    except (QuadratureError, ArithmeticError) as e:
+    except ArithmeticError as e:  # a QuadratureError too
         # every pair rate and the pair mass square a factor that carries
         # gamma_nl; an overflow is blamed on it only when gamma_nl^2 alone
         # leaves the float range, so an overflowing power or radius is not

@@ -31,13 +31,32 @@ _GL16_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
 _PANEL_LIMIT = 200  # panels a quadrature may split into before it gives up
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive integration did not reach the requested tolerance."""
+class QuadratureError(ArithmeticError):
+    """Adaptive integration did not reach the requested tolerance. An
+    ArithmeticError, like an overflow or a zero rate, so the command-line
+    interface ends the command with exit 1 on it and need not import this
+    module, or numpy, to catch it."""
 
-    def __init__(self, message: str, value=None, error_estimate=None):
+    def __init__(self, message: str, value=None, error_estimate=None, rel_tol=None):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+        self.rel_tol = rel_tol
+
+    def scaled(self, factor: float, what: str) -> QuadratureError:
+        """This failure restated for `what`, a pair rate of factor times the
+        integral, with its value and estimate in pairs/s; raise it from this
+        one."""
+        value, error = factor * self.value, abs(factor) * self.error_estimate
+        return QuadratureError(_not_converged(f"{what}: quadrature", error, self.rel_tol,
+                                              value, " pairs/s"),
+                               value=value, error_estimate=error, rel_tol=self.rel_tol)
+
+
+def _not_converged(what: str, error: float, rel_tol: float, value: float,
+                   unit: str = "") -> str:
+    return (f"{what} did not converge: estimate {error:.3e}{unit} vs requested "
+            f"{rel_tol:.1e} relative on value {value:.6e}{unit}")
 
 
 @dataclass(frozen=True)
@@ -112,10 +131,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
             return QuadratureResult(value, abserr, evaluations)
         room = _PANEL_LIMIT - len(lo)
         if room <= 0:
-            raise QuadratureError(
-                f"quadrature did not converge: estimate {abserr:.3e} vs requested "
-                f"{rel_tol:.1e} relative on value {value:.6e}",
-                value=value, error_estimate=abserr)
+            raise QuadratureError(_not_converged("quadrature", abserr, rel_tol, value),
+                                  value=value, error_estimate=abserr, rel_tol=rel_tol)
         worst_first = np.argsort(-err, kind="stable")[:room]
         split = np.zeros(len(lo), dtype=bool)
         split[worst_first] = err[worst_first] > tol / len(lo)

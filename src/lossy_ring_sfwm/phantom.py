@@ -34,7 +34,7 @@ import numpy as np
 
 from .constants import EPS0, HBAR
 from .model import Band, CwPump, SystemSpec, two_photon_detuning
-from .numerics import integrate_adaptive
+from .numerics import QuadratureError, integrate_adaptive
 
 if TYPE_CHECKING:  # used in annotations only, so no command pays its import
     from numpy.typing import ArrayLike
@@ -183,9 +183,12 @@ def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
 
     # peaks as (theta, half-width in theta), dtheta/domega1 = 1 / (Gbar_S (1 + x^2))
     # at the idler's; a difference of atans would round to 0 far out
-    quad = integrate_adaptive(mapped, -0.5 * math.pi, 0.5 * math.pi, rel_tol=1e-8,
-                              points=[(0.0, 0.25 * math.pi),
-                                      (math.atan(x), gbar_i / gbar_s / (1.0 + x * x))])
     prefactor = 72.0 * math.pi ** 3 / (EPS0 ** 2 * HBAR ** 4 * omega_o ** 2) \
         * pump.power ** 2 / (sb.v * ib.v * pb.v ** 2)
+    try:
+        quad = integrate_adaptive(mapped, -0.5 * math.pi, 0.5 * math.pi, rel_tol=1e-8,
+                                  points=[(0.0, 0.25 * math.pi),
+                                          (math.atan(x), gbar_i / gbar_s / (1.0 + x * x))])
+    except QuadratureError as e:
+        raise e.scaled(prefactor, f"oracle rate R[{signal_exit},{idler_exit}]") from e
     return prefactor * quad.value

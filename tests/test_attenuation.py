@@ -15,7 +15,7 @@ from lossy_ring_sfwm.config import parse_config
 from lossy_ring_sfwm.constants import TWO_PI
 from lossy_ring_sfwm.model import (Band, ChannelCoupling, CwPump, GeometryError, finesse,
                                    gamma_from_sigma, two_photon_detuning)
-from lossy_ring_sfwm.numerics import integrate_adaptive
+from lossy_ring_sfwm.numerics import QuadratureError, integrate_adaptive
 from conftest import bundled, bundled_system
 from oracles import PointCoupler, coupler_scatter, overlap_by_zeta_scan, strategy1_rate_mp
 
@@ -581,3 +581,30 @@ class TestModeOrders:
         pump = CwPump(1e-3)
         assert att.pair_rate_cw(system, pump, *exits, rel_tol=1e-10) == pytest.approx(
             strategy1_rate_mp(system, pump, *exits), rel=1e-9)
+
+    def test_mismatched_add_drop_failure_quoted_in_pairs_per_s(self, monkeypatch):
+        # TD and DD converge to the bits they had before a failure was
+        # restated. A quadrature that fails quotes the rate it reached, in
+        # pairs/s, not the theta integral before its prefactor
+        system = _mode_order_system("add_drop.json", signal_index=2.42)
+        pump = CwPump(1e-3)
+        assert att.pair_rate_cw(system, pump, "T", "D") == 11.006426297854075
+        assert att.pair_rate_cw(system, pump, "D", "D") == 22.36049347585042
+        integrate = att.integrate_adaptive
+
+        def fail(*args, **kwargs):
+            value = integrate(*args, **kwargs).value
+            raise QuadratureError("quadrature did not converge", value=value,
+                                  error_estimate=1e-3 * value, rel_tol=kwargs["rel_tol"])
+
+        monkeypatch.setattr(att, "integrate_adaptive", fail)
+        with pytest.raises(QuadratureError) as exc:
+            att.pair_rate_cw(system, pump, "T", "D")
+        err = exc.value
+        assert err.value == 11.006426297854075
+        assert err.error_estimate == pytest.approx(1e-3 * err.value, rel=1e-15)
+        assert str(err) == ("strategy-1 rate R[T,D]: quadrature did not converge: estimate "
+                            f"{err.error_estimate:.3e} pairs/s vs requested 1.0e-06 "
+                            f"relative on value {err.value:.6e} pairs/s")
+        assert isinstance(err.__cause__, QuadratureError)
+        assert err.__cause__.value != err.value

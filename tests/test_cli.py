@@ -906,9 +906,8 @@ def _write_float_rows(path: Path, header: list, rows: list) -> None:
             append(np.array(rows[start:start + 3]))
 
 
-def _loaded_modules(code: str) -> list[str]:
-    """The modules loaded after running code in a fresh interpreter."""
-    code += "\nimport json\nprint(json.dumps(sorted(sys.modules)))\n"
+def _last_json_line(code: str):
+    """The last line code prints in a fresh interpreter, decoded as JSON."""
     src = str(Path(lossy_ring_sfwm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
@@ -917,17 +916,22 @@ def _loaded_modules(code: str) -> list[str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _loaded_modules(code: str) -> list[str]:
+    """The modules loaded after running code in a fresh interpreter."""
+    return _last_json_line(code + "\nimport json\nprint(json.dumps(sorted(sys.modules)))\n")
+
+
 def _layers(loaded: list[str]) -> set[str]:
     """The layers of the package among loaded modules."""
     return {m.rpartition(".")[2] for m in loaded if m.startswith("lossy_ring_sfwm.")} \
         & {"attenuation", "jsa", "phantom", "sweeps"}
 
 
-def test_import_and_parse_leave_scipy_unloaded():
-    # the closed-form commands never integrate, so they must not pay for scipy;
-    # each handler imports the layers it runs, and parsing runs none of them.
-    # The config hash is CPython's built-in SHA-256, so no command loads
-    # OpenSSL, which importing hashlib does
+def test_import_and_parse_load_no_numpy():
+    # each handler imports the layers it runs, and parsing runs none of them;
+    # config, model and constants compute in plain Python, so a bad config
+    # or --help never waits for numpy. The config hash is CPython's built-in
+    # SHA-256, so no command loads OpenSSL, which importing hashlib does
     code = ("import sys\n"
             "from importlib import resources\n"
             "import lossy_ring_sfwm.cli\n"
@@ -936,17 +940,59 @@ def test_import_and_parse_leave_scipy_unloaded():
             "    parse_config((resources.files('lossy_ring_sfwm') / 'configs' / name)"
             ".read_text())\n")
     loaded = _loaded_modules(code)
-    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")] == []
+    assert "lossy_ring_sfwm.numerics" not in loaded
     assert "concurrent.futures" not in loaded  # the sweeps run in one thread
     assert _layers(loaded) == set()
     assert "_hashlib" not in loaded
+
+
+def test_exits_before_a_handler_load_no_numpy(tmp_path):
+    # every exit 2 that main takes before a handler runs prints one line and
+    # loads no numpy; argparse puts its usage before its one error line
+    bad_json = _write_config(tmp_path, "{", name="bad.json")
+    unknown_key = _write_config(tmp_path, {**bundled(), "extra": 1}, name="unknown.json")
+    good = _write_config(tmp_path, bundled(), name="good.json")
+    out = str(tmp_path / "out")
+    runs = {"missing file": (["rate", "--config", str(tmp_path / "nope.json")],
+                             "config file not found: "),
+            "invalid JSON": (["rate", "--config", bad_json], "invalid config: "),
+            "unknown key": (["rate", "--config", unknown_key], "invalid config: $.extra: "),
+            "--tol on rate": (["rate", "--config", good, "--tol", "1e-3"],
+                              "rate: --tol applies only to jsa and oracle-check"),
+            "unknown command": (["bogus", "--config", good],
+                                "lossy-ring-sfwm: error: argument command: invalid choice")}
+    argvs = {name: argv for name, (argv, _) in runs.items()}
+    code = ("import contextlib, io, json, sys\n"
+            "from lossy_ring_sfwm.cli import main\n"
+            "results = {}\n"
+            f"for name, argv in {argvs!r}.items():\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        try:\n"
+            f"            code = main(argv + ['--out', {out!r}])\n"
+            "        except SystemExit as e:\n"
+            "            code = e.code\n"
+            "    results[name] = [code, err.getvalue(), 'numpy' in sys.modules]\n"
+            "print(json.dumps(results))\n")
+    results = _last_json_line(code)
+    for name, (_, message) in runs.items():
+        status, err, numpy_loaded = results[name]
+        lines = err.splitlines()
+        if name == "unknown command":
+            assert lines[0].startswith("usage: lossy-ring-sfwm "), name
+            lines = [line for line in lines if "error:" in line]
+        assert status == 2, name
+        assert len(lines) == 1 and lines[0].startswith(message), (name, err)
+        assert not numpy_loaded, name
+    assert not (tmp_path / "out").exists()
 
 
 # numpy packages no command needs: the quadrature and Faddeeva tables are constants
 _TABLE_MODULES = ("numpy.polynomial", "numpy.fft")
 
 
-def test_commands_leave_scipy_unloaded(tmp_path):
+def test_commands_load_only_their_layers(tmp_path):
     # quadratures and the Faddeeva function run in numpy, and their
     # Gauss-Legendre and Weideman tables are constants, so no command, jsa
     # included, loads numpy.polynomial or numpy.fft. Only the 2-D grids of
@@ -954,7 +1000,8 @@ def test_commands_leave_scipy_unloaded(tmp_path):
     # and oracle checks must not pay for its import. Each
     # command loads only the layers it runs: phantom for the closed forms,
     # sweeps for a sweep or the strategies' difference, attenuation for
-    # strategy 1 and jsa for the JSA. None hashes its config through OpenSSL
+    # strategy 1 and jsa for the JSA. None hashes its config through OpenSSL.
+    # Every one computes with numpy, which main loads before the handler
     closed_forms, maps = {"phantom"}, {"phantom", "sweeps"}
     strategy1 = {"attenuation", "phantom", "sweeps"}
     runs = [("oracle-check", "ring_channel.json", {}, closed_forms),
@@ -978,6 +1025,7 @@ def test_commands_leave_scipy_unloaded(tmp_path):
                 f"assert main([{command!r}, '--config', {cfg!r}, "
                 f"'--out', {str(tmp_path / f'o{i}')!r}]) == 0\n")
         loaded = _loaded_modules(code)
+        assert {"numpy", "lossy_ring_sfwm.numerics"} <= set(loaded), command
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == [], command
         assert not [m for m in loaded if m.startswith(_TABLE_MODULES)], command
         assert ("orjson" in loaded) == (command == "add-drop-grid"), command
@@ -991,6 +1039,7 @@ def test_commands_leave_scipy_unloaded(tmp_path):
                              "from lossy_ring_sfwm.cli import main\n"
                              f"assert main(['jsa', '--config', {cfg!r}, "
                              f"'--out', {str(tmp_path / 'jsa')!r}]) == 0\n")
+    assert {"numpy", "lossy_ring_sfwm.numerics"} <= set(loaded)
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
     assert not [m for m in loaded if m.startswith(_TABLE_MODULES)]
     assert "orjson" in loaded

@@ -16,6 +16,7 @@ from lossy_ring_sfwm.constants import EPS0, HBAR
 from lossy_ring_sfwm.model import (Band, ChannelCoupling, ChannelKind, CwPump,
                                    RingSpec, SystemSpec, band_from_wavelength,
                                    phantom_gamma_from_xi)
+from lossy_ring_sfwm.numerics import QuadratureError
 from conftest import bundled, bundled_system
 
 
@@ -337,6 +338,29 @@ class TestGoldenRuleOracle:
         system = sample_system()
         system = replace(system, ring=replace(system.ring, gamma_nl=0.0))
         assert ph.fgr_rate_oracle(system, CwPump(1e-3), "O", "O") == 0.0
+
+    def test_failure_quoted_in_pairs_per_s(self, monkeypatch):
+        # a quadrature that fails quotes the rate it reached, not the theta
+        # integral before its prefactor
+        system = sample_system()
+        pump = CwPump(1e-3)
+        rate = ph.fgr_rate_oracle(system, pump, "O", "O")
+        integrate = ph.integrate_adaptive
+
+        def fail(*args, **kwargs):
+            value = integrate(*args, **kwargs).value
+            raise QuadratureError("quadrature did not converge", value=value,
+                                  error_estimate=1e-3 * value, rel_tol=1e-8)
+
+        monkeypatch.setattr(ph, "integrate_adaptive", fail)
+        with pytest.raises(QuadratureError) as exc:
+            ph.fgr_rate_oracle(system, pump, "O", "O")
+        err = exc.value
+        assert err.value == rate
+        assert err.error_estimate == pytest.approx(1e-3 * rate, rel=1e-15)
+        assert str(err) == ("oracle rate R[O,O]: quadrature did not converge: estimate "
+                            f"{err.error_estimate:.3e} pairs/s vs requested 1.0e-08 "
+                            f"relative on value {rate:.6e} pairs/s")
 
     @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
     @pytest.mark.parametrize("linewidths", [0.0, 1.0, 30.0, 84.0, 400.0])
