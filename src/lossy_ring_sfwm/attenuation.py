@@ -40,8 +40,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .constants import TWO_PI
 from .model import Band, CwPump, SystemSpec, phantom_gamma_from_xi, two_photon_detuning
 from .numerics import QuadratureError, integrate_adaptive
@@ -214,10 +212,9 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
         j = overlap_of_fields(signal(d1), idler(e - d1), pump_field, delta_kappa=delta_kappa)
         return (sb.omega + d1) * (ib.omega + (e - d1)) * abs(j) ** 2
 
-    def mapped(t: np.ndarray) -> np.ndarray:
-        d1 = scale * np.arctan(np.tan(t) / s)
-        jacobian = scale * s / (s * s * np.cos(t) ** 2 + np.sin(t) ** 2)
-        return np.array([integrand(d) for d in d1.tolist()]) * jacobian
+    def mapped(thetas: list[float]) -> list[float]:
+        return [integrand(scale * math.atan(math.tan(t) / s))
+                * (scale * s / (s * s * math.cos(t) ** 2 + math.sin(t) ** 2)) for t in thetas]
 
     lo, hi = signal_window(system, pump)
     gamma_s, gamma_i = _linewidth(system, Band.SIGNAL), _linewidth(system, Band.IDLER)
@@ -233,7 +230,8 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
     try:
         quad = integrate_adaptive(mapped, theta(lo), theta(hi), rel_tol=rel_tol, points=points)
     except QuadratureError as e:
-        raise e.scaled(prefactor, f"strategy-1 rate R[{signal_exit},{idler_exit}]") from e
+        raise e.scaled(prefactor, f"strategy-1 rate R[{signal_exit},{idler_exit}]",
+                       " pairs/s") from e
     rate = prefactor * quad.value
     if not math.isfinite(rate):
         raise FloatingPointError(f"the strategy-1 pair rate is {rate}, past the float range")

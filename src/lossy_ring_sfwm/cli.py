@@ -18,13 +18,14 @@ Each command runs in a fresh process, which compiles every module it
 loads when no bytecode cache is written, so each handler imports the
 layers it runs. Importing cli and parsing a config load config, model and
 constants and no numpy, so --help, a bad option and a bad config exit
-without it. Once the config parses, main imports numpy, then the handler
-its layers: ratios and oracle-check load numerics and phantom; sweep-eta
-and add-drop-grid add sweeps; rate, sweep-sigma and compare-finesse add
-sweeps and attenuation; jsa loads numerics, jsa and phantom. No command
-loads OpenSSL: the config hash is CPython's built-in SHA-256. Nor does
-any load numpy.polynomial or numpy.fft: the Gauss-Legendre and Faddeeva
-tables are constants.
+without it. ratios and oracle-check load numerics and phantom, and rate
+attenuation too: these three compute in Python floats and load no numpy.
+main imports numpy before the handlers of the others:
+sweep-eta and add-drop-grid load numerics, phantom and sweeps, sweep-sigma
+and compare-finesse add attenuation, and jsa loads numerics, jsa, phantom.
+No command loads OpenSSL (the config hash is CPython's built-in SHA-256),
+numpy.polynomial or numpy.fft (the quadrature and Faddeeva tables are
+constants).
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def _attenuation_pairs(config: RunConfig, pump: CwPump):
 
 
 def cmd_rate(config: RunConfig, outdir: Path, tol) -> int:
-    from . import phantom, sweeps
+    from . import phantom
 
     pump = _require_cw(config)
     rows = []
@@ -260,8 +261,8 @@ def cmd_rate(config: RunConfig, outdir: Path, tol) -> int:
             if x == y == config.system.pump_input_channel:
                 matched["attenuation"] = rate
     if len(matched) == 2:
-        meta["rel_difference"] = sweeps.rel_difference(matched["attenuation"],
-                                                       matched["phantom"])
+        meta["rel_difference"] = phantom.rel_difference(matched["attenuation"],
+                                                        matched["phantom"])
     _write_csv(outdir / "rate.csv",
                ["strategy", "signal_exit", "idler_exit", "rate_pairs_per_s"], rows)
     _write_metadata(outdir / "rate_meta.json", meta)
@@ -473,8 +474,13 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line, as a bad config gets: no usage lines
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lossy-ring-sfwm",
         description="Photon-pair generation in lossy microring-waveguide systems.")
     parser.add_argument("command", choices=_HANDLERS)
@@ -488,6 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _GATED = ("jsa", "oracle-check")  # the commands that read --tol
+_SCALAR = ("rate", "ratios", "oracle-check")  # the commands that compute without numpy
 # the options blocks, one per command that reads options; each command
 # checks the keys of its own block
 _OPTION_BLOCKS = {"sweep_sigma", "sweep_eta", "compare_finesse", "add_drop_grid", "jsa",
@@ -510,12 +517,15 @@ def main(argv=None) -> int:
         return 2
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    import numpy as np  # every handler computes with it; parsing does not
+    errstate = contextlib.nullcontext()
+    if args.command not in _SCALAR:
+        import numpy as np  # the array handlers compute with it
 
-    try:
         # numpy would warn of an overflow or a 0/0 on stderr; the rate kernels
         # raise on a rate that is not finite instead
-        with np.errstate(all="ignore"):
+        errstate = np.errstate(all="ignore")
+    try:
+        with errstate:
             return _HANDLERS[args.command](config, outdir, args.tol)
     except ConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)

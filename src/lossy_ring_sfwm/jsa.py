@@ -54,13 +54,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .constants import HBAR, TWO_PI
 from .model import Band, PulsedPump, SystemSpec, two_photon_detuning
-from .numerics import grid_integrate_2d, integrate_adaptive
+from .numerics import QuadratureError, integrate_adaptive
 from .phantom import enhancement_factor
 
 
@@ -164,7 +164,8 @@ def total_mass(system: SystemSpec, pump: PulsedPump) -> float:
     # the Lorentzian pair integral is lorentz / (gbs gbi (e^2 + gsum^2))
     lorentz = (2.0 * sb.v * gbs / L) * (2.0 * ib.v * gbi / L) * math.pi * gsum
 
-    def integrand(e: np.ndarray) -> np.ndarray:
+    def integrand(energies: list[float]) -> list[float]:
+        e = np.array(energies)
         values = np.abs(g(e)) ** 2 * (lorentz / (gbs * gbi * (e ** 2 + gsum ** 2)))
         if not np.isfinite(values).all():
             # an infinite linewidth makes lorentz inf; else the pulse did it:
@@ -175,11 +176,32 @@ def total_mass(system: SystemSpec, pump: PulsedPump) -> float:
                                       f"{gbi:.3g} rad/s")
             raise FloatRangeError("pulse", "the pair-mass integrand leaves the float range "
                                   f"at pulse length tau = {pump.tau:.3g} s")
-        return values
+        return values.tolist()
 
-    quad = integrate_adaptive(integrand, center - half_window, center + half_window, rel_tol=1e-7,
-                              points=[(center, 1.0 / pump.tau), (0.0, gsum)])
-    return _jsa_prefactor(system) ** 2 / (sb.v * ib.v) * quad.value
+    def mass(integral: float) -> float:
+        # formed after the quadrature, so that a range error of the
+        # integrand, which names the input at fault, comes first
+        return _jsa_prefactor(system) ** 2 / (sb.v * ib.v) * integral
+
+    try:
+        quad = integrate_adaptive(integrand, center - half_window, center + half_window,
+                                  rel_tol=1e-7, points=[(center, 1.0 / pump.tau), (0.0, gsum)])
+    except QuadratureError as e:
+        raise e.scaled(mass(1.0), "pair probability at alpha = 1", "") from e
+    return mass(quad.value)
+
+
+def grid_integrate_2d(blocks: Iterable[np.ndarray], dx: float, dy: float) -> float:
+    """Trapezoidal integral of a grid given as consecutive 2-D blocks of its
+    rows, so it need never be whole. Each row is trapezoided on its own, so
+    every split into blocks gives the one-shot trapezoid's bits."""
+    rows = []
+    for block in blocks:
+        if np.ndim(block) != 2:
+            raise ValueError(f"expected a 2-D block of rows, got shape {np.shape(block)}")
+        rows.append(np.trapezoid(block, dx=dy, axis=1))
+        del block  # let go of it before the next block is formed
+    return float(np.trapezoid(np.concatenate(rows), dx=dx, axis=0))
 
 
 # rows per block of the normalization's |phi|^2: about the block the command's

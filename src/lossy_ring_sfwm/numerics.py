@@ -1,18 +1,15 @@
-"""Quadrature and grid-integration kernels with controlled tolerances: panelled
-Gauss-Legendre quadrature in numpy (integrate_adaptive) and a 2-D trapezoid.
+"""Panelled Gauss-Legendre quadrature with a controlled tolerance
+(integrate_adaptive) in plain Python, so the scalar commands load no numpy.
 
 Callers hint each resonance as a (location, half-width) pair; the starting
 panels ladder in by decades to a tenth of the half-width and no further,
 since the integrand is flat on that scale. The 8- and 16-point rules are
-constants, so no command loads numpy.polynomial or its eigensolver."""
+constants."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 DEFAULT_RATE_RTOL = 1e-6
 
@@ -28,6 +25,12 @@ _GL16_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
 _GL16_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
                  0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
                  0.062253523938647456, 0.027152459411754176)
+# both rules on [-1, 1], ascending within each: the 8-point rule's nodes,
+# then the 16-point rule's, and each rule's weights on its own nodes
+_NODES = tuple(-x for x in _GL8_NODES[::-1]) + _GL8_NODES \
+    + tuple(-x for x in _GL16_NODES[::-1]) + _GL16_NODES
+_W8 = _GL8_WEIGHTS[::-1] + _GL8_WEIGHTS
+_W16 = _GL16_WEIGHTS[::-1] + _GL16_WEIGHTS
 _PANEL_LIMIT = 200  # panels a quadrature may split into before it gives up
 
 
@@ -43,14 +46,19 @@ class QuadratureError(ArithmeticError):
         self.error_estimate = error_estimate
         self.rel_tol = rel_tol
 
-    def scaled(self, factor: float, what: str) -> QuadratureError:
-        """This failure restated for `what`, a pair rate of factor times the
-        integral, with its value and estimate in pairs/s; raise it from this
-        one."""
+    def scaled(self, factor: float, what: str, unit: str) -> QuadratureError:
+        """This failure restated for `what`, factor times the integral, with
+        its value and estimate in `unit` (" pairs/s" for a rate, "" for a
+        probability); raise it from this one."""
         value, error = factor * self.value, abs(factor) * self.error_estimate
         return QuadratureError(_not_converged(f"{what}: quadrature", error, self.rel_tol,
-                                              value, " pairs/s"),
+                                              value, unit),
                                value=value, error_estimate=error, rel_tol=self.rel_tol)
+
+    def at(self, point: str) -> QuadratureError:
+        """This failure at a sweep's point, e.g. "sigma = 0.95"; raise it from this one."""
+        return QuadratureError(f"at {point}: {self}", value=self.value,
+                               error_estimate=self.error_estimate, rel_tol=self.rel_tol)
 
 
 def _not_converged(what: str, error: float, rel_tol: float, value: float,
@@ -86,72 +94,52 @@ def _segment_edges(a: float, b: float,
     return sorted(edges)
 
 
-@functools.cache
-def _rules() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes on [-1, 1] of the 8- and the 16-point rule side by side, in
-    ascending order within each, and a (24, 2) weight matrix applying each
-    rule to its own nodes. Built from the positive halves on first use."""
-    x_lo, x_hi = (np.concatenate([-np.array(h[::-1]), h]) for h in (_GL8_NODES, _GL16_NODES))
-    w_lo, w_hi = (np.concatenate([h[::-1], h]) for h in (_GL8_WEIGHTS, _GL16_WEIGHTS))
-    return np.r_[x_lo, x_hi], np.stack([np.r_[w_lo, 0.0 * w_hi], np.r_[0.0 * w_lo, w_hi]], 1)
-
-
-def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+def integrate_adaptive(f: Callable[[list[float]], Sequence[float]], a: float, b: float,
                        rel_tol: float = DEFAULT_RATE_RTOL,
                        points: Sequence[tuple[float, float]] | None = None) -> QuadratureResult:
     """Adaptive Gauss-Legendre quadrature of a real integrand over [a, b].
 
-    f maps a 1-D array of abscissae to the integrand values. Panels start
-    at _segment_edges: `points` lists known peaks as (location, half-width)
-    pairs, and the ladder around each reaches down to a tenth of its
-    half-width. Each round evaluates the 8- and 16-point rules on all new
-    panels in one call of f. value = sum of Q16, error estimate = sum of
-    |Q16 - Q8|. While the estimate exceeds rel_tol * |value| (plus a tiny
-    floor, so zero integrands converge), the panels above their equal share
-    of it, and always the worst, are halved. When the budget of
-    _PANEL_LIMIT panels is spent, QuadratureError carries the achieved
-    estimate. `evaluations` counts the abscissae passed to f.
+    f maps a list of abscissae to a sequence of as many float integrand
+    values. Panels start at _segment_edges: `points` lists known peaks as
+    (location, half-width) pairs, and the ladder around each reaches down
+    to a tenth of its half-width. Each round evaluates the 8- and 16-point
+    rules on all new panels in one call of f. value = sum of Q16, error
+    estimate = sum of |Q16 - Q8|. While the estimate exceeds rel_tol *
+    |value| (plus a tiny floor, so zero integrands converge), the panels
+    above their equal share of it, and always the worst, are halved. When
+    the budget of _PANEL_LIMIT panels is spent, QuadratureError carries the
+    achieved estimate. `evaluations` counts the abscissae passed to f.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    nodes, weights = _rules()
-    edges = np.array(_segment_edges(a, b, points))
-    lo, hi = edges[:-1], edges[1:]
-    q = np.empty((0, 2))  # (Q8, Q16) of the panels evaluated so far, which lead lo and hi
+    edges = _segment_edges(a, b, points)
+    panels = list(zip(edges[:-1], edges[1:]))
+    q: list[tuple[float, float]] = []  # (Q8, Q16) of the leading, evaluated panels
     evaluations = 0
     while True:
-        half = 0.5 * (hi - lo)[len(q):, None]
-        x = 0.5 * (lo + hi)[len(q):, None] + half * nodes
-        q = np.concatenate([q, (np.asarray(f(x.ravel())).reshape(x.shape) * half) @ weights])
-        evaluations += x.size
-        err = np.abs(q[:, 1] - q[:, 0])
-        value, abserr = q[:, 1].sum().item(), err.sum().item()
+        new = panels[len(q):]
+        x = [0.5 * (lo + hi) + 0.5 * (hi - lo) * t for lo, hi in new for t in _NODES]
+        fx = f(x)
+        for (lo, hi), k in zip(new, range(0, len(x), len(_NODES))):
+            half = 0.5 * (hi - lo)
+            q.append((sum(v * half * w for v, w in zip(fx[k:k + 8], _W8)),
+                      sum(v * half * w for v, w in zip(fx[k + 8:k + 24], _W16))))
+        evaluations += len(x)
+        err = [abs(q16 - q8) for q8, q16 in q]
+        value, abserr = sum(q16 for _, q16 in q), sum(err)
         tol = rel_tol * abs(value) + 1e-300
         if abserr <= tol:
             return QuadratureResult(value, abserr, evaluations)
-        room = _PANEL_LIMIT - len(lo)
+        room = _PANEL_LIMIT - len(panels)
         if room <= 0:
             raise QuadratureError(_not_converged("quadrature", abserr, rel_tol, value),
                                   value=value, error_estimate=abserr, rel_tol=rel_tol)
-        worst_first = np.argsort(-err, kind="stable")[:room]
-        split = np.zeros(len(lo), dtype=bool)
-        split[worst_first] = err[worst_first] > tol / len(lo)
-        split[worst_first[0]] = True
-        mid = 0.5 * (lo[split] + hi[split])
-        lo = np.concatenate([lo[~split], lo[split], mid])
-        hi = np.concatenate([hi[~split], mid, hi[split]])
-        q = q[~split]
-
-
-def grid_integrate_2d(blocks: Iterable[np.ndarray], dx: float, dy: float) -> float:
-    """Trapezoidal integral of samples on a rectangular grid, given as
-    consecutive blocks of its rows (2-D arrays), so the grid need never be
-    whole. Each row is trapezoided on its own, so every split of the rows
-    into blocks gives the one-shot trapezoid's bits."""
-    rows = []
-    for block in blocks:
-        if np.ndim(block) != 2:
-            raise ValueError(f"expected a 2-D block of rows, got shape {np.shape(block)}")
-        rows.append(np.trapezoid(block, dx=dy, axis=1))
-        del block  # let go of it before the next block is formed
-    return float(np.trapezoid(np.concatenate(rows), dx=dx, axis=0))
+        # the worst panels, as many as there is room for, that exceed their
+        # share, and always the worst; ties in panel order
+        worst_first = sorted(range(len(panels)), key=err.__getitem__, reverse=True)[:room]
+        split = {i for i in worst_first if err[i] > tol / len(panels)} | {worst_first[0]}
+        kept = [i for i in range(len(panels)) if i not in split]
+        halves = [(lo, 0.5 * (lo + hi), hi) for lo, hi in (panels[i] for i in sorted(split))]
+        panels = [panels[i] for i in kept] + [(lo, mid) for lo, mid, _ in halves] \
+            + [(mid, hi) for _, mid, hi in halves]
+        q = [q[i] for i in kept]

@@ -17,27 +17,39 @@ sign belongs to outgoing-type ones. At real d, F_+ = F_-*, so every
 product here needs only F_-, the factor enhancement_factor returns.
 
 CW pair rates come out in closed form as a product of enhancement
-factors and the fluctuating vacuum power. One array kernel, pair_rates,
-evaluates that product for every (signal exit, idler exit) at once;
-channel decay rates may be numpy arrays that broadcast together, so a
-whole coupling map is one call, and the scalar pair_rate_cw is a thin
-call into it. The Fermi-golden-rule frequency integral is kept alongside
-as a brute-force oracle for that closed form.
+factors and the fluctuating vacuum power. One kernel, pair_rates,
+evaluates that product for every (signal exit, idler exit) at once, on
+float decay rates or on numpy arrays that broadcast together (a whole
+coupling map), and the scalar pair_rate_cw is a thin call into it. The
+golden-rule frequency integral, in complex math node by node, is kept
+alongside as a brute-force oracle for that closed form. No numpy import.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .constants import EPS0, HBAR
 from .model import Band, CwPump, SystemSpec, two_photon_detuning
 from .numerics import QuadratureError, integrate_adaptive
 
 if TYPE_CHECKING:  # used in annotations only, so no command pays its import
+    import numpy as np
     from numpy.typing import ArrayLike
+
+
+def _enhancement(system: SystemSpec, channel_id: str, band: Band):
+    """d -> enhancement_factor(system, channel_id, band, d), constants held."""
+    minus_gamma = -system.amplitude_coupling(channel_id, band)
+    gbar = system.gamma_bar(band)
+    root_l = math.sqrt(system.ring.circumference)
+    # gamma / (-i Gbar - d) written as -gamma / (d + i Gbar): at every real d
+    # this rounds to the exact conjugate of F_+ = gamma / (i Gbar - d), signed
+    # zeros included. The real part at d = 0 is +0; the first form gives -0,
+    # and an underflowed JSA cell on the grid's centre row or column would
+    # then read phase pi, not 0
+    return lambda d: minus_gamma / (root_l * (d + 1j * gbar))
 
 
 def enhancement_factor(system: SystemSpec, channel_id: str, band: Band,
@@ -45,14 +57,12 @@ def enhancement_factor(system: SystemSpec, channel_id: str, band: Band,
     """Incoming-type complex field enhancement factor F_- of one channel at
     detuning d = omega - omega_J from the band's resonance (or an array of
     them); the outgoing-type F_+ is its complex conjugate."""
-    gamma_amp = system.amplitude_coupling(channel_id, band)
-    gbar = system.gamma_bar(band)
-    # gamma / (-i Gbar - d) written as -gamma / (d + i Gbar): at every real d
-    # this rounds to the exact conjugate of F_+ = gamma / (i Gbar - d), signed
-    # zeros included. The real part at d = 0 is +0; the first form gives -0,
-    # and an underflowed JSA cell on the grid's centre row or column would
-    # then read phase pi, not 0
-    return -gamma_amp / (math.sqrt(system.ring.circumference) * (d + 1j * gbar))
+    return _enhancement(system, channel_id, band)(d)
+
+
+def _anywhere(mask) -> bool:
+    """A comparison of floats, or whether it holds anywhere in arrays."""
+    return mask if isinstance(mask, bool) else bool(mask.any())
 
 
 def _enhancement_abs2(v: float, gamma: ArrayLike, gbar: ArrayLike, circumference: float,
@@ -73,7 +83,7 @@ def vacuum_power(gamma_bar_s: ArrayLike, gamma_bar_i: ArrayLike, omega_s: float,
 
     detuning is the two-photon offset 2 omega_o - omega_S - omega_I.
     """
-    if np.min(gamma_bar_s) <= 0 or np.min(gamma_bar_i) <= 0:
+    if _anywhere(gamma_bar_s <= 0) or _anywhere(gamma_bar_i <= 0):
         raise ValueError("linewidths must be positive")
     gsum = gamma_bar_s + gamma_bar_i
     return (HBAR / 2.0) * math.sqrt(omega_s * omega_i) * gamma_bar_s * gamma_bar_i \
@@ -121,13 +131,13 @@ def pair_rates(system: SystemSpec, pump: CwPump,
     f_i2 = {y: _enhancement_abs2(ib.v, g[Band.IDLER], gbar[Band.IDLER], L)
             for y, g in rates.items()}
     out = {(x, y): common * f_s2[x] * f_i2[y] for x in rates for y in rates}
-    if not all(np.isfinite(r).all() for r in out.values()):
+    if any(_anywhere(abs(r) == math.inf) or _anywhere(r != r) for r in out.values()):
         # the vacuum power's (detuning^2 + (Gbar_S + Gbar_I)^2) is 0 only
         # when Gbar_S^2 is, so the bands' denominators tell an underflow
         denominators = (pump.detuning * pump.detuning + gbar[Band.PUMP] * gbar[Band.PUMP],
                         gbar[Band.SIGNAL] * gbar[Band.SIGNAL],
                         gbar[Band.IDLER] * gbar[Band.IDLER])
-        if any(np.any(d == 0) for d in denominators):
+        if any(_anywhere(d == 0) for d in denominators):
             raise FloatingPointError("a linewidth squared underflows to 0, so a pair rate "
                                      "is not finite")
         raise FloatingPointError("a pair rate overflows the float range")
@@ -145,18 +155,32 @@ class ZeroRateError(ZeroDivisionError):
     """A reference rate is 0: with a positive nonlinearity, an underflow."""
 
 
+def rel_difference(rate_attenuation: float, rate_phantom: float) -> float:
+    """|R_att - R_ph| / R_ph of a strategy-1 and a phantom rate; a phantom rate
+    of 0, an underflow once the nonlinearity is positive, leaves it undefined."""
+    if rate_phantom == 0.0:
+        raise ZeroRateError("the phantom rate underflows to 0, so the relative "
+                            "difference of the two strategies is undefined")
+    return abs(rate_attenuation - rate_phantom) / rate_phantom
+
+
 def _golden_rule_kernel(system: SystemSpec, pump: CwPump, signal_exit: str,
-                        idler_exit: str, d1: np.ndarray) -> np.ndarray:
-    """|golden-rule interaction kernel|^2 at signal detunings d1 = omega1 -
-    omega_S (an array); the idler's is the two-photon detuning less d1."""
+                        idler_exit: str) -> Callable[[float], float]:
+    """d1 -> |golden-rule interaction kernel|^2 at the signal detuning d1 =
+    omega1 - omega_S; the idler's is the two-photon detuning less d1."""
     pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
     scale = HBAR ** 2 * EPS0 * pb.v ** 2 / (12.0 * math.pi ** 2) \
         * math.sqrt(sb.omega * ib.omega) * (system.ring.gamma_nl * system.ring.circumference)
     f_pump = enhancement_factor(system, system.pump_input_channel, Band.PUMP, pump.detuning)
-    f_s = enhancement_factor(system, signal_exit, Band.SIGNAL, d1)
-    f_i = enhancement_factor(system, idler_exit, Band.IDLER,
-                             two_photon_detuning(system, pump) - d1)
-    return np.abs(scale * f_s * f_i * f_pump * f_pump) ** 2
+    f_s = _enhancement(system, signal_exit, Band.SIGNAL)
+    f_i = _enhancement(system, idler_exit, Band.IDLER)
+    e = two_photon_detuning(system, pump)
+
+    def kernel(d1: float) -> float:
+        k = abs(scale * f_s(d1) * f_i(e - d1) * f_pump * f_pump)
+        return k * k
+
+    return kernel
 
 
 def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
@@ -176,10 +200,11 @@ def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
     # the idler resonance, in signal half-widths
     x = two_photon_detuning(system, pump) / gbar_s
 
-    def mapped(t: np.ndarray) -> np.ndarray:
-        tan = np.tan(t)
-        return _golden_rule_kernel(system, pump, signal_exit, idler_exit,
-                                   gbar_s * tan) * (gbar_s * (1.0 + tan * tan))
+    kernel = _golden_rule_kernel(system, pump, signal_exit, idler_exit)
+
+    def mapped(thetas: list[float]) -> list[float]:
+        return [kernel(gbar_s * tan) * (gbar_s * (1.0 + tan * tan))
+                for tan in map(math.tan, thetas)]
 
     # peaks as (theta, half-width in theta), dtheta/domega1 = 1 / (Gbar_S (1 + x^2))
     # at the idler's; a difference of atans would round to 0 far out
@@ -190,5 +215,6 @@ def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
                                   points=[(0.0, 0.25 * math.pi),
                                           (math.atan(x), gbar_i / gbar_s / (1.0 + x * x))])
     except QuadratureError as e:
-        raise e.scaled(prefactor, f"oracle rate R[{signal_exit},{idler_exit}]") from e
+        raise e.scaled(prefactor, f"oracle rate R[{signal_exit},{idler_exit}]",
+                       " pairs/s") from e
     return prefactor * quad.value

@@ -8,7 +8,8 @@ order, and hand the model each point as a Python float (axis.tolist()):
 a numpy scalar would flow through the system copy into every field's
 wavevector and amplitudes, and each quadrature node would then do its
 complex arithmetic on numpy scalars, several times slower than on
-Python complex numbers.
+Python complex numbers. A quadrature that fails names its point, and the
+strategies' relative difference is taken per point, as rate takes it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import phantom  # the strategy-1 sweeps import attenuation when they run
 from .model import Band, CwPump, GeometryError, SystemSpec, finesse, gamma_from_sigma
+from .numerics import QuadratureError
 
 
 @dataclass(frozen=True)
@@ -89,18 +91,28 @@ def _buses(system: SystemSpec, count: int) -> tuple[str, ...]:
     return system.buses(count)
 
 
+def _strategy1_rate(system: SystemSpec, pump: CwPump, bus: str, axis: str,
+                    point: float) -> float:
+    """Strategy-1 rate R[bus,bus] at the point `axis` = point, named if it fails."""
+    from . import attenuation
+
+    try:
+        return attenuation.pair_rate_cw(system, pump, bus, bus)
+    except QuadratureError as e:
+        raise e.at(f"{axis} = {point:.6g}") from e
+
+
 def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump) -> SweepResult:
     """Attenuation-model pair rate versus the bus self-coupling, at fixed
     ring loss."""
-    from . import attenuation
-
     (bus,) = system.buses(1)
     sigmas = np.asarray(list(sigma_values), dtype=float)
     L = system.ring.circumference
 
     def rate_at(sigma: float) -> float:
         gammas = {b: gamma_from_sigma(sigma, system.bands[b].v, L) for b in Band}
-        return attenuation.pair_rate_cw(system.with_channel_gamma(bus, gammas), pump, bus, bus)
+        return _strategy1_rate(system.with_channel_gamma(bus, gammas), pump, bus, "sigma",
+                               sigma)
 
     rates = np.array([rate_at(s) for s in sigmas.tolist()])
     return SweepResult(
@@ -131,34 +143,23 @@ def sweep_eta(system: SystemSpec, eta_values: Iterable[float], pump: CwPump) -> 
         metadata={"argmax_eta": quadratic_argmax(etas, values[f"R_{bus}{bus}"])})
 
 
-def rel_difference(rate_attenuation, rate_phantom):
-    """|R_att - R_ph| / R_ph of floats or arrays. A phantom rate of 0, which only
-    an underflow gives once the nonlinearity is positive, leaves it undefined."""
-    if np.any(np.asarray(rate_phantom) == 0.0):
-        raise phantom.ZeroRateError("the phantom rate underflows to 0, so the relative "
-                                    "difference of the two strategies is undefined")
-    return abs(rate_attenuation - rate_phantom) / rate_phantom
-
-
 def compare_finesse(system: SystemSpec, finesse_values: Iterable[float],
                     pump: CwPump) -> SweepResult:
     """Single-bus pair rate from both loss models versus resonator finesse.
 
     Finesse is varied by scaling all couplings and the loss together, so
     the escape efficiency stays fixed while the linewidth shrinks."""
-    from . import attenuation
-
     (bus,) = _buses(system, 1)
     fins = np.asarray(list(finesse_values), dtype=float)
     f0 = finesse(system)
 
-    def rates_at(f: float) -> tuple[float, float]:
+    def rates_at(f: float) -> tuple[float, float, float]:
         sys_f = _rescaled_coupling_system(system, f0 / f)
-        return (attenuation.pair_rate_cw(sys_f, pump, bus, bus),
-                phantom.pair_rate_cw(sys_f, pump, bus, bus))
+        r_att = _strategy1_rate(sys_f, pump, bus, "finesse", f)
+        r_pha = phantom.pair_rate_cw(sys_f, pump, bus, bus)
+        return r_att, r_pha, phantom.rel_difference(r_att, r_pha)
 
-    r_att, r_pha = np.array([rates_at(f) for f in fins.tolist()]).T
-    rel = rel_difference(r_att, r_pha)
+    r_att, r_pha, rel = np.array([rates_at(f) for f in fins.tolist()]).T
     return SweepResult(
         axes={"finesse": fins},
         values={"rate_attenuation": r_att, "rate_phantom": r_pha,
@@ -171,20 +172,18 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
                              pump: CwPump) -> SweepResult:
     """Add-drop through-pair rate from both loss models, scanned over the
     add/drop self-coupling (which sets the finesse)."""
-    from . import attenuation
-
     through, drop = _buses(system, 2)
     sigmas = np.asarray(list(sigma2_values), dtype=float)
     L = system.ring.circumference
 
-    def rates_at(sigma2: float) -> tuple[float, float, float]:
+    def rates_at(sigma2: float) -> tuple[float, float, float, float]:
         gammas = {b: gamma_from_sigma(sigma2, system.bands[b].v, L) for b in Band}
         sys_s = system.with_channel_gamma(drop, gammas)
-        return (finesse(sys_s), attenuation.pair_rate_cw(sys_s, pump, through, through),
-                phantom.pair_rate_cw(sys_s, pump, through, through))
+        r_att = _strategy1_rate(sys_s, pump, through, "sigma2", sigma2)
+        r_pha = phantom.pair_rate_cw(sys_s, pump, through, through)
+        return finesse(sys_s), r_att, r_pha, phantom.rel_difference(r_att, r_pha)
 
-    fins, r_att, r_pha = np.array([rates_at(s) for s in sigmas.tolist()]).T
-    rel = rel_difference(r_att, r_pha)
+    fins, r_att, r_pha, rel = np.array([rates_at(s) for s in sigmas.tolist()]).T
     return SweepResult(
         axes={"sigma2": sigmas},
         values={"finesse": fins, "rate_attenuation": r_att, "rate_phantom": r_pha,

@@ -4,8 +4,9 @@ Tests import these helpers (`from oracles import ...`): the lossless point
 coupler written out as a 2x2 junction, and a direct numerical scan of the
 ring overlap, both deliberately ignorant of the closed forms in `src/`;
 the strategy-1 pair rate at 30 digits from the transfer functions in
-absolute wavenumbers; Gauss-Legendre rules from 40-digit roots of the Legendre polynomials; and
-Weideman's Faddeeva coefficients by his FFT construction.
+absolute wavenumbers; Gauss-Legendre rules from 40-digit roots of the Legendre polynomials;
+Weideman's Faddeeva coefficients by his FFT construction; and the numpy
+form of the adaptive quadrature that the plain-Python one was ported from.
 """
 
 import math
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
+from lossy_ring_sfwm import numerics
 from lossy_ring_sfwm.attenuation import RingField
 from lossy_ring_sfwm.model import Band, CwPump, SystemSpec
 
@@ -181,3 +183,44 @@ def weideman_coefficients(n: int = 40) -> tuple[float, np.ndarray]:
     f = np.concatenate(([0.0], np.exp(-t * t) * (L * L + t * t)))
     a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
     return L, a[n:0:-1]
+
+
+def integrate_adaptive_numpy(f, a: float, b: float, rel_tol: float = numerics.DEFAULT_RATE_RTOL,
+                             points=None) -> numerics.QuadratureResult:
+    """numerics.integrate_adaptive as it was written in numpy: f maps a 1-D
+    array of abscissae to an array of integrand values. The same panels and
+    split rule; each round's rules are one (panels, 24) x (24, 2) matmul."""
+    if not a < b:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    x_lo, x_hi = (np.concatenate([-np.array(h[::-1]), h])
+                  for h in (numerics._GL8_NODES, numerics._GL16_NODES))
+    w_lo, w_hi = (np.concatenate([h[::-1], h])
+                  for h in (numerics._GL8_WEIGHTS, numerics._GL16_WEIGHTS))
+    nodes = np.r_[x_lo, x_hi]
+    weights = np.stack([np.r_[w_lo, 0.0 * w_hi], np.r_[0.0 * w_lo, w_hi]], 1)
+    edges = np.array(numerics._segment_edges(a, b, points))
+    lo, hi = edges[:-1], edges[1:]
+    q = np.empty((0, 2))  # (Q8, Q16) of the panels evaluated so far, which lead lo and hi
+    evaluations = 0
+    while True:
+        half = 0.5 * (hi - lo)[len(q):, None]
+        x = 0.5 * (lo + hi)[len(q):, None] + half * nodes
+        q = np.concatenate([q, (np.asarray(f(x.ravel())).reshape(x.shape) * half) @ weights])
+        evaluations += x.size
+        err = np.abs(q[:, 1] - q[:, 0])
+        value, abserr = q[:, 1].sum().item(), err.sum().item()
+        tol = rel_tol * abs(value) + 1e-300
+        if abserr <= tol:
+            return numerics.QuadratureResult(value, abserr, evaluations)
+        room = numerics._PANEL_LIMIT - len(lo)
+        if room <= 0:
+            raise numerics.QuadratureError("quadrature did not converge", value=value,
+                                           error_estimate=abserr, rel_tol=rel_tol)
+        worst_first = np.argsort(-err, kind="stable")[:room]
+        split = np.zeros(len(lo), dtype=bool)
+        split[worst_first] = err[worst_first] > tol / len(lo)
+        split[worst_first[0]] = True
+        mid = 0.5 * (lo[split] + hi[split])
+        lo = np.concatenate([lo[~split], lo[split], mid])
+        hi = np.concatenate([hi[~split], mid, hi[split]])
+        q = q[~split]

@@ -375,9 +375,9 @@ def _omega_space_rate(system, pump, signal_exit, idler_exit):
     pump_field = att.ring_field_builder(system, Band.PUMP)(pump.detuning)
 
     def integrand(d1):
-        return np.array([(sb.omega + d) * (ib.omega + (e - d)) * abs(att.overlap_of_fields(
+        return [(sb.omega + d) * (ib.omega + (e - d)) * abs(att.overlap_of_fields(
             signal(d), idler(e - d), pump_field,
-            delta_kappa=system.ring.delta_kappa)) ** 2 for d in d1.tolist()])
+            delta_kappa=system.ring.delta_kappa)) ** 2 for d in d1]
 
     lo, hi = att.signal_window(system, pump)
     quad = integrate_adaptive(integrand, lo, hi, rel_tol=1e-11, points=[

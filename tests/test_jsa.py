@@ -377,3 +377,40 @@ class TestShortPulse:
         grid = jsa.build_jsa(system_short_pulse, PulsedPump(duration_fwhm=1.66e-12),
                              n=512, kappa_max=12.0)
         assert grid.normalization_residual <= 2.5e-3
+
+
+class TestGridIntegrate2d:
+    def test_unit_gaussian_mass(self):
+        n = 512
+        x = np.linspace(-6.0, 6.0, n)
+        gx = np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
+        values = np.outer(gx, gx)
+        mass = jsa.grid_integrate_2d([values], x[1] - x[0], x[1] - x[0])
+        assert mass == pytest.approx(1.0, abs=1e-4)
+
+    def test_zero_grid(self):
+        assert jsa.grid_integrate_2d([np.zeros((16, 16))], 0.1, 0.1) == 0.0
+
+    def test_second_order_convergence(self):
+        def mass(n):
+            x = np.linspace(0.0, 1.0, n)
+            values = np.outer(np.sin(math.pi * x), np.sin(math.pi * x))
+            return jsa.grid_integrate_2d([values], x[1] - x[0], x[1] - x[0])
+
+        exact = (2.0 / math.pi) ** 2
+        err_coarse = abs(mass(33) - exact)
+        err_fine = abs(mass(65) - exact)
+        assert err_coarse / err_fine == pytest.approx(4.0, rel=0.1)
+
+    def test_rejects_non_2d(self):
+        with pytest.raises(ValueError):
+            jsa.grid_integrate_2d([np.zeros(8)], 0.1, 0.1)
+
+    @pytest.mark.parametrize("rows, block", [(2, 1), (2, 2), (133, 1), (133, 7), (133, 8),
+                                             (133, 64), (133, 133)])
+    def test_row_blocks_match_one_shot_trapezoid(self, rows, block):
+        # each row is summed on its own in both, so the blocks change no bit
+        values = np.random.default_rng(rows).random((rows, 37)) ** 4
+        one_shot = np.trapezoid(np.trapezoid(values, dx=0.3, axis=1), dx=0.7, axis=0)
+        blocks = (values[start:start + block] for start in range(0, rows, block))
+        assert jsa.grid_integrate_2d(blocks, 0.7, 0.3) == float(one_shot)
