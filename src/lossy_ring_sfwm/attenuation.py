@@ -58,14 +58,15 @@ class SingularityError(ArithmeticError):
 @dataclass(frozen=True)
 class RingField:
     """A piecewise ring field's envelope about its carrier: amplitude at the
-    start of each arc segment, all segments sharing one propagation wavevector."""
+    start of each of n equal arcs, all arcs sharing one propagation wavevector."""
 
     k_prop: complex  # multiplies zeta in the envelope's e^{i k zeta}
-    segments: tuple[tuple[float, complex], ...]  # (arc length, start amplitude)
+    arc: float  # length of each arc, L / n for n couplers
+    amps: tuple[complex, ...]  # start amplitude of each arc
 
 
 def phase_mismatch_integral(dk: complex, length: float) -> complex:
-    """Integral of e^{i dk zeta} over one segment, stable at dk -> 0."""
+    """Integral of e^{i dk zeta} over one arc, stable at dk -> 0."""
     x = dk * length
     if abs(x) < _TAYLOR_THRESHOLD:
         return length * (1.0 + 1j * x / 2.0 - x * x / 6.0)
@@ -74,23 +75,18 @@ def phase_mismatch_integral(dk: complex, length: float) -> complex:
 
 def overlap_of_fields(signal: RingField, idler: RingField, pump: RingField,
                       delta_kappa: float = 0.0) -> complex:
-    """Ring overlap of (signal idler)* pump pump, segment by segment.
+    """Ring overlap of (signal idler)* pump pump, arc by arc.
 
-    Segment amplitudes already carry each field's propagation phase to the
-    segment start; only the mode-mismatch phase accumulates explicitly, with
-    one exponent for all segments, since each field keeps one wavevector."""
-    if not len(signal.segments) == len(idler.segments) == len(pump.segments):
-        raise ValueError("fields must share one ring segmentation")
+    Arc amplitudes already carry each field's propagation phase to the arc
+    start; only the mode-mismatch phase accumulates explicitly, with one
+    exponent and one integral for all arcs, since they are equal."""
     k_p = pump.k_prop
     dk = complex(delta_kappa) - signal.k_prop.conjugate() - idler.k_prop.conjugate() + k_p + k_p
+    integral = phase_mismatch_integral(dk, signal.arc)
     total = 0.0 + 0.0j
-    start = 0.0
-    for (length, a_s), (_, a_i), (_, a_p) in zip(signal.segments, idler.segments,
-                                                 pump.segments):
+    for j, (a_s, a_i, a_p) in enumerate(zip(signal.amps, idler.amps, pump.amps, strict=True)):
         amp = a_s.conjugate() * a_i.conjugate() * a_p * a_p
-        total += amp * cmath.exp(1j * delta_kappa * start) \
-            * phase_mismatch_integral(dk, length)
-        start += length
+        total += amp * cmath.exp(1j * delta_kappa * (j * signal.arc)) * integral
     return total
 
 
@@ -105,7 +101,7 @@ FieldBuilder = Callable[[float], RingField]
 def ring_field_builder(system: SystemSpec, band: Band,
                        exit_channel: str | None = None) -> FieldBuilder:
     """Detuning d = omega - omega_J -> the ring field's envelope in `band`, one
-    arc segment after each coupler of system.buses(1, 2), in that order
+    arc after each coupler of system.buses(1, 2), in that order
     around the ring: incoming from the pump bus when exit_channel is None,
     else outgoing through exit_channel."""
     buses = system.buses(1, 2)
@@ -119,7 +115,7 @@ def ring_field_builder(system: SystemSpec, band: Band,
     numerator = 1j * kappa * (1 if incoming else math.prod(passed))
     product = math.prod(sigmas)
     n = len(buses)
-    L, length = system.ring.circumference, system.ring.circumference / n
+    L, arc = system.ring.circumference, system.ring.circumference / n
     shift = (0.5j if incoming else -0.5j) * system.ring.xi  # i Im k~
     v = system.bands[band].v
 
@@ -136,8 +132,8 @@ def ring_field_builder(system: SystemSpec, band: Band,
             hop = cmath.exp(1j * kt * L / n)
             for s in passed:
                 amps.append(s * amps[-1] * hop if incoming else amps[-1] * hop / s)
-        # amps run from coupler `first` on; segments from coupler 1
-        return RingField(kt, tuple((length, x) for x in amps[n - first:] + amps[:n - first]))
+        # amps run from coupler `first` on; arcs from coupler 1
+        return RingField(kt, arc, tuple(amps[n - first:] + amps[:n - first]))
 
     return field
 

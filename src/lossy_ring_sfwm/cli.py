@@ -20,12 +20,11 @@ layers it runs. Importing cli and parsing a config load config, model and
 constants and no numpy, so --help, a bad option and a bad config exit
 without it. ratios and oracle-check load numerics and phantom, and rate
 attenuation too: these three compute in Python floats and load no numpy.
-main imports numpy before the handlers of the others:
-sweep-eta and add-drop-grid load numerics, phantom and sweeps, sweep-sigma
-and compare-finesse add attenuation, and jsa loads numerics, jsa, phantom.
-No command loads OpenSSL (the config hash is CPython's built-in SHA-256),
-numpy.polynomial or numpy.fft (the quadrature and Faddeeva tables are
-constants).
+The others load numpy with their layers: sweep-eta and add-drop-grid load
+numerics, phantom and sweeps, sweep-sigma and compare-finesse add
+attenuation, and jsa loads numerics, jsa, phantom. No command loads
+OpenSSL (the config hash is CPython's built-in SHA-256), numpy.polynomial
+or numpy.fft (the quadrature and Faddeeva tables are constants).
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -351,7 +351,7 @@ def cmd_add_drop_grid(config: RunConfig, outdir: Path, tol) -> int:
                           ["gamma_t_ratio", "gamma_d_ratio"] + keys) as append:
         append(t.ravel(), d.ravel(), *(result.values[k].ravel() for k in keys))
     meta = _base_metadata("add-drop-grid", config)
-    meta["argmax"] = {k: list(v) for k, v in result.metadata["argmax"].items()}
+    meta["argmax"] = result.metadata["argmax"]
     meta["pump_power_w"] = pump.power
     meta["pump_detuning_rad_per_s"] = pump.detuning
     _write_metadata(outdir / "add_drop_grid_meta.json", meta)
@@ -494,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _GATED = ("jsa", "oracle-check")  # the commands that read --tol
-_SCALAR = ("rate", "ratios", "oracle-check")  # the commands that compute without numpy
 # the options blocks, one per command that reads options; each command
 # checks the keys of its own block
 _OPTION_BLOCKS = {"sweep_sigma", "sweep_eta", "compare_finesse", "add_drop_grid", "jsa",
@@ -507,25 +506,31 @@ def main(argv=None) -> int:
         print(f"{args.command}: --tol applies only to {' and '.join(_GATED)}", file=sys.stderr)
         return 2
     try:
-        config = parse_config(Path(args.config).read_text())
+        config = parse_config(Path(args.config).read_text(encoding="utf-8"))
         _check_keys(config.options, _OPTION_BLOCKS, "options")
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
+        return 2
+    except OSError as e:  # a directory, or no permission to read
+        print(f"config file not readable: {args.config}: {e.strerror}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print(f"config file not UTF-8: {args.config}: {e}", file=sys.stderr)
         return 2
     except ConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    errstate = contextlib.nullcontext()
-    if args.command not in _SCALAR:
-        import numpy as np  # the array handlers compute with it
-
-        # numpy would warn of an overflow or a 0/0 on stderr; the rate kernels
-        # raise on a rate that is not finite instead
-        errstate = np.errstate(all="ignore")
     try:
-        with errstate:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file in the way, or no permission
+        print(f"cannot create output directory: {args.out}: {e.strerror}", file=sys.stderr)
+        return 2
+    try:
+        with warnings.catch_warnings():
+            # numpy would warn of an overflow or a 0/0 on stderr; the rate
+            # kernels raise on a rate that is not finite instead
+            warnings.simplefilter("ignore", RuntimeWarning)
             return _HANDLERS[args.command](config, outdir, args.tol)
     except ConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)

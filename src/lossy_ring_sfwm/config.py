@@ -25,6 +25,7 @@ except ImportError:
     except ImportError:  # a build without the built-in hashes
         from hashlib import sha256
 
+from .constants import C_VACUUM
 from .model import (Band, BandParams, ChannelCoupling, ChannelKind, CwPump,
                     PulsedPump, RingSpec, SystemSpec, band_from_wavelength,
                     finesse, gamma_from_sigma, phantom_gamma_from_xi)
@@ -106,7 +107,6 @@ def _parse_band_block(block: Mapping, path: str, defaults: Mapping):
     if "group_velocity_m_per_s" in base and "group_index" in base:
         raise ConfigError(path, "give either group_velocity_m_per_s or group_index")
     if "group_index" in base:
-        from .constants import C_VACUUM
         v = C_VACUUM / _number(base, "group_index", path, positive=True)
     else:
         v = _number(base, "group_velocity_m_per_s", path, positive=True)
@@ -122,8 +122,7 @@ def _parse_bands(block: Mapping, ring: RingSpec, path: str) -> dict[Band, BandPa
             raise ConfigError(f"{path}.{name}", "expected an object")
         wavelength, v, n_eff = _parse_band_block(sub, f"{path}.{name}", shared_keys)
         try:
-            bands[band] = band_from_wavelength(band, wavelength, v, n_eff,
-                                               ring.circumference)
+            bands[band] = band_from_wavelength(wavelength, v, n_eff, ring.circumference)
         except ValueError as e:  # no resonance order m >= 1 fits the ring
             owner = f"{path}.{name}" if "effective_index" in sub else path
             raise ConfigError(f"{owner}.effective_index", str(e)) from e

@@ -215,12 +215,12 @@ class JsaGrid:
 
     kappa is the dimensionless detuning (omega - omega_J) / Gbar_J of
     either band, one axis for both. The normalized phi of the reference
-    pair (k-space units, m) is held as its factors and a scale:
-    rows(start, stop) forms a block of its rows, the same bits as those rows
-    of the whole grid, and values forms the whole grid. Every other pair is
-    weight * phi with the real weights keyed by (signal exit, idler exit).
-    beta2 is the pair generation probability |beta|^2 for the pulse
-    amplitude alpha.
+    pair (k-space units, m) is held as its factors: rows(start, stop) forms
+    its rows start..stop - 1 (stop may pass the last row), the same bits as
+    those rows of the whole grid, and values forms the whole grid. Every
+    other pair is weight * phi with the real weights keyed by (signal exit,
+    idler exit). beta2 is the pair generation probability |beta|^2 for the
+    pulse amplitude alpha.
     """
 
     kappa: np.ndarray
@@ -228,14 +228,7 @@ class JsaGrid:
     weights: Mapping[tuple[str, str], float]
     beta2: float
     normalization_residual: float
-    # rows(start, stop, scale) of the reference pair's unnormalized phi
-    amplitude: Callable[[int, int, float], np.ndarray]
-    scale: float  # 1 / sqrt(total_mass)
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start..stop - 1 of the normalized phi, complex, shape
-        (stop - start, len(kappa)); stop may pass the last row."""
-        return self.amplitude(start, stop, self.scale)
+    rows: Callable[[int, int], np.ndarray]
 
     @property
     def values(self) -> np.ndarray:
@@ -251,12 +244,12 @@ def abs2(z: np.ndarray) -> np.ndarray:
 
 
 def _direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
-                      idler_exit: str, kappa: np.ndarray
-                      ) -> Callable[[int, int, float], np.ndarray]:
-    """Unnormalized biphoton amplitude of one channel pair on the kappa x
+                      idler_exit: str, kappa: np.ndarray, scale: float
+                      ) -> Callable[[int, int], np.ndarray]:
+    """Biphoton amplitude of one channel pair times scale on the kappa x
     kappa grid, evaluated directly from its own enhancement factors: returns
-    rows(start, stop, scale), rows start..stop - 1 times scale as a fresh
-    complex array, cell (i, j) formed as row[i] col[j], times g, times scale."""
+    rows(start, stop), rows start..stop - 1 as a fresh complex array, cell
+    (i, j) formed as row[i] col[j], times g, times scale."""
     gbs, gbi = system.gamma_bar(Band.SIGNAL), system.gamma_bar(Band.IDLER)
     d1, d2 = gbs * kappa, gbi * kappa
     row = 1j * _jsa_prefactor(system) * enhancement_factor(system, signal_exit,
@@ -276,7 +269,7 @@ def _direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
         hankel = np.lib.stride_tricks.sliding_window_view(
             g((d1[0] + d2[0]) + step1 * np.arange(2 * n - 1)), n)
 
-    def rows(start: int, stop: int, scale: float) -> np.ndarray:
+    def rows(start: int, stop: int) -> np.ndarray:
         block = row[start:stop, None] * col
         if hankel is not None:
             block *= hankel[start:stop]
@@ -334,8 +327,8 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
         raise FloatRangeError("alpha", "the pair probability beta2 = alpha^4 mass "
                               f"{'underflows to 0' if beta2 == 0.0 else 'overflows'} at "
                               f"alpha = {pump.alpha:.3g}")
-    amplitude = _direct_pair_grid(system, pump, reference_pair[0], reference_pair[1], kappa)
-    scale = 1.0 / math.sqrt(mass_total)
+    rows = _direct_pair_grid(system, pump, reference_pair[0], reference_pair[1], kappa,
+                             1.0 / math.sqrt(mass_total))
 
     weights = {(x, y): system.amplitude_coupling(x, Band.SIGNAL)
                * system.amplitude_coupling(y, Band.IDLER) / ref_amp
@@ -345,7 +338,7 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
     dk_i = system.gamma_bar(Band.IDLER) * (kappa[1] - kappa[0]) / system.bands[Band.IDLER].v
     sum_w2 = sum(w ** 2 for w in weights.values())
     grid_norm = sum_w2 * grid_integrate_2d(
-        (abs2(amplitude(start, start + _NORM_ROWS, scale))
+        (abs2(rows(start, start + _NORM_ROWS))
          for start in range(0, n, _NORM_ROWS)), dk_s, dk_i)
     residual = abs(grid_norm - 1.0)
     if residual > residual_tol:
@@ -353,12 +346,12 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
             / (system.gamma_bar(Band.SIGNAL) + system.gamma_bar(Band.IDLER))
         raise GridTooCoarseError(residual, residual_tol, offset, kappa_max)
     return JsaGrid(kappa=kappa, reference_pair=reference_pair, weights=weights, beta2=beta2,
-                   normalization_residual=residual, amplitude=amplitude, scale=scale)
+                   normalization_residual=residual, rows=rows)
 
 
 def direct_pair_grid(system: SystemSpec, pump: PulsedPump, signal_exit: str,
                      idler_exit: str, grid: JsaGrid) -> np.ndarray:
     """Normalized biphoton amplitude of one pair evaluated from scratch on
     the grid's axes (for checking shape constancy against the weights)."""
-    amplitude = _direct_pair_grid(system, pump, signal_exit, idler_exit, grid.kappa)
-    return amplitude(0, len(grid.kappa), 1.0 / math.sqrt(total_mass(system, pump)))
+    return _direct_pair_grid(system, pump, signal_exit, idler_exit, grid.kappa,
+                             1.0 / math.sqrt(total_mass(system, pump)))(0, len(grid.kappa))

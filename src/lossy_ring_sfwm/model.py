@@ -56,7 +56,6 @@ class BandParams:
     on the ring resonance of order m. No group-velocity dispersion term is
     stored: dispersion is strictly linear within the band."""
 
-    band: Band
     omega: float  # band center angular frequency [rad/s]
     v: float  # group velocity [m/s]
     m: int  # resonance order: the band center's wavenumber is 2 pi m / L
@@ -70,8 +69,8 @@ class BandParams:
             raise ValueError(f"resonance order must be at least 1, got {self.m}")
 
 
-def band_from_wavelength(band: Band, wavelength_m: float, group_velocity: float,
-                         effective_index: float, circumference: float) -> BandParams:
+def band_from_wavelength(wavelength_m: float, group_velocity: float, effective_index: float,
+                         circumference: float) -> BandParams:
     """Build band parameters from a vacuum wavelength.
 
     The band center is taken to sit exactly on the ring resonance whose
@@ -85,7 +84,7 @@ def band_from_wavelength(band: Band, wavelength_m: float, group_velocity: float,
         raise ValueError(
             f"no ring resonance near wavelength {wavelength_m} m for circumference "
             f"{circumference} m and effective index {effective_index}")
-    return BandParams(band=band, omega=omega, v=group_velocity, m=m)
+    return BandParams(omega=omega, v=group_velocity, m=m)
 
 
 @dataclass(frozen=True)
@@ -200,9 +199,6 @@ class SystemSpec:
         for b in Band:
             if b not in self.bands:
                 raise ValueError(f"missing band parameters for {b.value}")
-            if self.bands[b].band is not b:
-                raise ValueError(f"band parameters for {b.value} carry label "
-                                 f"{self.bands[b].band.value}")
         if not self.channels:
             raise ValueError("system needs at least one coupling channel")
         ids = [c.channel_id for c in self.channels]

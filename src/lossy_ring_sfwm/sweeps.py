@@ -212,4 +212,4 @@ def add_drop_grid(system: SystemSpec, gamma_t_ratios: Iterable[float],
     return SweepResult(
         axes={"gamma_t_ratio": t_ratios, "gamma_d_ratio": d_ratios},
         values=values,
-        metadata={"argmax": argmax, "channel_ids": ids})
+        metadata={"argmax": argmax})

@@ -52,25 +52,21 @@ def overlap_by_zeta_scan(signal: RingField, idler: RingField, pump: RingField,
     """Direct numerical scan of the ring overlap integrand (oracle for
     overlap_of_fields; deliberately ignorant of the closed form).
 
-    Each arc segment is scanned separately because the field amplitudes
-    jump across coupling points."""
+    Each arc is scanned separately because the field amplitudes jump
+    across coupling points."""
     fields = ((signal, True), (idler, True), (pump, False), (pump, False))  # (field, conjugated)
-    n_seg = len(signal.segments)
-    if any(len(f.segments) != n_seg for f, _ in fields):
+    n_arc = len(signal.amps)
+    if any(len(f.amps) != n_arc or f.arc != signal.arc for f, _ in fields):
         raise ValueError("fields must share one ring segmentation")
     total = 0.0 + 0.0j
-    start = 0.0
-    per_segment = max(n // n_seg, 64)
-    for seg in range(n_seg):
-        length = signal.segments[seg][0]
-        local = np.linspace(0.0, length, per_segment)
+    local = np.linspace(0.0, signal.arc, max(n // n_arc, 64))
+    for j in range(n_arc):
         vals = np.ones_like(local, dtype=complex)
         for f, conj in fields:
-            amp = f.segments[seg][1] * np.exp(1j * f.k_prop * local)
+            amp = f.amps[j] * np.exp(1j * f.k_prop * local)
             vals = vals * (np.conj(amp) if conj else amp)
-        vals *= np.exp(1j * delta_kappa * (start + local))
+        vals *= np.exp(1j * delta_kappa * (j * signal.arc + local))
         total += np.trapezoid(vals, local)
-        start += length
     return complex(total)
 
 
@@ -189,7 +185,12 @@ def integrate_adaptive_numpy(f, a: float, b: float, rel_tol: float = numerics.DE
                              points=None) -> numerics.QuadratureResult:
     """numerics.integrate_adaptive as it was written in numpy: f maps a 1-D
     array of abscissae to an array of integrand values. The same panels and
-    split rule; each round's rules are one (panels, 24) x (24, 2) matmul."""
+    split rule. Each rule's sum on a panel, and the value and error totals,
+    are Python's sum over the terms the plain-Python form adds, in its
+    order: a matmul or numpy's pairwise .sum() rounds differently (and
+    Python's sum is compensated from 3.12 on), so a panel whose error sits
+    within rounding of its share of the tolerance would split in one form
+    and not the other."""
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     x_lo, x_hi = (np.concatenate([-np.array(h[::-1]), h])
@@ -197,7 +198,6 @@ def integrate_adaptive_numpy(f, a: float, b: float, rel_tol: float = numerics.DE
     w_lo, w_hi = (np.concatenate([h[::-1], h])
                   for h in (numerics._GL8_WEIGHTS, numerics._GL16_WEIGHTS))
     nodes = np.r_[x_lo, x_hi]
-    weights = np.stack([np.r_[w_lo, 0.0 * w_hi], np.r_[0.0 * w_lo, w_hi]], 1)
     edges = np.array(numerics._segment_edges(a, b, points))
     lo, hi = edges[:-1], edges[1:]
     q = np.empty((0, 2))  # (Q8, Q16) of the panels evaluated so far, which lead lo and hi
@@ -205,10 +205,11 @@ def integrate_adaptive_numpy(f, a: float, b: float, rel_tol: float = numerics.DE
     while True:
         half = 0.5 * (hi - lo)[len(q):, None]
         x = 0.5 * (lo + hi)[len(q):, None] + half * nodes
-        q = np.concatenate([q, (np.asarray(f(x.ravel())).reshape(x.shape) * half) @ weights])
+        terms = np.asarray(f(x.ravel())).reshape(x.shape) * half * np.r_[w_lo, w_hi]
+        q = np.concatenate([q, [[sum(row[:8]), sum(row[8:])] for row in terms.tolist()]])
         evaluations += x.size
         err = np.abs(q[:, 1] - q[:, 0])
-        value, abserr = q[:, 1].sum().item(), err.sum().item()
+        value, abserr = sum(q[:, 1].tolist()), sum(err.tolist())
         tol = rel_tol * abs(value) + 1e-300
         if abserr <= tol:
             return numerics.QuadratureResult(value, abserr, evaluations)

@@ -61,20 +61,20 @@ def _all_pass_ports(system, d):
     detuning d, and the bus transmission the point coupler gives for it (bus
     input 1, ring return f_ring e^{i k~ L})."""
     field = att.ring_field_builder(system, Band.PUMP)(d)
-    ((length, f_ring),) = field.segments
+    (f_ring,) = field.amps
     f_through, _ = coupler_scatter(_coupler(system, system.pump_input_channel), 1.0,
-                                   f_ring * cmath.exp(1j * field.k_prop * length))
+                                   f_ring * cmath.exp(1j * field.k_prop * field.arc))
     return f_ring, f_through
 
 
 def _add_drop_ports(system, d):
     """Incoming pump-band ring amplitude after the through coupler at pump
     detuning d, from the field builder, and the through and drop
-    transmissions the couplers give for its two segments (input 1 at the
+    transmissions the couplers give for its two arcs (input 1 at the
     through bus, 0 at the add port)."""
     field = att.ring_field_builder(system, Band.PUMP)(d)
-    (length, r1), (_, r2) = field.segments
-    half = cmath.exp(1j * field.k_prop * length)
+    r1, r2 = field.amps
+    half = cmath.exp(1j * field.k_prop * field.arc)
     f_drop, _ = coupler_scatter(_coupler(system, "D"), 0.0, r1 * half)
     f_through, _ = coupler_scatter(_coupler(system, "T"), 1.0, r2 * half)
     return r1, f_through, f_drop
@@ -150,7 +150,7 @@ class TestAsyFields:
     def test_outgoing_magnitude_scaled_by_roundtrip(self, ring_ref):
         # on resonance the outgoing enhancement is a times the incoming one
         f_in, f_out = (att.ring_field_builder(ring_ref, Band.SIGNAL, exit_channel)(0.0)
-                       .segments[0][1] for exit_channel in (None, "O"))
+                       .amps[0] for exit_channel in (None, "O"))
         a = ring_ref.ring.roundtrip_amplitude
         assert abs(f_out) == pytest.approx(a * abs(f_in), rel=1e-12)
 
@@ -198,7 +198,7 @@ class TestOverlap:
         system = ring_lossless
         fields = _single_bus_fields(system, 0.0, 0.0, 0.0)
         j = att.overlap_of_fields(*fields, delta_kappa=system.ring.delta_kappa)
-        f_s, f_i, f_p = (f.segments[0][1] for f in fields)
+        f_s, f_i, f_p = (f.amps[0] for f in fields)
         expected = np.conj(f_s * f_i) * f_p * f_p * system.ring.circumference
         assert j == pytest.approx(expected, rel=1e-12)
 
@@ -244,7 +244,7 @@ class TestOverlap:
         f_s, f_i, f_p = _single_bus_fields(ring_ref, gbar, -gbar, 0.0)
         j_ref = att.overlap_of_fields(f_s, f_i, f_p)
         phase = cmath.exp(0.81j)
-        rotated = replace(f_p, segments=tuple((l, a * phase) for l, a in f_p.segments))
+        rotated = replace(f_p, amps=tuple(a * phase for a in f_p.amps))
         j_rot = att.overlap_of_fields(f_s, f_i, rotated)
         assert abs(j_rot) == pytest.approx(abs(j_ref), rel=1e-12)
 
@@ -321,7 +321,7 @@ class TestPairRate:
             phase = cmath.exp(1j * kt * L)
             den = 1.0 - sigma * phase if exit_channel is None else sigma - phase
             assert field.k_prop == kt
-            assert field.segments == ((L, i_kappa / den),)
+            assert (field.arc, field.amps) == (L, (i_kappa / den,))
         system = bundled_system("add_drop.json")
         s1, s2 = (system.sigma_view(x, Band.PUMP) for x in ("T", "D"))
         i_kappa1, i_kappa2 = (1j * math.sqrt(1.0 - s * s) for s in (s1, s2))
@@ -329,8 +329,8 @@ class TestPairRate:
         kt = k + 0.5j * xi
         r1 = i_kappa1 / (1.0 - s1 * s2 * cmath.exp(1j * kt * L))
         field = att.ring_field_builder(system, Band.PUMP)(d)
-        assert field.segments == ((L / 2.0, r1),
-                                  (L / 2.0, s2 * r1 * cmath.exp(1j * kt * L / 2.0)))
+        assert (field.arc, field.amps) == (L / 2.0,
+                                           (r1, s2 * r1 * cmath.exp(1j * kt * L / 2.0)))
         # outgoing: the amplitude just after the exit coupler, divided by the
         # other coupler's sigma half a round trip on
         kt = k - 0.5j * xi
@@ -339,10 +339,10 @@ class TestPairRate:
         u = i_kappa1 * s2 / den
         field = att.ring_field_builder(system, Band.PUMP, "T")(d)
         assert field.k_prop == kt
-        assert field.segments == ((L / 2.0, u), (L / 2.0, u * half / s2))
+        assert (field.arc, field.amps) == (L / 2.0, (u, u * half / s2))
         w = i_kappa2 * s1 / den
         field = att.ring_field_builder(system, Band.PUMP, "D")(d)
-        assert field.segments == ((L / 2.0, w * half / s1), (L / 2.0, w))
+        assert (field.arc, field.amps) == (L / 2.0, (w * half / s1, w))
 
     def test_single_bus_is_add_drop_with_decoupled_drop(self):
         # one ring model: a drop bus with Gamma_D = 0 is a coupler at sigma = 1,
@@ -608,3 +608,54 @@ class TestModeOrders:
                             f"relative on value {err.value:.6e} pairs/s")
         assert isinstance(err.__cause__, QuadratureError)
         assert err.__cause__.value != err.value
+
+
+def _gap_law(system, x, y):
+    """c_XY = (pi / 2) sum_j eta_j (2 delta_jP + delta_jX + delta_jY - 7 eta_j)
+    over the physical buses j, P the pump bus: the limit of F (R_att - R_ph) /
+    R_ph (docs/strategy_gap.md)."""
+    p = system.pump_input_channel
+    total = 0.0
+    for j in system.buses(1, 2):
+        eta = system.escape_efficiency(j, Band.PUMP)
+        total += eta * (2 * (j == p) + (j == x) + (j == y) - 7.0 * eta)
+    return math.pi / 2.0 * total
+
+
+def _gap_cases():
+    """(config, exit pair, bound on |F gap - c| at F = 2,500): a single bus
+    at eta below, at and above 4/7, and every exit pair of add_drop.json and
+    of two more add-drop coupling sets, given as (eta_T, eta_D)."""
+    cases = []
+    for eta in (0.2, 4.0 / 7.0, 0.8):
+        doc = bundled()
+        doc["system"]["channels"][0]["coupling"] = {"eta": eta}
+        cases.append(pytest.param(parse_config(doc), ("O", "O"), 1e-3, id=f"eta={eta:.3g}"))
+    for etas in (None, (0.2, 0.5), (0.5, 0.15)):
+        doc = bundled("add_drop.json")
+        for channel, eta in zip(doc["system"]["channels"], etas or ()):
+            channel["coupling"] = {"eta": eta}
+        name = "add_drop" if etas is None else "eta_T={},eta_D={}".format(*etas)
+        cases += [pytest.param(parse_config(doc), (x, y), 5e-3, id=f"{name}-{x}{y}")
+                  for x in "TD" for y in "TD"]
+    return cases
+
+
+class TestStrategyGap:
+    """Strategy 1 linearises each coupler, Gamma = (1 - sigma) v / L, against
+    the exact -ln(sigma) v / L; the rates' relative gap is c_XY / F + O(1/F^2)."""
+
+    @pytest.mark.parametrize("config, pair, bound", _gap_cases())
+    def test_scaled_gap_approaches_the_law(self, config, pair, bound):
+        system = config.system
+        deviations = []
+        for f in (250.0, 2500.0):
+            # every coupling and the loss scaled together: eta stays fixed
+            scaled = sweeps._rescaled_coupling_system(system, finesse(system) / f)
+            r_att = att.pair_rate_cw(scaled, config.pump, *pair, rel_tol=1e-11)
+            r_ph = phantom.pair_rates(scaled, config.pump)[pair]
+            deviations.append(abs(finesse(scaled) * (r_att - r_ph) / r_ph
+                                  - _gap_law(system, *pair)))
+        coarse, fine = deviations
+        assert fine <= coarse / 5.0, deviations  # O(1/F): about 10x per decade
+        assert fine <= bound, deviations

@@ -40,6 +40,45 @@ def eta_config(eta=0.6, pump=None) -> dict:
     return doc
 
 
+_DROP = object()  # a _CONFIG_ERRORS value that deletes its key
+
+# (keys into bundled(), the value set there, the ConfigError's path, a part
+# of its message): one row per check of config.py that the rest of the
+# suite reaches by no other input
+_CONFIG_ERRORS = [
+    (("system", "ring"), _DROP, "system.ring", "missing required field"),
+    (("system", "ring", "radius_m"), _DROP, "system.ring.radius_m", "missing required field"),
+    (("system", "bands", "group_index"), 3.0, "system.bands.pump",
+     "either group_velocity_m_per_s or group_index"),
+    (("system", "bands", "signal"), 5, "system.bands.signal", "expected an object"),
+    (("system", "channels", 1), "P", "system.channels[1]", "expected an object"),
+    (("system", "channels", 0, "id"), 7, "system.channels[0].id", "non-empty string"),
+    (("system", "channels", 1, "kind"), "ghost", "system.channels[1].kind",
+     "expected 'physical' or 'phantom'"),
+    (("system", "channels", 0, "coupling"), 0.9814, "system.channels[0].coupling",
+     "expected an object"),
+    (("system", "channels", 1, "coupling", "from_loss"), False,
+     "system.channels[1].coupling.from_loss", "from_loss must be true"),
+    (("system", "channels", 0, "coupling"), {"from_loss": True},
+     "system.channels[0].coupling.from_loss", "reserved for the phantom channel"),
+    (("system", "channels", 0, "coupling"), {"eta": 1.0}, "system.channels[0].coupling.eta",
+     "must be < 1"),
+    (("system", "channels"), [{"id": "O", "coupling": {"eta": 0.6}},
+                              {"id": "P", "kind": "phantom", "coupling": {"eta": 0.6}}],
+     "system.channels", "escape efficiencies sum to 1.2"),
+    (("system", "channels"), [{"id": "O", "coupling": {"sigma": 0.9814}},
+                              {"id": "P", "kind": "phantom", "coupling": {"from_loss": True}},
+                              {"id": "Q", "kind": "phantom", "coupling": {"from_loss": True}}],
+     "system", "at most one phantom channel"),
+    (("pump",), 3, "pump", "expected an object"),
+    (("pump", "kind"), "laser", "pump.kind", "expected 'cw' or 'pulsed'"),
+    ((), ["system"], "$", "top level must be an object"),
+    (("system",), [], "system", "expected an object"),
+    (("strategy",), "neither", "strategy", "expected attenuation, phantom, or both"),
+    (("options",), [], "options", "expected an object"),
+]
+
+
 class TestParseConfig:
     def test_bundled_reference_echo(self):
         cfg = parse_config(bundled())
@@ -157,6 +196,27 @@ class TestParseConfig:
         doc["system"]["channels"][0]["coupling"] = {"sigma": 1.5}
         with pytest.raises(ConfigError, match=r"coupling\.sigma: must be <= 1"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("keys, value, path, message", [
+        pytest.param(*row, id=row[2] + ": " + row[3]) for row in _CONFIG_ERRORS])
+    def test_error_names_its_field(self, keys, value, path, message):
+        # bundled() with the value at `keys` (_DROP deletes the key; no keys
+        # replace the whole document) fails with a ConfigError at `path`
+        doc = bundled()
+        if keys:
+            *parents, last = keys
+            target = doc
+            for key in parents:
+                target = target[key]
+            if value is _DROP:
+                del target[last]
+            else:
+                target[last] = value
+        else:
+            doc = value
+        with pytest.raises(ConfigError, match=message) as caught:
+            parse_config(doc)
+        assert caught.value.path == path
 
 
 _COMMANDS = tuple(cli._HANDLERS)
@@ -1011,10 +1071,16 @@ def test_import_and_parse_load_no_numpy():
 
 def test_exits_before_a_handler_load_no_numpy(tmp_path):
     # every exit 2 that main takes before a handler runs prints one line and
-    # loads no numpy; an argparse error too, without its usage lines
+    # loads no numpy; an argparse error too, without its usage lines. A
+    # config that cannot be read as UTF-8 text, or an --out that cannot be
+    # made a directory, names its path
     bad_json = _write_config(tmp_path, "{", name="bad.json")
     unknown_key = _write_config(tmp_path, {**bundled(), "extra": 1}, name="unknown.json")
     good = _write_config(tmp_path, bundled(), name="good.json")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"strategy": "\xe9"}'.encode("latin-1"))
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
     out = str(tmp_path / "out")
     runs = {"missing file": (["rate", "--config", str(tmp_path / "nope.json")],
                              "config file not found: "),
@@ -1025,7 +1091,15 @@ def test_exits_before_a_handler_load_no_numpy(tmp_path):
             "unknown command": (["bogus", "--config", good],
                                 "lossy-ring-sfwm: error: argument command: invalid choice"),
             "no --config": (["rate"], "lossy-ring-sfwm: error: the following arguments are "
-                                      "required: --config")}
+                                      "required: --config"),
+            "config a directory": (["rate", "--config", str(tmp_path)],
+                                   f"config file not readable: {tmp_path}: "),
+            "config not UTF-8": (["rate", "--config", str(latin1)],
+                                 f"config file not UTF-8: {latin1}: "),
+            "--out a file": (["rate", "--config", good, "--out", str(taken)],
+                             f"cannot create output directory: {taken}: "),
+            "--out under a file": (["rate", "--config", good, "--out", str(taken / "out")],
+                                   f"cannot create output directory: {taken / 'out'}: ")}
     argvs = {name: argv for name, (argv, _) in runs.items()}
     code = ("import contextlib, io, json, sys\n"
             "from lossy_ring_sfwm.cli import main\n"
@@ -1034,7 +1108,7 @@ def test_exits_before_a_handler_load_no_numpy(tmp_path):
             "    err = io.StringIO()\n"
             "    with contextlib.redirect_stderr(err):\n"
             "        try:\n"
-            f"            code = main(argv + ['--out', {out!r}])\n"
+            f"            code = main(argv if '--out' in argv else argv + ['--out', {out!r}])\n"
             "        except SystemExit as e:\n"
             "            code = e.code\n"
             "    results[name] = [code, err.getvalue(), 'numpy' in sys.modules]\n"
@@ -1047,6 +1121,23 @@ def test_exits_before_a_handler_load_no_numpy(tmp_path):
         assert len(lines) == 1 and lines[0].startswith(message), (name, err)
         assert not numpy_loaded, name
     assert not (tmp_path / "out").exists()
+
+
+def test_numpy_overflow_warnings_stay_off_stderr(tmp_path):
+    # sweep-eta's closed form overflows inside numpy at this power, and numpy
+    # warns of it on stderr unless main ignores RuntimeWarning. pytest records
+    # warnings itself, so only a fresh interpreter shows one
+    doc = bundled()
+    doc["pump"]["power_mw"] = 1e153
+    cfg = _write_config(tmp_path, doc)
+    out = str(tmp_path / "out")
+    code = ("import contextlib, io, json\n"
+            "from lossy_ring_sfwm.cli import main\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    status = main(['sweep-eta', '--config', {cfg!r}, '--out', {out!r}])\n"
+            "print(json.dumps([status, err.getvalue()]))\n")
+    assert _last_json_line(code) == [1, "sweep-eta: a pair rate overflows the float range\n"]
 
 
 # numpy packages no command needs: the quadrature and Faddeeva tables are constants

@@ -257,9 +257,8 @@ class TestDistinctEnergies:
             return counted
 
         monkeypatch.setattr(jsa, "_pump_g_factor", recording_g_factor)
-        amplitude = jsa._direct_pair_grid(system, pulse_10ps, "O", "P", kappa)
-        grid = np.concatenate([amplitude(start, start + 7, 1.0)
-                               for start in range(0, n, 7)])
+        rows = jsa._direct_pair_grid(system, pulse_10ps, "O", "P", kappa, 1.0)
+        grid = np.concatenate([rows(start, start + 7) for start in range(0, n, 7)])
         # each energy once: the 2n - 1 anti-diagonals in one call, or each
         # block's own cells as the block is formed
         assert sizes == ([2 * n - 1] if signal_band is None else [7 * n, 7 * n, 7 * n, 3 * n])

@@ -99,7 +99,7 @@ class TestCouplingConversions:
 
 def _bands(ring):
     """Pump, signal and idler bands, all on the ring resonance nearest 1550 nm."""
-    return {b: band_from_wavelength(b, 1550e-9, V_REF, 2.4, ring.circumference) for b in Band}
+    return {b: band_from_wavelength(1550e-9, V_REF, 2.4, ring.circumference) for b in Band}
 
 
 def _system_from_gammas(gammas_by_channel, loss_db_per_cm=26.0):
@@ -170,15 +170,15 @@ class TestFinesse:
 class TestDomainTypes:
     def test_band_invariants(self):
         with pytest.raises(ValueError):
-            BandParams(Band.PUMP, omega=-1.0, v=1e8, m=97)
+            BandParams(omega=-1.0, v=1e8, m=97)
         with pytest.raises(ValueError):
-            BandParams(Band.PUMP, omega=1e15, v=0.0, m=97)
+            BandParams(omega=1e15, v=0.0, m=97)
         with pytest.raises(ValueError, match="resonance order"):
-            BandParams(Band.PUMP, omega=1e15, v=1e8, m=0)
+            BandParams(omega=1e15, v=1e8, m=0)
 
     def test_band_snaps_to_resonance(self):
         # n_eff L / wavelength = 97.29 for the bundled ring
-        p = band_from_wavelength(Band.PUMP, 1550e-9, V_REF, 2.4, L_REF)
+        p = band_from_wavelength(1550e-9, V_REF, 2.4, L_REF)
         assert p.m == 97
         assert p.m == round(2.4 * L_REF / 1550e-9)
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lossy_ring_sfwm import attenuation, numerics
@@ -170,6 +170,9 @@ class TestNumpyForm:
     @given(st.floats(-10.0, 10.0), st.floats(-1.0, 3.0), st.lists(_LORENTZIAN, min_size=1,
                                                                   max_size=4),
            st.floats(-12.0, -4.0))
+    # a panel's error sits within rounding of its share of the tolerance in
+    # round 5 of this draw, so the split follows the order of every sum
+    @example(0.0, 1.6755094915384867, [(0.0859375, -7.372348729638524, 3.0, True)], -12.0)
     @settings(max_examples=200, deadline=None)
     def test_same_evaluations_and_value(self, a, log_span, peaks, log_tol):
         b = a + 10.0 ** log_span

@@ -32,7 +32,7 @@ def random_system(rng: random.Random, n_physical: int) -> SystemSpec:
                     gamma_nl=rng.uniform(10.0, 500.0))
     wavelength = rng.uniform(1.2e-6, 1.6e-6)
     v = rng.uniform(0.7e8, 1.5e8)
-    bands = {b: band_from_wavelength(b, wavelength, v, 2.4, ring.circumference) for b in Band}
+    bands = {b: band_from_wavelength(wavelength, v, 2.4, ring.circumference) for b in Band}
     channels = []
     for i in range(n_physical):
         gammas = {b: rng.uniform(0.3, 3.0) * phantom_gamma_from_xi(ring.xi, v)

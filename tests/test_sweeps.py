@@ -196,7 +196,7 @@ class TestStrategy1Sweeps:
         def spy(*fields, **kwargs):
             for f in fields:
                 seen.add(type(f.k_prop))
-                seen.update(type(a) for _, a in f.segments)
+                seen.update(type(a) for a in f.amps)
             return overlap(*fields, **kwargs)
 
         monkeypatch.setattr(attenuation, "overlap_of_fields", spy)
