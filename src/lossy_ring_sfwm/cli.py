@@ -9,10 +9,12 @@ no command reads, and any key of its own block that it does not read.
 Each command writes CSV data files and a JSON metadata sidecar
 (configuration hash, derived parameters, tolerances achieved) into the
 output directory. Outputs are byte-stable for a fixed configuration:
-stable column order, shortest round-trip decimals, no timestamps. Exit
-status: 0 on success; 1 when a tolerance gate fails, a quadrature fails,
-or a rate that is zero, not finite or singular stops the command; 2 on a
-bad config or geometry, or an option the command does not take.
+stable column order, shortest round-trip decimals, no timestamps. Only
+main reports a failure, in one stderr line; the exception's class picks
+the exit status: 1 for an ArithmeticError (a failed quadrature, a rate
+that is zero, not finite or singular, or a failed gate: jsa's residual or
+oracle-check's deviation), 2 for a ConfigError or GeometryError (a bad
+config or geometry) or an option the command does not take; 0 on success.
 
 Each command runs in a fresh process, which compiles every module it
 loads when no bytecode cache is written, so each handler imports the
@@ -111,7 +113,7 @@ def _write_float_csv(path: Path, header: list):
 
 
 def _write_sweep(outdir: Path, command: str, config: RunConfig,
-                 result: SweepResult) -> int:
+                 result: SweepResult) -> None:
     """<stem>.csv holds the sweep axis, then every value column in the result's
     order, each under its name; <stem>_meta.json the result's metadata."""
     import numpy as np
@@ -120,25 +122,17 @@ def _write_sweep(outdir: Path, command: str, config: RunConfig,
     ((name, axis),) = result.axes.items()
     _write_csv(outdir / f"{stem}.csv", [name] + list(result.values),
                np.column_stack([axis, *result.values.values()]).tolist())
-    meta = _base_metadata(command, config)
-    meta.update(result.metadata)
-    _write_metadata(outdir / f"{stem}_meta.json", meta)
-    return 0
+    _write_metadata(outdir, command, config, result.metadata)
 
 
-def _write_metadata(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+def _write_metadata(outdir: Path, command: str, config: RunConfig, extra: dict) -> None:
+    """<stem>_meta.json: the command, the config hash, the strategy and the
+    derived parameters, then the command's own entries."""
+    meta = {"command": command, "config_hash": config.config_hash,
+            "strategy": config.strategy, "derived": derived_echo(config), **extra}
+    with open(outdir / f"{command.replace('-', '_')}_meta.json", "w") as fh:
+        json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _base_metadata(command: str, config: RunConfig) -> dict:
-    return {
-        "command": command,
-        "config_hash": config.config_hash,
-        "strategy": config.strategy,
-        "derived": derived_echo(config),
-    }
 
 
 def _require_cw(config: RunConfig) -> CwPump:
@@ -233,43 +227,36 @@ def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
             raise ConfigError(path or _coupling_field(config, i), str(e)) from e
 
 
-def _attenuation_pairs(config: RunConfig, pump: CwPump):
-    from . import attenuation
-
-    system = config.system
-    buses = system.buses(1, 2)
-    _require_strategy1(config, buses)
-    return [(x, y, attenuation.pair_rate_cw(system, pump, x, y)) for x in buses for y in buses]
-
-
-def cmd_rate(config: RunConfig, outdir: Path, tol) -> int:
+def cmd_rate(config: RunConfig, outdir: Path, tol) -> None:
     from . import phantom
 
-    pump = _require_cw(config)
-    rows = []
-    meta = _base_metadata("rate", config)
+    system, pump = config.system, _require_cw(config)
+    rows, meta = [], {}
     matched: dict[str, float] = {}
     if config.strategy in ("phantom", "both"):
-        rates = phantom.pair_rates(config.system, pump)
+        rates = phantom.pair_rates(system, pump)
         rows += [("phantom", x, y, rate) for (x, y), rate in rates.items()]
-        gbar = [config.system.gamma_bar(b) for b in (Band.SIGNAL, Band.IDLER)]
-        meta["p_vac_w"] = phantom.pair_vacuum_power(config.system, pump, *gbar)
-        matched["phantom"] = rates[(config.system.pump_input_channel,) * 2]
+        gbar = [system.gamma_bar(b) for b in (Band.SIGNAL, Band.IDLER)]
+        meta["p_vac_w"] = phantom.pair_vacuum_power(system, pump, *gbar)
+        matched["phantom"] = rates[(system.pump_input_channel,) * 2]
     if config.strategy in ("attenuation", "both"):
-        for x, y, rate in _attenuation_pairs(config, pump):
-            rows.append(("attenuation", x, y, rate))
-            if x == y == config.system.pump_input_channel:
-                matched["attenuation"] = rate
+        from . import attenuation
+
+        buses = system.buses(1, 2)
+        _require_strategy1(config, buses)
+        rates = {(x, y): attenuation.pair_rate_cw(system, pump, x, y)
+                 for x in buses for y in buses}
+        rows += [("attenuation", x, y, rate) for (x, y), rate in rates.items()]
+        matched["attenuation"] = rates[(system.pump_input_channel,) * 2]
     if len(matched) == 2:
         meta["rel_difference"] = phantom.rel_difference(matched["attenuation"],
                                                         matched["phantom"])
     _write_csv(outdir / "rate.csv",
                ["strategy", "signal_exit", "idler_exit", "rate_pairs_per_s"], rows)
-    _write_metadata(outdir / "rate_meta.json", meta)
-    return 0
+    _write_metadata(outdir, "rate", config, meta)
 
 
-def cmd_ratios(config: RunConfig, outdir: Path, tol) -> int:
+def cmd_ratios(config: RunConfig, outdir: Path, tol) -> None:
     from . import phantom
 
     pump = _require_cw(config)
@@ -281,13 +268,10 @@ def cmd_ratios(config: RunConfig, outdir: Path, tol) -> int:
     _write_csv(outdir / "ratios.csv",
                ["signal_exit", "idler_exit", "ref_signal_exit", "ref_idler_exit",
                 "ratio"], rows)
-    meta = _base_metadata("ratios", config)
-    meta["reference_pair"] = list(ref)
-    _write_metadata(outdir / "ratios_meta.json", meta)
-    return 0
+    _write_metadata(outdir, "ratios", config, {"reference_pair": list(ref)})
 
 
-def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> int:
+def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> None:
     from . import sweeps
 
     pump = _require_cw(config)
@@ -300,21 +284,20 @@ def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> int:
         except ValueError as e:
             raise ConfigError("options.sweep_sigma.max",
                               f"sigma = 1 decouples the bus: {e}") from e
-    return _write_sweep(outdir, "sweep-sigma", config,
-                        sweeps.sweep_sigma(config.system, axis, pump))
+    _write_sweep(outdir, "sweep-sigma", config, sweeps.sweep_sigma(config.system, axis, pump))
 
 
-def cmd_sweep_eta(config: RunConfig, outdir: Path, tol) -> int:
+def cmd_sweep_eta(config: RunConfig, outdir: Path, tol) -> None:
     from . import sweeps
 
     pump = _require_cw(config)
     axis = _axis(config, "sweep_eta", "min", "max", "points", (0.02, 0.98, 101),
                  unit="(0, 1)")
     _require_lossy_phantom(config)
-    return _write_sweep(outdir, "sweep-eta", config, sweeps.sweep_eta(config.system, axis, pump))
+    _write_sweep(outdir, "sweep-eta", config, sweeps.sweep_eta(config.system, axis, pump))
 
 
-def cmd_compare_finesse(config: RunConfig, outdir: Path, tol) -> int:
+def cmd_compare_finesse(config: RunConfig, outdir: Path, tol) -> None:
     from . import sweeps
 
     pump = _require_cw(config)
@@ -331,10 +314,10 @@ def cmd_compare_finesse(config: RunConfig, outdir: Path, tol) -> int:
                            scale=finesse(config.system) / axis[0],
                            path="options.compare_finesse.min")
         result = sweeps.compare_finesse(config.system, axis, pump)
-    return _write_sweep(outdir, "compare-finesse", config, result)
+    _write_sweep(outdir, "compare-finesse", config, result)
 
 
-def cmd_add_drop_grid(config: RunConfig, outdir: Path, tol) -> int:
+def cmd_add_drop_grid(config: RunConfig, outdir: Path, tol) -> None:
     import numpy as np
 
     from . import sweeps
@@ -350,12 +333,9 @@ def cmd_add_drop_grid(config: RunConfig, outdir: Path, tol) -> int:
     with _write_float_csv(outdir / "add_drop_grid.csv",
                           ["gamma_t_ratio", "gamma_d_ratio"] + keys) as append:
         append(t.ravel(), d.ravel(), *(result.values[k].ravel() for k in keys))
-    meta = _base_metadata("add-drop-grid", config)
-    meta["argmax"] = result.metadata["argmax"]
-    meta["pump_power_w"] = pump.power
-    meta["pump_detuning_rad_per_s"] = pump.detuning
-    _write_metadata(outdir / "add_drop_grid_meta.json", meta)
-    return 0
+    _write_metadata(outdir, "add-drop-grid", config,
+                    {"argmax": result.metadata["argmax"], "pump_power_w": pump.power,
+                     "pump_detuning_rad_per_s": pump.detuning})
 
 
 def _reference_pair(config: RunConfig, ref) -> tuple[str, str]:
@@ -374,7 +354,7 @@ def _reference_pair(config: RunConfig, ref) -> tuple[str, str]:
     return ref[0], ref[1]
 
 
-def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
+def cmd_jsa(config: RunConfig, outdir: Path, tol) -> None:
     import numpy as np
 
     from . import jsa
@@ -393,9 +373,6 @@ def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
     try:
         grid = jsa.build_jsa(config.system, pump, n=n, kappa_max=kappa_max,
                              reference_pair=ref_pair, residual_tol=residual_tol)
-    except jsa.GridTooCoarseError as e:
-        print(f"jsa: {e}", file=sys.stderr)
-        return 1
     except jsa.FloatRangeError as e:
         field = {"alpha": "pump.alpha", "pulse": "pump.duration_fwhm_ps"}.get(e.source)
         raise ConfigError(field or _widest_channel_field(config), str(e)) from e
@@ -415,8 +392,7 @@ def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
                ["signal_exit", "idler_exit", "weight_re", "weight_im", "weight_abs2"],
                [(x, y, w, 0.0, w ** 2)
                 for (x, y), w in grid.weights.items()])
-    meta = _base_metadata("jsa", config)
-    meta.update({
+    _write_metadata(outdir, "jsa", config, {
         "grid_points": n,
         "kappa_max": kappa_max,
         "reference_pair": list(grid.reference_pair),
@@ -425,11 +401,9 @@ def cmd_jsa(config: RunConfig, outdir: Path, tol) -> int:
         "residual_tol": residual_tol,
         "pump_duration_fwhm_s": pump.duration_fwhm,
     })
-    _write_metadata(outdir / "jsa_meta.json", meta)
-    return 0
 
 
-def cmd_oracle_check(config: RunConfig, outdir: Path, tol) -> int:
+def cmd_oracle_check(config: RunConfig, outdir: Path, tol) -> None:
     from . import phantom
 
     pump = _require_cw(config)
@@ -451,15 +425,11 @@ def cmd_oracle_check(config: RunConfig, outdir: Path, tol) -> int:
     _write_csv(outdir / "oracle_check.csv",
                ["signal_exit", "idler_exit", "closed_form_pairs_per_s",
                 "oracle_pairs_per_s", "rel_deviation"], rows)
-    meta = _base_metadata("oracle-check", config)
-    meta["max_rel_deviation"] = worst
-    meta["tolerance"] = max_dev_tol
-    _write_metadata(outdir / "oracle_check_meta.json", meta)
+    _write_metadata(outdir, "oracle-check", config,
+                    {"max_rel_deviation": worst, "tolerance": max_dev_tol})
     print(f"oracle-check: max relative deviation {worst:.3e} (tolerance {max_dev_tol:.1e})")
     if worst > max_dev_tol:
-        print("oracle-check: deviation exceeds tolerance", file=sys.stderr)
-        return 1
-    return 0
+        raise ArithmeticError("deviation exceeds tolerance")
 
 
 _HANDLERS = {
@@ -479,6 +449,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _tolerance(text: str) -> float:
+    """--tol, finite and >= 0 as the config's residual_tol and max_rel_dev."""
+    with contextlib.suppress(ValueError):
+        if 0.0 <= (tol := float(text)) < math.inf:
+            return tol
+    raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lossy-ring-sfwm",
@@ -486,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_tolerance, default=None,
                         help="override the tolerance gate of jsa (normalization "
                              "residual) or oracle-check (relative deviation); "
                              "the other commands have no gate and reject it")
@@ -531,7 +509,7 @@ def main(argv=None) -> int:
             # numpy would warn of an overflow or a 0/0 on stderr; the rate
             # kernels raise on a rate that is not finite instead
             warnings.simplefilter("ignore", RuntimeWarning)
-            return _HANDLERS[args.command](config, outdir, args.tol)
+            _HANDLERS[args.command](config, outdir, args.tol)
     except ConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2
@@ -547,12 +525,15 @@ def main(argv=None) -> int:
             print("invalid config: system.ring.gamma_nl_per_w_m: its square, a factor of "
                   "every pair rate, leaves the float range", file=sys.stderr)
             return 2
-        # arithmetic that fails ends the command in one line: a zero rate, a
-        # singular resonance and a rate that is not finite say what went
-        # wrong; a bare OverflowError only "math range error"
+        # the exception's class picks the exit code: an ArithmeticError ends
+        # the command with exit 1 and one line. A zero rate, a singular
+        # resonance, a rate that is not finite and the two gates (jsa's
+        # GridTooCoarseError, oracle-check's relative deviation) say what
+        # went wrong; a bare OverflowError only "math range error"
         what = "a result overflows the float range" if type(e) is OverflowError else e
         print(f"{args.command}: {what}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

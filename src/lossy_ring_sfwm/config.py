@@ -49,12 +49,13 @@ def _require(d: Mapping, key: str, path: str) -> Any:
 
 
 def _number(d: Mapping, key: str, path: str, *, default=None,
-            minimum=None, positive=False, integer=False) -> float:
-    """A finite number from d[key] (or the default), as an int when integer."""
+            minimum=None, positive=False, integer=False, unit=1.0) -> float:
+    """A finite number from d[key] (or the default), as an int when integer,
+    else times `unit` into SI, where a positive number must stay positive."""
     if key not in d:
         if default is None:
             raise ConfigError(f"{path}.{key}", "missing required field")
-        return int(default) if integer else float(default)
+        return int(default) if integer else float(default) * unit
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}.{key}", f"expected a number, got {v!r}")
@@ -66,11 +67,13 @@ def _number(d: Mapping, key: str, path: str, *, default=None,
         raise ConfigError(f"{path}.{key}", f"must be finite, got {v}")
     if positive and v <= 0:
         raise ConfigError(f"{path}.{key}", f"must be positive, got {v}")
+    if positive and v * unit == 0.0:
+        raise ConfigError(f"{path}.{key}", f"underflows to 0 in SI units, got {v}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {v}")
     if integer and not v.is_integer():
         raise ConfigError(f"{path}.{key}", f"must be an integer, got {v}")
-    return int(v) if integer else v
+    return int(v) if integer else v * unit
 
 
 def _check_keys(d: Mapping, allowed: set[str], path: str) -> None:
@@ -102,7 +105,7 @@ def _parse_band_block(block: Mapping, path: str, defaults: Mapping):
     _check_keys(block, {"wavelength_nm", "effective_index", "group_velocity_m_per_s",
                         "group_index"}, path)
     base = {**defaults, **block}
-    wavelength = _number(base, "wavelength_nm", path, positive=True) * 1e-9
+    wavelength = _number(base, "wavelength_nm", path, positive=True, unit=1e-9)
     n_eff = _number(base, "effective_index", path, positive=True)
     if "group_velocity_m_per_s" in base and "group_index" in base:
         raise ConfigError(path, "give either group_velocity_m_per_s or group_index")
@@ -221,10 +224,10 @@ def _parse_pump(block: Mapping, path: str, omega_p: float) -> CwPump | PulsedPum
         raise ConfigError(f"{path}.detuning_rad_per_s", "must be smaller in magnitude than "
                           f"the pump band's omega_P = {omega_p} rad/s; got {detuning}")
     if kind == "cw":
-        return CwPump(power=_number(block, "power_mw", path, positive=True) * 1e-3,
+        return CwPump(power=_number(block, "power_mw", path, positive=True, unit=1e-3),
                       detuning=detuning)
     return PulsedPump(
-        duration_fwhm=_number(block, "duration_fwhm_ps", path, positive=True) * 1e-12,
+        duration_fwhm=_number(block, "duration_fwhm_ps", path, positive=True, unit=1e-12),
         alpha=_number(block, "alpha", path, default=1.0, positive=True), detuning=detuning)
 
 
@@ -255,6 +258,8 @@ def parse_config(source: str | Mapping) -> RunConfig:
         gamma_nl=_number(ring_block, "gamma_nl_per_w_m", "system.ring", positive=True),
         delta_kappa=_number(ring_block, "delta_kappa_per_m", "system.ring", default=0.0),
     )
+    if math.isinf(ring.circumference):
+        raise ConfigError("system.ring.radius_m", f"2 pi r overflows, got {ring.radius}")
     bands = _parse_bands(_require(sys_block, "bands", "system"), ring, "system.bands")
     channels = _parse_channels(_require(sys_block, "channels", "system"), ring, bands,
                                "system.channels")

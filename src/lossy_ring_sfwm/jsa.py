@@ -74,10 +74,11 @@ class FloatRangeError(FloatingPointError):
         self.source = source
 
 
-class GridTooCoarseError(ValueError):
+class GridTooCoarseError(ArithmeticError):
     """The JSA grid missed too much of the normalization. The pairs' energy
     2 omega_o lies `offset` linewidths Gbar_S + Gbar_I from the grid centre
-    omega_S + omega_I; past kappa_max, the grid's reach, no finer grid helps."""
+    omega_S + omega_I; past kappa_max, the grid's reach, no finer grid helps.
+    A failed gate, as oracle-check's: an ArithmeticError, so the CLI exits 1."""
 
     def __init__(self, residual: float, tolerance: float, offset: float, kappa_max: float):
         advice = "increase the grid extent or resolution"

@@ -79,7 +79,10 @@ def band_from_wavelength(wavelength_m: float, group_velocity: float, effective_i
     if wavelength_m <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength_m}")
     omega = TWO_PI * C_VACUUM / wavelength_m
-    m = round(effective_index * circumference / wavelength_m)
+    order = effective_index * circumference / wavelength_m
+    if math.isinf(order):
+        raise ValueError("the resonance order n_eff L / wavelength overflows")
+    m = round(order)
     if m < 1:
         raise ValueError(
             f"no ring resonance near wavelength {wavelength_m} m for circumference "

@@ -70,6 +70,16 @@ _CONFIG_ERRORS = [
                               {"id": "P", "kind": "phantom", "coupling": {"from_loss": True}},
                               {"id": "Q", "kind": "phantom", "coupling": {"from_loss": True}}],
      "system", "at most one phantom channel"),
+    (("system", "ring", "radius_m"), 1e308, "system.ring.radius_m", "2 pi r overflows"),
+    (("system", "bands", "effective_index"), 1e308, "system.bands.effective_index",
+     "resonance order n_eff L / wavelength overflows"),
+    # a shared band key is named under the first band that reads it, as
+    # every other check of the band block names it
+    (("system", "bands", "wavelength_nm"), 5e-324, "system.bands.pump.wavelength_nm",
+     "underflows to 0 in SI units"),
+    (("pump", "power_mw"), 5e-324, "pump.power_mw", "underflows to 0 in SI units"),
+    (("pump",), {"kind": "pulsed", "duration_fwhm_ps": 5e-324}, "pump.duration_fwhm_ps",
+     "underflows to 0 in SI units"),
     (("pump",), 3, "pump", "expected an object"),
     (("pump", "kind"), "laser", "pump.kind", "expected 'cw' or 'pulsed'"),
     ((), ["system"], "$", "top level must be an object"),
@@ -319,12 +329,22 @@ class TestCommands:
         meta = json.loads((out / "oracle_check_meta.json").read_text())
         assert meta["max_rel_deviation"] <= 1e-12
 
-    def test_oracle_check_gate_can_fail(self, tmp_path):
+    def test_oracle_check_gate_can_fail(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, eta_config(eta=0.55))
         out = tmp_path / "out"
-        # an absurdly tight gate must flip the exit status
+        # an absurdly tight gate must flip the exit status; the table, the
+        # sidecar and the summary line are still written, and main reports
+        # the failure in one line
         assert main(["oracle-check", "--config", cfg, "--out", str(out),
                      "--tol", "1e-16"]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stderr == "oracle-check: deviation exceeds tolerance\n"
+        assert stdout.startswith("oracle-check: max relative deviation ")
+        assert stdout.endswith(" (tolerance 1.0e-16)\n") and stdout.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["oracle_check.csv",
+                                                         "oracle_check_meta.json"]
+        meta = json.loads((out / "oracle_check_meta.json").read_text())
+        assert meta["tolerance"] == 1e-16 < meta["max_rel_deviation"]
 
     def test_sweep_eta_deterministic(self, tmp_path):
         doc = eta_config(eta=0.5)
@@ -408,13 +428,19 @@ class TestCommands:
             assert im == "0.0"
             assert float(abs2) == float(re) ** 2
 
-    def test_jsa_residual_gate(self, tmp_path):
+    def test_jsa_residual_gate(self, tmp_path, capsys):
         doc = eta_config(pump={"kind": "pulsed", "duration_fwhm_ps": 10.0})
         doc["options"] = {"jsa": {"grid_points": 128}}
         cfg = _write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["jsa", "--config", cfg, "--out", str(out),
                      "--tol", "1e-5"]) == 1
+        # the gate fails before any file is written, and main reports it
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("jsa: JSA grid normalization residual ")
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+        assert list(out.glob("jsa_*")) == []
 
     def test_jsa_needs_pulsed_pump(self, tmp_path):
         cfg = _write_config(tmp_path, eta_config())
@@ -1088,6 +1114,11 @@ def test_exits_before_a_handler_load_no_numpy(tmp_path):
             "unknown key": (["rate", "--config", unknown_key], "invalid config: $.extra: "),
             "--tol on rate": (["rate", "--config", good, "--tol", "1e-3"],
                               "rate: --tol applies only to jsa and oracle-check"),
+            # as the config's max_rel_dev, --tol is finite and >= 0: a NaN or
+            # an infinity would pass every run, a negative one fail it
+            **{f"--tol {tol}": (["oracle-check", "--config", good, "--tol", tol],
+                                "lossy-ring-sfwm: error: argument --tol: expected a finite "
+                                f"number >= 0, got '{tol}'") for tol in ("nan", "inf", "-1")},
             "unknown command": (["bogus", "--config", good],
                                 "lossy-ring-sfwm: error: argument command: invalid choice"),
             "no --config": (["rate"], "lossy-ring-sfwm: error: the following arguments are "

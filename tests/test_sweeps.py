@@ -67,7 +67,7 @@ class TestSweepEta:
         np.testing.assert_allclose(result.values["R_PP"] / r_oo,
                                    ((1.0 - etas) / etas) ** 2, rtol=1e-12)
 
-    def test_matches_rate_matrix_loop(self, ring_ref):
+    def test_matches_pair_rate_cw_loop(self, ring_ref):
         etas = np.array([0.03, 0.2, 0.21, 0.57, 0.9, 0.97])
         pump = CwPump(0.7e-3, detuning=-1.1 * ring_ref.gamma_bar(Band.PUMP))
         result = sweeps.sweep_eta(ring_ref, etas, pump)
