@@ -20,11 +20,15 @@ Each command runs in a fresh process, which compiles every module it
 loads when no bytecode cache is written, so each handler imports the
 layers it runs. Importing cli and parsing a config load config, model and
 constants and no numpy, so --help, a bad option and a bad config exit
-without it. ratios and oracle-check load numerics and phantom, and rate
-attenuation too: these three compute in Python floats and load no numpy.
-The others load numpy with their layers: sweep-eta and add-drop-grid load
-numerics, phantom and sweeps, sweep-sigma and compare-finesse add
-attenuation, and jsa loads numerics, jsa, phantom. No command loads
+without it. ratios and oracle-check load numerics and phantom, rate
+attenuation too, sweep-eta and add-drop-grid numerics, phantom and
+sweeps, sweep-sigma and compare-finesse attenuation too, and jsa
+numerics, jsa and phantom. rate, ratios, oracle-check, sweep-sigma and
+the two-bus compare-finesse compute in Python floats and load no numpy.
+Four commands load it: add-drop-grid and jsa for their grids, sweep-eta
+for its broadcast rates (see sweeps), and the single-bus compare-finesse
+for its log axis: np.logspace's SIMD power and log10 are not libm's, and
+10 ** u misses its points in the last bit on most axes. No command loads
 OpenSSL (the config hash is CPython's built-in SHA-256), numpy.polynomial
 or numpy.fft (the quadrature and Faddeeva tables are constants).
 """
@@ -43,7 +47,8 @@ from typing import TYPE_CHECKING
 
 from .config import ConfigError, RunConfig, _check_keys, _number, derived_echo, parse_config
 from .constants import TWO_PI
-from .model import Band, CwPump, GeometryError, PulsedPump, finesse, sigma_from_gamma
+from .model import (Band, CwPump, GeometryError, PulsedPump, finesse, gamma_from_sigma,
+                    sigma_from_gamma)
 
 if TYPE_CHECKING:  # the handlers import the layers they run
     from .sweeps import SweepResult
@@ -115,13 +120,14 @@ def _write_float_csv(path: Path, header: list):
 def _write_sweep(outdir: Path, command: str, config: RunConfig,
                  result: SweepResult) -> None:
     """<stem>.csv holds the sweep axis, then every value column in the result's
-    order, each under its name; <stem>_meta.json the result's metadata."""
-    import numpy as np
-
+    order, each under its name; <stem>_meta.json the result's metadata. Every
+    cell is written as a Python float: csv writes a numpy float, which
+    sweep-eta's columns hold, as its repr np.float64(...)."""
     stem = command.replace("-", "_")
     ((name, axis),) = result.axes.items()
+    columns = [axis, *result.values.values()]
     _write_csv(outdir / f"{stem}.csv", [name] + list(result.values),
-               np.column_stack([axis, *result.values.values()]).tolist())
+               zip(*(map(float, c) for c in columns)))
     _write_metadata(outdir, command, config, result.metadata)
 
 
@@ -141,10 +147,19 @@ def _require_cw(config: RunConfig) -> CwPump:
     return config.pump
 
 
-def _axis(config: RunConfig, name: str, lo_key: str, hi_key: str, n_key: str, defaults,
-          *, log=False, unit: str | None = None):
-    import numpy as np
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n) in Python floats, bit for bit: i * step + lo
+    with step = (hi - lo) / (n - 1), or (i / (n - 1)) * (hi - lo) + lo where
+    that step underflows to 0, and hi last."""
+    delta, div = hi - lo, n - 1
+    step = delta / div
+    return [(i * step if step != 0.0 else i / div * delta) + lo for i in range(div)] + [hi]
 
+
+def _axis(config: RunConfig, name: str, lo_key: str, hi_key: str, n_key: str, defaults,
+          *, log=False, unit: str | None = None) -> list[float]:
+    """The swept axis of a command's options block, as Python floats: linear,
+    or log-spaced where log is set."""
     # unit: "(0, 1)" for an escape efficiency, "(0, 1]" for a self-coupling
     block, path = config.options.get(name, {}), f"options.{name}"
     _check_keys(block, {lo_key, hi_key, n_key}, path)
@@ -154,10 +169,15 @@ def _axis(config: RunConfig, name: str, lo_key: str, hi_key: str, n_key: str, de
     for key, v in ((lo_key, lo), (hi_key, hi)):
         if unit and not (0.0 < v < 1.0 or v == 1.0 and unit.endswith("]")):
             raise ConfigError(f"{path}.{key}", f"must lie in {unit}, got {v}")
-    axis = np.logspace(np.log10(lo), np.log10(hi), n) if log else np.linspace(lo, hi, n)
+    if log:  # numpy's log10 and power, whose bits libm does not reproduce
+        import numpy as np
+
+        axis = np.logspace(np.log10(lo), np.log10(hi), n).tolist()
+    else:
+        axis = _linspace(lo, hi, n)
     # the one check of the axis: bounds too close for n distinct floats
     # between them fail it as hi <= lo does
-    if not np.all(np.diff(axis) > 0.0):
+    if not all(a < b for a, b in zip(axis, axis[1:])):
         raise ConfigError(f"{path}.{hi_key}", f"[{lo}, {hi}] x {n} is not a strictly "
                           "increasing axis")
     return axis
@@ -177,6 +197,16 @@ def _coupling_field(config: RunConfig, i: int) -> str:
     (key,) = config.normalized["system"]["channels"][i]["coupling"]
     return "system.ring.loss_db_per_cm" if key == "from_loss" \
         else f"system.channels[{i}].coupling.{key}"
+
+
+def _velocity_field(config: RunConfig, band: Band) -> str:
+    """The config field that sets a band's group velocity: the band's own
+    block's, else the shared one's."""
+    bands = config.normalized["system"]["bands"]
+    block, path = bands.get(band.value, {}), f"system.bands.{band.value}"
+    if not block.keys() & {"group_velocity_m_per_s", "group_index"}:
+        block, path = bands, "system.bands"
+    return f"{path}.{'group_index' if 'group_index' in block else 'group_velocity_m_per_s'}"
 
 
 def _widest_channel_field(config: RunConfig) -> str:
@@ -278,9 +308,20 @@ def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> None:
     axis = _axis(config, "sweep_sigma", "min", "max", "points", (0.90, 0.9995, 101),
                  unit="(0, 1]")
     _require_strategy1(config, [])  # the ring loss: the sweep sets the bus coupling
+    system = config.system
+    L = system.ring.circumference
+    for b in Band:  # the lowest sigma sets the largest decay rate of the sweep
+        gamma = gamma_from_sigma(axis[0], system.bands[b].v, L)
+        try:
+            sigma_from_gamma(gamma, system.bands[b].v, L)
+        except ValueError as e:
+            if math.isinf(gamma):
+                raise ConfigError(_velocity_field(config, b), "the bus decay rate "
+                                  f"(1 - sigma) v / L at sigma = {axis[0]} overflows") from e
+            raise ConfigError("options.sweep_sigma.min", str(e)) from e
     if axis[-1] == 1.0:  # a lossless ring has no linewidth once the bus decouples
         try:
-            config.system.with_channel_gamma(*config.system.buses(1), dict.fromkeys(Band, 0.0))
+            system.with_channel_gamma(*system.buses(1), dict.fromkeys(Band, 0.0))
         except ValueError as e:
             raise ConfigError("options.sweep_sigma.max",
                               f"sigma = 1 decouples the bus: {e}") from e

@@ -101,29 +101,44 @@ class RunConfig:
         return sha256(blob.encode()).hexdigest()
 
 
-def _parse_band_block(block: Mapping, path: str, defaults: Mapping):
-    _check_keys(block, {"wavelength_nm", "effective_index", "group_velocity_m_per_s",
-                        "group_index"}, path)
-    base = {**defaults, **block}
-    wavelength = _number(base, "wavelength_nm", path, positive=True, unit=1e-9)
-    n_eff = _number(base, "effective_index", path, positive=True)
+_BAND_BLOCK_KEYS = {"wavelength_nm", "effective_index", "group_velocity_m_per_s", "group_index"}
+
+
+def _parse_band_block(block: Mapping, path: str, shared: Mapping, shared_path: str):
+    """A band's own block, over the keys of the shared one; an error names
+    the block its key came from."""
+    _check_keys(block, _BAND_BLOCK_KEYS, path)
+    base = {**shared, **block}
+
+    def owner(*keys: str) -> str:
+        return shared_path if not block.keys() & set(keys) and shared.keys() & set(keys) \
+            else path
+
+    wavelength = _number(base, "wavelength_nm", owner("wavelength_nm"), positive=True,
+                         unit=1e-9)
+    n_eff = _number(base, "effective_index", owner("effective_index"), positive=True)
     if "group_velocity_m_per_s" in base and "group_index" in base:
-        raise ConfigError(path, "give either group_velocity_m_per_s or group_index")
+        raise ConfigError(owner("group_velocity_m_per_s", "group_index"),
+                          "give either group_velocity_m_per_s or group_index")
     if "group_index" in base:
-        v = C_VACUUM / _number(base, "group_index", path, positive=True)
+        v = C_VACUUM / _number(base, "group_index", owner("group_index"), positive=True)
     else:
-        v = _number(base, "group_velocity_m_per_s", path, positive=True)
+        v = _number(base, "group_velocity_m_per_s", owner("group_velocity_m_per_s"),
+                    positive=True)
     return wavelength, v, n_eff
 
 
 def _parse_bands(block: Mapping, ring: RingSpec, path: str) -> dict[Band, BandParams]:
+    if not isinstance(block, Mapping):
+        raise ConfigError(path, "expected an object")
+    _check_keys(block, _BAND_BLOCK_KEYS | set(_BAND_KEYS), path)
     shared_keys = {k: v for k, v in block.items() if k not in _BAND_KEYS}
     bands: dict[Band, BandParams] = {}
     for name, band in _BAND_KEYS.items():
         sub = block.get(name, {})
         if not isinstance(sub, Mapping):
             raise ConfigError(f"{path}.{name}", "expected an object")
-        wavelength, v, n_eff = _parse_band_block(sub, f"{path}.{name}", shared_keys)
+        wavelength, v, n_eff = _parse_band_block(sub, f"{path}.{name}", shared_keys, path)
         try:
             bands[band] = band_from_wavelength(wavelength, v, n_eff, ring.circumference)
         except ValueError as e:  # no resonance order m >= 1 fits the ring

@@ -2,44 +2,63 @@
 
 The phantom-model maps (sweep_eta, add_drop_grid) set the swept decay
 rates as numpy arrays, the add-drop ones broadcast over (t, d), and call
-the closed-form kernel phantom.pair_rates once. The strategy-1 sweeps
-evaluate every point by its own quadrature, one after another in axis
-order, and hand the model each point as a Python float (axis.tolist()):
-a numpy scalar would flow through the system copy into every field's
-wavevector and amplitudes, and each quadrature node would then do its
-complex arithmetic on numpy scalars, several times slower than on
-Python complex numbers. A quadrature that fails names its point, and the
-strategies' relative difference is taken per point, as rate takes it.
+the closed-form kernel phantom.pair_rates once; they import numpy when
+they run. The strategy-1 sweeps (sweep_sigma, compare_finesse,
+compare_finesse_add_drop) evaluate every point by its own quadrature, one
+after another in axis order, and hold their axes and values as Columns,
+lists of Python floats, so they load no numpy. Each point reaches the
+model as a Python float: a numpy scalar would flow through the system copy
+into every field's wavevector and amplitudes, and each quadrature node
+would then do its complex arithmetic on numpy scalars, several times
+slower than on Python complex numbers. A quadrature that fails names its point, and
+the strategies' relative difference is taken per point, as rate takes it.
+
+sweep_eta stays on the broadcast: a per-point pair_rates squares with
+Python's x ** 2, which is libm's pow and not x * x on about 0.08% of
+arguments, so its rates would move in the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import phantom  # the strategy-1 sweeps import attenuation when they run
 from .model import Band, CwPump, GeometryError, SystemSpec, finesse, gamma_from_sigma
 from .numerics import QuadratureError
 
+if TYPE_CHECKING:  # used in annotations only
+    import numpy as np
+
+
+class Column(list):
+    """A strategy-1 sweep's axis or values, as Python floats. Like a 1-D
+    numpy array it gives its length as .size, by which benchmark/tracing.py
+    counts the points of every sweep."""
+
+    @property
+    def size(self) -> int:
+        return len(self)
+
 
 @dataclass(frozen=True)
 class SweepResult:
-    axes: Mapping[str, np.ndarray]
-    values: Mapping[str, np.ndarray]
+    """Columns for the strategy-1 sweeps, numpy arrays for the phantom-model
+    maps."""
+
+    axes: Mapping[str, Column | np.ndarray]
+    values: Mapping[str, Column | np.ndarray]
     metadata: Mapping[str, object]
 
 
-def quadratic_argmax(x: np.ndarray, y: np.ndarray) -> float:
+def quadratic_argmax(x: Sequence[float], y: Sequence[float]) -> float:
     """Axis location of the maximum, refined by a parabola through the best
-    grid point and its neighbours. Falls back to the grid point on edges; an
-    all-zero curve, as an underflowing pump power gives, has no maximum."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not np.any(y):
+    grid point and its neighbours; the first of equal maxima wins. Falls back
+    to the grid point on edges; an all-zero curve, as an underflowing pump
+    power gives, has no maximum."""
+    if not any(y):
         raise phantom.ZeroRateError("every rate of the sweep is 0, so it has no maximum")
-    i = int(np.argmax(y))
+    i = max(range(len(y)), key=y.__getitem__)
     if i == 0 or i == len(y) - 1:
         return float(x[i])
     denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
@@ -56,6 +75,8 @@ def quadratic_argmax_2d(x: np.ndarray, y: np.ndarray,
     neighbourhood of the best point (a separable per-axis parabola is biased
     when the surface's axes are coupled). In log coordinates a rate law such
     as t^2 d^2 / (1 + t + d)^7 is nearer a quadratic than on a linear axis."""
+    import numpy as np
+
     grid = np.asarray(grid, dtype=float)
     if not np.any(grid):
         raise phantom.ZeroRateError("every rate of the grid is 0, so it has no maximum")
@@ -106,7 +127,7 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump)
     """Attenuation-model pair rate versus the bus self-coupling, at fixed
     ring loss."""
     (bus,) = system.buses(1)
-    sigmas = np.asarray(list(sigma_values), dtype=float)
+    sigmas = Column(map(float, sigma_values))
     L = system.ring.circumference
 
     def rate_at(sigma: float) -> float:
@@ -114,7 +135,7 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump)
         return _strategy1_rate(system.with_channel_gamma(bus, gammas), pump, bus, "sigma",
                                sigma)
 
-    rates = np.array([rate_at(s) for s in sigmas.tolist()])
+    rates = Column(map(rate_at, sigmas))
     return SweepResult(
         axes={"sigma": sigmas},
         values={"rate_pairs_per_s": rates},
@@ -127,6 +148,8 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump)
 def sweep_eta(system: SystemSpec, eta_values: Iterable[float], pump: CwPump) -> SweepResult:
     """Phantom-model rates of all four channel-pair trajectories versus the
     bus escape efficiency, at fixed ring loss."""
+    import numpy as np
+
     (bus,) = _buses(system, 1)
     ph = system.phantom_channel.channel_id
     etas = np.asarray(list(eta_values), dtype=float)
@@ -150,7 +173,7 @@ def compare_finesse(system: SystemSpec, finesse_values: Iterable[float],
     Finesse is varied by scaling all couplings and the loss together, so
     the escape efficiency stays fixed while the linewidth shrinks."""
     (bus,) = _buses(system, 1)
-    fins = np.asarray(list(finesse_values), dtype=float)
+    fins = Column(map(float, finesse_values))
     f0 = finesse(system)
 
     def rates_at(f: float) -> tuple[float, float, float]:
@@ -159,13 +182,13 @@ def compare_finesse(system: SystemSpec, finesse_values: Iterable[float],
         r_pha = phantom.pair_rate_cw(sys_f, pump, bus, bus)
         return r_att, r_pha, phantom.rel_difference(r_att, r_pha)
 
-    r_att, r_pha, rel = np.array([rates_at(f) for f in fins.tolist()]).T
+    r_att, r_pha, rel = map(Column, zip(*map(rates_at, fins)))
     return SweepResult(
         axes={"finesse": fins},
         values={"rate_attenuation": r_att, "rate_phantom": r_pha,
                 "rel_difference": rel},
-        metadata={"max_rel_difference": float(rel.max()),
-                  "final_rel_difference": float(rel[np.argmax(fins)])})
+        metadata={"max_rel_difference": max(rel),
+                  "final_rel_difference": rel[fins.index(max(fins))]})
 
 
 def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
@@ -173,7 +196,7 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
     """Add-drop through-pair rate from both loss models, scanned over the
     add/drop self-coupling (which sets the finesse)."""
     through, drop = _buses(system, 2)
-    sigmas = np.asarray(list(sigma2_values), dtype=float)
+    sigmas = Column(map(float, sigma2_values))
     L = system.ring.circumference
 
     def rates_at(sigma2: float) -> tuple[float, float, float, float]:
@@ -183,7 +206,7 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
         r_pha = phantom.pair_rate_cw(sys_s, pump, through, through)
         return finesse(sys_s), r_att, r_pha, phantom.rel_difference(r_att, r_pha)
 
-    fins, r_att, r_pha, rel = np.array([rates_at(s) for s in sigmas.tolist()]).T
+    fins, r_att, r_pha, rel = map(Column, zip(*map(rates_at, sigmas)))
     return SweepResult(
         axes={"sigma2": sigmas},
         values={"finesse": fins, "rate_attenuation": r_att, "rate_phantom": r_pha,
@@ -195,6 +218,8 @@ def add_drop_grid(system: SystemSpec, gamma_t_ratios: Iterable[float],
                   gamma_d_ratios: Iterable[float], pump: CwPump) -> SweepResult:
     """Phantom-model rate of every channel-pair trajectory on a grid of
     through and drop couplings, in units of the phantom decay rate."""
+    import numpy as np
+
     through, drop = _buses(system, 2)
     ph = system.phantom_channel.channel_id
     g_ph = system.phantom_channel.gammas

@@ -84,7 +84,7 @@ def test_05_absolute_rate_and_strategy_convergence():
     fins = np.array([50.0, 60.0, 84.0, 120.0, 200.0, 400.0, 700.0, 1000.0, 1500.0,
                      2000.0])
     res = sweeps.compare_finesse(system, fins, PUMP)
-    rel = res.values["rel_difference"]
+    rel = np.asarray(res.values["rel_difference"])
     monotone = bool(np.all(np.diff(rel) < 0.0))
     ok_84 = diff_base <= 0.15
     ok_1000 = bool(np.all(rel[fins >= 1000.0] <= 0.01))

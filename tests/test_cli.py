@@ -10,10 +10,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lossy_ring_sfwm
@@ -48,9 +49,15 @@ _DROP = object()  # a _CONFIG_ERRORS value that deletes its key
 _CONFIG_ERRORS = [
     (("system", "ring"), _DROP, "system.ring", "missing required field"),
     (("system", "ring", "radius_m"), _DROP, "system.ring.radius_m", "missing required field"),
-    (("system", "bands", "group_index"), 3.0, "system.bands.pump",
+    # a band key is named under the block it came from: the shared one, or
+    # the band's own, which overrides it
+    (("system", "bands", "group_index"), 3.0, "system.bands",
+     "either group_velocity_m_per_s or group_index"),
+    (("system", "bands", "pump"), {"group_index": 3.0}, "system.bands.pump",
      "either group_velocity_m_per_s or group_index"),
     (("system", "bands", "signal"), 5, "system.bands.signal", "expected an object"),
+    (("system", "bands"), [], "system.bands", "expected an object"),
+    (("system", "bands", "wavelength"), 1550.0, "system.bands.wavelength", "unknown field"),
     (("system", "channels", 1), "P", "system.channels[1]", "expected an object"),
     (("system", "channels", 0, "id"), 7, "system.channels[0].id", "non-empty string"),
     (("system", "channels", 1, "kind"), "ghost", "system.channels[1].kind",
@@ -73,10 +80,10 @@ _CONFIG_ERRORS = [
     (("system", "ring", "radius_m"), 1e308, "system.ring.radius_m", "2 pi r overflows"),
     (("system", "bands", "effective_index"), 1e308, "system.bands.effective_index",
      "resonance order n_eff L / wavelength overflows"),
-    # a shared band key is named under the first band that reads it, as
-    # every other check of the band block names it
-    (("system", "bands", "wavelength_nm"), 5e-324, "system.bands.pump.wavelength_nm",
+    (("system", "bands", "wavelength_nm"), 5e-324, "system.bands.wavelength_nm",
      "underflows to 0 in SI units"),
+    (("system", "bands", "idler"), {"wavelength_nm": 5e-324},
+     "system.bands.idler.wavelength_nm", "underflows to 0 in SI units"),
     (("pump", "power_mw"), 5e-324, "pump.power_mw", "underflows to 0 in SI units"),
     (("pump",), {"kind": "pulsed", "duration_fwhm_ps": 5e-324}, "pump.duration_fwhm_ps",
      "underflows to 0 in SI units"),
@@ -230,6 +237,10 @@ class TestParseConfig:
 
 
 _COMMANDS = tuple(cli._HANDLERS)
+
+# the (0, 1] of a self-coupling axis, subnormal bounds among them
+_SELF_COUPLINGS = st.floats(0.0, 1.0, exclude_min=True) | st.integers(1, 2**52 - 1).map(
+    lambda k: k * 5e-324)
 
 
 def _expect(code, line, *commands):
@@ -604,6 +615,31 @@ class TestCommands:
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith(f"invalid config: {field}")
 
+    @given(lo=_SELF_COUPLINGS, hi=_SELF_COUPLINGS, ulps=st.none() | st.integers(-4, 16),
+           n=st.integers(2, 3000))
+    @example(lo=5e-324, hi=1e-323, ulps=None, n=5)  # a span of one ulp: the step underflows
+    @example(lo=0.5, hi=0.5, ulps=None, n=2)
+    @settings(max_examples=300, deadline=None)
+    def test_linear_axis_is_np_linspace(self, lo, hi, ulps, n):
+        # the linear axes are built without numpy, at np.linspace's bits, and
+        # fail the strictly-increasing check exactly where its axis would
+        if ulps is not None:  # hi a few ulps from lo
+            hi = lo
+            for _ in range(abs(ulps)):
+                hi = math.nextafter(hi, math.copysign(math.inf, ulps))
+            assume(0.0 < hi <= 1.0)
+        want = np.linspace(lo, hi, n)
+        assert [x.hex() for x in cli._linspace(lo, hi, n)] == [x.hex() for x in want.tolist()]
+        config = SimpleNamespace(options={"sweep_sigma": {"min": lo, "max": hi, "points": n}})
+        increasing = bool(np.all(np.diff(want) > 0.0))
+        try:
+            axis = cli._axis(config, "sweep_sigma", "min", "max", "points", (0.9, 0.99, 3),
+                             unit="(0, 1]")
+        except ConfigError as e:
+            assert not increasing and e.path == "options.sweep_sigma.max"
+        else:
+            assert increasing and axis == want.tolist()
+
     @pytest.mark.parametrize("command, name, change, field", [
         ("add-drop-grid", "ring_channel.json", None,
          "system.channels: an add-drop ring needs two physical channels, got 1"),
@@ -813,7 +849,17 @@ class TestCommands:
         ("ring_channel.json", {"system.ring.loss_db_per_cm": 0,
                                "system.channels.0.coupling": {"gamma_rad_per_s": 1e-3}}, {
             **_expect(1, "rate: resonance denominator vanished", "rate"),
-            **_expect(0, None, "sweep-sigma")})],
+            **_expect(0, None, "sweep-sigma")}),
+        # the lowest sigma sets the largest bus decay rate sweep-sigma sets:
+        # (1 - sigma) v / L overflows, or leaves no self-coupling above 0
+        ("ring_channel.json", {"system.bands.group_velocity_m_per_s": 1e308}, {
+            **_expect(2, "invalid config: system.bands.group_velocity_m_per_s: the bus decay "
+                      "rate", "sweep-sigma"),
+            **_expect(1, "{}: a result overflows the float range", "rate",
+                      "compare-finesse")}),
+        ("ring_channel.json", {"options": {"sweep_sigma": {"min": 1e-20, "max": 0.5}}}, {
+            **_expect(2, "invalid config: options.sweep_sigma.min: decay rate", "sweep-sigma"),
+            **_expect(0, None, "rate", "ratios", "compare-finesse", "oracle-check")})],
         ids=["zero_nonlinearity", "underflowing_power", "underflowing_power_add_drop",
              "far_detuned_pump", "huge_detuning", "huge_negative_detuning",
              "overflowing_power", "overflowing_radius", "first_overflowing_alpha",
@@ -822,7 +868,8 @@ class TestCommands:
              "vanishing_nonlinearity_jsa", "overflowing_rate_product", "overflowing_nonlinearity",
              "huge_nonlinearity", "overflowing_nonlinearity_jsa", "huge_nonlinearity_jsa",
              "finesse_past_float_range", "negligible_phantom",
-             "ratios_past_float_range", "lossless_sigma_one", "narrow_lossless_line"])
+             "ratios_past_float_range", "lossless_sigma_one", "narrow_lossless_line",
+             "overflowing_bus_rate", "vanishing_sigma_min"])
     def test_zero_reference_rate_gives_no_traceback_and_no_nan(self, tmp_path, capsys,
                                                                name, edits, expected):
         # a rate that underflows to 0 leaves the strategies' relative
@@ -1182,24 +1229,30 @@ def test_commands_load_only_their_layers(tmp_path):
     # rates and oracle checks must not pay for its import. Each command
     # loads only the layers it runs: phantom for the closed forms and the
     # strategies' difference, sweeps for a sweep, attenuation for strategy 1
-    # and jsa for the JSA. None hashes its config through OpenSSL. rate,
-    # ratios and oracle-check compute in plain Python and load no numpy; the
-    # commands that hold arrays do, as main loads it before their handler
+    # and jsa for the JSA. None hashes its config through OpenSSL. The
+    # commands that compute in Python floats load no numpy: rate, ratios,
+    # oracle-check, sweep-sigma and the two-bus compare-finesse. Those that
+    # hold arrays load it: sweep-eta's broadcast rates, add-drop-grid's grid
+    # and the single-bus compare-finesse's np.logspace axis
     closed_forms, maps = {"phantom"}, {"phantom", "sweeps"}
     strategy1 = {"attenuation", "phantom", "sweeps"}
-    runs = [("oracle-check", "ring_channel.json", {}, closed_forms),
-            ("oracle-check", "add_drop.json", {}, closed_forms),
-            ("ratios", "ring_channel.json", {}, closed_forms),
+    # (command, config, options, layers, whether numpy is loaded)
+    runs = [("oracle-check", "ring_channel.json", {}, closed_forms, False),
+            ("oracle-check", "add_drop.json", {}, closed_forms, False),
+            ("ratios", "ring_channel.json", {}, closed_forms, False),
             ("sweep-eta", "ring_channel.json",
-             {"sweep_eta": {"min": 0.3, "max": 0.7, "points": 3}}, maps),
+             {"sweep_eta": {"min": 0.3, "max": 0.7, "points": 3}}, maps, True),
             ("add-drop-grid", "add_drop.json",
-             {"add_drop_grid": {"min_ratio": 0.5, "max_ratio": 2.0, "points": 3}}, maps),
-            ("rate", "add_drop.json", {}, {"attenuation", "phantom"}),
+             {"add_drop_grid": {"min_ratio": 0.5, "max_ratio": 2.0, "points": 3}}, maps, True),
+            ("rate", "add_drop.json", {}, {"attenuation", "phantom"}, False),
             ("sweep-sigma", "ring_channel.json",
-             {"sweep_sigma": {"min": 0.97, "max": 0.99, "points": 3}}, strategy1),
+             {"sweep_sigma": {"min": 0.97, "max": 0.99, "points": 3}}, strategy1, False),
             ("compare-finesse", "ring_channel.json",
-             {"compare_finesse": {"min": 100.0, "max": 200.0, "points": 2}}, strategy1)]
-    for i, (command, name, options, layers) in enumerate(runs):
+             {"compare_finesse": {"min": 100.0, "max": 200.0, "points": 2}}, strategy1, True),
+            ("compare-finesse", "add_drop.json",
+             {"compare_finesse": {"sigma2_min": 0.9, "sigma2_max": 0.99, "points": 2}},
+             strategy1, False)]
+    for i, (command, name, options, layers, numpy) in enumerate(runs):
         doc = bundled(name)
         doc["options"] = options
         cfg = _write_config(tmp_path, doc, name=f"cfg{i}.json")
@@ -1209,8 +1262,7 @@ def test_commands_load_only_their_layers(tmp_path):
                 f"'--out', {str(tmp_path / f'o{i}')!r}]) == 0\n")
         loaded = _loaded_modules(code)
         assert "lossy_ring_sfwm.numerics" in loaded, command
-        assert ("numpy" in loaded) == (command not in ("rate", "ratios", "oracle-check")), \
-            command
+        assert ("numpy" in loaded) == numpy, (command, name)
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == [], command
         assert not [m for m in loaded if m.startswith(_TABLE_MODULES)], command
         assert ("orjson" in loaded) == (command == "add-drop-grid"), command

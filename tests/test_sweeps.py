@@ -88,7 +88,7 @@ class TestCompareFinesse:
     def test_convergence_thresholds(self, ring_ref):
         fins = np.array([50.0, 84.0, 150.0, 300.0, 600.0, 1000.0, 2000.0])
         result = sweeps.compare_finesse(ring_ref, fins, PUMP)
-        rel = result.values["rel_difference"]
+        rel = np.asarray(result.values["rel_difference"])
         assert rel[1] <= 0.15  # near the base finesse of 84
         assert np.all(rel[fins >= 1000.0] <= 0.01)
         assert np.all(np.diff(rel) < 0.0)  # monotone convergence beyond 50
@@ -99,7 +99,8 @@ class TestCompareFinesse:
         # the Lorentzian tails at a fixed number of linewidths bent it down
         fins = np.array([84.0, 200.0, 632.0, 2000.0, 5000.0, 20000.0])
         result = sweeps.compare_finesse(ring_ref, fins, PUMP)
-        r_att, r_ph = result.values["rate_attenuation"], result.values["rate_phantom"]
+        r_att = np.asarray(result.values["rate_attenuation"])
+        r_ph = np.asarray(result.values["rate_phantom"])
         scaled = fins * (r_att - r_ph) / r_ph
         assert np.all(np.diff(scaled) >= 0.0), scaled
         assert scaled[-1] == pytest.approx(scaled[-2], rel=1e-3), scaled
@@ -203,6 +204,8 @@ class TestStrategy1Sweeps:
         result = getattr(sweeps, name)(system, axis, PUMP)
         monkeypatch.undo()
         assert seen == {complex}
+        # benchmark/tracing.py counts a sweep's points as .size of its values
+        assert [v.size for v in result.values.values()] == [len(axis)] * len(result.values)
         for i, x in enumerate(axis.tolist()):
             for key, rate in point_rates(system, x).items():
                 assert result.values[key][i] == pytest.approx(rate, rel=1e-12, abs=0.0)
@@ -282,3 +285,11 @@ class TestSweepResult:
         x = np.linspace(0.0, 2.0, 21)
         y = -(x - 0.73) ** 2
         assert sweeps.quadratic_argmax(x, y) == pytest.approx(0.73, abs=1e-12)
+
+    def test_quadratic_argmax_takes_first_of_equal_maxima(self):
+        # np.argmax's rule, which the plain-Python fit keeps
+        assert sweeps.quadratic_argmax([0.0, 1.0, 2.0, 3.0, 4.0],
+                                       [0.0, 1.0, 0.0, 1.0, 0.0]) == 1.0
+        assert sweeps.quadratic_argmax([0.0, 1.0, 2.0], [1.0, 0.0, 1.0]) == 0.0
+        with pytest.raises(phantom.ZeroRateError):
+            sweeps.quadratic_argmax([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
