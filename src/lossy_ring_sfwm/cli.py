@@ -23,14 +23,13 @@ constants and no numpy, so --help, a bad option and a bad config exit
 without it. ratios and oracle-check load numerics and phantom, rate
 attenuation too, sweep-eta and add-drop-grid numerics, phantom and
 sweeps, sweep-sigma and compare-finesse attenuation too, and jsa
-numerics, jsa and phantom. rate, ratios, oracle-check, sweep-sigma and
-the two-bus compare-finesse compute in Python floats and load no numpy.
-Four commands load it: add-drop-grid and jsa for their grids, sweep-eta
-for its broadcast rates (see sweeps), and the single-bus compare-finesse
-for its log axis: np.logspace's SIMD power and log10 are not libm's, and
-10 ** u misses its points in the last bit on most axes. No command loads
-OpenSSL (the config hash is CPython's built-in SHA-256), numpy.polynomial
-or numpy.fft (the quadrature and Faddeeva tables are constants).
+numerics, jsa and phantom. rate, ratios, oracle-check, sweep-sigma,
+sweep-eta and compare-finesse compute in Python floats and load no
+numpy; add-drop-grid and jsa load it for their grids. Both log axes,
+compare-finesse's and add-drop-grid's, are libm's 10 ** u over a linear
+axis of exponents. No command loads OpenSSL (the config hash is
+CPython's built-in SHA-256), numpy.polynomial or numpy.fft (the
+quadrature and Faddeeva tables are constants).
 """
 
 from __future__ import annotations
@@ -120,14 +119,11 @@ def _write_float_csv(path: Path, header: list):
 def _write_sweep(outdir: Path, command: str, config: RunConfig,
                  result: SweepResult) -> None:
     """<stem>.csv holds the sweep axis, then every value column in the result's
-    order, each under its name; <stem>_meta.json the result's metadata. Every
-    cell is written as a Python float: csv writes a numpy float, which
-    sweep-eta's columns hold, as its repr np.float64(...)."""
+    order, each under its name; <stem>_meta.json the result's metadata."""
     stem = command.replace("-", "_")
     ((name, axis),) = result.axes.items()
-    columns = [axis, *result.values.values()]
     _write_csv(outdir / f"{stem}.csv", [name] + list(result.values),
-               zip(*(map(float, c) for c in columns)))
+               zip(axis, *result.values.values()))
     _write_metadata(outdir, command, config, result.metadata)
 
 
@@ -169,10 +165,11 @@ def _axis(config: RunConfig, name: str, lo_key: str, hi_key: str, n_key: str, de
     for key, v in ((lo_key, lo), (hi_key, hi)):
         if unit and not (0.0 < v < 1.0 or v == 1.0 and unit.endswith("]")):
             raise ConfigError(f"{path}.{key}", f"must lie in {unit}, got {v}")
-    if log:  # numpy's log10 and power, whose bits libm does not reproduce
-        import numpy as np
-
-        axis = np.logspace(np.log10(lo), np.log10(hi), n).tolist()
+    if log:  # libm's log10 and pow over a linear axis of exponents
+        try:
+            axis = [10.0 ** u for u in _linspace(math.log10(lo), math.log10(hi), n)]
+        except OverflowError as e:  # 10 ** log10(hi) rounds past the largest float
+            raise ConfigError(f"{path}.{hi_key}", f"10 ** log10({hi}) overflows") from e
     else:
         axis = _linspace(lo, hi, n)
     # the one check of the axis: bounds too close for n distinct floats
@@ -558,13 +555,17 @@ def main(argv=None) -> int:
         print(f"invalid config: system.channels: {e}", file=sys.stderr)
         return 2
     except ArithmeticError as e:  # a QuadratureError too
-        # every pair rate and the pair mass square a factor that carries
-        # gamma_nl; an overflow is blamed on it only when gamma_nl^2 alone
-        # leaves the float range, so an overflowing power or radius is not
-        gamma_nl = config.system.ring.gamma_nl
-        if type(e) is OverflowError and math.isinf(gamma_nl * gamma_nl):
-            print("invalid config: system.ring.gamma_nl_per_w_m: its square, a factor of "
-                  "every pair rate, leaves the float range", file=sys.stderr)
+        # every pair rate and the pair mass square gamma_nl and the pump
+        # band's group velocity v_P; an overflow is blamed on one only when
+        # its square alone leaves the float range, so an overflowing power
+        # or radius is not
+        system = config.system
+        squared = (("system.ring.gamma_nl_per_w_m", system.ring.gamma_nl),
+                   (_velocity_field(config, Band.PUMP), system.bands[Band.PUMP].v))
+        blamed = [field for field, x in squared if math.isinf(x * x)]
+        if type(e) is OverflowError and blamed:
+            print(f"invalid config: {blamed[0]}: its square, a factor of every pair rate, "
+                  "leaves the float range", file=sys.stderr)
             return 2
         # the exception's class picks the exit code: an ArithmeticError ends
         # the command with exit 1 and one line. A zero rate, a singular

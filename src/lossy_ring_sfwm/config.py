@@ -141,6 +141,9 @@ def _parse_bands(block: Mapping, ring: RingSpec, path: str) -> dict[Band, BandPa
         wavelength, v, n_eff = _parse_band_block(sub, f"{path}.{name}", shared_keys, path)
         try:
             bands[band] = band_from_wavelength(wavelength, v, n_eff, ring.circumference)
+        except OverflowError as e:  # omega, from a wavelength too short
+            owner = f"{path}.{name}" if "wavelength_nm" in sub else path
+            raise ConfigError(f"{owner}.wavelength_nm", str(e)) from e
         except ValueError as e:  # no resonance order m >= 1 fits the ring
             owner = f"{path}.{name}" if "effective_index" in sub else path
             raise ConfigError(f"{owner}.effective_index", str(e)) from e

@@ -79,6 +79,8 @@ def band_from_wavelength(wavelength_m: float, group_velocity: float, effective_i
     if wavelength_m <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength_m}")
     omega = TWO_PI * C_VACUUM / wavelength_m
+    if math.isinf(omega):
+        raise OverflowError("the band frequency 2 pi c / wavelength overflows")
     order = effective_index * circumference / wavelength_m
     if math.isinf(order):
         raise ValueError("the resonance order n_eff L / wavelength overflows")

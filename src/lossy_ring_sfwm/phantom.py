@@ -65,13 +65,6 @@ def _anywhere(mask) -> bool:
     return mask if isinstance(mask, bool) else bool(mask.any())
 
 
-def _enhancement_abs2(v: float, gamma: ArrayLike, gbar: ArrayLike, circumference: float,
-                      detuning: float = 0.0):
-    """|F_+|^2 = |F_-|^2, 2 v Gamma^(X) / (L (detuning^2 + Gbar^2)), for
-    scalar or array decay rates."""
-    return 2.0 * v * gamma / (circumference * (detuning * detuning + gbar * gbar))
-
-
 # ---------------------------------------------------------------------------
 # CW rates
 # ---------------------------------------------------------------------------
@@ -87,7 +80,7 @@ def vacuum_power(gamma_bar_s: ArrayLike, gamma_bar_i: ArrayLike, omega_s: float,
         raise ValueError("linewidths must be positive")
     gsum = gamma_bar_s + gamma_bar_i
     return (HBAR / 2.0) * math.sqrt(omega_s * omega_i) * gamma_bar_s * gamma_bar_i \
-        * gsum / (detuning ** 2 + gsum ** 2)
+        * gsum / (detuning ** 2 + gsum * gsum)
 
 
 def pair_vacuum_power(system: SystemSpec, pump: CwPump, gamma_bar_s: ArrayLike,
@@ -119,27 +112,31 @@ def pair_rates(system: SystemSpec, pump: CwPump,
     gbar = {b: sum(g[b] for g in rates.values()) for b in Band}
     omega_o = pb.omega + pump.detuning
     gnl_l = system.ring.gamma_nl * L
-    f_pump2 = _enhancement_abs2(
-        pb.v, rates[system.pump_input_channel][Band.PUMP], gbar[Band.PUMP], L,
-        detuning=pump.detuning)
-    p_vac = pair_vacuum_power(system, pump, gbar[Band.SIGNAL], gbar[Band.IDLER])
-    common = (math.sqrt(sb.omega * ib.omega) / omega_o) \
-        * (pb.v ** 2 / (sb.v * ib.v)) * gnl_l ** 2 \
-        * pump.power ** 2 * p_vac / (HBAR * omega_o) * f_pump2 ** 2
-    f_s2 = {x: _enhancement_abs2(sb.v, g[Band.SIGNAL], gbar[Band.SIGNAL], L)
-            for x, g in rates.items()}
-    f_i2 = {y: _enhancement_abs2(ib.v, g[Band.IDLER], gbar[Band.IDLER], L)
-            for y, g in rates.items()}
-    out = {(x, y): common * f_s2[x] * f_i2[y] for x in rates for y in rates}
-    if any(_anywhere(abs(r) == math.inf) or _anywhere(r != r) for r in out.values()):
-        # the vacuum power's (detuning^2 + (Gbar_S + Gbar_I)^2) is 0 only
-        # when Gbar_S^2 is, so the bands' denominators tell an underflow
-        denominators = (pump.detuning * pump.detuning + gbar[Band.PUMP] * gbar[Band.PUMP],
-                        gbar[Band.SIGNAL] * gbar[Band.SIGNAL],
-                        gbar[Band.IDLER] * gbar[Band.IDLER])
-        if any(_anywhere(d == 0) for d in denominators):
+
+    def abs2(band: Band, gamma: ArrayLike, detuning: float = 0.0):
+        """|F_+|^2 = |F_-|^2 = 2 v Gamma^(X) / (L (detuning^2 + Gbar^2)). Its
+        denominator is tested before dividing: a 0 raises on floats and
+        gives inf or 0/0 on arrays."""
+        denominator = L * (detuning * detuning + gbar[band] * gbar[band])
+        if _anywhere(denominator == 0):
             raise FloatingPointError("a linewidth squared underflows to 0, so a pair rate "
                                      "is not finite")
+        return 2.0 * system.bands[band].v * gamma / denominator
+
+    f_pump2 = abs2(Band.PUMP, rates[system.pump_input_channel][Band.PUMP], pump.detuning)
+    f_s2 = {x: abs2(Band.SIGNAL, g[Band.SIGNAL]) for x, g in rates.items()}
+    f_i2 = {y: abs2(Band.IDLER, g[Band.IDLER]) for y, g in rates.items()}
+    # the vacuum power's (detuning^2 + (Gbar_S + Gbar_I)^2) is 0 only when
+    # Gbar_S^2 is, which f_s2 has tested
+    p_vac = pair_vacuum_power(system, pump, gbar[Band.SIGNAL], gbar[Band.IDLER])
+    # the squares of terms that can be arrays are products: numpy squares
+    # exactly, and a float's x ** 2 is libm's pow, which is not x * x on
+    # about 0.08% of arguments, so a per-point call gives the broadcast's bits
+    common = (math.sqrt(sb.omega * ib.omega) / omega_o) \
+        * (pb.v ** 2 / (sb.v * ib.v)) * gnl_l ** 2 \
+        * pump.power ** 2 * p_vac / (HBAR * omega_o) * (f_pump2 * f_pump2)
+    out = {(x, y): common * f_s2[x] * f_i2[y] for x in rates for y in rates}
+    if any(_anywhere(abs(r) == math.inf) or _anywhere(r != r) for r in out.values()):
         raise FloatingPointError("a pair rate overflows the float range")
     return out
 

@@ -1,21 +1,18 @@
 """Parameter studies: coupling sweeps, strategy comparison, add-drop grids.
 
-The phantom-model maps (sweep_eta, add_drop_grid) set the swept decay
-rates as numpy arrays, the add-drop ones broadcast over (t, d), and call
-the closed-form kernel phantom.pair_rates once; they import numpy when
-they run. The strategy-1 sweeps (sweep_sigma, compare_finesse,
-compare_finesse_add_drop) evaluate every point by its own quadrature, one
-after another in axis order, and hold their axes and values as Columns,
-lists of Python floats, so they load no numpy. Each point reaches the
-model as a Python float: a numpy scalar would flow through the system copy
-into every field's wavevector and amplitudes, and each quadrature node
-would then do its complex arithmetic on numpy scalars, several times
-slower than on Python complex numbers. A quadrature that fails names its point, and
-the strategies' relative difference is taken per point, as rate takes it.
-
-sweep_eta stays on the broadcast: a per-point pair_rates squares with
-Python's x ** 2, which is libm's pow and not x * x on about 0.08% of
-arguments, so its rates would move in the last bit.
+add_drop_grid sets the swept decay rates as numpy arrays that broadcast
+over (t, d) and calls the closed-form kernel phantom.pair_rates once; it
+imports numpy when it runs. The sweeps along one axis (sweep_eta,
+sweep_sigma, compare_finesse, compare_finesse_add_drop) evaluate every
+point by its own call, one after another in axis order, and hold their
+axes and values as Columns, lists of Python floats, so they load no numpy.
+sweep_eta's per-point pair_rates gives the broadcast's bits, since the
+kernel writes its squares as products. Each point reaches the model as a
+Python float: a numpy scalar would flow through the system copy into every
+field's wavevector and amplitudes, and each quadrature node would then do
+its complex arithmetic on numpy scalars, several times slower than on
+Python complex numbers. A quadrature that fails names its point, and the
+strategies' relative difference is taken per point, as rate takes it.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ if TYPE_CHECKING:  # used in annotations only
 
 
 class Column(list):
-    """A strategy-1 sweep's axis or values, as Python floats. Like a 1-D
+    """A sweep's axis or values along one axis, as Python floats. Like a 1-D
     numpy array it gives its length as .size, by which benchmark/tracing.py
     counts the points of every sweep."""
 
@@ -43,8 +40,7 @@ class Column(list):
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Columns for the strategy-1 sweeps, numpy arrays for the phantom-model
-    maps."""
+    """Columns for the sweeps along one axis, numpy arrays for add_drop_grid."""
 
     axes: Mapping[str, Column | np.ndarray]
     values: Mapping[str, Column | np.ndarray]
@@ -148,18 +144,21 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump)
 def sweep_eta(system: SystemSpec, eta_values: Iterable[float], pump: CwPump) -> SweepResult:
     """Phantom-model rates of all four channel-pair trajectories versus the
     bus escape efficiency, at fixed ring loss."""
-    import numpy as np
-
     (bus,) = _buses(system, 1)
     ph = system.phantom_channel.channel_id
-    etas = np.asarray(list(eta_values), dtype=float)
-    if np.any((etas <= 0) | (etas >= 1)):
+    etas = Column(map(float, eta_values))
+    if not all(0.0 < eta < 1.0 for eta in etas):
         raise ValueError("escape efficiency must lie strictly inside (0, 1)")
     g_ph = system.phantom_channel.gammas
-    rates = phantom.pair_rates(
-        system, pump, {bus: {b: etas * g_ph[b] / (1.0 - etas) for b in Band}})
-    values = {f"R_{x}{y}": rates[(x, y)]
-              for x, y in [(bus, bus), (bus, ph), (ph, bus), (ph, ph)]}
+    pairs = [(bus, bus), (bus, ph), (ph, bus), (ph, ph)]
+
+    def rates_at(eta: float) -> list[float]:
+        rates = phantom.pair_rates(
+            system, pump, {bus: {b: eta * g_ph[b] / (1.0 - eta) for b in Band}})
+        return [rates[pair] for pair in pairs]
+
+    columns = map(Column, zip(*map(rates_at, etas)))
+    values = {f"R_{x}{y}": column for (x, y), column in zip(pairs, columns)}
     return SweepResult(
         axes={"eta": etas},
         values=values,

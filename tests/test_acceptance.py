@@ -209,7 +209,7 @@ def test_10_add_drop_optimum():
     the two laws behind the earlier (0.4, 0.4) and (0.5, 1.0) targets and the
     strategy-1 cross-check are in docs/add_drop_optimum.md."""
     system = bundled_system("add_drop.json")
-    axis = np.logspace(np.log10(0.05), np.log10(5.0), 81)  # add-drop-grid's default
+    axis = np.logspace(np.log10(0.05), np.log10(5.0), 81)  # add-drop-grid's default range
     grid = sweeps.add_drop_grid(system, axis, axis, PUMP)
     r_dd = grid.values["R_DD"]
     i, j = np.unravel_index(int(np.argmax(r_dd)), r_dd.shape)

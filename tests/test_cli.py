@@ -12,6 +12,7 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -82,6 +83,8 @@ _CONFIG_ERRORS = [
      "resonance order n_eff L / wavelength overflows"),
     (("system", "bands", "wavelength_nm"), 5e-324, "system.bands.wavelength_nm",
      "underflows to 0 in SI units"),
+    (("system", "bands", "wavelength_nm"), 1e-300, "system.bands.wavelength_nm",
+     "the band frequency 2 pi c / wavelength overflows"),
     (("system", "bands", "idler"), {"wavelength_nm": 5e-324},
      "system.bands.idler.wavelength_nm", "underflows to 0 in SI units"),
     (("pump", "power_mw"), 5e-324, "pump.power_mw", "underflows to 0 in SI units"),
@@ -603,9 +606,17 @@ class TestCommands:
          {"compare_finesse": {"sigma2_min": 0.5, "sigma2_max": 0.5000000000000001}},
          "options.compare_finesse.sigma2_max: "),
         ("sweep-sigma", "ring_channel.json", {"sweep_sigma": {"min": 0.99, "max": 0.98}},
-         "options.sweep_sigma.max: ")],
+         "options.sweep_sigma.max: "),
+        # libm's 10 ** log10(hi) rounds past the largest float and raises
+        ("compare-finesse", "ring_channel.json",
+         {"compare_finesse": {"min": 100.0, "max": 1.7976931348623157e308}},
+         "options.compare_finesse.max: 10 ** log10(1.7976931348623157e+308) overflows"),
+        ("add-drop-grid", "add_drop.json",
+         {"add_drop_grid": {"min_ratio": 1.0, "max_ratio": 1.7976931348623157e308}},
+         "options.add_drop_grid.max_ratio: 10 ** log10(1.7976931348623157e+308) overflows")],
         ids=["eta_min", "sigma_max", "sigma2_max", "sigma2_min", "eta_ulp", "sigma_ulp",
-             "ratio_ulp", "finesse_ulp", "sigma2_ulp", "sigma_reversed"])
+             "ratio_ulp", "finesse_ulp", "sigma2_ulp", "sigma_reversed", "finesse_max_float",
+             "ratio_max_float"])
     def test_axis_outside_model_range_exits_2(self, tmp_path, capsys, command, name,
                                               options, field):
         doc = bundled(name)
@@ -639,6 +650,31 @@ class TestCommands:
             assert not increasing and e.path == "options.sweep_sigma.max"
         else:
             assert increasing and axis == want.tolist()
+
+    @given(bounds=st.tuples(st.floats(0.04, 0.06), st.floats(4.0, 6.0))
+           | st.tuples(st.floats(40.0, 60.0), st.floats(1500.0, 2500.0)),
+           n=st.integers(2, 101))
+    @example(bounds=(50.0, 2000.0), n=25)  # the defaults of compare-finesse
+    @example(bounds=(0.05, 5.0), n=81)  # and of add-drop-grid
+    @settings(max_examples=200, deadline=None)
+    def test_log_axis_is_near_exact_logspace(self, bounds, n):
+        # a log axis is libm's 10 ** u over the float exponents u_i = log10 lo
+        # + i (log10 hi - log10 lo) / (n - 1). Their rounding, times ln 10 |u|,
+        # dominates its error, as it does np.logspace's; on the benchmark's
+        # ranges, the finesse's and the coupling ratio's, the worst of 36,000
+        # random axes is 13.2 ulp from the exact point
+        lo, hi = bounds
+        config = SimpleNamespace(options={"add_drop_grid": {
+            "min_ratio": lo, "max_ratio": hi, "points": n}})
+        axis = cli._axis(config, "add_drop_grid", "min_ratio", "max_ratio", "points",
+                         (0.05, 5.0, 81), log=True)
+        assert len(axis) == n and all(a < b for a, b in zip(axis, axis[1:]))
+        assert all(type(x) is float for x in axis)
+        with mp.workprec(200):
+            u_lo, u_hi = mp.log10(lo), mp.log10(hi)
+            for i, x in enumerate(axis):
+                exact = mp.power(10, u_lo + i * (u_hi - u_lo) / (n - 1))
+                assert abs(x - exact) <= 16 * math.ulp(float(exact)), (i, x, exact)
 
     @pytest.mark.parametrize("command, name, change, field", [
         ("add-drop-grid", "ring_channel.json", None,
@@ -852,11 +888,23 @@ class TestCommands:
             **_expect(0, None, "sweep-sigma")}),
         # the lowest sigma sets the largest bus decay rate sweep-sigma sets:
         # (1 - sigma) v / L overflows, or leaves no self-coupling above 0
+        # every pair rate squares v_P, which the others name
         ("ring_channel.json", {"system.bands.group_velocity_m_per_s": 1e308}, {
             **_expect(2, "invalid config: system.bands.group_velocity_m_per_s: the bus decay "
                       "rate", "sweep-sigma"),
-            **_expect(1, "{}: a result overflows the float range", "rate",
-                      "compare-finesse")}),
+            **_expect(2, "invalid config: system.bands.group_velocity_m_per_s: its square",
+                      "rate", "ratios", "sweep-eta", "compare-finesse", "oracle-check")}),
+        ("ring_channel.json", {"system.bands.pump": {"group_velocity_m_per_s": 1e200}},
+         _expect(2, "invalid config: system.bands.pump.group_velocity_m_per_s: its square",
+                 "rate", "ratios", "sweep-eta", "compare-finesse", "oracle-check")),
+        # the band frequency 2 pi c / wavelength overflows; the error names the
+        # band's own wavelength, or the shared one
+        ("ring_channel.json", {"system.bands.pump": {"wavelength_nm": 1e-300}}, _expect(
+            2, "invalid config: system.bands.pump.wavelength_nm: the band frequency 2 pi c / "
+            "wavelength overflows", *_COMMANDS)),
+        ("ring_channel.json", {"system.bands.wavelength_nm": 1e-300}, _expect(
+            2, "invalid config: system.bands.wavelength_nm: the band frequency 2 pi c / "
+            "wavelength overflows", *_COMMANDS)),
         ("ring_channel.json", {"options": {"sweep_sigma": {"min": 1e-20, "max": 0.5}}}, {
             **_expect(2, "invalid config: options.sweep_sigma.min: decay rate", "sweep-sigma"),
             **_expect(0, None, "rate", "ratios", "compare-finesse", "oracle-check")})],
@@ -869,7 +917,8 @@ class TestCommands:
              "huge_nonlinearity", "overflowing_nonlinearity_jsa", "huge_nonlinearity_jsa",
              "finesse_past_float_range", "negligible_phantom",
              "ratios_past_float_range", "lossless_sigma_one", "narrow_lossless_line",
-             "overflowing_bus_rate", "vanishing_sigma_min"])
+             "overflowing_bus_rate", "overflowing_pump_velocity", "overflowing_pump_frequency",
+             "overflowing_frequency", "vanishing_sigma_min"])
     def test_zero_reference_rate_gives_no_traceback_and_no_nan(self, tmp_path, capsys,
                                                                name, edits, expected):
         # a rate that underflows to 0 leaves the strategies' relative
@@ -1202,10 +1251,10 @@ def test_exits_before_a_handler_load_no_numpy(tmp_path):
 
 
 def test_numpy_overflow_warnings_stay_off_stderr(tmp_path):
-    # sweep-eta's closed form overflows inside numpy at this power, and numpy
-    # warns of it on stderr unless main ignores RuntimeWarning. pytest records
-    # warnings itself, so only a fresh interpreter shows one
-    doc = bundled()
+    # add-drop-grid's closed form overflows inside numpy at this power, and
+    # numpy warns of it on stderr unless main ignores RuntimeWarning. pytest
+    # records warnings itself, so only a fresh interpreter shows one
+    doc = bundled("add_drop.json")
     doc["pump"]["power_mw"] = 1e153
     cfg = _write_config(tmp_path, doc)
     out = str(tmp_path / "out")
@@ -1213,9 +1262,10 @@ def test_numpy_overflow_warnings_stay_off_stderr(tmp_path):
             "from lossy_ring_sfwm.cli import main\n"
             "err = io.StringIO()\n"
             "with contextlib.redirect_stderr(err):\n"
-            f"    status = main(['sweep-eta', '--config', {cfg!r}, '--out', {out!r}])\n"
+            f"    status = main(['add-drop-grid', '--config', {cfg!r}, '--out', {out!r}])\n"
             "print(json.dumps([status, err.getvalue()]))\n")
-    assert _last_json_line(code) == [1, "sweep-eta: a pair rate overflows the float range\n"]
+    assert _last_json_line(code) == [1, "add-drop-grid: a pair rate overflows the float "
+                                        "range\n"]
 
 
 # numpy packages no command needs: the quadrature and Faddeeva tables are constants
@@ -1229,11 +1279,9 @@ def test_commands_load_only_their_layers(tmp_path):
     # rates and oracle checks must not pay for its import. Each command
     # loads only the layers it runs: phantom for the closed forms and the
     # strategies' difference, sweeps for a sweep, attenuation for strategy 1
-    # and jsa for the JSA. None hashes its config through OpenSSL. The
-    # commands that compute in Python floats load no numpy: rate, ratios,
-    # oracle-check, sweep-sigma and the two-bus compare-finesse. Those that
-    # hold arrays load it: sweep-eta's broadcast rates, add-drop-grid's grid
-    # and the single-bus compare-finesse's np.logspace axis
+    # and jsa for the JSA. None hashes its config through OpenSSL. Only the
+    # grids load numpy: every command but add-drop-grid and jsa computes in
+    # Python floats, the log axis of the single-bus compare-finesse too
     closed_forms, maps = {"phantom"}, {"phantom", "sweeps"}
     strategy1 = {"attenuation", "phantom", "sweeps"}
     # (command, config, options, layers, whether numpy is loaded)
@@ -1241,14 +1289,14 @@ def test_commands_load_only_their_layers(tmp_path):
             ("oracle-check", "add_drop.json", {}, closed_forms, False),
             ("ratios", "ring_channel.json", {}, closed_forms, False),
             ("sweep-eta", "ring_channel.json",
-             {"sweep_eta": {"min": 0.3, "max": 0.7, "points": 3}}, maps, True),
+             {"sweep_eta": {"min": 0.3, "max": 0.7, "points": 3}}, maps, False),
             ("add-drop-grid", "add_drop.json",
              {"add_drop_grid": {"min_ratio": 0.5, "max_ratio": 2.0, "points": 3}}, maps, True),
             ("rate", "add_drop.json", {}, {"attenuation", "phantom"}, False),
             ("sweep-sigma", "ring_channel.json",
              {"sweep_sigma": {"min": 0.97, "max": 0.99, "points": 3}}, strategy1, False),
             ("compare-finesse", "ring_channel.json",
-             {"compare_finesse": {"min": 100.0, "max": 200.0, "points": 2}}, strategy1, True),
+             {"compare_finesse": {"min": 100.0, "max": 200.0, "points": 2}}, strategy1, False),
             ("compare-finesse", "add_drop.json",
              {"compare_finesse": {"sigma2_min": 0.9, "sigma2_max": 0.99, "points": 2}},
              strategy1, False)]

@@ -4,10 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lossy_ring_sfwm import attenuation, phantom, sweeps
+from lossy_ring_sfwm import attenuation, cli, phantom, sweeps
+from lossy_ring_sfwm.config import parse_config
 from lossy_ring_sfwm.model import Band, CwPump, finesse, gamma_from_sigma
-from conftest import bundled_system
+from conftest import bundled, bundled_system
 
 PUMP = CwPump(1e-3)
 
@@ -61,10 +64,10 @@ class TestSweepEta:
     def test_ratio_identities_along_sweep(self, ring_ref):
         etas = np.linspace(0.05, 0.95, 19)
         result = sweeps.sweep_eta(ring_ref, etas, PUMP)
-        r_oo = result.values["R_OO"]
-        np.testing.assert_allclose(result.values["R_OP"] / r_oo, (1.0 - etas) / etas,
-                                   rtol=1e-12)
-        np.testing.assert_allclose(result.values["R_PP"] / r_oo,
+        r_oo = np.asarray(result.values["R_OO"])
+        np.testing.assert_allclose(np.asarray(result.values["R_OP"]) / r_oo,
+                                   (1.0 - etas) / etas, rtol=1e-12)
+        np.testing.assert_allclose(np.asarray(result.values["R_PP"]) / r_oo,
                                    ((1.0 - etas) / etas) ** 2, rtol=1e-12)
 
     def test_matches_pair_rate_cw_loop(self, ring_ref):
@@ -82,6 +85,45 @@ class TestSweepEta:
     def test_domain_validation(self, ring_ref):
         with pytest.raises(ValueError):
             sweeps.sweep_eta(ring_ref, np.array([0.0, 0.5]), PUMP)
+
+    @given(radius=st.floats(5e-6, 5e-5), loss=st.floats(0.5, 60.0),
+           gamma_nl=st.floats(10.0, 500.0), sigma=st.floats(0.9, 0.999),
+           wavelengths=st.tuples(*[st.floats(1400.0, 1700.0)] * 3),
+           velocities=st.tuples(*[st.floats(0.7e8, 1.5e8)] * 3),
+           power_mw=st.floats(1e-3, 100.0), detuning=st.floats(-1e11, 1e11),
+           eta_min=st.floats(1e-4, 0.5), eta_max=st.floats(0.5, 0.9999),
+           points=st.integers(2, 101))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_broadcast_bit_for_bit(self, radius, loss, gamma_nl, sigma, wavelengths,
+                                           velocities, power_mw, detuning, eta_min, eta_max,
+                                           points):
+        # sweep_eta calls pair_rates once per point in Python floats; the
+        # broadcast over a numpy eta array, which add_drop_grid uses, is its
+        # oracle. The kernel writes its squares as products, so they agree
+        # to the bit; with a float's x ** 2, libm's pow, they would not on
+        # about 0.1% of points, which an axis of the command's spacing finds
+        assume(eta_min < eta_max)
+        etas = cli._linspace(eta_min, eta_max, points)
+        doc = bundled()
+        doc["system"]["ring"].update(radius_m=radius, loss_db_per_cm=loss,
+                                     gamma_nl_per_w_m=gamma_nl)
+        doc["system"]["channels"][0]["coupling"] = {"sigma": sigma}
+        for band, wavelength, v in zip(("pump", "signal", "idler"), wavelengths, velocities):
+            doc["system"]["bands"][band] = {"wavelength_nm": wavelength,
+                                            "group_velocity_m_per_s": v}
+        del doc["system"]["bands"]["group_velocity_m_per_s"]
+        system = parse_config(doc).system
+        pump = CwPump(power_mw * 1e-3, detuning=detuning)
+        result = sweeps.sweep_eta(system, etas, pump)
+        eta = np.asarray(etas)
+        g_ph = system.phantom_channel.gammas
+        want = phantom.pair_rates(system, pump, {"O": {b: eta * g_ph[b] / (1.0 - eta)
+                                                       for b in Band}})
+        assert result.axes["eta"] == etas
+        for (x, y), rates in want.items():
+            column = result.values[f"R_{x}{y}"]
+            assert all(type(r) is float for r in column)
+            assert column == rates.tolist(), (x, y)
 
 
 class TestCompareFinesse:
