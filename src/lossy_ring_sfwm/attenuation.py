@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .constants import TWO_PI
+from .frozen import Frozen, set_field
 from .model import Band, CwPump, SystemSpec, phantom_gamma_from_xi, two_photon_detuning
 from .numerics import QuadratureError, integrate_adaptive
 
@@ -55,14 +55,16 @@ class SingularityError(ArithmeticError):
     """A lossless resonance denominator vanished (sigma = 1 on resonance)."""
 
 
-@dataclass(frozen=True)
-class RingField:
+class RingField(Frozen):
     """A piecewise ring field's envelope about its carrier: amplitude at the
     start of each of n equal arcs, all arcs sharing one propagation wavevector."""
 
-    k_prop: complex  # multiplies zeta in the envelope's e^{i k zeta}
-    arc: float  # length of each arc, L / n for n couplers
-    amps: tuple[complex, ...]  # start amplitude of each arc
+    __slots__ = ("k_prop", "arc", "amps")
+
+    def __init__(self, k_prop: complex, arc: float, amps: tuple[complex, ...]):
+        set_field(self, "k_prop", k_prop)  # multiplies zeta in the envelope's e^{i k zeta}
+        set_field(self, "arc", arc)  # length of each arc, L / n for n couplers
+        set_field(self, "amps", amps)  # start amplitude of each arc
 
 
 def phase_mismatch_integral(dk: complex, length: float) -> complex:

@@ -18,18 +18,25 @@ config or geometry) or an option the command does not take; 0 on success.
 
 Each command runs in a fresh process, which compiles every module it
 loads when no bytecode cache is written, so each handler imports the
-layers it runs. Importing cli and parsing a config load config, model and
-constants and no numpy, so --help, a bad option and a bad config exit
-without it. ratios and oracle-check load numerics and phantom, rate
-attenuation too, sweep-eta and add-drop-grid numerics, phantom and
-sweeps, sweep-sigma and compare-finesse attenuation too, and jsa
-numerics, jsa and phantom. rate, ratios, oracle-check, sweep-sigma,
-sweep-eta and compare-finesse compute in Python floats and load no
-numpy; add-drop-grid and jsa load it for their grids. Both log axes,
-compare-finesse's and add-drop-grid's, are libm's 10 ** u over a linear
-axis of exponents. No command loads OpenSSL (the config hash is
-CPython's built-in SHA-256), numpy.polynomial or numpy.fft (the
-quadrature and Faddeeva tables are constants).
+layers it runs. Importing cli and parsing a config load config, model,
+frozen and constants and no numpy, so --help, a bad option and a bad
+config exit without it. Of the standard library they load argparse,
+contextlib, csv, enum, json, math, pathlib, typing, warnings and the
+built-in SHA-256, with what those import (re, functools, collections,
+os), and neither dataclasses nor inspect, which would bring ast, dis and
+tokenize: the value classes are plain classes on frozen.Frozen. (From
+Python 3.14 argparse's help formatter, built by every add_argument, loads
+dataclasses for its colour themes, so building the parser does.) ratios
+and oracle-check load numerics and phantom, rate attenuation too,
+sweep-eta and add-drop-grid numerics, phantom and sweeps, sweep-sigma and
+compare-finesse attenuation too, and jsa numerics, jsa and phantom.
+rate, ratios, oracle-check, sweep-sigma, sweep-eta and compare-finesse
+compute in Python floats and load no numpy; add-drop-grid and jsa load
+it for their grids. Both log axes, compare-finesse's and add-drop-grid's,
+are libm's 10 ** u over a linear axis of exponents. No command loads
+OpenSSL (the config hash is CPython's built-in SHA-256),
+numpy.polynomial or numpy.fft (the quadrature and Faddeeva tables are
+constants), and no module of the package imports dataclasses.
 """
 
 from __future__ import annotations

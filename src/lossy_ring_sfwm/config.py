@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Any, Mapping
 
 try:  # CPython's own SHA-256, the one hashlib falls back on; hashlib loads OpenSSL
@@ -26,6 +25,7 @@ except ImportError:
         from hashlib import sha256
 
 from .constants import C_VACUUM
+from .frozen import Frozen, set_field
 from .model import (Band, BandParams, ChannelCoupling, ChannelKind, CwPump,
                     PulsedPump, RingSpec, SystemSpec, band_from_wavelength,
                     finesse, gamma_from_sigma, phantom_gamma_from_xi)
@@ -83,13 +83,16 @@ def _check_keys(d: Mapping, allowed: set[str], path: str) -> None:
                           f"unknown field; expected one of {sorted(allowed)}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    system: SystemSpec
-    pump: CwPump | PulsedPump
-    strategy: str  # attenuation | phantom | both
-    options: Mapping[str, Any]  # per-command blocks, normalized
-    normalized: Mapping[str, Any]  # canonical dict for hashing / round-trips
+class RunConfig(Frozen):
+    __slots__ = ("system", "pump", "strategy", "options", "normalized")
+
+    def __init__(self, system: SystemSpec, pump: CwPump | PulsedPump, strategy: str,
+                 options: Mapping[str, Any], normalized: Mapping[str, Any]):
+        set_field(self, "system", system)
+        set_field(self, "pump", pump)
+        set_field(self, "strategy", strategy)  # attenuation | phantom | both
+        set_field(self, "options", options)  # per-command blocks, normalized
+        set_field(self, "normalized", normalized)  # canonical dict for hashing / round-trips
 
     @property
     def config_hash(self) -> str:
@@ -144,7 +147,9 @@ def _parse_bands(block: Mapping, ring: RingSpec, path: str) -> dict[Band, BandPa
         except OverflowError as e:  # omega, from a wavelength too short
             owner = f"{path}.{name}" if "wavelength_nm" in sub else path
             raise ConfigError(f"{owner}.wavelength_nm", str(e)) from e
-        except ValueError as e:  # no resonance order m >= 1 fits the ring
+        except ValueError as e:  # the order overflows, or no order m >= 1 fits the ring
+            if math.isinf(ring.circumference / wavelength):  # the radius alone overflows it
+                raise ConfigError("system.ring.radius_m", str(e)) from e
             owner = f"{path}.{name}" if "effective_index" in sub else path
             raise ConfigError(f"{owner}.effective_index", str(e)) from e
     return bands

@@ -53,12 +53,12 @@ block's worth of cells at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .constants import HBAR, TWO_PI
+from .frozen import Frozen, set_field
 from .model import Band, PulsedPump, SystemSpec, two_photon_detuning
 from .numerics import QuadratureError, integrate_adaptive
 from .phantom import enhancement_factor
@@ -210,8 +210,7 @@ def grid_integrate_2d(blocks: Iterable[np.ndarray], dx: float, dy: float) -> flo
 _NORM_ROWS = 8
 
 
-@dataclass(frozen=True)
-class JsaGrid:
+class JsaGrid(Frozen):
     """Discretized biphoton wave function for one reference channel pair.
 
     kappa is the dimensionless detuning (omega - omega_J) / Gbar_J of
@@ -224,12 +223,18 @@ class JsaGrid:
     pulse amplitude alpha.
     """
 
-    kappa: np.ndarray
-    reference_pair: tuple[str, str]
-    weights: Mapping[tuple[str, str], float]
-    beta2: float
-    normalization_residual: float
-    rows: Callable[[int, int], np.ndarray]
+    __slots__ = ("kappa", "reference_pair", "weights", "beta2", "normalization_residual",
+                 "rows")
+
+    def __init__(self, kappa: np.ndarray, reference_pair: tuple[str, str],
+                 weights: Mapping[tuple[str, str], float], beta2: float,
+                 normalization_residual: float, rows: Callable[[int, int], np.ndarray]):
+        set_field(self, "kappa", kappa)
+        set_field(self, "reference_pair", reference_pair)
+        set_field(self, "weights", weights)
+        set_field(self, "beta2", beta2)
+        set_field(self, "normalization_residual", normalization_residual)
+        set_field(self, "rows", rows)
 
     @property
     def values(self) -> np.ndarray:

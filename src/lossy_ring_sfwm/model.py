@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .constants import C_VACUUM, TWO_PI
+from .frozen import Frozen, set_field
 
 # dB/cm -> 1/m for a power attenuation coefficient
 _DB_PER_CM_TO_NP_PER_M = 100.0 * math.log(10.0) / 10.0
@@ -50,23 +50,23 @@ class ChannelKind(enum.Enum):
     PHANTOM = "phantom"
 
 
-@dataclass(frozen=True)
-class BandParams:
+class BandParams(Frozen):
     """Linear dispersion data for one frequency band, whose center omega sits
     on the ring resonance of order m. No group-velocity dispersion term is
     stored: dispersion is strictly linear within the band."""
 
-    omega: float  # band center angular frequency [rad/s]
-    v: float  # group velocity [m/s]
-    m: int  # resonance order: the band center's wavenumber is 2 pi m / L
+    __slots__ = ("omega", "v", "m")
 
-    def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"band center frequency must be positive, got {self.omega}")
-        if self.v <= 0:
-            raise ValueError(f"group velocity must be positive, got {self.v}")
-        if self.m < 1:
-            raise ValueError(f"resonance order must be at least 1, got {self.m}")
+    def __init__(self, omega: float, v: float, m: int):
+        set_field(self, "omega", omega)  # band center angular frequency [rad/s]
+        set_field(self, "v", v)  # group velocity [m/s]
+        set_field(self, "m", m)  # resonance order: the band center's wavenumber is 2 pi m / L
+        if omega <= 0:
+            raise ValueError(f"band center frequency must be positive, got {omega}")
+        if v <= 0:
+            raise ValueError(f"group velocity must be positive, got {v}")
+        if m < 1:
+            raise ValueError(f"resonance order must be at least 1, got {m}")
 
 
 def band_from_wavelength(wavelength_m: float, group_velocity: float, effective_index: float,
@@ -92,22 +92,24 @@ def band_from_wavelength(wavelength_m: float, group_velocity: float, effective_i
     return BandParams(omega=omega, v=group_velocity, m=m)
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Frozen):
     """Ring geometry, scattering loss, and effective nonlinearity."""
 
-    radius: float  # [m]
-    loss_db_per_cm: float  # power attenuation [dB/cm]
-    gamma_nl: float  # effective nonlinear parameter [1/(W m)]
-    delta_kappa: float = 0.0  # ring-mode wavenumber mismatch 2 kappa_P - kappa_S - kappa_I [1/m]
+    __slots__ = ("radius", "loss_db_per_cm", "gamma_nl", "delta_kappa")
 
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"ring radius must be positive, got {self.radius}")
-        if self.loss_db_per_cm < 0:
-            raise ValueError(f"loss must be non-negative, got {self.loss_db_per_cm}")
-        if self.gamma_nl < 0:
-            raise ValueError(f"nonlinear parameter must be non-negative, got {self.gamma_nl}")
+    def __init__(self, radius: float, loss_db_per_cm: float, gamma_nl: float,
+                 delta_kappa: float = 0.0):
+        set_field(self, "radius", radius)  # [m]
+        set_field(self, "loss_db_per_cm", loss_db_per_cm)  # power attenuation [dB/cm]
+        set_field(self, "gamma_nl", gamma_nl)  # effective nonlinear parameter [1/(W m)]
+        # ring-mode wavenumber mismatch 2 kappa_P - kappa_S - kappa_I [1/m]
+        set_field(self, "delta_kappa", delta_kappa)
+        if radius <= 0:
+            raise ValueError(f"ring radius must be positive, got {radius}")
+        if loss_db_per_cm < 0:
+            raise ValueError(f"loss must be non-negative, got {loss_db_per_cm}")
+        if gamma_nl < 0:
+            raise ValueError(f"nonlinear parameter must be non-negative, got {gamma_nl}")
 
     @property
     def circumference(self) -> float:
@@ -125,43 +127,43 @@ class RingSpec:
         return roundtrip_amplitude(self.xi, self.circumference)
 
 
-@dataclass(frozen=True)
-class ChannelCoupling:
+class ChannelCoupling(Frozen):
     """Coupling of the ring to one waveguide, one decay rate per band."""
 
-    channel_id: str
-    gammas: Mapping[Band, float]  # decay rate Gamma_J^(X) [rad/s] per band
-    kind: ChannelKind = ChannelKind.PHYSICAL
+    __slots__ = ("channel_id", "gammas", "kind")
 
-    def __post_init__(self):
-        if not self.channel_id:
+    def __init__(self, channel_id: str, gammas: Mapping[Band, float],
+                 kind: ChannelKind = ChannelKind.PHYSICAL):
+        set_field(self, "channel_id", channel_id)
+        set_field(self, "gammas", gammas)  # decay rate Gamma_J^(X) [rad/s] per band
+        set_field(self, "kind", kind)
+        if not channel_id:
             raise ValueError("channel id must be non-empty")
         for b in Band:
-            if b not in self.gammas:
-                raise ValueError(f"channel {self.channel_id!r}: missing decay rate for {b.value}")
-            if self.gammas[b] < 0:
+            if b not in gammas:
+                raise ValueError(f"channel {channel_id!r}: missing decay rate for {b.value}")
+            if gammas[b] < 0:
                 raise ValueError(
-                    f"channel {self.channel_id!r}: decay rate must be non-negative, "
-                    f"got {self.gammas[b]} for {b.value}")
+                    f"channel {channel_id!r}: decay rate must be non-negative, "
+                    f"got {gammas[b]} for {b.value}")
 
     def gamma(self, band: Band) -> float:
         return self.gammas[band]
 
 
-@dataclass(frozen=True)
-class CwPump:
+class CwPump(Frozen):
     """Continuous-wave pump: power and detuning from the pump band center."""
 
-    power: float  # [W]
-    detuning: float = 0.0  # omega_o - omega_P [rad/s]
+    __slots__ = ("power", "detuning")
 
-    def __post_init__(self):
-        if self.power <= 0:
-            raise ValueError(f"pump power must be positive, got {self.power}")
+    def __init__(self, power: float, detuning: float = 0.0):
+        set_field(self, "power", power)  # [W]
+        set_field(self, "detuning", detuning)  # omega_o - omega_P [rad/s]
+        if power <= 0:
+            raise ValueError(f"pump power must be positive, got {power}")
 
 
-@dataclass(frozen=True)
-class PulsedPump:
+class PulsedPump(Frozen):
     """Transform-limited Gaussian pump pulse.
 
     duration_fwhm is the full width at half maximum of the *intensity*
@@ -169,13 +171,15 @@ class PulsedPump:
     number |alpha|^2 in the pulse).
     """
 
-    duration_fwhm: float  # [s]
-    alpha: float = 1.0
-    detuning: float = 0.0  # pulse carrier offset from the pump band center [rad/s]
+    __slots__ = ("duration_fwhm", "alpha", "detuning")
 
-    def __post_init__(self):
-        if self.duration_fwhm <= 0:
-            raise ValueError(f"pulse duration must be positive, got {self.duration_fwhm}")
+    def __init__(self, duration_fwhm: float, alpha: float = 1.0, detuning: float = 0.0):
+        set_field(self, "duration_fwhm", duration_fwhm)  # [s]
+        set_field(self, "alpha", alpha)
+        # pulse carrier offset from the pump band center [rad/s]
+        set_field(self, "detuning", detuning)
+        if duration_fwhm <= 0:
+            raise ValueError(f"pulse duration must be positive, got {duration_fwhm}")
 
     @property
     def tau(self) -> float:
@@ -191,30 +195,30 @@ _BUS_RINGS = {1: "a single-bus ring needs one physical channel",
               2: "an add-drop ring needs two physical channels"}
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(Frozen):
     """A ring, its three bands, and its ordered coupling channels."""
 
-    ring: RingSpec
-    bands: Mapping[Band, BandParams]
-    channels: tuple[ChannelCoupling, ...]
-    pump_input_channel: str
+    __slots__ = ("ring", "bands", "channels", "pump_input_channel")
 
-    def __post_init__(self):
+    def __init__(self, ring: RingSpec, bands: Mapping[Band, BandParams],
+                 channels: tuple[ChannelCoupling, ...], pump_input_channel: str):
+        set_field(self, "ring", ring)
+        set_field(self, "bands", bands)
+        set_field(self, "channels", channels)
+        set_field(self, "pump_input_channel", pump_input_channel)
         for b in Band:
-            if b not in self.bands:
+            if b not in bands:
                 raise ValueError(f"missing band parameters for {b.value}")
-        if not self.channels:
+        if not channels:
             raise ValueError("system needs at least one coupling channel")
-        ids = [c.channel_id for c in self.channels]
+        ids = [c.channel_id for c in channels]
         if len(set(ids)) != len(ids):
             raise ValueError(f"channel ids must be unique, got {ids}")
-        if sum(c.kind is ChannelKind.PHANTOM for c in self.channels) > 1:
+        if sum(c.kind is ChannelKind.PHANTOM for c in channels) > 1:
             raise ValueError("at most one phantom channel is allowed")
-        pump_in = self.channel(self.pump_input_channel)
-        if pump_in.kind is not ChannelKind.PHYSICAL:
+        if self.channel(pump_input_channel).kind is not ChannelKind.PHYSICAL:
             raise ValueError(
-                f"pump input channel {self.pump_input_channel!r} must be a physical channel")
+                f"pump input channel {pump_input_channel!r} must be a physical channel")
         for b in Band:
             if self.gamma_bar(b) <= 0:
                 raise ValueError(f"total linewidth must be positive in band {b.value}")
@@ -268,9 +272,9 @@ class SystemSpec:
     def with_channel_gamma(self, channel_id: str, gammas: Mapping[Band, float]) -> "SystemSpec":
         """A copy of the system with one channel's decay rates replaced."""
         self.channel(channel_id)  # raise KeyError early on unknown id
-        new = tuple(replace(c, gammas=dict(gammas)) if c.channel_id == channel_id else c
+        new = tuple(c.replace(gammas=dict(gammas)) if c.channel_id == channel_id else c
                     for c in self.channels)
-        return replace(self, channels=new)
+        return self.replace(channels=new)
 
 
 # ---------------------------------------------------------------------------

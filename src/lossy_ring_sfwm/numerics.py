@@ -8,8 +8,9 @@ constants."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
+
+from .frozen import Frozen, set_field
 
 DEFAULT_RATE_RTOL = 1e-6
 
@@ -67,11 +68,13 @@ def _not_converged(what: str, error: float, rel_tol: float, value: float,
             f"{rel_tol:.1e} relative on value {value:.6e}{unit}")
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float | complex
-    abs_error_estimate: float
-    evaluations: int
+class QuadratureResult(Frozen):
+    __slots__ = ("value", "abs_error_estimate", "evaluations")
+
+    def __init__(self, value: float | complex, abs_error_estimate: float, evaluations: int):
+        set_field(self, "value", value)
+        set_field(self, "abs_error_estimate", abs_error_estimate)
+        set_field(self, "evaluations", evaluations)
 
 
 def _segment_edges(a: float, b: float,

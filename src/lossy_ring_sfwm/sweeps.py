@@ -17,10 +17,10 @@ strategies' relative difference is taken per point, as rate takes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import phantom  # the strategy-1 sweeps import attenuation when they run
+from .frozen import Frozen, set_field
 from .model import Band, CwPump, GeometryError, SystemSpec, finesse, gamma_from_sigma
 from .numerics import QuadratureError
 
@@ -38,13 +38,16 @@ class Column(list):
         return len(self)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Frozen):
     """Columns for the sweeps along one axis, numpy arrays for add_drop_grid."""
 
-    axes: Mapping[str, Column | np.ndarray]
-    values: Mapping[str, Column | np.ndarray]
-    metadata: Mapping[str, object]
+    __slots__ = ("axes", "values", "metadata")
+
+    def __init__(self, axes: Mapping[str, Column | np.ndarray],
+                 values: Mapping[str, Column | np.ndarray], metadata: Mapping[str, object]):
+        set_field(self, "axes", axes)
+        set_field(self, "values", values)
+        set_field(self, "metadata", metadata)
 
 
 def quadratic_argmax(x: Sequence[float], y: Sequence[float]) -> float:
@@ -95,10 +98,10 @@ def quadratic_argmax_2d(x: np.ndarray, y: np.ndarray,
 def _rescaled_coupling_system(system: SystemSpec, scale: float) -> SystemSpec:
     """All channel decay rates and the ring loss scaled by one factor,
     leaving escape efficiencies (and the resonance structure) unchanged."""
-    ring = replace(system.ring, loss_db_per_cm=system.ring.loss_db_per_cm * scale)
-    channels = tuple(replace(c, gammas={b: g * scale for b, g in c.gammas.items()})
+    ring = system.ring.replace(loss_db_per_cm=system.ring.loss_db_per_cm * scale)
+    channels = tuple(c.replace(gammas={b: g * scale for b, g in c.gammas.items()})
                      for c in system.channels)
-    return replace(system, ring=ring, channels=channels)
+    return system.replace(ring=ring, channels=channels)
 
 
 def _buses(system: SystemSpec, count: int) -> tuple[str, ...]:

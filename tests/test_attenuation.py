@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +42,7 @@ def _critical_system():
 def _lossless(system):
     """The same ring without propagation loss; strategy 1 never reads the
     phantom entry, which keeps the total linewidth positive."""
-    return replace(system, ring=replace(system.ring, loss_db_per_cm=0.0))
+    return system.replace(ring=system.ring.replace(loss_db_per_cm=0.0))
 
 
 def _add_drop(s1, s2, loss_db_per_cm=26.0):
@@ -168,7 +167,7 @@ class TestAddDropFields:
 
     def test_second_coupler_removed(self):
         system = _add_drop(0.97, 1.0)
-        single = replace(system, channels=(system.channel("T"), system.phantom_channel))
+        single = system.replace(channels=(system.channel("T"), system.phantom_channel))
         d = 0.3 * system.gamma_bar(Band.PUMP)
         r1, f_through, f_drop = _add_drop_ports(system, d)
         f_ring, single_through = _all_pass_ports(single, d)
@@ -244,7 +243,7 @@ class TestOverlap:
         f_s, f_i, f_p = _single_bus_fields(ring_ref, gbar, -gbar, 0.0)
         j_ref = att.overlap_of_fields(f_s, f_i, f_p)
         phase = cmath.exp(0.81j)
-        rotated = replace(f_p, amps=tuple(a * phase for a in f_p.amps))
+        rotated = f_p.replace(amps=tuple(a * phase for a in f_p.amps))
         j_rot = att.overlap_of_fields(f_s, f_i, rotated)
         assert abs(j_rot) == pytest.approx(abs(j_ref), rel=1e-12)
 
@@ -266,7 +265,7 @@ class TestPairRate:
 
     def test_zero_nonlinearity(self, ring_ref):
         # parse_config rejects gamma_nl = 0, so the ring is edited directly
-        system = replace(ring_ref, ring=replace(ring_ref.ring, gamma_nl=0.0))
+        system = ring_ref.replace(ring=ring_ref.ring.replace(gamma_nl=0.0))
         assert att.pair_rate_cw(system, CwPump(1e-3), "O", "O") == 0.0
 
     def test_quadratic_power_scaling(self, ring_ref):
@@ -348,7 +347,7 @@ class TestPairRate:
         # one ring model: a drop bus with Gamma_D = 0 is a coupler at sigma = 1,
         # which leaves the single-bus rate
         system = bundled_system("add_drop.json", {"D": {"sigma": 1.0}})
-        single = replace(system, channels=(system.channel("T"), system.phantom_channel))
+        single = system.replace(channels=(system.channel("T"), system.phantom_channel))
         pump = CwPump(1e-3)
         assert att.pair_rate_cw(system, pump, "T", "T") == pytest.approx(
             att.pair_rate_cw(single, pump, "T", "T"), rel=1e-12)
@@ -356,7 +355,7 @@ class TestPairRate:
     def test_three_bus_ring_rejected(self):
         system = bundled_system("add_drop.json")
         third = ChannelCoupling("X", system.channel("D").gammas)
-        system = replace(system, channels=system.channels + (third,))
+        system = system.replace(channels=system.channels + (third,))
         with pytest.raises(GeometryError):
             att.pair_rate_cw(system, CwPump(1e-3), "T", "T")
 

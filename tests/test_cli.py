@@ -79,6 +79,8 @@ _CONFIG_ERRORS = [
                               {"id": "Q", "kind": "phantom", "coupling": {"from_loss": True}}],
      "system", "at most one phantom channel"),
     (("system", "ring", "radius_m"), 1e308, "system.ring.radius_m", "2 pi r overflows"),
+    (("system", "ring", "radius_m"), 1e303, "system.ring.radius_m",
+     "resonance order n_eff L / wavelength overflows"),
     (("system", "bands", "effective_index"), 1e308, "system.bands.effective_index",
      "resonance order n_eff L / wavelength overflows"),
     (("system", "bands", "wavelength_nm"), 5e-324, "system.bands.wavelength_nm",
@@ -797,12 +799,23 @@ class TestCommands:
                       "sweep-eta", "oracle-check"),
             **_expect(1, "{}: the strategy-1 pair rate is inf", "sweep-sigma",
                       "compare-finesse")}),
-        # the free spectral range, which caps strategy 1's window, is below an ulp
-        ("ring_channel.json", {"system.ring.radius_m": 1e300}, {
+        # the closed-form rate falls as 1/L^2, but an intermediate product of
+        # (gamma_nl L)^2 overflows before the 1/L enhancement factors bring it
+        # down, so the radius is not blamed; the free spectral range, which
+        # caps strategy 1's window, is below an ulp
+        *[("ring_channel.json", {"system.ring.radius_m": radius}, {
             **_expect(1, "{}: a result overflows the float range", "rate", "ratios",
                       "sweep-eta", "oracle-check"),
             **_expect(2, "invalid config: system.ring.radius_m: makes the free spectral "
-                      "range", "sweep-sigma", "compare-finesse")}),
+                      "range", "sweep-sigma", "compare-finesse")})
+          for radius in (1e200, 1e300)],
+        ("ring_channel.json", {"pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0},
+                               "system.ring.radius_m": 1e200}, _expect(
+            1, "{}: a result overflows the float range", "jsa")),
+        # L / wavelength alone overflows the resonance order
+        ("ring_channel.json", {"system.ring.radius_m": 1e303}, _expect(
+            2, "invalid config: system.ring.radius_m: the resonance order n_eff L / wavelength "
+            "overflows", *_COMMANDS)),
         # the pair probability beta2 = alpha^4 mass overflows from alpha ~ 1e78,
         # where alpha^4 alone leaves the float range; just below, it is finite
         *[("ring_channel.json",
@@ -910,7 +923,8 @@ class TestCommands:
             **_expect(0, None, "rate", "ratios", "compare-finesse", "oracle-check")})],
         ids=["zero_nonlinearity", "underflowing_power", "underflowing_power_add_drop",
              "far_detuned_pump", "huge_detuning", "huge_negative_detuning",
-             "overflowing_power", "overflowing_radius", "first_overflowing_alpha",
+             "overflowing_power", "overflowing_radius_1e200", "overflowing_radius",
+             "overflowing_radius_jsa", "overflowing_resonance_order", "first_overflowing_alpha",
              "overflowing_alpha", "largest_alpha", "underflowing_beta2", "underflowing_alpha",
              "vanishing_alpha", "vanishing_pulse", "endless_pulse", "overflowing_loss_jsa",
              "vanishing_nonlinearity_jsa", "overflowing_rate_product", "overflowing_nonlinearity",
@@ -1165,6 +1179,23 @@ def _loaded_modules(code: str) -> list[str]:
     return _last_json_line(code + "\nimport json\nprint(json.dumps(sorted(sys.modules)))\n")
 
 
+def _stdlib_loaded(parser: bool) -> set[str]:
+    """The modules that the standard modules the package imports load on their own.
+
+    Where argparse's help formatter, which every add_argument builds, loads
+    dataclasses and inspect (its colour themes are dataclasses on Python
+    3.14), no command can keep them out; the package is asked only not to
+    add them.
+    """
+    code = ("import argparse, contextlib, csv, enum, json, math, sys, warnings\n"
+            "from importlib import resources\n"
+            "from pathlib import Path\n"
+            "from typing import Any, Mapping\n")
+    if parser:
+        code += "argparse.ArgumentParser().add_argument('--config')\n"
+    return set(_loaded_modules(code))
+
+
 def _layers(loaded: list[str]) -> set[str]:
     """The layers of the package among loaded modules."""
     return {m.rpartition(".")[2] for m in loaded if m.startswith("lossy_ring_sfwm.")} \
@@ -1175,7 +1206,9 @@ def test_import_and_parse_load_no_numpy():
     # each handler imports the layers it runs, and parsing runs none of them;
     # config, model and constants compute in plain Python, so a bad config
     # or --help never waits for numpy. The config hash is CPython's built-in
-    # SHA-256, so no command loads OpenSSL, which importing hashlib does
+    # SHA-256, so no command loads OpenSSL, which importing hashlib does. The
+    # value classes are plain classes on frozen.Frozen, so the package loads
+    # neither dataclasses nor the inspect module it imports
     code = ("import sys\n"
             "from importlib import resources\n"
             "import lossy_ring_sfwm.cli\n"
@@ -1189,6 +1222,7 @@ def test_import_and_parse_load_no_numpy():
     assert "concurrent.futures" not in loaded  # the sweeps run in one thread
     assert _layers(loaded) == set()
     assert "_hashlib" not in loaded
+    assert {"dataclasses", "inspect"} & set(loaded) <= _stdlib_loaded(parser=False)
 
 
 def test_exits_before_a_handler_load_no_numpy(tmp_path):
@@ -1279,11 +1313,13 @@ def test_commands_load_only_their_layers(tmp_path):
     # rates and oracle checks must not pay for its import. Each command
     # loads only the layers it runs: phantom for the closed forms and the
     # strategies' difference, sweeps for a sweep, attenuation for strategy 1
-    # and jsa for the JSA. None hashes its config through OpenSSL. Only the
-    # grids load numpy: every command but add-drop-grid and jsa computes in
-    # Python floats, the log axis of the single-bus compare-finesse too
+    # and jsa for the JSA. None hashes its config through OpenSSL, and none
+    # adds dataclasses to what its parser loads. Only the grids load numpy:
+    # every command but add-drop-grid and jsa computes in Python floats, the
+    # log axis of the single-bus compare-finesse too
     closed_forms, maps = {"phantom"}, {"phantom", "sweeps"}
     strategy1 = {"attenuation", "phantom", "sweeps"}
+    stdlib = _stdlib_loaded(parser=True)
     # (command, config, options, layers, whether numpy is loaded)
     runs = [("oracle-check", "ring_channel.json", {}, closed_forms, False),
             ("oracle-check", "add_drop.json", {}, closed_forms, False),
@@ -1316,6 +1352,7 @@ def test_commands_load_only_their_layers(tmp_path):
         assert ("orjson" in loaded) == (command == "add-drop-grid"), command
         assert _layers(loaded) == layers, command
         assert "_hashlib" not in loaded, command
+        assert "dataclasses" not in set(loaded) - stdlib, command
     doc = bundled()
     doc["pump"] = {"kind": "pulsed", "duration_fwhm_ps": 10.0}
     doc["options"] = {"jsa": {"grid_points": 64}}
@@ -1330,3 +1367,4 @@ def test_commands_load_only_their_layers(tmp_path):
     assert "orjson" in loaded
     assert _layers(loaded) == {"jsa", "phantom"}
     assert "_hashlib" not in loaded
+    assert "dataclasses" not in set(loaded) - stdlib

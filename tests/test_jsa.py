@@ -1,7 +1,6 @@
 """Biphoton wave function: normalization, shape constancy, pump factor."""
 
 import math
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -221,8 +220,8 @@ class TestJsaGrid:
             jsa.build_jsa(system_06, pulse_10ps, kappa_max=4.0)
 
     def test_zero_coupled_reference_pair_rejected(self, system_06, pulse_10ps):
-        system = replace(system_06, channels=system_06.channels
-                         + (ChannelCoupling("Z", dict.fromkeys(Band, 0.0)),))
+        system = system_06.replace(channels=system_06.channels
+                                   + (ChannelCoupling("Z", dict.fromkeys(Band, 0.0)),))
         for ref in (("Z", "O"), ("O", "Z")):
             with pytest.raises(ValueError, match="zero signal or idler coupling"):
                 jsa.build_jsa(system, pulse_10ps, n=16, reference_pair=ref)

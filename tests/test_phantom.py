@@ -3,7 +3,6 @@ CW rates of the phantom-channel model."""
 
 import math
 import random
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -337,7 +336,7 @@ class TestGoldenRuleOracle:
 
     def test_zero_nonlinearity(self):
         system = sample_system()
-        system = replace(system, ring=replace(system.ring, gamma_nl=0.0))
+        system = system.replace(ring=system.ring.replace(gamma_nl=0.0))
         assert ph.fgr_rate_oracle(system, CwPump(1e-3), "O", "O") == 0.0
 
     def test_failure_quoted_in_pairs_per_s(self, monkeypatch):

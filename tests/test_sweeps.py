@@ -1,7 +1,5 @@
 """Parameter sweeps: coupling optima, strategy convergence, add-drop grids."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -192,10 +190,10 @@ def _sigma_system(system, channel_id, sigma):
 
 def _scaled_system(system, scale):
     """Every decay rate and the ring loss scaled by one factor."""
-    ring = replace(system.ring, loss_db_per_cm=system.ring.loss_db_per_cm * scale)
-    channels = tuple(replace(c, gammas={b: g * scale for b, g in c.gammas.items()})
+    ring = system.ring.replace(loss_db_per_cm=system.ring.loss_db_per_cm * scale)
+    channels = tuple(c.replace(gammas={b: g * scale for b, g in c.gammas.items()})
                      for c in system.channels)
-    return replace(system, ring=ring, channels=channels)
+    return system.replace(ring=ring, channels=channels)
 
 
 def _sweep_sigma_point(system, sigma):
