@@ -222,7 +222,11 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
         points.append((0.0, theta(gamma_s)))
         if lo < e < hi:
             t_m = theta(e)
-            points.append((t_m, abs(theta(e + gamma_i) - t_m)))
+            half_width = abs(theta(e + gamma_i) - t_m)
+            if half_width == 0.0:  # theta flattens toward +-pi / 2, where the step rounds to 0
+                raise QuadratureError(f"strategy-1 rate R[{signal_exit},{idler_exit}]: the "
+                                      "idler line is narrower than the theta map resolves")
+            points.append((t_m, half_width))
     prefactor = (1.0 / TWO_PI) * (ring.gamma_nl * pump.power / pb.omega) ** 2 \
         * pb.v ** 2 / (sb.v * ib.v)
     try:

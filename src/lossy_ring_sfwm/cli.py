@@ -191,35 +191,15 @@ def _require_lossy_phantom(config: RunConfig) -> None:
     """sweep-eta and add-drop-grid set couplings in units of the phantom decay rate."""
     channel = config.system.phantom_channel
     if channel is not None and 0.0 in channel.gammas.values():
-        raise ConfigError("system.ring.loss_db_per_cm",
+        raise ConfigError(config.sources[channel.channel_id],
                           "the phantom decay rate, the unit of the swept couplings, is zero")
-
-
-def _coupling_field(config: RunConfig, i: int) -> str:
-    """The config field that sets channel i's decay rates: the ring loss for a
-    phantom coupled from it."""
-    (key,) = config.normalized["system"]["channels"][i]["coupling"]
-    return "system.ring.loss_db_per_cm" if key == "from_loss" \
-        else f"system.channels[{i}].coupling.{key}"
-
-
-def _velocity_field(config: RunConfig, band: Band) -> str:
-    """The config field that sets a band's group velocity: the band's own
-    block's, else the shared one's."""
-    bands = config.normalized["system"]["bands"]
-    block, path = bands.get(band.value, {}), f"system.bands.{band.value}"
-    if not block.keys() & {"group_velocity_m_per_s", "group_index"}:
-        block, path = bands, "system.bands"
-    return f"{path}.{'group_index' if 'group_index' in block else 'group_velocity_m_per_s'}"
 
 
 def _widest_channel_field(config: RunConfig) -> str:
     """The coupling field of the channel with the largest signal plus idler
     decay rate, the one that takes the linewidths out of the float range."""
-    channels = config.system.channels
-    return _coupling_field(config, max(
-        range(len(channels)),
-        key=lambda i: channels[i].gamma(Band.SIGNAL) + channels[i].gamma(Band.IDLER)))
+    widest = max(config.system.channels, key=lambda c: c.gamma(Band.SIGNAL) + c.gamma(Band.IDLER))
+    return config.sources[widest.channel_id]
 
 
 def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
@@ -250,7 +230,7 @@ def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
     except OverflowError as e:
         raise ConfigError(path or "system.ring.loss_db_per_cm", "the outgoing fields of "
                           "strategy 1, which grow as e^(xi L / 2), overflow") from e
-    for i, c in enumerate(system.channels):
+    for c in system.channels:
         if c.channel_id not in channel_ids:
             continue
         try:
@@ -258,7 +238,7 @@ def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
                 sigma_from_gamma(c.gamma(b) * scale, system.bands[b].v,
                                  system.ring.circumference)
         except ValueError as e:
-            raise ConfigError(path or _coupling_field(config, i), str(e)) from e
+            raise ConfigError(path or config.sources[c.channel_id], str(e)) from e
 
 
 def cmd_rate(config: RunConfig, outdir: Path, tol) -> None:
@@ -320,7 +300,7 @@ def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> None:
             sigma_from_gamma(gamma, system.bands[b].v, L)
         except ValueError as e:
             if math.isinf(gamma):
-                raise ConfigError(_velocity_field(config, b), "the bus decay rate "
+                raise ConfigError(config.sources[b], "the bus decay rate "
                                   f"(1 - sigma) v / L at sigma = {axis[0]} overflows") from e
             raise ConfigError("options.sweep_sigma.min", str(e)) from e
     if axis[-1] == 1.0:  # a lossless ring has no linewidth once the bus decouples
@@ -568,7 +548,7 @@ def main(argv=None) -> int:
         # or radius is not
         system = config.system
         squared = (("system.ring.gamma_nl_per_w_m", system.ring.gamma_nl),
-                   (_velocity_field(config, Band.PUMP), system.bands[Band.PUMP].v))
+                   (config.sources[Band.PUMP], system.bands[Band.PUMP].v))
         blamed = [field for field, x in squared if math.isinf(x * x)]
         if type(e) is OverflowError and blamed:
             print(f"invalid config: {blamed[0]}: its square, a factor of every pair rate, "

@@ -7,7 +7,10 @@ Gamma, Q, eta, or from_loss for the phantom); they are normalized to
 decay rates internally and echoed back as derived quantities.
 
 parse_config is the only constructor of a SystemSpec from physical
-parameters; model.py holds the conversions it applies.
+parameters; model.py holds the conversions it applies. It records the
+config field behind each channel's decay rates and each band's group
+velocity in RunConfig.sources, and the CLI names those fields in the
+errors that values derived from them raise.
 """
 
 from __future__ import annotations
@@ -76,6 +79,12 @@ def _number(d: Mapping, key: str, path: str, *, default=None,
     return int(v) if integer else v * unit
 
 
+def _object(value: Any, path: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ConfigError(path, "expected an object")
+    return value
+
+
 def _check_keys(d: Mapping, allowed: set[str], path: str) -> None:
     unknown = sorted(set(d) - allowed)
     if unknown:
@@ -84,15 +93,20 @@ def _check_keys(d: Mapping, allowed: set[str], path: str) -> None:
 
 
 class RunConfig(Frozen):
-    __slots__ = ("system", "pump", "strategy", "options", "normalized")
+    __slots__ = ("system", "pump", "strategy", "options", "normalized", "sources")
 
     def __init__(self, system: SystemSpec, pump: CwPump | PulsedPump, strategy: str,
-                 options: Mapping[str, Any], normalized: Mapping[str, Any]):
+                 options: Mapping[str, Any], normalized: Mapping[str, Any],
+                 sources: Mapping[str | Band, str]):
         set_field(self, "system", system)
         set_field(self, "pump", pump)
         set_field(self, "strategy", strategy)  # attenuation | phantom | both
         set_field(self, "options", options)  # per-command blocks, normalized
         set_field(self, "normalized", normalized)  # canonical dict for hashing / round-trips
+        # the config field that set each channel's decay rates, by channel id
+        # (the ring loss for a phantom coupled from it), and each band's group
+        # velocity, by Band
+        set_field(self, "sources", sources)
 
     @property
     def config_hash(self) -> str:
@@ -108,8 +122,8 @@ _BAND_BLOCK_KEYS = {"wavelength_nm", "effective_index", "group_velocity_m_per_s"
 
 
 def _parse_band_block(block: Mapping, path: str, shared: Mapping, shared_path: str):
-    """A band's own block, over the keys of the shared one; an error names
-    the block its key came from."""
+    """A band's own block, over the keys of the shared one; each value comes
+    with its field, and an error names the block its key came from."""
     _check_keys(block, _BAND_BLOCK_KEYS, path)
     base = {**shared, **block}
 
@@ -123,48 +137,41 @@ def _parse_band_block(block: Mapping, path: str, shared: Mapping, shared_path: s
     if "group_velocity_m_per_s" in base and "group_index" in base:
         raise ConfigError(owner("group_velocity_m_per_s", "group_index"),
                           "give either group_velocity_m_per_s or group_index")
-    if "group_index" in base:
-        v = C_VACUUM / _number(base, "group_index", owner("group_index"), positive=True)
-    else:
-        v = _number(base, "group_velocity_m_per_s", owner("group_velocity_m_per_s"),
-                    positive=True)
-    return wavelength, v, n_eff
+    v_key = "group_index" if "group_index" in base else "group_velocity_m_per_s"
+    v = _number(base, v_key, owner(v_key), positive=True)
+    return (wavelength, C_VACUUM / v if v_key == "group_index" else v, n_eff), \
+        [f"{owner(key)}.{key}" for key in ("wavelength_nm", v_key, "effective_index")]
 
 
-def _parse_bands(block: Mapping, ring: RingSpec, path: str) -> dict[Band, BandParams]:
-    if not isinstance(block, Mapping):
-        raise ConfigError(path, "expected an object")
-    _check_keys(block, _BAND_BLOCK_KEYS | set(_BAND_KEYS), path)
+def _parse_bands(block, ring: RingSpec, path: str, sources: dict) -> dict[Band, BandParams]:
+    """The three bands; sources records the field of each one's group velocity."""
+    _check_keys(_object(block, path), _BAND_BLOCK_KEYS | set(_BAND_KEYS), path)
     shared_keys = {k: v for k, v in block.items() if k not in _BAND_KEYS}
     bands: dict[Band, BandParams] = {}
     for name, band in _BAND_KEYS.items():
-        sub = block.get(name, {})
-        if not isinstance(sub, Mapping):
-            raise ConfigError(f"{path}.{name}", "expected an object")
-        wavelength, v, n_eff = _parse_band_block(sub, f"{path}.{name}", shared_keys, path)
+        sub = _object(block.get(name, {}), f"{path}.{name}")
+        (wavelength, v, n_eff), (wavelength_field, sources[band], n_eff_field) = \
+            _parse_band_block(sub, f"{path}.{name}", shared_keys, path)
         try:
             bands[band] = band_from_wavelength(wavelength, v, n_eff, ring.circumference)
         except OverflowError as e:  # omega, from a wavelength too short
-            owner = f"{path}.{name}" if "wavelength_nm" in sub else path
-            raise ConfigError(f"{owner}.wavelength_nm", str(e)) from e
+            raise ConfigError(wavelength_field, str(e)) from e
         except ValueError as e:  # the order overflows, or no order m >= 1 fits the ring
             if math.isinf(ring.circumference / wavelength):  # the radius alone overflows it
                 raise ConfigError("system.ring.radius_m", str(e)) from e
-            owner = f"{path}.{name}" if "effective_index" in sub else path
-            raise ConfigError(f"{owner}.effective_index", str(e)) from e
+            raise ConfigError(n_eff_field, str(e)) from e
     return bands
 
 
-def _parse_channels(entries, ring: RingSpec, bands: Mapping[Band, BandParams],
-                    path: str) -> tuple[ChannelCoupling, ...]:
+def _parse_channels(entries, ring: RingSpec, bands: Mapping[Band, BandParams], path: str,
+                    sources: dict) -> tuple[ChannelCoupling, ...]:
+    """The channels; sources records the field of each one's decay rates."""
     if not isinstance(entries, list) or not entries:
         raise ConfigError(path, "expected a non-empty list of channels")
     parsed = []
     for i, entry in enumerate(entries):
         epath = f"{path}[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ConfigError(epath, "expected an object")
-        _check_keys(entry, {"id", "kind", "coupling"}, epath)
+        _check_keys(_object(entry, epath), {"id", "kind", "coupling"}, epath)
         cid = _require(entry, "id", epath)
         if not isinstance(cid, str) or not cid:
             raise ConfigError(f"{epath}.id", "expected a non-empty string")
@@ -174,9 +181,7 @@ def _parse_channels(entries, ring: RingSpec, bands: Mapping[Band, BandParams],
         except ValueError:
             raise ConfigError(f"{epath}.kind",
                               f"expected 'physical' or 'phantom', got {kind_str!r}")
-        coupling = _require(entry, "coupling", epath)
-        if not isinstance(coupling, Mapping):
-            raise ConfigError(f"{epath}.coupling", "expected an object")
+        coupling = _object(_require(entry, "coupling", epath), f"{epath}.coupling")
         _check_keys(coupling, set(_COUPLING_KEYS), f"{epath}.coupling")
         given = [k for k in _COUPLING_KEYS if k in coupling]
         if len(given) == 0:
@@ -192,7 +197,7 @@ def _parse_channels(entries, ring: RingSpec, bands: Mapping[Band, BandParams],
     eta_requests = []
     for cid, kind, rep, coupling, epath in parsed:
         base = f"{epath}.coupling"
-        cpath = f"{base}.{rep}"
+        cpath = sources[cid] = f"{base}.{rep}"
         if rep == "sigma":
             sigma = _number(coupling, rep, base, positive=True)
             if sigma > 1.0:
@@ -211,6 +216,7 @@ def _parse_channels(entries, ring: RingSpec, bands: Mapping[Band, BandParams],
             if kind is not ChannelKind.PHANTOM:
                 raise ConfigError(cpath, "from_loss is reserved for the phantom channel")
             gammas[cid] = {b: phantom_gamma_from_xi(ring.xi, bands[b].v) for b in Band}
+            sources[cid] = "system.ring.loss_db_per_cm"
         else:  # eta
             eta = _number(coupling, rep, base, positive=True)
             if eta >= 1.0:
@@ -235,9 +241,7 @@ def _parse_channels(entries, ring: RingSpec, bands: Mapping[Band, BandParams],
 
 
 def _parse_pump(block: Mapping, path: str, omega_p: float) -> CwPump | PulsedPump:
-    if not isinstance(block, Mapping):
-        raise ConfigError(path, "expected an object")
-    kind = block.get("kind", "cw")
+    kind = _object(block, path).get("kind", "cw")
     if kind not in ("cw", "pulsed"):
         raise ConfigError(f"{path}.kind", f"expected 'cw' or 'pulsed', got {kind!r}")
     own = {"power_mw"} if kind == "cw" else {"duration_fwhm_ps", "alpha"}
@@ -267,12 +271,10 @@ def parse_config(source: str | Mapping) -> RunConfig:
         raise ConfigError("$", "top level must be an object")
     _check_keys(doc, {"system", "pump", "strategy", "options"}, "$")
 
-    sys_block = _require(doc, "system", "$")
-    if not isinstance(sys_block, Mapping):
-        raise ConfigError("system", "expected an object")
+    sys_block = _object(_require(doc, "system", "$"), "system")
     _check_keys(sys_block, {"ring", "bands", "channels", "pump_input_channel"}, "system")
 
-    ring_block = _require(sys_block, "ring", "system")
+    ring_block = _object(_require(sys_block, "ring", "system"), "system.ring")
     _check_keys(ring_block, {"radius_m", "loss_db_per_cm", "gamma_nl_per_w_m",
                              "delta_kappa_per_m"}, "system.ring")
     ring = RingSpec(
@@ -283,14 +285,20 @@ def parse_config(source: str | Mapping) -> RunConfig:
     )
     if math.isinf(ring.circumference):
         raise ConfigError("system.ring.radius_m", f"2 pi r overflows, got {ring.radius}")
-    bands = _parse_bands(_require(sys_block, "bands", "system"), ring, "system.bands")
+    sources: dict[str | Band, str] = {}
+    bands = _parse_bands(_require(sys_block, "bands", "system"), ring, "system.bands", sources)
     channels = _parse_channels(_require(sys_block, "channels", "system"), ring, bands,
-                               "system.channels")
+                               "system.channels", sources)
     pump_in = _require(sys_block, "pump_input_channel", "system")
+    pump_kind = next((c.kind for c in channels if c.channel_id == pump_in), None)
+    if pump_kind is not ChannelKind.PHYSICAL:
+        raise ConfigError("system.pump_input_channel", f"unknown channel id {pump_in!r}"
+                          if pump_kind is None else
+                          f"pump input channel {pump_in!r} must be a physical channel")
     try:
         system = SystemSpec(ring=ring, bands=bands, channels=channels,
                             pump_input_channel=pump_in)
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         raise ConfigError("system", str(e)) from e
     if system.channel(pump_in).gamma(Band.PUMP) == 0.0:  # no pump reaches the ring
         raise ConfigError("system.pump_input_channel", f"{pump_in!r} has no pump-band coupling")
@@ -301,16 +309,12 @@ def parse_config(source: str | Mapping) -> RunConfig:
     if strategy not in ("attenuation", "phantom", "both"):
         raise ConfigError("strategy",
                           f"expected attenuation, phantom, or both, got {strategy!r}")
-    options = doc.get("options", {})
-    if not isinstance(options, Mapping):
-        raise ConfigError("options", "expected an object")
+    options = _object(doc.get("options", {}), "options")
     for name, block in options.items():  # one block per command
-        if not isinstance(block, Mapping):
-            raise ConfigError(f"options.{name}", "expected an object")
+        _object(block, f"options.{name}")
 
-    normalized = _normalize(doc)
-    return RunConfig(system=system, pump=pump, strategy=strategy,
-                     options=options, normalized=normalized)
+    return RunConfig(system=system, pump=pump, strategy=strategy, options=options,
+                     normalized=_normalize(doc), sources=sources)
 
 
 def _normalize(doc: Mapping) -> dict:

@@ -214,4 +214,8 @@ def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
     except QuadratureError as e:
         raise e.scaled(prefactor, f"oracle rate R[{signal_exit},{idler_exit}]",
                        " pairs/s") from e
-    return prefactor * quad.value
+    rate = prefactor * quad.value
+    if not math.isfinite(rate):  # the kernel's v_P^2 underflows as the prefactor overflows
+        raise FloatingPointError(f"the oracle rate R[{signal_exit},{idler_exit}] is {rate}, "
+                                 "past the float range")
+    return rate

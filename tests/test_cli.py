@@ -49,6 +49,8 @@ _DROP = object()  # a _CONFIG_ERRORS value that deletes its key
 # suite reaches by no other input
 _CONFIG_ERRORS = [
     (("system", "ring"), _DROP, "system.ring", "missing required field"),
+    (("system", "ring"), 5, "system.ring", "expected an object"),
+    (("system", "ring"), [], "system.ring", "expected an object"),
     (("system", "ring", "radius_m"), _DROP, "system.ring.radius_m", "missing required field"),
     # a band key is named under the block it came from: the shared one, or
     # the band's own, which overrides it
@@ -78,6 +80,13 @@ _CONFIG_ERRORS = [
                               {"id": "P", "kind": "phantom", "coupling": {"from_loss": True}},
                               {"id": "Q", "kind": "phantom", "coupling": {"from_loss": True}}],
      "system", "at most one phantom channel"),
+    # the pump input channel is named, with no KeyError's quotes around the message
+    (("system", "pump_input_channel"), "X", "system.pump_input_channel",
+     "unknown channel id 'X'$"),
+    (("system", "pump_input_channel"), 5, "system.pump_input_channel",
+     "unknown channel id 5$"),
+    (("system", "pump_input_channel"), "P", "system.pump_input_channel",
+     "pump input channel 'P' must be a physical channel"),
     (("system", "ring", "radius_m"), 1e308, "system.ring.radius_m", "2 pi r overflows"),
     (("system", "ring", "radius_m"), 1e303, "system.ring.radius_m",
      "resonance order n_eff L / wavelength overflows"),
@@ -99,6 +108,9 @@ _CONFIG_ERRORS = [
     (("strategy",), "neither", "strategy", "expected attenuation, phantom, or both"),
     (("options",), [], "options", "expected an object"),
 ]
+
+
+_SHARED_BAND = {"wavelength_nm": 1550.0, "effective_index": 2.4}
 
 
 class TestParseConfig:
@@ -140,6 +152,39 @@ class TestParseConfig:
         doc["strategy"] = strategy
         cfg = parse_config(doc)
         assert cfg.config_hash == _hashlib_sha256(cfg.normalized)
+
+    @pytest.mark.parametrize("bands, couplings, sources", [
+        # the shared velocity, or a band's own over it; a bus by sigma, the
+        # phantom from the ring loss
+        ({**_SHARED_BAND, "group_velocity_m_per_s": 1e8,
+          "idler": {"group_velocity_m_per_s": 1.5e8}}, [{"sigma": 0.98}, {"from_loss": True}],
+         {"O": "system.channels[0].coupling.sigma", "P": "system.ring.loss_db_per_cm",
+          Band.PUMP: "system.bands.group_velocity_m_per_s",
+          Band.SIGNAL: "system.bands.group_velocity_m_per_s",
+          Band.IDLER: "system.bands.idler.group_velocity_m_per_s"}),
+        ({**_SHARED_BAND, "group_index": 3.0, "signal": {"group_index": 2.5}},
+         [{"gamma_rad_per_s": 1e9}, {"q_factor": 2e4}],
+         {"O": "system.channels[0].coupling.gamma_rad_per_s",
+          "P": "system.channels[1].coupling.q_factor",
+          Band.PUMP: "system.bands.group_index",
+          Band.SIGNAL: "system.bands.signal.group_index",
+          Band.IDLER: "system.bands.group_index"}),
+        ({**_SHARED_BAND, "pump": {"group_index": 3.0}, "signal": {"group_index": 3.0},
+          "idler": {"group_velocity_m_per_s": 1e8}}, [{"q_factor": 2e4}, {"eta": 0.3}],
+         {"O": "system.channels[0].coupling.q_factor",
+          "P": "system.channels[1].coupling.eta",
+          Band.PUMP: "system.bands.pump.group_index",
+          Band.SIGNAL: "system.bands.signal.group_index",
+          Band.IDLER: "system.bands.idler.group_velocity_m_per_s"})],
+        ids=["velocity", "group_index", "own_blocks"])
+    def test_sources_name_each_coupling_and_velocity_field(self, bands, couplings, sources):
+        # the field that set each channel's decay rates, by id, and each
+        # band's group velocity, by Band: the fields the commands' errors name
+        doc = bundled()
+        doc["system"]["bands"] = bands
+        for channel, coupling in zip(doc["system"]["channels"], couplings):
+            channel["coupling"] = coupling
+        assert parse_config(doc).sources == sources
 
     def test_eta_coupling_resolution(self):
         cfg = parse_config(eta_config(eta=0.6))
@@ -691,10 +736,16 @@ class TestCommands:
          "system.channels: a single-bus ring needs one physical channel, got 3"),
         ("sweep-eta", "ring_channel.json", "loss_free", "system.ring.loss_db_per_cm"),
         ("add-drop-grid", "add_drop.json", "loss_free", "system.ring.loss_db_per_cm"),
+        # a phantom given as a zero decay rate is named, not the ring loss
+        ("sweep-eta", "ring_channel.json", "phantom_zero",
+         "system.channels[1].coupling.gamma_rad_per_s"),
+        ("add-drop-grid", "add_drop.json", "phantom_zero",
+         "system.channels[2].coupling.gamma_rad_per_s"),
         ("sweep-eta", "ring_channel.json", "no_phantom",
          "system.channels: this sweep needs the phantom channel")],
         ids=["grid_on_ring", "sigma_on_add_drop", "eta_on_add_drop", "rate_three_bus",
-             "finesse_three_bus", "eta_loss_free", "grid_loss_free", "eta_no_phantom"])
+             "finesse_three_bus", "eta_loss_free", "grid_loss_free", "eta_zero_phantom",
+             "grid_zero_phantom", "eta_no_phantom"])
     def test_geometry_mismatch_exits_2(self, tmp_path, capsys, command, name, change,
                                        field):
         doc = bundled(name)
@@ -705,6 +756,8 @@ class TestCommands:
             doc["system"]["ring"]["loss_db_per_cm"] = 0.0
         elif change == "no_phantom":
             channels.pop()
+        elif change == "phantom_zero":
+            channels[-1]["coupling"] = {"gamma_rad_per_s": 0}
         cfg = _write_config(tmp_path, doc)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"invalid config: {field}" in capsys.readouterr().err
@@ -920,7 +973,21 @@ class TestCommands:
             "wavelength overflows", *_COMMANDS)),
         ("ring_channel.json", {"options": {"sweep_sigma": {"min": 1e-20, "max": 0.5}}}, {
             **_expect(2, "invalid config: options.sweep_sigma.min: decay rate", "sweep-sigma"),
-            **_expect(0, None, "rate", "ratios", "compare-finesse", "oracle-check")})],
+            **_expect(0, None, "rate", "ratios", "compare-finesse", "oracle-check")}),
+        # the oracle's kernel, which goes as v_P^2, underflows to 0 as its
+        # prefactor, 1 / (v_S v_I v_P^2), overflows: 0 inf is NaN
+        *[("ring_channel.json", {"system.bands.group_velocity_m_per_s": v}, {
+            **_expect(1, "oracle-check: the oracle rate R[O,O] is nan", "oracle-check"),
+            **_expect(0, None, "ratios", "sweep-eta")}) for v in (1e-78, 1e-50)],
+        # a lossless bus 1 rad/s wide, the idler line far detuned: theta(e)
+        # lies so near pi / 2 that the line's half-width in theta rounds to 0
+        *[("ring_channel.json", {"system.ring.loss_db_per_cm": 0, "strategy": strategy,
+                                 "system.channels.0.coupling": {"gamma_rad_per_s": 1.0},
+                                 "pump.detuning_rad_per_s": 1e11}, {
+            "rate": (1, "rate: strategy-1 rate R[O,O]: the idler line is narrower than the "
+                     "theta map resolves") if strategy == "both" else (0, None),
+            **_expect(0, None, "ratios", "sweep-sigma", "compare-finesse")})
+          for strategy in ("both", "phantom")]],
         ids=["zero_nonlinearity", "underflowing_power", "underflowing_power_add_drop",
              "far_detuned_pump", "huge_detuning", "huge_negative_detuning",
              "overflowing_power", "overflowing_radius_1e200", "overflowing_radius",
@@ -932,7 +999,8 @@ class TestCommands:
              "finesse_past_float_range", "negligible_phantom",
              "ratios_past_float_range", "lossless_sigma_one", "narrow_lossless_line",
              "overflowing_bus_rate", "overflowing_pump_velocity", "overflowing_pump_frequency",
-             "overflowing_frequency", "vanishing_sigma_min"])
+             "overflowing_frequency", "vanishing_sigma_min", "oracle_nan_1e-78",
+             "oracle_nan_1e-50", "unresolved_idler_line", "unresolved_idler_line_phantom"])
     def test_zero_reference_rate_gives_no_traceback_and_no_nan(self, tmp_path, capsys,
                                                                name, edits, expected):
         # a rate that underflows to 0 leaves the strategies' relative

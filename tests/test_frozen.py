@@ -44,7 +44,8 @@ CASES = [
      ("channels", (), "system needs at least one coupling channel"), False),
     (RunConfig, {"system": _CONFIG.system, "pump": _CONFIG.pump,
                  "strategy": _CONFIG.strategy, "options": _CONFIG.options,
-                 "normalized": _CONFIG.normalized}, {}, None, False),
+                 "normalized": _CONFIG.normalized, "sources": _CONFIG.sources}, {}, None,
+     False),
     (QuadratureResult, {"value": 1.5, "abs_error_estimate": 1e-9, "evaluations": 24}, {},
      None, True),
     (RingField, {"k_prop": 1.0 + 2.0j, "arc": 3e-5, "amps": (0.5j, 0.25 + 0j)}, {}, None,
