@@ -4,8 +4,9 @@ Lossless point couplers (f2 = sigma f1 + i kappa f4, f3 = i kappa f1 + sigma
 f4) join the bus waveguides to a ring whose loss enters through a complex
 wavevector: incoming fields propagate with k + i xi/2 (attenuation), outgoing
 ones with k - i xi/2, so that the solution has a single freely propagating
-outgoing component. A single-bus ring is an add-drop ring with one coupler,
-so one builder makes the fields of both: i kappa_1 / (1 - prod sigma e^{i k~ L})
+outgoing component. A ring has any number n >= 1 of buses, coupled at 0,
+L / n, 2 L / n, ... in the order SystemSpec.buses gives, the pump bus first,
+so one builder makes the fields of every ring: i kappa_1 / (1 - prod sigma e^{i k~ L})
 incoming just after the pump's coupler 1, gaining sigma_j past each further
 coupler j, and i kappa_e prod_{j != e} sigma_j / (prod sigma - e^{i k~ L})
 outgoing just after its exit coupler e, gaining 1 / sigma_j instead.
@@ -42,7 +43,7 @@ from typing import Callable
 from .constants import TWO_PI
 from .frozen import Frozen, set_field
 from .model import Band, CwPump, SystemSpec, phantom_gamma_from_xi, two_photon_detuning
-from .numerics import QuadratureError, integrate_adaptive
+from .numerics import DEFAULT_RATE_RTOL, QuadratureError, integrate_adaptive
 
 # half-width of the rate quadrature window, as a fraction of one free
 # spectral range, so neighbouring resonances never leak in
@@ -103,10 +104,10 @@ FieldBuilder = Callable[[float], RingField]
 def ring_field_builder(system: SystemSpec, band: Band,
                        exit_channel: str | None = None) -> FieldBuilder:
     """Detuning d = omega - omega_J -> the ring field's envelope in `band`, one
-    arc after each coupler of system.buses(1, 2), in that order
-    around the ring: incoming from the pump bus when exit_channel is None,
-    else outgoing through exit_channel."""
-    buses = system.buses(1, 2)
+    arc after each coupler of system.buses(), any number of them, in that
+    order around the ring: incoming from the pump bus when exit_channel is
+    None, else outgoing through exit_channel."""
+    buses = system.buses()
     incoming = exit_channel is None
     if not (incoming or exit_channel in buses):
         raise KeyError(f"exit channel {exit_channel!r} is not a physical channel")
@@ -164,7 +165,7 @@ def signal_window(system: SystemSpec, pump: CwPump) -> tuple[float, float]:
 
 
 def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit: str, *,
-                 rel_tol: float = 1e-6) -> float:
+                 rel_tol: float = DEFAULT_RATE_RTOL) -> float:
     """CW pair generation rate [pairs/s] with the signal collected in the bus
     signal_exit and the idler in idler_exit.
 
@@ -195,7 +196,7 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
     # the ring's mismatch plus the carriers' 2 pi (2 m_P - m_S - m_I) / L
     delta_kappa = ring.delta_kappa + TWO_PI * (2 * pb.m - sb.m - ib.m) / ring.circumference
 
-    r = math.prod(system.sigma_view(x, Band.SIGNAL) for x in system.buses(1, 2)) \
+    r = math.prod(system.sigma_view(x, Band.SIGNAL) for x in system.buses()) \
         * ring.roundtrip_amplitude
     if r >= 1.0:
         raise SingularityError("the signal resonance of a lossless, uncoupled ring has no "
@@ -229,8 +230,12 @@ def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str, idler_exit:
             points.append((t_m, half_width))
     prefactor = (1.0 / TWO_PI) * (ring.gamma_nl * pump.power / pb.omega) ** 2 \
         * pb.v ** 2 / (sb.v * ib.v)
+    t_lo, t_hi = theta(lo), theta(hi)
+    if not t_lo < t_hi:  # a NaN r, as where the finesse underflows, or a window under one ulp
+        raise QuadratureError(f"strategy-1 rate R[{signal_exit},{idler_exit}]: the signal "
+                              f"window maps to [{t_lo}, {t_hi}] in theta, no interval")
     try:
-        quad = integrate_adaptive(mapped, theta(lo), theta(hi), rel_tol=rel_tol, points=points)
+        quad = integrate_adaptive(mapped, t_lo, t_hi, rel_tol=rel_tol, points=points)
     except QuadratureError as e:
         raise e.scaled(prefactor, f"strategy-1 rate R[{signal_exit},{idler_exit}]",
                        " pairs/s") from e

@@ -256,7 +256,7 @@ def cmd_rate(config: RunConfig, outdir: Path, tol) -> None:
     if config.strategy in ("attenuation", "both"):
         from . import attenuation
 
-        buses = system.buses(1, 2)
+        buses = system.buses()
         _require_strategy1(config, buses)
         rates = {(x, y): attenuation.pair_rate_cw(system, pump, x, y)
                  for x in buses for y in buses}
@@ -305,7 +305,7 @@ def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> None:
             raise ConfigError("options.sweep_sigma.min", str(e)) from e
     if axis[-1] == 1.0:  # a lossless ring has no linewidth once the bus decouples
         try:
-            system.with_channel_gamma(*system.buses(1), dict.fromkeys(Band, 0.0))
+            system.with_channel_gamma(*sweeps.ring_buses(system, 1), dict.fromkeys(Band, 0.0))
         except ValueError as e:
             raise ConfigError("options.sweep_sigma.max",
                               f"sigma = 1 decouples the bus: {e}") from e

@@ -184,9 +184,14 @@ def total_mass(system: SystemSpec, pump: PulsedPump) -> float:
         # integrand, which names the input at fault, comes first
         return _jsa_prefactor(system) ** 2 / (sb.v * ib.v) * integral
 
+    lo, hi = center - half_window, center + half_window
+    if not lo < hi:  # the window is below one ulp of a huge two-photon detuning
+        raise QuadratureError(f"pair probability at alpha = 1: the window {half_window:.3g} "
+                              f"rad/s either side of the two-photon detuning {center:.3g} "
+                              "rad/s rounds to one point")
     try:
-        quad = integrate_adaptive(integrand, center - half_window, center + half_window,
-                                  rel_tol=1e-7, points=[(center, 1.0 / pump.tau), (0.0, gsum)])
+        quad = integrate_adaptive(integrand, lo, hi, rel_tol=1e-7,
+                                  points=[(center, 1.0 / pump.tau), (0.0, gsum)])
     except QuadratureError as e:
         raise e.scaled(mass(1.0), "pair probability at alpha = 1", "") from e
     return mass(quad.value)

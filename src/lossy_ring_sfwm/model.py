@@ -188,11 +188,8 @@ class PulsedPump(Frozen):
 
 
 class GeometryError(ValueError):
-    """The ring's channels do not fit the model asked for (bus count, phantom)."""
-
-
-_BUS_RINGS = {1: "a single-bus ring needs one physical channel",
-              2: "an add-drop ring needs two physical channels"}
+    """The channels do not fit a sweep that fixes the ring's geometry (its bus
+    count, a phantom); strategy 1 and rate take any number of buses."""
 
 
 class SystemSpec(Frozen):
@@ -237,14 +234,11 @@ class SystemSpec(Frozen):
     def physical_channels(self) -> tuple[ChannelCoupling, ...]:
         return tuple(c for c in self.channels if c.kind is ChannelKind.PHYSICAL)
 
-    def buses(self, *counts: int) -> tuple[str, ...]:
-        """Physical channel ids, the pump bus first: (bus,) of a single-bus ring,
-        (through, drop) of an add-drop ring; a GeometryError unless one of `counts`."""
-        ids = [c.channel_id for c in self.physical_channels]
-        if len(ids) not in counts:
-            raise GeometryError(f"{_BUS_RINGS[max(counts)]}, got {len(ids)}")
-        return (self.pump_input_channel,) + tuple(x for x in ids
-                                                  if x != self.pump_input_channel)
+    def buses(self) -> tuple[str, ...]:
+        """Physical channel ids, the pump bus first, then the others in channel
+        order; strategy 1 puts coupler j of the n at j L / n, in this order."""
+        p = self.pump_input_channel
+        return (p,) + tuple(c.channel_id for c in self.physical_channels if c.channel_id != p)
 
     @property
     def phantom_channel(self) -> ChannelCoupling | None:

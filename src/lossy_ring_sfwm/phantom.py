@@ -205,12 +205,15 @@ def fgr_rate_oracle(system: SystemSpec, pump: CwPump, signal_exit: str,
 
     # peaks as (theta, half-width in theta), dtheta/domega1 = 1 / (Gbar_S (1 + x^2))
     # at the idler's; a difference of atans would round to 0 far out
+    t_i, half_width = math.atan(x), gbar_i / gbar_s / (1.0 + x * x)
+    if t_i + half_width == t_i:  # far out, a narrow line is below one ulp of atan(x)
+        raise QuadratureError(f"oracle rate R[{signal_exit},{idler_exit}]: the idler line is "
+                              "narrower than the theta map resolves")
     prefactor = 72.0 * math.pi ** 3 / (EPS0 ** 2 * HBAR ** 4 * omega_o ** 2) \
         * pump.power ** 2 / (sb.v * ib.v * pb.v ** 2)
     try:
         quad = integrate_adaptive(mapped, -0.5 * math.pi, 0.5 * math.pi, rel_tol=1e-8,
-                                  points=[(0.0, 0.25 * math.pi),
-                                          (math.atan(x), gbar_i / gbar_s / (1.0 + x * x))])
+                                  points=[(0.0, 0.25 * math.pi), (t_i, half_width)])
     except QuadratureError as e:
         raise e.scaled(prefactor, f"oracle rate R[{signal_exit},{idler_exit}]",
                        " pairs/s") from e

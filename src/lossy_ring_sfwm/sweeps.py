@@ -104,11 +104,17 @@ def _rescaled_coupling_system(system: SystemSpec, scale: float) -> SystemSpec:
     return system.replace(ring=ring, channels=channels)
 
 
-def _buses(system: SystemSpec, count: int) -> tuple[str, ...]:
-    """system.buses(count) of a ring with the phantom channel."""
-    if system.phantom_channel is None:
+_BUS_RINGS = {1: "a single-bus ring needs one physical channel",
+              2: "an add-drop ring needs two physical channels"}
+
+
+def ring_buses(system: SystemSpec, count: int, with_phantom: bool = False) -> tuple[str, ...]:
+    """system.buses() of a sweep that fixes the ring at `count` buses, with a phantom if asked."""
+    if with_phantom and system.phantom_channel is None:
         raise GeometryError("this sweep needs the phantom channel")
-    return system.buses(count)
+    if len(buses := system.buses()) != count:
+        raise GeometryError(f"{_BUS_RINGS[count]}, got {len(buses)}")
+    return buses
 
 
 def _strategy1_rate(system: SystemSpec, pump: CwPump, bus: str, axis: str,
@@ -125,7 +131,7 @@ def _strategy1_rate(system: SystemSpec, pump: CwPump, bus: str, axis: str,
 def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump) -> SweepResult:
     """Attenuation-model pair rate versus the bus self-coupling, at fixed
     ring loss."""
-    (bus,) = system.buses(1)
+    (bus,) = ring_buses(system, 1)
     sigmas = Column(map(float, sigma_values))
     L = system.ring.circumference
 
@@ -147,7 +153,7 @@ def sweep_sigma(system: SystemSpec, sigma_values: Iterable[float], pump: CwPump)
 def sweep_eta(system: SystemSpec, eta_values: Iterable[float], pump: CwPump) -> SweepResult:
     """Phantom-model rates of all four channel-pair trajectories versus the
     bus escape efficiency, at fixed ring loss."""
-    (bus,) = _buses(system, 1)
+    (bus,) = ring_buses(system, 1, with_phantom=True)
     ph = system.phantom_channel.channel_id
     etas = Column(map(float, eta_values))
     if not all(0.0 < eta < 1.0 for eta in etas):
@@ -174,7 +180,7 @@ def compare_finesse(system: SystemSpec, finesse_values: Iterable[float],
 
     Finesse is varied by scaling all couplings and the loss together, so
     the escape efficiency stays fixed while the linewidth shrinks."""
-    (bus,) = _buses(system, 1)
+    (bus,) = ring_buses(system, 1, with_phantom=True)
     fins = Column(map(float, finesse_values))
     f0 = finesse(system)
 
@@ -197,7 +203,7 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
                              pump: CwPump) -> SweepResult:
     """Add-drop through-pair rate from both loss models, scanned over the
     add/drop self-coupling (which sets the finesse)."""
-    through, drop = _buses(system, 2)
+    through, drop = ring_buses(system, 2, with_phantom=True)
     sigmas = Column(map(float, sigma2_values))
     L = system.ring.circumference
 
@@ -222,7 +228,7 @@ def add_drop_grid(system: SystemSpec, gamma_t_ratios: Iterable[float],
     through and drop couplings, in units of the phantom decay rate."""
     import numpy as np
 
-    through, drop = _buses(system, 2)
+    through, drop = ring_buses(system, 2, with_phantom=True)
     ph = system.phantom_channel.channel_id
     g_ph = system.phantom_channel.gammas
     t_ratios = np.asarray(list(gamma_t_ratios), dtype=float)

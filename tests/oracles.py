@@ -3,10 +3,11 @@
 Tests import these helpers (`from oracles import ...`): the lossless point
 coupler written out as a 2x2 junction, and a direct numerical scan of the
 ring overlap, both deliberately ignorant of the closed forms in `src/`;
-the strategy-1 pair rate at 30 digits from the transfer functions in
-absolute wavenumbers; Gauss-Legendre rules from 40-digit roots of the Legendre polynomials;
-Weideman's Faddeeva coefficients by his FFT construction; and the numpy
-form of the adaptive quadrature that the plain-Python one was ported from.
+the strategy-1 pair rate at 30 digits on any number of buses, from the
+point-coupler relations in absolute wavenumbers; Gauss-Legendre rules
+from 40-digit roots of the Legendre polynomials; Weideman's Faddeeva
+coefficients by his FFT construction; and the numpy form of the adaptive
+quadrature that the plain-Python one was ported from.
 """
 
 import math
@@ -77,65 +78,71 @@ def strategy1_rate_mp(system: SystemSpec, pump: CwPump, signal_exit: str,
     frequencies within 0.45 of a free spectral range of omega_S, written out
     from the point-coupler transfer functions at 30 digits.
 
-    Each field is the physical one, A_j e^{i k~ zeta} on the arc after
+    The n buses couple at zeta_j = j L / n, in system.buses() order. Each
+    field is the physical one, r_j e^{i k~ (zeta - zeta_j)} on the arc after
     coupler j, in the absolute wavenumber k = 2 pi m / L + (omega - omega_J)
-    / v with k~ = k + i xi / 2 incoming and k - i xi / 2 outgoing; the
-    couplers sit at zeta = 0 and, on an add-drop ring, L / 2. J integrates
-    (signal idler)* pump pump e^{i delta_kappa zeta} over each arc in closed
-    form. The integral over the signal detuning, broken at the signal and
-    idler resonances, runs by tanh-sinh to 15 digits, five orders past any
-    tolerance it checks, and its nodes are lifted to 30 before omega1 =
-    omega_S + detuning is formed."""
+    / v with k~ = k + i xi / 2 incoming and k - i xi / 2 outgoing. At
+    coupler j the ring field r- that arrives and the bus field b_in that
+    enters give r_j = sigma_j r- + i kappa_j b_in to the ring and b_out =
+    i kappa_j r- + sigma_j b_in to the bus. The incoming field has b_in = 1
+    at the pump bus and 0 at the others, so r_j = sigma_j r- + i kappa_j
+    [j = 0]. The outgoing field through exit e has b_out = 1 at e and 0 at
+    the others; solving for b_in gives r_j = (r- + i kappa_j [j = e]) /
+    sigma_j. Either way r_j = g_j r- + c [j = q], so one round trip from the
+    source coupler q gives r_q = c / (1 - prod g e^{i k~ L}), and each
+    further arc starts at g_j e^{i k~ L / n} times the one before. J
+    integrates (signal idler)* pump pump e^{i delta_kappa zeta} over each
+    arc in closed form. The integral over the signal detuning, broken at the
+    signal and idler resonances, runs by tanh-sinh to 15 digits, five orders
+    past any tolerance it checks, and its nodes are lifted to 30 before
+    omega1 = omega_S + detuning is formed."""
     with mp.workdps(30):
         ring = system.ring
         L, xi = mp.mpf(ring.circumference), mp.mpf(ring.xi)
-        buses = system.buses(1, 2)
-        starts = [L * j / len(buses) for j in range(len(buses) + 1)]
+        buses = system.buses()
+        n_bus = len(buses)
+        arc = L / n_bus
 
         def field(band, exit_channel):
             p = system.bands[band]
             k0, omega_j, v = 2 * mp.pi * p.m / L, mp.mpf(p.omega), mp.mpf(p.v)
             s = [mp.mpf(system.sigma_view(x, band)) for x in buses]
-            i_kappa = [1j * mp.sqrt(1 - x * x) for x in s]
-            prod = mp.fprod(s)
+            incoming = exit_channel is None
+            q = 0 if incoming else buses.index(exit_channel)  # the source coupler
+            g = s if incoming else [1 / x for x in s]
+            c = 1j * mp.sqrt(1 - s[q] ** 2) * (1 if incoming else g[q])
 
             def at(omega):
-                """(amplitude per arc, k~) at angular frequency omega."""
-                k = k0 + (omega - omega_j) / v
-                if exit_channel is None:  # a unit wave in through the pump bus at 0
-                    kt = k + 0.5j * xi
-                    a = i_kappa[0] / (1 - prod * mp.expj(kt * L))
-                    return [a] + [x * a for x in s[1:]], kt
-                kt = k - 0.5j * xi
-                den = prod - mp.expj(kt * L)
-                if exit_channel == buses[0]:  # a unit wave out through the bus at 0
-                    a = i_kappa[0] * prod / s[0] / den
-                    return [a] + [a / x for x in s[1:]], kt
-                # out through the drop at L / 2, A e^{i k~ (zeta - L / 2)} past it
-                a = i_kappa[1] * s[0] / den * mp.expj(-kt * L / 2)
-                return [a * mp.expj(kt * L) / s[0], a], kt
+                """(start amplitude per arc, k~) at angular frequency omega."""
+                kt = k0 + (omega - omega_j) / v + (0.5j if incoming else -0.5j) * xi
+                hop = mp.expj(kt * arc)
+                r = [0] * n_bus
+                r[q] = c / (1 - mp.fprod(g) * hop ** n_bus)
+                for step in range(1, n_bus):
+                    j = (q + step) % n_bus
+                    r[j] = g[j] * r[j - 1] * hop
+                return r, kt
 
             return at
 
         pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
         omega_o = mp.mpf(pb.omega) + mp.mpf(pump.detuning)
-        a_p, k_p = field(Band.PUMP, None)(omega_o)
+        r_p, k_p = field(Band.PUMP, None)(omega_o)
         signal, idler = field(Band.SIGNAL, signal_exit), field(Band.IDLER, idler_exit)
         omega_s = mp.mpf(sb.omega)
+        delta_kappa = mp.mpf(ring.delta_kappa)
+        arc_phase = [mp.expj(delta_kappa * arc * j) for j in range(n_bus)]
 
         def integrand(d1):
             with mp.workdps(30):
                 omega1 = omega_s + d1
                 omega2 = 2 * omega_o - omega1
-                (a_s, k_s), (a_i, k_i) = signal(omega1), idler(omega2)
-                dk = mp.mpf(ring.delta_kappa) + 2 * k_p - mp.conj(k_s) - mp.conj(k_i)
-                j = 0
-                for n in range(len(buses)):
-                    length = starts[n + 1] - starts[n]
-                    x = 1j * dk * length
-                    j += mp.conj(a_s[n] * a_i[n]) * a_p[n] ** 2 * mp.expj(dk * starts[n]) \
-                        * (length if x == 0 else length * mp.expm1(x) / x)
-                return omega1 * omega2 * abs(j) ** 2
+                (r_s, k_s), (r_i, k_i) = signal(omega1), idler(omega2)
+                dk = delta_kappa + 2 * k_p - mp.conj(k_s) - mp.conj(k_i)
+                x = 1j * dk * arc
+                j = mp.fsum(mp.conj(r_s[n] * r_i[n]) * r_p[n] ** 2 * arc_phase[n]
+                            for n in range(n_bus))
+                return omega1 * omega2 * abs(j * (arc if x == 0 else arc * mp.expm1(x) / x)) ** 2
 
         half = mp.mpf(0.45) * 2 * mp.pi * mp.mpf(sb.v) / L
         idler_peak = 2 * omega_o - omega_s - mp.mpf(ib.omega)

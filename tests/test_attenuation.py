@@ -12,8 +12,7 @@ from lossy_ring_sfwm import attenuation as att
 from lossy_ring_sfwm import phantom, sweeps
 from lossy_ring_sfwm.config import parse_config
 from lossy_ring_sfwm.constants import TWO_PI
-from lossy_ring_sfwm.model import (Band, ChannelCoupling, CwPump, GeometryError, finesse,
-                                   gamma_from_sigma, two_photon_detuning)
+from lossy_ring_sfwm.model import Band, CwPump, finesse, gamma_from_sigma, two_photon_detuning
 from lossy_ring_sfwm.numerics import QuadratureError, integrate_adaptive
 from conftest import bundled, bundled_system
 from oracles import PointCoupler, coupler_scatter, overlap_by_zeta_scan, strategy1_rate_mp
@@ -82,7 +81,7 @@ def _add_drop_ports(system, d):
 def _single_bus_fields(system, d_s, d_i, d_p):
     """(signal, idler, pump) fields of the single-bus ring from its builders,
     at the detunings d_s, d_i and d_p from their resonances."""
-    (bus,) = system.buses(1)
+    (bus,) = system.buses()
     signal, idler = (att.ring_field_builder(system, band, bus)(d)
                      for band, d in ((Band.SIGNAL, d_s), (Band.IDLER, d_i)))
     return signal, idler, att.ring_field_builder(system, Band.PUMP)(d_p)
@@ -301,7 +300,7 @@ class TestPairRate:
         # field builder moves them far beyond the quadrature tolerance
         system = bundled_system(name)
         # exits None: both photons in the one bus of a single-bus ring
-        rate = att.pair_rate_cw(system, CwPump(1e-3), *(exits or system.buses(1) * 2))
+        rate = att.pair_rate_cw(system, CwPump(1e-3), *(exits or system.buses() * 2))
         assert rate == pytest.approx(expected, rel=1e-9)
 
     def test_builders_match_transfer_functions(self, ring_ref):
@@ -352,12 +351,33 @@ class TestPairRate:
         assert att.pair_rate_cw(system, pump, "T", "T") == pytest.approx(
             att.pair_rate_cw(single, pump, "T", "T"), rel=1e-12)
 
-    def test_three_bus_ring_rejected(self):
-        system = bundled_system("add_drop.json")
-        third = ChannelCoupling("X", system.channel("D").gammas)
-        system = system.replace(channels=system.channels + (third,))
-        with pytest.raises(GeometryError):
-            att.pair_rate_cw(system, CwPump(1e-3), "T", "T")
+    @pytest.mark.parametrize("x", "TDX")
+    @pytest.mark.parametrize("y", "TDX")
+    def test_three_bus_rates_match_mpmath(self, x, y):
+        # a third bus X couples at 2 L / 3, after T at 0 and D at L / 3; the
+        # oracle solves the point-coupler relations for any bus count
+        system, pump = _three_bus(1.5e10), CwPump(1e-3)
+        assert att.pair_rate_cw(system, pump, x, y, rel_tol=1e-10) == pytest.approx(
+            strategy1_rate_mp(system, pump, x, y), rel=1e-9)
+
+    def test_weak_third_bus_leaves_the_add_drop_rate(self):
+        # a third bus at 1e-3 rad/s barely loads the ring: TT is the two-bus
+        # ring's (to 8.6e-14), though D moves from L / 2 to L / 3
+        pump = CwPump(1e-3)
+        assert att.pair_rate_cw(_three_bus(1e-3), pump, "T", "T", rel_tol=1e-12) \
+            == pytest.approx(att.pair_rate_cw(bundled_system("add_drop.json"), pump, "T", "T",
+                                              rel_tol=1e-12), rel=1e-12)
+
+
+def _three_bus_doc(gamma):
+    """add_drop.json with a third bus X, coupling `gamma` [rad/s], after D."""
+    doc = bundled("add_drop.json")
+    doc["system"]["channels"].insert(2, {"id": "X", "coupling": {"gamma_rad_per_s": gamma}})
+    return doc
+
+
+def _three_bus(gamma):
+    return parse_config(_three_bus_doc(gamma)).system
 
 
 def _omega_space_rate(system, pump, signal_exit, idler_exit):
@@ -394,7 +414,7 @@ def _theta_map_cases():
     L = ring.ring.circumference
     cases = [(f"{name}-{x}{y}", s, pump, x, y)
              for name, s in (("ring_channel", ring), ("add_drop", add_drop))
-             for x in s.buses(1, 2) for y in s.buses(1, 2)]
+             for x in s.buses() for y in s.buses()]
     for sigma in (0.88, 0.9, 0.95, 0.99, 0.999, 0.9995):
         gammas = {b: gamma_from_sigma(sigma, ring.bands[b].v, L) for b in Band}
         cases.append((f"sigma-{sigma}", ring.with_channel_gamma("O", gammas), pump, "O", "O"))
@@ -472,10 +492,10 @@ class TestThetaMap:
         # on resonance the idler line sits on the signal's, both flat in
         # theta: no hints, and one 8/16-point panel converges
         system = bundled_system(name)
-        for x in system.buses(1, 2):
-            for y in system.buses(1, 2):
+        for x in system.buses():
+            for y in system.buses():
                 att.pair_rate_cw(system, CwPump(1e-3), x, y)
-        assert quadratures == [([], 24)] * len(system.buses(1, 2)) ** 2
+        assert quadratures == [([], 24)] * len(system.buses()) ** 2
 
     @pytest.mark.parametrize("name", ["ring_channel.json", "add_drop.json"])
     def test_detuned_idler_peak_keeps_both_hints(self, name, quadratures):
@@ -615,7 +635,7 @@ def _gap_law(system, x, y):
     R_ph (docs/strategy_gap.md)."""
     p = system.pump_input_channel
     total = 0.0
-    for j in system.buses(1, 2):
+    for j in system.buses():
         eta = system.escape_efficiency(j, Band.PUMP)
         total += eta * (2 * (j == p) + (j == x) + (j == y) - 7.0 * eta)
     return math.pi / 2.0 * total
@@ -637,6 +657,10 @@ def _gap_cases():
         name = "add_drop" if etas is None else "eta_T={},eta_D={}".format(*etas)
         cases += [pytest.param(parse_config(doc), (x, y), 5e-3, id=f"{name}-{x}{y}")
                   for x in "TD" for y in "TD"]
+    # a pair with a non-pump exit leaves the law by a position term
+    # (docs/strategy_gap.md); TT has none
+    cases.append(pytest.param(parse_config(_three_bus_doc(1.5e10)), ("T", "T"), 5e-3,
+                              id="three_bus-TT"))
     return cases
 
 

@@ -730,8 +730,10 @@ class TestCommands:
          "system.channels: a single-bus ring needs one physical channel, got 2"),
         ("sweep-eta", "add_drop.json", None,
          "system.channels: a single-bus ring needs one physical channel, got 2"),
-        ("rate", "add_drop.json", "third_bus",
-         "system.channels: an add-drop ring needs two physical channels, got 3"),
+        # the sigma = 1 check finds the one bus to decouple by the same rule
+        ("sweep-sigma", "add_drop.json", "sigma_to_1",
+         "options.sweep_sigma.max: sigma = 1 decouples the bus: a single-bus ring needs "
+         "one physical channel, got 2"),
         ("compare-finesse", "add_drop.json", "third_bus",
          "system.channels: a single-bus ring needs one physical channel, got 3"),
         ("sweep-eta", "ring_channel.json", "loss_free", "system.ring.loss_db_per_cm"),
@@ -743,7 +745,7 @@ class TestCommands:
          "system.channels[2].coupling.gamma_rad_per_s"),
         ("sweep-eta", "ring_channel.json", "no_phantom",
          "system.channels: this sweep needs the phantom channel")],
-        ids=["grid_on_ring", "sigma_on_add_drop", "eta_on_add_drop", "rate_three_bus",
+        ids=["grid_on_ring", "sigma_on_add_drop", "eta_on_add_drop", "sigma_to_1_on_add_drop",
              "finesse_three_bus", "eta_loss_free", "grid_loss_free", "eta_zero_phantom",
              "grid_zero_phantom", "eta_no_phantom"])
     def test_geometry_mismatch_exits_2(self, tmp_path, capsys, command, name, change,
@@ -752,6 +754,8 @@ class TestCommands:
         channels = doc["system"]["channels"]
         if change == "third_bus":
             channels.insert(2, {"id": "X", "coupling": {"sigma": 0.99}})
+        elif change == "sigma_to_1":
+            doc["options"] = {"sweep_sigma": {"max": 1.0}}
         elif change == "loss_free":
             doc["system"]["ring"]["loss_db_per_cm"] = 0.0
         elif change == "no_phantom":
@@ -761,6 +765,18 @@ class TestCommands:
         cfg = _write_config(tmp_path, doc)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"invalid config: {field}" in capsys.readouterr().err
+
+    def test_rate_takes_any_bus_count(self, tmp_path):
+        # only the sweeps fix a ring's bus count: strategy 1 puts a third
+        # bus's coupler at 2 L / 3 and rate writes all nine of its exit pairs
+        doc = bundled("add_drop.json")
+        doc["system"]["channels"].insert(2, {"id": "X", "coupling": {"sigma": 0.99}})
+        out = tmp_path / "o"
+        assert main(["rate", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+        rows = _read_csv(out / "rate.csv")[1:]
+        assert [(x, y) for s, x, y, _ in rows if s == "attenuation"] \
+            == [(x, y) for x in "TDX" for y in "TDX"]
+        assert sum(s == "phantom" for s, *_ in rows) == 16
 
     @pytest.mark.parametrize("command, csv_name", [("rate", "rate.csv"),
                                                    ("sweep-sigma", "sweep_sigma.csv")])
@@ -986,8 +1002,31 @@ class TestCommands:
                                  "pump.detuning_rad_per_s": 1e11}, {
             "rate": (1, "rate: strategy-1 rate R[O,O]: the idler line is narrower than the "
                      "theta map resolves") if strategy == "both" else (0, None),
+            # the golden-rule oracle's tan map meets the same line
+            **_expect(1, "oracle-check: oracle rate R[O,O]: the idler line is narrower than "
+                      "the theta map resolves", "oracle-check"),
             **_expect(0, None, "ratios", "sweep-sigma", "compare-finesse")})
-          for strategy in ("both", "phantom")]],
+          for strategy in ("both", "phantom")],
+        # the pair-mass window, 16 / tau + 8 Gbar wide, is below one ulp of a
+        # two-photon detuning of 1.6e247 rad/s
+        ("ring_channel.json", {"system.bands.wavelength_nm": 1.1751866086797877e-229,
+                               "system.bands.idler": {"wavelength_nm": 1.7338295872101532e-45},
+                               "pump": {"kind": "pulsed", "duration_fwhm_ps": 10.0,
+                                        "detuning_rad_per_s": -1e10},
+                               "options": {"jsa": {"grid_points": 16}}}, _expect(
+            1, "jsa: pair probability at alpha = 1: the window 3.62e+12 rad/s either side of "
+            "the two-photon detuning 1.6e+247 rad/s rounds to one point", "jsa")),
+        # the phantom's xi v / 2 overflows, so the finesse is 0 and every
+        # coupling of the finesse axis is 0 inf: r and theta are NaN
+        ("ring_channel.json", {"system.ring.radius_m": 4.2158012248488365e+94,
+                               "system.ring.loss_db_per_cm": 5.446654973481088e+215,
+                               "system.ring.gamma_nl_per_w_m": 6.633405713499484e+154,
+                               "system.bands.effective_index": 1.003198424347003e-18,
+                               "system.bands.idler": {"effective_index": 1.003198424347003e-18},
+                               "system.bands.group_velocity_m_per_s": 2.6543129733156517e+132,
+                               "system.channels.0.coupling": {"eta": 3.748864735372897e-283}},
+         _expect(1, "compare-finesse: at finesse = 50: strategy-1 rate R[O,O]: the signal "
+                 "window maps to [nan, nan] in theta", "compare-finesse"))],
         ids=["zero_nonlinearity", "underflowing_power", "underflowing_power_add_drop",
              "far_detuned_pump", "huge_detuning", "huge_negative_detuning",
              "overflowing_power", "overflowing_radius_1e200", "overflowing_radius",
@@ -1000,7 +1039,8 @@ class TestCommands:
              "ratios_past_float_range", "lossless_sigma_one", "narrow_lossless_line",
              "overflowing_bus_rate", "overflowing_pump_velocity", "overflowing_pump_frequency",
              "overflowing_frequency", "vanishing_sigma_min", "oracle_nan_1e-78",
-             "oracle_nan_1e-50", "unresolved_idler_line", "unresolved_idler_line_phantom"])
+             "oracle_nan_1e-50", "unresolved_idler_line", "unresolved_idler_line_phantom",
+             "jsa_window_below_one_ulp", "finesse_axis_of_nan_couplings"])
     def test_zero_reference_rate_gives_no_traceback_and_no_nan(self, tmp_path, capsys,
                                                                name, edits, expected):
         # a rate that underflows to 0 leaves the strategies' relative

@@ -200,6 +200,19 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="physical"):
             SystemSpec(ring=ring, bands=_bands(ring), channels=chans, pump_input_channel="P")
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_buses_put_the_pump_bus_first(self, n):
+        # any bus count, the phantom left out, the pump bus first and the
+        # others in channel order: the couplers' order around the ring
+        ring = RingSpec(radius=1e-5, loss_db_per_cm=1.0, gamma_nl=1.0)
+        ids = [f"B{i}" for i in range(n)]
+        chans = tuple(ChannelCoupling(x, dict.fromkeys(Band, 1e9)) for x in ids) \
+            + (ChannelCoupling("P", dict.fromkeys(Band, 1e9), ChannelKind.PHANTOM),)
+        pump = ids[-1]
+        system = SystemSpec(ring=ring, bands=_bands(ring), channels=chans,
+                            pump_input_channel=pump)
+        assert system.buses() == (pump, *ids[:-1])
+
     def test_empty_channels_rejected(self):
         ring = RingSpec(radius=1e-5, loss_db_per_cm=1.0, gamma_nl=1.0)
         with pytest.raises(ValueError, match="channel"):
