@@ -30,11 +30,11 @@ dataclasses for its colour themes, so building the parser does.) ratios
 and oracle-check load numerics and phantom, rate attenuation too,
 sweep-eta and add-drop-grid numerics, phantom and sweeps, sweep-sigma and
 compare-finesse attenuation too, and jsa numerics, jsa and phantom.
-rate, ratios, oracle-check, sweep-sigma, sweep-eta and compare-finesse
-compute in Python floats and load no numpy; add-drop-grid and jsa load
-it for their grids. Both log axes, compare-finesse's and add-drop-grid's,
-are libm's 10 ** u over a linear axis of exponents. No command loads
-OpenSSL (the config hash is CPython's built-in SHA-256),
+Every command but jsa computes in Python floats and loads no numpy;
+only jsa loads it, for its complex grid. add-drop-grid and jsa write
+their grids through orjson. Both log axes, compare-finesse's and
+add-drop-grid's, are libm's 10 ** u over a linear axis of exponents. No
+command loads OpenSSL (the config hash is CPython's built-in SHA-256),
 numpy.polynomial or numpy.fft (the quadrature and Faddeeva tables are
 constants), and no module of the package imports dataclasses.
 """
@@ -73,13 +73,29 @@ def _write_csv(path: Path, header: list, rows) -> None:
 # per row cost more than repr on a narrow table, and the text and masks of a
 # larger block would raise the peak memory
 _WRITE_CELLS = 4096
+# the layout bands of |x| of _write_float_csv: orjson writes |x| < _TINY and
+# _PLAIN[0] < |x| < _PLAIN[1] as repr does, and an exponent of one digit
+# where repr writes two in _PAD
+_TINY, _PAD, _PLAIN = 0.9e-9, (1.1e-9, 0.9e-5), (1.1e-4, 0.9e16)
+
+
+def _mend_row(line: bytes, pad: list[int], by_repr: list[tuple[int, float]]) -> bytes:
+    """One orjson row with repr's two-digit exponent in its cells `pad` and
+    repr's text for each (cell, value) of by_repr."""
+    cells = line.split(b",")
+    for j in pad:
+        cells[j] = cells[j].replace(b"e-", b"e-0")
+    for j, x in by_repr:
+        cells[j] = repr(x).encode()
+    return b",".join(cells)
 
 
 @contextlib.contextmanager
 def _write_float_csv(path: Path, header: list):
     """Writes the header and yields append(*columns), which writes a block
-    of rows given as float columns (1-D, or 2-D blocks of them), in the
-    bytes csv.writer writes for the same rows of Python floats.
+    of rows in the bytes csv.writer writes for the same rows of Python
+    floats: a list of rows of Python floats, or numpy float columns (1-D, or
+    2-D blocks of them).
 
     Callers append their rows a block at a time, so no table is held
     whole: the 2-D grids are up to 263k cells. repr's bignum dtoa would
@@ -92,30 +108,58 @@ def _write_float_csv(path: Path, header: list):
     margins around 1e-9 and 1e-4, |x| >= 0.9e16 (repr writes e+16) and
     NaN/inf (orjson writes null). Each block is one orjson call, split into
     its rows; the writer mends row by row, splitting into cells and
-    re-joining only the rows that hold a cell to mend.
+    re-joining only the rows that hold a cell to mend. A block of Python
+    floats is tested in Python, a column at a time, and a numpy block by
+    numpy masks, so a writer of lists loads no numpy.
     """
     # orjson is imported here, so that the commands writing no grid never load it
-    import numpy as np
     import orjson
 
-    def append(*columns: np.ndarray) -> None:
+    def append_rows(rows: list) -> None:
+        step = max(1, _WRITE_CELLS // len(rows[0]))
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            lines = orjson.dumps(block)[2:-2].split(b"],[")
+            mends: dict[int, tuple[list, list]] = {}  # row -> (pad, by_repr)
+            for j, column in enumerate(zip(*block)):
+                # positive cells in the plain band, the common case, are as
+                # repr writes them; a NaN would pass min and max, not sum
+                if _PLAIN[0] < min(column) and max(column) < _PLAIN[1] \
+                        and math.isfinite(sum(column)):
+                    continue
+                for i, x in enumerate(column):
+                    if _PAD[0] < abs(x) < _PAD[1]:
+                        mends.setdefault(i, ([], []))[0].append(j)
+                    elif not (abs(x) < _TINY or _PLAIN[0] < abs(x) < _PLAIN[1]):
+                        mends.setdefault(i, ([], []))[1].append((j, x))
+            for i, (pad, by_repr) in mends.items():
+                lines[i] = _mend_row(lines[i], pad, by_repr)
+            lines.append(b"")
+            fh.buffer.write(b"\r\n".join(lines))
+
+    def append_arrays(*columns) -> None:
+        import numpy as np
+
         width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
         step = max(1, _WRITE_CELLS // width)
         for start in range(0, len(columns[0]), step):
             block = np.column_stack([c[start:start + step] for c in columns])
-            rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+            lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
             a = np.abs(block)
-            pad = (a > 1.1e-9) & (a < 0.9e-5)
-            by_repr = ~(pad | (a < 0.9e-9) | ((a > 1.1e-4) & (a < 0.9e16)))
+            pad = (a > _PAD[0]) & (a < _PAD[1])
+            by_repr = ~(pad | (a < _TINY) | ((a > _PLAIN[0]) & (a < _PLAIN[1])))
             for i in np.flatnonzero((pad | by_repr).any(axis=1)).tolist():
-                cells = rows[i].split(b",")
-                for j in np.flatnonzero(pad[i]).tolist():
-                    cells[j] = cells[j].replace(b"e-", b"e-0")
-                for j in np.flatnonzero(by_repr[i]).tolist():
-                    cells[j] = repr(float(block[i, j])).encode()
-                rows[i] = b",".join(cells)
-            rows.append(b"")
-            fh.buffer.write(b"\r\n".join(rows))
+                lines[i] = _mend_row(lines[i], np.flatnonzero(pad[i]).tolist(),
+                                     [(j, float(block[i, j]))
+                                      for j in np.flatnonzero(by_repr[i]).tolist()])
+            lines.append(b"")
+            fh.buffer.write(b"\r\n".join(lines))
+
+    def append(*columns) -> None:
+        if isinstance(columns[0], list):
+            append_rows(*columns)
+        else:
+            append_arrays(*columns)
 
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
@@ -304,8 +348,10 @@ def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> None:
                                   f"(1 - sigma) v / L at sigma = {axis[0]} overflows") from e
             raise ConfigError("options.sweep_sigma.min", str(e)) from e
     if axis[-1] == 1.0:  # a lossless ring has no linewidth once the bus decouples
+        # a ring of another bus count is the geometry's fault, not the option's
+        buses = sweeps.ring_buses(system, 1)
         try:
-            system.with_channel_gamma(*sweeps.ring_buses(system, 1), dict.fromkeys(Band, 0.0))
+            system.with_channel_gamma(*buses, dict.fromkeys(Band, 0.0))
         except ValueError as e:
             raise ConfigError("options.sweep_sigma.max",
                               f"sigma = 1 decouples the bus: {e}") from e
@@ -343,8 +389,6 @@ def cmd_compare_finesse(config: RunConfig, outdir: Path, tol) -> None:
 
 
 def cmd_add_drop_grid(config: RunConfig, outdir: Path, tol) -> None:
-    import numpy as np
-
     from . import sweeps
 
     pump = _require_cw(config)
@@ -353,11 +397,13 @@ def cmd_add_drop_grid(config: RunConfig, outdir: Path, tol) -> None:
     _require_lossy_phantom(config)
     result = sweeps.add_drop_grid(config.system, axis, axis, pump)
     keys = sorted(result.values)
-    t, d = np.meshgrid(result.axes["gamma_t_ratio"], result.axes["gamma_d_ratio"],
-                       indexing="ij")
+    t_axis, d_axis = result.axes["gamma_t_ratio"], result.axes["gamma_d_ratio"]
+    # the cells' axis values in the row-major order of the values
+    t_cells = [t for t in t_axis for _ in d_axis]
+    d_cells = [d for _ in t_axis for d in d_axis]
     with _write_float_csv(outdir / "add_drop_grid.csv",
                           ["gamma_t_ratio", "gamma_d_ratio"] + keys) as append:
-        append(t.ravel(), d.ravel(), *(result.values[k].ravel() for k in keys))
+        append(list(zip(t_cells, d_cells, *(result.values[k] for k in keys))))
     _write_metadata(outdir, "add-drop-grid", config,
                     {"argmax": result.metadata["argmax"], "pump_power_w": pump.power,
                      "pump_detuning_rad_per_s": pump.detuning})

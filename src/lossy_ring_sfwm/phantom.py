@@ -19,24 +19,22 @@ product here needs only F_-, the factor enhancement_factor returns.
 CW pair rates come out in closed form as a product of enhancement
 factors and the fluctuating vacuum power. One kernel, pair_rates,
 evaluates that product for every (signal exit, idler exit) at once, on
-float decay rates or on numpy arrays that broadcast together (a whole
-coupling map), and the scalar pair_rate_cw is a thin call into it. The
+float decay rates or on lists of them, one entry per cell of a coupling
+map, and the scalar pair_rate_cw is a thin call into it. The
 golden-rule frequency integral, in complex math node by node, is kept
-alongside as a brute-force oracle for that closed form. No numpy import.
+alongside as a brute-force oracle for that closed form. Everything here
+computes in Python floats and complex numbers; jsa alone passes numpy
+arrays, to enhancement_factor.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable, Mapping
 
 from .constants import EPS0, HBAR
 from .model import Band, CwPump, SystemSpec, two_photon_detuning
 from .numerics import QuadratureError, integrate_adaptive
-
-if TYPE_CHECKING:  # used in annotations only, so no command pays its import
-    import numpy as np
-    from numpy.typing import ArrayLike
 
 
 def _enhancement(system: SystemSpec, channel_id: str, band: Band):
@@ -52,39 +50,39 @@ def _enhancement(system: SystemSpec, channel_id: str, band: Band):
     return lambda d: minus_gamma / (root_l * (d + 1j * gbar))
 
 
-def enhancement_factor(system: SystemSpec, channel_id: str, band: Band,
-                       d: ArrayLike) -> complex | np.ndarray:
+def enhancement_factor(system: SystemSpec, channel_id: str, band: Band, d: float) -> complex:
     """Incoming-type complex field enhancement factor F_- of one channel at
-    detuning d = omega - omega_J from the band's resonance (or an array of
-    them); the outgoing-type F_+ is its complex conjugate."""
+    detuning d = omega - omega_J from the band's resonance (or a numpy array
+    of them, as jsa passes); the outgoing-type F_+ is its complex conjugate."""
     return _enhancement(system, channel_id, band)(d)
-
-
-def _anywhere(mask) -> bool:
-    """A comparison of floats, or whether it holds anywhere in arrays."""
-    return mask if isinstance(mask, bool) else bool(mask.any())
 
 
 # ---------------------------------------------------------------------------
 # CW rates
 # ---------------------------------------------------------------------------
 
-def vacuum_power(gamma_bar_s: ArrayLike, gamma_bar_i: ArrayLike, omega_s: float,
-                 omega_i: float, detuning: float = 0.0):
-    """Fluctuating vacuum power [W] entering the closed-form pair rate, for
-    scalar or array linewidths.
+def _vacuum_powers(gamma_bar_s: list[float], gamma_bar_i: list[float], omega_s: float,
+                   omega_i: float, detuning: float) -> list[float]:
+    """vacuum_power of each cell of equal-length lists of linewidths."""
+    if any(g <= 0.0 for g in gamma_bar_s) or any(g <= 0.0 for g in gamma_bar_i):
+        raise ValueError("linewidths must be positive")
+    c = (HBAR / 2.0) * math.sqrt(omega_s * omega_i)
+    d2 = detuning ** 2
+    return [c * s * i * g / (d2 + g * g)
+            for s, i in zip(gamma_bar_s, gamma_bar_i) for g in (s + i,)]
+
+
+def vacuum_power(gamma_bar_s: float, gamma_bar_i: float, omega_s: float, omega_i: float,
+                 detuning: float = 0.0) -> float:
+    """Fluctuating vacuum power [W] entering the closed-form pair rate.
 
     detuning is the two-photon offset 2 omega_o - omega_S - omega_I.
     """
-    if _anywhere(gamma_bar_s <= 0) or _anywhere(gamma_bar_i <= 0):
-        raise ValueError("linewidths must be positive")
-    gsum = gamma_bar_s + gamma_bar_i
-    return (HBAR / 2.0) * math.sqrt(omega_s * omega_i) * gamma_bar_s * gamma_bar_i \
-        * gsum / (detuning ** 2 + gsum * gsum)
+    return _vacuum_powers([gamma_bar_s], [gamma_bar_i], omega_s, omega_i, detuning)[0]
 
 
-def pair_vacuum_power(system: SystemSpec, pump: CwPump, gamma_bar_s: ArrayLike,
-                      gamma_bar_i: ArrayLike):
+def pair_vacuum_power(system: SystemSpec, pump: CwPump, gamma_bar_s: float,
+                      gamma_bar_i: float) -> float:
     """vacuum_power at the CW pump's two-photon offset 2 omega_o - omega_S - omega_I."""
     return vacuum_power(gamma_bar_s, gamma_bar_i, system.bands[Band.SIGNAL].omega,
                         system.bands[Band.IDLER].omega,
@@ -92,60 +90,75 @@ def pair_vacuum_power(system: SystemSpec, pump: CwPump, gamma_bar_s: ArrayLike,
 
 
 def pair_rates(system: SystemSpec, pump: CwPump,
-               gammas: Mapping[str, Mapping[Band, ArrayLike]] | None = None
-               ) -> dict[tuple[str, str], float | np.ndarray]:
+               gammas: Mapping[str, Mapping[Band, float | list[float]]] | None = None
+               ) -> dict[tuple[str, str], float | list[float]]:
     """Closed-form CW rates [pairs/s] R_XY = C |F_P|^4 |F_S^(X)|^2 |F_I^(Y)|^2 P_vac
     of pairs leaving via every (signal exit X, idler exit Y).
 
-    gammas overrides some channels' decay rates (id -> band -> rate); numpy
-    arrays that broadcast together give every rate on the broadcast grid.
-    A rate that is not finite raises FloatingPointError.
+    gammas overrides some channels' decay rates (id -> band -> rate). A rate
+    is a float, or a list of n floats, one per cell of a map; every list of
+    one call has the same n, and each pair's rate is then the list of its n
+    cells. Each cell's expressions run in one order, so a cell has the bits
+    of a call on that cell's floats alone, and a call on floats, the n = 1
+    case, returns floats. A rate that is not finite raises
+    FloatingPointError.
     """
     gammas = gammas or {}
     for cid in gammas:
         system.channel(cid)  # KeyError on an unknown id
-    rates = {c.channel_id: gammas.get(c.channel_id, c.gammas) for c in system.channels}
+    lengths = {len(g) for r in gammas.values() for g in r.values() if isinstance(g, list)}
+    if len(lengths) > 1:
+        raise ValueError(f"the lists of decay rates differ in length: {sorted(lengths)}")
+    n = max(lengths, default=1)
+    rates = {c.channel_id: {b: g if isinstance(g, list) else [g] * n
+                            for b, g in gammas.get(c.channel_id, c.gammas).items()}
+             for c in system.channels}
     pb = system.bands[Band.PUMP]
     sb = system.bands[Band.SIGNAL]
     ib = system.bands[Band.IDLER]
     L = system.ring.circumference
-    gbar = {b: sum(g[b] for g in rates.values()) for b in Band}
+    # each cell's sum runs in channel order from 0, as sum() over its floats
+    gbar = {b: [sum(cell) for cell in zip(*(g[b] for g in rates.values()))] for b in Band}
     omega_o = pb.omega + pump.detuning
     gnl_l = system.ring.gamma_nl * L
-
-    def abs2(band: Band, gamma: ArrayLike, detuning: float = 0.0):
-        """|F_+|^2 = |F_-|^2 = 2 v Gamma^(X) / (L (detuning^2 + Gbar^2)). Its
-        denominator is tested before dividing: a 0 raises on floats and
-        gives inf or 0/0 on arrays."""
-        denominator = L * (detuning * detuning + gbar[band] * gbar[band])
-        if _anywhere(denominator == 0):
+    # |F_+|^2 = |F_-|^2 = 2 v Gamma^(X) / (L (detuning^2 + Gbar^2)). The
+    # denominators are tested before dividing, since a 0 would raise
+    denominators = {}
+    for band, detuning in ((Band.PUMP, pump.detuning), (Band.SIGNAL, 0.0), (Band.IDLER, 0.0)):
+        denominators[band] = [L * (detuning * detuning + g * g) for g in gbar[band]]
+        if 0.0 in denominators[band]:
             raise FloatingPointError("a linewidth squared underflows to 0, so a pair rate "
                                      "is not finite")
-        return 2.0 * system.bands[band].v * gamma / denominator
 
-    f_pump2 = abs2(Band.PUMP, rates[system.pump_input_channel][Band.PUMP], pump.detuning)
+    def abs2(band: Band, gamma: list[float]) -> list[float]:
+        two_v = 2.0 * system.bands[band].v
+        return [two_v * g / den for g, den in zip(gamma, denominators[band])]
+
+    f_pump2 = abs2(Band.PUMP, rates[system.pump_input_channel][Band.PUMP])
     f_s2 = {x: abs2(Band.SIGNAL, g[Band.SIGNAL]) for x, g in rates.items()}
     f_i2 = {y: abs2(Band.IDLER, g[Band.IDLER]) for y, g in rates.items()}
     # the vacuum power's (detuning^2 + (Gbar_S + Gbar_I)^2) is 0 only when
-    # Gbar_S^2 is, which f_s2 has tested
-    p_vac = pair_vacuum_power(system, pump, gbar[Band.SIGNAL], gbar[Band.IDLER])
-    # the squares of terms that can be arrays are products: numpy squares
-    # exactly, and a float's x ** 2 is libm's pow, which is not x * x on
-    # about 0.08% of arguments, so a per-point call gives the broadcast's bits
-    common = (math.sqrt(sb.omega * ib.omega) / omega_o) \
-        * (pb.v ** 2 / (sb.v * ib.v)) * gnl_l ** 2 \
-        * pump.power ** 2 * p_vac / (HBAR * omega_o) * (f_pump2 * f_pump2)
-    out = {(x, y): common * f_s2[x] * f_i2[y] for x in rates for y in rates}
-    if any(_anywhere(abs(r) == math.inf) or _anywhere(r != r) for r in out.values()):
+    # Gbar_S^2 is, which has been tested
+    p_vac = _vacuum_powers(gbar[Band.SIGNAL], gbar[Band.IDLER], sb.omega, ib.omega,
+                           two_photon_detuning(system, pump))
+    # the squares of the swept terms are products: a float's x ** 2 is libm's
+    # pow, which is not x * x on about 0.08% of arguments
+    scale = (math.sqrt(sb.omega * ib.omega) / omega_o) \
+        * (pb.v ** 2 / (sb.v * ib.v)) * gnl_l ** 2 * pump.power ** 2
+    energy = HBAR * omega_o
+    common = [scale * p / energy * (f * f) for p, f in zip(p_vac, f_pump2)]
+    out = {(x, y): [c * s * i for c, s, i in zip(common, f_s2[x], f_i2[y])]
+           for x in rates for y in rates}
+    if not all(all(map(math.isfinite, r)) for r in out.values()):
         raise FloatingPointError("a pair rate overflows the float range")
-    return out
+    return out if lengths else {pair: r for pair, (r,) in out.items()}
 
 
 def pair_rate_cw(system: SystemSpec, pump: CwPump, signal_exit: str,
                  idler_exit: str) -> float:
     """Closed-form CW rate [pairs/s] of pairs with the signal leaving via
     signal_exit and the idler via idler_exit."""
-    return float(pair_rates(system, pump)[(signal_exit, idler_exit)])
+    return pair_rates(system, pump)[(signal_exit, idler_exit)]
 
 
 class ZeroRateError(ZeroDivisionError):

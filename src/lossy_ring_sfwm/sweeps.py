@@ -1,13 +1,12 @@
 """Parameter studies: coupling sweeps, strategy comparison, add-drop grids.
 
-add_drop_grid sets the swept decay rates as numpy arrays that broadcast
-over (t, d) and calls the closed-form kernel phantom.pair_rates once; it
-imports numpy when it runs. The sweeps along one axis (sweep_eta,
-sweep_sigma, compare_finesse, compare_finesse_add_drop) evaluate every
-point by its own call, one after another in axis order, and hold their
-axes and values as Columns, lists of Python floats, so they load no numpy.
-sweep_eta's per-point pair_rates gives the broadcast's bits, since the
-kernel writes its squares as products. Each point reaches the model as a
+Every sweep holds its axes and values as Columns, lists of Python floats,
+so no sweep loads numpy. sweep_eta and add_drop_grid set the swept decay
+rates as lists, one entry per point or per grid cell, and call the
+closed-form kernel phantom.pair_rates once; each cell has the bits of a
+call on its own floats. The strategy-1 sweeps (sweep_sigma,
+compare_finesse, compare_finesse_add_drop) evaluate every point by its own
+call, one after another in axis order. Each point reaches the model as a
 Python float: a numpy scalar would flow through the system copy into every
 field's wavevector and amplitudes, and each quadrature node would then do
 its complex arithmetic on numpy scalars, several times slower than on
@@ -17,21 +16,20 @@ strategies' relative difference is taken per point, as rate takes it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+import math
+from typing import Iterable, Mapping, Sequence
 
 from . import phantom  # the strategy-1 sweeps import attenuation when they run
 from .frozen import Frozen, set_field
 from .model import Band, CwPump, GeometryError, SystemSpec, finesse, gamma_from_sigma
 from .numerics import QuadratureError
 
-if TYPE_CHECKING:  # used in annotations only
-    import numpy as np
-
 
 class Column(list):
-    """A sweep's axis or values along one axis, as Python floats. Like a 1-D
-    numpy array it gives its length as .size, by which benchmark/tracing.py
-    counts the points of every sweep."""
+    """A sweep's axis or values, as Python floats: add_drop_grid's values
+    hold the grid's cells in row-major order. Like a 1-D numpy array it gives
+    its length as .size, by which benchmark/tracing.py counts the points of
+    every sweep."""
 
     @property
     def size(self) -> int:
@@ -39,12 +37,12 @@ class Column(list):
 
 
 class SweepResult(Frozen):
-    """Columns for the sweeps along one axis, numpy arrays for add_drop_grid."""
+    """A sweep's axes and values as Columns, and its metadata."""
 
     __slots__ = ("axes", "values", "metadata")
 
-    def __init__(self, axes: Mapping[str, Column | np.ndarray],
-                 values: Mapping[str, Column | np.ndarray], metadata: Mapping[str, object]):
+    def __init__(self, axes: Mapping[str, Column], values: Mapping[str, Column],
+                 metadata: Mapping[str, object]):
         set_field(self, "axes", axes)
         set_field(self, "values", values)
         set_field(self, "metadata", metadata)
@@ -67,32 +65,54 @@ def quadratic_argmax(x: Sequence[float], y: Sequence[float]) -> float:
     return float(x[i] + offset * (x[i + 1] - x[i - 1]) / 2.0)
 
 
-def quadratic_argmax_2d(x: np.ndarray, y: np.ndarray,
-                        grid: np.ndarray) -> tuple[float, float]:
-    """Location of a 2-D grid maximum on positive axes, refined by a
-    least-squares quadratic surface in (log x, log y) through the 3 x 3
-    neighbourhood of the best point (a separable per-axis parabola is biased
-    when the surface's axes are coupled). In log coordinates a rate law such
-    as t^2 d^2 / (1 + t + d)^7 is nearer a quadratic than on a linear axis."""
-    import numpy as np
+def _least_squares(columns: list[list[float]], z: list[float]) -> list[float]:
+    """The coefficients c that minimise |sum_k c_k columns[k] - z|, by
+    modified Gram-Schmidt on the columns with z appended, whose last column
+    of R is Q^T z (Bjorck's backward-stable form), then back substitution."""
+    q = [list(c) for c in columns] + [list(z)]
+    n = len(columns)
+    r = [[0.0] * (n + 1) for _ in range(n)]
+    for k in range(n):
+        r[k][k] = norm = math.hypot(*q[k])
+        q[k] = [a / norm for a in q[k]]
+        for j in range(k + 1, n + 1):
+            r[k][j] = dot = math.fsum(a * b for a, b in zip(q[k], q[j]))
+            q[j] = [b - dot * a for a, b in zip(q[k], q[j])]
+    c = [0.0] * n
+    for k in reversed(range(n)):
+        c[k] = (r[k][n] - math.fsum(r[k][j] * c[j] for j in range(k + 1, n))) / r[k][k]
+    return c
 
-    grid = np.asarray(grid, dtype=float)
-    if not np.any(grid):
+
+def quadratic_argmax_2d(x: Sequence[float], y: Sequence[float],
+                        grid: Sequence[float]) -> tuple[float, float]:
+    """Location of the maximum of a 2-D grid on positive axes, its
+    len(x) * len(y) cells in row-major order, refined by a least-squares
+    quadratic surface in (log x, log y) through the 3 x 3 neighbourhood of
+    the best point (a separable per-axis parabola is biased when the
+    surface's axes are coupled); the first of equal maxima wins. In log
+    coordinates a rate law such as t^2 d^2 / (1 + t + d)^7 is nearer a
+    quadratic than on a linear axis. Falls back to the grid point on an edge
+    or where the surface has no maximum."""
+    if not any(grid):
         raise phantom.ZeroRateError("every rate of the grid is 0, so it has no maximum")
-    i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    if i in (0, grid.shape[0] - 1) or j in (0, grid.shape[1] - 1):
+    i, j = divmod(grid.index(max(grid)), len(y))
+    if i in (0, len(x) - 1) or j in (0, len(y) - 1):
         return float(x[i]), float(y[j])
-    u, v = np.log(x), np.log(y)
-    uu, vv = np.meshgrid(u[i - 1:i + 2] - u[i], v[j - 1:j + 2] - v[j], indexing="ij")
-    z = grid[i - 1:i + 2, j - 1:j + 2].ravel()
-    a = np.column_stack([np.ones(9), uu.ravel(), vv.ravel(), uu.ravel() ** 2,
-                         (uu * vv).ravel(), vv.ravel() ** 2])
-    c = np.linalg.lstsq(a, z, rcond=None)[0]
-    hess = np.array([[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]])
-    if np.linalg.det(hess) <= 0.0 or hess[0, 0] >= 0.0:
+    u0, v0 = math.log(x[i]), math.log(y[j])
+    cells = [(math.log(x[i + a]) - u0, math.log(y[j + b]) - v0, grid[(i + a) * len(y) + j + b])
+             for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    basis = [[1.0] * 9, [u for u, _, _ in cells], [v for _, v, _ in cells],
+             [u * u for u, _, _ in cells], [u * v for u, v, _ in cells],
+             [v * v for _, v, _ in cells]]
+    _, c_u, c_v, c_uu, c_uv, c_vv = _least_squares(basis, [z for _, _, z in cells])
+    # the Hessian [[2 c_uu, c_uv], [c_uv, 2 c_vv]] must be negative definite
+    det = 4.0 * c_uu * c_vv - c_uv * c_uv
+    if det <= 0.0 or c_uu >= 0.0:
         return float(x[i]), float(y[j])
-    du, dv = np.linalg.solve(hess, [-c[1], -c[2]])
-    return float(np.exp(u[i] + du)), float(np.exp(v[j] + dv))
+    du = (c_uv * c_v - 2.0 * c_vv * c_u) / det
+    dv = (c_uv * c_u - 2.0 * c_uu * c_v) / det
+    return math.exp(u0 + du), math.exp(v0 + dv)
 
 
 def _rescaled_coupling_system(system: SystemSpec, scale: float) -> SystemSpec:
@@ -159,15 +179,10 @@ def sweep_eta(system: SystemSpec, eta_values: Iterable[float], pump: CwPump) -> 
     if not all(0.0 < eta < 1.0 for eta in etas):
         raise ValueError("escape efficiency must lie strictly inside (0, 1)")
     g_ph = system.phantom_channel.gammas
+    rates = phantom.pair_rates(
+        system, pump, {bus: {b: [eta * g_ph[b] / (1.0 - eta) for eta in etas] for b in Band}})
     pairs = [(bus, bus), (bus, ph), (ph, bus), (ph, ph)]
-
-    def rates_at(eta: float) -> list[float]:
-        rates = phantom.pair_rates(
-            system, pump, {bus: {b: eta * g_ph[b] / (1.0 - eta) for b in Band}})
-        return [rates[pair] for pair in pairs]
-
-    columns = map(Column, zip(*map(rates_at, etas)))
-    values = {f"R_{x}{y}": column for (x, y), column in zip(pairs, columns)}
+    values = {f"R_{x}{y}": Column(rates[(x, y)]) for x, y in pairs}
     return SweepResult(
         axes={"eta": etas},
         values=values,
@@ -225,21 +240,20 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
 def add_drop_grid(system: SystemSpec, gamma_t_ratios: Iterable[float],
                   gamma_d_ratios: Iterable[float], pump: CwPump) -> SweepResult:
     """Phantom-model rate of every channel-pair trajectory on a grid of
-    through and drop couplings, in units of the phantom decay rate."""
-    import numpy as np
-
+    through and drop couplings, in units of the phantom decay rate. Each
+    value is a Column of the grid's cells in row-major order, t outer."""
     through, drop = ring_buses(system, 2, with_phantom=True)
     ph = system.phantom_channel.channel_id
     g_ph = system.phantom_channel.gammas
-    t_ratios = np.asarray(list(gamma_t_ratios), dtype=float)
-    d_ratios = np.asarray(list(gamma_d_ratios), dtype=float)
-    if np.any(t_ratios <= 0) or np.any(d_ratios <= 0):
+    t_ratios = Column(map(float, gamma_t_ratios))
+    d_ratios = Column(map(float, gamma_d_ratios))
+    if any(r <= 0.0 for r in t_ratios + d_ratios):
         raise ValueError("coupling ratios must be positive")
     ids = (through, drop, ph)
     rates = phantom.pair_rates(system, pump, {
-        through: {b: t_ratios[:, None] * g for b, g in g_ph.items()},
-        drop: {b: d_ratios[None, :] * g for b, g in g_ph.items()}})
-    values = {f"R_{x}{y}": rates[(x, y)] for x in ids for y in ids}
+        through: {b: [t * g for t in t_ratios for _ in d_ratios] for b, g in g_ph.items()},
+        drop: {b: [d * g for _ in t_ratios for d in d_ratios] for b, g in g_ph.items()}})
+    values = {f"R_{x}{y}": Column(rates[(x, y)]) for x in ids for y in ids}
     argmax = {key: quadratic_argmax_2d(t_ratios, d_ratios, grid)
               for key, grid in values.items()}
     return SweepResult(

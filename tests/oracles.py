@@ -6,8 +6,10 @@ ring overlap, both deliberately ignorant of the closed forms in `src/`;
 the strategy-1 pair rate at 30 digits on any number of buses, from the
 point-coupler relations in absolute wavenumbers; Gauss-Legendre rules
 from 40-digit roots of the Legendre polynomials; Weideman's Faddeeva
-coefficients by his FFT construction; and the numpy form of the adaptive
-quadrature that the plain-Python one was ported from.
+coefficients by his FFT construction; and the numpy forms that the
+plain-Python code was ported from: the adaptive quadrature, the broadcast
+closed-form pair rates and the least-squares refinement of a grid's
+maximum.
 """
 
 import math
@@ -18,7 +20,8 @@ import numpy as np
 
 from lossy_ring_sfwm import numerics
 from lossy_ring_sfwm.attenuation import RingField
-from lossy_ring_sfwm.model import Band, CwPump, SystemSpec
+from lossy_ring_sfwm.constants import HBAR
+from lossy_ring_sfwm.model import Band, CwPump, SystemSpec, two_photon_detuning
 
 
 @dataclass(frozen=True)
@@ -232,3 +235,53 @@ def integrate_adaptive_numpy(f, a: float, b: float, rel_tol: float = numerics.DE
         lo = np.concatenate([lo[~split], lo[split], mid])
         hi = np.concatenate([hi[~split], mid, hi[split]])
         q = q[~split]
+
+
+def pair_rates_numpy(system: SystemSpec, pump: CwPump, gammas) -> dict:
+    """phantom.pair_rates as it was written in numpy: decay-rate overrides
+    (id -> band -> rate) that are arrays broadcast together, and every
+    expression runs on the broadcast grid in the plain-Python kernel's order,
+    so each cell is correctly rounded as the kernel's is."""
+    rates = {c.channel_id: gammas.get(c.channel_id, c.gammas) for c in system.channels}
+    pb, sb, ib = (system.bands[b] for b in (Band.PUMP, Band.SIGNAL, Band.IDLER))
+    L = system.ring.circumference
+    gbar = {b: sum(g[b] for g in rates.values()) for b in Band}
+    omega_o = pb.omega + pump.detuning
+
+    def abs2(band, gamma, detuning=0.0):
+        return 2.0 * system.bands[band].v * gamma / (L * (detuning * detuning
+                                                          + gbar[band] * gbar[band]))
+
+    f_pump2 = abs2(Band.PUMP, rates[system.pump_input_channel][Band.PUMP], pump.detuning)
+    gs, gi = gbar[Band.SIGNAL], gbar[Band.IDLER]
+    gsum = gs + gi
+    p_vac = (HBAR / 2.0) * math.sqrt(sb.omega * ib.omega) * gs * gi * gsum \
+        / (two_photon_detuning(system, pump) ** 2 + gsum * gsum)
+    common = (math.sqrt(sb.omega * ib.omega) / omega_o) \
+        * (pb.v ** 2 / (sb.v * ib.v)) * (system.ring.gamma_nl * L) ** 2 \
+        * pump.power ** 2 * p_vac / (HBAR * omega_o) * (f_pump2 * f_pump2)
+    return {(x, y): common * abs2(Band.SIGNAL, gx[Band.SIGNAL]) * abs2(Band.IDLER, gy[Band.IDLER])
+            for x, gx in rates.items() for y, gy in rates.items()}
+
+
+def quadratic_argmax_2d_lstsq(x, y, grid) -> tuple[float, float]:
+    """sweeps.quadratic_argmax_2d as it was written in numpy, on a grid of
+    len(x) x len(y) cells given flat in row-major order: np.linalg.lstsq
+    fits the quadratic surface in (log x, log y) on the 3 x 3 neighbourhood
+    of the first maximum, and np.linalg.solve finds its stationary point."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    grid = np.asarray(grid, dtype=float).reshape(len(x), len(y))
+    i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    if i in (0, grid.shape[0] - 1) or j in (0, grid.shape[1] - 1):
+        return float(x[i]), float(y[j])
+    u, v = np.log(x), np.log(y)
+    uu, vv = np.meshgrid(u[i - 1:i + 2] - u[i], v[j - 1:j + 2] - v[j], indexing="ij")
+    z = grid[i - 1:i + 2, j - 1:j + 2].ravel()
+    a = np.column_stack([np.ones(9), uu.ravel(), vv.ravel(), uu.ravel() ** 2,
+                         (uu * vv).ravel(), vv.ravel() ** 2])
+    c = np.linalg.lstsq(a, z, rcond=None)[0]
+    hess = np.array([[2.0 * c[3], c[4]], [c[4], 2.0 * c[5]]])
+    if np.linalg.det(hess) <= 0.0 or hess[0, 0] >= 0.0:
+        return float(x[i]), float(y[j])
+    du, dv = np.linalg.solve(hess, [-c[1], -c[2]])
+    return float(np.exp(u[i] + du)), float(np.exp(v[j] + dv))

@@ -212,7 +212,7 @@ def test_10_add_drop_optimum():
     axis = np.logspace(np.log10(0.05), np.log10(5.0), 81)  # add-drop-grid's default range
     grid = sweeps.add_drop_grid(system, axis, axis, PUMP)
     r_dd = grid.values["R_DD"]
-    i, j = np.unravel_index(int(np.argmax(r_dd)), r_dd.shape)
+    i, j = divmod(int(np.argmax(r_dd)), len(axis))  # the cells in row-major order
     t_star, d_star = axis[i], axis[j]
     step = math.log(axis[1] / axis[0])
     optimum = 2.0 / 3.0

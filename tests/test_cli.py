@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lossy_ring_sfwm
-from lossy_ring_sfwm import cli, jsa, phantom
+from lossy_ring_sfwm import cli, jsa, phantom, sweeps
 from lossy_ring_sfwm.cli import main
 from lossy_ring_sfwm.config import ConfigError, derived_echo, parse_config
 from lossy_ring_sfwm.model import Band, PulsedPump
@@ -730,10 +730,10 @@ class TestCommands:
          "system.channels: a single-bus ring needs one physical channel, got 2"),
         ("sweep-eta", "add_drop.json", None,
          "system.channels: a single-bus ring needs one physical channel, got 2"),
-        # the sigma = 1 check finds the one bus to decouple by the same rule
+        # the sigma = 1 check finds the one bus to decouple by the same rule,
+        # and blames the geometry, not the option
         ("sweep-sigma", "add_drop.json", "sigma_to_1",
-         "options.sweep_sigma.max: sigma = 1 decouples the bus: a single-bus ring needs "
-         "one physical channel, got 2"),
+         "system.channels: a single-bus ring needs one physical channel, got 2"),
         ("compare-finesse", "add_drop.json", "third_bus",
          "system.channels: a single-bus ring needs one physical channel, got 3"),
         ("sweep-eta", "ring_channel.json", "loss_free", "system.ring.loss_db_per_cm"),
@@ -1232,21 +1232,28 @@ def test_write_csv_formatting(tmp_path):
                    [[0.1, 1e-05, 1e+16, -0.0, 5e-324, 3, "T"], ["P", -2.5, 0]])
     assert path.read_bytes() == (b"x,kappa1\\kappa2\r\n0.1,1e-05,1e+16,-0.0,5e-324,3,T\r\n"
                                  b"P,-2.5,0\r\n")
-    # the row-wise float writer gives csv.writer's bytes
+    # the row-wise float writer gives csv.writer's bytes, on numpy blocks and
+    # on lists of Python-float rows alike
     header, rows = ["kappa1\\kappa2", "x"], [[0.1, 1e-05, 1e+16], [-0.0, 5e-324, -2.5]]
-    _write_float_rows(path, header, rows)
-    assert path.read_bytes() == _csv_writer_bytes(header, rows) == (
-        b"kappa1\\kappa2,x\r\n0.1,1e-05,1e+16\r\n-0.0,5e-324,-2.5\r\n")
+    for block in (np.array, list):
+        _write_float_rows(path, header, rows, block)
+        assert path.read_bytes() == _csv_writer_bytes(header, rows) == (
+            b"kappa1\\kappa2,x\r\n0.1,1e-05,1e+16\r\n-0.0,5e-324,-2.5\r\n")
     # every decade edge, then blocks of any doubles (NaN, inf, subnormals, -0.0)
-    rows = [_DECADE_EDGES[i:i + 2] for i in range(0, len(_DECADE_EDGES), 2)]
-    _write_float_rows(path, header, rows)
-    assert path.read_bytes() == _csv_writer_bytes(header, rows)
+    # and one block whose column holds a NaN between plain cells, which min
+    # and max pass over
+    for rows in ([_DECADE_EDGES[i:i + 2] for i in range(0, len(_DECADE_EDGES), 2)],
+                 [[1.0, 2.0], [math.nan, 3.0], [4.0, 5.0]]):
+        for block in (np.array, list):
+            _write_float_rows(path, header, rows, block)
+            assert path.read_bytes() == _csv_writer_bytes(header, rows)
 
     @given(_BLOCKS)
     @settings(max_examples=300, deadline=None)
     def writes_csv_writer_bytes(rows):
-        _write_float_rows(path, header, rows)
-        assert path.read_bytes() == _csv_writer_bytes(header, rows)
+        for block in (np.array, list):
+            _write_float_rows(path, header, rows, block)
+            assert path.read_bytes() == _csv_writer_bytes(header, rows), block
 
     writes_csv_writer_bytes()
     # and so do the jsa grids, checked against csv.writer on the same arrays;
@@ -1264,12 +1271,42 @@ def test_write_csv_formatting(tmp_path):
         assert (out / name).read_bytes() == _csv_writer_bytes(header, rows), name
 
 
-def _write_float_rows(path: Path, header: list, rows: list) -> None:
+def _write_float_rows(path: Path, header: list, rows: list, block=np.array) -> None:
     """Rows through cli._write_float_csv, appended in blocks of up to 3, so
-    that a table split into blocks is checked too."""
+    that a table split into blocks is checked too; block makes each a numpy
+    array (np.array) or a list of Python-float rows (list)."""
     with cli._write_float_csv(path, header) as append:
         for start in range(0, len(rows), 3):
-            append(np.array(rows[start:start + 3]))
+            append(block(rows[start:start + 3]))
+
+
+def test_add_drop_grid_csv_is_csv_writer_bytes(tmp_path):
+    # the grid's Python-float rows across every layout band of
+    # _write_float_csv: R scales as the pump power squared, so these powers
+    # put cells below 0.9e-9, in 1.1e-9..0.9e-5, in 1e-5..1e-4 and at
+    # 0.9e16 and above. 21^2 = 441 rows of 11 cells span two orjson blocks
+    doc = bundled("add_drop.json")
+    doc["options"] = {"add_drop_grid": {"points": 21}}
+    bands = {"tiny": lambda a: a < 0.9e-9, "pad": lambda a: 1.1e-9 < a < 0.9e-5,
+             "repr_only": lambda a: 1e-5 <= a <= 1e-4, "huge": lambda a: a >= 0.9e16}
+    seen = set()
+    for power_mw in (1e-8, 1e-6, 1e-5, 1e6):
+        doc["pump"]["power_mw"] = power_mw
+        config = parse_config(doc)
+        out = tmp_path / f"p{power_mw:g}"
+        assert main(["add-drop-grid", "--config", _write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        axis = cli._axis(config, "add_drop_grid", "min_ratio", "max_ratio", "points",
+                         (0.05, 5.0, 81), log=True)
+        result = sweeps.add_drop_grid(config.system, axis, axis, config.pump)
+        keys = sorted(result.values)
+        rows = [[t, d, *(result.values[k][i * len(axis) + j] for k in keys)]
+                for i, t in enumerate(axis) for j, d in enumerate(axis)]
+        header = ["gamma_t_ratio", "gamma_d_ratio"] + keys
+        assert (out / "add_drop_grid.csv").read_bytes() == _csv_writer_bytes(header, rows)
+        seen |= {band for row in rows for x in row for band, has in bands.items()
+                 if has(abs(x))}
+    assert seen == set(bands)
 
 
 def _last_json_line(code: str):
@@ -1393,8 +1430,9 @@ def test_exits_before_a_handler_load_no_numpy(tmp_path):
 
 
 def test_numpy_overflow_warnings_stay_off_stderr(tmp_path):
-    # add-drop-grid's closed form overflows inside numpy at this power, and
-    # numpy warns of it on stderr unless main ignores RuntimeWarning. pytest
+    # add-drop-grid's closed form overflows at this power, and stderr holds
+    # main's one line and no warning: the grid is Python floats, and main
+    # ignores the RuntimeWarnings numpy would print for jsa's grid. pytest
     # records warnings itself, so only a fresh interpreter shows one
     doc = bundled("add_drop.json")
     doc["pump"]["power_mw"] = 1e153
@@ -1422,8 +1460,8 @@ def test_commands_load_only_their_layers(tmp_path):
     # loads only the layers it runs: phantom for the closed forms and the
     # strategies' difference, sweeps for a sweep, attenuation for strategy 1
     # and jsa for the JSA. None hashes its config through OpenSSL, and none
-    # adds dataclasses to what its parser loads. Only the grids load numpy:
-    # every command but add-drop-grid and jsa computes in Python floats, the
+    # adds dataclasses to what its parser loads. Only jsa loads numpy: every
+    # other command computes in Python floats, add-drop-grid's grid and the
     # log axis of the single-bus compare-finesse too
     closed_forms, maps = {"phantom"}, {"phantom", "sweeps"}
     strategy1 = {"attenuation", "phantom", "sweeps"}
@@ -1435,7 +1473,7 @@ def test_commands_load_only_their_layers(tmp_path):
             ("sweep-eta", "ring_channel.json",
              {"sweep_eta": {"min": 0.3, "max": 0.7, "points": 3}}, maps, False),
             ("add-drop-grid", "add_drop.json",
-             {"add_drop_grid": {"min_ratio": 0.5, "max_ratio": 2.0, "points": 3}}, maps, True),
+             {"add_drop_grid": {"min_ratio": 0.5, "max_ratio": 2.0, "points": 3}}, maps, False),
             ("rate", "add_drop.json", {}, {"attenuation", "phantom"}, False),
             ("sweep-sigma", "ring_channel.json",
              {"sweep_sigma": {"min": 0.97, "max": 0.99, "points": 3}}, strategy1, False),

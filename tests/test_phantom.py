@@ -217,6 +217,23 @@ class TestClosedFormRate:
         r2 = ph.pair_rate_cw(sample_system(q_int=1e4), CwPump(1e-3), "O", "O")
         assert r2 == pytest.approx(r1 / 8.0, rel=1e-12)
 
+    def test_list_cells_are_the_float_calls(self):
+        # a list override gives each cell the bits of a call on its floats;
+        # floats alone give floats, and lists of two lengths are refused
+        system, pump = bundled_system("add_drop.json"), CwPump(1e-3, detuning=3e9)
+        cells = [(0.3e10, 2.0e10), (1.0e10, 4.5e10), (7.0e10, 0.2e10)]
+        rates = ph.pair_rates(system, pump, {
+            "T": {b: [t for t, _ in cells] for b in Band},
+            "D": {b: [d for _, d in cells] for b in Band}})
+        for k, (t, d) in enumerate(cells):
+            one = ph.pair_rates(system, pump, {"T": dict.fromkeys(Band, t),
+                                               "D": dict.fromkeys(Band, d)})
+            assert all(type(r) is float for r in one.values())
+            assert {pair: r[k] for pair, r in rates.items()} == one
+        with pytest.raises(ValueError, match="differ in length"):
+            ph.pair_rates(system, pump, {"T": dict.fromkeys(Band, [1e10, 2e10]),
+                                         "D": dict.fromkeys(Band, [1e10])})
+
 
 def _mp_pair_rate(system: SystemSpec, pump: CwPump, signal_exit: str,
                   idler_exit: str) -> mp.mpf:

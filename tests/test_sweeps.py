@@ -9,6 +9,7 @@ from lossy_ring_sfwm import attenuation, cli, phantom, sweeps
 from lossy_ring_sfwm.config import parse_config
 from lossy_ring_sfwm.model import Band, CwPump, finesse, gamma_from_sigma
 from conftest import bundled, bundled_system
+from oracles import pair_rates_numpy, quadratic_argmax_2d_lstsq
 
 PUMP = CwPump(1e-3)
 
@@ -95,11 +96,12 @@ class TestSweepEta:
     def test_matches_broadcast_bit_for_bit(self, radius, loss, gamma_nl, sigma, wavelengths,
                                            velocities, power_mw, detuning, eta_min, eta_max,
                                            points):
-        # sweep_eta calls pair_rates once per point in Python floats; the
-        # broadcast over a numpy eta array, which add_drop_grid uses, is its
-        # oracle. The kernel writes its squares as products, so they agree
-        # to the bit; with a float's x ** 2, libm's pow, they would not on
-        # about 0.1% of points, which an axis of the command's spacing finds
+        # sweep_eta calls pair_rates once on lists of Python floats; the
+        # numpy broadcast over an eta array, the form the kernel was ported
+        # from, is its oracle. The kernel writes its squares as products, so
+        # they agree to the bit; with a float's x ** 2, libm's pow, they would
+        # not on about 0.1% of points, which an axis of the command's spacing
+        # finds
         assume(eta_min < eta_max)
         etas = cli._linspace(eta_min, eta_max, points)
         doc = bundled()
@@ -115,8 +117,8 @@ class TestSweepEta:
         result = sweeps.sweep_eta(system, etas, pump)
         eta = np.asarray(etas)
         g_ph = system.phantom_channel.gammas
-        want = phantom.pair_rates(system, pump, {"O": {b: eta * g_ph[b] / (1.0 - eta)
-                                                       for b in Band}})
+        want = pair_rates_numpy(system, pump, {"O": {b: eta * g_ph[b] / (1.0 - eta)
+                                                     for b in Band}})
         assert result.axes["eta"] == etas
         for (x, y), rates in want.items():
             column = result.values[f"R_{x}{y}"]
@@ -266,7 +268,7 @@ class TestAddDropGrid:
     def test_rise_then_fall_along_fixed_through_slice(self, add_drop_ref):
         d_axis = np.linspace(0.1, 3.0, 59)
         result = sweeps.add_drop_grid(add_drop_ref, np.array([1.4, 1.5]), d_axis, PUMP)
-        slice_rates = result.values["R_DD"][1]
+        slice_rates = result.values["R_DD"][len(d_axis):]  # the row t = 1.5
         peak = int(np.argmax(slice_rates))
         assert 0 < peak < len(d_axis) - 1
         assert np.all(np.diff(slice_rates[:peak + 1]) > 0.0)
@@ -288,9 +290,9 @@ class TestAddDropGrid:
         result = sweeps.add_drop_grid(add_drop_ref, axis, axis, PUMP)
         for i, t in enumerate(axis):
             for j, d in enumerate(axis):
-                r_tt = result.values["R_TT"][i, j]
-                r_dd = result.values["R_DD"][i, j]
-                r_td = result.values["R_TD"][i, j]
+                r_tt = result.values["R_TT"][i * len(axis) + j]
+                r_dd = result.values["R_DD"][i * len(axis) + j]
+                r_td = result.values["R_TD"][i * len(axis) + j]
                 assert r_dd / r_tt == pytest.approx((d / t) ** 2, rel=1e-12)
                 assert r_td / r_tt == pytest.approx(d / t, rel=1e-12)
 
@@ -316,8 +318,83 @@ class TestAddDropGrid:
                     "D", {b: d * g for b, g in g_ph.items()})
                 for x in ids:
                     for y in ids:
-                        assert result.values[f"R_{x}{y}"][i, j] == pytest.approx(
+                        assert result.values[f"R_{x}{y}"][i * len(d_axis) + j] == pytest.approx(
                             phantom.pair_rate_cw(system, pump, x, y), rel=1e-13, abs=0.0)
+
+    def test_cells_match_numpy_broadcast_bit_for_bit(self, add_drop_ref):
+        # each cell of the row-major lists has the bits of the numpy
+        # broadcast over (t, d) that the grid was ported from
+        t_axis = np.logspace(np.log10(0.05), np.log10(5.0), 17)
+        d_axis = np.linspace(0.1, 3.0, 13)
+        pump = CwPump(1.3e-3, detuning=0.8 * add_drop_ref.gamma_bar(Band.PUMP))
+        result = sweeps.add_drop_grid(add_drop_ref, t_axis, d_axis, pump)
+        g_ph = add_drop_ref.phantom_channel.gammas
+        want = pair_rates_numpy(add_drop_ref, pump, {
+            "T": {b: t_axis[:, None] * g for b, g in g_ph.items()},
+            "D": {b: d_axis[None, :] * g for b, g in g_ph.items()}})
+        assert [v.size for v in result.values.values()] == [17 * 13] * 9
+        for (x, y), rates in want.items():
+            column = result.values[f"R_{x}{y}"]
+            assert all(type(r) is float for r in column)
+            assert column == rates.ravel().tolist(), (x, y)
+
+
+def _assert_argmax_matches_lstsq(x, y, grid):
+    """The pure-Python argmax and the numpy lstsq form find the same point."""
+    got = sweeps.quadratic_argmax_2d(x, y, grid)
+    want = quadratic_argmax_2d_lstsq(x, y, grid)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    return got
+
+
+class TestQuadraticArgmax2d:
+    def test_bundled_grid_every_key(self, add_drop_ref):
+        # add-drop-grid's default 81^2 axis; R_DD, R_DT, R_DP and their
+        # mirrors peak inside, the rest on the d = min edge
+        axis = [10.0 ** u for u in cli._linspace(np.log10(0.05), np.log10(5.0), 81)]
+        result = sweeps.add_drop_grid(add_drop_ref, axis, axis, PUMP)
+        assert len(result.values) == 9
+        inside = 0
+        for key, grid in result.values.items():
+            t, d = _assert_argmax_matches_lstsq(axis, axis, grid)
+            inside += t not in axis and d not in axis
+        assert inside == 5
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_quadratic_surfaces(self, seed):
+        # a negative-definite quadratic in (log x, log y) on irregular log
+        # axes, plus a cubic term the 6-term fit cannot follow, so the fit
+        # is a least-squares one, not an interpolation
+        rng = np.random.default_rng(seed)
+        nx, ny = rng.integers(5, 12, size=2)
+        u = np.sort(rng.uniform(-3.0, 3.0, nx))
+        v = np.sort(rng.uniform(-3.0, 3.0, ny))
+        u0, v0 = rng.uniform(u[1], u[-2]), rng.uniform(v[1], v[-2])
+        a, c = rng.uniform(0.5, 5.0, size=2)
+        b = rng.uniform(-0.9, 0.9) * np.sqrt(a * c)
+        du, dv = u[:, None] - u0, v[None, :] - v0
+        z = 10.0 - (a * du * du + 2.0 * b * du * dv + c * dv * dv) + 0.05 * du ** 3
+        x, y = np.exp(u).tolist(), np.exp(v).tolist()
+        t, d = _assert_argmax_matches_lstsq(x, y, z.ravel().tolist())
+        i, j = np.unravel_index(int(np.argmax(z)), z.shape)
+        if 0 < i < nx - 1 and 0 < j < ny - 1:
+            assert (t, d) != (x[i], y[j])
+
+    def test_saddle_and_edge_return_the_grid_point(self):
+        x = y = [0.5, 1.0, 2.0, 4.0, 8.0]
+        # the centre is the maximum, but its neighbourhood fits a saddle:
+        # high along one diagonal, low along the other
+        saddle = np.zeros((5, 5))
+        saddle[1:4, 1:4] = [[0.9, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 0.9]]
+        uu, vv = (w.ravel() for w in np.meshgrid(*[np.log([0.5, 1.0, 2.0])] * 2, indexing="ij"))
+        design = np.column_stack([np.ones(9), uu, vv, uu * uu, uu * vv, vv * vv])
+        c = np.linalg.lstsq(design, saddle[1:4, 1:4].ravel(), rcond=None)[0]
+        assert 4.0 * c[3] * c[5] - c[4] ** 2 < 0.0  # indefinite
+        assert _assert_argmax_matches_lstsq(x, y, saddle.ravel().tolist()) == (2.0, 2.0)
+        edge = np.add.outer(-(np.log(x) - np.log(2.0)) ** 2, -np.log(y))  # max at d = y[0]
+        assert _assert_argmax_matches_lstsq(x, y, edge.ravel().tolist()) == (2.0, 0.5)
+        with pytest.raises(phantom.ZeroRateError):
+            sweeps.quadratic_argmax_2d(x, y, [0.0] * 25)
 
 
 class TestSweepResult:
