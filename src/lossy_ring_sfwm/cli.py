@@ -31,8 +31,11 @@ and oracle-check load numerics and phantom, rate attenuation too,
 sweep-eta and add-drop-grid numerics, phantom and sweeps, sweep-sigma and
 compare-finesse attenuation too, and jsa numerics, jsa and phantom.
 Every command but jsa computes in Python floats and loads no numpy;
-only jsa loads it, for its complex grid. add-drop-grid and jsa write
-their grids through orjson. Both log axes, compare-finesse's and
+only jsa loads it, for its complex grid, and keeps numpy's
+RuntimeWarnings off stderr. add-drop-grid and jsa write their grids
+through orjson, a block of rows at a time, and neither holds its grid
+whole: add-drop-grid holds only its nine value Columns, about 1.9 MB at
+81^2, for the argmax fit. Both log axes, compare-finesse's and
 add-drop-grid's, are libm's 10 ** u over a linear axis of exponents. No
 command loads OpenSSL (the config hash is CPython's built-in SHA-256),
 numpy.polynomial or numpy.fft (the quadrature and Faddeeva tables are
@@ -398,12 +401,16 @@ def cmd_add_drop_grid(config: RunConfig, outdir: Path, tol) -> None:
     result = sweeps.add_drop_grid(config.system, axis, axis, pump)
     keys = sorted(result.values)
     t_axis, d_axis = result.axes["gamma_t_ratio"], result.axes["gamma_d_ratio"]
-    # the cells' axis values in the row-major order of the values
-    t_cells = [t for t in t_axis for _ in d_axis]
-    d_cells = [d for _ in t_axis for d in d_axis]
+    n_d = len(d_axis)
+    # whole t-rows of the row-major values, about one orjson call of the writer
+    step = max(1, _WRITE_CELLS // ((2 + len(keys)) * n_d))
     with _write_float_csv(outdir / "add_drop_grid.csv",
                           ["gamma_t_ratio", "gamma_d_ratio"] + keys) as append:
-        append(list(zip(t_cells, d_cells, *(result.values[k] for k in keys))))
+        for start in range(0, len(t_axis), step):
+            ts = t_axis[start:start + step]
+            cells = slice(start * n_d, (start + len(ts)) * n_d)
+            append(list(zip([t for t in ts for _ in d_axis], d_axis * len(ts),
+                            *(result.values[k][cells] for k in keys))))
     _write_metadata(outdir, "add-drop-grid", config,
                     {"argmax": result.metadata["argmax"], "pump_power_w": pump.power,
                      "pump_detuning_rad_per_s": pump.detuning})
@@ -441,24 +448,28 @@ def cmd_jsa(config: RunConfig, outdir: Path, tol) -> None:
                                                        default=2.5e-3, minimum=0.0)
     default_ref = [config.system.physical_channels[0].channel_id] * 2  # as in build_jsa
     ref_pair = _reference_pair(config, block.get("reference_pair", default_ref))
-    try:
-        grid = jsa.build_jsa(config.system, pump, n=n, kappa_max=kappa_max,
-                             reference_pair=ref_pair, residual_tol=residual_tol)
-    except jsa.FloatRangeError as e:
-        field = {"alpha": "pump.alpha", "pulse": "pump.duration_fwhm_ps"}.get(e.source)
-        raise ConfigError(field or _widest_channel_field(config), str(e)) from e
+    with warnings.catch_warnings():
+        # numpy would warn of an overflow or a 0/0 on stderr, as a pulse of
+        # 1e-300 ps makes it do; jsa raises on a result that is not finite
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            grid = jsa.build_jsa(config.system, pump, n=n, kappa_max=kappa_max,
+                                 reference_pair=ref_pair, residual_tol=residual_tol)
+        except jsa.FloatRangeError as e:
+            field = {"alpha": "pump.alpha", "pulse": "pump.duration_fwhm_ps"}.get(e.source)
+            raise ConfigError(field or _widest_channel_field(config), str(e)) from e
 
-    header = ["kappa1\\kappa2"] + grid.kappa.tolist()
-    # each block of rows is formed once and appended to both tables, one
-    # orjson call each
-    block_rows = max(1, _WRITE_CELLS // len(header))
-    with _write_float_csv(outdir / "jsa_abs2.csv", header) as append_abs2, \
-            _write_float_csv(outdir / "jsa_phase.csv", header) as append_phase:
-        for start in range(0, n, block_rows):
-            phi = grid.rows(start, start + block_rows)
-            kappa = grid.kappa[start:start + block_rows]
-            append_abs2(kappa, jsa.abs2(phi))
-            append_phase(kappa, np.angle(phi))
+        header = ["kappa1\\kappa2"] + grid.kappa.tolist()
+        # each block of rows is formed once and appended to both tables, one
+        # orjson call each
+        block_rows = max(1, _WRITE_CELLS // len(header))
+        with _write_float_csv(outdir / "jsa_abs2.csv", header) as append_abs2, \
+                _write_float_csv(outdir / "jsa_phase.csv", header) as append_phase:
+            for start in range(0, n, block_rows):
+                phi = grid.rows(start, start + block_rows)
+                kappa = grid.kappa[start:start + block_rows]
+                append_abs2(kappa, jsa.abs2(phi))
+                append_phase(kappa, np.angle(phi))
     _write_csv(outdir / "jsa_weights.csv",
                ["signal_exit", "idler_exit", "weight_re", "weight_im", "weight_abs2"],
                [(x, y, w, 0.0, w ** 2)
@@ -575,12 +586,8 @@ def main(argv=None) -> int:
     except OSError as e:  # a file in the way, or no permission
         print(f"cannot create output directory: {args.out}: {e.strerror}", file=sys.stderr)
         return 2
-    try:
-        with warnings.catch_warnings():
-            # numpy would warn of an overflow or a 0/0 on stderr; the rate
-            # kernels raise on a rate that is not finite instead
-            warnings.simplefilter("ignore", RuntimeWarning)
-            _HANDLERS[args.command](config, outdir, args.tol)
+    try:  # only jsa computes in numpy, and it keeps numpy's warnings off stderr
+        _HANDLERS[args.command](config, outdir, args.tol)
     except ConfigError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2

@@ -3,8 +3,10 @@
 Every sweep holds its axes and values as Columns, lists of Python floats,
 so no sweep loads numpy. sweep_eta and add_drop_grid set the swept decay
 rates as lists, one entry per point or per grid cell, and call the
-closed-form kernel phantom.pair_rates once; each cell has the bits of a
-call on its own floats. The strategy-1 sweeps (sweep_sigma,
+closed-form kernel phantom.pair_rates on them; each cell has the bits of a
+call on its own floats. sweep_eta calls it once, add_drop_grid once per
+block of t-rows, so of a grid only its nine value Columns are held whole,
+about 1.9 MB at 81^2, for the argmax fit. The strategy-1 sweeps (sweep_sigma,
 compare_finesse, compare_finesse_add_drop) evaluate every point by its own
 call, one after another in axis order. Each point reaches the model as a
 Python float: a numpy scalar would flow through the system copy into every
@@ -237,11 +239,22 @@ def compare_finesse_add_drop(system: SystemSpec, sigma2_values: Iterable[float],
         metadata={"sigma1": system.sigma_view(through, Band.PUMP)})
 
 
+# cells per phantom.pair_rates call of add_drop_grid, rounded down to whole
+# t-rows (at least one): each call holds about 35 lists of its cells, and has
+# a fixed cost that makes one-row blocks about 40% slower at 81^2
+_GRID_BLOCK_CELLS = 1024
+
+
 def add_drop_grid(system: SystemSpec, gamma_t_ratios: Iterable[float],
                   gamma_d_ratios: Iterable[float], pump: CwPump) -> SweepResult:
     """Phantom-model rate of every channel-pair trajectory on a grid of
     through and drop couplings, in units of the phantom decay rate. Each
-    value is a Column of the grid's cells in row-major order, t outer."""
+    value is a Column of the grid's cells in row-major order, t outer.
+
+    The rates are computed a block of t-rows at a time and appended to the
+    values, so only the nine value Columns are held whole, for the argmax
+    fit: about 1.9 MB at 81^2. A cell has the bits of a call on its own
+    floats, so the blocks do not change a value."""
     through, drop = ring_buses(system, 2, with_phantom=True)
     ph = system.phantom_channel.channel_id
     g_ph = system.phantom_channel.gammas
@@ -249,11 +262,16 @@ def add_drop_grid(system: SystemSpec, gamma_t_ratios: Iterable[float],
     d_ratios = Column(map(float, gamma_d_ratios))
     if any(r <= 0.0 for r in t_ratios + d_ratios):
         raise ValueError("coupling ratios must be positive")
-    ids = (through, drop, ph)
-    rates = phantom.pair_rates(system, pump, {
-        through: {b: [t * g for t in t_ratios for _ in d_ratios] for b, g in g_ph.items()},
-        drop: {b: [d * g for _ in t_ratios for d in d_ratios] for b, g in g_ph.items()}})
-    values = {f"R_{x}{y}": Column(rates[(x, y)]) for x in ids for y in ids}
+    pairs = [(x, y) for x in (through, drop, ph) for y in (through, drop, ph)]
+    values = {f"R_{x}{y}": Column() for x, y in pairs}
+    step = max(1, _GRID_BLOCK_CELLS // len(d_ratios))  # whole t-rows
+    for start in range(0, len(t_ratios), step):
+        ts = t_ratios[start:start + step]
+        rates = phantom.pair_rates(system, pump, {
+            through: {b: [t * g for t in ts for _ in d_ratios] for b, g in g_ph.items()},
+            drop: {b: [d * g for _ in ts for d in d_ratios] for b, g in g_ph.items()}})
+        for x, y in pairs:
+            values[f"R_{x}{y}"] += rates[(x, y)]
     argmax = {key: quadratic_argmax_2d(t_ratios, d_ratios, grid)
               for key, grid in values.items()}
     return SweepResult(

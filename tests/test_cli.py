@@ -1089,6 +1089,21 @@ class TestCommands:
         values_nbytes = 512 * 512 * np.dtype(complex).itemsize
         assert peak <= values_nbytes / 6, peak / values_nbytes
 
+    def test_add_drop_grid_holds_only_its_values(self, tmp_path):
+        # the grid is computed and written a block of t-rows at a time, so of
+        # the default 81^2 grid only the nine value Columns, about 1.9 MB, are
+        # held whole; one pair_rates call on every cell peaks at 6.5 MB
+        argv = ["add-drop-grid", "--config", _write_config(tmp_path, bundled("add_drop.json")),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 0  # the lazy imports and caches, which are not the grid's
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, peak
+
     @pytest.mark.parametrize("detuning", [1.2e15, -1.2e15])
     def test_jsa_far_detuned_pump_names_the_offset(self, tmp_path, capsys, detuning):
         # the pairs sit near 2 omega_o, 2e4 summed linewidths from the grid's
@@ -1430,22 +1445,24 @@ def test_exits_before_a_handler_load_no_numpy(tmp_path):
 
 
 def test_numpy_overflow_warnings_stay_off_stderr(tmp_path):
-    # add-drop-grid's closed form overflows at this power, and stderr holds
-    # main's one line and no warning: the grid is Python floats, and main
-    # ignores the RuntimeWarnings numpy would print for jsa's grid. pytest
-    # records warnings itself, so only a fresh interpreter shows one
-    doc = bundled("add_drop.json")
-    doc["pump"]["power_mw"] = 1e153
+    # at this pulse length jsa's pair-mass integrand divides 0 by 0 in numpy,
+    # and stderr holds main's one line and no warning: cmd_jsa ignores the
+    # RuntimeWarnings numpy would print. pytest records warnings itself, so
+    # only a fresh interpreter shows one
+    doc = bundled()
+    doc["pump"] = {"kind": "pulsed", "duration_fwhm_ps": 1e-300}
+    doc["options"] = {"jsa": {"grid_points": 64}}
     cfg = _write_config(tmp_path, doc)
     out = str(tmp_path / "out")
     code = ("import contextlib, io, json\n"
             "from lossy_ring_sfwm.cli import main\n"
             "err = io.StringIO()\n"
             "with contextlib.redirect_stderr(err):\n"
-            f"    status = main(['add-drop-grid', '--config', {cfg!r}, '--out', {out!r}])\n"
+            f"    status = main(['jsa', '--config', {cfg!r}, '--out', {out!r}])\n"
             "print(json.dumps([status, err.getvalue()]))\n")
-    assert _last_json_line(code) == [1, "add-drop-grid: a pair rate overflows the float "
-                                        "range\n"]
+    assert _last_json_line(code) == [2, "invalid config: pump.duration_fwhm_ps: the pair-mass "
+                                        "integrand leaves the float range at pulse length "
+                                        "tau = 6.01e-313 s\n"]
 
 
 # numpy packages no command needs: the quadrature and Faddeeva tables are constants

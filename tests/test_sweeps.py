@@ -321,6 +321,36 @@ class TestAddDropGrid:
                         assert result.values[f"R_{x}{y}"][i * len(d_axis) + j] == pytest.approx(
                             phantom.pair_rate_cw(system, pump, x, y), rel=1e-13, abs=0.0)
 
+    def test_blocks_do_not_change_values(self, add_drop_ref, monkeypatch):
+        # 41^2 cells span more than one block of whole t-rows. Each cell
+        # equals one pair_rates call over every cell, and blocks of 1 and of
+        # 7 rows (the last of 6) give the same Columns and argmax
+        axis = np.logspace(np.log10(0.05), np.log10(5.0), 41)
+        assert axis.size ** 2 > sweeps._GRID_BLOCK_CELLS
+        result = sweeps.add_drop_grid(add_drop_ref, axis, axis, PUMP)
+        cells = result.axes["gamma_t_ratio"]
+        g_ph = add_drop_ref.phantom_channel.gammas
+        whole = phantom.pair_rates(add_drop_ref, PUMP, {
+            "T": {b: [t * g for t in cells for _ in cells] for b, g in g_ph.items()},
+            "D": {b: [d * g for _ in cells for d in cells] for b, g in g_ph.items()}})
+        assert list(result.values) == [f"R_{x}{y}" for x, y in whole]
+        for (x, y), rates in whole.items():
+            assert result.values[f"R_{x}{y}"] == rates
+        pair_rates, calls = phantom.pair_rates, []
+
+        def counted(system, pump, gammas):
+            calls.append(len(gammas["T"][Band.PUMP]))
+            return pair_rates(system, pump, gammas)
+
+        monkeypatch.setattr(phantom, "pair_rates", counted)
+        for rows, sizes in ((1, [1] * 41), (7, [7] * 5 + [6])):
+            monkeypatch.setattr(sweeps, "_GRID_BLOCK_CELLS", rows * axis.size)
+            calls.clear()
+            blocked = sweeps.add_drop_grid(add_drop_ref, axis, axis, PUMP)
+            assert calls == [n * axis.size for n in sizes]
+            assert blocked.values == result.values
+            assert blocked.metadata == result.metadata
+
     def test_cells_match_numpy_broadcast_bit_for_bit(self, add_drop_ref):
         # each cell of the row-major lists has the bits of the numpy
         # broadcast over (t, d) that the grid was ported from
