@@ -109,8 +109,6 @@ def ring_field_builder(system: SystemSpec, band: Band,
     None, else outgoing through exit_channel."""
     buses = system.buses()
     incoming = exit_channel is None
-    if not (incoming or exit_channel in buses):
-        raise KeyError(f"exit channel {exit_channel!r} is not a physical channel")
     first = 0 if incoming else buses.index(exit_channel)
     sigmas = [system.sigma_view(x, band) for x in buses]
     passed = sigmas[first + 1:] + sigmas[:first]  # the further couplers, in field order

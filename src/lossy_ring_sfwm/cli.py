@@ -209,12 +209,13 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 def _axis(config: RunConfig, name: str, lo_key: str, hi_key: str, n_key: str, defaults,
           *, log=False, unit: str | None = None) -> list[float]:
     """The swept axis of a command's options block, as Python floats: linear,
-    or log-spaced where log is set."""
+    or log-spaced where log is set, which needs both bounds positive. This is
+    the one check of a sweep's points: the sweeps take them as given."""
     # unit: "(0, 1)" for an escape efficiency, "(0, 1]" for a self-coupling
     block, path = config.options.get(name, {}), f"options.{name}"
     _check_keys(block, {lo_key, hi_key, n_key}, path)
     lo = _number(block, lo_key, path, default=defaults[0], positive=log)
-    hi = _number(block, hi_key, path, default=defaults[1])
+    hi = _number(block, hi_key, path, default=defaults[1], positive=log)
     n = _number(block, n_key, path, default=defaults[2], minimum=2, integer=True)
     for key, v in ((lo_key, lo), (hi_key, hi)):
         if unit and not (0.0 < v < 1.0 or v == 1.0 and unit.endswith("]")):
@@ -288,6 +289,23 @@ def _require_strategy1(config: RunConfig, channel_ids, *, scale: float = 1.0,
             raise ConfigError(path or config.sources[c.channel_id], str(e)) from e
 
 
+def _require_sigma_axis(config: RunConfig, sigma: float, path: str) -> None:
+    """A self-coupling axis from sigma up: sigma -> (1 - sigma) v / L -> sigma
+    must come back above 0 in every band. An overflowing decay rate names the
+    band's group-velocity field, any other failure `path`."""
+    system = config.system
+    L = system.ring.circumference
+    for b in Band:  # the lowest sigma sets the largest decay rate of the sweep
+        gamma = gamma_from_sigma(sigma, system.bands[b].v, L)
+        try:
+            sigma_from_gamma(gamma, system.bands[b].v, L)
+        except ValueError as e:
+            if math.isinf(gamma):
+                raise ConfigError(config.sources[b], "the bus decay rate "
+                                  f"(1 - sigma) v / L at sigma = {sigma} overflows") from e
+            raise ConfigError(path, str(e)) from e
+
+
 def cmd_rate(config: RunConfig, outdir: Path, tol) -> None:
     from . import phantom
 
@@ -339,17 +357,8 @@ def cmd_sweep_sigma(config: RunConfig, outdir: Path, tol) -> None:
     axis = _axis(config, "sweep_sigma", "min", "max", "points", (0.90, 0.9995, 101),
                  unit="(0, 1]")
     _require_strategy1(config, [])  # the ring loss: the sweep sets the bus coupling
+    _require_sigma_axis(config, axis[0], "options.sweep_sigma.min")
     system = config.system
-    L = system.ring.circumference
-    for b in Band:  # the lowest sigma sets the largest decay rate of the sweep
-        gamma = gamma_from_sigma(axis[0], system.bands[b].v, L)
-        try:
-            sigma_from_gamma(gamma, system.bands[b].v, L)
-        except ValueError as e:
-            if math.isinf(gamma):
-                raise ConfigError(config.sources[b], "the bus decay rate "
-                                  f"(1 - sigma) v / L at sigma = {axis[0]} overflows") from e
-            raise ConfigError("options.sweep_sigma.min", str(e)) from e
     if axis[-1] == 1.0:  # a lossless ring has no linewidth once the bus decouples
         # a ring of another bus count is the geometry's fault, not the option's
         buses = sweeps.ring_buses(system, 1)
@@ -379,6 +388,7 @@ def cmd_compare_finesse(config: RunConfig, outdir: Path, tol) -> None:
         axis = _axis(config, "compare_finesse", "sigma2_min", "sigma2_max", "points",
                      (0.3, 0.9999, 25), unit="(0, 1]")
         _require_strategy1(config, [config.system.pump_input_channel])  # the through bus
+        _require_sigma_axis(config, axis[0], "options.compare_finesse.sigma2_min")
         result = sweeps.compare_finesse_add_drop(config.system, axis, pump)
     else:
         axis = _axis(config, "compare_finesse", "min", "max", "points", (50.0, 2000.0, 25),

@@ -203,8 +203,6 @@ def grid_integrate_2d(blocks: Iterable[np.ndarray], dx: float, dy: float) -> flo
     every split into blocks gives the one-shot trapezoid's bits."""
     rows = []
     for block in blocks:
-        if np.ndim(block) != 2:
-            raise ValueError(f"expected a 2-D block of rows, got shape {np.shape(block)}")
         rows.append(np.trapezoid(block, dx=dy, axis=1))
         del block  # let go of it before the next block is formed
     return float(np.trapezoid(np.concatenate(rows), dx=dx, axis=0))
@@ -307,8 +305,9 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
               residual_tol: float = 2.5e-3) -> JsaGrid:
     """Normalized biphoton wave function on an n x n grid.
 
-    The grid spans kappa in [-kappa_max, kappa_max] on both axes
-    (kappa_max >= 8 resolves the Lorentzian wings); the trapezoidal
+    The grid spans kappa in [-kappa_max, kappa_max] on both axes, n >= 2
+    points each (kappa_max >= 8 resolves the Lorentzian wings; the jsa
+    command checks both where its options enter); the trapezoidal
     normalization over all channel pairs must agree with the Gauss-Legendre
     normalization total_mass within residual_tol, else GridTooCoarseError
     is raised. The normalization walks the grid in blocks of _NORM_ROWS
@@ -316,10 +315,6 @@ def build_jsa(system: SystemSpec, pump: PulsedPump, *, n: int = 512,
     1 / sqrt(total_mass), the same bits at every alpha; alpha enters only
     beta2, which must neither underflow to 0 nor overflow.
     """
-    if kappa_max < 8.0:
-        raise ValueError(f"grid must cover at least 8 linewidths, got {kappa_max}")
-    if n < 2:
-        raise ValueError(f"grid needs at least 2 points per axis, got {n}")
     if reference_pair is None:
         phys = system.physical_channels
         reference_pair = (phys[0].channel_id, phys[0].channel_id)

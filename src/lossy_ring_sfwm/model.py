@@ -76,8 +76,6 @@ def band_from_wavelength(wavelength_m: float, group_velocity: float, effective_i
     The band center is taken to sit exactly on the ring resonance whose
     order m is nearest, m = round(n_eff L / wavelength).
     """
-    if wavelength_m <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength_m}")
     omega = TWO_PI * C_VACUUM / wavelength_m
     if math.isinf(omega):
         raise OverflowError("the band frequency 2 pi c / wavelength overflows")
@@ -265,29 +263,25 @@ class SystemSpec(Frozen):
 
     def with_channel_gamma(self, channel_id: str, gammas: Mapping[Band, float]) -> "SystemSpec":
         """A copy of the system with one channel's decay rates replaced."""
-        self.channel(channel_id)  # raise KeyError early on unknown id
         new = tuple(c.replace(gammas=dict(gammas)) if c.channel_id == channel_id else c
                     for c in self.channels)
         return self.replace(channels=new)
 
 
 # ---------------------------------------------------------------------------
-# Conversions
+# Conversions. Their inputs are checked where they enter: the config parser
+# and the CLI's sweep axes take a loss >= 0, a radius, wavelength and
+# velocity > 0 and a sigma in (0, 1], and the value classes keep those
+# invariants, so a conversion checks only what its own result can break.
 # ---------------------------------------------------------------------------
 
 def xi_from_db_per_cm(loss_db_per_cm: float) -> float:
     """Power attenuation constant [1/m] from a loss figure in dB/cm."""
-    if loss_db_per_cm < 0:
-        raise ValueError(f"loss must be non-negative, got {loss_db_per_cm}")
     return loss_db_per_cm * _DB_PER_CM_TO_NP_PER_M
 
 
 def roundtrip_amplitude(xi: float, circumference: float) -> float:
     """Round-trip field amplitude a = exp(-xi L / 2)."""
-    if xi < 0:
-        raise ValueError(f"attenuation must be non-negative, got {xi}")
-    if circumference <= 0:
-        raise ValueError(f"circumference must be positive, got {circumference}")
     return math.exp(-xi * circumference / 2.0)
 
 
@@ -297,15 +291,12 @@ def gamma_from_sigma(sigma: float, v: float, circumference: float) -> float:
     Valid in the high-finesse limit where the coupler removes a fraction
     (1 - sigma) of the circulating amplitude per round trip.
     """
-    if not 0.0 < sigma <= 1.0:
-        raise ValueError(f"self-coupling must be in (0, 1], got {sigma}")
     return (1.0 - sigma) * v / circumference
 
 
 def sigma_from_gamma(gamma: float, v: float, circumference: float) -> float:
-    """Inverse of gamma_from_sigma."""
-    if gamma < 0:
-        raise ValueError(f"decay rate must be non-negative, got {gamma}")
+    """Inverse of gamma_from_sigma; a decay rate past the point-coupling
+    regime, which no sigma in (0, 1] gives, raises ValueError."""
     sigma = 1.0 - gamma * circumference / v
     if sigma <= 0.0:
         raise ValueError(f"decay rate {gamma} exceeds the point-coupling regime "
@@ -319,8 +310,6 @@ def phantom_gamma_from_xi(xi: float, v: float) -> float:
     Chosen so the intrinsic quality factor comes out as
     Q_int = omega / (2 Gamma) = omega / (xi v).
     """
-    if xi < 0:
-        raise ValueError(f"attenuation must be non-negative, got {xi}")
     return xi * v / 2.0
 
 

@@ -178,8 +178,6 @@ def sweep_eta(system: SystemSpec, eta_values: Iterable[float], pump: CwPump) -> 
     (bus,) = ring_buses(system, 1, with_phantom=True)
     ph = system.phantom_channel.channel_id
     etas = Column(map(float, eta_values))
-    if not all(0.0 < eta < 1.0 for eta in etas):
-        raise ValueError("escape efficiency must lie strictly inside (0, 1)")
     g_ph = system.phantom_channel.gammas
     rates = phantom.pair_rates(
         system, pump, {bus: {b: [eta * g_ph[b] / (1.0 - eta) for eta in etas] for b in Band}})
@@ -260,8 +258,6 @@ def add_drop_grid(system: SystemSpec, gamma_t_ratios: Iterable[float],
     g_ph = system.phantom_channel.gammas
     t_ratios = Column(map(float, gamma_t_ratios))
     d_ratios = Column(map(float, gamma_d_ratios))
-    if any(r <= 0.0 for r in t_ratios + d_ratios):
-        raise ValueError("coupling ratios must be positive")
     pairs = [(x, y) for x in (through, drop, ph) for y in (through, drop, ph)]
     values = {f"R_{x}{y}": Column() for x, y in pairs}
     step = max(1, _GRID_BLOCK_CELLS // len(d_ratios))  # whole t-rows

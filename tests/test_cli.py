@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -88,6 +89,19 @@ _CONFIG_ERRORS = [
     (("system", "pump_input_channel"), "P", "system.pump_input_channel",
      "pump input channel 'P' must be a physical channel"),
     (("system", "ring", "radius_m"), 1e308, "system.ring.radius_m", "2 pi r overflows"),
+    # the facts the model's conversions take on trust: a loss >= 0, a radius,
+    # wavelength and self-coupling > 0 (sigma <= 1 has its own test), decay
+    # rates >= 0 and a positive total linewidth
+    (("system", "ring", "loss_db_per_cm"), -1.0, "system.ring.loss_db_per_cm", "must be >= 0"),
+    (("system", "ring", "radius_m"), 0, "system.ring.radius_m", "must be positive"),
+    (("system", "bands", "wavelength_nm"), -1.0, "system.bands.wavelength_nm",
+     "must be positive"),
+    (("system", "channels", 0, "coupling"), {"sigma": 0}, "system.channels[0].coupling.sigma",
+     "must be positive"),
+    (("system", "channels", 0, "coupling"), {"gamma_rad_per_s": -1.0},
+     "system.channels[0].coupling.gamma_rad_per_s", "must be >= 0"),
+    (("system", "channels"), [{"id": "O", "coupling": {"gamma_rad_per_s": 0}}], "system",
+     "total linewidth must be positive in band pump"),
     (("system", "ring", "radius_m"), 1e303, "system.ring.radius_m",
      "resonance order n_eff L / wavelength overflows"),
     (("system", "bands", "effective_index"), 1e308, "system.bands.effective_index",
@@ -291,6 +305,23 @@ _COMMANDS = tuple(cli._HANDLERS)
 # the (0, 1] of a self-coupling axis, subnormal bounds among them
 _SELF_COUPLINGS = st.floats(0.0, 1.0, exclude_min=True) | st.integers(1, 2**52 - 1).map(
     lambda k: k * 5e-324)
+
+
+# (command, bundled config, options block, its float keys, its count keys):
+# every numeric option of every command, compare-finesse on both rings
+_OPTION_KEYS = [
+    ("sweep-sigma", "ring_channel.json", "sweep_sigma", ["min", "max"], ["points"]),
+    ("sweep-eta", "ring_channel.json", "sweep_eta", ["min", "max"], ["points"]),
+    ("compare-finesse", "ring_channel.json", "compare_finesse", ["min", "max"], ["points"]),
+    ("compare-finesse", "add_drop.json", "compare_finesse", ["sigma2_min", "sigma2_max"],
+     ["points"]),
+    ("add-drop-grid", "add_drop.json", "add_drop_grid", ["min_ratio", "max_ratio"],
+     ["points"]),
+    ("jsa", "ring_channel.json", "jsa", ["kappa_max", "residual_tol"], ["grid_points"]),
+    ("oracle-check", "ring_channel.json", "oracle_check", ["max_rel_dev"], []),
+]
+_OPTION_FLOATS = (-1.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 1e300)
+_OPTION_COUNTS = (-1, 0, 1, 2, 3)  # never a huge count: each point is computed
 
 
 def _expect(code, line, *commands):
@@ -610,6 +641,7 @@ class TestCommands:
          "options.oracle_check.max_rel_dev"),
         ("jsa", '{"jsa": {"grid_points": 64.5}}', "options.jsa.grid_points"),
         ("jsa", '{"jsa": {"kappa_max": 4}}', "options.jsa.kappa_max"),
+        ("jsa", '{"jsa": {"grid_points": 1}}', "options.jsa.grid_points"),
         ("add-drop-grid", '{"add_drop_grid": []}', "options.add_drop_grid"),
         ("sweep-sigma", '{"sweep_sigma": {"pionts": 5}}', "options.sweep_sigma.pionts"),
         ("sweep-sigma", '{"sweepsigma": {"points": 5}}', "options.sweepsigma"),
@@ -618,9 +650,9 @@ class TestCommands:
          "options.compare_finesse.sigma2_min"),
         ("jsa", '{"jsa": {"grid_point": 64}}', "options.jsa.grid_point"),
         ("oracle-check", '{"oracle_check": {"tol": 1e-3}}', "options.oracle_check.tol")],
-        ids=["points", "max", "max_rel_dev", "grid_points", "kappa_max", "block",
-             "unknown_key", "unknown_block", "block_of_no_command", "key_of_other_geometry",
-             "jsa_key", "oracle_check_key"])
+        ids=["points", "max", "max_rel_dev", "grid_points", "kappa_max", "grid_points_1",
+             "block", "unknown_key", "unknown_block", "block_of_no_command",
+             "key_of_other_geometry", "jsa_key", "oracle_check_key"])
     def test_bad_option_exits_2(self, tmp_path, capsys, command, options, field):
         pump = {"kind": "pulsed", "duration_fwhm_ps": 10.0} if command == "jsa" else None
         text = json.dumps(eta_config(pump=pump))[:-1] + f', "options": {options}}}'
@@ -631,6 +663,22 @@ class TestCommands:
     @pytest.mark.parametrize("command, name, options, field", [
         ("sweep-eta", "ring_channel.json", {"sweep_eta": {"min": 0}},
          "options.sweep_eta.min: must lie in (0, 1)"),
+        ("sweep-eta", "ring_channel.json", {"sweep_eta": {"max": 1}},
+         "options.sweep_eta.max: must lie in (0, 1)"),
+        ("sweep-sigma", "ring_channel.json", {"sweep_sigma": {"min": 0}},
+         "options.sweep_sigma.min: must lie in (0, 1]"),
+        # both bounds of a log axis must be positive
+        *[(command, name, {block: {key: bound}}, f"options.{block}.{key}: must be positive")
+          for command, name, block, key in (
+              ("compare-finesse", "ring_channel.json", "compare_finesse", "min"),
+              ("compare-finesse", "ring_channel.json", "compare_finesse", "max"),
+              ("add-drop-grid", "add_drop.json", "add_drop_grid", "min_ratio"),
+              ("add-drop-grid", "add_drop.json", "add_drop_grid", "max_ratio"))
+          for bound in (-1.0, 0.0)],
+        # sigma2 -> Gamma -> sigma leaves no self-coupling above 0, as on
+        # sweep-sigma's axis
+        *[("compare-finesse", "add_drop.json", {"compare_finesse": {"sigma2_min": s}},
+           "options.compare_finesse.sigma2_min: decay rate") for s in (1e-17, 1e-300)],
         ("sweep-sigma", "ring_channel.json", {"sweep_sigma": {"max": 1.5}},
          "options.sweep_sigma.max: must lie in (0, 1]"),
         ("compare-finesse", "add_drop.json", {"compare_finesse": {"sigma2_max": 1.5}},
@@ -661,7 +709,10 @@ class TestCommands:
         ("add-drop-grid", "add_drop.json",
          {"add_drop_grid": {"min_ratio": 1.0, "max_ratio": 1.7976931348623157e308}},
          "options.add_drop_grid.max_ratio: 10 ** log10(1.7976931348623157e+308) overflows")],
-        ids=["eta_min", "sigma_max", "sigma2_max", "sigma2_min", "eta_ulp", "sigma_ulp",
+        ids=["eta_min", "eta_max", "sigma_min", *(f"{key}_{bound}" for key in (
+             "finesse_min", "finesse_max", "ratio_min", "ratio_max") for bound in (-1, 0)),
+             "sigma2_min_1e-17", "sigma2_min_1e-300", "sigma_max", "sigma2_max", "sigma2_min",
+             "eta_ulp", "sigma_ulp",
              "ratio_ulp", "finesse_ulp", "sigma2_ulp", "sigma_reversed", "finesse_max_float",
              "ratio_max_float"])
     def test_axis_outside_model_range_exits_2(self, tmp_path, capsys, command, name,
@@ -672,6 +723,31 @@ class TestCommands:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith(f"invalid config: {field}")
+
+    @pytest.mark.parametrize("command, name, block, key, value", [
+        pytest.param(command, name, block, key, value, id=f"{command}-{name[:-5]}-{key}={value:g}")
+        for command, name, block, keys, counts in _OPTION_KEYS
+        for key in keys + counts
+        for value in (_OPTION_COUNTS if key in counts else _OPTION_FLOATS)])
+    def test_option_value_exits_with_one_line(self, tmp_path, capsys, command, name, block,
+                                              key, value):
+        # every option key of every command, at the edges of its domain and
+        # past them: the command succeeds, or stops with one stderr line and
+        # no traceback, and no warning escapes to stderr
+        doc = bundled(name)
+        if command == "jsa":
+            doc["pump"] = {"kind": "pulsed", "duration_fwhm_ps": 10.0}
+        doc["options"] = {block: {"grid_points": 16} if command == "jsa" else {}}
+        doc["options"][block][key] = value
+        cfg = _write_config(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert len(err.splitlines()) == (code != 0) and "Traceback" not in err
+        assert [str(w.message) for w in caught
+                if not issubclass(w.category, (DeprecationWarning, PendingDeprecationWarning))] == []
 
     @given(lo=_SELF_COUPLINGS, hi=_SELF_COUPLINGS, ulps=st.none() | st.integers(-4, 16),
            n=st.integers(2, 3000))

@@ -215,10 +215,6 @@ class TestJsaGrid:
                           residual_tol=1e-4)
         assert exc.value.residual > 1e-4
 
-    def test_narrow_grid_rejected(self, system_06, pulse_10ps):
-        with pytest.raises(ValueError):
-            jsa.build_jsa(system_06, pulse_10ps, kappa_max=4.0)
-
     def test_zero_coupled_reference_pair_rejected(self, system_06, pulse_10ps):
         system = system_06.replace(channels=system_06.channels
                                    + (ChannelCoupling("Z", dict.fromkeys(Band, 0.0)),))
@@ -399,10 +395,6 @@ class TestGridIntegrate2d:
         err_coarse = abs(mass(33) - exact)
         err_fine = abs(mass(65) - exact)
         assert err_coarse / err_fine == pytest.approx(4.0, rel=0.1)
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            jsa.grid_integrate_2d([np.zeros(8)], 0.1, 0.1)
 
     @pytest.mark.parametrize("rows, block", [(2, 1), (2, 2), (133, 1), (133, 7), (133, 8),
                                              (133, 64), (133, 133)])

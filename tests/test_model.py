@@ -31,10 +31,6 @@ class TestXiFromDb:
         # 4.343 dB/cm is 1 Np/cm to four figures
         assert xi_from_db_per_cm(4.343) == pytest.approx(100.0, rel=1e-4)
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            xi_from_db_per_cm(-1.0)
-
 
 class TestRoundtripAmplitude:
     def test_reference(self):
@@ -71,11 +67,6 @@ class TestCouplingConversions:
         g1 = gamma_from_sigma(0.9814, V_REF, L_REF)
         g2 = gamma_from_sigma(1.0 - 2.0 * (1.0 - 0.9814), V_REF, L_REF)
         assert g2 == pytest.approx(2.0 * g1, rel=1e-12)
-
-    @pytest.mark.parametrize("bad", [0.0, -0.2, 1.0001])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            gamma_from_sigma(bad, V_REF, L_REF)
 
     @given(st.floats(min_value=1e-9, max_value=1.0))
     def test_roundtrip_closure(self, sigma):

@@ -104,20 +104,11 @@ class TestIntegrateAdaptive:
                                0.0, 50.0, rel_tol=1e-13)
         assert exc.value.error_estimate is not None
 
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            integrate_adaptive(lambda x: x, 1.0, -1.0)
-
     def test_points_hint_finds_narrow_peak(self):
         width = 1e-6
         result = integrate_adaptive(_pointwise(lambda x: 1.0 / (1.0 + ((x - 0.5) / width) ** 2)),
                                     -1e3, 1e3, rel_tol=1e-9, points=[(0.5, width)])
         assert result.value == pytest.approx(math.pi * width, rel=1e-6)
-
-    @pytest.mark.parametrize("half_width", [0.0, -1e-3])
-    def test_points_need_positive_half_width(self, half_width):
-        with pytest.raises(ValueError, match="half-width"):
-            integrate_adaptive(_pointwise(math.cos), -1.0, 1.0, points=[(0.2, half_width)])
 
     def test_ladder_stops_at_a_tenth_of_the_half_width(self):
         # rungs at span 10^-k = 0.2, ..., 2e-5 lie at or above 3e-6 = hw / 10;

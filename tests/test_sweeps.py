@@ -81,10 +81,6 @@ class TestSweepEta:
                 assert result.values[f"R_{x}{y}"][i] == pytest.approx(
                     phantom.pair_rate_cw(system, pump, x, y), rel=1e-13, abs=0.0)
 
-    def test_domain_validation(self, ring_ref):
-        with pytest.raises(ValueError):
-            sweeps.sweep_eta(ring_ref, np.array([0.0, 0.5]), PUMP)
-
     @given(radius=st.floats(5e-6, 5e-5), loss=st.floats(0.5, 60.0),
            gamma_nl=st.floats(10.0, 500.0), sigma=st.floats(0.9, 0.999),
            wavelengths=st.tuples(*[st.floats(1400.0, 1700.0)] * 3),
